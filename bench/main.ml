@@ -32,28 +32,25 @@ module Cliscan = Warden_util.Cliscan
 
 (* All modes share one scanner, so a flag's value can never leak into the
    positionals (the old hand-rolled walker swallowed a following flag as a
-   value — "compare --jobs --sim-domains 2" treated "2" as a snapshot
+   value — "compare --jobs --obs off" treated "off" as a snapshot
    path). Mode words are positionals; the rest are flags. *)
 let cli =
   Cliscan.create
     ~value_flags:
       [
         [ "--jobs"; "-j" ];
-        [ "--sim-domains" ];
         [ "--obs" ];
-        [ "--sim-spec" ];
         [ "--filter" ];
         [ "--snap-cache" ];
       ]
     Sys.argv
 
 let mode_words =
-  [ "quick"; "json"; "compare"; "scaling"; "scale"; "serve"; "replay"; "zoo" ]
+  [ "quick"; "json"; "compare"; "scale"; "serve"; "replay"; "zoo" ]
 let has_mode w = List.mem w (Cliscan.positionals cli)
 let quick = has_mode "quick"
 let json_mode = has_mode "json"
 let compare_mode = has_mode "compare"
-let scaling_mode = has_mode "scaling"
 let scale_mode = has_mode "scale"
 let serve_mode = has_mode "serve"
 let replay_mode = has_mode "replay"
@@ -67,27 +64,6 @@ let snap_cache_dir = Cliscan.string_flag cli [ "--snap-cache" ]
 (* Positionals that are not mode words: the compare mode's snapshot paths. *)
 let snapshot_args =
   List.filter (fun a -> not (List.mem a mode_words)) (Cliscan.positionals cli)
-
-(* [--sim-domains D] (or WARDEN_SIM_DOMAINS) shards every engine across D
-   domains; results are bit-identical for every D (DESIGN.md §11). *)
-let sim_domains =
-  (match Cliscan.int_flag cli [ "--sim-domains" ] with
-  | Some n -> Config.set_default_sim_domains n
-  | None -> ());
-  (Config.dual_socket ()).Config.sim_domains
-
-(* [--sim-spec on|off] (or WARDEN_SIM_SPEC) toggles speculative shard
-   execution; off leaves sharding but makes D > 1 lane-only. *)
-let () =
-  match Cliscan.string_flag cli [ "--sim-spec" ] with
-  | Some s -> (
-      match String.lowercase_ascii s with
-      | "on" | "1" | "true" | "yes" -> Config.set_default_sim_spec true
-      | "off" | "0" | "false" | "no" -> Config.set_default_sim_spec false
-      | _ -> invalid_arg "--sim-spec: expected on or off")
-  | None ->
-      if Cliscan.has cli "--sim-spec" then
-        invalid_arg "--sim-spec: expected on or off"
 
 (* [--obs LEVEL] (or WARDEN_OBS) turns event recording on for every
    simulation in the run; the CI overhead gate benches off vs counters. *)
@@ -116,14 +92,10 @@ let filter_names =
         invalid_arg "--filter: expected a substring"
       else None
 
-(* Each pool job spawns sim_domains - 1 helper domains of its own; cap the
-   product at what the host can schedule. *)
 let jobs =
-  Pool.effective_jobs
-    ~jobs:(match Cliscan.int_flag cli [ "--jobs"; "-j" ] with
-          | Some n -> n
-          | None -> Pool.default_jobs ())
-    ~sim_domains
+  match Cliscan.int_flag cli [ "--jobs"; "-j" ] with
+  | Some n -> n
+  | None -> Pool.default_jobs ()
 
 let section title =
   Printf.printf "\n%s\n%s\n\n%!" title (String.make (String.length title) '=')
@@ -354,11 +326,13 @@ let json_escape s =
   Buffer.contents buf
 
 (* Simulator throughput: wall-clock the quick dual-socket suite and count
-   the simulated instructions it retires. *)
-let measure_sim_throughput ?(jobs = jobs) () =
+   the simulated instructions it retires. One simulation at a time, like
+   BENCH_baseline.json, so [compare] weighs per-simulation host time
+   against per-simulation host time whatever the host's core count. *)
+let measure_sim_throughput () =
   let t0 = Unix.gettimeofday () in
   let sr =
-    Experiments.run_suite ~quick:true ?names:filter_names ~jobs
+    Experiments.run_suite ~quick:true ?names:filter_names ~jobs:1
       ~config:(Config.dual_socket ()) ()
   in
   let wall = Unix.gettimeofday () -. t0 in
@@ -379,15 +353,14 @@ let measure_sim_throughput ?(jobs = jobs) () =
    trajectory. Kept separate from BENCH_sim.json (a snapshot that each run
    overwrites) so regressions are visible across history, not just against
    the committed baseline. *)
-let append_history ?(jobs = jobs) ?(sim_domains = sim_domains) ~wall ~instrs
-    ~cycles ~mips () =
+let append_history ~wall ~instrs ~cycles ~mips =
   let line =
     Printf.sprintf
-      "{\"unix_time\": %.0f, \"jobs\": %d, \"sim_domains\": %d, \
+      "{\"unix_time\": %.0f, \"jobs\": 1, \
        \"obs_level\": \"%s\", \"quick_suite_wall_s\": %.3f, \
        \"quick_suite_sim_instructions\": %d, \"quick_suite_sim_cycles\": %d, \
        \"sim_mips\": %.3f}\n"
-      (Unix.time ()) jobs sim_domains obs_level wall instrs cycles mips
+      (Unix.time ()) obs_level wall instrs cycles mips
   in
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_history.jsonl"
@@ -396,12 +369,11 @@ let append_history ?(jobs = jobs) ?(sim_domains = sim_domains) ~wall ~instrs
   close_out oc
 
 (* The flat snapshot format shared by json mode (BENCH_sim.json) and the
-   scaling gate (BENCH_scaling_dN.json). *)
-let render_snapshot ~jobs ~sim_domains ~kernels ~wall ~instrs ~cycles =
+   scale mode (BENCH_scale.json). *)
+let render_snapshot ~kernels ~wall ~instrs ~cycles =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"sim_domains\": %d,\n" sim_domains);
+  Buffer.add_string buf "  \"jobs\": 1,\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"obs_level\": \"%s\",\n" obs_level);
   Buffer.add_string buf "  \"kernels_ms_per_run\": {\n";
@@ -427,13 +399,12 @@ let render_snapshot ~jobs ~sim_domains ~kernels ~wall ~instrs ~cycles =
 let run_json () =
   let kernels = measure_bechamel () in
   let wall, instrs, cycles = measure_sim_throughput () in
-  let s = render_snapshot ~jobs ~sim_domains ~kernels ~wall ~instrs ~cycles in
+  let s = render_snapshot ~kernels ~wall ~instrs ~cycles in
   let oc = open_out "BENCH_sim.json" in
   output_string oc s;
   close_out oc;
   append_history ~wall ~instrs ~cycles
-    ~mips:(if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0.)
-    ();
+    ~mips:(if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0.);
   print_string s;
   Printf.printf "wrote BENCH_sim.json (and appended BENCH_history.jsonl)\n%!"
 
@@ -489,11 +460,6 @@ let json_number file key =
   | None ->
       Printf.eprintf "bench compare: no numeric \"%s\" in %s\n" key file;
       exit 2
-
-(* Like {!json_number} but [default] when the key is absent (older
-   snapshots predate some fields). *)
-let json_number_or file key ~default =
-  match scan_number (slurp file) key with Some f -> f | None -> default
 
 (* The ("kernel", ms) pairs of a snapshot's kernels_ms_per_run object.
    Same minimal-scanner spirit as {!json_number}: the harness wrote the
@@ -579,7 +545,7 @@ let json_string_or file key ~default =
           end))
 
 (* [compare --overhead [OFF [ON]]]: the tracing-overhead gate. Both files
-   are bench-json snapshots of the same machine and sim_domains, one taken
+   are bench-json snapshots of the same machine, one taken
    with WARDEN_OBS=off and one with counters; fail (exit 1) when counters
    cost more than 3%% of simulation throughput. Defaults:
    BENCH_obs_off.json vs BENCH_sim.json. *)
@@ -627,17 +593,6 @@ let run_compare () =
   Printf.printf
     "bench compare: baseline %.3f sim MIPS (%s), current %.3f (%s), floor %.3f\n"
     base base_file cur cur_file floor;
-  (* Host-time budgets are only meaningful like for like: a snapshot taken
-     with a different sim_domains (e.g. the CI 2-domain determinism job on
-     a sequential baseline) reports but does not gate. *)
-  let base_d = json_number_or base_file "sim_domains" ~default:1. in
-  let cur_d = json_number_or cur_file "sim_domains" ~default:1. in
-  let advisory = base_d <> cur_d in
-  if advisory then
-    Printf.printf
-      "note: sim_domains differ (baseline %.0f, current %.0f); host-time \
-       regressions reported but not gated\n"
-      base_d cur_d;
   let failed = ref false in
   if cur < floor then begin
     Printf.printf "REGRESSION: current sim_mips is %.1f%% of baseline\n"
@@ -668,119 +623,8 @@ let run_compare () =
             Printf.printf "ok: kernel %-45s %8.3f ms/run (baseline %8.3f)\n"
               name cms bms)
     base_kernels;
-  if !failed && not advisory then exit 1
-  else if !failed then
-    Printf.printf "advisory only (sim_domains mismatch): not failing\n"
-  else Printf.printf "ok: within the 10%% MIPS / 15%% per-kernel budgets\n"
-
-(* ------------------------------------------------------------------ *)
-(* scaling mode: does --sim-domains deliver real parallel speedup?     *)
-(* ------------------------------------------------------------------ *)
-
-(* The gate the speculative shard engine must clear: the quick suite's
-   simulation throughput at D=4 must be at least [scaling_floor] times the
-   D=1 throughput on the same host, and no kernel may regress at D=1
-   against the committed baseline. *)
-let scaling_floor = 1.7
-
-(* One leg of the scaling run: quick-suite throughput plus the Bechamel
-   kernels at [d] domains, snapshotted to BENCH_scaling_d<d>.json and
-   appended to the history. [jobs] is forced to 1: the gate measures one
-   engine's shard scaling, so fanning independent simulations across the
-   pool would oversubscribe the very cores the helpers need. *)
-let scaling_leg d =
-  Config.set_default_sim_domains d;
-  let kernels = measure_bechamel () in
-  let wall, instrs, cycles = measure_sim_throughput ~jobs:1 () in
-  let mips = if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0. in
-  let file = Printf.sprintf "BENCH_scaling_d%d.json" d in
-  let s =
-    render_snapshot ~jobs:1 ~sim_domains:d ~kernels ~wall ~instrs ~cycles
-  in
-  let oc = open_out file in
-  output_string oc s;
-  close_out oc;
-  append_history ~jobs:1 ~sim_domains:d ~wall ~instrs ~cycles ~mips ();
-  Printf.printf "scaling: D=%d: %.3f sim MIPS (%.3f s wall) -> %s\n%!" d mips
-    wall file;
-  (mips, kernels)
-
-(* Shared by the scaling run and [compare --scaling]. *)
-let scaling_verdict ~d1 ~d4 =
-  let ratio = if d1 > 0. then d4 /. d1 else 0. in
-  Printf.printf
-    "scaling: sim MIPS %.3f at D=1, %.3f at D=4: %.2fx (floor %.2fx)\n" d1 d4
-    ratio scaling_floor;
-  if ratio < scaling_floor then begin
-    Printf.printf "REGRESSION: D=4 delivers only %.2fx over D=1 (floor %.2fx)\n"
-      ratio scaling_floor;
-    false
-  end
-  else begin
-    Printf.printf "ok: sharded speedup clears the %.2fx floor\n" scaling_floor;
-    true
-  end
-
-let run_sim_scaling () =
-  let cores = Domain.recommended_domain_count () in
-  if cores < 4 then begin
-    (* Not a failure: the gate needs 3 helper domains plus the lane to
-       actually run in parallel. CI enforces it on >= 4-core runners. *)
-    Printf.printf
-      "scaling: SKIPPED — host reports %d core(s); the D=4 vs D=1 gate \
-       needs at least 4 to measure real parallelism\n"
-      cores;
-    exit 0
-  end;
-  section "Scaling gate: quick suite at sim_domains 1 vs 4";
-  let d1, d1_kernels = scaling_leg 1 in
-  let d4, _ = scaling_leg 4 in
-  let failed = ref (not (scaling_verdict ~d1 ~d4)) in
-  (* D=1 must not pay for the machinery: per-kernel host time against the
-     committed baseline, same budget as [compare]. *)
-  if Sys.file_exists "BENCH_baseline.json" then
-    List.iter
-      (fun (name, bms) ->
-        match List.assoc_opt name d1_kernels with
-        | None -> ()
-        | Some cms ->
-            let budget = 1.15 *. bms in
-            if cms > budget then begin
-              Printf.printf
-                "REGRESSION: kernel %s at D=1: %.3f ms/run vs baseline %.3f \
-                 (budget %.3f)\n"
-                name cms bms budget;
-              failed := true
-            end
-            else
-              Printf.printf "ok: kernel %-45s %8.3f ms/run at D=1 (baseline \
-                             %8.3f)\n"
-                name cms bms)
-      (json_kernels "BENCH_baseline.json")
-  else
-    Printf.printf
-      "note: no BENCH_baseline.json; skipping the D=1 per-kernel check\n";
   if !failed then exit 1
-  else Printf.printf "ok: scaling gate passed\n"
-
-(* [compare --scaling [D1 [D4]]]: re-run the ratio gate over existing
-   snapshots (defaults: BENCH_scaling_d1.json vs BENCH_scaling_d4.json). *)
-let run_compare_scaling () =
-  let d1_file, d4_file =
-    match snapshot_args with
-    | [] -> ("BENCH_scaling_d1.json", "BENCH_scaling_d4.json")
-    | [ a ] -> (a, "BENCH_scaling_d4.json")
-    | a :: b :: _ -> (a, b)
-  in
-  let d1 = json_number d1_file "sim_mips" in
-  let d4 = json_number d4_file "sim_mips" in
-  let dd1 = json_number_or d1_file "sim_domains" ~default:1. in
-  let dd4 = json_number_or d4_file "sim_domains" ~default:4. in
-  if dd1 <> 1. || dd4 <> 4. then
-    Printf.printf
-      "warning: snapshots report sim_domains %.0f and %.0f (expected 1 and 4)\n"
-      dd1 dd4;
-  if not (scaling_verdict ~d1 ~d4) then exit 1
+  else Printf.printf "ok: within the 10%% MIPS / 15%% per-kernel budgets\n"
 
 (* ------------------------------------------------------------------ *)
 (* scale mode: 64 -> 512 cores on the hierarchical directory          *)
@@ -1029,13 +873,11 @@ let run_scale () =
     List.fold_left (fun a (_, m, w) -> a + m.sc_instrs + w.sc_instrs) 0 cells
   in
   let mips = if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0. in
-  let s =
-    render_snapshot ~jobs:1 ~sim_domains ~kernels ~wall ~instrs ~cycles:0
-  in
+  let s = render_snapshot ~kernels ~wall ~instrs ~cycles:0 in
   let oc = open_out "BENCH_scale.json" in
   output_string oc s;
   close_out oc;
-  append_history ~jobs:1 ~wall ~instrs ~cycles:0 ~mips ();
+  append_history ~wall ~instrs ~cycles:0 ~mips;
   Printf.printf "suite: %.3f s wall, %.2f sim MIPS -> BENCH_scale.json\n" wall
     mips;
   (* The snapshot-cache gate: a fully warm sweep must cut the sweep's own
@@ -1156,7 +998,6 @@ let run_replay () =
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "{\n";
   addf "  \"jobs\": 1,\n";
-  addf "  \"sim_domains\": %d,\n" sim_domains;
   addf "  \"obs_level\": \"%s\",\n" obs_level;
   addf "  \"kernels_ms_per_run\": {\n";
   addf "    \"replay:live:%s\": %.3f,\n" replay_kernel (wall_live *. 1e3);
@@ -1216,7 +1057,6 @@ let render_serve_snapshot (p : Serve.params) (rm : Serve.result)
   let wall = wall_m +. wall_w in
   addf "{\n";
   addf "  \"jobs\": %d,\n" jobs;
-  addf "  \"sim_domains\": %d,\n" sim_domains;
   addf "  \"obs_level\": \"%s\",\n" obs_level;
   addf "  \"kernels_ms_per_run\": {\n";
   addf "    \"serve:mesi\": %.3f,\n" (wall_m *. 1e3);
@@ -1415,7 +1255,6 @@ let run_zoo_mode () =
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "{\n";
   addf "  \"jobs\": %d,\n" jobs;
-  addf "  \"sim_domains\": %d,\n" sim_domains;
   addf "  \"obs_level\": \"%s\",\n" obs_level;
   addf "  \"kernels_ms_per_run\": {\n";
   List.iteri
@@ -1507,10 +1346,8 @@ let run_compare_zoo () =
 
 let () =
   if compare_mode && Cliscan.has cli "--overhead" then run_overhead ()
-  else if compare_mode && Cliscan.has cli "--scaling" then run_compare_scaling ()
   else if compare_mode && Cliscan.has cli "--zoo" then run_compare_zoo ()
   else if compare_mode then run_compare ()
-  else if scaling_mode then run_sim_scaling ()
   else if scale_mode then run_scale ()
   else if serve_mode then run_serve ()
   else if replay_mode then run_replay ()

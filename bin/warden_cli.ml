@@ -33,23 +33,6 @@ let machine_arg =
     & info [ "machine"; "m" ] ~docv:"MACHINE"
         ~doc:"Machine: single, dual, disagg, or a socket count.")
 
-let sim_domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sim-domains" ] ~docv:"D"
-        ~doc:
-          "Shard each simulation across $(docv) domains: one commit lane \
-           plus $(docv)-1 cache-warming helpers (default: \
-           $(b,WARDEN_SIM_DOMAINS) or 1). Statistics are bit-identical for \
-           every value.")
-
-(* The flag retargets the config default, so every Config.* constructor
-   called afterwards — including inside Experiments — picks it up. *)
-let apply_sim_domains = function
-  | Some d -> Config.set_default_sim_domains d
-  | None -> ()
-
 let obs_arg =
   Arg.(
     value
@@ -109,15 +92,6 @@ let write_chrome_trace file runs =
     (if dropped > 0 then Printf.sprintf " (%d dropped at capacity)" dropped
      else "")
 
-(* Each simulation spawns sim_domains - 1 helper domains, so cap the pool
-   width at what the host can schedule. *)
-let cap_jobs jobs =
-  Option.map
-    (fun j ->
-      Pool.effective_jobs ~jobs:j
-        ~sim_domains:(Config.dual_socket ()).Config.sim_domains)
-    jobs
-
 let exit_of_bool ok = if ok then 0 else 1
 let proto_name = Exp.proto_name
 
@@ -138,9 +112,8 @@ let snapshot_out_arg =
         ~doc:
           "After the run, save the full simulator state as a snapshot \
            (restore with $(b,--snapshot-in)). Requires a single $(b,--proto). \
-           Snapshots are portable across $(b,--sim-domains) and speculation \
-           settings; anything that changes simulated results is fingerprinted \
-           and checked on restore.")
+           Anything that changes simulated results is fingerprinted and \
+           checked on restore.")
 
 let snapshot_in_arg =
   Arg.(
@@ -214,9 +187,8 @@ let bench_cmd =
       & opt (some int) None
       & info [ "workers"; "w" ] ~doc:"Worker threads (default: all).")
   in
-  let run name proto machine scale workers quick sim_domains obs trace_out
+  let run name proto machine scale workers quick obs trace_out
       snap_in snap_out =
-    apply_sim_domains sim_domains;
     apply_obs ~obs ~trace_out;
     require_single_proto ~snap_in ~snap_out proto;
     let name = strip_bench_prefix name in
@@ -311,7 +283,7 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Run one benchmark and print its statistics.")
     Term.(
       const run $ name_arg $ proto_arg $ machine_arg $ scale_arg $ workers_arg
-      $ quick_arg $ sim_domains_arg $ obs_arg $ trace_out_arg $ snapshot_in_arg
+      $ quick_arg $ obs_arg $ trace_out_arg $ snapshot_in_arg
       $ snapshot_out_arg)
 
 (* --- serve --------------------------------------------------------------- *)
@@ -433,7 +405,7 @@ let serve_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the run's summary (simulated quantities only, so the \
-             bytes are identical for every $(b,--sim-domains)) as JSON.")
+             bytes are identical run to run) as JSON.")
   in
   let curve_arg =
     Arg.(
@@ -445,9 +417,8 @@ let serve_cmd =
              a single run.")
   in
   let run requests keys zipf read_frac scan_frac scan_len batch grain shards
-      seed cores proto machine quick sim_domains obs json curve snap_in
+      seed cores proto machine quick obs json curve snap_in
       snap_out =
-    apply_sim_domains sim_domains;
     apply_obs ~obs ~trace_out:None;
     require_single_proto ~snap_in ~snap_out proto;
     if (snap_in <> None || snap_out <> None) && curve <> None then
@@ -553,7 +524,7 @@ let serve_cmd =
       const run $ requests_arg $ keys_arg $ zipf_arg $ read_frac_arg
       $ scan_frac_arg $ scan_len_arg $ batch_arg $ grain_arg $ shards_arg
       $ seed_arg $ cores_arg $ proto_arg $ machine_arg $ quick_arg
-      $ sim_domains_arg $ obs_arg $ json_arg $ curve_arg $ snapshot_in_arg
+      $ obs_arg $ json_arg $ curve_arg $ snapshot_in_arg
       $ snapshot_out_arg)
 
 (* --- profile ------------------------------------------------------------- *)
@@ -628,8 +599,7 @@ let profile_cmd =
       & opt (some int) None
       & info [ "workers"; "w" ] ~doc:"Worker threads (default: all).")
   in
-  let run name proto machine scale workers quick sim_domains obs trace_out =
-    apply_sim_domains sim_domains;
+  let run name proto machine scale workers quick obs trace_out =
     (* profile records at full level unless the user asks for less. *)
     apply_obs ~obs:(Some (Option.value obs ~default:"full")) ~trace_out;
     let config = machine_of machine in
@@ -688,7 +658,7 @@ let profile_cmd =
           with $(b,--trace-out).")
     Term.(
       const run $ name_arg $ proto_arg $ machine_arg $ scale_arg $ workers_arg
-      $ quick_arg $ sim_domains_arg $ obs_arg $ trace_out_arg)
+      $ quick_arg $ obs_arg $ trace_out_arg)
 
 (* --- experiments --------------------------------------------------------- *)
 
@@ -706,16 +676,15 @@ let table2_cmd =
       0)
 
 let fig_cmd name doc config title =
-  let run quick jobs sim_domains =
-    apply_sim_domains sim_domains;
+  let run quick jobs =
     let sr =
-      Experiments.run_suite ~quick ?jobs:(cap_jobs jobs) ~config:(config ()) ()
+      Experiments.run_suite ~quick ?jobs ~config:(config ()) ()
     in
     print_string (Experiments.render_perf_energy ~title sr);
     0
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ quick_arg $ jobs_arg $ sim_domains_arg)
+    Term.(const run $ quick_arg $ jobs_arg)
 
 let fig7_cmd =
   fig_cmd "fig7" "Reproduce Figure 7 (single socket)." Config.single_socket
@@ -726,10 +695,9 @@ let fig8_cmd =
     "Figure 8: performance and energy gains, dual socket"
 
 let analysis_cmd =
-  let run quick jobs sim_domains =
-    apply_sim_domains sim_domains;
+  let run quick jobs =
     let sr =
-      Experiments.run_suite ~quick ?jobs:(cap_jobs jobs)
+      Experiments.run_suite ~quick ?jobs
         ~config:(Config.dual_socket ()) ()
     in
     print_string (Experiments.render_fig9 sr);
@@ -742,13 +710,12 @@ let analysis_cmd =
   Cmd.v
     (Cmd.info "analysis"
        ~doc:"Reproduce Figures 9-11 (dual-socket coherence-event analysis).")
-    Term.(const run $ quick_arg $ jobs_arg $ sim_domains_arg)
+    Term.(const run $ quick_arg $ jobs_arg)
 
 let fig12_cmd =
-  let run quick jobs sim_domains =
-    apply_sim_domains sim_domains;
+  let run quick jobs =
     let sr =
-      Experiments.run_suite ~quick ?jobs:(cap_jobs jobs)
+      Experiments.run_suite ~quick ?jobs
         ~names:Warden_pbbs.Suite.disaggregated_subset
         ~config:(Config.disaggregated ()) ()
     in
@@ -759,12 +726,10 @@ let fig12_cmd =
   in
   Cmd.v
     (Cmd.info "fig12" ~doc:"Reproduce Figure 12 (disaggregated system).")
-    Term.(const run $ quick_arg $ jobs_arg $ sim_domains_arg)
+    Term.(const run $ quick_arg $ jobs_arg)
 
 let scaling_cmd =
-  let run quick jobs sim_domains =
-    apply_sim_domains sim_domains;
-    let jobs = cap_jobs jobs in
+  let run quick jobs =
     let names = [ "dmm"; "msort"; "palindrome"; "quickhull" ] in
     print_string (Experiments.render_worker_scaling ~quick ?jobs ~names ());
     print_newline ();
@@ -774,7 +739,7 @@ let scaling_cmd =
   Cmd.v
     (Cmd.info "scaling"
        ~doc:"Worker-count and socket-count scaling studies (7.3).")
-    Term.(const run $ quick_arg $ jobs_arg $ sim_domains_arg)
+    Term.(const run $ quick_arg $ jobs_arg)
 
 let trace_cmd =
   let name_arg =
@@ -1094,13 +1059,12 @@ let check_cmd =
       $ store_cap_arg $ fuzz_steps_arg $ seed_arg $ proto_arg $ machine_arg)
 
 let all_cmd =
-  let run quick jobs sim_domains =
-    apply_sim_domains sim_domains;
-    exit_of_bool (Experiments.run_all ~quick ?jobs:(cap_jobs jobs) ())
+  let run quick jobs =
+    exit_of_bool (Experiments.run_all ~quick ?jobs ())
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every table and figure of the evaluation.")
-    Term.(const run $ quick_arg $ jobs_arg $ sim_domains_arg)
+    Term.(const run $ quick_arg $ jobs_arg)
 
 let main =
   Cmd.group

@@ -112,21 +112,6 @@ let find t blk =
         Some (Array.unsafe_get c.payloads base)
       end
 
-(* Pure probe for helper domains: the resident payload, or [dummy] when
-   absent — no allocation, no mutation, and safe to race with the owning
-   lane (a torn view yields a stale payload, never an out-of-bounds
-   access). Compare against [dummy] physically to detect a miss. *)
-let peek_or_dummy t blk =
-  let set = set_index t blk in
-  match chunk_of t set with
-  | None -> t.dummy
-  | Some c ->
-      let base = base_of t set in
-      let w = peek_pos c base t.nways blk in
-      if w < 0 then t.dummy else Array.unsafe_get c.payloads w
-
-let dummy t = t.dummy
-
 (* Sa.insert's exact semantics: refresh in place on hit; otherwise fill
    the first empty way, or evict the least-recently-used one (first index
    wins ties) and return the displaced entry. *)

@@ -15,8 +15,7 @@
 type 'a t
 
 val create : sets:int -> ways:int -> dummy:'a -> 'a t
-(** [sets] must be a power of two. [dummy] fills absent ways and is the
-    {!peek_or_dummy} miss answer. *)
+(** [sets] must be a power of two. [dummy] fills absent ways. *)
 
 val sets : 'a t -> int
 val ways : 'a t -> int
@@ -24,14 +23,6 @@ val set_index : 'a t -> int -> int
 
 val find : 'a t -> int -> 'a option
 (** Hit probe with LRU refresh and MRU rotation, as {!Sa.find}. *)
-
-val peek_or_dummy : 'a t -> int -> 'a
-(** Pure probe for helper domains: the resident payload, or the cache's
-    [dummy] when absent (compare physically against {!dummy}). No
-    allocation, no mutation; safe to race with the owning lane — a torn
-    view yields a stale payload, never an out-of-bounds access. *)
-
-val dummy : 'a t -> 'a
 
 val insert : 'a t -> int -> 'a -> (int * 'a) option
 (** As {!Sa.insert}: refresh in place on hit, else fill/evict and return

@@ -70,32 +70,20 @@ let swap_ways t a b =
    layout), so a re-probe of the same hot block exits on the first
    comparison. LRU ordering is untouched: recency lives in [last_use],
    not in position. *)
-let find_way t blk =
-  let w = peek_way t blk in
-  if w < 0 then no_way
-  else begin
-    t.tick <- t.tick + 1;
-    let base = set_index t blk * t.nways in
-    if w > base then swap_ways t base w;
-    Array.unsafe_set t.last_use base t.tick;
-    base
-  end
-
-let touch_way t w =
-  t.tick <- t.tick + 1;
-  Array.unsafe_set t.last_use w t.tick
-
-(* Known-way replay of [find_way]: identical tick, rotation and recency
-   writes, but with the hit way supplied by the caller instead of walked
-   for. The sharded engine's commit lane uses this to apply a validated
-   speculation — the helper already did the walk with [peek_way], and
-   validation guarantees the way is still where the helper saw it. *)
 let promote_way t blk w =
   t.tick <- t.tick + 1;
   let base = set_index t blk * t.nways in
   if w > base then swap_ways t base w;
   Array.unsafe_set t.last_use base t.tick;
   base
+
+let find_way t blk =
+  let w = peek_way t blk in
+  if w < 0 then no_way else promote_way t blk w
+
+let touch_way t w =
+  t.tick <- t.tick + 1;
+  Array.unsafe_set t.last_use w t.tick
 
 let find t blk =
   let w = find_way t blk in
@@ -122,23 +110,6 @@ let victim_way t set =
      done
    with Exit -> ());
   !best
-
-(* Pure victim probe by block: the way [insert] would fill if the block
-   is absent. Reads only [blks]/[last_use], so it is safe for helper
-   domains racing the owning lane — a concurrent mutation can make the
-   answer stale, which version validation turns into a squash. *)
-let peek_victim_way t blk = victim_way t (set_index t blk)
-
-(* Known-way replay of [insert] for a block verified absent: identical
-   tick and way writes, with the victim way supplied by the caller
-   (normally from [peek_victim_way], revalidated). Any displaced payload
-   is simply overwritten, matching [insert] callers that ignore the
-   eviction (the L1 promote path — the line stays valid in L2). *)
-let insert_at t blk w payload =
-  t.tick <- t.tick + 1;
-  t.blks.(w) <- blk;
-  t.payloads.(w) <- payload;
-  t.last_use.(w) <- t.tick
 
 let would_evict t blk =
   if hit (peek_way t blk) then None

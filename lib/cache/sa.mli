@@ -46,24 +46,10 @@ val touch_way : 'a t -> way -> unit
     way handles into the same set are live. *)
 
 val promote_way : 'a t -> int -> way -> way
-(** [promote_way t blk w] replays {!find_way} with the hit way supplied:
-    identical LRU-clock tick, rotation to way 0 and recency write, and
-    the same returned way. [w] must currently hold [blk]. The sharded
-    engine's commit lane uses this to apply a validated speculation whose
-    helper already walked the set with {!peek_way}. *)
-
-val peek_victim_way : 'a t -> int -> way
-(** The way {!insert} of this (absent) block would fill: the first empty
-    way of its set, else the LRU way. Pure — reads only tags and recency,
-    so helper domains may race it against the owning lane; a stale answer
-    is caught by version validation. *)
-
-val insert_at : 'a t -> int -> way -> 'a -> unit
-(** [insert_at t blk w payload] replays {!insert} of a block verified
-    absent, with the victim way supplied ({!peek_victim_way},
-    revalidated): identical LRU-clock tick and way writes. Whatever
-    occupied [w] is overwritten without an eviction callback — matching
-    {!insert} call sites that ignore the displaced payload. *)
+(** [promote_way t blk w] is {!find_way} with the hit way supplied (say,
+    from a {!peek_way} the caller already made): identical LRU-clock tick,
+    rotation to way 0 and recency write, and the same returned way. [w]
+    must currently hold [blk]. *)
 
 val hit : way -> bool
 

@@ -269,7 +269,6 @@ module P = struct
       !pending
 
   let observe t ~blk = Protocol.view_of_dir t.dir ~blk
-  let prefetch t ~blk = Dirstate.prefetch t.dir blk
 
   let dump t =
     let b = Buffer.create 256 in

@@ -11,25 +11,6 @@ let default_jobs () =
       | _ -> invalid_arg "WARDEN_JOBS: expected a positive integer")
   | None -> Domain.recommended_domain_count ()
 
-(* With the sharded engine, every job spawns [sim_domains - 1] helper
-   domains of its own, so the true domain demand of a run is the product.
-   Cap the pool width so the product stays within what the host can
-   schedule; oversubscription would not be wrong (determinism never
-   depends on timing), just slow. *)
-let effective_jobs ~jobs ~sim_domains =
-  let jobs = max 1 jobs and sim_domains = max 1 sim_domains in
-  let budget = Domain.recommended_domain_count () in
-  if jobs * sim_domains <= budget then jobs
-  else begin
-    let capped = max 1 (budget / sim_domains) in
-    if capped < jobs then
-      Printf.eprintf
-        "warden: capping --jobs %d to %d: %d jobs x %d sim domains exceeds \
-         the %d domains this host can schedule\n%!"
-        jobs capped jobs sim_domains budget;
-    capped
-  end
-
 type 'b outcome = Done of 'b | Failed of exn | Pending
 
 let map ?jobs f xs =

@@ -10,13 +10,6 @@ val default_jobs : unit -> int
 (** The [WARDEN_JOBS] environment variable if set (must be ≥ 1), else
     {!Domain.recommended_domain_count}. *)
 
-val effective_jobs : jobs:int -> sim_domains:int -> int
-(** Cap [jobs] so that [jobs * sim_domains] — each pool job runs a
-    sharded engine that spawns [sim_domains - 1] helper domains — does
-    not exceed {!Domain.recommended_domain_count}. Returns the capped
-    width (≥ 1) and warns on stderr when it had to shrink. Determinism
-    never depends on the width; this is purely a scheduling guard. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element, fanning work across up
     to [jobs] domains (default {!default_jobs}), and returns results in

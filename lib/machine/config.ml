@@ -41,46 +41,11 @@ type t = {
   store_buffer_entries : int;
   sched_quantum : int;
   sim_domains : int;
-  sim_quantum : int;
-  sim_spec : bool;
-  sim_spec_torture : bool;
   obs_level : obs_level;
 }
 
-(* Default shard count for newly built configs. Initialized from
-   WARDEN_SIM_DOMAINS so a whole test or bench run can be switched into
-   parallel mode from the environment (the CI 2-domain job relies on
-   this); [set_default_sim_domains] backs the --sim-domains flags. *)
-let default_sim_domains =
-  ref
-    (match Sys.getenv_opt "WARDEN_SIM_DOMAINS" with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> invalid_arg "WARDEN_SIM_DOMAINS: expected a positive integer"))
-
-let set_default_sim_domains n =
-  if n < 1 then invalid_arg "Config.set_default_sim_domains: nonpositive";
-  default_sim_domains := n
-
-(* Speculative shard execution (DESIGN.md §11). On by default — it only
-   engages when [num_shards > 1] — with WARDEN_SIM_SPEC=0 as the kill
-   switch for A/B comparisons; [set_default_sim_spec] backs --sim-spec. *)
-let default_sim_spec =
-  ref
-    (match Sys.getenv_opt "WARDEN_SIM_SPEC" with
-    | None -> true
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "off" | "false" | "no" -> false
-        | "1" | "on" | "true" | "yes" -> true
-        | _ -> invalid_arg "WARDEN_SIM_SPEC: expected on/1 or off/0"))
-
-let set_default_sim_spec b = default_sim_spec := b
-
-(* Same pattern for observability: WARDEN_OBS switches a whole run (the
-   CI overhead job sets it), --obs flags route to [set_default_obs_level]. *)
+(* WARDEN_OBS switches a whole run (the CI overhead job sets it), --obs
+   flags route to [set_default_obs_level]. *)
 let default_obs_level =
   ref
     (match Sys.getenv_opt "WARDEN_OBS" with
@@ -101,19 +66,6 @@ let core_of_thread t tid =
 let socket_of_core t core = core / t.cores_per_socket
 let socket_of_thread t tid = socket_of_core t (core_of_thread t tid)
 let home_socket t blk = blk mod t.sockets
-
-(* Shards partition the cores into [sim_domains] contiguous groups (so
-   same-socket cores tend to share a shard). The count is clamped to the
-   core count, never rounded up: every shard owns at least one core. *)
-let num_shards t = min (max 1 t.sim_domains) (num_cores t)
-
-let shard_of_core t core = core * num_shards t / num_cores t
-
-let shard_cores t shard =
-  let d = num_shards t and n = num_cores t in
-  let lo = (shard * n + d - 1) / d in
-  let hi = ((shard + 1) * n + d - 1) / d in
-  (lo, hi)
 
 let sets_of ~bytes ~ways =
   let lines = bytes / Addr.block_size in
@@ -156,10 +108,7 @@ let base ~name ~sockets ~threads_per_core =
     recon_inplace_sole = false;
     store_buffer_entries = 56;
     sched_quantum = 4096;
-    sim_domains = !default_sim_domains;
-    sim_quantum = 8192;
-    sim_spec = !default_sim_spec;
-    sim_spec_torture = false;
+    sim_domains = 1;
     obs_level = !default_obs_level;
   }
 
@@ -251,7 +200,7 @@ let pp fmt t =
      L1 %s/%d-way  L2 %s/%d-way  L3 %s-per-core/%d-way@,\
      latencies L1/L2/L3 %d-%d-%d cycles, DRAM +%d, hop %d, socket link %d%s%s@,\
      %.1f GHz, %d WARD regions, reconcile %d cyc/block, store buffer %d@,\
-     scheduler quantum %d, %d sim domain(s), commit quantum %d, spec %s, obs %s@]"
+     scheduler quantum %d, obs %s@]"
     t.name t.sockets t.cores_per_socket t.threads_per_core (kb t.l1_bytes)
     t.l1_ways (kb t.l2_bytes) t.l2_ways (kb t.l3_bytes_per_core) t.l3_ways
     t.l1_lat t.l2_lat t.l3_lat t.dram_lat t.intra_hop_lat t.inter_socket_lat
@@ -262,6 +211,5 @@ let pp fmt t =
           (Array.fold_left max 0 m))
     (if t.dram_remote then " (remote memory)" else "")
     t.freq_ghz t.ward_region_capacity t.reconcile_per_block
-    t.store_buffer_entries t.sched_quantum t.sim_domains t.sim_quantum
-    (if t.sim_spec then "on" else "off")
+    t.store_buffer_entries t.sched_quantum
     (obs_level_to_string t.obs_level)

@@ -77,36 +77,10 @@ type t = {
           entirely (every access schedules through the run queue, the
           legacy behavior); see DESIGN.md §8. *)
   sim_domains : int;
-      (** Host domains driving one simulation: the simulated cores are
-          partitioned into this many shards, each with its own run queue
-          and statistics accumulators; shards above the first get a helper
-          domain that speculatively pre-executes the memory-system
-          transition of its shards' pending accesses (see [sim_spec])
-          while the commit lane drains events in global order. Results are
-          bit-identical for every value (the commit lane preserves the
-          sequential event order exactly, validating or squashing every
-          speculation); see DESIGN.md §11. Clamped to the core count.
-          Default [1], or [WARDEN_SIM_DOMAINS] when set. *)
-  sim_quantum : int;
-      (** Commit-lane quantum, in simulated cycles: the lane folds every
-          shard's statistics deltas into its accumulators each time
-          committed time crosses a quantum boundary. Purely a cadence
-          knob — results are bit-identical for every positive value. *)
-  sim_spec : bool;
-      (** Speculative shard execution (DESIGN.md §11): when [sim_domains >
-          1], helper domains pre-execute the private-cache transition of
-          queued accesses against versioned views; the commit lane applies
-          a speculation only after validating that the version it read is
-          still current, re-executing inline otherwise, so results stay
-          bit-identical whether speculation is on, off, right or wrong.
-          Purely a host-side performance knob. Default [true], or
-          [WARDEN_SIM_SPEC] when set ([0]/[off] disables). *)
-  sim_spec_torture : bool;
-      (** Test hook: force every speculation validation to fail, driving
-          each one down the squash/re-execute path. Results must remain
-          bit-identical — tests use this to pin the squash path against
-          the [sim_domains = 1] golden run. Default [false]; no
-          environment override. *)
+      (** Always [1]: {!Warden_sim.Memsys.create} rejects any other value.
+          One simulation runs on one host domain; host parallelism comes
+          from running independent simulations side by side ([--jobs]).
+          Kept only until the performance ledger stops setting it. *)
   obs_level : obs_level;
       (** Coherence-event observability (DESIGN.md §12). Recording never
           feeds back into the simulation: simulated cycles, statistics and
@@ -124,29 +98,9 @@ val home_socket : t -> int -> int
 (** Home socket of a block: directory entries and L3 slices are interleaved
     across sockets by block number. *)
 
-val set_default_sim_domains : int -> unit
-(** Default [sim_domains] for configs built after this call (the
-    [--sim-domains] flags route here). Initialized from
-    [WARDEN_SIM_DOMAINS], else [1]. *)
-
 val set_default_obs_level : obs_level -> unit
 (** Default [obs_level] for configs built after this call (the [--obs]
     flags route here). Initialized from [WARDEN_OBS], else [Obs_off]. *)
-
-val set_default_sim_spec : bool -> unit
-(** Default [sim_spec] for configs built after this call (the [--sim-spec]
-    flags route here). Initialized from [WARDEN_SIM_SPEC], else [true]. *)
-
-val num_shards : t -> int
-(** [sim_domains] clamped to the core count: every shard owns a core. *)
-
-val shard_of_core : t -> int -> int
-(** Which shard a core belongs to (contiguous partition, so same-socket
-    cores tend to share a shard). *)
-
-val shard_cores : t -> int -> int * int
-(** [(lo, hi)] half-open core range of a shard; inverse of
-    {!shard_of_core}. *)
 
 val l1_sets : t -> int
 val l2_sets : t -> int

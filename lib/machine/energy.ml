@@ -46,13 +46,6 @@ let core_cycles t ~cores ~cycles =
 let l1_access t = deposit t cache_i t.c.l1_pj
 let l2_access t = deposit t cache_i t.c.l2_pj
 
-(* Bulk deposits for deferred per-shard accounting: n events paid at once.
-   Every default cost is an integer-valued float, so count * cost is
-   bit-identical to n repeated additions (integer-valued partial sums are
-   exact well past 2^53 pJ); the sharded engine relies on this to merge
-   per-shard counters without perturbing energy totals. *)
-let l1_accesses t n = deposit t cache_i (float_of_int n *. t.c.l1_pj)
-let l2_accesses t n = deposit t cache_i (float_of_int n *. t.c.l2_pj)
 let l3_access t = deposit t cache_i t.c.l3_pj
 let dir_access t = deposit t cache_i t.c.dir_pj
 let dram_access t = deposit t dram_i t.c.dram_pj
@@ -65,8 +58,7 @@ let cam_lookup t = deposit t cache_i t.c.cam_pj
 
 (* A shared snooping bus is interconnect: occupancy cycles (arbitration
    plus transfer) deposit into the network bucket, exactly as hop-counted
-   messages do on the switched fabrics. Integer-valued like every other
-   cost, so bulk deposits fold bit-identically. *)
+   messages do on the switched fabrics. *)
 let bus_cycles t n = deposit t network_i (float_of_int n *. t.c.bus_cycle_pj)
 
 (* Snapshot the four accumulators as raw float bits (exact round trip). *)

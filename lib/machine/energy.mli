@@ -38,12 +38,6 @@ val core_cycles : t -> cores:int -> cycles:int -> unit
 val l1_access : t -> unit
 val l2_access : t -> unit
 
-val l1_accesses : t -> int -> unit
-(** [n] L1 accesses paid at once. With integer-valued costs (the default
-    table) this is bit-identical to [n] calls of {!l1_access}; the sharded
-    engine's deferred per-shard accounting depends on that. *)
-
-val l2_accesses : t -> int -> unit
 val l3_access : t -> unit
 val dir_access : t -> unit
 val dram_access : t -> unit

@@ -42,25 +42,10 @@ let page t addr =
   if id = t.last_id then t.last_page
   else begin
     let p = Warden_util.Itab.find_or_add t.pages id ~make:new_page in
-    (* Page before id: a cross-domain reader that checks [last_id] first
-       can then never pick up the previous page's bytes for the new id.
-       Only the owning (commit-lane) domain allocates pages; helper
-       domains probe through [prefetch] below, which never mutates. *)
     t.last_page <- p;
     t.last_id <- id;
     p
   end
-
-(* Warming probe for the sharded engine's speculative helper domains
-   (Memsys.spec_read's miss path): pull the bytes backing [addr] toward
-   the calling core's host cache without touching the page table or the
-   one-entry cache (both owned by the commit lane). Returns 0 for
-   unmaterialized pages; the result is advisory only. *)
-let prefetch t addr =
-  let id = addr lsr page_bits in
-  let p = Warden_util.Itab.find_or t.pages id ~default:no_page in
-  if p == no_page then 0
-  else Char.code (Bytes.unsafe_get p (addr land (page_size - 1)))
 
 let check_access addr size =
   (match size with

@@ -44,10 +44,3 @@ val save : t -> Warden_util.Bin.w -> unit
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Replace this store's contents with {!save} output. *)
-
-val prefetch : t -> Addr.t -> int
-(** Hint probe for the sharded engine's helper domains: pull the byte
-    backing [addr] toward the calling core's host cache without mutating
-    the page table or the one-entry page cache (both owned by the commit
-    lane). Safe to call from another domain while the owner runs; the
-    result (0 for unmaterialized pages) is advisory only. *)

@@ -3,10 +3,7 @@
     Bucket [b] covers values in [[2^b, 2^(b+1))] (bucket 0 covers
     [[0, 2)]); values beyond the last bucket saturate into it. Updates
     are flat-array increments, so recording a value is allocation-free
-    and cheap enough for the per-access hot path. Counts and sums are
-    integers: merging or reading at any moment yields the same totals,
-    which is what lets the sharded engine fold at commit-quantum
-    barriers without perturbing anything observable. *)
+    and cheap enough for the per-access hot path. *)
 
 type t
 

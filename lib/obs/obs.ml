@@ -3,15 +3,12 @@ open Warden_machine
 type t = {
   cfg_level : Config.obs_level;
   lvl : int; (* 0 off / 1 counters / 2 full: branch on an int, not a sum *)
-  rings : Ring.t array; (* one per shard *)
-  shard_of_core : int array;
+  ring : Ring.t;
   counts : int array; (* indexed by event code *)
   sums : int array; (* arg-weighted totals, same indexing *)
   hist : Hist.t;
   heat : Sink_heatmap.t;
   chrome : Sink_chrome.t;
-  spec_counts : int array; (* commit / squash / nospec *)
-  spec_hist : Hist.t; (* commit depth, one class *)
   mutable now : int;
   mutable seq : int;
 }
@@ -22,22 +19,15 @@ let create (cfg : Config.t) =
   let lvl =
     match cfg.obs_level with Obs_off -> 0 | Obs_counters -> 1 | Obs_full -> 2
   in
-  let shards = Config.num_shards cfg in
   {
     cfg_level = cfg.obs_level;
     lvl;
-    rings =
-      Array.init shards (fun _ ->
-          Ring.create ~capacity:(if lvl >= 2 then ring_capacity else 16));
-    shard_of_core =
-      Array.init (Config.num_cores cfg) (Config.shard_of_core cfg);
+    ring = Ring.create ~capacity:(if lvl >= 2 then ring_capacity else 16);
     counts = Array.make Events.count 0;
     sums = Array.make Events.count 0;
     hist = Hist.create ~classes:Events.count;
     heat = Sink_heatmap.create ();
     chrome = Sink_chrome.create ();
-    spec_counts = Array.make 3 0;
-    spec_hist = Hist.create ~classes:1;
     now = 0;
     seq = 0;
   }
@@ -49,11 +39,8 @@ let set_now t now = t.now <- now
 
 let fold t =
   let chrome = t.chrome in
-  Array.iter
-    (fun ring ->
-      Ring.drain ring (fun ~code ~cycle ~core ~blk ~arg ~seq ->
-          Sink_chrome.add chrome ~code ~cycle ~core ~blk ~arg ~seq))
-    t.rings
+  Ring.drain t.ring (fun ~code ~cycle ~core ~blk ~arg ~seq ->
+      Sink_chrome.add chrome ~code ~cycle ~core ~blk ~arg ~seq)
 
 (* Ring full: fold everything into the Chrome sink and retry — records are
    only ever lost once the (million-record) Chrome sink itself caps out,
@@ -61,10 +48,9 @@ let fold t =
 let push_record t ~code ~core ~blk ~arg =
   let seq = t.seq in
   t.seq <- seq + 1;
-  let ring = t.rings.(Array.unsafe_get t.shard_of_core core) in
-  if not (Ring.push ring ~code ~cycle:t.now ~core ~blk ~arg ~seq) then begin
+  if not (Ring.push t.ring ~code ~cycle:t.now ~core ~blk ~arg ~seq) then begin
     fold t;
-    ignore (Ring.push ring ~code ~cycle:t.now ~core ~blk ~arg ~seq)
+    ignore (Ring.push t.ring ~code ~cycle:t.now ~core ~blk ~arg ~seq)
   end
 
 let bump t code arg =
@@ -107,21 +93,6 @@ let region t ~core ~lo ~hi ~exit ~flushed =
       push_record t ~code ~core ~blk ~arg
   end
 
-(* Host-side speculation outcomes (engine commit lane only). Kept apart
-   from the deterministic counts/sums/rings above: which accesses get
-   speculated depends on host timing, so these may differ run to run and
-   must never leak into traces or simulated statistics. *)
-let spec t ~outcome ~depth =
-  if t.lvl >= 1 then begin
-    Array.unsafe_set t.spec_counts outcome
-      (Array.unsafe_get t.spec_counts outcome + 1);
-    if outcome = 0 then Hist.add t.spec_hist ~cls:0 depth
-  end
-
-let spec_count t outcome =
-  if outcome < 0 || outcome > 2 then invalid_arg "Obs.spec_count: bad outcome"
-  else t.spec_counts.(outcome)
-
 let count t code =
   if code < 0 || code >= Events.count then invalid_arg "Obs.count: bad code"
   else t.counts.(code)
@@ -159,23 +130,4 @@ let render_summary t =
   Buffer.add_string buf (Sink_heatmap.render_blocks t.heat ~n:16);
   Buffer.add_string buf "\nWARD regions\n";
   Buffer.add_string buf (Sink_heatmap.render_regions t.heat);
-  let spec_total = t.spec_counts.(0) + t.spec_counts.(1) + t.spec_counts.(2) in
-  if spec_total > 0 then begin
-    Buffer.add_string buf
-      "\nSpeculation (host-side; not part of the deterministic observables)\n";
-    Buffer.add_string buf
-      (Warden_util.Table.render
-         ~header:[ "outcome"; "count" ]
-         ~rows:
-           [
-             [ "commit"; string_of_int t.spec_counts.(0) ];
-             [ "squash"; string_of_int t.spec_counts.(1) ];
-             [ "no-spec"; string_of_int t.spec_counts.(2) ];
-           ]);
-    let s = Hist.render t.spec_hist ~cls:0 ~title:"commit depth (lane pops)" in
-    if s <> "" then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf s
-    end
-  end;
   Buffer.contents buf

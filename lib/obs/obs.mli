@@ -1,12 +1,8 @@
 (** Observability facade: the one object the simulator layers talk to.
 
-    An [Obs.t] owns one {!Ring} per engine shard, the shared {!Hist},
+    An [Obs.t] owns a {!Ring} of recent event records, the {!Hist},
     {!Sink_heatmap} and {!Sink_chrome} sinks, and the current simulated
-    cycle. All recording happens on the engine's commit lane, which
-    drains events in global simulated order for every [sim_domains] — the
-    per-shard rings exist so the fold order into the Chrome sink is a
-    documented deterministic function of the configuration, not so that
-    recording can race.
+    cycle. Events arrive in the engine's global simulated order.
 
     Recording never feeds back: no call here mutates simulated state, so
     cycles, statistics and energy are bit-identical across levels. At
@@ -15,7 +11,7 @@
 type t
 
 val create : Warden_machine.Config.t -> t
-(** Sized from the config: one ring per {!Warden_machine.Config.num_shards}. *)
+(** Sized from the config's [obs_level]. *)
 
 val enabled : t -> bool
 (** Counters level or above. *)
@@ -27,7 +23,7 @@ val level : t -> Warden_machine.Config.obs_level
 
 val set_now : t -> int -> unit
 (** Advance the recorder's view of simulated time. The engine calls this
-    when the commit lane adopts an event's timestamp; only ring records
+    when it resumes a thread at an event's timestamp; only ring records
     consume it, so paths that cannot ring (plain hits) may skip it. *)
 
 val access : t -> cls:int -> core:int -> blk:int -> lat:int -> unit
@@ -42,23 +38,10 @@ val region : t -> core:int -> lo:int -> hi:int -> exit:bool -> flushed:int -> un
 (** Record a WARD region activation or deactivation over byte range
     [\[lo, hi)]; [flushed] is the reconciliation flush count (exit only). *)
 
-val spec : t -> outcome:int -> depth:int -> unit
-(** Record one speculation outcome from the engine's commit lane:
-    [0] committed (with [depth] = lane pops between the speculation's
-    publication and its commit, log2-bucketed), [1] squashed and
-    re-executed, [2] not speculated (miss/upgrade, or the helper had not
-    finished). Off the simulated path entirely: these counters depend on
-    host timing, so they live apart from the deterministic counts, sums
-    and rings and never appear in traces. At [Obs_off] this is one load
-    and one branch. *)
-
-val spec_count : t -> int -> int
-(** Occurrences of a speculation outcome (same indexing as {!spec}). *)
-
 val fold : t -> unit
-(** Drain every shard ring into the Chrome sink, in shard order. The
-    engine calls this at commit-quantum barriers and at the end of a run;
-    it is idempotent on empty rings. *)
+(** Drain the ring into the Chrome sink. The recorder does this itself
+    when the ring fills, and the engine at the end of a run; it is
+    idempotent on an empty ring. *)
 
 (** {2 Reading the sinks} *)
 

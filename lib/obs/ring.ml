@@ -1,8 +1,5 @@
 (* One flat int array, six ints per record: code, cycle, core, blk, arg,
-   seq. The sharded engine owns one ring per shard; all pushes happen on
-   the commit lane, so no synchronization is needed — the per-shard split
-   exists to keep fold order (and therefore sink contents) deterministic
-   and documented, not for parallelism. *)
+   seq. *)
 
 let stride = 6
 

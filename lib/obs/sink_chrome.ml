@@ -31,9 +31,8 @@ let add t ~code ~cycle ~core ~blk ~arg ~seq =
 let length t = t.len
 let dropped t = t.dropped
 
-(* Content-first sort key: emission order (seq) differs across
-   sim_domains, so it only breaks ties between bit-identical records,
-   where the tie is harmless. *)
+(* Content-first sort key: emission order (seq) only breaks ties
+   between bit-identical records, where the tie is harmless. *)
 let compare_records b oa ob =
   let cmp_at off =
     compare (Array.unsafe_get b (oa + off)) (Array.unsafe_get b (ob + off))

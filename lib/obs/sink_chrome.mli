@@ -6,9 +6,7 @@
 
     Records are sorted by full content — (cycle, code, core, block, arg)
     — before writing, and the emission sequence number is used only as a
-    final tiebreaker and never printed. The simulation produces the same
-    multiset of events for every [sim_domains], so the written bytes are
-    identical across domain counts even though emission order is not. *)
+    final tiebreaker and never printed. *)
 
 type t
 

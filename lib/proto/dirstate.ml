@@ -146,28 +146,6 @@ let find t blk : slot =
   let i = probe t blk in
   if Array.unsafe_get t.keys i = blk then i else no_slot
 
-(* Pure probe for the sharded engine's helper domains: pull the directory
-   word behind a pending miss toward the calling core's host cache
-   without inserting, growing or mutating anything. Like Itab.find_or it
-   snapshots the key array once and masks the start index against that
-   snapshot, so racing a concurrent [grow] on the owning lane can yield a
-   stale answer but never an out-of-bounds access; the snapshot is at
-   least half empty (the growth invariant), so the scan terminates. The
-   result is advisory and must only feed a sink. *)
-let prefetch t blk =
-  let keys = t.keys and meta = t.meta in
-  let m = Array.length keys - 1 in
-  let i = ref ((blk * factor) lsr t.shift land m) in
-  while
-    let k = Array.unsafe_get keys !i in
-    k <> blk && k <> -1
-  do
-    i := (!i + 1) land m
-  done;
-  if Array.unsafe_get keys !i = blk && !i < Array.length meta then
-    Array.unsafe_get meta !i
-  else 0
-
 let block t (s : slot) = t.keys.(s)
 
 (* --- packed fields --------------------------------------------------------- *)

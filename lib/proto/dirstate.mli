@@ -42,13 +42,6 @@ val find : t -> int -> slot
 (** Like {!entry} but without materializing absent (hence invalid)
     blocks: {!no_slot} if untracked. *)
 
-val prefetch : t -> int -> int
-(** Pure probe for the sharded engine's helper domains: warm the host
-    cache behind a block's directory word (its packed meta, or 0 if
-    untracked) without inserting or mutating. Safe to race with the
-    owning lane — a torn snapshot yields a stale answer, never an
-    out-of-bounds access. Advisory only; feed the result to a sink. *)
-
 val block : t -> slot -> int
 (** The block id a slot tracks. *)
 

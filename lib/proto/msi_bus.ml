@@ -219,7 +219,6 @@ module P = struct
       }
     else Protocol.invalid_view
 
-  let prefetch _ ~blk:_ = 0
 
   let dump t =
     let b = Buffer.create 256 in

@@ -80,11 +80,6 @@ module type S = sig
   val flush_all : t -> unit
   val observe : t -> blk:int -> block_view
 
-  val prefetch : t -> blk:int -> int
-  (** Pure helper-domain probe: warm the host cache behind the block's
-      directory word without mutating protocol state. Safe to race with
-      the owning lane; the result is advisory and feeds a sink only. *)
-
   val dump : t -> string
   val copy : t -> fabric:Fabric.t -> t
   val save_state : t -> Warden_util.Bin.w -> unit
@@ -111,7 +106,6 @@ let acquire (Packed ((module P), p)) ~core = P.acquire p ~core
 let release (Packed ((module P), p)) ~core = P.release p ~core
 let flush_all (Packed ((module P), p)) = P.flush_all p
 let observe (Packed ((module P), p)) ~blk = P.observe p ~blk
-let prefetch (Packed ((module P), p)) ~blk = P.prefetch p ~blk
 let dump (Packed ((module P), p)) = P.dump p
 let copy (Packed ((module P), p)) ~fabric = Packed ((module P), P.copy p ~fabric)
 let save_state (Packed ((module P), p)) w = P.save_state p w
@@ -169,7 +163,6 @@ module Mesi_protocol = struct
     List.iter (fun blk -> Mesi.flush_block t.fabric t.dir ~blk) !blocks
 
   let observe t ~blk = view_of_dir t.dir ~blk
-  let prefetch t ~blk = Dirstate.prefetch t.dir blk
   let dump t = "protocol mesi\n" ^ dump_dir t.dir
   let copy t ~fabric =
     { fabric; dir = Dirstate.copy t.dir; scratch = Mesi.fresh_grant () }

@@ -91,11 +91,6 @@ module type S = sig
   val observe : t -> blk:int -> block_view
   (** Snapshot the directory's bookkeeping for one block. *)
 
-  val prefetch : t -> blk:int -> int
-  (** Pure helper-domain probe: warm the host cache behind the block's
-      directory word without mutating protocol state. Safe to race with
-      the owning lane; the result is advisory and feeds a sink only. *)
-
   val dump : t -> string
   (** Human-readable dump of all protocol state (directory entries plus
       any protocol-specific tables such as the WARD region CAM); used by
@@ -139,7 +134,6 @@ val acquire : t -> core:int -> int
 val release : t -> core:int -> int
 val flush_all : t -> unit
 val observe : t -> blk:int -> block_view
-val prefetch : t -> blk:int -> int
 val dump : t -> string
 val copy : t -> fabric:Fabric.t -> t
 val save_state : t -> Warden_util.Bin.w -> unit

@@ -184,7 +184,6 @@ module P = struct
           bv_wmulti = false;
         }
 
-  let prefetch _ ~blk:_ = 0
 
   let dump t =
     let f = t.fabric in

@@ -89,11 +89,9 @@ let run ?(params = default) ?workers eng =
   let ms = Engine.memsys eng in
   let proto = Protocol.name (Memsys.protocol ms) in
   let lat = Hist.create ~classes:4 in
-  (* Host-side accumulators. Program code only ever executes on the
-     commit lane (helpers pre-execute the memory system, never the
-     program), so these are race-free and updated in the deterministic
-     global event order — the histogram is bit-identical across
-     [sim_domains] like everything else. *)
+  (* Host-side accumulators, updated in the engine's deterministic global
+     event order, so the histogram is bit-identical run to run like
+     everything else. *)
   let violations = ref 0 in
   let dynamic_sum = ref 0L in
   let served = ref 0 in

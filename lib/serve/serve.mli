@@ -14,8 +14,7 @@
 
     Everything recorded is a function of simulated time and the
     deterministic engine, so results — including the latency histogram
-    — are bit-identical for every [sim_domains] value and speculation
-    mode. Verification is schedule-{e independent}: writes store an
+    — are bit-identical run to run. Verification is schedule-{e independent}: writes store an
     idempotent per-key value, so the final table image must equal a
     host recomputation from the write-key set alone, whichever order
     the scheduler picked. *)
@@ -94,7 +93,7 @@ val summary : result -> string
 
 val json_summary : params -> result -> string
 (** One JSON object of simulated quantities only (no host wall-clock),
-    so byte-identical output across [sim_domains] is the CI gate. *)
+    so byte-identical output across reruns is the CI gate. *)
 
 val curve :
   ?params:params ->

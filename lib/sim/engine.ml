@@ -29,57 +29,25 @@ type tstate = {
   mutable sb_len : int;
 }
 
-(* Sharded scheduler with speculative shard execution. Cores are
-   partitioned into [Config.num_shards] shards; each shard owns a run
-   queue, and enqueues draw sequence numbers from one global counter, so
-   popping the minimum (priority, sequence) across all queues replays the
-   single-queue FIFO order exactly. The commit lane — the domain that
-   called [run] — executes every program segment in that order: program
-   state is host-shared (the fork-join runtime's deques and counters live
-   in OCaml heap words), so segments cannot run concurrently without
-   changing observable interleavings, and OCaml's one-shot continuations
-   rule out rolling a segment back. What the extra domains parallelize is
-   the memory-system half of each access: when the lane enqueues a load,
-   store or RMW it also publishes the access's descriptor into the
-   thread's {!Spec.slot}, and the helper domain owning that thread
-   pre-executes the cache lookup against versioned views of the core's
-   hierarchy ({!Memsys.spec_read}). When the lane pops the access it
-   validates the speculation — the recorded version must still be current
-   — and either commits it (replaying the identical mutations and
-   accounting, {!Memsys.try_commit_load} etc.) or squashes and re-executes
-   inline, so results are bit-identical for every [sim_domains] whether
-   speculations hit, miss or lose the race. Misses and upgrades stay on
-   the lane (their protocol transitions touch shared directory state);
-   for those the helper warms the host cache behind the structures the
-   lane will walk. Stats are banked per shard inside [Memsys] and folded
-   at quantum barriers; all deferred quantities are integer counts, so
-   totals are bit-identical for every [sim_domains]. See DESIGN.md §11. *)
+(* One run queue keyed by simulated cycle, FIFO among equal cycles, so a
+   run is a deterministic function of its inputs. *)
 type t = {
   ms : Memsys.t;
   cfg : Config.t;
   obs : Obs.t; (* cached from [Memsys.obs] *)
   obs_on : bool;
   obs_full : bool;
-  stats : Sstats.t; (* cached: lane-owned fields, untouched by folds *)
+  stats : Sstats.t; (* cached [Memsys.sstats] *)
   quantum : int; (* inline quantum, Config.sched_quantum *)
-  cquantum : int; (* commit quantum (cycles), Config.sim_quantum *)
-  shards : int;
-  spec_on : bool; (* helpers speculate: shards > 1 && cfg.sim_spec *)
   sync_on : bool;
       (* the protocol is [`Self]: runtime acquire/release fences must
          reach the memory system. When false, [Ops.acquire]/[Ops.release]
          are literal no-ops — no effect performed, no event enqueued — so
          eagerly-coherent protocols keep their exact schedules. *)
-  runqs : (unit -> unit) Pqueue.t array; (* one per shard *)
-  thread_shard : int array; (* shard of each hardware thread *)
-  slots : Spec.slot array; (* one speculation slot per hardware thread *)
+  runq : (unit -> unit) Pqueue.t;
   threads : tstate array;
-  mutable next_seq : int; (* global enqueue sequence across all shards *)
-  mutable next_window : int; (* first cycle of the next commit quantum *)
-  mutable pops : int; (* lane pops so far (speculation depth metric) *)
   mutable cur_st : tstate; (* thread currently executing, for Ops *)
   mutable used_threads : int;
-  mutable spec_sink : int; (* keeps helper warming probes observable *)
 }
 
 (* The engine currently executing on this domain, so that [Ops] can reach
@@ -98,7 +66,6 @@ let create cfg ~proto =
     if Array.length threads > 0 then threads.(0)
     else { tid = -1; time = 0; qlimit = 0; sb = [||]; sb_head = 0; sb_len = 0 }
   in
-  let shards = Config.num_shards cfg in
   let ms = Memsys.create cfg ~proto in
   let obs = Memsys.obs ms in
   {
@@ -109,22 +76,11 @@ let create cfg ~proto =
     obs_full = Obs.full obs;
     stats = Memsys.sstats ms;
     quantum = cfg.Config.sched_quantum;
-    cquantum = max 1 cfg.Config.sim_quantum;
-    shards;
-    runqs = Array.init shards (fun _ -> Pqueue.create ());
-    spec_on = shards > 1 && cfg.Config.sim_spec;
     sync_on = Warden_proto.Protocol.kind (Memsys.protocol ms) = `Self;
-    thread_shard =
-      Array.init (Config.num_threads cfg) (fun tid ->
-          Config.shard_of_core cfg (Config.core_of_thread cfg tid));
-    slots = Array.init (Config.num_threads cfg) (fun _ -> Spec.create ());
+    runq = Pqueue.create ();
     threads;
-    next_seq = 0;
-    next_window = max 1 cfg.Config.sim_quantum;
-    pops = 0;
     cur_st = cur0;
     used_threads = 0;
-    spec_sink = 0;
   }
 
 let memsys t = t.ms
@@ -194,50 +150,7 @@ let resume t (st : tstate) =
      time; only full mode rings, so off/counters skip the store. *)
   if t.obs_full then Obs.set_now t.obs st.time
 
-(* Enqueue into the thread's shard queue under the global sequence
-   counter. Assignment order is identical for every shard count — all
-   enqueues happen on the commit lane — so the multi-queue min-merge
-   reproduces the single-queue pop order bit for bit. *)
-let enqueue t (st : tstate) fn =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Pqueue.add_seq
-    (Array.unsafe_get t.runqs (Array.unsafe_get t.thread_shard st.tid))
-    ~prio:st.time ~seq fn
-
-(* Memory accesses additionally publish their descriptor into the
-   thread's speculation slot so the owning helper domain can pre-execute
-   the memory-system half while the access waits in the queue. The plain
-   descriptor writes are release-published by the [pub] store; the thread
-   is suspended until the closure pops, so no second publication for the
-   same slot can race with the helper. *)
-let enqueue_access t (st : tstate) ~kind ~addr ~size ~v ~f fn =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if t.spec_on then begin
-    let sl = Array.unsafe_get t.slots st.tid in
-    sl.Spec.d_kind <- kind;
-    sl.Spec.d_addr <- addr;
-    sl.Spec.d_size <- size;
-    sl.Spec.d_value <- v;
-    sl.Spec.d_f <- f;
-    sl.Spec.pops <- t.pops;
-    Atomic.set sl.Spec.pub seq
-  end;
-  Pqueue.add_seq
-    (Array.unsafe_get t.runqs (Array.unsafe_get t.thread_shard st.tid))
-    ~prio:st.time ~seq fn
-
-let min_prio_all t =
-  if t.shards = 1 then Pqueue.min_prio_or t.runqs.(0) ~default:max_int
-  else begin
-    let m = ref max_int in
-    for s = 0 to t.shards - 1 do
-      let p = Pqueue.min_prio_or t.runqs.(s) ~default:max_int in
-      if p < !m then m := p
-    done;
-    !m
-  end
+let enqueue t (st : tstate) fn = Pqueue.add t.runq ~prio:st.time fn
 
 (* An access may run inline — without suspending into the run queue — iff
    it is provably the event the scheduled path would pop next: the
@@ -248,157 +161,7 @@ let min_prio_all t =
    path replays exactly the legacy pop order, so simulated cycles, stats
    and memory images are bit-identical for every quantum value. *)
 let can_inline t (st : tstate) =
-  st.time < st.qlimit && st.time < min_prio_all t
-
-(* The shard whose queue head is the global minimum (priority, sequence),
-   or -1 when every queue is empty. *)
-let select t =
-  if t.shards = 1 then (if Pqueue.is_empty t.runqs.(0) then -1 else 0)
-  else begin
-    let best = ref (-1) and bp = ref max_int and bs = ref max_int in
-    for s = 0 to t.shards - 1 do
-      let q = t.runqs.(s) in
-      if not (Pqueue.is_empty q) then begin
-        let p = Pqueue.min_prio_or q ~default:max_int in
-        let sq = Pqueue.min_seq_or q ~default:max_int in
-        if p < !bp || (p = !bp && sq < !bs) then begin
-          best := s;
-          bp := p;
-          bs := sq
-        end
-      end
-    done;
-    !best
-  end
-
-(* Quantum barrier: fold the per-shard stat banks (deterministic at any
-   point — integer counts, fixed shard order). [p] is the event priority
-   that crossed the boundary. *)
-let barrier t p =
-  ignore (Memsys.sstats t.ms : Sstats.t);
-  ignore (Memsys.energy t.ms : Energy.t);
-  if t.obs_full then Obs.fold t.obs;
-  t.next_window <- ((p / t.cquantum) + 1) * t.cquantum
-
-(* Helper-domain body: speculative executor [h] of [nh = shards - 1].
-   Each helper owns the hardware threads whose shard is congruent to [h]
-   modulo [nh]; for every fresh slot publication it pre-executes the
-   access's memory-system half against versioned views of the owning
-   core's hierarchy ({!Memsys.spec_read}) and release-publishes the
-   outcome via [fin]. For misses/upgrades — which must transition on the
-   lane — the call instead warms the host cache behind the structures the
-   lane will walk; the probe sum is returned as a sink. [memo] stops a
-   helper from re-executing a publication it already answered (the lane
-   would ignore the identical rewrite, but the spin would steal host
-   cycles). Defensive catch-all: the racy reads are memory-safe by
-   construction, so any exception just demotes the slot to no-spec. The
-   loop never allocates once [mine]/[memo] are built, so idle helpers
-   cannot trigger the stop-the-world minor GCs that would stall the
-   lane. *)
-let spec_loop t h nh stop =
-  let mine = ref [] in
-  for tid = Array.length t.slots - 1 downto 0 do
-    if Array.unsafe_get t.thread_shard tid mod nh = h then mine := tid :: !mine
-  done;
-  let mine = Array.of_list !mine in
-  let memo = Array.map (fun _ -> -1) mine in
-  let sink = ref 0 in
-  while not (Atomic.get stop) do
-    for i = 0 to Array.length mine - 1 do
-      let tid = Array.unsafe_get mine i in
-      let sl = Array.unsafe_get t.slots tid in
-      let pub = Atomic.get sl.Spec.pub in
-      if pub >= 0 && pub <> Array.unsafe_get memo i then begin
-        Array.unsafe_set memo i pub;
-        let r = sl.Spec.res in
-        (try
-           sink :=
-             !sink
-             + Memsys.spec_read t.ms ~thread:tid sl.Spec.d_addr
-                 ~size:sl.Spec.d_size
-                 ~write:(sl.Spec.d_kind <> Spec.load)
-                 r;
-           if r.Privcache.ok && sl.Spec.d_kind = Spec.rmw then
-             sl.Spec.r_new <- sl.Spec.d_f r.Privcache.value
-         with _ -> r.Privcache.ok <- false);
-        Atomic.set sl.Spec.fin pub
-      end
-    done;
-    Domain.cpu_relax ()
-  done;
-  !sink
-
-(* Commit one pending access on the lane: adopt the helper's speculation
-   when it is finished ([fin] caught up to [pub]) and validates against
-   the current version; otherwise run the scheduled path inline. The
-   outcome counters are host-side observability only ({!Obs.spec}). *)
-
-let spec_load t (st : tstate) addr ~size =
-  let sl = Array.unsafe_get t.slots st.tid in
-  if Atomic.get sl.Spec.fin = Atomic.get sl.Spec.pub && sl.Spec.res.Privcache.ok
-  then begin
-    let lat =
-      Memsys.try_commit_load t.ms ~thread:st.tid addr ~size sl.Spec.res
-    in
-    if lat >= 0 then begin
-      if t.obs_on then
-        Obs.spec t.obs ~outcome:0 ~depth:(t.pops - sl.Spec.pops);
-      (Memsys.fast_value t.ms, lat)
-    end
-    else begin
-      if t.obs_on then Obs.spec t.obs ~outcome:1 ~depth:0;
-      Memsys.load t.ms ~thread:st.tid addr ~size
-    end
-  end
-  else begin
-    if t.obs_on then Obs.spec t.obs ~outcome:2 ~depth:0;
-    Memsys.load t.ms ~thread:st.tid addr ~size
-  end
-
-let spec_store t (st : tstate) addr ~size v =
-  let sl = Array.unsafe_get t.slots st.tid in
-  if Atomic.get sl.Spec.fin = Atomic.get sl.Spec.pub && sl.Spec.res.Privcache.ok
-  then begin
-    let lat =
-      Memsys.try_commit_store t.ms ~thread:st.tid addr ~size v sl.Spec.res
-    in
-    if lat >= 0 then begin
-      if t.obs_on then
-        Obs.spec t.obs ~outcome:0 ~depth:(t.pops - sl.Spec.pops);
-      lat
-    end
-    else begin
-      if t.obs_on then Obs.spec t.obs ~outcome:1 ~depth:0;
-      Memsys.store t.ms ~thread:st.tid addr ~size v
-    end
-  end
-  else begin
-    if t.obs_on then Obs.spec t.obs ~outcome:2 ~depth:0;
-    Memsys.store t.ms ~thread:st.tid addr ~size v
-  end
-
-let spec_rmw t (st : tstate) addr ~size f =
-  let sl = Array.unsafe_get t.slots st.tid in
-  if Atomic.get sl.Spec.fin = Atomic.get sl.Spec.pub && sl.Spec.res.Privcache.ok
-  then begin
-    let lat =
-      Memsys.try_commit_rmw t.ms ~thread:st.tid addr ~size ~nv:sl.Spec.r_new
-        sl.Spec.res
-    in
-    if lat >= 0 then begin
-      if t.obs_on then
-        Obs.spec t.obs ~outcome:0 ~depth:(t.pops - sl.Spec.pops);
-      (Memsys.fast_value t.ms, lat)
-    end
-    else begin
-      if t.obs_on then Obs.spec t.obs ~outcome:1 ~depth:0;
-      Memsys.rmw t.ms ~thread:st.tid addr ~size f
-    end
-  end
-  else begin
-    if t.obs_on then Obs.spec t.obs ~outcome:2 ~depth:0;
-    Memsys.rmw t.ms ~thread:st.tid addr ~size f
-  end
+  st.time < st.qlimit && st.time < Pqueue.min_prio_or t.runq ~default:max_int
 
 let handler t st =
   let open Effect.Deep in
@@ -430,39 +193,27 @@ let handler t st =
         | E_load (addr, size) ->
             Some
               (fun k ->
-                enqueue_access t st ~kind:Spec.load ~addr ~size ~v:0L ~f:Fun.id
-                  (fun () ->
+                enqueue t st (fun () ->
                     resume t st;
-                    let v, lat =
-                      if t.spec_on then spec_load t st addr ~size
-                      else Memsys.load t.ms ~thread:st.tid addr ~size
-                    in
+                    let v, lat = Memsys.load t.ms ~thread:st.tid addr ~size in
                     st.time <- st.time + lat;
                     retire t st 1;
                     continue k v))
         | E_store (addr, size, v) ->
             Some
               (fun k ->
-                enqueue_access t st ~kind:Spec.store ~addr ~size ~v ~f:Fun.id
-                  (fun () ->
+                enqueue t st (fun () ->
                     resume t st;
-                    let lat =
-                      if t.spec_on then spec_store t st addr ~size v
-                      else Memsys.store t.ms ~thread:st.tid addr ~size v
-                    in
+                    let lat = Memsys.store t.ms ~thread:st.tid addr ~size v in
                     commit_store t st lat;
                     continue k ()))
         | E_rmw (addr, size, f) ->
             Some
               (fun k ->
-                enqueue_access t st ~kind:Spec.rmw ~addr ~size ~v:0L ~f
-                  (fun () ->
+                enqueue t st (fun () ->
                     resume t st;
                     drain_all st;
-                    let old, lat =
-                      if t.spec_on then spec_rmw t st addr ~size f
-                      else Memsys.rmw t.ms ~thread:st.tid addr ~size f
-                    in
+                    let old, lat = Memsys.rmw t.ms ~thread:st.tid addr ~size f in
                     st.time <- st.time + lat + 2;
                     retire t st 1;
                     continue k old))
@@ -509,11 +260,11 @@ let handler t st =
   }
 
 (* [run] may be called repeatedly on one engine: each call is a phase, and
-   thread clocks, the enqueue sequence and the stat records carry over, so
-   phase N+1 continues the simulated timeline where phase N stopped. The
-   boundary between phases is the engine's only quiescent point — queues
-   empty, store buffers drained, no live continuation — which is exactly
-   where {!snapshot}/{!restore} are legal. *)
+   thread clocks and the stat records carry over, so phase N+1 continues
+   the simulated timeline where phase N stopped. The boundary between
+   phases is the engine's only quiescent point — the queue empty, store
+   buffers drained, no live continuation — which is exactly where
+   {!snapshot}/{!restore} are legal. *)
 let run t bodies =
   let n = Array.length bodies in
   if n > Array.length t.threads then invalid_arg "Engine.run: too many threads";
@@ -528,30 +279,12 @@ let run t bodies =
     bodies;
   let prev = Domain.DLS.get cur_key in
   Domain.DLS.set cur_key (Some t);
-  let stop = Atomic.make false in
-  let nh = t.shards - 1 in
-  let helpers =
-    if not t.spec_on then [||]
-    else Array.init nh (fun h -> Domain.spawn (fun () -> spec_loop t h nh stop))
-  in
   Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Array.iter (fun d -> t.spec_sink <- t.spec_sink + Domain.join d) helpers;
-      Domain.DLS.set cur_key prev)
+    ~finally:(fun () -> Domain.DLS.set cur_key prev)
     (fun () ->
-      let rec loop () =
-        let s = select t in
-        if s >= 0 then begin
-          let q = Array.unsafe_get t.runqs s in
-          if Pqueue.min_prio_or q ~default:0 >= t.next_window then
-            barrier t (Pqueue.min_prio_or q ~default:0);
-          t.pops <- t.pops + 1;
-          (Pqueue.pop_exn q) ();
-          loop ()
-        end
-      in
-      loop ());
+      while not (Pqueue.is_empty t.runq) do
+        (Pqueue.pop_exn t.runq) ()
+      done);
   if t.obs_full then Obs.fold t.obs;
   let makespan = ref 0 in
   for tid = 0 to n - 1 do
@@ -574,13 +307,10 @@ let run t bodies =
 (* Engine-level scheduler state that survives across phases. Effects-based
    continuations cannot serialize, so snapshots are only legal between
    [run]s — which is also the only time there is nothing unserializable
-   alive: queues empty, store buffers drained, speculation slots dead. *)
+   alive: the queue empty, store buffers drained. *)
 let snapshot t w =
-  Array.iter
-    (fun q ->
-      if not (Pqueue.is_empty q) then
-        invalid_arg "Engine.snapshot: run in progress")
-    t.runqs;
+  if not (Pqueue.is_empty t.runq) then
+    invalid_arg "Engine.snapshot: run in progress";
   Bin.w_int w (Array.length t.threads);
   Array.iter
     (fun st ->
@@ -588,9 +318,6 @@ let snapshot t w =
       Bin.w_int w st.time;
       Bin.w_int w st.qlimit)
     t.threads;
-  Bin.w_int w t.next_seq;
-  Bin.w_int w t.next_window;
-  Bin.w_int w t.pops;
   Bin.w_int w t.used_threads;
   Memsys.save_state t.ms w
 
@@ -605,9 +332,6 @@ let restore t r =
       st.sb_head <- 0;
       st.sb_len <- 0)
     t.threads;
-  t.next_seq <- Bin.r_int r;
-  t.next_window <- Bin.r_int r;
-  t.pops <- Bin.r_int r;
   t.used_threads <- Bin.r_int r;
   Memsys.restore_state t.ms r
 

@@ -22,25 +22,8 @@
     are bit-identical to the fully scheduled execution ([sched_quantum =
     0]); see DESIGN.md §8.
 
-    With [sim_domains > 1] ({!Warden_machine.Config.t.sim_domains}) the
-    engine runs sharded with speculative shard execution: simulated cores
-    are partitioned into shards, each with its own run queue; one commit
-    lane pops the global minimum (cycle, sequence) across the queues —
-    replaying the single-queue order exactly — while helper domains
-    speculatively pre-execute the memory-system half of each queued
-    access (the cache lookup, classification and loaded value) against
-    versioned views of the owning core's private hierarchy. At the pop,
-    the lane validates each speculation in global order — the versions it
-    read must still be current — and either commits it, replaying the
-    identical mutations and accounting, or squashes and re-executes the
-    access inline; misses and upgrades always transition on the lane,
-    with helpers warming the host cache behind the directory word, home
-    LLC slice and store page instead. Per-shard statistics banks are
-    folded at commit-quantum barriers
-    ({!Warden_machine.Config.t.sim_quantum}). Results — cycles, stats,
-    energy, memory images, traces — are bit-identical for every
-    [sim_domains] value and for speculation on/off/torture
-    ({!Warden_machine.Config.t.sim_spec}); see DESIGN.md §11. *)
+    One engine runs on one host domain. Host parallelism comes from
+    running independent engines side by side (the harness's [--jobs]). *)
 
 type t
 

@@ -53,16 +53,6 @@ let read t ~socket ~blk =
   let line, where = get_or_fetch t ~socket ~blk in
   (Linedata.bytes line, where)
 
-(* Pure hint probe for the sharded engine's helper domains: touch the
-   slice's tag set and, when resident, the line's first payload byte —
-   never fetching or mutating ([peek_or_dummy] is pure). Racy reads may
-   see a stale snapshot; the result is advisory and feeds a sink only. *)
-let prefetch t ~socket ~blk =
-  let slice = t.slices.(socket) in
-  let line = Csa.peek_or_dummy slice blk in
-  if line == Csa.dummy slice then 0
-  else Char.code (Bytes.unsafe_get (Linedata.bytes line) 0)
-
 let merge t ~socket ~blk src =
   let line, _ = get_or_fetch t ~socket ~blk in
   Linedata.merge_masked ~dst:line ~src

@@ -25,12 +25,6 @@ val merge : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
 val put_full : t -> socket:int -> blk:int -> Bytes.t -> unit
 (** Full-line dirty install (M-state writeback). *)
 
-val prefetch : t -> socket:int -> blk:int -> int
-(** Pure hint probe for the sharded engine's helper domains: warm the
-    host cache behind the slice's tag set and resident payload without
-    fetching or mutating. Safe to race with the owning lane; the result
-    is advisory and feeds a sink only. *)
-
 val flush_to_store : t -> unit
 (** Write every dirty line back to memory (end-of-run drain). *)
 

@@ -5,43 +5,13 @@ open Warden_proto
 module Obs = Warden_obs.Obs
 module Oev = Warden_obs.Events
 
-(* Per-shard accounting accumulator. Access-path counters (and the L1/L2
-   energy events they imply) are banked per shard so the commit lane can
-   bump a shard-local record with no cross-shard traffic; the banks are
-   folded into the global [Sstats.t]/[Energy.t] — in shard order, so the
-   result is independent of when folds happen — by [fold_accts]. All
-   counters are integers (and energy costs integer-valued floats), so any
-   fold grouping yields bit-identical totals for every [sim_domains]. *)
-type acct = {
-  mutable a_loads : int;
-  mutable a_stores : int;
-  mutable a_rmws : int;
-  mutable a_l1_hits : int;
-  mutable a_l2_hits : int;
-  mutable a_priv_misses : int;
-  mutable a_l1_evts : int; (* pending Energy.l1_access deposits *)
-  mutable a_l2_evts : int; (* pending Energy.l2_access deposits *)
-}
-
-let acct_create () =
-  {
-    a_loads = 0;
-    a_stores = 0;
-    a_rmws = 0;
-    a_l1_hits = 0;
-    a_l2_hits = 0;
-    a_priv_misses = 0;
-    a_l1_evts = 0;
-    a_l2_evts = 0;
-  }
-
 (* Commit-order trace sink (DESIGN.md §15). A flat callback — (kind,
    thread, addr, size, value) — invoked at the point each access commits
-   its memory-system transition, on whichever path served it (scheduled,
-   inline fast, or speculative commit). Unlike the initiation-order
-   recorder in [Warden_trace.Recorder], this stream is in commit order,
-   so feeding it back through the access entry points replays the exact
-   transition sequence with no program model. Flat ints avoid a circular
+   its memory-system transition, on whichever path served it (scheduled
+   or inline fast). Unlike the initiation-order recorder in
+   [Warden_trace.Recorder], this stream is in commit order, so feeding it
+   back through the access entry points replays the exact transition
+   sequence with no program model. Flat ints avoid a circular
    dependency on the trace library. *)
 let k_load = 0
 let k_store = 1
@@ -60,8 +30,6 @@ type t = {
   energy : Energy.t;
   pstats : Pstats.t;
   sstats : Sstats.t;
-  accts : acct array; (* one per shard, Config.num_shards *)
-  core_shard : int array; (* shard of each core, precomputed *)
   obs : Obs.t;
   obs_on : bool; (* cached [Obs.enabled]: keeps the off path to one branch *)
   store : Store.t;
@@ -86,45 +54,8 @@ let llc t = t.llc
 let protocol t = the_proto t
 let pstats t = t.pstats
 
-(* Drain every shard bank into the global records. Shard order is fixed
-   and all deferred quantities are counts, so folding at any moment — a
-   commit-lane quantum barrier, a stats getter, end of run — produces the
-   same totals for every [sim_domains]. *)
-let fold_accts t =
-  for s = 0 to Array.length t.accts - 1 do
-    let a = t.accts.(s) in
-    let ss = t.sstats in
-    ss.Sstats.loads <- ss.Sstats.loads + a.a_loads;
-    ss.Sstats.stores <- ss.Sstats.stores + a.a_stores;
-    ss.Sstats.rmws <- ss.Sstats.rmws + a.a_rmws;
-    ss.Sstats.l1_hits <- ss.Sstats.l1_hits + a.a_l1_hits;
-    ss.Sstats.l2_hits <- ss.Sstats.l2_hits + a.a_l2_hits;
-    ss.Sstats.priv_misses <- ss.Sstats.priv_misses + a.a_priv_misses;
-    Energy.l1_accesses t.energy a.a_l1_evts;
-    Energy.l2_accesses t.energy a.a_l2_evts;
-    a.a_loads <- 0;
-    a.a_stores <- 0;
-    a.a_rmws <- 0;
-    a.a_l1_hits <- 0;
-    a.a_l2_hits <- 0;
-    a.a_priv_misses <- 0;
-    a.a_l1_evts <- 0;
-    a.a_l2_evts <- 0
-  done
-
-(* The getters fold first so external readers always see merged totals.
-   The engine caches the returned records once at creation for its own
-   lane-owned counters (instructions, cycles, sb_stalls), which no fold
-   touches. *)
-let sstats t =
-  fold_accts t;
-  t.sstats
-
-let energy t =
-  fold_accts t;
-  t.energy
-
-let acct_of_core t core = t.accts.(Array.unsafe_get t.core_shard core)
+let sstats t = t.sstats
+let energy t = t.energy
 let obs t = t.obs
 
 let set_trace_sink t s =
@@ -137,6 +68,9 @@ let set_trace_sink t s =
       t.sink_on <- true
 
 let create cfg ~proto =
+  if cfg.Config.sim_domains <> 1 then
+    invalid_arg
+      "Memsys.create: sim_domains must be 1; use --jobs for host parallelism";
   let energy = Energy.create () in
   let pstats = Pstats.create () in
   let sstats = Sstats.create ~threads:(Config.num_threads cfg) in
@@ -151,9 +85,6 @@ let create cfg ~proto =
       sstats;
       obs;
       obs_on = Obs.enabled obs;
-      accts = Array.init (Config.num_shards cfg) (fun _ -> acct_create ());
-      core_shard =
-        Array.init (Config.num_cores cfg) (Config.shard_of_core cfg);
       store;
       llc;
       priv = [||];
@@ -206,22 +137,22 @@ let create cfg ~proto =
 let access_line t ~thread ~blk ~write =
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let a = acct_of_core t core in
-  a.a_l1_evts <- a.a_l1_evts + 1;
+  let ss = t.sstats in
+  Energy.l1_access t.energy;
   match Privcache.lookup pc ~blk ~write with
   | Privcache.Hit { line; lat; level } ->
       (match level with
       | `L1 ->
-          a.a_l1_hits <- a.a_l1_hits + 1;
+          ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
           if t.obs_on then Obs.access t.obs ~cls:Oev.l1_hit ~core ~blk ~lat
       | `L2 ->
-          a.a_l2_hits <- a.a_l2_hits + 1;
-          a.a_l2_evts <- a.a_l2_evts + 1;
+          ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
+          Energy.l2_access t.energy;
           if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat);
       (line, lat)
   | Privcache.Upgrade line ->
-      a.a_priv_misses <- a.a_priv_misses + 1;
-      a.a_l2_evts <- a.a_l2_evts + 1;
+      ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
+      Energy.l2_access t.energy;
       let g =
         Protocol.handle_request (the_proto t) ~core ~blk ~write:true ~holds_s:true
       in
@@ -229,14 +160,12 @@ let access_line t ~thread ~blk ~write =
       if Mesi.has_fill g then
         Linedata.fill_from line.Privcache.data g.Mesi.fill;
       line.Privcache.state <- g.Mesi.pstate;
-      (* The state/data writes above bypass Privcache's own bumps. *)
-      Privcache.bump pc;
       let lat = t.cfg.Config.l2_lat + g.Mesi.latency in
       if t.obs_on then Obs.access t.obs ~cls:Oev.upgrade ~core ~blk ~lat;
       (line, lat)
   | Privcache.Miss ->
-      a.a_priv_misses <- a.a_priv_misses + 1;
-      a.a_l2_evts <- a.a_l2_evts + 1;
+      ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
+      Energy.l2_access t.energy;
       let g =
         Protocol.handle_request (the_proto t) ~core ~blk ~write ~holds_s:false
       in
@@ -246,9 +175,12 @@ let access_line t ~thread ~blk ~write =
       if t.obs_on then Obs.access t.obs ~cls:Oev.miss ~core ~blk ~lat;
       (line, lat)
 
+let count_load t = t.sstats.Sstats.loads <- t.sstats.Sstats.loads + 1
+let count_store t = t.sstats.Sstats.stores <- t.sstats.Sstats.stores + 1
+let count_rmw t = t.sstats.Sstats.rmws <- t.sstats.Sstats.rmws + 1
+
 let load t ~thread addr ~size =
-  let a = acct_of_core t (Config.core_of_thread t.cfg thread) in
-  a.a_loads <- a.a_loads + 1;
+  count_load t;
   let blk = Addr.block_of addr in
   let line, lat = access_line t ~thread ~blk ~write:false in
   let v =
@@ -257,24 +189,18 @@ let load t ~thread addr ~size =
   if t.sink_on then t.sink k_load thread addr size v;
   (v, lat)
 
-(* [pc] is the hierarchy holding [line]: the state/data writes invalidate
-   any speculation reading them, so the mutation ends with a bump. *)
-let write_line pc line ~off ~size v =
+let write_line line ~off ~size v =
   (match line.Privcache.state with
   | States.P_E -> line.Privcache.state <- States.P_M (* silent E->M upgrade *)
   | States.P_M -> ()
   | States.P_S -> assert false);
-  Linedata.store line.Privcache.data ~off ~size v;
-  Privcache.bump pc
-
-let pc_of_thread t thread = t.priv.(Config.core_of_thread t.cfg thread)
+  Linedata.store line.Privcache.data ~off ~size v
 
 let store t ~thread addr ~size v =
-  let a = acct_of_core t (Config.core_of_thread t.cfg thread) in
-  a.a_stores <- a.a_stores + 1;
+  count_store t;
   let blk = Addr.block_of addr in
   let line, lat = access_line t ~thread ~blk ~write:true in
-  write_line (pc_of_thread t thread) line ~off:(Addr.offset_in_block addr) ~size v;
+  write_line line ~off:(Addr.offset_in_block addr) ~size v;
   if t.sink_on then t.sink k_store thread addr size v;
   lat
 
@@ -288,8 +214,7 @@ let store t ~thread addr ~size v =
    clean S copy. *)
 let rmw_coherent t ~thread addr ~size f =
   let core = Config.core_of_thread t.cfg thread in
-  let a = acct_of_core t core in
-  a.a_rmws <- a.a_rmws + 1;
+  count_rmw t;
   let blk = Addr.block_of addr in
   let pc = t.priv.(core) in
   let fab = Protocol.fabric (the_proto t) in
@@ -308,28 +233,26 @@ let rmw_coherent t ~thread addr ~size f =
   let off = Addr.offset_in_block addr in
   let old = Linedata.load line.Privcache.data ~off ~size in
   let nv = f old in
-  write_line pc line ~off ~size nv;
+  write_line line ~off ~size nv;
   (* Write-through of the result; the copy left behind is clean S. *)
   Fabric.dir_msg fab ~socket:cs ~blk ~data:true;
   fab.Fabric.llc_merge ~blk line.Privcache.data;
   Linedata.clear_dirty line.Privcache.data;
   line.Privcache.state <- States.P_S;
   t.pstats.Pstats.self_downs <- t.pstats.Pstats.self_downs + 1;
-  Privcache.bump pc;
   if t.sink_on then t.sink k_rmw thread addr size nv;
   (old, lat)
 
 let rmw t ~thread addr ~size f =
   if t.self_sync then rmw_coherent t ~thread addr ~size f
   else begin
-    let a = acct_of_core t (Config.core_of_thread t.cfg thread) in
-    a.a_rmws <- a.a_rmws + 1;
+    count_rmw t;
     let blk = Addr.block_of addr in
     let line, lat = access_line t ~thread ~blk ~write:true in
     let off = Addr.offset_in_block addr in
     let old = Linedata.load line.Privcache.data ~off ~size in
     let nv = f old in
-    write_line (pc_of_thread t thread) line ~off ~size nv;
+    write_line line ~off ~size nv;
     if t.sink_on then t.sink k_rmw thread addr size nv;
     (old, lat)
   end
@@ -359,17 +282,18 @@ let release t ~thread =
 
    Returns the serving level's latency and counts its events. *)
 
-let fast_hit_accounting t (a : acct) ~core ~blk (l1 : bool) =
-  a.a_l1_evts <- a.a_l1_evts + 1;
+let fast_hit_accounting t ~core ~blk (l1 : bool) =
+  let ss = t.sstats in
+  Energy.l1_access t.energy;
   if l1 then begin
-    a.a_l1_hits <- a.a_l1_hits + 1;
+    ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
     let lat = t.cfg.Config.l1_lat in
     if t.obs_on then Obs.access t.obs ~cls:Oev.l1_hit ~core ~blk ~lat;
     lat
   end
   else begin
-    a.a_l2_hits <- a.a_l2_hits + 1;
-    a.a_l2_evts <- a.a_l2_evts + 1;
+    ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
+    Energy.l2_access t.energy;
     let lat = t.cfg.Config.l2_lat in
     if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat;
     lat
@@ -384,12 +308,11 @@ let try_fast_load t ~thread addr ~size =
   let line = Privcache.fast_hit pc ~blk ~write:false in
   if line == Privcache.no_line then -1
   else begin
-    let a = acct_of_core t core in
-    a.a_loads <- a.a_loads + 1;
+    count_load t;
     t.fast_value <-
       Linedata.load line.Privcache.data ~off:(Addr.offset_in_block addr) ~size;
     if t.sink_on then t.sink k_load thread addr size t.fast_value;
-    fast_hit_accounting t a ~core ~blk (Privcache.last_l1 pc)
+    fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
   end
 
 let try_fast_store t ~thread addr ~size v =
@@ -399,11 +322,10 @@ let try_fast_store t ~thread addr ~size v =
   let line = Privcache.fast_hit pc ~blk ~write:true in
   if line == Privcache.no_line then -1
   else begin
-    let a = acct_of_core t core in
-    a.a_stores <- a.a_stores + 1;
-    write_line pc line ~off:(Addr.offset_in_block addr) ~size v;
+    count_store t;
+    write_line line ~off:(Addr.offset_in_block addr) ~size v;
     if t.sink_on then t.sink k_store thread addr size v;
-    fast_hit_accounting t a ~core ~blk (Privcache.last_l1 pc)
+    fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
   end
 
 let try_fast_rmw t ~thread addr ~size f =
@@ -415,15 +337,14 @@ let try_fast_rmw t ~thread addr ~size f =
   let line = Privcache.fast_hit pc ~blk ~write:true in
   if line == Privcache.no_line then -1
   else begin
-    let a = acct_of_core t core in
-    a.a_rmws <- a.a_rmws + 1;
+    count_rmw t;
     let off = Addr.offset_in_block addr in
     let old = Linedata.load line.Privcache.data ~off ~size in
     let nv = f old in
-    write_line pc line ~off ~size nv;
+    write_line line ~off ~size nv;
     if t.sink_on then t.sink k_rmw thread addr size nv;
     t.fast_value <- old;
-    fast_hit_accounting t a ~core ~blk (Privcache.last_l1 pc)
+    fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
   end
 
 (* --- trace replay (DESIGN.md §15) ---------------------------------------- *)
@@ -449,9 +370,8 @@ let replay_load t ~thread addr ~size =
   if line == Privcache.no_line then
     ignore (load t ~thread addr ~size : int64 * int)
   else begin
-    let a = acct_of_core t core in
-    a.a_loads <- a.a_loads + 1;
-    ignore (fast_hit_accounting t a ~core ~blk (Privcache.last_l1 pc) : int)
+    count_load t;
+    ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
   end
 
 let replay_store t ~thread addr ~size v =
@@ -462,10 +382,9 @@ let replay_store t ~thread addr ~size v =
   if line == Privcache.no_line then
     ignore (store t ~thread addr ~size v : int)
   else begin
-    let a = acct_of_core t core in
-    a.a_stores <- a.a_stores + 1;
-    write_line pc line ~off:(Addr.offset_in_block addr) ~size v;
-    ignore (fast_hit_accounting t a ~core ~blk (Privcache.last_l1 pc) : int)
+    count_store t;
+    write_line line ~off:(Addr.offset_in_block addr) ~size v;
+    ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
   end
 
 let replay_rmw t ~thread addr ~size nv =
@@ -481,92 +400,9 @@ let replay_rmw t ~thread addr ~size nv =
     let f = fun (_ : int64) -> nv in
     ignore (rmw t ~thread addr ~size f : int64 * int)
   else begin
-    let a = acct_of_core t core in
-    a.a_rmws <- a.a_rmws + 1;
-    write_line pc line ~off:(Addr.offset_in_block addr) ~size nv;
-    ignore (fast_hit_accounting t a ~core ~blk (Privcache.last_l1 pc) : int)
-  end
-
-(* --- speculative shard execution (DESIGN.md §11) ------------------------- *)
-
-(* Helper-domain side. Classify the pending access against the owning
-   core's hierarchy ({!Privcache.spec_read}: racy but memory-safe, with
-   the observed version recorded for the lane's validation). A plain hit
-   records a committable speculation; for misses and upgrades — whose
-   protocol transition must run on the lane — warm the host cache behind
-   the structures the lane will walk instead: the block's directory word,
-   its home LLC slice, and the backing-store page (each probe pure and
-   torn-read-safe; see Dirstate.prefetch, Llc.prefetch, Store.prefetch).
-   The returned int is advisory and must only feed a sink. *)
-let spec_read t ~thread addr ~size ~write (r : Privcache.spec_result) =
-  let core = Config.core_of_thread t.cfg thread in
-  let blk = Addr.block_of addr in
-  Privcache.spec_read t.priv.(core) ~blk
-    ~off:(Addr.offset_in_block addr) ~size ~write r;
-  if r.Privcache.ok then 0
-  else
-    Protocol.prefetch (the_proto t) ~blk
-    + Llc.prefetch t.llc ~socket:(Config.home_socket t.cfg blk) ~blk
-    + Store.prefetch t.store (Addr.base_of_block blk)
-
-(* Commit-lane side. Validate a speculation — its recorded version must
-   still be current, proving the helper observed exactly that state — and
-   apply it: replay the Hit-branch mutations at the recorded ways and
-   account events/energy/obs identically to the scheduled paths. Return
-   the latency, or [-1] — having changed nothing — on a squash, where the
-   caller re-executes the access inline. [sim_spec_torture] forces the
-   squash by bumping the version first (spurious bumps are always safe). *)
-
-let spec_validate t ~core (r : Privcache.spec_result) =
-  let pc = t.priv.(core) in
-  if t.cfg.Config.sim_spec_torture then Privcache.bump pc;
-  Privcache.version pc = r.Privcache.sr_ver
-
-let try_commit_load t ~thread addr ~size (r : Privcache.spec_result) =
-  let core = Config.core_of_thread t.cfg thread in
-  if not (spec_validate t ~core r) then -1
-  else begin
-    let blk = Addr.block_of addr in
-    let a = acct_of_core t core in
-    a.a_loads <- a.a_loads + 1;
-    ignore (Privcache.commit_hit t.priv.(core) ~blk r : Privcache.line);
-    t.fast_value <- r.Privcache.value;
-    if t.sink_on then t.sink k_load thread addr size t.fast_value;
-    fast_hit_accounting t a ~core ~blk (Sa.hit r.Privcache.l1w)
-  end
-
-let try_commit_store t ~thread addr ~size v (r : Privcache.spec_result) =
-  let core = Config.core_of_thread t.cfg thread in
-  if not (spec_validate t ~core r) then -1
-  else begin
-    let blk = Addr.block_of addr in
-    let a = acct_of_core t core in
-    a.a_stores <- a.a_stores + 1;
-    let pc = t.priv.(core) in
-    let line = Privcache.commit_hit pc ~blk r in
-    write_line pc line ~off:(Addr.offset_in_block addr) ~size v;
-    if t.sink_on then t.sink k_store thread addr size v;
-    fast_hit_accounting t a ~core ~blk (Sa.hit r.Privcache.l1w)
-  end
-
-(* [nv] is the helper's application of the RMW function to the recorded
-   old value; validation makes the old value exact and the function is
-   pure, so storing [nv] matches the scheduled path's [f old]. *)
-let try_commit_rmw t ~thread addr ~size ~nv (r : Privcache.spec_result) =
-  if t.self_sync then -1 (* atomics take the coherent scheduled path *)
-  else
-  let core = Config.core_of_thread t.cfg thread in
-  if not (spec_validate t ~core r) then -1
-  else begin
-    let blk = Addr.block_of addr in
-    let a = acct_of_core t core in
-    a.a_rmws <- a.a_rmws + 1;
-    let pc = t.priv.(core) in
-    let line = Privcache.commit_hit pc ~blk r in
-    write_line pc line ~off:(Addr.offset_in_block addr) ~size nv;
-    if t.sink_on then t.sink k_rmw thread addr size nv;
-    t.fast_value <- r.Privcache.value;
-    fast_hit_accounting t a ~core ~blk (Sa.hit r.Privcache.l1w)
+    count_rmw t;
+    write_line line ~off:(Addr.offset_in_block addr) ~size nv;
+    ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
   end
 
 (* Region activity is recorded here — not in the protocols — so the trace
@@ -577,7 +413,7 @@ let region_add t ~thread ~lo ~hi =
   if t.sink_on then t.sink k_region_add thread lo hi 0L;
   let ok = Protocol.region_add (the_proto t) ~lo ~hi in
   (* Even a rejected attempt (always, under MESI) is an annotation the
-     profile should show, and the stats banks count it. *)
+     profile should show. *)
   if t.obs_on then
     Obs.region t.obs
       ~core:(Config.core_of_thread t.cfg thread)
@@ -618,11 +454,8 @@ let footprint_bytes t = Store.footprint_bytes t.store
 
 (* Only meaningful at quiescent points (between [Engine.run]s): no
    continuation holds unretired accesses, so the full simulated state is
-   the flat structures below. Banks are folded first so the saved
-   [Sstats]/[Energy] carry complete totals and a restored system starts
-   with empty banks either way. *)
+   the flat structures below. *)
 let save_state t w =
-  fold_accts t;
   Store.save t.store w;
   Llc.save t.llc w;
   Warden_util.Bin.w_int w (Array.length t.priv);
@@ -634,8 +467,6 @@ let save_state t w =
   Warden_util.Bin.w_int w t.bump
 
 let restore_state t r =
-  (* Zero the banks (the folded residue lands in records we overwrite). *)
-  fold_accts t;
   Store.restore t.store r;
   Llc.restore t.llc r;
   let n = Warden_util.Bin.r_int r in

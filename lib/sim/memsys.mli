@@ -13,6 +13,9 @@ val create :
   Warden_machine.Config.t ->
   proto:[ `Mesi | `Warden | `Msi_bus | `Sisd ] ->
   t
+(** Raises [Invalid_argument] unless [sim_domains = 1]: one simulation
+    runs on one host domain, and host parallelism comes from running
+    independent simulations side by side ([--jobs]). *)
 
 val config : t -> Warden_machine.Config.t
 val protocol : t -> Warden_proto.Protocol.t
@@ -23,14 +26,9 @@ val llc : t -> Llc.t
     report how much of the lazily-chunked slice storage materialized. *)
 
 val sstats : t -> Sstats.t
-(** Merged access statistics. Access-path counters are banked per shard
-    (see {!Warden_machine.Config.num_shards}); this getter folds the banks
-    into the returned record first, so callers always observe totals. The
-    fold is deterministic for every [sim_domains] value: shard order is
-    fixed and all deferred quantities are integer counts. *)
+(** Access statistics, updated in place as the run proceeds. *)
 
 val energy : t -> Warden_machine.Energy.t
-(** Merged energy model; folds shard banks like {!sstats}. *)
 
 val obs : t -> Warden_obs.Obs.t
 (** The run's event recorder (DESIGN.md §12). The same instance is exposed
@@ -111,67 +109,6 @@ val replay_rmw : t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> un
     value from the recording (the trace sink records it precisely so
     replay needs no modify function); same contract as {!replay_load}. *)
 
-(** {2 Speculative shard execution (DESIGN.md §11)}
-
-    Helper domains pre-execute the memory-system half of pending accesses
-    against racy-but-versioned views of the owning core's private
-    hierarchy; the commit lane validates each speculation against the
-    current version and either applies it (bit-identical to the scheduled
-    path) or squashes and re-executes inline. *)
-
-val spec_read :
-  t ->
-  thread:int ->
-  Warden_mem.Addr.t ->
-  size:int ->
-  write:bool ->
-  Privcache.spec_result ->
-  int
-(** Helper-domain side: classify the access against [thread]'s core
-    ({!Privcache.spec_read}). On a plain hit the
-    result records a committable speculation; otherwise the transition
-    must run on the lane, and this call instead warms the host cache
-    behind the structures the lane will walk (directory word, home LLC
-    slice, backing-store page). Mutates no simulator state; safe to race
-    with the commit lane. The returned int is advisory and must only
-    feed a sink. *)
-
-val try_commit_load :
-  t ->
-  thread:int ->
-  Warden_mem.Addr.t ->
-  size:int ->
-  Privcache.spec_result ->
-  int
-(** Commit-lane side: validate the speculation (recorded version still
-    current) and apply it, with accounting identical to {!load} and the
-    value left in {!fast_value}; returns the latency, or [-1] — having
-    changed nothing — on a squash (caller re-executes inline). Under
-    [sim_spec_torture] the version is bumped first, forcing the squash. *)
-
-val try_commit_store :
-  t ->
-  thread:int ->
-  Warden_mem.Addr.t ->
-  size:int ->
-  int64 ->
-  Privcache.spec_result ->
-  int
-(** {!try_commit_load} for stores (the speculation already proved E/M
-    permission at its recorded version). *)
-
-val try_commit_rmw :
-  t ->
-  thread:int ->
-  Warden_mem.Addr.t ->
-  size:int ->
-  nv:int64 ->
-  Privcache.spec_result ->
-  int
-(** {!try_commit_load} for read-modify-writes. [nv] is the helper's
-    application of the RMW function to the speculated old value; the old
-    value is left in {!fast_value}. *)
-
 val region_add : t -> thread:int -> lo:int -> hi:int -> bool
 (** Activate a WARD region, recording the activation against [thread]'s
     core (observability only — the protocol sees just the range). *)
@@ -198,14 +135,13 @@ val footprint_bytes : t -> int
 (** {2 Commit-order trace sink (DESIGN.md §15)}
 
     A flat callback invoked at the instant each access commits its
-    memory-system transition, on whichever path served it (scheduled,
-    inline fast, or speculative commit) — so the recorded stream is in
-    commit order, and feeding it back through {!load}/{!store}/{!rmw}
-    (or the fast paths) replays the exact transition sequence with no
-    program model. Arguments: [kind thread addr size value]; for
-    {!k_rmw} the value is the committed {e new} value (replay with
-    [fun _ -> v]), for region events [addr]/[size] carry [lo]/[hi].
-    Lane-only, like the access paths themselves. *)
+    memory-system transition, on whichever path served it (scheduled or
+    inline fast) — so the recorded stream is in commit order, and
+    feeding it back through {!load}/{!store}/{!rmw} (or the fast paths)
+    replays the exact transition sequence with no program model.
+    Arguments: [kind thread addr size value]; for {!k_rmw} the value is
+    the committed {e new} value (replay with [fun _ -> v]), for region
+    events [addr]/[size] carry [lo]/[hi]. *)
 
 val k_load : int
 val k_store : int
@@ -232,9 +168,8 @@ val set_trace_sink :
 val save_state : t -> Warden_util.Bin.w -> unit
 (** Serialize the complete simulated memory-system state — store pages,
     LLC slices, private hierarchies, protocol state (directory + region
-    CAM), stats, energy, and the bump allocator — after folding the
-    per-shard banks. Only meaningful at quiescent points (between
-    {!Engine.run}s). *)
+    CAM), stats, energy, and the bump allocator. Only meaningful at
+    quiescent points (between {!Engine.run}s). *)
 
 val restore_state : t -> Warden_util.Bin.r -> unit
 (** Overwrite a same-geometry, same-protocol memory system from

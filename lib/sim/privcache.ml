@@ -15,17 +15,6 @@ type t = {
   l2_lat : int;
   mutable last_l1 : bool; (* level of the last fast_hit: true = L1 *)
   evict : blk:int -> States.pstate -> Linedata.t -> unit;
-  (* Speculation version (DESIGN.md §11). The owning commit lane bumps it
-     after every mutation of state a helper's [spec_read] consumes (tags,
-     recency, line states, line bytes): mutate, then bump. Helpers read
-     it (acquire) before their data reads; the lane validates a recorded
-     version against the current one before applying a speculation, so a
-     match proves the helper saw exactly the version's state. A spurious
-     bump only costs a squash; a missing bump would be unsound — bump
-     conservatively. [spec] gates the bumps so an unsharded run pays one
-     predicted branch per mutation. *)
-  ver : int Atomic.t;
-  spec : bool;
 }
 
 let create (cfg : Config.t) ~evict =
@@ -38,12 +27,7 @@ let create (cfg : Config.t) ~evict =
     l2_lat = cfg.Config.l2_lat;
     last_l1 = false;
     evict;
-    ver = Atomic.make 0;
-    spec = Config.num_shards cfg > 1 && cfg.Config.sim_spec;
   }
-
-let bump t = if t.spec then Atomic.incr t.ver
-let version t = Atomic.get t.ver
 
 type lookup =
   | Hit of { line : line; lat : int; level : [ `L1 | `L2 ] }
@@ -63,7 +47,6 @@ let lookup t ~blk ~write =
     if not in_l1 then
       (* Promote into L1; the displaced L1 line stays valid in L2. *)
       ignore (Sa.insert t.l1 blk ());
-    bump t;
     match (line.state, write) with
     | States.P_S, true -> Upgrade line
     | _ ->
@@ -93,88 +76,17 @@ let fast_hit t ~blk ~write =
     else begin
       let in_l1 = Sa.touch t.l1 blk in
       (* Rotate the hit to the MRU-first way, exactly as the slow path's
-         [Sa.find_way] and the spec commit lane's [Sa.promote_way] do: a
-         re-probe of the hot block then exits on the first comparison.
-         Way position carries no simulated meaning (recency lives in
-         [last_use], victim choice reads only that), so this changes no
-         observable behavior. *)
+         [Sa.find_way] does: a re-probe of the hot block then exits on the
+         first comparison. Way position carries no simulated meaning
+         (recency lives in [last_use], victim choice reads only that), so
+         this changes no observable behavior. *)
       ignore (Sa.promote_way t.l2 blk w2 : Sa.way);
       if not in_l1 then Sa.insert_absent t.l1 blk ();
       t.last_l1 <- in_l1;
-      bump t;
       line
     end
 
 let last_l1 t = t.last_l1
-
-(* --- speculative shard execution (DESIGN.md §11) ------------------------- *)
-
-(* One preallocated result record per engine speculation slot: the helper
-   writes fields in place so the probe loop allocates nothing but the
-   boxed value. *)
-type spec_result = {
-  mutable ok : bool;
-  mutable sr_ver : int; (* [version] observed before the reads *)
-  mutable l2w : Sa.way;
-  mutable l1w : Sa.way; (* no-hit when the block is not L1-resident *)
-  mutable l1victim : Sa.way; (* L1 way an insert would fill, iff L1-absent *)
-  mutable value : int64; (* bytes at (off, size), iff [size > 0] *)
-}
-
-let spec_result () =
-  {
-    ok = false;
-    sr_ver = 0;
-    l2w = Sa.no_way;
-    l1w = Sa.no_way;
-    l1victim = Sa.no_way;
-    value = 0L;
-  }
-
-(* Helper-domain probe: classify a pending access against a racy snapshot
-   of the hierarchy, recording everything the lane needs to replay the
-   Hit path without walking — way positions, the L1 victim, the loaded
-   value — plus the version the snapshot belongs to. Every read here is
-   memory-safe under a race (fixed-size arrays, masked indices, torn
-   values at worst); a torn or stale snapshot records a version the lane
-   will find outdated, which squashes the speculation. The walk doubles
-   as the host-cache warming the old pure-prefetch path provided.
-   Accesses that would miss or upgrade are left [ok = false]: their
-   transitions run protocol code on the lane (see Memsys.spec_read, which
-   warms the directory/LLC/store behind them instead). *)
-let spec_read t ~blk ~off ~size ~write (r : spec_result) =
-  r.ok <- false;
-  let v = Atomic.get t.ver in
-  (* acquire first: reads below see at least version [v]'s writes *)
-  let w2 = Sa.peek_way t.l2 blk in
-  if Sa.hit w2 then begin
-    let line = Sa.value t.l2 w2 in
-    if not (write && match line.state with States.P_S -> true | _ -> false)
-    then begin
-      let w1 = Sa.peek_way t.l1 blk in
-      r.l1victim <-
-        (if Sa.hit w1 then Sa.no_way else Sa.peek_victim_way t.l1 blk);
-      if size > 0 then r.value <- Linedata.load line.data ~off ~size;
-      r.sr_ver <- v;
-      r.l2w <- w2;
-      r.l1w <- w1;
-      r.ok <- true
-    end
-  end
-
-(* Commit-lane replay of [lookup]'s Hit-branch mutations using the
-   speculatively recorded way positions — version validation (the caller's
-   job, via [version]) guarantees they are still exact, so the known-way
-   applies produce bit-identical tags, rotation, recency and LRU clock to
-   the walked path. Returns the hit line. *)
-let commit_hit t ~blk (r : spec_result) =
-  let in_l1 = Sa.hit r.l1w in
-  if in_l1 then ignore (Sa.promote_way t.l1 blk r.l1w : Sa.way)
-  else Sa.insert_at t.l1 blk r.l1victim ();
-  let w2 = Sa.promote_way t.l2 blk r.l2w in
-  t.last_l1 <- in_l1;
-  bump t;
-  Sa.value t.l2 w2
 
 let fill t ~blk pstate bytes =
   let line = { state = pstate; data = Linedata.create () } in
@@ -185,7 +97,6 @@ let fill t ~blk pstate bytes =
       ignore (Sa.remove t.l1 vblk);
       t.evict ~blk:vblk vline.state vline.data);
   ignore (Sa.insert t.l1 blk ());
-  bump t;
   line
 
 let iter_resident t f = Sa.iter t.l2 f
@@ -207,9 +118,6 @@ let pstate_of_code = function
   | 2 -> States.P_M
   | _ -> Warden_util.Bin.corrupt "Privcache: bad line state"
 
-(* The speculation version and [spec] gate are host-side scheduling state,
-   not simulated state: they are not serialized (a restored hierarchy
-   starts a fresh speculation epoch). *)
 let save t w =
   let module B = Warden_util.Bin in
   Sa.save t.l1 w ~elt:(fun _ () -> ());
@@ -224,25 +132,16 @@ let restore t r =
   Sa.restore t.l2 r ~elt:(fun r ->
       let state = pstate_of_code (B.r_u8 r) in
       { state; data = Linedata.load_snap r });
-  t.last_l1 <- B.r_bool r;
-  bump t
+  t.last_l1 <- B.r_bool r
 
 let probe_of t blk line =
   let levels = if Sa.mem t.l1 blk then 2 else 1 in
   { Fabric.levels; state = line.state; data = line.data }
 
-(* The fabric probes below mutate on a hit ([find_way] refreshes recency
-   and rotates; invalidation and downgrade change residency and state),
-   so each hit path ends in a [bump]. *)
-
 let peek t ~blk =
   let w = Sa.find_way t.l2 blk in
   if not (Sa.hit w) then None
-  else begin
-    let p = probe_of t blk (Sa.value t.l2 w) in
-    bump t;
-    Some p
-  end
+  else Some (probe_of t blk (Sa.value t.l2 w))
 
 let invalidate t ~blk =
   let w = Sa.find_way t.l2 blk in
@@ -251,7 +150,6 @@ let invalidate t ~blk =
     let p = probe_of t blk (Sa.value t.l2 w) in
     ignore (Sa.remove t.l1 blk);
     ignore (Sa.remove t.l2 blk);
-    bump t;
     Some p
   end
 
@@ -262,6 +160,5 @@ let downgrade t ~blk =
     let line = Sa.value t.l2 w in
     let p = probe_of t blk line in
     line.state <- States.P_S;
-    bump t;
     Some p
   end

@@ -46,56 +46,6 @@ val fast_hit : t -> blk:int -> write:bool -> line
 val last_l1 : t -> bool
 (** Whether the last successful {!fast_hit} was served by the L1. *)
 
-(** {2 Speculative shard execution (DESIGN.md §11)}
-
-    The hierarchy carries a version counter, bumped by the owning commit
-    lane after every mutation of state a helper-domain probe consumes.
-    Helpers record the version before their racy reads; the lane applies
-    a speculation only when the recorded version is still current, which
-    proves the helper observed exactly that version's state. *)
-
-val version : t -> int
-(** Current speculation version (acquire read; callable from helpers).
-    Constant 0 when speculation is inactive for this configuration. *)
-
-val bump : t -> unit
-(** Invalidate outstanding speculations against this hierarchy. Lane
-    only. Called internally by every mutating operation; exposed for the
-    memory system's own line mutations (stores into a held line, upgrade
-    fills) and for tests forcing the squash path. A spurious bump costs
-    at most a squash. *)
-
-type spec_result = {
-  mutable ok : bool;  (** Plain permission-sufficient hit recorded. *)
-  mutable sr_ver : int;  (** {!version} observed before the reads. *)
-  mutable l2w : Warden_cache.Sa.way;
-  mutable l1w : Warden_cache.Sa.way;
-      (** L1 way; no-hit if not L1-resident. *)
-  mutable l1victim : Warden_cache.Sa.way;
-      (** L1 way an insert would fill, iff L1-absent. *)
-  mutable value : int64;  (** Bytes at (off, size), iff [size > 0]. *)
-}
-(** A speculation's recorded inputs and outputs. Preallocated per engine
-    slot; written in place by the owning helper, read by the lane only
-    after the slot's publication handshake. *)
-
-val spec_result : unit -> spec_result
-
-val spec_read : t -> blk:int -> off:int -> size:int -> write:bool -> spec_result -> unit
-(** Helper-domain probe: classify a pending access against a racy
-    snapshot, recording way positions, the prospective L1 victim and the
-    loaded value ([size > 0] only — pass [size:0] for stores). Leaves
-    [ok = false] for misses and S→M upgrades, whose transitions stay on
-    the lane. Memory-safe under any race with the lane; a stale snapshot
-    records a version the lane will reject. Doubles as the host-cache
-    warming probe the removed [prefetch] used to provide. *)
-
-val commit_hit : t -> blk:int -> spec_result -> line
-(** Lane-side replay of {!lookup}'s Hit-branch mutations at the recorded
-    way positions. The caller must have validated [sr_ver] against
-    {!version} (and not mutated the hierarchy since); then the result is
-    bit-identical to the walked path. Returns the hit line. *)
-
 val fill : t -> blk:int -> Warden_proto.States.pstate -> Bytes.t -> line
 (** Install a granted line into L2 and L1, evicting victims as needed. *)
 
@@ -107,8 +57,7 @@ val check_inclusion : t -> (unit, string) result
 
 val save : t -> Warden_util.Bin.w -> unit
 (** Snapshot both tag arrays (way positions, recency), every resident
-    line's state and data, and the last-hit level. The speculation
-    version is host scheduling state and is not serialized. *)
+    line's state and data, and the last-hit level. *)
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite a hierarchy of identical geometry from {!save} output.

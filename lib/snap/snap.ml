@@ -5,15 +5,15 @@ module Memsys = Warden_sim.Memsys
 module Protocol = Warden_proto.Protocol
 
 let magic = "WSNP"
-let version = 1
+(* Version 2 dropped the sharded engine's scheduler counters from the
+   engine payload; a version-1 file is refused by name, never misparsed. *)
+let version = 2
 
 (* The fingerprint is every configuration value the simulated results
    depend on, written as actual values (not a hash) so a mismatch names
-   the offending field. Host-parallelism and observability knobs —
-   sim_domains, sim_spec, sim_spec_torture, sched_quantum, sim_quantum,
-   obs_level — are deliberately excluded: results are bit-identical
-   across them by the engine's determinism invariant, so a snapshot taken
-   at D=1 restores into a D=4 run and vice versa. *)
+   the offending field. The host-side knobs sched_quantum and obs_level
+   are deliberately excluded: results are bit-identical across them, so a
+   snapshot taken with one setting restores into a run with another. *)
 let fingerprint_fields (cfg : Config.t) ~proto_name =
   [
     ("protocol", `S proto_name);

@@ -12,13 +12,12 @@
     continuations cannot serialize; that boundary is also the only time
     the simulated state is entirely flat structures.
 
-    Host-parallelism and observability knobs ([sim_domains], [sim_spec],
-    [sim_spec_torture], [sched_quantum], [sim_quantum], [obs_level]) are
-    excluded from the fingerprint: the engine's determinism invariant
-    makes results bit-identical across them, so one snapshot serves any
-    of those settings. Restore targets a {e freshly created} engine of
-    matching geometry and protocol (directory and page tables have no
-    deletion, so restoring into a used engine is unsupported). *)
+    The host-side knobs [sched_quantum] and [obs_level] are excluded from
+    the fingerprint: results are bit-identical across them, so one
+    snapshot serves any of those settings. Restore targets a {e freshly
+    created} engine of matching geometry and protocol (directory and page
+    tables have no deletion, so restoring into a used engine is
+    unsupported). *)
 
 val to_bytes : Warden_sim.Engine.t -> Bytes.t
 (** Serialize at a quiescent point. Raises [Invalid_argument] if a run

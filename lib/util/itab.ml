@@ -67,24 +67,10 @@ let rec find_or_add t id ~make =
     v
   end
 
-(* Pure probe: no insertion, no growth, no mutation — safe to race with
-   a concurrent [find_or_add] from the owning domain (the speculative
-   helper domains only ever use the result as a hint). Unlike [probe] it snapshots the
-   key array once and masks the start index against that snapshot, so a
-   concurrent [grow] swapping the arrays can yield a stale answer but
-   never an out-of-bounds access. *)
+(* Pure probe: no insertion, no growth, no mutation. *)
 let find_or t id ~default =
-  let keys = t.keys and vals = t.vals in
-  let m = Array.length keys - 1 in
-  let i = ref ((id * factor) lsr t.shift land m) in
-  while
-    let k = Array.unsafe_get keys !i in
-    k <> id && k <> -1
-  do
-    i := (!i + 1) land m
-  done;
-  if Array.unsafe_get keys !i = id && !i < Array.length vals then
-    Array.unsafe_get vals !i
+  let i = probe t id in
+  if Array.unsafe_get t.keys i = id then Array.unsafe_get t.vals i
   else default
 
 let mem t id = t.keys.(probe t id) = id

@@ -13,8 +13,7 @@ val find_or_add : 'a t -> int -> make:(int -> 'a) -> 'a
 
 val find_or : 'a t -> int -> default:'a -> 'a
 (** Pure, allocation-free probe: the value bound to [id], or [default] if
-    absent. Mutates nothing, so it is safe as a cross-domain hint probe
-    (the caller must treat a possibly stale result as advisory). *)
+    absent. Mutates nothing. *)
 
 val mem : 'a t -> int -> bool
 

@@ -82,22 +82,7 @@ let add t ~prio payload =
   t.size <- t.size + 1;
   sift_up t i
 
-(* Insertion with a caller-supplied sequence number, for sharded run
-   queues: the engine hands every enqueue a globally increasing sequence,
-   so popping the minimum (prio, seq) across several queues reproduces the
-   exact FIFO tie-break order of one shared queue. *)
-let add_seq t ~prio ~seq payload =
-  ensure_capacity t;
-  let i = t.size in
-  t.prio.(i) <- prio;
-  t.seq.(i) <- seq;
-  t.data.(i) <- Some payload;
-  t.size <- t.size + 1;
-  sift_up t i
-
 let min_prio_or t ~default = if t.size = 0 then default else t.prio.(0)
-
-let min_seq_or t ~default = if t.size = 0 then default else t.seq.(0)
 
 let min_prio t = if t.size = 0 then None else Some t.prio.(0)
 

@@ -14,23 +14,12 @@ val is_empty : 'a t -> bool
 
 val add : 'a t -> prio:int -> 'a -> unit
 
-val add_seq : 'a t -> prio:int -> seq:int -> 'a -> unit
-(** Like {!add} but with a caller-supplied tie-break sequence instead of
-    the queue's own counter. Sharded consumers (the engine's per-shard run
-    queues) pass a globally increasing sequence so that popping the
-    minimum [(prio, seq)] across queues reproduces one shared queue's
-    FIFO order exactly. Do not mix with {!add} on the same queue unless
-    the supplied sequences and the internal counter are kept coherent. *)
-
 val min_prio : 'a t -> int option
 (** Priority of the front element without removing it. *)
 
 val min_prio_or : 'a t -> default:int -> int
 (** Like {!min_prio} but allocation-free: returns [default] when empty.
     Used on the simulation engine's per-access fast path. *)
-
-val min_seq_or : 'a t -> default:int -> int
-(** Tie-break sequence of the front element ([default] when empty). *)
 
 val peek : 'a t -> (int * 'a) option
 

@@ -197,7 +197,6 @@ struct
     List.iter (fun blk -> Mesi.flush_block t.fabric t.dir ~blk) !blocks
 
   let observe t ~blk = Protocol.view_of_dir t.dir ~blk
-  let prefetch t ~blk = Dirstate.prefetch t.dir blk
   let dump t = "protocol " ^ M.name ^ "\n" ^ Protocol.dump_dir t.dir
   let copy t ~fabric =
     { fabric; dir = Dirstate.copy t.dir; scratch = Mesi.fresh_grant () }

@@ -5,11 +5,11 @@
    1. Unit tests for the recording primitives (ring, histogram, heatmap).
    2. Non-perturbation: every observable of the simulation — cycles,
       stats, energy, verification — is bit-identical across
-      obs_level ∈ {off, counters, full} × sim_domains ∈ {1, 2}, i.e.
-      tracing a run never changes the run.
+      obs_level ∈ {off, counters, full}, i.e. tracing a run never
+      changes the run.
    3. The sinks themselves: counters agree with the protocol statistics
       banks, the Chrome trace is well-formed JSON and byte-identical
-      across sim_domains, a MESI run of fib records invalidations, and a
+      run to run, a MESI run of fib records invalidations, and a
       WARD-heavy kernel records strictly less coherence traffic under
       WARDen than under MESI. *)
 
@@ -152,12 +152,7 @@ let test_heatmap () =
 
 (* ---- shared simulation driver -------------------------------------------- *)
 
-let cfg ?(domains = 1) lvl =
-  {
-    (Config.dual_socket ()) with
-    Config.obs_level = lvl;
-    sim_domains = domains;
-  }
+let cfg lvl = { (Config.dual_socket ()) with Config.obs_level = lvl }
 
 let run_ms ~bench ~scale ~proto config =
   let spec = Option.get (Warden_pbbs.Suite.find bench) in
@@ -177,16 +172,14 @@ let test_non_perturbation () =
       let spec = Option.get (Warden_pbbs.Suite.find bench) in
       List.iter
         (fun (proto, pname) ->
-          let run lvl domains =
-            Exp.run_bench ~quick:true ~config:(cfg ~domains lvl) ~proto spec
+          let run lvl =
+            Exp.run_bench ~quick:true ~config:(cfg lvl) ~proto spec
           in
-          let base = run Config.Obs_off 1 in
+          let base = run Config.Obs_off in
           List.iter
-            (fun ((lvl, lname), domains) ->
-              let label =
-                Printf.sprintf "%s/%s obs=%s D=%d" bench pname lname domains
-              in
-              let r = run lvl domains in
+            (fun (lvl, lname) ->
+              let label = Printf.sprintf "%s/%s obs=%s" bench pname lname in
+              let r = run lvl in
               Alcotest.(check bool) (label ^ ": verified") true r.Exp.verified;
               Alcotest.(check int) (label ^ ": cycles") base.Exp.cycles
                 r.Exp.cycles;
@@ -194,13 +187,10 @@ let test_non_perturbation () =
                 (label ^ ": energy") base.Exp.energy_total_pj
                 r.Exp.energy_total_pj;
               Alcotest.(check bool) (label ^ ": full result") true (base = r))
-            (List.concat_map
-               (fun lvl -> [ (lvl, 1); (lvl, 2) ])
-               [
-                 (Config.Obs_off, "off");
-                 (Config.Obs_counters, "counters");
-                 (Config.Obs_full, "full");
-               ]))
+            [
+              (Config.Obs_counters, "counters");
+              (Config.Obs_full, "full");
+            ])
         protos)
     kernels
 
@@ -397,15 +387,12 @@ let test_chrome_trace () =
   Alcotest.(check bool) "msort: fewer coherence events under WARDen" true
     (obs_coh mw < obs_coh mm)
 
-let test_trace_domain_identity () =
-  let doc_at domains =
-    let run proto =
-      run_ms ~bench:"fib" ~scale:12 ~proto (cfg ~domains Config.Obs_full)
-    in
+let test_trace_rerun_identity () =
+  let doc () =
+    let run proto = run_ms ~bench:"fib" ~scale:12 ~proto (cfg Config.Obs_full) in
     trace_of [ ("mesi", run `Mesi); ("warden", run `Warden) ]
   in
-  Alcotest.(check string)
-    "trace bytes identical for sim_domains 1 and 2" (doc_at 1) (doc_at 2)
+  Alcotest.(check string) "trace bytes identical run to run" (doc ()) (doc ())
 
 let test_summary_renders () =
   let ms = run_ms ~bench:"fib" ~scale:12 ~proto:`Warden (cfg Config.Obs_full) in
@@ -431,8 +418,8 @@ let suite =
       counter_agreement;
     Alcotest.test_case "Chrome trace well-formed and meaningful" `Quick
       test_chrome_trace;
-    Alcotest.test_case "trace byte-identical across sim_domains" `Quick
-      test_trace_domain_identity;
+    Alcotest.test_case "trace byte-identical run to run" `Quick
+      test_trace_rerun_identity;
     Alcotest.test_case "summary renders" `Quick test_summary_renders;
   ]
 

@@ -9,8 +9,7 @@
    3. The serving tier end to end: verification under both protocols,
       schedule-independent result equality MESI = WARDen, strictly
       lower invalidation+downgrade traffic under WARDen, and full
-      result bit-identity (latency histogram included) across
-      sim_domains and speculation on/off. *)
+      result bit-identity (latency histogram included) run to run. *)
 
 open Warden_util
 open Warden_machine
@@ -213,11 +212,8 @@ let small =
     scan_len = 8;
   }
 
-let machine ?(domains = 1) ?(spec = true) () =
-  { (Config.single_socket ()) with Config.sim_domains = domains; sim_spec = spec }
-
-let run_small ?domains ?spec proto =
-  Serve.run_proto ~params:small ~machine:(machine ?domains ?spec ()) ~proto ()
+let run_small proto =
+  Serve.run_proto ~params:small ~machine:(Config.single_socket ()) ~proto ()
 
 let test_serve_verified_and_traffic () =
   let rm = run_small `Mesi and rw = run_small `Warden in
@@ -244,23 +240,12 @@ let test_serve_verified_and_traffic () =
   Alcotest.(check bool) "p95 <= p99" true (p 95. <= p 99.);
   Alcotest.(check bool) "p99 <= p99.9" true (p 99. <= p 99.9)
 
-let test_serve_domain_identity () =
-  List.iter
-    (fun proto ->
-      let base = run_small ~domains:1 proto in
-      List.iter
-        (fun (domains, spec, label) ->
-          let r = run_small ~domains ~spec proto in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: full result (hist included) identical" label)
-            true (base = r))
-        [ (2, true, "D=2 spec on"); (2, false, "D=2 spec off") ])
-    [ `Mesi; `Warden ]
-
 let test_serve_json_deterministic () =
-  let j1 = Serve.json_summary small (run_small ~domains:1 `Warden) in
-  let j2 = Serve.json_summary small (run_small ~domains:2 `Warden) in
-  Alcotest.(check string) "json bytes identical across sim_domains" j1 j2;
+  let r1 = run_small `Warden and r2 = run_small `Warden in
+  Alcotest.(check bool) "full result (hist included) identical" true (r1 = r2);
+  let j1 = Serve.json_summary small r1 in
+  let j2 = Serve.json_summary small r2 in
+  Alcotest.(check string) "json bytes identical run to run" j1 j2;
   Alcotest.(check bool) "json mentions p99.9" true
     (let needle = "lat_p999" in
      let rec find i =
@@ -282,8 +267,6 @@ let suite =
     Alcotest.test_case "mix fractions and write set" `Quick test_mix_fractions;
     Alcotest.test_case "serve: verified, equal results, less traffic" `Quick
       test_serve_verified_and_traffic;
-    Alcotest.test_case "serve: bit-identical across domains and spec" `Quick
-      test_serve_domain_identity;
     Alcotest.test_case "serve: deterministic json summary" `Quick
       test_serve_json_deterministic;
   ]

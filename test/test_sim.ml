@@ -200,23 +200,37 @@ let test_invariants_after_stress () =
     [ `Mesi; `Warden ]
 
 let test_atomic_counter () =
-  let cfg = Config.dual_socket () in
-  let eng = mk cfg in
-  let ms = Engine.memsys eng in
-  let a = Memsys.alloc ms ~bytes:8 ~align:8 in
-  let nthreads = 16 and per = 500 in
-  let body _tid () =
-    for _ = 1 to per do
-      ignore (Ops.fetch_add a ~size:8 1L);
-      Ops.tick 1
-    done
-  in
-  ignore (Engine.run eng (Array.init nthreads body));
-  Memsys.flush_all ms;
-  Alcotest.(check int64)
-    "all increments observed"
-    (Int64.of_int (nthreads * per))
-    (Memsys.peek ms a ~size:8)
+  List.iter
+    (fun proto ->
+      let eng = mk ~proto (Config.dual_socket ()) in
+      let ms = Engine.memsys eng in
+      let a = Memsys.alloc ms ~bytes:8 ~align:8 in
+      let nthreads = 16 and per = 500 in
+      let body _tid () =
+        for _ = 1 to per do
+          ignore (Ops.fetch_add a ~size:8 1L);
+          Ops.tick 1
+        done
+      in
+      ignore (Engine.run eng (Array.init nthreads body));
+      Memsys.flush_all ms;
+      Alcotest.(check int64)
+        "all increments observed"
+        (Int64.of_int (nthreads * per))
+        (Memsys.peek ms a ~size:8))
+    [ `Mesi; `Warden ]
+
+(* One simulation runs on one host domain; asking for more is an error,
+   not a silent fallback. *)
+let test_one_sim_domain () =
+  Alcotest.check_raises "sim_domains = 2"
+    (Invalid_argument
+       "Memsys.create: sim_domains must be 1; use --jobs for host parallelism")
+    (fun () ->
+      ignore
+        (Memsys.create
+           { (Config.dual_socket ()) with Config.sim_domains = 2 }
+           ~proto:`Mesi))
 
 let suite =
   [
@@ -229,6 +243,7 @@ let suite =
     Alcotest.test_case "rmw and cas" `Quick test_rmw_cas;
     Alcotest.test_case "invariants after stress" `Quick test_invariants_after_stress;
     Alcotest.test_case "atomic counter" `Quick test_atomic_counter;
+    Alcotest.test_case "one sim domain" `Quick test_one_sim_domain;
   ]
 
 let () = Alcotest.run "warden-sim" [ ("sim", suite) ]

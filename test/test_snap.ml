@@ -7,15 +7,14 @@
    2. Restore-then-run bit-identity: running phase A, snapshotting,
       restoring into a fresh engine and running phase B must leave the
       restored engine byte-identical (snapshot bytes and stats dump) to
-      the engine that ran A then B cold — across machines, domain
-      counts, spec on/off, and both protocols, plus one cross-domain
-      restore (snapshots are D-portable).
+      the engine that ran A then B cold — across machines and both
+      protocols.
    3. Replay: a recorded commit-order stream replayed through a fresh
       engine reproduces the recording run's memory-system stats byte
       for byte; cross-protocol replay consumes the same stream.
-   4. Corruption: checksum damage, truncation, and fingerprint
-      mismatches (wrong protocol) are detected, never silently
-      restored. *)
+   4. Corruption: checksum damage, truncation, an older format version
+      and fingerprint mismatches (wrong protocol) are detected, never
+      silently restored. *)
 
 open Warden_util
 open Warden_machine
@@ -96,8 +95,6 @@ let test_csa_roundtrip () =
   let before = Csa.chunks_allocated restored in
   Alcotest.(check bool) "unallocated chunk probes as miss" true
     (Csa.find restored absent = None);
-  Alcotest.(check bool) "pure probe answers dummy" true
-    (Csa.peek_or_dummy restored absent == Csa.dummy restored);
   Alcotest.(check int) "miss probe materializes nothing" before
     (Csa.chunks_allocated restored)
 
@@ -199,60 +196,32 @@ let test_restore_then_run () =
   List.iter
     (fun (mname, cfg) ->
       List.iter
-        (fun (domains, spec) ->
-          let cfg = { cfg with Config.sim_domains = domains; sim_spec = spec } in
-          List.iter
-            (fun proto ->
-              let label =
-                Printf.sprintf "%s D=%d spec=%b" mname domains spec
-              in
-              (* Cold: A then B on one engine. *)
-              let cold = Engine.create cfg ~proto in
-              let ms = Engine.memsys cold in
-              ignore (Engine.run cold (phase_bodies ms ~round:0) : int);
-              let mid = Snap.to_bytes cold in
-              ignore (Engine.run cold (phase_bodies ms ~round:1) : int);
-              let cold_stats, cold_bytes = stats_and_bytes cold in
-              (* Restored: B on a fresh engine restored from A's end. *)
-              let warm = Engine.create cfg ~proto in
-              Snap.restore warm mid;
-              ignore
-                (Engine.run warm (phase_bodies (Engine.memsys warm) ~round:1)
-                  : int);
-              let warm_stats, warm_bytes = stats_and_bytes warm in
-              Alcotest.(check string)
-                (label ^ ": stats bit-identical")
-                cold_stats warm_stats;
-              Alcotest.(check bool)
-                (label ^ ": snapshot bytes bit-identical")
-                true
-                (Bytes.equal cold_bytes warm_bytes))
-            [ `Mesi; `Warden ])
-        [ (1, false); (2, false); (2, true); (4, true) ])
+        (fun proto ->
+          let label =
+            Printf.sprintf "%s/%s" mname (Warden_harness.Exp.proto_name proto)
+          in
+          (* Cold: A then B on one engine. *)
+          let cold = Engine.create cfg ~proto in
+          let ms = Engine.memsys cold in
+          ignore (Engine.run cold (phase_bodies ms ~round:0) : int);
+          let mid = Snap.to_bytes cold in
+          ignore (Engine.run cold (phase_bodies ms ~round:1) : int);
+          let cold_stats, cold_bytes = stats_and_bytes cold in
+          (* Restored: B on a fresh engine restored from A's end. *)
+          let warm = Engine.create cfg ~proto in
+          Snap.restore warm mid;
+          ignore
+            (Engine.run warm (phase_bodies (Engine.memsys warm) ~round:1) : int);
+          let warm_stats, warm_bytes = stats_and_bytes warm in
+          Alcotest.(check string)
+            (label ^ ": stats bit-identical")
+            cold_stats warm_stats;
+          Alcotest.(check bool)
+            (label ^ ": snapshot bytes bit-identical")
+            true
+            (Bytes.equal cold_bytes warm_bytes))
+        [ `Mesi; `Warden ])
     machines
-
-let test_restore_cross_domains () =
-  (* Snapshots are D-portable: the fingerprint excludes sim_domains, and
-     stats are D-independent, so a D=1 snapshot restored into a D=2
-     engine must finish with the D=2 cold stats. Scheduler internals may
-     differ, so this compares the stats dump, not snapshot bytes. *)
-  let cfg d =
-    { (Config.dual_socket ()) with Config.sim_domains = d; sim_spec = d > 1 }
-  in
-  let cold = Engine.create (cfg 2) ~proto:`Warden in
-  let ms = Engine.memsys cold in
-  ignore (Engine.run cold (phase_bodies ms ~round:0) : int);
-  ignore (Engine.run cold (phase_bodies ms ~round:1) : int);
-  let narrow = Engine.create (cfg 1) ~proto:`Warden in
-  let nms = Engine.memsys narrow in
-  ignore (Engine.run narrow (phase_bodies nms ~round:0) : int);
-  let mid = Snap.to_bytes narrow in
-  let wide = Engine.create (cfg 2) ~proto:`Warden in
-  Snap.restore wide mid;
-  ignore (Engine.run wide (phase_bodies (Engine.memsys wide) ~round:1) : int);
-  Alcotest.(check string) "D=1 snapshot -> D=2 run = D=2 cold"
-    (Stream.stats_text (Engine.memsys cold))
-    (Stream.stats_text (Engine.memsys wide))
 
 (* ---- 3. Replay ------------------------------------------------------------ *)
 
@@ -332,6 +301,24 @@ let test_snapshot_corruption () =
         in
         contains 0
     | _ -> false);
+  (* An older format version is refused by name: rebuild the envelope
+     around the same body and checksum with version 1. *)
+  let v1 =
+    let r = Bin.reader b in
+    let magic = Bin.r_string r in
+    ignore (Bin.r_int r : int);
+    let body = Bin.r_bytes r in
+    let ck = Bin.r_int r in
+    let w = Bin.writer () in
+    Bin.w_string w magic;
+    Bin.w_int w 1;
+    Bin.w_bytes w body;
+    Bin.w_int w ck;
+    Bin.contents w
+  in
+  Alcotest.check_raises "version 1 refused"
+    (Bin.Corrupt "Bin: Snap: snapshot version 1, this build reads 2") (fun () ->
+      Snap.restore (fresh ()) v1);
   (* [describe] summarizes without an engine. *)
   let d = Snap.describe b in
   Alcotest.(check bool) "describe mentions the machine" true
@@ -346,8 +333,6 @@ let suite =
       test_dirstate_hier_boundary;
     Alcotest.test_case "restore-then-run bit-identical" `Quick
       test_restore_then_run;
-    Alcotest.test_case "snapshot restores across domain counts" `Quick
-      test_restore_cross_domains;
     Alcotest.test_case "replay reproduces stats byte for byte" `Quick
       test_replay_stats_identical;
     Alcotest.test_case "stream envelope round-trip and checksum" `Quick

@@ -168,34 +168,6 @@ let pqueue_sorted =
       in
       drain [] = List.sort compare prios)
 
-(* The sharded engine's invariant: several queues fed under one global
-   sequence counter, popped by minimum (priority, sequence), replay a
-   single [add]-driven queue's order exactly. *)
-let test_pqueue_seq_merge () =
-  let single = Pqueue.create () in
-  let qa = Pqueue.create () and qb = Pqueue.create () in
-  let n = 500 in
-  for i = 0 to n - 1 do
-    let prio = i * 7919 mod 32 in
-    Pqueue.add single ~prio i;
-    let q = if i * 104729 mod 3 < 2 then qa else qb in
-    Pqueue.add_seq q ~prio ~seq:i i
-  done;
-  for _ = 1 to n do
-    let expect = Pqueue.pop_exn single in
-    let pa = Pqueue.min_prio_or qa ~default:max_int
-    and sa = Pqueue.min_seq_or qa ~default:max_int
-    and pb = Pqueue.min_prio_or qb ~default:max_int
-    and sb = Pqueue.min_seq_or qb ~default:max_int in
-    let got =
-      if pa < pb || (pa = pb && sa < sb) then Pqueue.pop_exn qa
-      else Pqueue.pop_exn qb
-    in
-    Alcotest.(check int) "merge replays single-queue order" expect got
-  done;
-  Alcotest.(check bool) "both drained" true
-    (Pqueue.is_empty qa && Pqueue.is_empty qb)
-
 (* --- Itab ----------------------------------------------------------------- *)
 
 (* Differential test against a Hashtbl model: a random script of
@@ -310,6 +282,112 @@ let test_bar_chart () =
   Alcotest.(check bool) "three lines or more" true
     (List.length (String.split_on_char '\n' out) >= 3)
 
+(* --- Cliscan ---------------------------------------------------------------- *)
+
+(* The bench harness's argv scanner. The regression it pins: a value flag
+   (e.g. --jobs) followed immediately by another flag used to swallow that
+   flag as its value, so
+     bench.exe compare --jobs --obs counters
+   silently lost --obs AND misread --jobs. A value flag must only consume
+   a following non-flag token. *)
+let cliscan_test () =
+  let module C = Warden_util.Cliscan in
+  let value_flags = [ [ "--jobs"; "-j" ]; [ "--obs" ]; [ "--filter" ] ] in
+  let scan args = C.create ~value_flags (Array.of_list ("bench.exe" :: args)) in
+  (* the regression case *)
+  let t = scan [ "compare"; "--jobs"; "--obs"; "counters" ] in
+  Alcotest.(check (list string))
+    "flag not swallowed as a value" [ "compare" ] (C.positionals t);
+  Alcotest.(check bool) "--jobs still seen" true (C.has t "--jobs");
+  Alcotest.(check (option string))
+    "--obs kept its value" (Some "counters")
+    (C.string_flag t [ "--obs" ]);
+  Alcotest.check_raises "--jobs without a value is an error"
+    (Invalid_argument "--jobs: missing value") (fun () ->
+      ignore (C.int_flag t [ "--jobs"; "-j" ]));
+  (* ordinary shapes keep working *)
+  let t = scan [ "compare"; "a.json"; "b.json"; "--jobs"; "4" ] in
+  Alcotest.(check (list string))
+    "positionals in order"
+    [ "compare"; "a.json"; "b.json" ]
+    (C.positionals t);
+  Alcotest.(check int) "--jobs value" 4 (Option.get (C.int_flag t [ "--jobs" ]));
+  let t = scan [ "json"; "--jobs=8"; "--obs"; "counters" ] in
+  Alcotest.(check int) "--jobs=8 form" 8 (Option.get (C.int_flag t [ "--jobs" ]));
+  Alcotest.(check (option string))
+    "--obs value" (Some "counters")
+    (C.string_flag t [ "--obs" ]);
+  Alcotest.(check (list string))
+    "values never leak into positionals" [ "json" ] (C.positionals t);
+  (* presence-only flags are dropped alone *)
+  let t = scan [ "quick"; "--overhead"; "x.json" ] in
+  Alcotest.(check bool) "presence flag seen" true (C.has t "--overhead");
+  Alcotest.(check (list string))
+    "presence flag takes no neighbor" [ "quick"; "x.json" ] (C.positionals t)
+
+(* The bench harness's --filter flag: Cliscan must treat it as a
+   value flag (so it can never swallow a following flag), and
+   Suite.matching must select by substring, preserve suite order, treat
+   the empty string as match-all, and find nothing for garbage. *)
+let filter_flag_test () =
+  let module C = Warden_util.Cliscan in
+  let module Suite = Warden_pbbs.Suite in
+  let value_flags = [ [ "--jobs"; "-j" ]; [ "--filter" ] ] in
+  let t =
+    C.create ~value_flags
+      [| "bench.exe"; "quick"; "--filter"; "sort"; "--jobs"; "2" |]
+  in
+  Alcotest.(check (option string))
+    "--filter carries its value" (Some "sort")
+    (C.string_flag t [ "--filter" ]);
+  Alcotest.(check int) "--jobs unaffected" 2 (Option.get (C.int_flag t [ "--jobs" ]));
+  Alcotest.(check (list string)) "mode survives" [ "quick" ] (C.positionals t);
+  let t = C.create ~value_flags [| "bench.exe"; "--filter"; "--jobs"; "2" |] in
+  Alcotest.(check bool) "valueless --filter still seen" true (C.has t "--filter");
+  Alcotest.(check (option string))
+    "--filter never swallows a flag" None
+    (C.string_flag t [ "--filter" ]);
+  Alcotest.(check int)
+    "the following flag keeps its value" 2
+    (Option.get (C.int_flag t [ "--jobs" ]));
+  (* Suite.matching semantics *)
+  let all_names = List.map (fun (s : Warden_pbbs.Spec.t) -> s.Warden_pbbs.Spec.name) Suite.all in
+  Alcotest.(check (list string))
+    "empty substring matches everything in suite order" all_names
+    (Suite.matching "");
+  let contains_sub sub s =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  let sorts = Suite.matching "sort" in
+  Alcotest.(check bool) "some benchmark matches \"sort\"" true (sorts <> []);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s contains \"sort\"" n)
+        true (contains_sub "sort" n))
+    sorts;
+  Alcotest.(check (list string))
+    "matches keep suite order" sorts
+    (List.filter (fun n -> List.mem n sorts) all_names);
+  Alcotest.(check (list string))
+    "no match for garbage" [] (Suite.matching "no-such-benchmark");
+  (* exact name is a substring of itself *)
+  Alcotest.(check bool) "exact name matches itself" true
+    (List.mem "msort" (Suite.matching "msort"))
+
+let cliscan_bad_value_test () =
+  let module C = Warden_util.Cliscan in
+  let t =
+    C.create
+      ~value_flags:[ [ "--jobs" ] ]
+      [| "bench.exe"; "--jobs"; "zero" |]
+  in
+  Alcotest.check_raises "non-integer value is an error"
+    (Invalid_argument "--jobs: expected a positive integer") (fun () ->
+      ignore (C.int_flag t [ "--jobs" ]))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -326,7 +404,6 @@ let suite =
     Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
     Alcotest.test_case "pqueue clear and reuse" `Quick test_pqueue_clear_reuse;
     pqueue_sorted;
-    Alcotest.test_case "pqueue seq merge" `Quick test_pqueue_seq_merge;
     itab_model;
     Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
     bitset_model;
@@ -334,6 +411,11 @@ let suite =
     Alcotest.test_case "stats online" `Quick test_stats_online;
     Alcotest.test_case "table renders" `Quick test_table_renders;
     Alcotest.test_case "bar chart" `Quick test_bar_chart;
+    Alcotest.test_case "Cliscan flag-swallowing regression" `Quick cliscan_test;
+    Alcotest.test_case "Cliscan rejects bad values" `Quick
+      cliscan_bad_value_test;
+    Alcotest.test_case "bench --filter scanning and Suite.matching" `Quick
+      filter_flag_test;
   ]
 
 let () = Alcotest.run "warden-util" [ ("util", suite) ]
