@@ -1,102 +1,25 @@
-(* Sharded-engine determinism sweep.
+(* Host-parallel determinism of a conflict-heavy kernel.
 
-   The sharded scheduler (Config.sim_domains > 1) claims the commit lane
-   replays the single-queue execution exactly: helper domains
-   speculatively pre-execute the memory-system half of queued accesses,
-   but the lane validates every speculation against the hierarchy's
-   version before adopting it and re-executes inline on a squash, the
-   per-shard run queues merge back into the global (cycle, sequence)
-   order, and the per-shard statistics banks fold to the same integer
-   totals. These tests hold every observable — cycles, stats, protocol
-   counters, energy, verification — to bit-identity across
-   sim_domains ∈ {1, 2, 4, 8}, across commit quantum (sim_quantum)
-   values, with speculation disabled, and under the torture mode that
-   force-squashes every speculation — on real benchmarks under both
-   protocols plus a conflict-heavy pingpong kernel where speculations
-   constantly race real invalidations. A memsys-level unit test pins the
-   forced-squash path itself. They also pin Pool.effective_jobs' capping
-   arithmetic. *)
+   One simulation always runs on one host domain; host parallelism comes
+   from running independent simulations side by side through Pool.map
+   (--jobs). This holds a contended pingpong kernel — every simulated
+   thread hammers one shared counter while writing its own lane — to
+   bit-identity between a run on the calling domain and copies fanned
+   across worker domains, under both protocols. The case name predates
+   the removal of the speculative engine and is kept as it was. *)
 
 open Warden_machine
 open Warden_harness
 
-let cfg_d ?(quantum = 8192) d =
-  { (Config.dual_socket ()) with Config.sim_domains = d; sim_quantum = quantum }
+let nthreads cfg = min 8 (Config.num_threads cfg)
 
-let protos = [ (`Mesi, "mesi"); (`Warden, "warden") ]
-let domain_sweep = [ 1; 2; 4; 8 ]
-
-let check_result label (a : Exp.run_result) (b : Exp.run_result) =
-  (* Headline fields first for a readable failure, then the whole record
-     (which includes derived floats and the verified bit). *)
-  Alcotest.(check bool) (label ^ ": verified") true b.Exp.verified;
-  Alcotest.(check int) (label ^ ": cycles") a.Exp.cycles b.Exp.cycles;
-  Alcotest.(check int)
-    (label ^ ": instructions") a.Exp.instructions b.Exp.instructions;
-  Alcotest.(check int) (label ^ ": loads") a.Exp.loads b.Exp.loads;
-  Alcotest.(check int)
-    (label ^ ": invalidations") a.Exp.invalidations b.Exp.invalidations;
-  Alcotest.(check int) (label ^ ": messages") a.Exp.messages b.Exp.messages;
-  Alcotest.(check (float 0.))
-    (label ^ ": energy") a.Exp.energy_total_pj b.Exp.energy_total_pj;
-  Alcotest.(check bool) (label ^ ": full result") true (a = b)
-
-(* 1. Domain sweep: every benchmark/protocol pair is bit-identical for
-   sim_domains 1, 2 and 4. *)
-let domain_sweep_test name =
-  Alcotest.test_case ("sim-domains sweep: " ^ name) `Quick (fun () ->
-      let spec = Option.get (Warden_pbbs.Suite.find name) in
-      List.iter
-        (fun (proto, pname) ->
-          let run d = Exp.run_bench ~quick:true ~config:(cfg_d d) ~proto spec in
-          let sequential = run 1 in
-          List.iter
-            (fun d ->
-              check_result
-                (Printf.sprintf "%s/%s D=%d" name pname d)
-                sequential (run d))
-            (List.tl domain_sweep))
-        protos)
-
-(* 2. Commit-quantum sweep: barrier frequency must not be observable. *)
-let quantum_sweep_test name =
-  Alcotest.test_case ("sim-quantum sweep: " ^ name) `Quick (fun () ->
-      let spec = Option.get (Warden_pbbs.Suite.find name) in
-      List.iter
-        (fun (proto, pname) ->
-          let run q =
-            Exp.run_bench ~quick:true ~config:(cfg_d ~quantum:q 2) ~proto spec
-          in
-          let base = run 8192 in
-          List.iter
-            (fun q ->
-              check_result
-                (Printf.sprintf "%s/%s quantum=%d" name pname q)
-                base (run q))
-            [ 1; 64 ])
-        protos)
-
-(* 2b. Conflict-heavy pingpong: every thread hammers one shared counter
-   (each RMW invalidates the previous owner's copy, so helper
-   speculations constantly race real coherence transitions and the
-   version check must catch every one) interleaved with private-stride
-   hits (which speculations can legitimately commit). All observables
-   must be bit-identical across sim_domains, with speculation on, off,
-   and in forced-squash torture mode. *)
-let pingpong ?(spec = true) ?(torture = false) ?(obs = Config.Obs_off) d =
-  let cfg =
-    {
-      (cfg_d d) with
-      Config.sim_spec = spec;
-      sim_spec_torture = torture;
-      obs_level = obs;
-    }
-  in
-  let eng = Warden_sim.Engine.create cfg ~proto:`Warden in
+let pingpong proto =
+  let cfg = Config.dual_socket () in
+  let eng = Warden_sim.Engine.create cfg ~proto in
   let ms = Warden_sim.Engine.memsys eng in
   let ctr = Warden_sim.Memsys.alloc ms ~bytes:8 ~align:64 in
-  let nthreads = min 8 (Config.num_threads cfg) in
-  let lanes = Warden_sim.Memsys.alloc ms ~bytes:(nthreads * 64) ~align:64 in
+  let n = nthreads cfg in
+  let lanes = Warden_sim.Memsys.alloc ms ~bytes:(n * 64) ~align:64 in
   let body t () =
     let open Warden_sim.Engine.Ops in
     let mine = lanes + (t * 64) in
@@ -107,252 +30,40 @@ let pingpong ?(spec = true) ?(torture = false) ?(obs = Config.Obs_off) d =
       tick 1
     done
   in
-  let mk = Warden_sim.Engine.run eng (Array.init nthreads body) in
-  let obs_t = Warden_sim.Memsys.obs ms in
+  let mk = Warden_sim.Engine.run eng (Array.init n body) in
   Warden_sim.Memsys.flush_all ms;
   ( mk,
     Warden_sim.Memsys.peek ms ctr ~size:8,
     Warden_sim.Memsys.sstats ms,
     Warden_sim.Memsys.pstats ms,
-    Warden_proto.Protocol.dump (Warden_sim.Memsys.protocol ms),
-    obs_t )
+    Warden_proto.Protocol.dump (Warden_sim.Memsys.protocol ms) )
 
-let check_pingpong label (mk0, v0, st0, ps0, dump0, _) d result =
-  let mk, v, st, ps, dump, _ = result in
-  Alcotest.(check int) (Printf.sprintf "%s D=%d: makespan" label d) mk0 mk;
-  Alcotest.(check int64) (Printf.sprintf "%s D=%d: counter" label d) v0 v;
-  Alcotest.(check bool) (Printf.sprintf "%s D=%d: sstats" label d) true (st0 = st);
-  Alcotest.(check bool) (Printf.sprintf "%s D=%d: pstats" label d) true (ps0 = ps);
-  Alcotest.(check string) (Printf.sprintf "%s D=%d: directory" label d) dump0 dump
+let check_pingpong label (mk0, v0, st0, ps0, dump0) (mk, v, st, ps, dump) =
+  Alcotest.(check int) (label ^ ": makespan") mk0 mk;
+  Alcotest.(check int64) (label ^ ": counter") v0 v;
+  Alcotest.(check bool) (label ^ ": sstats") true (st0 = st);
+  Alcotest.(check bool) (label ^ ": pstats") true (ps0 = ps);
+  Alcotest.(check string) (label ^ ": directory") dump0 dump
 
 let pingpong_sweep_test () =
-  let base = pingpong 1 in
-  let _, v0, _, _, _, _ = base in
-  Alcotest.(check int64) "pingpong: counter totals all increments"
-    (Int64.of_int (150 * min 8 (Config.num_threads (cfg_d 1))))
-    v0;
   List.iter
-    (fun d -> check_pingpong "pingpong" base d (pingpong d))
-    (List.tl domain_sweep)
-
-let spec_off_test () =
-  let base = pingpong 1 in
-  List.iter
-    (fun d -> check_pingpong "pingpong spec-off" base d (pingpong ~spec:false d))
-    [ 4 ]
-
-(* Torture mode bumps the version right before every validation, so no
-   speculation can ever commit — every one takes the squash path and is
-   re-executed inline. Observables must still match D=1 exactly, and the
-   host-side outcome counters must show zero commits (how many squashes
-   vs never-finished speculations depends on host timing and is not
-   asserted). *)
-let torture_test () =
-  let base = pingpong 1 in
-  List.iter
-    (fun d ->
-      let result = pingpong ~torture:true ~obs:Config.Obs_counters d in
-      check_pingpong "pingpong torture" base d result;
-      let _, _, _, _, _, obs_t = result in
-      Alcotest.(check int)
-        (Printf.sprintf "torture D=%d: no speculation ever commits" d)
-        0
-        (Warden_obs.Obs.spec_count obs_t 0))
-    [ 2; 4 ]
-
-(* 2c. The forced-squash path at the memsys level, with no host races
-   involved: a speculation recorded by hand (as the helper would) must
-   commit when the version is current, and must squash — mutating
-   nothing — under sim_spec_torture's forced bump. *)
-let forced_squash_unit_test () =
-  let mk torture =
-    let cfg = { (cfg_d 2) with Config.sim_spec_torture = torture } in
-    let ms = Warden_sim.Memsys.create cfg ~proto:`Mesi in
-    let a = Warden_sim.Memsys.alloc ms ~bytes:8 ~align:64 in
-    ignore (Warden_sim.Memsys.store ms ~thread:0 a ~size:8 5L);
-    (ms, a)
-  in
-  (* current version: the speculation commits with Hit accounting *)
-  let ms, a = mk false in
-  let r = Warden_sim.Privcache.spec_result () in
-  ignore (Warden_sim.Memsys.spec_read ms ~thread:0 a ~size:8 ~write:false r);
-  Alcotest.(check bool) "hit speculated" true r.Warden_sim.Privcache.ok;
-  let before = (Warden_sim.Memsys.sstats ms).Warden_sim.Sstats.loads in
-  let lat = Warden_sim.Memsys.try_commit_load ms ~thread:0 a ~size:8 r in
-  Alcotest.(check bool) "commit returns a latency" true (lat >= 0);
-  Alcotest.(check int64)
-    "committed value" 5L
-    (Warden_sim.Memsys.fast_value ms);
-  Alcotest.(check int)
-    "commit accounts the load" (before + 1)
-    (Warden_sim.Memsys.sstats ms).Warden_sim.Sstats.loads;
-  (* torture: the same speculation is force-squashed and changes nothing *)
-  let ms, a = mk true in
-  let r = Warden_sim.Privcache.spec_result () in
-  ignore (Warden_sim.Memsys.spec_read ms ~thread:0 a ~size:8 ~write:false r);
-  Alcotest.(check bool) "hit speculated under torture" true
-    r.Warden_sim.Privcache.ok;
-  let before = Warden_sim.Memsys.sstats ms in
-  let stats_copy =
-    ( before.Warden_sim.Sstats.loads,
-      before.Warden_sim.Sstats.l1_hits,
-      before.Warden_sim.Sstats.l2_hits )
-  in
-  let lat = Warden_sim.Memsys.try_commit_load ms ~thread:0 a ~size:8 r in
-  Alcotest.(check int) "forced version mismatch squashes" (-1) lat;
-  let after = Warden_sim.Memsys.sstats ms in
-  Alcotest.(check bool) "squash mutates no statistics" true
-    (stats_copy
-    = ( after.Warden_sim.Sstats.loads,
-        after.Warden_sim.Sstats.l1_hits,
-        after.Warden_sim.Sstats.l2_hits ));
-  (* the inline re-execution still serves the access *)
-  let v, relat = Warden_sim.Memsys.load ms ~thread:0 a ~size:8 in
-  Alcotest.(check int64) "re-executed value" 5L v;
-  Alcotest.(check bool) "re-executed latency sane" true (relat > 0)
-
-(* 3. Pool.effective_jobs: the cap formula, and its invariants. *)
-let effective_jobs_test () =
-  let budget = Domain.recommended_domain_count () in
-  List.iter
-    (fun (jobs, sd) ->
-      let r = Pool.effective_jobs ~jobs ~sim_domains:sd in
-      let label = Printf.sprintf "jobs=%d sim_domains=%d" jobs sd in
-      Alcotest.(check bool) (label ^ ": at least one") true (r >= 1);
-      Alcotest.(check bool) (label ^ ": never widens") true (r <= max 1 jobs);
-      if jobs >= 1 && jobs * sd <= budget then
-        Alcotest.(check int) (label ^ ": under budget unchanged") jobs r
-      else if jobs >= 1 then
-        Alcotest.(check int)
-          (label ^ ": capped to budget/sim_domains")
-          (max 1 (budget / max 1 sd))
-          r)
-    [ (1, 1); (1, 4); (2, 2); (4, 4); (16, 2); (64, 64); (0, 0); (3, 1) ]
-
-(* 4. Cliscan: the bench harness's argv scanner. The regression it pins:
-   a value flag (e.g. --jobs) followed immediately by another flag used
-   to swallow that flag as its value, so
-     bench.exe compare --jobs --sim-domains 2
-   silently lost --sim-domains AND misread --jobs. A value flag must only
-   consume a following non-flag token. *)
-let cliscan_test () =
-  let module C = Warden_util.Cliscan in
-  let value_flags = [ [ "--jobs"; "-j" ]; [ "--sim-domains" ]; [ "--obs" ] ] in
-  let scan args = C.create ~value_flags (Array.of_list ("bench.exe" :: args)) in
-  (* the regression case *)
-  let t = scan [ "compare"; "--jobs"; "--sim-domains"; "2" ] in
-  Alcotest.(check (list string))
-    "flag not swallowed as a value" [ "compare" ] (C.positionals t);
-  Alcotest.(check bool) "--jobs still seen" true (C.has t "--jobs");
-  Alcotest.(check int)
-    "--sim-domains kept its value" 2
-    (Option.get (C.int_flag t [ "--sim-domains" ]));
-  Alcotest.check_raises "--jobs without a value is an error"
-    (Invalid_argument "--jobs: missing value") (fun () ->
-      ignore (C.int_flag t [ "--jobs"; "-j" ]));
-  (* ordinary shapes keep working *)
-  let t = scan [ "compare"; "a.json"; "b.json"; "--jobs"; "4" ] in
-  Alcotest.(check (list string))
-    "positionals in order"
-    [ "compare"; "a.json"; "b.json" ]
-    (C.positionals t);
-  Alcotest.(check int) "--jobs value" 4 (Option.get (C.int_flag t [ "--jobs" ]));
-  let t = scan [ "json"; "--jobs=8"; "--obs"; "counters" ] in
-  Alcotest.(check int) "--jobs=8 form" 8 (Option.get (C.int_flag t [ "--jobs" ]));
-  Alcotest.(check (option string))
-    "--obs value" (Some "counters")
-    (C.string_flag t [ "--obs" ]);
-  Alcotest.(check (list string))
-    "values never leak into positionals" [ "json" ] (C.positionals t);
-  (* presence-only flags are dropped alone *)
-  let t = scan [ "quick"; "--overhead"; "x.json" ] in
-  Alcotest.(check bool) "presence flag seen" true (C.has t "--overhead");
-  Alcotest.(check (list string))
-    "presence flag takes no neighbor" [ "quick"; "x.json" ] (C.positionals t)
-
-(* 4b. The bench harness's --filter flag: Cliscan must treat it as a
-   value flag (so it can never swallow a following flag), and
-   Suite.matching must select by substring, preserve suite order, treat
-   the empty string as match-all, and find nothing for garbage. *)
-let filter_flag_test () =
-  let module C = Warden_util.Cliscan in
-  let module Suite = Warden_pbbs.Suite in
-  let value_flags = [ [ "--jobs"; "-j" ]; [ "--filter" ] ] in
-  let t =
-    C.create ~value_flags
-      [| "bench.exe"; "quick"; "--filter"; "sort"; "--jobs"; "2" |]
-  in
-  Alcotest.(check (option string))
-    "--filter carries its value" (Some "sort")
-    (C.string_flag t [ "--filter" ]);
-  Alcotest.(check int) "--jobs unaffected" 2 (Option.get (C.int_flag t [ "--jobs" ]));
-  Alcotest.(check (list string)) "mode survives" [ "quick" ] (C.positionals t);
-  let t = C.create ~value_flags [| "bench.exe"; "--filter"; "--jobs"; "2" |] in
-  Alcotest.(check bool) "valueless --filter still seen" true (C.has t "--filter");
-  Alcotest.(check (option string))
-    "--filter never swallows a flag" None
-    (C.string_flag t [ "--filter" ]);
-  Alcotest.(check int)
-    "the following flag keeps its value" 2
-    (Option.get (C.int_flag t [ "--jobs" ]));
-  (* Suite.matching semantics *)
-  let all_names = List.map (fun (s : Warden_pbbs.Spec.t) -> s.Warden_pbbs.Spec.name) Suite.all in
-  Alcotest.(check (list string))
-    "empty substring matches everything in suite order" all_names
-    (Suite.matching "");
-  let contains_sub sub s =
-    let n = String.length s and m = String.length sub in
-    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-    at 0
-  in
-  let sorts = Suite.matching "sort" in
-  Alcotest.(check bool) "some benchmark matches \"sort\"" true (sorts <> []);
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s contains \"sort\"" n)
-        true (contains_sub "sort" n))
-    sorts;
-  Alcotest.(check (list string))
-    "matches keep suite order" sorts
-    (List.filter (fun n -> List.mem n sorts) all_names);
-  Alcotest.(check (list string))
-    "no match for garbage" [] (Suite.matching "no-such-benchmark");
-  (* exact name is a substring of itself *)
-  Alcotest.(check bool) "exact name matches itself" true
-    (List.mem "msort" (Suite.matching "msort"))
-
-let cliscan_bad_value_test () =
-  let module C = Warden_util.Cliscan in
-  let t =
-    C.create
-      ~value_flags:[ [ "--jobs" ] ]
-      [| "bench.exe"; "--jobs"; "zero" |]
-  in
-  Alcotest.check_raises "non-integer value is an error"
-    (Invalid_argument "--jobs: expected a positive integer") (fun () ->
-      ignore (C.int_flag t [ "--jobs" ]))
+    (fun (proto, pname) ->
+      let base = pingpong proto in
+      let _, v0, _, _, _ = base in
+      Alcotest.(check int64)
+        (pname ^ ": counter totals all increments")
+        (Int64.of_int (150 * nthreads (Config.dual_socket ())))
+        v0;
+      List.iteri
+        (fun i r ->
+          check_pingpong (Printf.sprintf "%s copy %d on jobs=2" pname i) base r)
+        (Pool.map ~jobs:2 (fun () -> pingpong proto) [ (); (); () ]))
+    [ (`Mesi, "mesi"); (`Warden, "warden") ]
 
 let suite =
-  List.map domain_sweep_test [ "fib"; "msort"; "palindrome" ]
-  @ [ quantum_sweep_test "fib" ]
-  @ [
-      Alcotest.test_case "pingpong conflict sweep (speculation on)" `Quick
-        pingpong_sweep_test;
-      Alcotest.test_case "pingpong with speculation off" `Quick spec_off_test;
-      Alcotest.test_case "pingpong under forced-squash torture" `Quick
-        torture_test;
-      Alcotest.test_case "forced squash at the memsys level" `Quick
-        forced_squash_unit_test;
-    ]
-  @ [ Alcotest.test_case "Pool.effective_jobs cap" `Quick effective_jobs_test ]
-  @ [
-      Alcotest.test_case "Cliscan flag-swallowing regression" `Quick
-        cliscan_test;
-      Alcotest.test_case "Cliscan rejects bad values" `Quick
-        cliscan_bad_value_test;
-      Alcotest.test_case "bench --filter scanning and Suite.matching" `Quick
-        filter_flag_test;
-    ]
+  [
+    Alcotest.test_case "pingpong conflict sweep (speculation on)" `Quick
+      pingpong_sweep_test;
+  ]
 
 let () = Alcotest.run "warden-parallel" [ ("parallel", suite) ]

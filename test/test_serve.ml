@@ -9,7 +9,8 @@
    3. The serving tier end to end: verification under both protocols,
       schedule-independent result equality MESI = WARDen, strictly
       lower invalidation+downgrade traffic under WARDen, and full
-      result bit-identity (latency histogram included) run to run. *)
+      result bit-identity (latency histogram included) run to run and
+      between the calling domain and pool worker domains. *)
 
 open Warden_util
 open Warden_machine
@@ -240,6 +241,22 @@ let test_serve_verified_and_traffic () =
   Alcotest.(check bool) "p95 <= p99" true (p 95. <= p 99.);
   Alcotest.(check bool) "p99 <= p99.9" true (p 99. <= p 99.9)
 
+(* Runs fanned across host domains by the job pool match a run on the
+   calling domain. The case name predates the removal of the speculative
+   engine, whose domain and speculation settings it used to sweep. *)
+let test_serve_domain_identity () =
+  List.iter
+    (fun proto ->
+      let base = run_small proto in
+      List.iteri
+        (fun i r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "copy %d on jobs=2: full result (hist included) \
+                             identical" i)
+            true (base = r))
+        (Warden_harness.Pool.map ~jobs:2 run_small [ proto; proto ]))
+    [ `Mesi; `Warden ]
+
 let test_serve_json_deterministic () =
   let r1 = run_small `Warden and r2 = run_small `Warden in
   Alcotest.(check bool) "full result (hist included) identical" true (r1 = r2);
@@ -267,6 +284,8 @@ let suite =
     Alcotest.test_case "mix fractions and write set" `Quick test_mix_fractions;
     Alcotest.test_case "serve: verified, equal results, less traffic" `Quick
       test_serve_verified_and_traffic;
+    Alcotest.test_case "serve: bit-identical across domains and spec" `Quick
+      test_serve_domain_identity;
     Alcotest.test_case "serve: deterministic json summary" `Quick
       test_serve_json_deterministic;
   ]
