@@ -11,7 +11,7 @@ MACHINE := $(shell cat $(MACHINE_FILE) 2>/dev/null || echo dual)
 
 .PHONY: all build test check fmt bench bench-quick bench-json bench-compare \
         bench-overhead bench-scale bench-serve bench-replay \
-        bench-zoo snap-check serve profile \
+        bench-zoo ledger-ab snap-check serve profile \
         all_pbbs single_pbbs activate_one_socket activate_two_socket \
         examples clean
 
@@ -80,6 +80,17 @@ bench-overhead:
 # least 2.5x faster end to end. Writes BENCH_replay.json.
 bench-replay:
 	dune exec bench/main.exe -- replay
+
+# Interleaved A/B host timing of one ledger workload (ledger/README.md):
+# builds BASE in a temporary git worktree and the working tree, alternates
+# N pairs of `ledger.exe --workload W --trace 0` runs, and prints each
+# run's host_s, both sides' medians and quartiles, and the pairs won.
+#   make ledger-ab BASE=<rev> W=<workload> N=<pairs>
+BASE ?= HEAD
+W ?= dmm-disagg
+N ?= 10
+ledger-ab:
+	sh bench/ledger_ab.sh $(BASE) $(W) $(N)
 
 # Snapshot bit-identity end to end: snapshot fib's end state, restore it
 # into two fresh runs, run one more benchmark round in each, and require

@@ -74,8 +74,8 @@ type t = {
           knob — the engine only runs an access inline when it is provably
           the next event the scheduled path would have popped, so results
           are bit-identical for every value. [0] disables the fast path
-          entirely (every access schedules through the run queue, the
-          legacy behavior); see DESIGN.md §8. *)
+          entirely (every access schedules through the run queue); see
+          DESIGN.md §8. *)
   sim_domains : int;
       (** Always [1]: {!Warden_sim.Memsys.create} rejects any other value.
           One simulation runs on one host domain; host parallelism comes

@@ -13,14 +13,22 @@
       stall when it is full — the asymmetry the paper's Figure 10 analysis
       relies on.
 
-    Accesses that hit in the private cache without needing a coherence
-    transition can be satisfied inline, without suspending the thread
-    into the run queue, whenever the thread's clock is strictly below
-    every queued timestamp and within the current scheduling quantum
-    ({!Warden_machine.Config.t.sched_quantum}). The gate makes the inline
-    event exactly the event the queue would have popped next, so results
-    are bit-identical to the fully scheduled execution ([sched_quantum =
-    0]); see DESIGN.md §8.
+    The run queue is a binary heap of thread ids keyed by (cycle,
+    enqueue order). A thread has at most one queued event and only the
+    running thread re-enqueues itself, so the running thread stays at the
+    heap's root for its whole turn: a context switch is one sift-down.
+
+    Every access first tries one hit path ({!Memsys.try_fast_load} and
+    its siblings), which commits a private-cache hit needing no coherence
+    transition; only an upgrade or a miss takes {!Memsys.load} and the
+    rest of the full path. The hit path runs inline, without suspending
+    the thread into the run queue, whenever the thread's clock is
+    strictly below every other queued cycle and within the current
+    scheduling quantum ({!Warden_machine.Config.t.sched_quantum}); a
+    scheduled access tries it when it is popped. The gate makes the
+    inline event exactly the event the queue would have popped next, so
+    results are bit-identical to the fully scheduled execution
+    ([sched_quantum = 0]); see DESIGN.md §8.
 
     One engine runs on one host domain. Host parallelism comes from
     running independent engines side by side (the harness's [--jobs]). *)
@@ -44,9 +52,10 @@ val run : t -> (unit -> unit) array -> int
     May be called repeatedly: each call is a phase continuing the same
     simulated timeline (thread clocks, stats and energy carry over; each
     phase's energy charge is its cycle delta). The boundary between
-    phases is the engine's only quiescent point — run queues empty, store
+    phases is the engine's only quiescent point — run queue empty, store
     buffers drained, no live continuation — which is exactly where
-    {!snapshot} and {!restore} are legal. *)
+    {!snapshot} and {!restore} are legal. Raises [Failure] if a thread's
+    clock reaches 2{^42} cycles. *)
 
 val snapshot : t -> Warden_util.Bin.w -> unit
 (** Serialize the complete simulator state — scheduler clocks plus the
@@ -60,7 +69,8 @@ val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite a freshly created engine of identical geometry and protocol
     from {!snapshot} output. Subsequent {!run} phases are bit-identical
     to running them on the snapshotted engine. Raises
-    [Warden_util.Bin.Corrupt] on a mismatch. *)
+    [Warden_util.Bin.Corrupt] on a mismatch, and [Invalid_argument] if
+    called while a run is in progress. *)
 
 (** Ambient operations for code running inside {!run}. Calling them
     outside a run raises [Effect.Unhandled]. *)

@@ -275,10 +275,11 @@ let release t ~thread =
 (* Fast-path accessors: commit iff the access is a private-cache hit
    needing no protocol transition, with event/energy accounting identical
    to the scheduled [load]/[store]/[rmw] paths; return the latency on a
-   hit and [-1] — with no state change — otherwise. The engine uses these
-   to satisfy accesses inline, without suspending the thread into the run
-   queue. They allocate nothing: the loaded value of a fast load/rmw is
-   left in [fast_value] rather than returned in a tuple.
+   hit and [-1] — with no state change — otherwise. The engine serves
+   every hit through these, inline or scheduled, and calls the full paths
+   only on an upgrade or a miss. They allocate nothing: the loaded value
+   of a fast load/rmw is left in [fast_value] rather than returned in a
+   tuple.
 
    Returns the serving level's latency and counts its events. *)
 

@@ -1,5 +1,6 @@
 (* Engine-level tests: instruction/cycle accounting, store-buffer
-   behaviour, SMT sharing, zero-fill, and scheduling determinism. *)
+   behaviour, SMT sharing, zero-fill, scheduling order and determinism,
+   and the quiescence guard on snapshot/restore. *)
 
 open Warden_machine
 open Warden_sim
@@ -203,6 +204,127 @@ let test_deterministic_interleaving () =
   let a = go () and b = go () in
   Alcotest.(check bool) "bit-identical reruns" true (a = b)
 
+(* --- scheduling order ------------------------------------------------------ *)
+
+type op = Tick of int | Load of int | Store of int | Yield
+
+let gen_programs =
+  QCheck2.Gen.(
+    int_range 2 12 >>= fun n ->
+    list_repeat n
+      (list_size (int_range 0 40)
+         (frequency
+            [
+              (2, map (fun k -> Tick k) (int_range 1 30));
+              (3, map (fun b -> Load b) (int_range 0 7));
+              (3, map (fun b -> Store b) (int_range 0 7));
+              (1, return Yield);
+            ])))
+
+(* Run one program per thread, recording host-side, in the order the
+   accesses execute, each access's (cycle, issue number, thread). The
+   issue number counts accesses in the order threads issue them: a
+   scheduled access enters the run queue at the moment it is issued, so
+   it is also the queue's enqueue order. *)
+let run_programs ~proto ~quantum progs =
+  let cfg = { (Config.single_socket ()) with Config.sched_quantum = quantum } in
+  let eng = Engine.create cfg ~proto in
+  let base = Memsys.alloc (Engine.memsys eng) ~bytes:(8 * 64) ~align:64 in
+  let issued = ref 0 and log = ref [] in
+  let access f =
+    let now = Ops.now () and tid = Ops.tid () in
+    incr issued;
+    let i = !issued in
+    f ();
+    log := (now, i, tid) :: !log
+  in
+  let body prog () =
+    List.iter
+      (function
+        | Tick k -> Ops.tick k
+        | Load b -> access (fun () -> ignore (Ops.load (base + (64 * b)) ~size:8))
+        | Store b -> access (fun () -> Ops.store (base + (64 * b)) ~size:8 1L)
+        | Yield -> access Ops.yield)
+      prog
+  in
+  ignore (Engine.run eng (Array.of_list (List.map body progs)));
+  List.rev !log
+
+(* Execution order is (cycle, enqueue order): time never decreases, and
+   accesses at equal cycles run in the order they were issued. *)
+let ordered log =
+  let rec go = function
+    | (t1, i1, _) :: ((t2, i2, _) :: _ as rest) ->
+        (t1 < t2 || (t1 = t2 && i1 < i2)) && go rest
+    | _ -> true
+  in
+  go log
+
+let order_property ~proto ~quantum name =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name gen_programs (fun progs ->
+         ordered (run_programs ~proto ~quantum progs)))
+
+let test_yield_lets_peer_run () =
+  let order = ref [] in
+  let note s = order := s :: !order in
+  let eng = Engine.create (Config.single_socket ()) ~proto:`Mesi in
+  ignore
+    (Engine.run eng
+       [|
+         (fun () ->
+           note "t0 before";
+           Ops.yield ();
+           note "t0 after");
+         (fun () -> note "t1");
+       |]);
+  Alcotest.(check (list string))
+    "the peer at the same cycle runs first"
+    [ "t0 before"; "t1"; "t0 after" ]
+    (List.rev !order)
+
+(* Enough same-cycle yields to wrap the engine's enqueue counter
+   (2^20 per window): the round robin must survive the renumbering. *)
+let test_yield_round_robin_long () =
+  let n = 3 and rounds = 400_000 in
+  let turn = ref 0 and out_of_turn = ref 0 in
+  let eng = Engine.create (Config.single_socket ()) ~proto:`Mesi in
+  ignore
+    (Engine.run eng
+       (Array.init n (fun tid () ->
+            for _ = 1 to rounds do
+              if !turn mod n <> tid then incr out_of_turn;
+              incr turn;
+              Ops.yield ()
+            done)));
+  Alcotest.(check int) "every turn taken" (n * rounds) !turn;
+  Alcotest.(check int) "strict round robin" 0 !out_of_turn
+
+(* Snapshot and restore are legal only between runs. The running thread
+   stays in the run queue for its whole turn, so a call from inside a
+   run is refused even from the last thread, with or without a buffered
+   store. *)
+let test_no_snapshot_mid_run () =
+  let in_run f () =
+    let eng = Engine.create (Config.single_socket ()) ~proto:`Mesi in
+    let a = Memsys.alloc (Engine.memsys eng) ~bytes:8 ~align:8 in
+    let snap = Warden_util.Bin.writer () in
+    Engine.snapshot eng snap;
+    ignore (Engine.run eng [| (fun () -> f eng a snap) |])
+  in
+  let refused = Invalid_argument "Engine.snapshot: run in progress" in
+  Alcotest.check_raises "snapshot, store buffer empty" refused
+    (in_run (fun eng _ _ -> Engine.snapshot eng (Warden_util.Bin.writer ())));
+  Alcotest.check_raises "snapshot, one buffered store" refused
+    (in_run (fun eng a _ ->
+         Ops.store a ~size:8 1L;
+         Engine.snapshot eng (Warden_util.Bin.writer ())));
+  Alcotest.check_raises "restore"
+    (Invalid_argument "Engine.restore: run in progress")
+    (in_run (fun eng _ snap ->
+         Engine.restore eng
+           (Warden_util.Bin.reader (Warden_util.Bin.contents snap))))
+
 let suite =
   [
     Alcotest.test_case "tick accounting" `Quick test_tick_accounting;
@@ -220,6 +342,15 @@ let suite =
     Alcotest.test_case "thread limit" `Quick test_too_many_threads_rejected;
     Alcotest.test_case "deterministic interleaving" `Quick
       test_deterministic_interleaving;
+    order_property ~proto:`Mesi ~quantum:4096 "order: random programs, mesi";
+    order_property ~proto:`Warden ~quantum:4096 "order: random programs, warden";
+    order_property ~proto:`Mesi ~quantum:0 "order: random programs, no inline";
+    Alcotest.test_case "yield lets a same-cycle peer run" `Quick
+      test_yield_lets_peer_run;
+    Alcotest.test_case "yield round robin across seq renumbering" `Quick
+      test_yield_round_robin_long;
+    Alcotest.test_case "no snapshot or restore mid-run" `Quick
+      test_no_snapshot_mid_run;
   ]
 
 let () = Alcotest.run "warden-engine" [ ("engine", suite) ]

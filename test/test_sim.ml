@@ -1,6 +1,7 @@
 (* Engine + memory system tests: single-thread semantics, the Figure-6
-   ping-pong microbenchmark across thread placements, and a randomized
-   golden-model comparison of MESI against a flat reference memory. *)
+   ping-pong microbenchmark across thread placements, a randomized
+   golden-model comparison of MESI against a flat reference memory, and
+   the hit prefix against the full access path. *)
 
 open Warden_machine
 open Warden_sim
@@ -232,6 +233,113 @@ let test_one_sim_domain () =
            { (Config.dual_socket ()) with Config.sim_domains = 2 }
            ~proto:`Mesi))
 
+(* The engine serves every hit, inline or scheduled, through the hit
+   prefix ([Memsys.try_fast_*]) and falls back to [load]/[store]/[rmw]
+   only on an upgrade or a miss, so no engine run checks the prefix
+   against the full path's [Hit] branch. Drive one random stream of
+   accesses (several threads and blocks, region activity under WARDen)
+   into two fresh memory systems, one through the full path only and one
+   through the prefix with the fallback: every access must return the
+   same value and latency, and the final stats, energy and memory image
+   must be identical. Half the blocks share one L1 set, so hits come from
+   both levels. *)
+let test_hit_prefix_differential () =
+  let module R = Warden_util.Splitmix in
+  let module Bin = Warden_util.Bin in
+  let cfg = Config.dual_socket () in
+  let nthreads = 8 and nblocks = 24 in
+  let stride = 64 * Config.l1_sets cfg in
+  let bytes = (nblocks / 2) * stride in
+  List.iter
+    (fun proto ->
+      let full = Memsys.create cfg ~proto and pref = Memsys.create cfg ~proto in
+      let base = Memsys.alloc full ~bytes ~align:4096 in
+      Alcotest.(check int) "same layout" base (Memsys.alloc pref ~bytes ~align:4096);
+      let block k =
+        if k < nblocks / 2 then base + (64 * k) else base + ((k - (nblocks / 2) + 1) * stride)
+      in
+      let rng = R.make 0x41B2L in
+      let prefix_hits = ref 0 and region = ref None in
+      let same what (v, lat) (v', lat') =
+        if v <> v' || lat <> lat' then
+          Alcotest.failf "%s: full path (%Ld, %d) vs hit prefix (%Ld, %d)" what v
+            lat v' lat'
+      in
+      let fast lat value slow =
+        if lat >= 0 then begin
+          incr prefix_hits;
+          (value (), lat)
+        end
+        else slow ()
+      in
+      for _ = 1 to 20_000 do
+        let thread = R.int rng nthreads in
+        let size = [| 1; 2; 4; 8 |].(R.int rng 4) in
+        let addr = block (R.int rng nblocks) + (size * R.int rng (64 / size)) in
+        match R.int rng 16 with
+        | 0 | 1 | 2 | 3 | 4 | 5 ->
+            same "load"
+              (Memsys.load full ~thread addr ~size)
+              (fast
+                 (Memsys.try_fast_load pref ~thread addr ~size)
+                 (fun () -> Memsys.fast_value pref)
+                 (fun () -> Memsys.load pref ~thread addr ~size))
+        | 6 | 7 | 8 | 9 | 10 ->
+            let v = R.next rng in
+            same "store"
+              (0L, Memsys.store full ~thread addr ~size v)
+              (fast
+                 (Memsys.try_fast_store pref ~thread addr ~size v)
+                 (fun () -> 0L)
+                 (fun () -> (0L, Memsys.store pref ~thread addr ~size v)))
+        | 11 | 12 | 13 ->
+            let f = Int64.add (Int64.of_int (R.int rng 100)) in
+            same "rmw"
+              (Memsys.rmw full ~thread addr ~size f)
+              (fast
+                 (Memsys.try_fast_rmw pref ~thread addr ~size f)
+                 (fun () -> Memsys.fast_value pref)
+                 (fun () -> Memsys.rmw pref ~thread addr ~size f))
+        | _ -> (
+            match !region with
+            | None ->
+                let lo = block (R.int rng ((nblocks / 2) - 4)) in
+                let hi = lo + (64 * (1 + R.int rng 4)) in
+                let ok = Memsys.region_add full ~thread ~lo ~hi in
+                Alcotest.(check bool) "region_add" ok
+                  (Memsys.region_add pref ~thread ~lo ~hi);
+                region := Some (lo, hi)
+            | Some (lo, hi) ->
+                Alcotest.(check int) "region_remove"
+                  (Memsys.region_remove full ~thread ~lo ~hi)
+                  (Memsys.region_remove pref ~thread ~lo ~hi);
+                region := None)
+      done;
+      Alcotest.(check bool) "the prefix served hits" true (!prefix_hits > 1000);
+      Memsys.flush_all full;
+      Memsys.flush_all pref;
+      let bytes save ms =
+        let w = Bin.writer () in
+        save ms w;
+        Bin.contents w
+      in
+      List.iter
+        (fun (what, save) ->
+          Alcotest.(check bool) what true (bytes save full = bytes save pref))
+        [
+          ("sstats", fun ms -> Sstats.save (Memsys.sstats ms));
+          ("pstats", fun ms -> Warden_proto.Pstats.save (Memsys.pstats ms));
+          ("energy", fun ms -> Energy.save (Memsys.energy ms));
+        ];
+      for k = 0 to nblocks - 1 do
+        for w = 0 to 7 do
+          let a = block k + (8 * w) in
+          Alcotest.(check int64) "memory image" (Memsys.peek full a ~size:8)
+            (Memsys.peek pref a ~size:8)
+        done
+      done)
+    [ `Mesi; `Warden ]
+
 let suite =
   [
     Alcotest.test_case "load/store roundtrip" `Quick test_load_store_roundtrip;
@@ -244,6 +352,8 @@ let suite =
     Alcotest.test_case "invariants after stress" `Quick test_invariants_after_stress;
     Alcotest.test_case "atomic counter" `Quick test_atomic_counter;
     Alcotest.test_case "one sim domain" `Quick test_one_sim_domain;
+    Alcotest.test_case "hit prefix equals the full access path" `Quick
+      test_hit_prefix_differential;
   ]
 
 let () = Alcotest.run "warden-sim" [ ("sim", suite) ]

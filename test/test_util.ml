@@ -1,5 +1,5 @@
 (* Unit and property tests for the warden.util substrate: RNG, deque,
-   priority queue, bitset, stats and table rendering. *)
+   int table, bitset, stats, table rendering and CLI scanning. *)
 
 open Warden_util
 
@@ -116,57 +116,6 @@ let deque_model =
                   model := rest;
                   Deque.steal_top d = Some x))
         ops)
-
-(* --- Pqueue ---------------------------------------------------------------- *)
-
-let test_pqueue_orders () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.add q ~prio:p v) [ (5, "e"); (1, "a"); (3, "c") ];
-  Alcotest.(check (option (pair int string))) "min" (Some (1, "a")) (Pqueue.pop q);
-  Pqueue.add q ~prio:0 "z";
-  Alcotest.(check (option (pair int string))) "new min" (Some (0, "z"))
-    (Pqueue.pop q);
-  Alcotest.(check (option int)) "peek prio" (Some 3) (Pqueue.min_prio q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.add q ~prio:7 v) [ "first"; "second"; "third" ];
-  Alcotest.(check (option (pair int string)))
-    "fifo 1" (Some (7, "first")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string)))
-    "fifo 2"
-    (Some (7, "second"))
-    (Pqueue.pop q);
-  Alcotest.(check (option (pair int string)))
-    "fifo 3" (Some (7, "third")) (Pqueue.pop q)
-
-let test_pqueue_clear_reuse () =
-  let q = Pqueue.create () in
-  List.iter (fun p -> Pqueue.add q ~prio:p p) [ 9; 2; 5 ];
-  Pqueue.clear q;
-  Alcotest.(check bool) "empty after clear" true (Pqueue.is_empty q);
-  Alcotest.(check int) "min_prio_or default" 42 (Pqueue.min_prio_or q ~default:42);
-  (* FIFO sequencing restarts cleanly after a clear. *)
-  List.iter (fun v -> Pqueue.add q ~prio:1 v) [ 10; 20 ];
-  Alcotest.(check int) "min_prio_or" 1 (Pqueue.min_prio_or q ~default:42);
-  Alcotest.(check int) "pop_exn fifo 1" 10 (Pqueue.pop_exn q);
-  Alcotest.(check int) "pop_exn fifo 2" 20 (Pqueue.pop_exn q);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Pqueue.pop_exn: empty") (fun () ->
-      ignore (Pqueue.pop_exn q))
-
-let pqueue_sorted =
-  qtest ~count:200 "pqueue drains in priority order"
-    QCheck2.Gen.(list (int_range 0 1000))
-    (fun prios ->
-      let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.add q ~prio:p p) prios;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare prios)
 
 (* --- Itab ----------------------------------------------------------------- *)
 
@@ -400,10 +349,6 @@ let suite =
     Alcotest.test_case "deque lifo/fifo" `Quick test_deque_lifo_owner;
     Alcotest.test_case "deque grows" `Quick test_deque_grows;
     deque_model;
-    Alcotest.test_case "pqueue orders" `Quick test_pqueue_orders;
-    Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
-    Alcotest.test_case "pqueue clear and reuse" `Quick test_pqueue_clear_reuse;
-    pqueue_sorted;
     itab_model;
     Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
     bitset_model;
