@@ -83,8 +83,9 @@ bench-replay:
 
 # Interleaved A/B host timing of one ledger workload (ledger/README.md):
 # builds BASE in a temporary git worktree and the working tree, alternates
-# N pairs of `ledger.exe --workload W --trace 0` runs, and prints each
-# run's host_s, both sides' medians and quartiles, and the pairs won.
+# N pairs of `ledger.exe --workload W --trace 0 --seconds 15` runs, and
+# prints each run's host_s, setup_s and peak_rss_mb, both sides' medians
+# and quartiles of each, and the pairs won on host_s.
 #   make ledger-ab BASE=<rev> W=<workload> N=<pairs>
 BASE ?= HEAD
 W ?= dmm-disagg
