@@ -11,20 +11,19 @@
 
    Only the operations the LLC needs exist here; private caches stay on
    the flat [Sa] arrays, whose single-indirection probes are cheaper and
-   whose footprint is small. *)
+   whose footprint is small. Payloads are [int] slots, as in [Sa]. *)
 
-type 'a chunk = {
+type chunk = {
   blks : int array; (* -1 = empty *)
-  payloads : 'a array;
+  payloads : int array;
   last_use : int array;
 }
 
-type 'a t = {
+type t = {
   nsets : int;
   nways : int;
   chunk_sets : int; (* sets per chunk, a power of two *)
-  chunks : 'a chunk option array;
-  dummy : 'a;
+  chunks : chunk option array;
   mutable tick : int; (* monotonically increasing LRU clock, whole cache *)
 }
 
@@ -35,7 +34,7 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
    set touches a few chunks, not the whole slice. *)
 let default_chunk_sets = 32
 
-let create ~sets ~ways ~dummy =
+let create ~sets ~ways =
   if not (is_pow2 sets) then invalid_arg "Csa.create: sets must be a power of two";
   if ways <= 0 then invalid_arg "Csa.create: ways";
   let chunk_sets = min sets default_chunk_sets in
@@ -44,12 +43,9 @@ let create ~sets ~ways ~dummy =
     nways = ways;
     chunk_sets;
     chunks = Array.make (sets / chunk_sets) None;
-    dummy;
     tick = 0;
   }
 
-let sets t = t.nsets
-let ways t = t.nways
 let set_index t blk = blk land (t.nsets - 1)
 
 let chunk_of t set = Array.unsafe_get t.chunks (set / t.chunk_sets)
@@ -63,7 +59,7 @@ let materialize t set =
       let c =
         {
           blks = Array.make cap (-1);
-          payloads = Array.make cap t.dummy;
+          payloads = Array.make cap (-1);
           last_use = Array.make cap 0;
         }
       in
@@ -84,37 +80,39 @@ let peek_pos c base nways blk =
   done;
   if !i < last then !i else -1
 
+let swap a i j =
+  let x = Array.unsafe_get a i in
+  Array.unsafe_set a i (Array.unsafe_get a j);
+  Array.unsafe_set a j x
+
 let swap_ways c a b =
   if a <> b then begin
-    let blk = c.blks.(a) and payload = c.payloads.(a) and lu = c.last_use.(a) in
-    c.blks.(a) <- c.blks.(b);
-    c.payloads.(a) <- c.payloads.(b);
-    c.last_use.(a) <- c.last_use.(b);
-    c.blks.(b) <- blk;
-    c.payloads.(b) <- payload;
-    c.last_use.(b) <- lu
+    swap c.blks a b;
+    swap c.payloads a b;
+    swap c.last_use a b
   end
 
-(* Hit probe with Sa.find's exact bookkeeping: tick, MRU rotation into
-   way 0, recency refresh. *)
+(* Hit probe with Sa.find_way's exact bookkeeping: tick, MRU rotation
+   into way 0, recency refresh. Returns the payload, or -1 on a miss. *)
 let find t blk =
   let set = set_index t blk in
   match chunk_of t set with
-  | None -> None
+  | None -> -1
   | Some c ->
       let base = base_of t set in
       let w = peek_pos c base t.nways blk in
-      if w < 0 then None
+      if w < 0 then -1
       else begin
         t.tick <- t.tick + 1;
         if w > base then swap_ways c base w;
         Array.unsafe_set c.last_use base t.tick;
-        Some (Array.unsafe_get c.payloads base)
+        Array.unsafe_get c.payloads base
       end
 
-(* Sa.insert's exact semantics: refresh in place on hit; otherwise fill
+(* Sa.insert's exact semantics — refresh in place on hit; otherwise fill
    the first empty way, or evict the least-recently-used one (first index
-   wins ties) and return the displaced entry. *)
+   wins ties) — except that a hit also reports the payload it replaced,
+   as [(blk, old)], so the owner of the slot can free it. *)
 let insert t blk payload =
   let set = set_index t blk in
   let c = materialize t set in
@@ -122,9 +120,10 @@ let insert t blk payload =
   let base = base_of t set in
   let w = peek_pos c base t.nways blk in
   if w >= 0 then begin
+    let old = c.payloads.(w) in
     c.payloads.(w) <- payload;
     c.last_use.(w) <- t.tick;
-    None
+    Some (blk, old)
   end
   else begin
     let best = ref base in
@@ -159,11 +158,6 @@ let iter t f =
             if blk <> -1 then f blk c.payloads.(i)
           done)
     t.chunks
-
-let population t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
 
 (* Chunks actually materialized — the host-memory story the lazy layout
    exists for; bench and tests read it. *)
@@ -211,7 +205,7 @@ let restore t r ~elt =
     let last_use = B.r_int_array r in
     if Array.length blks <> cap || Array.length last_use <> cap then
       B.corrupt "Csa: bad chunk arrays";
-    let payloads = Array.make cap t.dummy in
+    let payloads = Array.make cap (-1) in
     for i = 0 to cap - 1 do
       if Array.unsafe_get blks i <> -1 then payloads.(i) <- elt r
     done;

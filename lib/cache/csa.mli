@@ -9,41 +9,38 @@
     ways the run never touches (the 512-core machines have ~20M LLC
     ways), and a sparse working set stays host-cache resident.
 
-    Only the LLC's operation set is provided; private caches use {!Sa}
-    directly. *)
+    Each way carries one [int] payload (the LLC keeps a {!Linepool} slot
+    there). Only the LLC's operation set is provided; private caches use
+    {!Sa} directly. *)
 
-type 'a t
+type t
 
-val create : sets:int -> ways:int -> dummy:'a -> 'a t
-(** [sets] must be a power of two. [dummy] fills absent ways. *)
+val create : sets:int -> ways:int -> t
+(** [sets] must be a power of two. *)
 
-val sets : 'a t -> int
-val ways : 'a t -> int
-val set_index : 'a t -> int -> int
+val find : t -> int -> int
+(** Hit probe with LRU refresh and MRU rotation, as {!Sa.find_way};
+    returns the payload, or -1 on a miss. *)
 
-val find : 'a t -> int -> 'a option
-(** Hit probe with LRU refresh and MRU rotation, as {!Sa.find}. *)
+val insert : t -> int -> int -> (int * int) option
+(** As {!Sa.insert}: refresh in place on hit, else fill/evict. Returns
+    the displaced [(block, payload)]: the evicted entry, or on a hit
+    [(blk, old_payload)]. Materializes the chunk. *)
 
-val insert : 'a t -> int -> 'a -> (int * 'a) option
-(** As {!Sa.insert}: refresh in place on hit, else fill/evict and return
-    the displaced [(block, payload)]. Materializes the chunk. *)
-
-val iter : 'a t -> (int -> 'a -> unit) -> unit
+val iter : t -> (int -> int -> unit) -> unit
 (** Resident blocks in ascending (set, way) order. *)
 
-val population : 'a t -> int
-
-val chunks_allocated : 'a t -> int
+val chunks_allocated : t -> int
 (** Chunks materialized so far (the lazy-allocation story, for bench and
     tests). *)
 
-val chunks_total : 'a t -> int
+val chunks_total : t -> int
 
-val save : 'a t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> 'a -> unit) -> unit
+val save : t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
 (** Snapshot only the materialized chunks (tags, recency, resident
     payloads) plus the LRU clock. *)
 
-val restore : 'a t -> Warden_util.Bin.r -> elt:(Warden_util.Bin.r -> 'a) -> unit
+val restore : t -> Warden_util.Bin.r -> elt:(Warden_util.Bin.r -> int) -> unit
 (** Overwrite a cache of identical geometry from {!save} output,
     re-materializing exactly the chunks that were allocated at save time
     (unallocated chunks stay misses). Raises [Warden_util.Bin.Corrupt]

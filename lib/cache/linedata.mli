@@ -3,20 +3,27 @@
 
     The mask records which bytes this copy has written since it was filled;
     WARDen's reconciliation merges concurrent copies of a line by writing
-    back exactly the masked bytes of each copy. *)
+    back exactly the masked bytes of each copy.
+
+    A [t] is a view: it names a line's storage rather than owning it.
+    Lines resident in the simulated caches live in a {!Linepool}, and a
+    view of a pooled line stays valid only until the next fill into that
+    pool (DESIGN.md §10). {!create}, {!of_bytes} and {!copy} make
+    standalone lines, which own their storage. *)
 
 type t
 
 val create : unit -> t
-(** All-zero data, clean. *)
+(** A standalone line: all-zero data, clean. *)
 
 val of_bytes : Bytes.t -> t
-(** Takes ownership of a 64-byte buffer; clean. *)
+(** A standalone line that takes ownership of a 64-byte buffer; clean. *)
 
 val bytes : t -> Bytes.t
-(** The underlying buffer (not a copy). *)
+(** A fresh copy of the line's 64 data bytes. *)
 
 val copy : t -> t
+(** A standalone copy of the data and the mask. *)
 
 val dirty_mask : t -> int64
 
@@ -33,17 +40,17 @@ val load : t -> off:int -> size:int -> int64
 val store : t -> off:int -> size:int -> int64 -> unit
 (** Little-endian write; marks the written bytes dirty. *)
 
-val fill_from : t -> Bytes.t -> unit
-(** Overwrite the data with a fresh 64-byte copy and clear the dirty mask
-    (a cache fill). *)
-
-val merge_into : t -> Bytes.t -> unit
-(** [merge_into t dst] copies [t]'s dirty bytes into [dst]
-    (reconciliation / writeback merge at the shared cache). *)
+val fill_from : t -> t -> unit
+(** [fill_from t src] overwrites [t]'s data with [src]'s and clears [t]'s
+    dirty mask (a cache fill). *)
 
 val merge_masked : dst:t -> src:t -> unit
 (** Copy [src]'s dirty bytes into [dst]'s data and union the masks
     (merging a flushed private copy into a shared-cache line). *)
+
+val write_back : t -> Warden_mem.Store.t -> int -> unit
+(** [write_back t store blk] writes [t]'s dirty bytes into block [blk] of
+    the backing store. *)
 
 val range_mask : off:int -> size:int -> int64
 (** Mask with bits [off .. off+size-1] set, expanded outward to the current
@@ -52,11 +59,8 @@ val range_mask : off:int -> size:int -> int64
 val save : t -> Warden_util.Bin.w -> unit
 (** Snapshot: the 64 data bytes plus the dirty mask (DESIGN.md §15). *)
 
-val load_snap : Warden_util.Bin.r -> t
-(** Fresh line from {!save} output. *)
-
 val restore : t -> Warden_util.Bin.r -> unit
-(** Overwrite an existing line in place from {!save} output. *)
+(** Overwrite a line in place from {!save} output. *)
 
 val set_sector_bytes : int -> unit
 (** Set the write-tracking granularity (1, 2, 4 or 8 bytes; default 1).
@@ -66,3 +70,21 @@ val set_sector_bytes : int -> unit
     exposed as an ablation. Global; affects subsequently created masks. *)
 
 val sector_bytes : unit -> int
+
+(** {2 Line storage}
+
+    Entry points for storage that keeps many lines in shared buffers
+    ({!Linepool}). A line lives at byte [pos] of [buf], with its mask
+    halves at [mask.(mi)] and [mask.(mi + 1)]. These do not allocate. *)
+
+val view : Bytes.t -> pos:int -> int array -> mi:int -> t
+
+val load_in : Bytes.t -> pos:int -> off:int -> size:int -> int64
+(** {!load} on the line at [pos]. *)
+
+val store_in :
+  Bytes.t -> pos:int -> int array -> mi:int -> off:int -> size:int -> int64 -> unit
+(** {!store} on the line at [pos]. *)
+
+val fill_in : Bytes.t -> pos:int -> int array -> mi:int -> t -> unit
+(** {!fill_from} into the line at [pos]. *)

@@ -1,29 +1,28 @@
 (* Ways live in flat parallel arrays (blks / payloads / last_use indexed
    by set * nways + way): creating a cache is three [Array.make] calls,
-   not one record per way — an engine's LLC alone has ~half a million
-   ways, so per-way records made simulator construction cost as much as
-   short runs. Absent ways hold the [dummy] payload supplied at [create];
-   no ['a option] boxing anywhere. A hit returns the way's flat index
-   ([no_way] = -1 on miss) and rotates the hit into way 0 so the next
-   probe of a hot block succeeds on the first comparison. *)
+   not one record per way. Every array holds immediate ints, so the MRU
+   rotation below swaps ints with no write barrier. A tags-only array
+   has an empty [payloads]. A hit returns the way's flat index ([no_way]
+   = -1 on miss) and rotates the hit into way 0 so the next probe of a
+   hot block succeeds on the first comparison. *)
 
 type way = int
 
 let no_way = -1
 
-type 'a t = {
+type t = {
   nsets : int;
   nways : int;
   blks : int array; (* -1 = empty; set s occupies [s*nways, (s+1)*nways) *)
-  payloads : 'a array;
+  payloads : int array; (* empty for a tags-only array *)
+  has_payloads : bool;
   last_use : int array;
-  dummy : 'a;
   mutable tick : int; (* monotonically increasing LRU clock *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let create ~sets ~ways ~dummy =
+let create ~sets ~ways ~payloads =
   if not (is_pow2 sets) then invalid_arg "Sa.create: sets must be a power of two";
   if ways <= 0 then invalid_arg "Sa.create: ways";
   let cap = sets * ways in
@@ -31,15 +30,12 @@ let create ~sets ~ways ~dummy =
     nsets = sets;
     nways = ways;
     blks = Array.make cap (-1);
-    payloads = Array.make cap dummy;
+    payloads = (if payloads then Array.make cap (-1) else [||]);
+    has_payloads = payloads;
     last_use = Array.make cap 0;
-    dummy;
     tick = 0;
   }
 
-let sets t = t.nsets
-let ways t = t.nways
-let capacity_blocks t = t.nsets * t.nways
 let set_index t blk = blk land (t.nsets - 1)
 let hit w = w >= 0
 let value t w = Array.unsafe_get t.payloads w
@@ -54,16 +50,17 @@ let peek_way t blk =
   while !i < last && Array.unsafe_get blks !i <> blk do incr i done;
   if !i < last then !i else no_way
 
+let swap a i j =
+  let x = Array.unsafe_get a i in
+  Array.unsafe_set a i (Array.unsafe_get a j);
+  Array.unsafe_set a j x
+
 (* Swap the full contents of two ways. *)
 let swap_ways t a b =
   if a <> b then begin
-    let blk = t.blks.(a) and payload = t.payloads.(a) and lu = t.last_use.(a) in
-    t.blks.(a) <- t.blks.(b);
-    t.payloads.(a) <- t.payloads.(b);
-    t.last_use.(a) <- t.last_use.(b);
-    t.blks.(b) <- blk;
-    t.payloads.(b) <- payload;
-    t.last_use.(b) <- lu
+    swap t.blks a b;
+    if t.has_payloads then swap t.payloads a b;
+    swap t.last_use a b
   end
 
 (* Hit probe: refreshes LRU and rotates the hit into way 0 (MRU-first
@@ -80,18 +77,6 @@ let promote_way t blk w =
 let find_way t blk =
   let w = peek_way t blk in
   if w < 0 then no_way else promote_way t blk w
-
-let touch_way t w =
-  t.tick <- t.tick + 1;
-  Array.unsafe_set t.last_use w t.tick
-
-let find t blk =
-  let w = find_way t blk in
-  if hit w then Some t.payloads.(w) else None
-
-let peek t blk =
-  let w = peek_way t blk in
-  if hit w then Some t.payloads.(w) else None
 
 let touch t blk = hit (find_way t blk)
 let mem t blk = hit (peek_way t blk)
@@ -111,28 +96,25 @@ let victim_way t set =
    with Exit -> ());
   !best
 
-let would_evict t blk =
-  if hit (peek_way t blk) then None
-  else
-    let w = victim_way t (set_index t blk) in
-    if t.blks.(w) = -1 then None else Some (t.blks.(w), t.payloads.(w))
+let set_way t w blk payload =
+  t.blks.(w) <- blk;
+  if t.has_payloads then t.payloads.(w) <- payload;
+  t.last_use.(w) <- t.tick
 
 let insert t blk payload =
   t.tick <- t.tick + 1;
   let w = peek_way t blk in
   if hit w then begin
-    t.payloads.(w) <- payload;
-    t.last_use.(w) <- t.tick;
+    set_way t w blk payload;
     None
   end
   else begin
     let w = victim_way t (set_index t blk) in
     let evicted =
-      if t.blks.(w) = -1 then None else Some (t.blks.(w), t.payloads.(w))
+      if t.blks.(w) = -1 then None
+      else Some (t.blks.(w), if t.has_payloads then t.payloads.(w) else -1)
     in
-    t.blks.(w) <- blk;
-    t.payloads.(w) <- payload;
-    t.last_use.(w) <- t.tick;
+    set_way t w blk payload;
     evicted
   end
 
@@ -142,41 +124,21 @@ let insert t blk payload =
    cache state evolves identically. *)
 let insert_absent t blk payload =
   t.tick <- t.tick + 1;
-  let w = victim_way t (set_index t blk) in
-  t.blks.(w) <- blk;
-  t.payloads.(w) <- payload;
-  t.last_use.(w) <- t.tick
+  set_way t (victim_way t (set_index t blk)) blk payload
 
 let remove t blk =
   let w = peek_way t blk in
-  if not (hit w) then None
-  else begin
-    let p = t.payloads.(w) in
+  if hit w then begin
     t.blks.(w) <- -1;
-    t.payloads.(w) <- t.dummy;
-    t.last_use.(w) <- 0;
-    Some p
+    if t.has_payloads then t.payloads.(w) <- -1;
+    t.last_use.(w) <- 0
   end
 
 let iter t f =
   for i = 0 to Array.length t.blks - 1 do
     let blk = Array.unsafe_get t.blks i in
-    if blk <> -1 then f blk t.payloads.(i)
+    if blk <> -1 then f blk (if t.has_payloads then t.payloads.(i) else -1)
   done
-
-let iter_range t ~lo_block ~hi_block f =
-  iter t (fun blk p -> if blk >= lo_block && blk < hi_block then f blk p)
-
-let population t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
-
-let clear t =
-  Array.fill t.blks 0 (Array.length t.blks) (-1);
-  Array.fill t.payloads 0 (Array.length t.payloads) t.dummy;
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  t.tick <- 0
 
 (* Snapshot: geometry (validated on restore), the LRU clock, the tag and
    recency arrays wholesale, then the payload of every resident way in
@@ -190,9 +152,10 @@ let save t w ~elt =
   B.w_int w t.tick;
   B.w_int_array w t.blks;
   B.w_int_array w t.last_use;
-  for i = 0 to Array.length t.blks - 1 do
-    if Array.unsafe_get t.blks i <> -1 then elt w t.payloads.(i)
-  done
+  if t.has_payloads then
+    for i = 0 to Array.length t.blks - 1 do
+      if Array.unsafe_get t.blks i <> -1 then elt w t.payloads.(i)
+    done
 
 let restore t r ~elt =
   let module B = Warden_util.Bin in
@@ -205,7 +168,7 @@ let restore t r ~elt =
   if Array.length blks <> Array.length t.blks then B.corrupt "Sa: bad tags";
   Array.blit blks 0 t.blks 0 (Array.length blks);
   Array.blit last_use 0 t.last_use 0 (Array.length last_use);
-  Array.fill t.payloads 0 (Array.length t.payloads) t.dummy;
-  for i = 0 to Array.length t.blks - 1 do
-    if Array.unsafe_get t.blks i <> -1 then t.payloads.(i) <- elt r
-  done
+  if t.has_payloads then
+    for i = 0 to Array.length t.blks - 1 do
+      t.payloads.(i) <- (if Array.unsafe_get t.blks i <> -1 then elt r else -1)
+    done

@@ -112,12 +112,12 @@ let mk_fabric ~machine ~(priv : (int, line) Hashtbl.t array)
     read_shared =
       (fun ~blk ->
         match Hashtbl.find_opt llc blk with
-        | Some l -> (Linedata.bytes l, `L3)
-        | None -> (Linedata.bytes (llc_line blk), `Zero));
+        | Some l -> (l, `L3)
+        | None -> (llc_line blk, `Zero));
     llc_merge = (fun ~blk src -> Linedata.merge_masked ~dst:(llc_line blk) ~src);
     llc_put_full =
-      (fun ~blk bytes ->
-        let l = Linedata.of_bytes (Bytes.copy bytes) in
+      (fun ~blk src ->
+        let l = Linedata.copy src in
         Linedata.mark_all_dirty l;
         Hashtbl.replace llc blk l);
   }

@@ -76,22 +76,23 @@ let store t addr ~size v =
   | 4 -> Bytes.set_int32_le p off (Int64.to_int32 v)
   | _ -> Bytes.set_int64_le p off v
 
-let read_block t blk =
-  let base = Addr.base_of_block blk in
-  let p = page t base in
-  let off = base land (page_size - 1) in
-  (* Blocks never straddle pages: page size is a multiple of block size. *)
-  Bytes.sub p off Addr.block_size
+(* Page and offset of a block: blocks never straddle pages, since the
+   page size is a multiple of the block size. *)
+let block_page t blk = page t (Addr.base_of_block blk)
+let block_off blk = Addr.base_of_block blk land (page_size - 1)
+
+let read_block t blk = Bytes.sub (block_page t blk) (block_off blk) Addr.block_size
+
+let read_block_into t blk dst ~pos =
+  Bytes.blit (block_page t blk) (block_off blk) dst pos Addr.block_size
+
+let write_line t blk data ~pos ~lo ~hi =
+  if lo lor hi <> 0 then Warden_util.Bitset.add t.written_blocks blk;
+  Sector.blit_masked ~src:data ~src_pos:pos ~dst:(block_page t blk)
+    ~dst_pos:(block_off blk) ~lo ~hi
 
 let write_block_masked t blk data ~mask =
-  if mask <> 0L then Warden_util.Bitset.add t.written_blocks blk;
-  let base = Addr.base_of_block blk in
-  let p = page t base in
-  let off = base land (page_size - 1) in
-  for i = 0 to Addr.block_size - 1 do
-    if Int64.logand (Int64.shift_right_logical mask i) 1L = 1L then
-      Bytes.set p (off + i) (Bytes.get data i)
-  done
+  write_line t blk data ~pos:0 ~lo:(Sector.lo_of mask) ~hi:(Sector.hi_of mask)
 
 let footprint_bytes t = Warden_util.Itab.length t.pages * page_size
 

@@ -29,6 +29,14 @@ val write_block_masked : t -> int -> Bytes.t -> mask:int64 -> unit
     into block [blk] for every bit [i] set in [mask]. This is how dirty
     sectors reach memory. *)
 
+val read_block_into : t -> int -> Bytes.t -> pos:int -> unit
+(** [read_block_into t blk dst ~pos] copies the 64 bytes of block [blk]
+    into [dst] at [pos] (a cache fill straight into line storage). *)
+
+val write_line : t -> int -> Bytes.t -> pos:int -> lo:int -> hi:int -> unit
+(** {!write_block_masked} for a line at [pos] of [data] whose mask is
+    given as its two 32-bit halves ({!Sector}). *)
+
 val materialized : t -> int -> bool
 (** Has cache block [blk] ever been written in memory (by a program
     writeback or host initialization)? Blocks that never were are known

@@ -15,9 +15,9 @@ type t = {
   invalidate_priv : core:int -> blk:int -> probe option;
   downgrade_priv : core:int -> blk:int -> probe option;
   iter_priv : core:int -> (int -> unit) -> unit;
-  read_shared : blk:int -> Bytes.t * [ `L3 | `Dram | `Zero ];
+  read_shared : blk:int -> Warden_cache.Linedata.t * [ `L3 | `Dram | `Zero ];
   llc_merge : blk:int -> Warden_cache.Linedata.t -> unit;
-  llc_put_full : blk:int -> Bytes.t -> unit;
+  llc_put_full : blk:int -> Warden_cache.Linedata.t -> unit;
 }
 
 let num_cores t = Config.num_cores t.config

@@ -40,15 +40,17 @@ type t = {
           protocols never need this (their bookkeeping is the walk). The
           callback must not mutate the hierarchy mid-iteration — collect
           first, then probe. *)
-  read_shared : blk:int -> Bytes.t * [ `L3 | `Dram | `Zero ];
+  read_shared : blk:int -> Warden_cache.Linedata.t * [ `L3 | `Dram | `Zero ];
       (** Fetch a block at its home LLC slice, filling from memory on an
           LLC miss; reports where it was found for latency/stats ([`Zero]
-          = zero-filled fresh memory, no DRAM access). *)
+          = zero-filled fresh memory, no DRAM access). The line is a view
+          of the resident LLC copy, valid until the next LLC fill. *)
   llc_merge : blk:int -> Warden_cache.Linedata.t -> unit;
       (** Merge a private copy's dirty bytes into the LLC copy
           (sectored writeback / reconciliation merge). *)
-  llc_put_full : blk:int -> Bytes.t -> unit;
-      (** Full-line dirty writeback into the LLC (M-state eviction). *)
+  llc_put_full : blk:int -> Warden_cache.Linedata.t -> unit;
+      (** Full-line dirty writeback of a copy's data into the LLC (M-state
+          eviction), whatever the copy's own mask. *)
 }
 
 val socket_of_core : t -> int -> int

@@ -2,20 +2,19 @@ open Warden_cache
 open States
 
 (* Grants are written into a reusable per-protocol scratch record: the hot
-   path allocates neither the grant nor a [Some bytes] box. [fill] either
-   aliases the source line's bytes (LLC line or transferring owner's copy)
-   or is the [no_fill] sentinel; every consumer copies the bytes into its
-   own Linedata before triggering further protocol activity, so the alias
-   is never live across a mutation (the same discipline Llc.read already
-   relies on). *)
+   path allocates neither the grant nor a [Some line] box. [fill] is
+   either a view of the source line (LLC line or transferring owner's
+   copy) or the [no_fill] sentinel; every consumer copies the bytes into
+   its own line before triggering further protocol activity, so the view
+   is never live across a fill into its pool (DESIGN.md §10). *)
 type grant = {
   mutable pstate : States.pstate;
-  mutable fill : Bytes.t;
+  mutable fill : Linedata.t;
   mutable latency : int;
 }
 
-let no_fill = Bytes.create 0
-let has_fill g = Bytes.length g.fill > 0
+let no_fill = Linedata.create ()
+let has_fill g = g.fill != no_fill
 let fresh_grant () = { pstate = P_S; fill = no_fill; latency = 0 }
 
 (* Invalidate [target]'s copy, counting one invalidation per cache level
@@ -133,8 +132,8 @@ let handle_request (f : Fabric.t) dir (g : grant) ~core ~blk ~write ~holds_s =
         Linedata.clear_dirty owner_line
       end;
       (* Fill straight from the owner's line: the requester copies the
-         bytes into its own Linedata before anything can mutate them. *)
-      let data = Linedata.bytes owner_line in
+         bytes into its own line before anything can reuse the slot. *)
+      let data = owner_line in
       let latency =
         to_home
         + f.Fabric.config.Warden_machine.Config.l3_lat
@@ -171,7 +170,7 @@ let handle_evict (f : Fabric.t) dir ~core ~blk ~pstate ~data =
       assert (Dirstate.owner dir e = core);
       Fabric.dir_msg f ~socket:cs ~blk ~data:true;
       f.Fabric.stats.Pstats.writebacks <- f.Fabric.stats.Pstats.writebacks + 1;
-      f.Fabric.llc_put_full ~blk (Linedata.bytes data);
+      f.Fabric.llc_put_full ~blk data;
       Dirstate.set_invalid dir e
   | P_E ->
       assert (Dirstate.state dir e = D_E && Dirstate.owner dir e = core);
@@ -210,6 +209,6 @@ let flush_block (f : Fabric.t) dir ~blk =
                 ~data:true;
               f.Fabric.stats.Pstats.writebacks <-
                 f.Fabric.stats.Pstats.writebacks + 1;
-              f.Fabric.llc_put_full ~blk (Linedata.bytes p.Fabric.data)
+              f.Fabric.llc_put_full ~blk p.Fabric.data
             end;
             Dirstate.set_invalid dir e)

@@ -14,18 +14,20 @@
 type grant = {
   mutable pstate : States.pstate;
       (** State to install in the requestor's cache. *)
-  mutable fill : Bytes.t;
+  mutable fill : Warden_cache.Linedata.t;
       (** Block data to install; {!no_fill} for upgrades, which keep the
-          data already held. May alias the source line's bytes — consumers
-          must copy before triggering further protocol activity. *)
+          data already held. A view of the source line (the LLC copy or
+          the transferring owner's) — consumers must copy it before
+          triggering further protocol activity (DESIGN.md §10). *)
   mutable latency : int;  (** Cycles until the requestor has its answer. *)
 }
 (** Grants are delivered through a reusable scratch record owned by the
     protocol instance: the fields are only valid until the next request on
     the same protocol. Snapshot them if you need two grants at once. *)
 
-val no_fill : Bytes.t
-(** Zero-length sentinel marking a grant that carries no data. *)
+val no_fill : Warden_cache.Linedata.t
+(** Sentinel line marking a grant that carries no data; {!has_fill}
+    compares against it physically. *)
 
 val has_fill : grant -> bool
 

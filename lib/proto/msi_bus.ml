@@ -98,7 +98,7 @@ module P = struct
           Linedata.clear_dirty p.Fabric.data
         end;
         g.Mesi.pstate <- (if write then P_M else P_S);
-        g.Mesi.fill <- Linedata.bytes p.Fabric.data;
+        g.Mesi.fill <- p.Fabric.data;
         g.Mesi.latency <- arb + busy + f.Fabric.config.Warden_machine.Config.l2_lat
       end
       else begin
@@ -132,7 +132,7 @@ module P = struct
         Fabric.bus_msg f ~data:true;
         f.Fabric.stats.Pstats.writebacks <-
           f.Fabric.stats.Pstats.writebacks + 1;
-        f.Fabric.llc_put_full ~blk (Linedata.bytes data)
+        f.Fabric.llc_put_full ~blk data
     | P_S ->
         (* Silent drop: no directory to tell, and the snoop finds truth. *)
         ()
@@ -184,7 +184,7 @@ module P = struct
                 Fabric.bus_msg f ~data:true;
                 f.Fabric.stats.Pstats.writebacks <-
                   f.Fabric.stats.Pstats.writebacks + 1;
-                f.Fabric.llc_put_full ~blk (Linedata.bytes p.Fabric.data)
+                f.Fabric.llc_put_full ~blk p.Fabric.data
               end
         done)
       (resident_blocks t)

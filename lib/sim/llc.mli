@@ -3,7 +3,8 @@
 
     Lines carry byte-granular dirty masks so that WARDen's sectored
     writebacks and reconciliation merges can land here before reaching
-    memory. Dirty evictions write the masked bytes back to the store. *)
+    memory. Dirty evictions write the masked bytes back to the store.
+    Each slice keeps its lines by slot in a {!Warden_cache.Linepool}. *)
 
 type t
 
@@ -11,19 +12,20 @@ val create : Warden_machine.Config.t -> Warden_mem.Store.t -> t
 
 val store : t -> Warden_mem.Store.t
 
-val read : t -> socket:int -> blk:int -> Bytes.t * [ `L3 | `Dram | `Zero ]
-(** Data of [blk] from the slice, filling from memory on a miss; reports
-    the source ([`Zero]: the block was never written, so it is zero-filled
-    at the LLC without a DRAM access). The returned bytes alias the
-    resident line — callers copy them into private lines via
-    [Linedata.fill_from]. *)
+val read :
+  t -> socket:int -> blk:int -> Warden_cache.Linedata.t * [ `L3 | `Dram | `Zero ]
+(** The resident line of [blk] in the slice, filling from memory on a
+    miss; reports the source ([`Zero]: the block was never written, so it
+    is zero-filled at the LLC without a DRAM access). The line is a view
+    of the slice's slot, valid until the next fill into that slice —
+    callers copy it into private lines ([Linedata.fill_from]). *)
 
 val merge : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
 (** Merge a private copy's dirty bytes into the resident line (fetching the
     base from memory first if absent). *)
 
-val put_full : t -> socket:int -> blk:int -> Bytes.t -> unit
-(** Full-line dirty install (M-state writeback). *)
+val put_full : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
+(** Full-line dirty install of a copy's data (M-state writeback). *)
 
 val flush_to_store : t -> unit
 (** Write every dirty line back to memory (end-of-run drain). *)

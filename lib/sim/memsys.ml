@@ -118,8 +118,8 @@ let create cfg ~proto =
       llc_merge =
         (fun ~blk src -> Llc.merge llc ~socket:(Config.home_socket cfg blk) ~blk src);
       llc_put_full =
-        (fun ~blk bytes ->
-          Llc.put_full llc ~socket:(Config.home_socket cfg blk) ~blk bytes);
+        (fun ~blk src ->
+          Llc.put_full llc ~socket:(Config.home_socket cfg blk) ~blk src);
     }
   in
   t.proto <-
@@ -132,15 +132,16 @@ let create cfg ~proto =
   t.self_sync <- Protocol.kind (the_proto t) = `Self;
   t
 
-(* Obtain a line with sufficient permission, returning it and the access
-   latency up to the point the data is available to the core. *)
+(* Obtain a line with sufficient permission, returning its slot in the
+   core's private cache and the access latency up to the point the data
+   is available to the core. *)
 let access_line t ~thread ~blk ~write =
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
   let ss = t.sstats in
   Energy.l1_access t.energy;
   match Privcache.lookup pc ~blk ~write with
-  | Privcache.Hit { line; lat; level } ->
+  | Privcache.Hit { slot; lat; level } ->
       (match level with
       | `L1 ->
           ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
@@ -149,8 +150,8 @@ let access_line t ~thread ~blk ~write =
           ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
           Energy.l2_access t.energy;
           if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat);
-      (line, lat)
-  | Privcache.Upgrade line ->
+      (slot, lat)
+  | Privcache.Upgrade slot ->
       ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
       Energy.l2_access t.energy;
       let g =
@@ -158,11 +159,11 @@ let access_line t ~thread ~blk ~write =
       in
       (* A WARD grant may re-fill even on upgrade paths; accept it. *)
       if Mesi.has_fill g then
-        Linedata.fill_from line.Privcache.data g.Mesi.fill;
-      line.Privcache.state <- g.Mesi.pstate;
+        Linedata.fill_from (Privcache.data pc slot) g.Mesi.fill;
+      Privcache.set_state pc slot g.Mesi.pstate;
       let lat = t.cfg.Config.l2_lat + g.Mesi.latency in
       if t.obs_on then Obs.access t.obs ~cls:Oev.upgrade ~core ~blk ~lat;
-      (line, lat)
+      (slot, lat)
   | Privcache.Miss ->
       ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
       Energy.l2_access t.energy;
@@ -170,37 +171,32 @@ let access_line t ~thread ~blk ~write =
         Protocol.handle_request (the_proto t) ~core ~blk ~write ~holds_s:false
       in
       assert (Mesi.has_fill g);
-      let line = Privcache.fill pc ~blk g.Mesi.pstate g.Mesi.fill in
+      let slot = Privcache.fill pc ~blk g.Mesi.pstate g.Mesi.fill in
       let lat = t.cfg.Config.l2_lat + g.Mesi.latency in
       if t.obs_on then Obs.access t.obs ~cls:Oev.miss ~core ~blk ~lat;
-      (line, lat)
+      (slot, lat)
 
 let count_load t = t.sstats.Sstats.loads <- t.sstats.Sstats.loads + 1
 let count_store t = t.sstats.Sstats.stores <- t.sstats.Sstats.stores + 1
 let count_rmw t = t.sstats.Sstats.rmws <- t.sstats.Sstats.rmws + 1
 
+let priv_of t thread = t.priv.(Config.core_of_thread t.cfg thread)
+
 let load t ~thread addr ~size =
   count_load t;
   let blk = Addr.block_of addr in
-  let line, lat = access_line t ~thread ~blk ~write:false in
+  let slot, lat = access_line t ~thread ~blk ~write:false in
   let v =
-    Linedata.load line.Privcache.data ~off:(Addr.offset_in_block addr) ~size
+    Privcache.load (priv_of t thread) slot ~off:(Addr.offset_in_block addr) ~size
   in
   if t.sink_on then t.sink k_load thread addr size v;
   (v, lat)
 
-let write_line line ~off ~size v =
-  (match line.Privcache.state with
-  | States.P_E -> line.Privcache.state <- States.P_M (* silent E->M upgrade *)
-  | States.P_M -> ()
-  | States.P_S -> assert false);
-  Linedata.store line.Privcache.data ~off ~size v
-
 let store t ~thread addr ~size v =
   count_store t;
   let blk = Addr.block_of addr in
-  let line, lat = access_line t ~thread ~blk ~write:true in
-  write_line line ~off:(Addr.offset_in_block addr) ~size v;
+  let slot, lat = access_line t ~thread ~blk ~write:true in
+  Privcache.write (priv_of t thread) slot ~off:(Addr.offset_in_block addr) ~size v;
   if t.sink_on then t.sink k_store thread addr size v;
   lat
 
@@ -229,16 +225,17 @@ let rmw_coherent t ~thread addr ~size f =
         t.pstats.Pstats.writebacks <- t.pstats.Pstats.writebacks + 1;
         fab.Fabric.llc_merge ~blk p.Fabric.data
       end);
-  let line, lat = access_line t ~thread ~blk ~write:true in
+  let slot, lat = access_line t ~thread ~blk ~write:true in
   let off = Addr.offset_in_block addr in
-  let old = Linedata.load line.Privcache.data ~off ~size in
+  let old = Privcache.load pc slot ~off ~size in
   let nv = f old in
-  write_line line ~off ~size nv;
+  Privcache.write pc slot ~off ~size nv;
   (* Write-through of the result; the copy left behind is clean S. *)
   Fabric.dir_msg fab ~socket:cs ~blk ~data:true;
-  fab.Fabric.llc_merge ~blk line.Privcache.data;
-  Linedata.clear_dirty line.Privcache.data;
-  line.Privcache.state <- States.P_S;
+  let line = Privcache.data pc slot in
+  fab.Fabric.llc_merge ~blk line;
+  Linedata.clear_dirty line;
+  Privcache.set_state pc slot States.P_S;
   t.pstats.Pstats.self_downs <- t.pstats.Pstats.self_downs + 1;
   if t.sink_on then t.sink k_rmw thread addr size nv;
   (old, lat)
@@ -248,11 +245,12 @@ let rmw t ~thread addr ~size f =
   else begin
     count_rmw t;
     let blk = Addr.block_of addr in
-    let line, lat = access_line t ~thread ~blk ~write:true in
+    let slot, lat = access_line t ~thread ~blk ~write:true in
+    let pc = priv_of t thread in
     let off = Addr.offset_in_block addr in
-    let old = Linedata.load line.Privcache.data ~off ~size in
+    let old = Privcache.load pc slot ~off ~size in
     let nv = f old in
-    write_line line ~off ~size nv;
+    Privcache.write pc slot ~off ~size nv;
     if t.sink_on then t.sink k_rmw thread addr size nv;
     (old, lat)
   end
@@ -306,12 +304,11 @@ let try_fast_load t ~thread addr ~size =
   let blk = Addr.block_of addr in
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let line = Privcache.fast_hit pc ~blk ~write:false in
-  if line == Privcache.no_line then -1
+  let slot = Privcache.fast_hit pc ~blk ~write:false in
+  if slot < 0 then -1
   else begin
     count_load t;
-    t.fast_value <-
-      Linedata.load line.Privcache.data ~off:(Addr.offset_in_block addr) ~size;
+    t.fast_value <- Privcache.load pc slot ~off:(Addr.offset_in_block addr) ~size;
     if t.sink_on then t.sink k_load thread addr size t.fast_value;
     fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
   end
@@ -320,11 +317,11 @@ let try_fast_store t ~thread addr ~size v =
   let blk = Addr.block_of addr in
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let line = Privcache.fast_hit pc ~blk ~write:true in
-  if line == Privcache.no_line then -1
+  let slot = Privcache.fast_hit pc ~blk ~write:true in
+  if slot < 0 then -1
   else begin
     count_store t;
-    write_line line ~off:(Addr.offset_in_block addr) ~size v;
+    Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size v;
     if t.sink_on then t.sink k_store thread addr size v;
     fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
   end
@@ -335,14 +332,14 @@ let try_fast_rmw t ~thread addr ~size f =
   let blk = Addr.block_of addr in
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let line = Privcache.fast_hit pc ~blk ~write:true in
-  if line == Privcache.no_line then -1
+  let slot = Privcache.fast_hit pc ~blk ~write:true in
+  if slot < 0 then -1
   else begin
     count_rmw t;
     let off = Addr.offset_in_block addr in
-    let old = Linedata.load line.Privcache.data ~off ~size in
+    let old = Privcache.load pc slot ~off ~size in
     let nv = f old in
-    write_line line ~off ~size nv;
+    Privcache.write pc slot ~off ~size nv;
     if t.sink_on then t.sink k_rmw thread addr size nv;
     t.fast_value <- old;
     fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
@@ -367,8 +364,7 @@ let replay_load t ~thread addr ~size =
   let blk = Addr.block_of addr in
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let line = Privcache.fast_hit pc ~blk ~write:false in
-  if line == Privcache.no_line then
+  if Privcache.fast_hit pc ~blk ~write:false < 0 then
     ignore (load t ~thread addr ~size : int64 * int)
   else begin
     count_load t;
@@ -379,12 +375,11 @@ let replay_store t ~thread addr ~size v =
   let blk = Addr.block_of addr in
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let line = Privcache.fast_hit pc ~blk ~write:true in
-  if line == Privcache.no_line then
-    ignore (store t ~thread addr ~size v : int)
+  let slot = Privcache.fast_hit pc ~blk ~write:true in
+  if slot < 0 then ignore (store t ~thread addr ~size v : int)
   else begin
     count_store t;
-    write_line line ~off:(Addr.offset_in_block addr) ~size v;
+    Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size v;
     ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
   end
 
@@ -396,13 +391,13 @@ let replay_rmw t ~thread addr ~size nv =
   let blk = Addr.block_of addr in
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
-  let line = Privcache.fast_hit pc ~blk ~write:true in
-  if line == Privcache.no_line then
+  let slot = Privcache.fast_hit pc ~blk ~write:true in
+  if slot < 0 then
     let f = fun (_ : int64) -> nv in
     ignore (rmw t ~thread addr ~size f : int64 * int)
   else begin
     count_rmw t;
-    write_line line ~off:(Addr.offset_in_block addr) ~size nv;
+    Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size nv;
     ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
   end
 
@@ -501,9 +496,10 @@ let check_invariants t =
      sectors are the whole point. *)
   let self = Protocol.kind proto = `Self in
   for core = 0 to ncores - 1 do
-    Privcache.iter_resident t.priv.(core) (fun blk line ->
+    let pc = t.priv.(core) in
+    Privcache.iter_resident pc (fun blk slot ->
         if not (Protocol.is_ward proto ~blk) then
-          match line.Privcache.state with
+          match Privcache.state pc slot with
           | States.P_M | States.P_E ->
               if not self then
                 List.iter
@@ -515,7 +511,7 @@ let check_invariants t =
                   (holders_of blk)
           | States.P_S ->
               (* S means clean with respect to the LLC. *)
-              if Warden_cache.Linedata.is_dirty line.Privcache.data then
+              if Linedata.is_dirty (Privcache.data pc slot) then
                 err "dirty S copy of block %d at core %d" blk core)
   done;
   (* L1 inclusion is checked inside each private cache. *)

@@ -2,15 +2,13 @@ open Warden_cache
 open Warden_proto
 open Warden_machine
 
-type line = { mutable state : States.pstate; data : Linedata.t }
-
-(* Miss sentinel for the allocation-free fast path (and the Sa dummy
-   payload). Never installed in a cache; compare with (==). *)
-let no_line = { state = States.P_S; data = Linedata.create () }
-
+(* The L2's way payloads are slots of the core's line pool, which holds
+   each line's bytes, dirty mask and coherence state (as [pstate_code]).
+   The L1 is tags only. *)
 type t = {
-  l1 : unit Sa.t;
-  l2 : line Sa.t;
+  l1 : Sa.t;
+  l2 : Sa.t;
+  pool : Linepool.t;
   l1_lat : int;
   l2_lat : int;
   mutable last_l1 : bool; (* level of the last fast_hit: true = L1 *)
@@ -19,19 +17,41 @@ type t = {
 
 let create (cfg : Config.t) ~evict =
   {
-    l1 = Sa.create ~sets:(Config.l1_sets cfg) ~ways:cfg.Config.l1_ways ~dummy:();
-    l2 =
-      Sa.create ~sets:(Config.l2_sets cfg) ~ways:cfg.Config.l2_ways
-        ~dummy:no_line;
+    l1 = Sa.create ~sets:(Config.l1_sets cfg) ~ways:cfg.Config.l1_ways ~payloads:false;
+    l2 = Sa.create ~sets:(Config.l2_sets cfg) ~ways:cfg.Config.l2_ways ~payloads:true;
+    pool = Linepool.create ();
     l1_lat = cfg.Config.l1_lat;
     l2_lat = cfg.Config.l2_lat;
     last_l1 = false;
     evict;
   }
 
+let s_code = 0
+let e_code = 1
+let m_code = 2
+
+let pstate_code = function
+  | States.P_S -> s_code
+  | States.P_E -> e_code
+  | States.P_M -> m_code
+
+let pstate_of_code c =
+  if c = s_code then States.P_S else if c = e_code then States.P_E else States.P_M
+
+let state t slot = pstate_of_code (Linepool.state t.pool slot)
+let set_state t slot st = Linepool.set_state t.pool slot (pstate_code st)
+let data t slot = Linepool.view t.pool slot
+let load t slot ~off ~size = Linepool.load t.pool slot ~off ~size
+
+let write t slot ~off ~size v =
+  let c = Linepool.state t.pool slot in
+  if c = e_code then Linepool.set_state t.pool slot m_code (* silent E->M *)
+  else assert (c = m_code);
+  Linepool.store t.pool slot ~off ~size v
+
 type lookup =
-  | Hit of { line : line; lat : int; level : [ `L1 | `L2 ] }
-  | Upgrade of line
+  | Hit of { slot : int; lat : int; level : [ `L1 | `L2 ] }
+  | Upgrade of int
   | Miss
 
 let lookup t ~blk ~write =
@@ -43,36 +63,32 @@ let lookup t ~blk ~write =
     Miss
   end
   else begin
-    let line = Sa.value t.l2 w2 in
+    let slot = Sa.value t.l2 w2 in
     if not in_l1 then
       (* Promote into L1; the displaced L1 line stays valid in L2. *)
-      ignore (Sa.insert t.l1 blk ());
-    match (line.state, write) with
-    | States.P_S, true -> Upgrade line
-    | _ ->
-        Hit
-          {
-            line;
-            lat = (if in_l1 then t.l1_lat else t.l2_lat);
-            level = (if in_l1 then `L1 else `L2);
-          }
+      Sa.insert_absent t.l1 blk 0;
+    if write && Linepool.state t.pool slot = s_code then Upgrade slot
+    else
+      Hit
+        {
+          slot;
+          lat = (if in_l1 then t.l1_lat else t.l2_lat);
+          level = (if in_l1 then `L1 else `L2);
+        }
   end
 
 (* Fast-path split of [lookup]: succeed only when the access is a plain
    permission-sufficient hit, committing exactly the state changes
    [lookup]'s [Hit] branch would make (LRU refresh in both levels plus L1
-   promotion). On an upgrade or miss, return [no_line] having mutated
-   nothing — the caller falls back to the scheduled [lookup] path, which
-   then performs those mutations at the same point of the run. *)
+   promotion). On an upgrade or miss, return -1 having mutated nothing —
+   the caller falls back to the scheduled [lookup] path, which then
+   performs those mutations at the same point of the run. *)
 let fast_hit t ~blk ~write =
   let w2 = Sa.peek_way t.l2 blk in
-  if not (Sa.hit w2) then no_line
+  if not (Sa.hit w2) then -1
   else
-    let line = Sa.value t.l2 w2 in
-    (* [match] rather than [=]: pstate equality would go through the
-       polymorphic comparator on every access. *)
-    if write && (match line.state with States.P_S -> true | _ -> false) then
-      no_line
+    let slot = Sa.value t.l2 w2 in
+    if write && Linepool.state t.pool slot = s_code then -1
     else begin
       let in_l1 = Sa.touch t.l1 blk in
       (* Rotate the hit to the MRU-first way, exactly as the slow path's
@@ -81,75 +97,81 @@ let fast_hit t ~blk ~write =
          (recency lives in [last_use], victim choice reads only that), so
          this changes no observable behavior. *)
       ignore (Sa.promote_way t.l2 blk w2 : Sa.way);
-      if not in_l1 then Sa.insert_absent t.l1 blk ();
+      if not in_l1 then Sa.insert_absent t.l1 blk 0;
       t.last_l1 <- in_l1;
-      line
+      slot
     end
 
 let last_l1 t = t.last_l1
 
-let fill t ~blk pstate bytes =
-  let line = { state = pstate; data = Linedata.create () } in
-  Linedata.fill_from line.data bytes;
-  (match Sa.insert t.l2 blk line with
+(* The grant's bytes are copied into a fresh slot before the insert that
+   may evict: the source view may point into a pool that the eviction's
+   writeback fills. The victim's slot is freed only after the protocol
+   has taken its data. *)
+let fill t ~blk pstate src =
+  let slot = Linepool.alloc t.pool in
+  Linepool.fill t.pool slot src;
+  set_state t slot pstate;
+  (match Sa.insert t.l2 blk slot with
   | None -> ()
-  | Some (vblk, vline) ->
-      ignore (Sa.remove t.l1 vblk);
-      t.evict ~blk:vblk vline.state vline.data);
-  ignore (Sa.insert t.l1 blk ());
-  line
+  | Some (vblk, vslot) ->
+      Sa.remove t.l1 vblk;
+      t.evict ~blk:vblk (state t vslot) (data t vslot);
+      Linepool.free t.pool vslot);
+  Sa.insert_absent t.l1 blk 0;
+  slot
 
 let iter_resident t f = Sa.iter t.l2 f
 
 let check_inclusion t =
   let bad = ref None in
-  Sa.iter t.l1 (fun blk () ->
+  Sa.iter t.l1 (fun blk _ ->
       if (not (Sa.mem t.l2 blk)) && !bad = None then
         bad := Some (Printf.sprintf "block %d in L1 but not in L2" blk));
   match !bad with None -> Ok () | Some m -> Error m
 
 (* --- snapshot (DESIGN.md §15) -------------------------------------------- *)
 
-let pstate_code = function States.P_S -> 0 | States.P_E -> 1 | States.P_M -> 2
-
-let pstate_of_code = function
-  | 0 -> States.P_S
-  | 1 -> States.P_E
-  | 2 -> States.P_M
-  | _ -> Warden_util.Bin.corrupt "Privcache: bad line state"
-
 let save t w =
   let module B = Warden_util.Bin in
-  Sa.save t.l1 w ~elt:(fun _ () -> ());
-  Sa.save t.l2 w ~elt:(fun w ln ->
-      B.w_u8 w (pstate_code ln.state);
-      Linedata.save ln.data w);
+  Sa.save t.l1 w ~elt:(fun _ _ -> ());
+  Sa.save t.l2 w ~elt:(fun w slot ->
+      B.w_u8 w (Linepool.state t.pool slot);
+      Linedata.save (data t slot) w);
   B.w_bool w t.last_l1
 
 let restore t r =
   let module B = Warden_util.Bin in
-  Sa.restore t.l1 r ~elt:(fun _ -> ());
+  Sa.restore t.l1 r ~elt:(fun _ -> -1);
+  Linepool.reset t.pool;
   Sa.restore t.l2 r ~elt:(fun r ->
-      let state = pstate_of_code (B.r_u8 r) in
-      { state; data = Linedata.load_snap r });
+      let code = B.r_u8 r in
+      if code > m_code then B.corrupt "Privcache: bad line state";
+      let slot = Linepool.alloc t.pool in
+      Linepool.set_state t.pool slot code;
+      Linedata.restore (data t slot) r;
+      slot);
   t.last_l1 <- B.r_bool r
 
-let probe_of t blk line =
+let probe_of t blk slot =
   let levels = if Sa.mem t.l1 blk then 2 else 1 in
-  { Fabric.levels; state = line.state; data = line.data }
+  { Fabric.levels; state = state t slot; data = data t slot }
 
 let peek t ~blk =
   let w = Sa.find_way t.l2 blk in
-  if not (Sa.hit w) then None
-  else Some (probe_of t blk (Sa.value t.l2 w))
+  if not (Sa.hit w) then None else Some (probe_of t blk (Sa.value t.l2 w))
 
+(* The freed slot's bytes and mask survive until the pool's next fill,
+   so the returned probe's line stays readable for the protocol. *)
 let invalidate t ~blk =
   let w = Sa.find_way t.l2 blk in
   if not (Sa.hit w) then None
   else begin
-    let p = probe_of t blk (Sa.value t.l2 w) in
-    ignore (Sa.remove t.l1 blk);
-    ignore (Sa.remove t.l2 blk);
+    let slot = Sa.value t.l2 w in
+    let p = probe_of t blk slot in
+    Sa.remove t.l1 blk;
+    Sa.remove t.l2 blk;
+    Linepool.free t.pool slot;
     Some p
   end
 
@@ -157,8 +179,8 @@ let downgrade t ~blk =
   let w = Sa.find_way t.l2 blk in
   if not (Sa.hit w) then None
   else begin
-    let line = Sa.value t.l2 w in
-    let p = probe_of t blk line in
-    line.state <- States.P_S;
+    let slot = Sa.value t.l2 w in
+    let p = probe_of t blk slot in
+    Linepool.set_state t.pool slot s_code;
     Some p
   end

@@ -4,16 +4,12 @@
     The directory tracks private hierarchies as single coherent units (the
     usual simplification: L1/L2 are latency levels of one private copy).
     Coherence events against a line are counted per level holding it, as
-    the paper counts them. *)
+    the paper counts them.
 
-type line = {
-  mutable state : Warden_proto.States.pstate;
-  data : Warden_cache.Linedata.t;
-}
-
-val no_line : line
-(** Miss sentinel returned by {!fast_hit}; compare with [(==)]. Never
-    resident in any cache. *)
+    Resident lines live by slot in the core's {!Warden_cache.Linepool}:
+    the L2's way payload is the slot, and the pool holds the line's bytes,
+    dirty mask and state. A slot is valid until its line is evicted or
+    invalidated. *)
 
 type t
 
@@ -25,32 +21,49 @@ val create :
     hierarchy's writeback/PutX path into the protocol). *)
 
 type lookup =
-  | Hit of { line : line; lat : int; level : [ `L1 | `L2 ] }
+  | Hit of { slot : int; lat : int; level : [ `L1 | `L2 ] }
       (** Permission sufficient; for writes the state is E or M (an E hit
-          is the silent E→M upgrade — the caller flips the state). *)
-  | Upgrade of line  (** Line held in S but the access needs to write. *)
+          is the silent E→M upgrade that {!write} performs). *)
+  | Upgrade of int  (** Line held in S but the access needs to write. *)
   | Miss
 
 val lookup : t -> blk:int -> write:bool -> lookup
 (** Probe the hierarchy, promoting L2 hits into L1 and refreshing LRU. *)
 
-val fast_hit : t -> blk:int -> write:bool -> line
-(** Allocation-free fast-path split of {!lookup}: the line iff the access
-    is a plain hit with sufficient permission — committing exactly the
-    mutations {!lookup}'s [Hit] branch would (LRU refresh, L1 promotion)
-    and recording the serving level in {!last_l1}. Returns {!no_line} —
-    having mutated {e nothing} — when the access would miss or needs an
+val fast_hit : t -> blk:int -> write:bool -> int
+(** Allocation-free fast-path split of {!lookup}: the line's slot iff the
+    access is a plain hit with sufficient permission — committing exactly
+    the mutations {!lookup}'s [Hit] branch would (LRU refresh, L1
+    promotion) and recording the serving level in {!last_l1}. Returns -1
+    — having mutated {e nothing} — when the access would miss or needs an
     S→M upgrade, so the caller can fall back to the scheduled {!lookup}
     path without double-counting. *)
 
 val last_l1 : t -> bool
 (** Whether the last successful {!fast_hit} was served by the L1. *)
 
-val fill : t -> blk:int -> Warden_proto.States.pstate -> Bytes.t -> line
-(** Install a granted line into L2 and L1, evicting victims as needed. *)
+val fill :
+  t -> blk:int -> Warden_proto.States.pstate -> Warden_cache.Linedata.t -> int
+(** Install a copy of a granted line into L2 and L1, evicting victims as
+    needed; returns its slot. The grant's bytes are copied before any
+    eviction runs. *)
 
-val iter_resident : t -> (int -> line -> unit) -> unit
-(** Visit every block resident in the hierarchy (i.e., in L2). *)
+val state : t -> int -> Warden_proto.States.pstate
+val set_state : t -> int -> Warden_proto.States.pstate -> unit
+
+val data : t -> int -> Warden_cache.Linedata.t
+(** A view of the slot's line. *)
+
+val load : t -> int -> off:int -> size:int -> int64
+(** Read from a resident line. *)
+
+val write : t -> int -> off:int -> size:int -> int64 -> unit
+(** Store into a resident line held in E or M, marking the bytes dirty;
+    an E line silently becomes M. *)
+
+val iter_resident : t -> (int -> int -> unit) -> unit
+(** Visit every block resident in the hierarchy (i.e., in L2) with its
+    slot. *)
 
 val check_inclusion : t -> (unit, string) result
 (** Verify L1 ⊆ L2. *)
@@ -67,4 +80,6 @@ val peek : t -> blk:int -> Warden_proto.Fabric.probe option
 val invalidate : t -> blk:int -> Warden_proto.Fabric.probe option
 val downgrade : t -> blk:int -> Warden_proto.Fabric.probe option
 (** Fabric probes; see {!Warden_proto.Fabric}. [downgrade] leaves the line
-    in S with its dirty mask intact — the protocol merges then clears it. *)
+    in S with its dirty mask intact — the protocol merges then clears it.
+    The line of an [invalidate] probe stays readable until the next fill
+    into this hierarchy. *)

@@ -1,6 +1,6 @@
 (* Unit and property tests for warden.mem and warden.cache: the backing
-   store, address geometry, sectored line data and the set-associative
-   arrays. *)
+   store, address geometry, sectored line data, the set-associative
+   arrays and the slot storage of cache lines. *)
 
 open Warden_mem
 open Warden_cache
@@ -92,7 +92,7 @@ let test_linedata_dirty_tracking () =
 let test_linedata_fill_resets () =
   let l = Linedata.create () in
   Linedata.store l ~off:0 ~size:8 1L;
-  Linedata.fill_from l (Bytes.make 64 '\x42');
+  Linedata.fill_from l (Linedata.of_bytes (Bytes.make 64 '\x42'));
   Alcotest.(check bool) "fill clears dirty" false (Linedata.is_dirty l);
   Alcotest.(check int64) "fill data visible" 0x4242424242424242L
     (Linedata.load l ~off:16 ~size:8)
@@ -145,106 +145,143 @@ let linedata_merge_model =
 
 (* --- Sa (set-associative array) -------------------------------------------- *)
 
+let mk_sa ~sets ~ways = Sa.create ~sets ~ways ~payloads:true
+
+(* The payload of a resident block, through the production probe. *)
+let find c blk =
+  let w = Sa.find_way c blk in
+  if Sa.hit w then Some (Sa.value c w) else None
+
+let population c =
+  let n = ref 0 in
+  Sa.iter c (fun _ _ -> incr n);
+  !n
+
 let test_sa_insert_find () =
-  let c = Sa.create ~sets:4 ~ways:2 ~dummy:"?" in
-  Alcotest.(check int) "capacity" 8 (Sa.capacity_blocks c);
+  let c = mk_sa ~sets:4 ~ways:2 in
   Alcotest.(check (option int)) "no eviction" None
-    (Option.map fst (Sa.insert c 0 "a"));
-  Alcotest.(check (option string)) "find" (Some "a") (Sa.find c 0);
+    (Option.map fst (Sa.insert c 0 10));
+  Alcotest.(check (option int)) "find" (Some 10) (find c 0);
   Alcotest.(check bool) "mem" true (Sa.mem c 0);
-  Alcotest.(check (option string)) "absent" None (Sa.find c 4)
+  Alcotest.(check (option int)) "absent" None (find c 4);
+  (* Capacity is sets * ways: seven more blocks fit, the ninth evicts. *)
+  List.iter
+    (fun b ->
+      Alcotest.(check (option int)) "fits" None (Option.map fst (Sa.insert c b b)))
+    [ 1; 2; 3; 4; 5; 6; 7 ];
+  Alcotest.(check bool) "capacity 8" true (Sa.insert c 8 8 <> None)
 
 let test_sa_lru_eviction () =
-  let c = Sa.create ~sets:1 ~ways:2 ~dummy:"?" in
-  ignore (Sa.insert c 0 "a");
-  ignore (Sa.insert c 1 "b");
-  ignore (Sa.find c 0);
-  (* touch a: now b is LRU *)
-  (match Sa.insert c 2 "c" with
-  | Some (1, "b") -> ()
-  | _ -> Alcotest.fail "expected b evicted");
-  Alcotest.(check bool) "a kept" true (Sa.mem c 0);
-  Alcotest.(check bool) "c present" true (Sa.mem c 2)
+  let c = mk_sa ~sets:1 ~ways:2 in
+  ignore (Sa.insert c 0 10);
+  ignore (Sa.insert c 1 11);
+  ignore (find c 0);
+  (* touch 0: now 1 is LRU *)
+  (match Sa.insert c 2 12 with
+  | Some (1, 11) -> ()
+  | _ -> Alcotest.fail "expected block 1 evicted");
+  Alcotest.(check bool) "0 kept" true (Sa.mem c 0);
+  Alcotest.(check bool) "2 present" true (Sa.mem c 2)
 
-let test_sa_would_evict () =
-  let c = Sa.create ~sets:1 ~ways:1 ~dummy:"?" in
-  ignore (Sa.insert c 7 "x");
-  Alcotest.(check (option (pair int string))) "predicts victim" (Some (7, "x"))
-    (Sa.would_evict c 9);
-  Alcotest.(check (option (pair int string))) "resident: no eviction" None
-    (Sa.would_evict c 7)
+let test_sa_insert_reports_victim () =
+  let c = mk_sa ~sets:1 ~ways:1 in
+  ignore (Sa.insert c 7 70);
+  Alcotest.(check (option (pair int int))) "resident: no eviction" None
+    (Sa.insert c 7 71);
+  Alcotest.(check (option (pair int int))) "reports the victim" (Some (7, 71))
+    (Sa.insert c 9 90)
 
 let test_sa_remove_and_iter () =
-  let c = Sa.create ~sets:2 ~ways:2 ~dummy:0 in
-  List.iter (fun b -> ignore (Sa.insert c b b)) [ 0; 1; 2; 3 ];
-  Alcotest.(check int) "population" 4 (Sa.population c);
-  ignore (Sa.remove c 2);
-  Alcotest.(check int) "after remove" 3 (Sa.population c);
+  let c = mk_sa ~sets:2 ~ways:2 in
+  List.iter (fun b -> ignore (Sa.insert c b (10 * b))) [ 0; 1; 2; 3 ];
+  Alcotest.(check int) "population" 4 (population c);
+  Sa.remove c 2;
+  Alcotest.(check int) "after remove" 3 (population c);
   let seen = ref [] in
-  Sa.iter c (fun blk _ -> seen := blk :: !seen);
-  Alcotest.(check (list int)) "iter all" [ 0; 1; 3 ] (List.sort compare !seen);
-  let ranged = ref [] in
-  Sa.iter_range c ~lo_block:1 ~hi_block:4 (fun blk _ -> ranged := blk :: !ranged);
-  Alcotest.(check (list int)) "iter range" [ 1; 3 ] (List.sort compare !ranged)
+  Sa.iter c (fun blk p -> seen := (blk, p) :: !seen);
+  Alcotest.(check (list (pair int int))) "iter all"
+    [ (0, 0); (1, 10); (3, 30) ]
+    (List.sort compare !seen)
 
 (* The way-handle API: sentinel misses, MRU way-0 rotation that must not
-   disturb LRU ordering, pure peeks, and handle-based touches. *)
+   disturb LRU ordering, pure peeks, and refreshing touches. *)
 
 let test_sa_way_sentinel () =
-  let c = Sa.create ~sets:2 ~ways:2 ~dummy:"?" in
-  ignore (Sa.insert c 0 "a");
+  let c = mk_sa ~sets:2 ~ways:2 in
+  ignore (Sa.insert c 0 10);
   Alcotest.(check bool) "find_way hit" true (Sa.hit (Sa.find_way c 0));
-  Alcotest.(check string) "value" "a" (Sa.value c (Sa.find_way c 0));
+  Alcotest.(check int) "value" 10 (Sa.value c (Sa.find_way c 0));
   Alcotest.(check bool) "find_way miss" false (Sa.hit (Sa.find_way c 2));
   Alcotest.(check bool) "peek_way miss" false (Sa.hit (Sa.peek_way c 2))
 
 let test_sa_lru_correct_after_way_swap () =
-  let c = Sa.create ~sets:1 ~ways:3 ~dummy:"?" in
-  ignore (Sa.insert c 0 "a");
-  ignore (Sa.insert c 1 "b");
-  ignore (Sa.insert c 2 "c");
+  let c = mk_sa ~sets:1 ~ways:3 in
+  ignore (Sa.insert c 0 10);
+  ignore (Sa.insert c 1 11);
+  ignore (Sa.insert c 2 12);
   (* Hitting block 2 rotates it into way 0; block 0 stays LRU. *)
   ignore (Sa.find_way c 2);
-  (match Sa.insert c 3 "d" with
-  | Some (0, "a") -> ()
+  (match Sa.insert c 3 13 with
+  | Some (0, 10) -> ()
   | _ -> Alcotest.fail "expected block 0 evicted after way swap");
-  Alcotest.(check bool) "b kept" true (Sa.mem c 1);
-  Alcotest.(check bool) "c kept" true (Sa.mem c 2)
+  Alcotest.(check (option int)) "1 kept with its payload" (Some 11) (find c 1);
+  Alcotest.(check (option int)) "2 kept with its payload" (Some 12) (find c 2)
 
 let test_sa_peek_does_not_refresh () =
-  let c = Sa.create ~sets:1 ~ways:2 ~dummy:"?" in
-  ignore (Sa.insert c 0 "a");
-  ignore (Sa.insert c 1 "b");
+  let c = mk_sa ~sets:1 ~ways:2 in
+  ignore (Sa.insert c 0 10);
+  ignore (Sa.insert c 1 11);
   ignore (Sa.peek_way c 0);
-  ignore (Sa.peek c 0);
+  ignore (Sa.mem c 0);
   (* Peeks left block 0 least-recently used. *)
-  match Sa.insert c 2 "c" with
-  | Some (0, "a") -> ()
+  match Sa.insert c 2 12 with
+  | Some (0, 10) -> ()
   | _ -> Alcotest.fail "peek must not refresh recency"
 
-let test_sa_touch_way_refreshes () =
-  let c = Sa.create ~sets:1 ~ways:2 ~dummy:"?" in
-  ignore (Sa.insert c 0 "a");
-  ignore (Sa.insert c 1 "b");
-  let w = Sa.peek_way c 0 in
-  Sa.touch_way c w;
-  match Sa.insert c 2 "c" with
-  | Some (1, "b") -> ()
-  | _ -> Alcotest.fail "touch_way must refresh recency"
+let test_sa_touch_refreshes () =
+  let c = mk_sa ~sets:1 ~ways:2 in
+  ignore (Sa.insert c 0 10);
+  ignore (Sa.insert c 1 11);
+  Alcotest.(check bool) "touch hits" true (Sa.touch c 0);
+  match Sa.insert c 2 12 with
+  | Some (1, 11) -> ()
+  | _ -> Alcotest.fail "touch must refresh recency"
+
+let test_sa_promote_way_is_find_way () =
+  (* Two arrays fed the same operations, one hitting through find_way and
+     one through peek_way + promote_way, make the same victim choices. *)
+  let a = mk_sa ~sets:1 ~ways:3 and b = mk_sa ~sets:1 ~ways:3 in
+  List.iter
+    (fun c -> List.iter (fun blk -> ignore (Sa.insert c blk blk)) [ 0; 1; 2 ])
+    [ a; b ];
+  List.iter
+    (fun blk ->
+      ignore (Sa.find_way a blk);
+      ignore (Sa.promote_way b blk (Sa.peek_way b blk)))
+    [ 2; 0 ];
+  Alcotest.(check (option (pair int int))) "same victim" (Sa.insert a 3 3)
+    (Sa.insert b 3 3)
+
+let test_sa_tags_only () =
+  let c = Sa.create ~sets:1 ~ways:2 ~payloads:false in
+  ignore (Sa.insert c 0 0);
+  Sa.insert_absent c 1 0;
+  Alcotest.(check bool) "both resident" true (Sa.mem c 0 && Sa.mem c 1);
+  Alcotest.(check (option int)) "victim block" (Some 0)
+    (Option.map fst (Sa.insert c 2 0))
 
 let test_sa_conflict_roundtrip () =
-  let c = Sa.create ~sets:1 ~ways:1 ~dummy:"?" in
-  ignore (Sa.insert c 5 "x");
-  (match Sa.insert c 9 "y" with
-  | Some (5, "x") -> ()
+  let c = mk_sa ~sets:1 ~ways:1 in
+  ignore (Sa.insert c 5 50);
+  (match Sa.insert c 9 90 with
+  | Some (5, 50) -> ()
   | _ -> Alcotest.fail "expected conflict eviction of 5");
-  Alcotest.(check (option string)) "remove returns payload" (Some "y")
-    (Sa.remove c 9);
+  Alcotest.(check (option int)) "resident payload" (Some 90) (find c 9);
+  Sa.remove c 9;
   Alcotest.(check bool) "gone" false (Sa.mem c 9);
   Alcotest.(check (option int)) "reinsert into empty way" None
-    (Option.map fst (Sa.insert c 5 "x2"));
-  Alcotest.(check (option string)) "find after round trip" (Some "x2")
-    (Sa.find c 5)
+    (Option.map fst (Sa.insert c 5 51));
+  Alcotest.(check (option int)) "find after round trip" (Some 51) (find c 5)
 
 (* The cache never exceeds capacity and never loses a resident block
    without an eviction report. *)
@@ -252,17 +289,132 @@ let sa_accounting =
   qtest ~count:200 "insertions are fully accounted"
     QCheck2.Gen.(list (int_range 0 63))
     (fun blocks ->
-      let c = Sa.create ~sets:4 ~ways:2 ~dummy:() in
+      let c = mk_sa ~sets:4 ~ways:2 in
       let resident = Hashtbl.create 16 in
       List.iter
         (fun blk ->
-          (match Sa.insert c blk () with
-          | Some (victim, ()) -> Hashtbl.remove resident victim
+          (match Sa.insert c blk blk with
+          | Some (victim, p) ->
+              assert (p = victim);
+              Hashtbl.remove resident victim
           | None -> ());
           Hashtbl.replace resident blk ())
         blocks;
-      Sa.population c = Hashtbl.length resident
+      population c = Hashtbl.length resident
       && Hashtbl.fold (fun blk () acc -> acc && Sa.mem c blk) resident true)
+
+(* --- Linepool (slot storage) ------------------------------------------------ *)
+
+let test_linepool_reuses_freed_slots () =
+  let p = Linepool.create () in
+  Alcotest.(check int) "starts empty" 0 (Linepool.pages p);
+  let slots = List.init Linepool.page_slots (fun _ -> Linepool.alloc p) in
+  Alcotest.(check int) "one page" 1 (Linepool.pages p);
+  Alcotest.(check int) "distinct slots" Linepool.page_slots
+    (List.length (List.sort_uniq compare slots));
+  let s = List.nth slots 17 in
+  Linepool.free p s;
+  Alcotest.(check int) "freed slot reused" s (Linepool.alloc p);
+  Alcotest.(check int) "no page added" 1 (Linepool.pages p);
+  ignore (Linepool.alloc p);
+  Alcotest.(check int) "full pool adds a page" 2 (Linepool.pages p)
+
+let test_linepool_views_survive_growth () =
+  let p = Linepool.create () in
+  let s = Linepool.alloc p in
+  Linepool.fill_zero p s;
+  Linepool.set_state p s 2;
+  let v = Linepool.view p s in
+  Linedata.store v ~off:40 ~size:8 0x1122334455667788L;
+  for _ = 1 to 5 * Linepool.page_slots do
+    Linepool.fill_zero p (Linepool.alloc p)
+  done;
+  Alcotest.(check bool) "pages added" true (Linepool.pages p > 1);
+  Alcotest.(check int64) "old view reads its bytes" 0x1122334455667788L
+    (Linedata.load v ~off:40 ~size:8);
+  Alcotest.(check int64) "old view keeps its mask" 0xFF_0000_0000_00L
+    (Linedata.dirty_mask v);
+  Linepool.store p s ~off:0 ~size:1 0xABL;
+  Alcotest.(check int64) "slot writes reach the old view" 0xABL
+    (Linedata.load v ~off:0 ~size:1);
+  Alcotest.(check int64) "and its mask" 0xFF_0000_0000_01L
+    (Linedata.dirty_mask v);
+  Alcotest.(check int) "state kept" 2 (Linepool.state p s)
+
+let test_linepool_reset () =
+  let p = Linepool.create () in
+  for _ = 1 to (2 * Linepool.page_slots) + 3 do
+    ignore (Linepool.alloc p)
+  done;
+  Alcotest.(check int) "three pages" 3 (Linepool.pages p);
+  Linepool.reset p;
+  let slots = List.init (3 * Linepool.page_slots) (fun _ -> Linepool.alloc p) in
+  Alcotest.(check int) "every slot free again" (3 * Linepool.page_slots)
+    (List.length (List.sort_uniq compare slots));
+  Alcotest.(check int) "no page added" 3 (Linepool.pages p)
+
+(* A pooled slot behaves like a standalone line under any sequence of
+   stores, clears and masked merges: the mask halves reassemble into the
+   standalone line's 64-bit mask, and merges move the same bytes. *)
+let linepool_matches_standalone =
+  qtest ~count:200 "pooled slot = standalone line"
+    QCheck2.Gen.(
+      list
+        (triple (int_range 0 2) (pair (int_range 0 3) (int_range 0 63)) int64))
+    (fun ops ->
+      let p = Linepool.create () in
+      (* Land on a slot of a second page so the position is not 0. *)
+      for _ = 1 to Linepool.page_slots + 5 do
+        Linepool.fill_zero p (Linepool.alloc p)
+      done;
+      let s = Linepool.alloc p in
+      Linepool.fill_zero p s;
+      let pooled = Linepool.view p s and solo = Linedata.create () in
+      let dst_p = Linedata.create () and dst_s = Linedata.create () in
+      List.iter
+        (fun (op, (sz, off), v) ->
+          let size = 1 lsl sz in
+          let off = off land lnot (size - 1) in
+          match op with
+          | 0 ->
+              Linepool.store p s ~off ~size v;
+              Linedata.store solo ~off ~size v
+          | 1 ->
+              Linedata.merge_masked ~dst:dst_p ~src:pooled;
+              Linedata.merge_masked ~dst:dst_s ~src:solo
+          | _ ->
+              Linedata.clear_dirty pooled;
+              Linedata.clear_dirty solo)
+        ops;
+      Bytes.equal (Linedata.bytes pooled) (Linedata.bytes solo)
+      && Linedata.dirty_mask pooled = Linedata.dirty_mask solo
+      && Linepool.is_dirty p s = Linedata.is_dirty solo
+      && Bytes.equal (Linedata.bytes dst_p) (Linedata.bytes dst_s)
+      && Linedata.dirty_mask dst_p = Linedata.dirty_mask dst_s)
+
+(* The grouped masked copy moves exactly the masked bytes. Mask bytes
+   are drawn clean, full or partial so that every group case fires. *)
+let sector_blit_model =
+  let mask_byte = QCheck2.Gen.(oneof [ pure 0; pure 0xFF; int_range 0 255 ]) in
+  qtest ~count:300 "sector blit = per-byte mask"
+    QCheck2.Gen.(pair (list_size (pure 8) mask_byte) (int_range 0 255))
+    (fun (groups, seed) ->
+      let mask =
+        List.fold_left
+          (fun m b -> Int64.logor (Int64.shift_left m 8) (Int64.of_int b))
+          0L groups
+      in
+      let src = Bytes.init 80 (fun i -> Char.chr (((i * 7) + seed) land 0xFF)) in
+      let dst = Bytes.make 72 '\xEE' in
+      let expect = Bytes.copy dst in
+      for i = 0 to 63 do
+        if Int64.logand (Int64.shift_right_logical mask i) 1L = 1L then
+          Bytes.set expect (i + 8) (Bytes.get src (i + 16))
+      done;
+      Sector.blit_masked ~src ~src_pos:16 ~dst ~dst_pos:8
+        ~lo:(Sector.lo_of mask) ~hi:(Sector.hi_of mask);
+      Sector.to_int64 ~lo:(Sector.lo_of mask) ~hi:(Sector.hi_of mask) = mask
+      && Bytes.equal dst expect)
 
 let suite =
   [
@@ -279,17 +431,28 @@ let suite =
     linedata_merge_model;
     Alcotest.test_case "sa insert/find" `Quick test_sa_insert_find;
     Alcotest.test_case "sa lru" `Quick test_sa_lru_eviction;
-    Alcotest.test_case "sa would_evict" `Quick test_sa_would_evict;
+    Alcotest.test_case "sa insert reports victim" `Quick
+      test_sa_insert_reports_victim;
     Alcotest.test_case "sa remove/iter" `Quick test_sa_remove_and_iter;
     Alcotest.test_case "sa way sentinel" `Quick test_sa_way_sentinel;
     Alcotest.test_case "sa lru after way swap" `Quick
       test_sa_lru_correct_after_way_swap;
     Alcotest.test_case "sa peek is pure" `Quick test_sa_peek_does_not_refresh;
-    Alcotest.test_case "sa touch_way refreshes" `Quick
-      test_sa_touch_way_refreshes;
+    Alcotest.test_case "sa touch refreshes" `Quick test_sa_touch_refreshes;
+    Alcotest.test_case "sa promote_way = find_way" `Quick
+      test_sa_promote_way_is_find_way;
+    Alcotest.test_case "sa tags only" `Quick test_sa_tags_only;
     Alcotest.test_case "sa conflict round trip" `Quick
       test_sa_conflict_roundtrip;
     sa_accounting;
+    Alcotest.test_case "linepool reuses freed slots" `Quick
+      test_linepool_reuses_freed_slots;
+    Alcotest.test_case "linepool views survive growth" `Quick
+      test_linepool_views_survive_growth;
+    Alcotest.test_case "linepool reset frees every slot" `Quick
+      test_linepool_reset;
+    linepool_matches_standalone;
+    sector_blit_model;
   ]
 
 let () = Alcotest.run "warden-cache" [ ("cache", suite) ]

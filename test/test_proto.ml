@@ -56,13 +56,13 @@ let mk_mini ?(cfg = Config.dual_socket ()) () =
       read_shared =
         (fun ~blk ->
           match Hashtbl.find_opt llc blk with
-          | Some line -> (Linedata.bytes line, `L3)
+          | Some line -> (line, `L3)
           | None ->
               let line =
                 Linedata.of_bytes (Warden_mem.Store.read_block store blk)
               in
               Hashtbl.add llc blk line;
-              (Linedata.bytes line, `Dram));
+              (line, `Dram));
       llc_merge =
         (fun ~blk src ->
           let line =
@@ -77,8 +77,8 @@ let mk_mini ?(cfg = Config.dual_socket ()) () =
           in
           Linedata.merge_masked ~dst:line ~src);
       llc_put_full =
-        (fun ~blk bytes ->
-          let l = Linedata.of_bytes (Bytes.copy bytes) in
+        (fun ~blk src ->
+          let l = Linedata.copy src in
           Linedata.mark_all_dirty l;
           Hashtbl.replace llc blk l);
     }

@@ -340,6 +340,160 @@ let test_hit_prefix_differential () =
       done)
     [ `Mesi; `Warden ]
 
+(* --- Privcache against a model ------------------------------------------------ *)
+
+(* Random fills, probes, stores, invalidations and downgrades on a private
+   hierarchy small enough that evictions fire, checked against a table of
+   (state, bytes, mask) per resident block. Every line handed to the
+   evict callback and every probe's line must match the model. *)
+
+module Pc = Privcache
+module Ld = Warden_cache.Linedata
+module St = Warden_proto.States
+
+type pc_op =
+  | Fill of int * int * int (* blk, pstate code, data seed *)
+  | Probe of int * bool (* fast_hit, then lookup; the bool is [write] *)
+  | Write of int * int * int * int64 (* blk, log2 size, offset, value *)
+  | Invalidate of int
+  | Downgrade of int
+
+let show_pc_op = function
+  | Fill (b, c, d) -> Printf.sprintf "fill %d st%d #%d" b c d
+  | Probe (b, w) -> Printf.sprintf "probe %d %b" b w
+  | Write (b, z, o, v) -> Printf.sprintf "write %d %d@%d %Ld" b (1 lsl z) o v
+  | Invalidate b -> Printf.sprintf "inv %d" b
+  | Downgrade b -> Printf.sprintf "down %d" b
+
+let pc_op_gen =
+  let open QCheck2.Gen in
+  let blk = int_range 0 15 in
+  frequency
+    [
+      (3, map3 (fun b c d -> Fill (b, c, d)) blk (int_range 0 2) (int_range 0 255));
+      (3, map2 (fun b w -> Probe (b, w)) blk bool);
+      ( 4,
+        map3
+          (fun b (z, o) v -> Write (b, z, o, v))
+          blk
+          (pair (int_range 0 3) (int_range 0 63))
+          int64 );
+      (1, map (fun b -> Invalidate b) blk);
+      (1, map (fun b -> Downgrade b) blk);
+    ]
+
+let pstate_of = function 0 -> St.P_S | 1 -> St.P_E | _ -> St.P_M
+
+type model_line = { mutable st : St.pstate; data : Bytes.t; mutable mask : int64 }
+
+let privcache_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"privcache matches a table model"
+       ~print:(fun (four, ops) ->
+         Printf.sprintf "%d sets: %s" (if four then 4 else 2)
+           (String.concat "; " (List.map show_pc_op ops)))
+       QCheck2.Gen.(pair bool (list_size (int_range 1 120) pc_op_gen))
+       (fun (four, ops) ->
+         let sets = if four then 4 else 2 in
+         let cfg =
+           {
+             (Config.single_socket ()) with
+             Config.l1_bytes = 2 * 64;
+             l1_ways = 2;
+             l2_bytes = sets * 2 * 64;
+             l2_ways = 2;
+           }
+         in
+         let model : (int, model_line) Hashtbl.t = Hashtbl.create 16 in
+         let expect what c = if not c then failwith what in
+         let matches blk st line =
+           match Hashtbl.find_opt model blk with
+           | None -> false
+           | Some m ->
+               m.st = st
+               && Bytes.equal m.data (Ld.bytes line)
+               && Int64.equal m.mask (Ld.dirty_mask line)
+         in
+         let evict ~blk st line =
+           expect "evicted line" (matches blk st line);
+           Hashtbl.remove model blk
+         in
+         let pc = Pc.create cfg ~evict in
+         let check_probe blk = function
+           | None -> expect "absent probe" (not (Hashtbl.mem model blk))
+           | Some p ->
+               expect "probe" (matches blk p.Warden_proto.Fabric.state p.data)
+         in
+         List.iter
+           (fun op ->
+             (match op with
+             | Fill (blk, code, seed) ->
+                 if not (Hashtbl.mem model blk) then begin
+                   let data =
+                     Bytes.init 64 (fun i -> Char.chr ((seed + (i * 3)) land 0xFF))
+                   in
+                   (* A dirty source: the fill takes its bytes, not its
+                      mask. *)
+                   let src = Ld.of_bytes (Bytes.copy data) in
+                   Ld.store src ~off:0 ~size:1 0L;
+                   Bytes.set data 0 '\000';
+                   let st = pstate_of code in
+                   (* The fill's eviction leaves the model before the new
+                      line enters it. *)
+                   let slot = Pc.fill pc ~blk st src in
+                   Hashtbl.replace model blk { st; data; mask = 0L };
+                   expect "filled line" (matches blk (Pc.state pc slot) (Pc.data pc slot))
+                 end
+             | Probe (blk, write) -> (
+                 let sufficient =
+                   match Hashtbl.find_opt model blk with
+                   | None -> None
+                   | Some m -> Some ((not write) || m.st <> St.P_S)
+                 in
+                 let slot = Pc.fast_hit pc ~blk ~write in
+                 match sufficient with
+                 | Some true ->
+                     expect "fast hit" (slot >= 0);
+                     expect "fast hit line" (matches blk (Pc.state pc slot) (Pc.data pc slot))
+                 | _ -> (
+                     expect "fast miss" (slot = -1);
+                     match (Pc.lookup pc ~blk ~write, sufficient) with
+                     | Pc.Miss, None -> ()
+                     | Pc.Upgrade slot, Some false ->
+                         expect "upgrade line"
+                           (matches blk (Pc.state pc slot) (Pc.data pc slot))
+                     | _ -> expect "lookup kind" false))
+             | Write (blk, z, off, v) -> (
+                 let size = 1 lsl z in
+                 let off = off land lnot (size - 1) in
+                 match Hashtbl.find_opt model blk with
+                 | Some m when m.st <> St.P_S ->
+                     let slot = Pc.fast_hit pc ~blk ~write:true in
+                     expect "writable" (slot >= 0);
+                     Pc.write pc slot ~off ~size v;
+                     let solo = Ld.of_bytes m.data in
+                     Ld.store solo ~off ~size v;
+                     m.mask <- Int64.logor m.mask (Ld.range_mask ~off ~size);
+                     m.st <- St.P_M
+                 | _ -> ())
+             | Invalidate blk ->
+                 check_probe blk (Pc.invalidate pc ~blk);
+                 Hashtbl.remove model blk
+             | Downgrade blk -> (
+                 check_probe blk (Pc.downgrade pc ~blk);
+                 match Hashtbl.find_opt model blk with
+                 | Some m -> m.st <- St.P_S
+                 | None -> ()));
+             (* Residency agrees after every step. *)
+             let resident = ref 0 in
+             Pc.iter_resident pc (fun blk slot ->
+                 incr resident;
+                 expect "resident line" (matches blk (Pc.state pc slot) (Pc.data pc slot)));
+             expect "resident count" (!resident = Hashtbl.length model);
+             expect "inclusion" (Pc.check_inclusion pc = Ok ()))
+           ops;
+         true))
+
 let suite =
   [
     Alcotest.test_case "load/store roundtrip" `Quick test_load_store_roundtrip;
@@ -352,6 +506,7 @@ let suite =
     Alcotest.test_case "invariants after stress" `Quick test_invariants_after_stress;
     Alcotest.test_case "atomic counter" `Quick test_atomic_counter;
     Alcotest.test_case "one sim domain" `Quick test_one_sim_domain;
+    privcache_model;
     Alcotest.test_case "hit prefix equals the full access path" `Quick
       test_hit_prefix_differential;
   ]

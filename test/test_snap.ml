@@ -14,7 +14,8 @@
       for byte; cross-protocol replay consumes the same stream.
    4. Corruption: checksum damage, truncation, an older format version
       and fingerprint mismatches (wrong protocol) are detected, never
-      silently restored. *)
+      silently restored.
+   The snapshot bytes of one fixed run are also pinned to a digest. *)
 
 open Warden_util
 open Warden_machine
@@ -68,7 +69,7 @@ let test_store_roundtrip () =
 
 let test_csa_roundtrip () =
   let open Warden_cache in
-  let mk () = Csa.create ~sets:4096 ~ways:4 ~dummy:(-1) in
+  let mk () = Csa.create ~sets:4096 ~ways:4 in
   let original = mk () in
   (* Touch a handful of widely-spaced sets so only a few chunks
      materialize. *)
@@ -86,15 +87,15 @@ let test_csa_roundtrip () =
   List.iter
     (fun b ->
       match Csa.find restored b with
-      | Some p -> Alcotest.(check int) "payload preserved" (b * 3) p
-      | None -> Alcotest.failf "block %d lost across round trip" b)
+      | -1 -> Alcotest.failf "block %d lost across round trip" b
+      | p -> Alcotest.(check int) "payload preserved" (b * 3) p)
     blks;
   (* Probing a set in a never-materialized chunk is still a miss and
      still does not materialize anything. *)
   let absent = 997 in
   let before = Csa.chunks_allocated restored in
   Alcotest.(check bool) "unallocated chunk probes as miss" true
-    (Csa.find restored absent = None);
+    (Csa.find restored absent = -1);
   Alcotest.(check int) "miss probe materializes nothing" before
     (Csa.chunks_allocated restored)
 
@@ -223,6 +224,19 @@ let test_restore_then_run () =
         [ `Mesi; `Warden ])
     machines
 
+(* The snapshot format is pinned: fib at scale 16 on the single-socket
+   machine under WARDen must serialize to the same bytes that builds
+   keeping each line in its own heap object produced, so snapshots
+   written by those builds still restore. The digest is of the whole
+   WSNP v2 envelope (header, fingerprint, payload). *)
+let test_snapshot_format_pinned () =
+  let spec = Option.get (Warden_pbbs.Suite.find "fib") in
+  let eng = Engine.create (Config.single_socket ()) ~proto:`Warden in
+  let ok = spec.Warden_pbbs.Spec.run ~scale:16 ~seed:0x5EEDF00DL eng in
+  Alcotest.(check bool) "fib verified" true ok;
+  Alcotest.(check string) "WSNP v2 digest" "9ce9688afdd38c7d790136da09484215"
+    (Digest.to_hex (Digest.bytes (Snap.to_bytes eng)))
+
 (* ---- 3. Replay ------------------------------------------------------------ *)
 
 let test_replay_stats_identical () =
@@ -331,6 +345,8 @@ let suite =
     Alcotest.test_case "csa chunked store round-trip" `Quick test_csa_roundtrip;
     Alcotest.test_case "dirstate across the 62-core boundary" `Quick
       test_dirstate_hier_boundary;
+    Alcotest.test_case "snapshot format pinned (fib WSNP v2 digest)" `Quick
+      test_snapshot_format_pinned;
     Alcotest.test_case "restore-then-run bit-identical" `Quick
       test_restore_then_run;
     Alcotest.test_case "replay reproduces stats byte for byte" `Quick
