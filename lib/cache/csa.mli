@@ -36,7 +36,8 @@ val chunks_allocated : t -> int
 
 val chunks_total : t -> int
 
-val save : t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
+val save :
+  t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
 (** Snapshot only the materialized chunks (tags, recency, resident
     payloads) plus the LRU clock. *)
 

@@ -10,24 +10,23 @@ type t = { buf : Bytes.t; pos : int; mask : int array; mi : int }
 
 let view buf ~pos mask ~mi = { buf; pos; mask; mi }
 
-let create () =
-  { buf = Bytes.make Addr.block_size '\000'; pos = 0; mask = [| 0; 0 |]; mi = 0 }
-
 let of_bytes b =
   if Bytes.length b <> Addr.block_size then invalid_arg "Linedata.of_bytes";
   { buf = b; pos = 0; mask = [| 0; 0 |]; mi = 0 }
 
+let create () = of_bytes (Bytes.make Addr.block_size '\000')
 let bytes t = Bytes.sub t.buf t.pos Addr.block_size
-
-let copy t =
-  { buf = bytes t; pos = 0; mask = [| t.mask.(t.mi); t.mask.(t.mi + 1) |]; mi = 0 }
-
 let dirty_mask t = Sector.to_int64 ~lo:t.mask.(t.mi) ~hi:t.mask.(t.mi + 1)
 let is_dirty t = t.mask.(t.mi) lor t.mask.(t.mi + 1) <> 0
 
 let set_mask t ~lo ~hi =
   t.mask.(t.mi) <- lo;
   t.mask.(t.mi + 1) <- hi
+
+let copy t =
+  let c = of_bytes (bytes t) in
+  set_mask c ~lo:t.mask.(t.mi) ~hi:t.mask.(t.mi + 1);
+  c
 
 let clear_dirty t = set_mask t ~lo:0 ~hi:0
 let mark_all_dirty t = set_mask t ~lo:0xFFFF_FFFF ~hi:0xFFFF_FFFF
@@ -91,7 +90,10 @@ let fill_in buf ~pos mask ~mi src =
   mask.(mi + 1) <- 0
 
 let load t ~off ~size = load_in t.buf ~pos:t.pos ~off ~size
-let store t ~off ~size v = store_in t.buf ~pos:t.pos t.mask ~mi:t.mi ~off ~size v
+
+let store t ~off ~size v =
+  store_in t.buf ~pos:t.pos t.mask ~mi:t.mi ~off ~size v
+
 let fill_from t src = fill_in t.buf ~pos:t.pos t.mask ~mi:t.mi src
 
 let merge_masked ~dst ~src =

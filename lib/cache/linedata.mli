@@ -83,7 +83,14 @@ val load_in : Bytes.t -> pos:int -> off:int -> size:int -> int64
 (** {!load} on the line at [pos]. *)
 
 val store_in :
-  Bytes.t -> pos:int -> int array -> mi:int -> off:int -> size:int -> int64 -> unit
+  Bytes.t ->
+  pos:int ->
+  int array ->
+  mi:int ->
+  off:int ->
+  size:int ->
+  int64 ->
+  unit
 (** {!store} on the line at [pos]. *)
 
 val fill_in : Bytes.t -> pos:int -> int array -> mi:int -> t -> unit

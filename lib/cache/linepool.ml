@@ -16,7 +16,8 @@ type t = {
   mutable free : int; (* head of the free list, -1 when empty *)
 }
 
-let create () = { data = [||]; mask = [||]; state = [||]; npages = 0; free = -1 }
+let create () =
+  { data = [||]; mask = [||]; state = [||]; npages = 0; free = -1 }
 let pages t = t.npages
 
 let grow a dummy n =
@@ -52,7 +53,8 @@ let[@inline] pos s = idx s * line
 let[@inline] mi s = idx s * 2
 
 let state t s = Array.unsafe_get (Array.unsafe_get t.state (page s)) (idx s)
-let set_state t s v = Array.unsafe_set (Array.unsafe_get t.state (page s)) (idx s) v
+let set_state t s v =
+  Array.unsafe_set (Array.unsafe_get t.state (page s)) (idx s) v
 
 let alloc t =
   if t.free < 0 then add_page t;
@@ -70,7 +72,8 @@ let reset t =
     link_page t p
   done
 
-let view t s = Linedata.view t.data.(page s) ~pos:(pos s) t.mask.(page s) ~mi:(mi s)
+let view t s =
+  Linedata.view t.data.(page s) ~pos:(pos s) t.mask.(page s) ~mi:(mi s)
 
 let set_mask t s v =
   let m = t.mask.(page s) and i = mi s in

@@ -72,7 +72,8 @@ val iter : t -> (int -> int -> unit) -> unit
 (** Visit every resident block with its payload (in flat way order; hit
     rotation means that is not insertion order). *)
 
-val save : t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
+val save :
+  t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
 (** Snapshot tags, recency and resident payloads exactly — way positions
     included, so a restored cache replays probes bit-identically. [elt]
     writes each resident payload (a slot's line, say). *)

@@ -15,7 +15,8 @@ let blit_half src sp dst dp m =
       if b = 0xFF then Bytes.set_int64_le dst d (Bytes.get_int64_le src s)
       else if b <> 0 then
         for i = 0 to 7 do
-          if b land (1 lsl i) <> 0 then Bytes.set dst (d + i) (Bytes.get src (s + i))
+          if b land (1 lsl i) <> 0 then
+            Bytes.set dst (d + i) (Bytes.get src (s + i))
         done
     done
 

@@ -15,7 +15,13 @@ val hi_of : int64 -> int
 val to_int64 : lo:int -> hi:int -> int64
 
 val blit_masked :
-  src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> lo:int -> hi:int -> unit
+  src:Bytes.t ->
+  src_pos:int ->
+  dst:Bytes.t ->
+  dst_pos:int ->
+  lo:int ->
+  hi:int ->
+  unit
 (** Copy the bytes of the line at [src_pos] that the mask selects onto the
     line at [dst_pos]. Each 8-byte group whose mask byte is full moves as
     one word, and clean groups are skipped. *)

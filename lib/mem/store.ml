@@ -81,7 +81,8 @@ let store t addr ~size v =
 let block_page t blk = page t (Addr.base_of_block blk)
 let block_off blk = Addr.base_of_block blk land (page_size - 1)
 
-let read_block t blk = Bytes.sub (block_page t blk) (block_off blk) Addr.block_size
+let read_block t blk =
+  Bytes.sub (block_page t blk) (block_off blk) Addr.block_size
 
 let read_block_into t blk dst ~pos =
   Bytes.blit (block_page t blk) (block_off blk) dst pos Addr.block_size

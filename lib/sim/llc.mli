@@ -13,7 +13,10 @@ val create : Warden_machine.Config.t -> Warden_mem.Store.t -> t
 val store : t -> Warden_mem.Store.t
 
 val read :
-  t -> socket:int -> blk:int -> Warden_cache.Linedata.t * [ `L3 | `Dram | `Zero ]
+  t ->
+  socket:int ->
+  blk:int ->
+  Warden_cache.Linedata.t * [ `L3 | `Dram | `Zero ]
 (** The resident line of [blk] in the slice, filling from memory on a
     miss; reports the source ([`Zero]: the block was never written, so it
     is zero-filled at the LLC without a DRAM access). The line is a view

@@ -187,7 +187,9 @@ let load t ~thread addr ~size =
   let blk = Addr.block_of addr in
   let slot, lat = access_line t ~thread ~blk ~write:false in
   let v =
-    Privcache.load (priv_of t thread) slot ~off:(Addr.offset_in_block addr) ~size
+    Privcache.load (priv_of t thread) slot
+      ~off:(Addr.offset_in_block addr)
+      ~size
   in
   if t.sink_on then t.sink k_load thread addr size v;
   (v, lat)
@@ -196,7 +198,9 @@ let store t ~thread addr ~size v =
   count_store t;
   let blk = Addr.block_of addr in
   let slot, lat = access_line t ~thread ~blk ~write:true in
-  Privcache.write (priv_of t thread) slot ~off:(Addr.offset_in_block addr) ~size v;
+  Privcache.write (priv_of t thread) slot
+    ~off:(Addr.offset_in_block addr)
+    ~size v;
   if t.sink_on then t.sink k_store thread addr size v;
   lat
 
@@ -308,7 +312,8 @@ let try_fast_load t ~thread addr ~size =
   if slot < 0 then -1
   else begin
     count_load t;
-    t.fast_value <- Privcache.load pc slot ~off:(Addr.offset_in_block addr) ~size;
+    t.fast_value <-
+      Privcache.load pc slot ~off:(Addr.offset_in_block addr) ~size;
     if t.sink_on then t.sink k_load thread addr size t.fast_value;
     fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
   end

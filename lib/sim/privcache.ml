@@ -17,8 +17,12 @@ type t = {
 
 let create (cfg : Config.t) ~evict =
   {
-    l1 = Sa.create ~sets:(Config.l1_sets cfg) ~ways:cfg.Config.l1_ways ~payloads:false;
-    l2 = Sa.create ~sets:(Config.l2_sets cfg) ~ways:cfg.Config.l2_ways ~payloads:true;
+    l1 =
+      Sa.create ~sets:(Config.l1_sets cfg) ~ways:cfg.Config.l1_ways
+        ~payloads:false;
+    l2 =
+      Sa.create ~sets:(Config.l2_sets cfg) ~ways:cfg.Config.l2_ways
+        ~payloads:true;
     pool = Linepool.create ();
     l1_lat = cfg.Config.l1_lat;
     l2_lat = cfg.Config.l2_lat;
@@ -36,7 +40,9 @@ let pstate_code = function
   | States.P_M -> m_code
 
 let pstate_of_code c =
-  if c = s_code then States.P_S else if c = e_code then States.P_E else States.P_M
+  if c = s_code then States.P_S
+  else if c = e_code then States.P_E
+  else States.P_M
 
 let state t slot = pstate_of_code (Linepool.state t.pool slot)
 let set_state t slot st = Linepool.set_state t.pool slot (pstate_code st)

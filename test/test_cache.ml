@@ -116,6 +116,29 @@ let test_range_mask () =
   Alcotest.(check int64) "one byte" 0x8L (Linedata.range_mask ~off:3 ~size:1);
   Alcotest.(check int64) "full line" (-1L) (Linedata.range_mask ~off:0 ~size:64)
 
+(* A store marks exactly [range_mask] at every sector granularity, in
+   either mask half. *)
+let test_store_mask_is_range_mask () =
+  Fun.protect
+    ~finally:(fun () -> Linedata.set_sector_bytes 1)
+    (fun () ->
+      List.iter
+        (fun sector ->
+          Linedata.set_sector_bytes sector;
+          List.iter
+            (fun size ->
+              for k = 0 to (64 / size) - 1 do
+                let off = k * size in
+                let l = Linedata.create () in
+                Linedata.store l ~off ~size 1L;
+                Alcotest.(check int64)
+                  (Printf.sprintf "sector %d, %d bytes at %d" sector size off)
+                  (Linedata.range_mask ~off ~size)
+                  (Linedata.dirty_mask l)
+              done)
+            [ 1; 2; 4; 8 ])
+        [ 1; 2; 4; 8 ])
+
 let linedata_merge_model =
   qtest ~count:200 "sector merge = per-byte last-writer"
     QCheck2.Gen.(list (pair (int_range 0 1) (pair (int_range 0 63) (int_range 1 255))))
@@ -167,7 +190,9 @@ let test_sa_insert_find () =
   (* Capacity is sets * ways: seven more blocks fit, the ninth evicts. *)
   List.iter
     (fun b ->
-      Alcotest.(check (option int)) "fits" None (Option.map fst (Sa.insert c b b)))
+      Alcotest.(check (option int))
+        "fits" None
+        (Option.map fst (Sa.insert c b b)))
     [ 1; 2; 3; 4; 5; 6; 7 ];
   Alcotest.(check bool) "capacity 8" true (Sa.insert c 8 8 <> None)
 
@@ -303,7 +328,7 @@ let sa_accounting =
       population c = Hashtbl.length resident
       && Hashtbl.fold (fun blk () acc -> acc && Sa.mem c blk) resident true)
 
-(* --- Linepool (slot storage) ------------------------------------------------ *)
+(* --- Linepool (slot storage) --------------------------------------------- *)
 
 let test_linepool_reuses_freed_slots () =
   let p = Linepool.create () in
@@ -404,7 +429,9 @@ let sector_blit_model =
           (fun m b -> Int64.logor (Int64.shift_left m 8) (Int64.of_int b))
           0L groups
       in
-      let src = Bytes.init 80 (fun i -> Char.chr (((i * 7) + seed) land 0xFF)) in
+      let src =
+        Bytes.init 80 (fun i -> Char.chr (((i * 7) + seed) land 0xFF))
+      in
       let dst = Bytes.make 72 '\xEE' in
       let expect = Bytes.copy dst in
       for i = 0 to 63 do
@@ -428,6 +455,8 @@ let suite =
     Alcotest.test_case "linedata fill" `Quick test_linedata_fill_resets;
     Alcotest.test_case "linedata merge" `Quick test_linedata_merge_masked;
     Alcotest.test_case "range mask" `Quick test_range_mask;
+    Alcotest.test_case "store mask = range mask at every sector" `Quick
+      test_store_mask_is_range_mask;
     linedata_merge_model;
     Alcotest.test_case "sa insert/find" `Quick test_sa_insert_find;
     Alcotest.test_case "sa lru" `Quick test_sa_lru_eviction;

@@ -340,7 +340,7 @@ let test_hit_prefix_differential () =
       done)
     [ `Mesi; `Warden ]
 
-(* --- Privcache against a model ------------------------------------------------ *)
+(* --- Privcache against a model ------------------------------------------- *)
 
 (* Random fills, probes, stores, invalidations and downgrades on a private
    hierarchy small enough that evictions fire, checked against a table of
@@ -370,7 +370,10 @@ let pc_op_gen =
   let blk = int_range 0 15 in
   frequency
     [
-      (3, map3 (fun b c d -> Fill (b, c, d)) blk (int_range 0 2) (int_range 0 255));
+      ( 3,
+        map3
+          (fun b c d -> Fill (b, c, d))
+          blk (int_range 0 2) (int_range 0 255) );
       (3, map2 (fun b w -> Probe (b, w)) blk bool);
       ( 4,
         map3
@@ -384,7 +387,11 @@ let pc_op_gen =
 
 let pstate_of = function 0 -> St.P_S | 1 -> St.P_E | _ -> St.P_M
 
-type model_line = { mutable st : St.pstate; data : Bytes.t; mutable mask : int64 }
+type model_line = {
+  mutable st : St.pstate;
+  data : Bytes.t;
+  mutable mask : int64;
+}
 
 let privcache_model =
   QCheck_alcotest.to_alcotest
@@ -419,6 +426,9 @@ let privcache_model =
            Hashtbl.remove model blk
          in
          let pc = Pc.create cfg ~evict in
+         let matches_slot blk slot =
+           matches blk (Pc.state pc slot) (Pc.data pc slot)
+         in
          let check_probe blk = function
            | None -> expect "absent probe" (not (Hashtbl.mem model blk))
            | Some p ->
@@ -430,7 +440,8 @@ let privcache_model =
              | Fill (blk, code, seed) ->
                  if not (Hashtbl.mem model blk) then begin
                    let data =
-                     Bytes.init 64 (fun i -> Char.chr ((seed + (i * 3)) land 0xFF))
+                     Bytes.init 64 (fun i ->
+                         Char.chr ((seed + (i * 3)) land 0xFF))
                    in
                    (* A dirty source: the fill takes its bytes, not its
                       mask. *)
@@ -442,7 +453,7 @@ let privcache_model =
                       line enters it. *)
                    let slot = Pc.fill pc ~blk st src in
                    Hashtbl.replace model blk { st; data; mask = 0L };
-                   expect "filled line" (matches blk (Pc.state pc slot) (Pc.data pc slot))
+                   expect "filled line" (matches_slot blk slot)
                  end
              | Probe (blk, write) -> (
                  let sufficient =
@@ -454,14 +465,13 @@ let privcache_model =
                  match sufficient with
                  | Some true ->
                      expect "fast hit" (slot >= 0);
-                     expect "fast hit line" (matches blk (Pc.state pc slot) (Pc.data pc slot))
+                     expect "fast hit line" (matches_slot blk slot)
                  | _ -> (
                      expect "fast miss" (slot = -1);
                      match (Pc.lookup pc ~blk ~write, sufficient) with
                      | Pc.Miss, None -> ()
                      | Pc.Upgrade slot, Some false ->
-                         expect "upgrade line"
-                           (matches blk (Pc.state pc slot) (Pc.data pc slot))
+                         expect "upgrade line" (matches_slot blk slot)
                      | _ -> expect "lookup kind" false))
              | Write (blk, z, off, v) -> (
                  let size = 1 lsl z in
@@ -488,7 +498,7 @@ let privcache_model =
              let resident = ref 0 in
              Pc.iter_resident pc (fun blk slot ->
                  incr resident;
-                 expect "resident line" (matches blk (Pc.state pc slot) (Pc.data pc slot)));
+                 expect "resident line" (matches_slot blk slot));
              expect "resident count" (!resident = Hashtbl.length model);
              expect "inclusion" (Pc.check_inclusion pc = Ok ()))
            ops;

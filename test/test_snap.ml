@@ -15,7 +15,7 @@
    4. Corruption: checksum damage, truncation, an older format version
       and fingerprint mismatches (wrong protocol) are detected, never
       silently restored.
-   The snapshot bytes of one fixed run are also pinned to a digest. *)
+   The snapshot bytes of two fixed runs are also pinned to digests. *)
 
 open Warden_util
 open Warden_machine
@@ -186,6 +186,26 @@ let phase_bodies ms ~round =
 let stats_and_bytes eng =
   (Stream.stats_text (Engine.memsys eng), Snap.to_bytes eng)
 
+(* The snapshot format is pinned: two fixed runs must serialize to the
+   same bytes that builds keeping each line in its own heap object
+   produced, so snapshots written by those builds still restore. The
+   digests are of the whole WSNP v2 envelope (header, fingerprint,
+   payload). fib at scale 16 on the single-socket machine ends flushed;
+   the sharing phase on the dual-socket machine ends with dirty private
+   copies, so its digest also pins the dirty masks. *)
+let test_snapshot_format_pinned () =
+  let digest eng = Digest.to_hex (Digest.bytes (Snap.to_bytes eng)) in
+  let spec = Option.get (Warden_pbbs.Suite.find "fib") in
+  let eng = Engine.create (Config.single_socket ()) ~proto:`Warden in
+  let ok = spec.Warden_pbbs.Spec.run ~scale:16 ~seed:0x5EEDF00DL eng in
+  Alcotest.(check bool) "fib verified" true ok;
+  Alcotest.(check string)
+    "fib WSNP v2 digest" "9ce9688afdd38c7d790136da09484215" (digest eng);
+  let eng = Engine.create (Config.dual_socket ()) ~proto:`Warden in
+  ignore (Engine.run eng (phase_bodies (Engine.memsys eng) ~round:0) : int);
+  Alcotest.(check string) "unflushed WSNP v2 digest"
+    "d81911d63010122a5d836e281de2027d" (digest eng)
+
 let test_restore_then_run () =
   let machines =
     [
@@ -224,18 +244,6 @@ let test_restore_then_run () =
         [ `Mesi; `Warden ])
     machines
 
-(* The snapshot format is pinned: fib at scale 16 on the single-socket
-   machine under WARDen must serialize to the same bytes that builds
-   keeping each line in its own heap object produced, so snapshots
-   written by those builds still restore. The digest is of the whole
-   WSNP v2 envelope (header, fingerprint, payload). *)
-let test_snapshot_format_pinned () =
-  let spec = Option.get (Warden_pbbs.Suite.find "fib") in
-  let eng = Engine.create (Config.single_socket ()) ~proto:`Warden in
-  let ok = spec.Warden_pbbs.Spec.run ~scale:16 ~seed:0x5EEDF00DL eng in
-  Alcotest.(check bool) "fib verified" true ok;
-  Alcotest.(check string) "WSNP v2 digest" "9ce9688afdd38c7d790136da09484215"
-    (Digest.to_hex (Digest.bytes (Snap.to_bytes eng)))
 
 (* ---- 3. Replay ------------------------------------------------------------ *)
 
@@ -345,7 +353,7 @@ let suite =
     Alcotest.test_case "csa chunked store round-trip" `Quick test_csa_roundtrip;
     Alcotest.test_case "dirstate across the 62-core boundary" `Quick
       test_dirstate_hier_boundary;
-    Alcotest.test_case "snapshot format pinned (fib WSNP v2 digest)" `Quick
+    Alcotest.test_case "snapshot format pinned (WSNP v2 digests)" `Quick
       test_snapshot_format_pinned;
     Alcotest.test_case "restore-then-run bit-identical" `Quick
       test_restore_then_run;
