@@ -15,7 +15,6 @@ type t = {
   nways : int;
   blks : int array; (* -1 = empty; set s occupies [s*nways, (s+1)*nways) *)
   payloads : int array; (* empty for a tags-only array *)
-  has_payloads : bool;
   last_use : int array;
   mutable tick : int; (* monotonically increasing LRU clock *)
 }
@@ -31,12 +30,12 @@ let create ~sets ~ways ~payloads =
     nways = ways;
     blks = Array.make cap (-1);
     payloads = (if payloads then Array.make cap (-1) else [||]);
-    has_payloads = payloads;
     last_use = Array.make cap 0;
     tick = 0;
   }
 
 let set_index t blk = blk land (t.nsets - 1)
+let has_payloads t = Array.length t.payloads > 0
 let hit w = w >= 0
 let value t w = Array.unsafe_get t.payloads w
 
@@ -59,7 +58,7 @@ let swap a i j =
 let swap_ways t a b =
   if a <> b then begin
     swap t.blks a b;
-    if t.has_payloads then swap t.payloads a b;
+    if has_payloads t then swap t.payloads a b;
     swap t.last_use a b
   end
 
@@ -98,7 +97,7 @@ let victim_way t set =
 
 let set_way t w blk payload =
   t.blks.(w) <- blk;
-  if t.has_payloads then t.payloads.(w) <- payload;
+  if has_payloads t then t.payloads.(w) <- payload;
   t.last_use.(w) <- t.tick
 
 let insert t blk payload =
@@ -112,7 +111,7 @@ let insert t blk payload =
     let w = victim_way t (set_index t blk) in
     let evicted =
       if t.blks.(w) = -1 then None
-      else Some (t.blks.(w), if t.has_payloads then t.payloads.(w) else -1)
+      else Some (t.blks.(w), if has_payloads t then t.payloads.(w) else -1)
     in
     set_way t w blk payload;
     evicted
@@ -130,14 +129,14 @@ let remove t blk =
   let w = peek_way t blk in
   if hit w then begin
     t.blks.(w) <- -1;
-    if t.has_payloads then t.payloads.(w) <- -1;
+    if has_payloads t then t.payloads.(w) <- -1;
     t.last_use.(w) <- 0
   end
 
 let iter t f =
   for i = 0 to Array.length t.blks - 1 do
     let blk = Array.unsafe_get t.blks i in
-    if blk <> -1 then f blk (if t.has_payloads then t.payloads.(i) else -1)
+    if blk <> -1 then f blk (if has_payloads t then t.payloads.(i) else -1)
   done
 
 (* Snapshot: geometry (validated on restore), the LRU clock, the tag and
@@ -152,7 +151,7 @@ let save t w ~elt =
   B.w_int w t.tick;
   B.w_int_array w t.blks;
   B.w_int_array w t.last_use;
-  if t.has_payloads then
+  if has_payloads t then
     for i = 0 to Array.length t.blks - 1 do
       if Array.unsafe_get t.blks i <> -1 then elt w t.payloads.(i)
     done
@@ -168,7 +167,7 @@ let restore t r ~elt =
   if Array.length blks <> Array.length t.blks then B.corrupt "Sa: bad tags";
   Array.blit blks 0 t.blks 0 (Array.length blks);
   Array.blit last_use 0 t.last_use 0 (Array.length last_use);
-  if t.has_payloads then
+  if has_payloads t then
     for i = 0 to Array.length t.blks - 1 do
       t.payloads.(i) <- (if Array.unsafe_get t.blks i <> -1 then elt r else -1)
     done
