@@ -81,17 +81,21 @@ bench-overhead:
 bench-replay:
 	dune exec bench/main.exe -- replay
 
-# Interleaved A/B host timing of one ledger workload (ledger/README.md):
-# builds BASE in a temporary git worktree and the working tree, alternates
-# N pairs of `ledger.exe --workload W --trace 0 --seconds 15` runs, and
-# prints each run's host_s, setup_s and peak_rss_mb, both sides' medians
-# and quartiles of each, and the pairs won on host_s.
-#   make ledger-ab BASE=<rev> W=<workload> N=<pairs>
+# Interleaved A/B host timing of ledger workloads (ledger/README.md):
+# builds BASE once in a temporary git worktree (or takes BASE_EXE=path
+# as the base executable) and the working tree once; for each workload
+# in W (one name, a comma-separated list, or `all`) alternates N pairs of
+# `ledger.exe --workload W --trace 0 --seconds 15` runs, and prints each
+# run's host_s, setup_s and peak_rss_mb, both sides' medians and
+# quartiles of each, the pairs won on host_s, and a closing line per
+# workload with every metric's median change.
+#   make ledger-ab BASE=<rev> W=<workload>[,<workload>...]|all N=<pairs>
 BASE ?= HEAD
 W ?= dmm-disagg
 N ?= 10
+BASE_EXE ?=
 ledger-ab:
-	sh bench/ledger_ab.sh $(BASE) $(W) $(N)
+	BASE_EXE="$(BASE_EXE)" sh bench/ledger_ab.sh $(BASE) $(W) $(N)
 
 # Snapshot bit-identity end to end: snapshot fib's end state, restore it
 # into two fresh runs, run one more benchmark round in each, and require

@@ -8,7 +8,14 @@ open Warden_mem
    store updates the mask without allocating. *)
 type t = { buf : Bytes.t; pos : int; mask : int array; mi : int }
 
-let view buf ~pos mask ~mi = { buf; pos; mask; mi }
+let view buf ~pos mask ~mi =
+  if
+    pos < 0
+    || pos > Bytes.length buf - Addr.block_size
+    || mi < 0
+    || mi > Array.length mask - 2
+  then invalid_arg "Linedata.view: line outside its storage";
+  { buf; pos; mask; mi }
 
 let of_bytes b =
   if Bytes.length b <> Addr.block_size then invalid_arg "Linedata.of_bytes";
@@ -51,38 +58,66 @@ let range_mask ~off ~size =
   if size >= 64 then -1L
   else Int64.shift_left (Int64.sub (Int64.shift_left 1L size) 1L) off
 
-let check off size =
+let[@inline] check off size =
   match size with
   | 1 | 2 | 4 | 8 ->
       if off < 0 || off + size > Addr.block_size || off land (size - 1) <> 0
       then invalid_arg "Linedata: bad offset"
   | _ -> invalid_arg "Linedata: bad size"
 
-let load_in buf ~pos ~off ~size =
+(* Unchecked little-endian accesses. [load_in] and [store_in] run on every
+   simulated hit: a checked access reads the length of a 4 KiB pool page
+   from its last word, one more host cache line per access. Their
+   callers pass a line position inside [buf] ([view] checks it, a pool
+   computes it), and [check] keeps [off] and [size] inside the line. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load_in buf ~pos ~off ~size =
   check off size;
   let i = pos + off in
   match size with
-  | 1 -> Int64.of_int (Char.code (Bytes.get buf i))
-  | 2 -> Int64.of_int (Bytes.get_uint16_le buf i)
-  | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le buf i)) 0xFFFFFFFFL
-  | _ -> Bytes.get_int64_le buf i
+  | 1 -> Int64.of_int (Char.code (Bytes.unsafe_get buf i))
+  | 2 ->
+      let x = get16u buf i in
+      Int64.of_int (if Sys.big_endian then bswap16 x else x)
+  | 4 ->
+      let x = get32u buf i in
+      Int64.logand
+        (Int64.of_int32 (if Sys.big_endian then bswap32 x else x))
+        0xFFFFFFFFL
+  | _ ->
+      let x = get64u buf i in
+      if Sys.big_endian then bswap64 x else x
 
 (* An aligned access of at most 8 bytes, widened to sector boundaries of
    at most 8 bytes, stays inside one 8-byte group — so inside one mask
    half. The widening is [range_mask]'s. *)
-let store_in buf ~pos mask ~mi ~off ~size v =
+let[@inline] store_in buf ~pos mask ~mi ~off ~size v =
   check off size;
   let i = pos + off in
   (match size with
-  | 1 -> Bytes.set buf i (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-  | 2 -> Bytes.set_uint16_le buf i (Int64.to_int (Int64.logand v 0xFFFFL))
-  | 4 -> Bytes.set_int32_le buf i (Int64.to_int32 v)
-  | _ -> Bytes.set_int64_le buf i v);
+  | 1 -> Bytes.unsafe_set buf i (Char.unsafe_chr (Int64.to_int v land 0xFF))
+  | 2 ->
+      let x = Int64.to_int v land 0xFFFF in
+      set16u buf i (if Sys.big_endian then bswap16 x else x)
+  | 4 ->
+      let x = Int64.to_int32 v in
+      set32u buf i (if Sys.big_endian then bswap32 x else x)
+  | _ -> set64u buf i (if Sys.big_endian then bswap64 v else v));
   let g = !sector in
   let o = off land lnot (g - 1) in
   let n = (size + g - 1) land lnot (g - 1) in
   let h = mi + (o lsr 5) in
-  mask.(h) <- mask.(h) lor (((1 lsl n) - 1) lsl (o land 31))
+  Array.unsafe_set mask h
+    (Array.unsafe_get mask h lor (((1 lsl n) - 1) lsl (o land 31)))
 
 let fill_in buf ~pos mask ~mi src =
   Bytes.blit src.buf src.pos buf pos Addr.block_size;

@@ -78,9 +78,12 @@ val sector_bytes : unit -> int
     halves at [mask.(mi)] and [mask.(mi + 1)]. These do not allocate. *)
 
 val view : Bytes.t -> pos:int -> int array -> mi:int -> t
+(** Raises [Invalid_argument] unless the line's 64 bytes lie inside [buf]
+    and both mask halves inside [mask]. *)
 
 val load_in : Bytes.t -> pos:int -> off:int -> size:int -> int64
-(** {!load} on the line at [pos]. *)
+(** {!load} on the line at [pos]. [off] and [size] are checked; [pos] is
+    not: the line must lie inside [buf], as {!view} requires. *)
 
 val store_in :
   Bytes.t ->
@@ -91,7 +94,8 @@ val store_in :
   size:int ->
   int64 ->
   unit
-(** {!store} on the line at [pos]. *)
+(** {!store} on the line at [pos]; unchecked like {!load_in}, and the
+    mask halves must lie inside the mask array. *)
 
 val fill_in : Bytes.t -> pos:int -> int array -> mi:int -> t -> unit
 (** {!fill_from} into the line at [pos]. *)

@@ -52,8 +52,8 @@ let[@inline] idx s = s land (page_slots - 1)
 let[@inline] pos s = idx s * line
 let[@inline] mi s = idx s * 2
 
-let state t s = Array.unsafe_get (Array.unsafe_get t.state (page s)) (idx s)
-let set_state t s v =
+let[@inline] state t s = Array.unsafe_get (Array.unsafe_get t.state (page s)) (idx s)
+let[@inline] set_state t s v =
   Array.unsafe_set (Array.unsafe_get t.state (page s)) (idx s) v
 
 let alloc t =
@@ -93,10 +93,10 @@ let fill_block t s store blk =
 
 let mark_all_dirty t s = set_mask t s 0xFFFF_FFFF
 
-let load t s ~off ~size =
+let[@inline] load t s ~off ~size =
   Linedata.load_in (Array.unsafe_get t.data (page s)) ~pos:(pos s) ~off ~size
 
-let store t s ~off ~size v =
+let[@inline] store t s ~off ~size v =
   let p = page s in
   Linedata.store_in (Array.unsafe_get t.data p) ~pos:(pos s)
     (Array.unsafe_get t.mask p) ~mi:(mi s) ~off ~size v

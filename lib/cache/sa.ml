@@ -34,14 +34,14 @@ let create ~sets ~ways ~payloads =
     tick = 0;
   }
 
-let set_index t blk = blk land (t.nsets - 1)
-let has_payloads t = Array.length t.payloads > 0
-let hit w = w >= 0
-let value t w = Array.unsafe_get t.payloads w
+let[@inline] set_index t blk = blk land (t.nsets - 1)
+let[@inline] has_payloads t = Array.length t.payloads > 0
+let[@inline] hit w = w >= 0
+let[@inline] value t w = Array.unsafe_get t.payloads w
 
 (* Pure probe: no LRU refresh, no MRU rotation. Scans with a local loop —
    an inner recursive function here would allocate a closure per probe. *)
-let peek_way t blk =
+let[@inline] peek_way t blk =
   let base = set_index t blk * t.nways in
   let blks = t.blks in
   let last = base + t.nways in
@@ -49,13 +49,13 @@ let peek_way t blk =
   while !i < last && Array.unsafe_get blks !i <> blk do incr i done;
   if !i < last then !i else no_way
 
-let swap a i j =
+let[@inline] swap a i j =
   let x = Array.unsafe_get a i in
   Array.unsafe_set a i (Array.unsafe_get a j);
   Array.unsafe_set a j x
 
 (* Swap the full contents of two ways. *)
-let swap_ways t a b =
+let[@inline] swap_ways t a b =
   if a <> b then begin
     swap t.blks a b;
     if has_payloads t then swap t.payloads a b;
@@ -66,34 +66,31 @@ let swap_ways t a b =
    layout), so a re-probe of the same hot block exits on the first
    comparison. LRU ordering is untouched: recency lives in [last_use],
    not in position. *)
-let promote_way t blk w =
+let[@inline] promote_way t blk w =
   t.tick <- t.tick + 1;
   let base = set_index t blk * t.nways in
   if w > base then swap_ways t base w;
   Array.unsafe_set t.last_use base t.tick;
   base
 
-let find_way t blk =
+let[@inline] find_way t blk =
   let w = peek_way t blk in
   if w < 0 then no_way else promote_way t blk w
 
-let touch t blk = hit (find_way t blk)
+let[@inline] touch t blk = hit (find_way t blk)
 let mem t blk = hit (peek_way t blk)
 
-(* The LRU victim among occupied ways, or the first empty way. *)
+(* The first empty way, or else the LRU one (the lowest on ties). *)
 let victim_way t set =
   let base = set * t.nways in
-  let best = ref base in
-  (try
-     for i = base to base + t.nways - 1 do
-       if t.blks.(i) = -1 then begin
-         best := i;
-         raise Exit
-       end
-       else if t.last_use.(i) < t.last_use.(!best) then best := i
-     done
-   with Exit -> ());
-  !best
+  let last = base + t.nways in
+  let best = ref base and i = ref base in
+  while !i < last && Array.unsafe_get t.blks !i <> -1 do
+    if Array.unsafe_get t.last_use !i < Array.unsafe_get t.last_use !best then
+      best := !i;
+    incr i
+  done;
+  if !i < last then !i else !best
 
 let set_way t w blk payload =
   t.blks.(w) <- blk;
@@ -161,10 +158,13 @@ let restore t r ~elt =
   let sets = B.r_int r and ways = B.r_int r in
   if sets <> t.nsets || ways <> t.nways then
     B.corrupt "Sa: geometry mismatch";
-  t.tick <- B.r_int r;
+  let tick = B.r_int r in
   let blks = B.r_int_array r in
   let last_use = B.r_int_array r in
   if Array.length blks <> Array.length t.blks then B.corrupt "Sa: bad tags";
+  if Array.length last_use <> Array.length t.last_use then
+    B.corrupt "Sa: bad recency";
+  t.tick <- tick;
   Array.blit blks 0 t.blks 0 (Array.length blks);
   Array.blit last_use 0 t.last_use 0 (Array.length last_use);
   if has_payloads t then

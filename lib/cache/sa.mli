@@ -81,4 +81,5 @@ val save :
 val restore : t -> Warden_util.Bin.r -> elt:(Warden_util.Bin.r -> int) -> unit
 (** Overwrite a cache of identical geometry from {!save} output; [elt]
     reads each resident payload back. Raises [Warden_util.Bin.Corrupt] on
-    a geometry mismatch. *)
+    a geometry mismatch or a tag or recency array of the wrong length,
+    before changing anything. *)

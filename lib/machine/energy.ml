@@ -38,13 +38,13 @@ type t = { c : costs; acc : float array }
 
 let create ?(costs = default_costs) () = { c = costs; acc = Array.make 4 0. }
 let costs t = t.c
-let deposit t i x = Array.unsafe_set t.acc i (Array.unsafe_get t.acc i +. x)
+let[@inline] deposit t i x = Array.unsafe_set t.acc i (Array.unsafe_get t.acc i +. x)
 
 let core_cycles t ~cores ~cycles =
   deposit t core_i (float_of_int cores *. float_of_int cycles *. t.c.core_cycle_pj)
 
-let l1_access t = deposit t cache_i t.c.l1_pj
-let l2_access t = deposit t cache_i t.c.l2_pj
+let[@inline] l1_access t = deposit t cache_i t.c.l1_pj
+let[@inline] l2_access t = deposit t cache_i t.c.l2_pj
 
 let l3_access t = deposit t cache_i t.c.l3_pj
 let dir_access t = deposit t cache_i t.c.dir_pj

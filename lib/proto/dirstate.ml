@@ -309,22 +309,44 @@ let save (t : t) w =
   B.w_int_array w t.mask;
   B.w_int_array w t.fine
 
+(* A restored table must satisfy what [probe] relies on for its
+   unchecked reads and its termination, so every field is validated
+   before any is installed: the shift indexes exactly the key array, at
+   least half the slots are empty, and every key is a block or the empty
+   marker, found by [probe] at its own slot. *)
 let restore (t : t) r =
   let module B = Warden_util.Bin in
   let nsock = B.r_int r and cps = B.r_int r in
   if nsock <> t.nsock || cps <> t.cps then
     B.corrupt "Dirstate: geometry mismatch";
-  t.used <- B.r_int r;
-  t.shift <- B.r_int r;
-  t.keys <- B.r_int_array r;
-  t.meta <- B.r_int_array r;
-  t.mask <- B.r_int_array r;
-  t.fine <- B.r_int_array r;
-  let cap = Array.length t.keys in
+  let used = B.r_int r in
+  let shift = B.r_int r in
+  let keys = B.r_int_array r in
+  let meta = B.r_int_array r in
+  let mask = B.r_int_array r in
+  let fine = B.r_int_array r in
+  let cap = Array.length keys in
   if
     cap = 0
     || cap land (cap - 1) <> 0
-    || Array.length t.meta <> cap
-    || Array.length t.mask <> cap
-    || Array.length t.fine <> (if t.nsock > 0 then cap * t.nsock else 0)
-  then B.corrupt "Dirstate: inconsistent arrays"
+    || Array.length meta <> cap
+    || Array.length mask <> cap
+    || Array.length fine <> (if t.nsock > 0 then cap * t.nsock else 0)
+  then B.corrupt "Dirstate: inconsistent arrays";
+  let lg = ref 0 in
+  while 1 lsl !lg < cap do incr lg done;
+  if shift <> 63 - !lg then B.corrupt "Dirstate: bad shift";
+  if Array.exists (fun k -> k < -1) keys then B.corrupt "Dirstate: bad key";
+  let occupied = Array.fold_left (fun n k -> if k >= 0 then n + 1 else n) 0 keys in
+  if used <> occupied || 2 * used > cap then B.corrupt "Dirstate: bad used count";
+  let restored = { t with keys; shift } in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 && probe restored k <> i then B.corrupt "Dirstate: misplaced key")
+    keys;
+  t.used <- used;
+  t.shift <- shift;
+  t.keys <- keys;
+  t.meta <- meta;
+  t.mask <- mask;
+  t.fine <- fine

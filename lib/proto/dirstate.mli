@@ -102,4 +102,8 @@ val save : t -> Warden_util.Bin.w -> unit
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite a directory created for the same geometry from {!save}
-    output. Raises [Warden_util.Bin.Corrupt] on a geometry mismatch. *)
+    output. Raises [Warden_util.Bin.Corrupt], naming the field and
+    changing nothing, on a geometry mismatch, arrays of inconsistent
+    lengths, a [shift] that does not index the key array, a [used] that
+    is not the number of occupied slots or exceeds half the capacity, a
+    key below -1, or a key its probe sequence does not reach. *)

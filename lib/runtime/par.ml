@@ -31,52 +31,68 @@ type sched = {
   mutable finished : bool;
 }
 
-(* Both the active scheduler and the trace hook are domain-local, so the
-   harness can run independent simulations on parallel domains. *)
-let cur_sched : sched option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+type access_kind = R | W | RMW
+
+(* The active scheduler and the trace hook, in one domain-local record:
+   the harness can run independent simulations on parallel domains, and
+   a program access finds both, and the engine, with one lookup. *)
+type ambient = {
+  mutable sched : sched option;
+  mutable hook : (access_kind -> addr:int -> size:int -> value:int64 -> unit) option;
+}
+
+let ambient_key : ambient Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { sched = None; hook = None })
+
+let[@inline] ambient () = Domain.DLS.get ambient_key
 
 let sched () =
-  match Domain.DLS.get cur_sched with
+  match (ambient ()).sched with
   | Some s -> s
   | None -> failwith "Par: no active run"
 
-type access_kind = R | W | RMW
+let set_access_hook f = (ambient ()).hook <- Some f
+let clear_access_hook () = (ambient ()).hook <- None
 
-let access_hook :
-    (access_kind -> addr:int -> size:int -> value:int64 -> unit) option
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let set_access_hook f = Domain.DLS.set access_hook (Some f)
-let clear_access_hook () = Domain.DLS.set access_hook None
-
-let hook kind ~addr ~size ~value =
-  match Domain.DLS.get access_hook with
-  | None -> ()
-  | Some f -> f kind ~addr ~size ~value
+let[@inline] hook a kind ~addr ~size ~value =
+  match a.hook with None -> () | Some f -> f kind ~addr ~size ~value
 
 (* --- user-facing memory operations ------------------------------------ *)
 
+(* Outside a [run], the ambient [Ops] answer (and raise as documented). *)
+
 let read addr ~size =
-  hook R ~addr ~size ~value:0L;
-  Ops.load addr ~size
+  let a = ambient () in
+  hook a R ~addr ~size ~value:0L;
+  match a.sched with
+  | Some s -> Engine.On.load s.eng addr ~size
+  | None -> Ops.load addr ~size
 
 let write addr ~size v =
-  hook W ~addr ~size ~value:v;
-  Ops.store addr ~size v
+  let a = ambient () in
+  hook a W ~addr ~size ~value:v;
+  match a.sched with
+  | Some s -> Engine.On.store s.eng addr ~size v
+  | None -> Ops.store addr ~size v
 
 let cas addr ~size ~expected ~desired =
-  hook RMW ~addr ~size ~value:desired;
-  Ops.cas addr ~size ~expected ~desired
+  let a = ambient () in
+  hook a RMW ~addr ~size ~value:desired;
+  match a.sched with
+  | Some s -> Engine.On.cas s.eng addr ~size ~expected ~desired
+  | None -> Ops.cas addr ~size ~expected ~desired
 
 let fetch_add addr ~size delta =
-  hook RMW ~addr ~size ~value:0L;
-  Ops.fetch_add addr ~size delta
+  let a = ambient () in
+  hook a RMW ~addr ~size ~value:0L;
+  match a.sched with
+  | Some s -> Engine.On.fetch_add s.eng addr ~size delta
+  | None -> Ops.fetch_add addr ~size delta
 
 let tick = Ops.tick
 
 let current_tcb () =
-  match Domain.DLS.get cur_sched with
+  match (ambient ()).sched with
   | None -> None
   | Some s -> s.ctx.(Ops.tid ())
 
@@ -340,7 +356,8 @@ let rec parreduce ?grain lo hi ~map ~combine ~init =
 (* --- top level ----------------------------------------------------------- *)
 
 let run ?(params = Rtparams.default) ?workers eng main =
-  if Domain.DLS.get cur_sched <> None then failwith "Par.run: already running";
+  let a = ambient () in
+  if Option.is_some a.sched then failwith "Par.run: already running";
   let cfg = Engine.config eng in
   let nthreads = Warden_machine.Config.num_threads cfg in
   let nworkers =
@@ -380,7 +397,7 @@ let run ?(params = Rtparams.default) ?workers eng main =
       finished = false;
     }
   in
-  Domain.DLS.set cur_sched (Some s);
+  a.sched <- Some s;
   let result = ref None in
   let root =
     {
@@ -399,7 +416,7 @@ let run ?(params = Rtparams.default) ?workers eng main =
   Deque.push_bottom s.deques.(0) root;
   let bodies = Array.init nworkers (fun tid -> worker s tid) in
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set cur_sched None)
+    ~finally:(fun () -> a.sched <- None)
     (fun () -> ignore (Engine.run eng bodies));
   match !result with
   | Some v -> (v, s.stats)

@@ -2,8 +2,9 @@
     probability proportional to [1 / (k+1)^theta].
 
     [create] pays one O(n) pass to precompute the exact cumulative
-    distribution; [sample] inverts it with an allocation-free binary
-    search — O(log n) host work per request, exact to the pmf (unlike
+    distribution and a guide table from quantiles to ranks; [sample]
+    inverts it with an allocation-free binary search over the few ranks
+    the guide leaves — exact to the pmf (unlike
     the YCSB closed-form approximation, whose head-rank bias would be
     visible at the generator's scale). The sampler is a pure function
     of its parameters and the supplied generator state, so request
@@ -36,6 +37,15 @@ val theta : t -> float
 val sample : t -> Warden_util.Splitmix.t -> int
 (** Draw a rank in [0 .. n-1]; rank 0 is the most popular. Advances the
     generator by exactly one [float] draw. *)
+
+val rank : t -> float -> int
+(** [rank t u] is the smallest rank whose cumulative probability exceeds
+    [u], for [0. <= u < 1.]: the inversion {!sample} applies to one
+    uniform draw. *)
+
+val cdf : t -> int -> float
+(** The cumulative probability of ranks [0 .. k], as {!rank} compares it
+    (the last rank's is exactly [1.]). *)
 
 val pmf : t -> int -> float
 (** Exact probability of rank [k] under the distribution —

@@ -1,38 +1,66 @@
 open Warden_util
-open Warden_mem
 open Warden_machine
 module Obs = Warden_obs.Obs
 module Oev = Warden_obs.Events
 
-type _ Effect.t +=
-  | E_load : (Addr.t * int) -> int64 Effect.t
-  | E_store : (Addr.t * int * int64) -> unit Effect.t
-  | E_rmw : (Addr.t * int * (int64 -> int64)) -> int64 Effect.t
-  | E_tick : int -> unit Effect.t
-  | E_stall : int -> unit Effect.t
-  | E_now : int Effect.t
-  | E_tid : int Effect.t
-  | E_region_add : (int * int) -> bool Effect.t
-  | E_region_remove : (int * int) -> unit Effect.t
-  | E_acquire : unit Effect.t
-  | E_release : unit Effect.t
-  | E_yield : unit Effect.t
+(* The one effect a thread performs. A suspending thread first writes its
+   pending operation into its [tstate] (op code and operands); the run
+   loop performs the operation when the thread next reaches the heap root
+   and resumes it with [()], leaving any result in the thread's [word].
+   Nothing is allocated per suspension beyond the continuation itself. *)
+type _ Effect.t += Suspend : unit Effect.t
+
+type op =
+  | Start (* run the thread's body from the beginning *)
+  | Load
+  | Store
+  | Rmw
+  | Yield
+  | Region_add
+  | Region_remove
+  | Acquire
+  | Release
+
+(* A continuation that is never resumed: a thread's [k] before its first
+   suspension and after it finishes, so the slot needs no option box. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let open Effect.Deep in
+  let captured : (unit, unit) continuation option ref = ref None in
+  match_with Effect.perform Suspend
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend ->
+              Some (fun (k : (a, unit) continuation) -> captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
+
+let idle () = ()
 
 type tstate = {
   tid : int;
   mutable time : int;
-  mutable qlimit : int; (* inline fast path allowed while time < qlimit *)
-  mutable next : unit -> unit;
-      (* what the thread runs when it next reaches the heap root: its
-         first turn, or the resumption of its pending effect *)
+  mutable qlimit : int; (* the quantum's end: inline allowed while time < qlimit *)
+  (* The pending operation, read when the thread next reaches the root. *)
+  mutable op : op;
+  mutable addr : int; (* access address; a region's lo *)
+  mutable size : int; (* access size; a region's hi *)
+  mutable rmw_f : int64 -> int64;
+  word : Bytes.t;
+      (* 8 bytes: a pending store's value; a load's or RMW's result, and
+         a region add's (1L = accepted) *)
+  mutable body : unit -> unit; (* the thread's program, until it starts *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
   (* Store buffer: a ring of completion times, oldest first. Fixed size
      (capacity entries + 1), so the per-store path allocates nothing. *)
   sb : int array;
   mutable sb_head : int;
   mutable sb_len : int;
 }
-
-let idle () = ()
 
 (* The run queue is a binary min-heap of thread ids in int arrays, keyed
    by (cycle, enqueue seq): FIFO among equal cycles, so a run is a
@@ -41,10 +69,13 @@ let idle () = ()
    thread stays at the root for its whole turn. Its suspension rewrites
    the root's key and costs one sift-down; its exit removes the root. The
    other threads sit below the root, and the earliest of them is one of
-   the root's two children.
+   the root's two children. (A 4-ary heap, tried, sifted slower.)
 
    A key packs both parts into one int, [cycle lsl seq_bits lor seq], so
-   a comparison is one integer compare. *)
+   a comparison is one integer compare. Slots from [heap_len] up hold
+   [max_int], so a sift reads a missing right child as "never smaller"
+   and a turn reads missing children as "never earlier", with no bounds
+   test. *)
 type t = {
   ms : Memsys.t;
   cfg : Config.t;
@@ -58,13 +89,17 @@ type t = {
          reach the memory system. When false, [Ops.acquire]/[Ops.release]
          are literal no-ops — no effect performed, no event enqueued — so
          eagerly-coherent protocols keep their exact schedules. *)
-  heap_tid : int array; (* one slot per hardware thread *)
+  heap_tid : int array; (* one slot per hardware thread, plus padding *)
   heap_key : int array;
   mutable heap_len : int;
   mutable next_seq : int;
   mutable requeued : bool; (* the running thread suspended this turn *)
+  mutable others : int; (* the earliest other queued cycle; fixed for a turn *)
+  mutable limit : int;
+      (* the running thread may run an access inline while its clock is
+         below this: [others], or its quantum's end if sooner *)
   threads : tstate array;
-  mutable cur_st : tstate; (* thread currently executing, for Ops *)
+  mutable cur : int; (* the thread currently executing, for Ops *)
   mutable used_threads : int;
 }
 
@@ -77,11 +112,28 @@ let cur_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let create cfg ~proto =
   let sb_cap = cfg.Config.store_buffer_entries + 1 in
   let nthreads = Config.num_threads cfg in
-  let mk tid sb = { tid; time = 0; qlimit = 0; next = idle; sb; sb_head = 0; sb_len = 0 } in
+  let mk tid sb =
+    {
+      tid;
+      time = 0;
+      qlimit = 0;
+      op = Start;
+      addr = 0;
+      size = 0;
+      rmw_f = Fun.id;
+      word = Bytes.make 8 '\000';
+      body = idle;
+      k = no_k;
+      sb;
+      sb_head = 0;
+      sb_len = 0;
+    }
+  in
   let threads = Array.init nthreads (fun tid -> mk tid (Array.make sb_cap 0)) in
-  let cur0 = if nthreads > 0 then threads.(0) else mk (-1) [||] in
   let ms = Memsys.create cfg ~proto in
   let obs = Memsys.obs ms in
+  (* Room for the root's two children and a last entry's right child. *)
+  let slots = Int.max 3 (nthreads + 1) in
   {
     ms;
     cfg;
@@ -91,20 +143,32 @@ let create cfg ~proto =
     stats = Memsys.sstats ms;
     quantum = cfg.Config.sched_quantum;
     sync_on = Warden_proto.Protocol.kind (Memsys.protocol ms) = `Self;
-    heap_tid = Array.make nthreads 0;
-    heap_key = Array.make nthreads 0;
+    heap_tid = Array.make slots 0;
+    heap_key = Array.make slots max_int;
     heap_len = 0;
     next_seq = 0;
     requeued = false;
+    others = 0;
+    limit = 0;
     threads;
-    cur_st = cur0;
+    cur = 0;
     used_threads = 0;
   }
 
 let memsys t = t.ms
 let config t = t.cfg
+let[@inline] cur_st t = t.threads.(t.cur)
 
-let retire t (st : tstate) n =
+(* A thread's [word] as a little-endian int64, unchecked: it is 8 bytes
+   by construction, and a checked read is on every access's path. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] word st =
+  let x = get64u st.word 0 in
+  if Sys.big_endian then bswap64 x else x
+
+let[@inline] retire t (st : tstate) n =
   let s = t.stats in
   s.Sstats.instructions <- s.Sstats.instructions + n;
   s.Sstats.per_thread_instructions.(st.tid) <-
@@ -131,7 +195,7 @@ let drain_ready st =
 (* A TSO fence: wait for every buffered store to complete. *)
 let drain_all st =
   while st.sb_len > 0 do
-    st.time <- max st.time (sb_pop st)
+    st.time <- Int.max st.time (sb_pop st)
   done
 
 (* Store-buffer bookkeeping shared by the scheduled and inline store
@@ -143,16 +207,16 @@ let commit_store t st lat =
     t.stats.Sstats.sb_stalls <- t.stats.Sstats.sb_stalls + 1;
     let ready = sb_pop st in
     if t.obs_on then begin
-      (* Explicit [set_now]: the inline fast path reaches here without
-         passing through a scheduled closure. No block is at fault for a
-         full buffer, so the record carries none. *)
+      (* Explicit [set_now]: an inline store reaches here without a
+         turn's [resume]. No block is at fault for a full buffer, so the
+         record carries none. *)
       Obs.set_now t.obs st.time;
       Obs.event t.obs ~code:Oev.sb_stall
         ~core:(Config.core_of_thread t.cfg st.tid)
         ~blk:(-1)
-        ~arg:(max 0 (ready - st.time))
+        ~arg:(Int.max 0 (ready - st.time))
     end;
-    st.time <- max st.time ready
+    st.time <- Int.max st.time ready
   end;
   sb_push st (st.time + lat);
   st.time <- st.time + 1;
@@ -202,44 +266,57 @@ let push t (st : tstate) =
   t.heap_key.(!i) <- k;
   t.heap_tid.(!i) <- st.tid
 
-(* Place the entry (tid, k) at the root and sift it down. Every index
-   read is below [heap_len], which never exceeds the arrays' length. *)
+(* Place the entry (tid, k) at the root and sift it down. The smaller
+   child is picked by arithmetic, not a branch: a missing right child
+   reads as [max_int]. Every index read is at most [heap_len], within the
+   arrays' padding. *)
 let sift_root t tid k =
   let n = t.heap_len and keys = t.heap_key and tids = t.heap_tid in
-  let i = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    if l >= n then sifting := false
-    else begin
-      let r = l + 1 in
-      let c =
-        if r < n && Array.unsafe_get keys r < Array.unsafe_get keys l then r else l
-      in
-      let kc = Array.unsafe_get keys c in
-      if kc < k then begin
-        Array.unsafe_set keys !i kc;
-        Array.unsafe_set tids !i (Array.unsafe_get tids c);
-        i := c
-      end
-      else sifting := false
-    end
+  let i = ref 0 and l = ref 1 in
+  while
+    !l < n
+    &&
+    let l0 = !l in
+    let c =
+      l0 + Bool.to_int (Array.unsafe_get keys (l0 + 1) < Array.unsafe_get keys l0)
+    in
+    let kc = Array.unsafe_get keys c in
+    kc < k
+    && begin
+         Array.unsafe_set keys !i kc;
+         Array.unsafe_set tids !i (Array.unsafe_get tids c);
+         i := c;
+         l := (2 * c) + 1;
+         true
+       end
+  do
+    ()
   done;
   Array.unsafe_set keys !i k;
   Array.unsafe_set tids !i tid
 
-(* The running thread (the root) suspends: it re-enters the queue at its
-   current cycle with [fn] as its next turn. [drain_heap] applies the new
-   key once the turn has returned. *)
-let requeue t (st : tstate) fn =
-  st.next <- fn;
-  t.requeued <- true
+(* The root's thread finished: move the last entry to the root. *)
+let remove_root t =
+  let last = t.heap_len - 1 in
+  let k = t.heap_key.(last) and tid = t.heap_tid.(last) in
+  t.heap_key.(last) <- max_int;
+  t.heap_len <- last;
+  if last > 0 then sift_root t tid k
 
 (* Each turn re-establishes the ambient thread and opens a fresh inline
    quantum; with [sched_quantum = 0] the budget is empty and every access
-   goes through the queue. *)
+   goes through the queue. The heap does not change during a turn, so the
+   earliest other queued cycle is read here once. *)
+let open_quantum t (st : tstate) t0 =
+  st.qlimit <- t0 + t.quantum;
+  t.limit <- Int.min st.qlimit t.others
+
 let resume t (st : tstate) =
-  t.cur_st <- st;
-  st.qlimit <- st.time + t.quantum;
+  t.cur <- st.tid;
+  let keys = t.heap_key in
+  t.others <-
+    key_time (Int.min (Array.unsafe_get keys 1) (Array.unsafe_get keys 2));
+  open_quantum t st st.time;
   (* The recorder timestamps ring records with the resumed event's issue
      time; only full mode rings, so off/counters skip the store. *)
   if t.obs_full then Obs.set_now t.obs st.time
@@ -251,159 +328,114 @@ let resume t (st : tstate) =
    it first). The running thread is the root, so the earliest other
    thread is one of its two children. The quantum bounds how long one
    thread may monopolize the host before taking the queue path anyway.
-   Under this gate the fast path replays exactly the fully scheduled pop
-   order, so simulated cycles, stats and memory images are bit-identical
-   for every quantum value. *)
-let can_inline t (st : tstate) =
-  let n = t.heap_len in
-  st.time < st.qlimit
-  && (n < 2 || st.time < key_time t.heap_key.(1))
-  && (n < 3 || st.time < key_time t.heap_key.(2))
+   Under this gate the inline path replays exactly the fully scheduled
+   pop order, so simulated cycles, stats and memory images are
+   bit-identical for every quantum value. [resume] folds all of it into
+   [t.limit], so the gate is one compare.
 
-(* --- the hit path --------------------------------------------------------- *)
+   An inline access may miss. It then does what the pop it stands for
+   would have done at its issue cycle [t0]: the recorder's clock is set
+   before the access (its events ring at [t0]), and a new quantum opens
+   from [t0] after it, so each thread's saved [qlimit] is the same as
+   when every miss went through the queue. *)
+let[@inline] inline_enter t t0 =
+  if t.obs_full then Obs.set_now t.obs t0;
+  t.stats.Sstats.priv_misses
 
-(* The engine's one hit path, shared by [Ops] (inline, under [can_inline])
-   and the scheduled closures: commit the access iff it is a private-cache
-   hit needing no coherence transition, charging the thread exactly what
-   the scheduled miss path would ([Memsys.try_fast_*]'s contract); return
-   [false], with nothing changed, otherwise. A hit load or rmw leaves its
-   value in [Memsys.fast_value]. *)
-let load_hit t st addr ~size =
-  let lat = Memsys.try_fast_load t.ms ~thread:st.tid addr ~size in
-  lat >= 0
-  && begin
-       st.time <- st.time + lat;
-       retire t st 1;
-       true
-     end
+let[@inline] inline_leave t st t0 misses =
+  if t.stats.Sstats.priv_misses <> misses then open_quantum t st t0
 
-let store_hit t st addr ~size v =
-  let lat = Memsys.try_fast_store t.ms ~thread:st.tid addr ~size v in
-  lat >= 0
-  && begin
-       commit_store t st lat;
-       true
-     end
+(* --- the operations ------------------------------------------------------- *)
 
-(* [f] must be pure (all call sites are arithmetic on the old value), so
-   the inline path committing the RMW before the fence drain is
-   indistinguishable from the scheduled path, which drains first. *)
-let rmw_hit t st addr ~size f =
-  let lat = Memsys.try_fast_rmw t.ms ~thread:st.tid addr ~size f in
-  lat >= 0
-  && begin
-       drain_all st;
-       st.time <- st.time + lat + 2;
-       retire t st 1;
-       true
-     end
+(* What an operation does to the thread, shared by the inline path and
+   the run loop. Accesses go through the memory system's one transition
+   per operation ([Memsys.access_*]), hit or miss. *)
 
-let handler t st =
+let[@inline] do_load t st addr ~size =
+  let lat = Memsys.access_load t.ms ~thread:st.tid addr ~size st.word in
+  st.time <- st.time + lat;
+  retire t st 1
+
+let[@inline] do_store t st addr ~size v =
+  commit_store t st (Memsys.access_store t.ms ~thread:st.tid addr ~size v)
+
+(* An RMW is a TSO fence: it drains the store buffer first. *)
+let do_rmw t st addr ~size f =
+  drain_all st;
+  let lat = Memsys.access_rmw t.ms ~thread:st.tid addr ~size f st.word in
+  st.time <- st.time + lat + 2;
+  retire t st 1
+
+(* Perform the root thread's pending operation and resume it. *)
+let step t st =
+  (match st.op with
+  | Start | Yield -> ()
+  | Load -> do_load t st st.addr ~size:st.size
+  | Store -> do_store t st st.addr ~size:st.size (word st)
+  | Rmw -> do_rmw t st st.addr ~size:st.size st.rmw_f
+  | Region_add ->
+      st.time <- st.time + 1;
+      retire t st 1;
+      let ok = Memsys.region_add t.ms ~thread:st.tid ~lo:st.addr ~hi:st.size in
+      Bytes.set_int64_le st.word 0 (if ok then 1L else 0L)
+  | Region_remove ->
+      let lat =
+        Memsys.region_remove t.ms ~thread:st.tid ~lo:st.addr ~hi:st.size
+      in
+      st.time <- st.time + 1 + lat;
+      retire t st 1
+  | Acquire ->
+      drain_all st;
+      let lat = Memsys.acquire t.ms ~thread:st.tid in
+      st.time <- st.time + 1 + lat;
+      retire t st 1
+  | Release ->
+      (* A release is a fence: buffered stores complete before the
+         self-downgrade publishes them. *)
+      drain_all st;
+      let lat = Memsys.release t.ms ~thread:st.tid in
+      st.time <- st.time + 1 + lat;
+      retire t st 1);
+  Effect.Deep.continue st.k ()
+
+(* The handler of every thread of a run. A suspension stores the
+   continuation in the running thread's state and returns to the run
+   loop; the [Some] is allocated once per run, not per suspension. *)
+let handler t =
   let open Effect.Deep in
+  let suspend =
+    Some
+      (fun k ->
+        (cur_st t).k <- k;
+        t.requeued <- true)
+  in
   {
-    retc = (fun () -> ());
-    exnc = (fun e -> raise e);
+    retc = idle;
+    exnc = raise;
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | E_tick n ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                st.time <- st.time + n;
-                retire t st n;
-                continue k ())
-        | E_stall n ->
-            Some
-              (fun k ->
-                st.time <- st.time + n;
-                continue k ())
-        | E_now -> Some (fun k -> continue k st.time)
-        | E_tid -> Some (fun k -> continue k st.tid)
-        | E_yield -> Some (fun k -> requeue t st (fun () -> continue k ()))
-        | E_load (addr, size) ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    if load_hit t st addr ~size then continue k (Memsys.fast_value t.ms)
-                    else begin
-                      let v, lat = Memsys.load t.ms ~thread:st.tid addr ~size in
-                      st.time <- st.time + lat;
-                      retire t st 1;
-                      continue k v
-                    end))
-        | E_store (addr, size, v) ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    if not (store_hit t st addr ~size v) then
-                      commit_store t st (Memsys.store t.ms ~thread:st.tid addr ~size v);
-                    continue k ()))
-        | E_rmw (addr, size, f) ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    drain_all st;
-                    if rmw_hit t st addr ~size f then continue k (Memsys.fast_value t.ms)
-                    else begin
-                      let old, lat = Memsys.rmw t.ms ~thread:st.tid addr ~size f in
-                      st.time <- st.time + lat + 2;
-                      retire t st 1;
-                      continue k old
-                    end))
-        | E_region_add (lo, hi) ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    st.time <- st.time + 1;
-                    retire t st 1;
-                    continue k (Memsys.region_add t.ms ~thread:st.tid ~lo ~hi)))
-        | E_region_remove (lo, hi) ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    let lat = Memsys.region_remove t.ms ~thread:st.tid ~lo ~hi in
-                    st.time <- st.time + 1 + lat;
-                    retire t st 1;
-                    continue k ()))
-        | E_acquire ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    drain_all st;
-                    let lat = Memsys.acquire t.ms ~thread:st.tid in
-                    st.time <- st.time + 1 + lat;
-                    retire t st 1;
-                    continue k ()))
-        | E_release ->
-            Some
-              (fun k ->
-                requeue t st (fun () ->
-                    (* A release is a fence: buffered stores complete
-                       before the self-downgrade publishes them. *)
-                    drain_all st;
-                    let lat = Memsys.release t.ms ~thread:st.tid in
-                    st.time <- st.time + 1 + lat;
-                    retire t st 1;
-                    continue k ()))
-        | _ -> None)
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+        match eff with Suspend -> suspend | _ -> None);
   }
 
 (* Run turns until every thread has finished. The root is the thread to
-   run; its turn ends when it suspends ([requeue]: rewrite its key, sift
-   it down) or finishes (remove the root). No allocation per switch. *)
-let drain_heap t =
+   run; its turn ends when it suspends (rewrite its key, sift it down) or
+   finishes (remove the root). *)
+let drain_heap t h =
   while t.heap_len > 0 do
     let st = t.threads.(t.heap_tid.(0)) in
     resume t st;
     t.requeued <- false;
-    st.next ();
+    (match st.op with
+    | Start ->
+        let body = st.body in
+        st.body <- idle;
+        Effect.Deep.match_with body () h
+    | _ -> step t st);
     if t.requeued then sift_root t st.tid (key t st)
     else begin
-      (* Finished: drop the last continuation so it is not retained. *)
-      st.next <- idle;
-      let last = t.heap_len - 1 in
-      t.heap_len <- last;
-      if last > 0 then sift_root t t.heap_tid.(last) t.heap_key.(last)
+      (* Finished: drop the spent continuation. *)
+      st.k <- no_k;
+      remove_root t
     end
   done
 
@@ -421,17 +453,21 @@ let run t bodies =
   Array.iteri
     (fun tid body ->
       let st = t.threads.(tid) in
-      st.next <- (fun () -> Effect.Deep.match_with body () (handler t st));
+      st.op <- Start;
+      st.body <- body;
       push t st)
     bodies;
+  let h = handler t in
   let prev = Domain.DLS.get cur_key in
   Domain.DLS.set cur_key (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set cur_key prev) (fun () -> drain_heap t);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set cur_key prev)
+    (fun () -> drain_heap t h);
   if t.obs_full then Obs.fold t.obs;
   let makespan = ref 0 in
   for tid = 0 to n - 1 do
     drain_all t.threads.(tid);
-    makespan := max !makespan t.threads.(tid).time
+    makespan := Int.max !makespan t.threads.(tid).time
   done;
   t.stats.Sstats.cycles <- max cycles_at_start !makespan;
   let cores_used =
@@ -482,76 +518,133 @@ let restore t r =
   t.used_threads <- Bin.r_int r;
   Memsys.restore_state t.ms r
 
-module Ops = struct
-  (* Each access first tries the hit path inline on the ambient engine —
-     no effect performed, no continuation captured — and falls back to
-     the effect (and thus the run queue) when it loses the [can_inline]
-     gate, needs a coherence transition, or no engine is running on this
-     domain (preserving [Effect.Unhandled] semantics). A failed hit
-     attempt changes nothing. *)
+(* --- operations on the running engine -------------------------------------- *)
 
-  let load addr ~size =
-    match Domain.DLS.get cur_key with
-    | Some t when can_inline t t.cur_st && load_hit t t.cur_st addr ~size ->
-        Memsys.fast_value t.ms
-    | _ -> Effect.perform (E_load (addr, size))
+(* Suspend the running thread with pending operation [op]. *)
+let[@inline] suspend st op =
+  st.op <- op;
+  Effect.perform Suspend
 
-  let store addr ~size v =
-    match Domain.DLS.get cur_key with
-    | Some t when can_inline t t.cur_st && store_hit t t.cur_st addr ~size v -> ()
-    | _ -> Effect.perform (E_store (addr, size, v))
+module On = struct
+  (* Each access runs inline — no effect performed, no continuation
+     captured — when it passes the gate, hit or miss; otherwise it
+     writes itself into the thread's state and suspends. Either way its
+     result is in the thread's [word]. *)
 
-  let rmw addr ~size f =
-    match Domain.DLS.get cur_key with
-    | Some t when can_inline t t.cur_st && rmw_hit t t.cur_st addr ~size f ->
-        Memsys.fast_value t.ms
-    | _ -> Effect.perform (E_rmw (addr, size, f))
+  let load t addr ~size =
+    let st = cur_st t in
+    let t0 = st.time in
+    if t0 < t.limit then begin
+      let misses = inline_enter t t0 in
+      do_load t st addr ~size;
+      inline_leave t st t0 misses
+    end
+    else begin
+      st.addr <- addr;
+      st.size <- size;
+      suspend st Load
+    end;
+    word st
 
-  let cas addr ~size ~expected ~desired =
-    let old = rmw addr ~size (fun v -> if v = expected then desired else v) in
+  let store t addr ~size v =
+    let st = cur_st t in
+    let t0 = st.time in
+    if t0 < t.limit then begin
+      let misses = inline_enter t t0 in
+      do_store t st addr ~size v;
+      inline_leave t st t0 misses
+    end
+    else begin
+      st.addr <- addr;
+      st.size <- size;
+      Bytes.set_int64_le st.word 0 v;
+      suspend st Store
+    end
+
+  (* The inline RMW drains the store buffer exactly as the scheduled one
+     does at its pop, so the two are the same operation at the same
+     point of the run. *)
+  let rmw t addr ~size f =
+    let st = cur_st t in
+    let t0 = st.time in
+    if t0 < t.limit then begin
+      let misses = inline_enter t t0 in
+      do_rmw t st addr ~size f;
+      inline_leave t st t0 misses
+    end
+    else begin
+      st.addr <- addr;
+      st.size <- size;
+      st.rmw_f <- f;
+      suspend st Rmw;
+      st.rmw_f <- Fun.id
+    end;
+    word st
+
+  let cas t addr ~size ~expected ~desired =
+    let old = rmw t addr ~size (fun v -> if v = expected then desired else v) in
     old = expected
 
-  let fetch_add addr ~size delta = rmw addr ~size (Int64.add delta)
+  let fetch_add t addr ~size delta = rmw t addr ~size (Int64.add delta)
+end
+
+module Ops = struct
+  (* The ambient forms of [On]: they find the engine running on this
+     domain, and raise [Effect.Unhandled] when there is none. *)
+
+  let[@inline] engine () =
+    match Domain.DLS.get cur_key with
+    | Some t -> t
+    | None -> raise (Effect.Unhandled Suspend)
+
+  let load addr ~size = On.load (engine ()) addr ~size
+  let store addr ~size v = On.store (engine ()) addr ~size v
+  let rmw addr ~size f = On.rmw (engine ()) addr ~size f
+
+  let cas addr ~size ~expected ~desired =
+    On.cas (engine ()) addr ~size ~expected ~desired
+
+  let fetch_add addr ~size delta = On.fetch_add (engine ()) addr ~size delta
 
   let tick n =
-    match Domain.DLS.get cur_key with
-    | Some t ->
-        let st = t.cur_st in
-        st.time <- st.time + n;
-        retire t st n
-    | None -> Effect.perform (E_tick n)
+    let t = engine () in
+    let st = cur_st t in
+    st.time <- st.time + n;
+    retire t st n
 
   let stall n =
-    match Domain.DLS.get cur_key with
-    | Some t -> t.cur_st.time <- t.cur_st.time + n
-    | None -> Effect.perform (E_stall n)
+    let st = cur_st (engine ()) in
+    st.time <- st.time + n
 
-  let now () =
-    match Domain.DLS.get cur_key with
-    | Some t -> t.cur_st.time
-    | None -> Effect.perform E_now
+  let now () = (cur_st (engine ())).time
+  let tid () = (cur_st (engine ())).tid
 
-  let tid () =
-    match Domain.DLS.get cur_key with
-    | Some t -> t.cur_st.tid
-    | None -> Effect.perform E_tid
+  (* Region operations always schedule: they mutate directory-visible
+     protocol state, so they stay globally ordered by construction. *)
+  let region_add ~lo ~hi =
+    let st = cur_st (engine ()) in
+    st.addr <- lo;
+    st.size <- hi;
+    suspend st Region_add;
+    word st <> 0L
 
-  let region_add ~lo ~hi = Effect.perform (E_region_add (lo, hi))
-  let region_remove ~lo ~hi = Effect.perform (E_region_remove (lo, hi))
+  let region_remove ~lo ~hi =
+    let st = cur_st (engine ()) in
+    st.addr <- lo;
+    st.size <- hi;
+    suspend st Region_remove
 
   (* Runtime sync-point fences. On eagerly-coherent protocols these are
      literal no-ops — no effect, no enqueue, no time — so the runtime can
      annotate its fork/join edges unconditionally without perturbing the
      MESI/WARDen schedules at all. *)
   let acquire () =
-    match Domain.DLS.get cur_key with
-    | Some t when not t.sync_on -> ()
-    | _ -> Effect.perform E_acquire
+    let t = engine () in
+    if t.sync_on then suspend (cur_st t) Acquire
 
   let release () =
-    match Domain.DLS.get cur_key with
-    | Some t when not t.sync_on -> ()
-    | _ -> Effect.perform E_release
+    let t = engine () in
+    if t.sync_on then suspend (cur_st t) Release
 
-  let yield () = Effect.perform E_yield
+  let yield () = suspend (cur_st (engine ())) Yield
 end

@@ -1,9 +1,10 @@
 (** The discrete-event simulation engine.
 
-    Each hardware thread is an OCaml computation that performs {!Ops}
-    effects; the engine suspends it at every memory operation, interleaves
-    all threads in global cycle order (FIFO among equal timestamps, so runs
-    are deterministic), and charges latencies from the memory system.
+    Each hardware thread is an OCaml computation that calls {!Ops}; the
+    engine interleaves all threads' memory operations in global cycle
+    order (FIFO among equal timestamps, so runs are deterministic),
+    suspending a thread with one effect whenever another must go first,
+    and charges latencies from the memory system.
 
     Timing model:
     - [tick n] retires [n] single-cycle instructions;
@@ -18,16 +19,16 @@
     running thread re-enqueues itself, so the running thread stays at the
     heap's root for its whole turn: a context switch is one sift-down.
 
-    Every access first tries one hit path ({!Memsys.try_fast_load} and
-    its siblings), which commits a private-cache hit needing no coherence
-    transition; only an upgrade or a miss takes {!Memsys.load} and the
-    rest of the full path. The hit path runs inline, without suspending
-    the thread into the run queue, whenever the thread's clock is
-    strictly below every other queued cycle and within the current
-    scheduling quantum ({!Warden_machine.Config.t.sched_quantum}); a
-    scheduled access tries it when it is popped. The gate makes the
-    inline event exactly the event the queue would have popped next, so
-    results are bit-identical to the fully scheduled execution
+    Every access is one memory-system transition ({!Memsys.access_load}
+    and its siblings: a hit prefix, then the miss path). It runs inline,
+    without suspending the thread into the run queue, whenever the
+    thread's clock is strictly below every other queued cycle and within
+    the current scheduling quantum
+    ({!Warden_machine.Config.t.sched_quantum}); otherwise the thread
+    writes the operation into its state, suspends, and the run loop
+    performs it when the thread is popped. The gate makes the inline
+    event exactly the event the queue would have popped next, so results
+    are bit-identical to the fully scheduled execution
     ([sched_quantum = 0]); see DESIGN.md §8.
 
     One engine runs on one host domain. Host parallelism comes from
@@ -71,6 +72,21 @@ val restore : t -> Warden_util.Bin.r -> unit
     to running them on the snapshotted engine. Raises
     [Warden_util.Bin.Corrupt] on a mismatch, and [Invalid_argument] if
     called while a run is in progress. *)
+
+(** Accesses on an engine the caller already holds, from code running
+    inside that engine's {!run} (the [Par] runtime keeps its engine in
+    its own domain-local state, so a program access costs one lookup).
+    The semantics are those of the same-named {!Ops}. *)
+module On : sig
+  val load : t -> Warden_mem.Addr.t -> size:int -> int64
+  val store : t -> Warden_mem.Addr.t -> size:int -> int64 -> unit
+  val rmw : t -> Warden_mem.Addr.t -> size:int -> (int64 -> int64) -> int64
+
+  val cas :
+    t -> Warden_mem.Addr.t -> size:int -> expected:int64 -> desired:int64 -> bool
+
+  val fetch_add : t -> Warden_mem.Addr.t -> size:int -> int64 -> int64
+end
 
 (** Ambient operations for code running inside {!run}. Calling them
     outside a run raises [Effect.Unhandled]. *)

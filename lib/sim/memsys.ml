@@ -8,7 +8,7 @@ module Oev = Warden_obs.Events
 (* Commit-order trace sink (DESIGN.md §15). A flat callback — (kind,
    thread, addr, size, value) — invoked at the point each access commits
    its memory-system transition, on whichever path served it (scheduled
-   or inline fast). Unlike the initiation-order recorder in
+   or inline). Unlike the initiation-order recorder in
    [Warden_trace.Recorder], this stream is in commit order, so feeding it
    back through the access entry points replays the exact transition
    sequence with no program model. Flat ints avoid a circular
@@ -41,7 +41,7 @@ type t = {
          coherence from the runtime's acquire/release fences, and their
          atomics must be pinned to the coherent scheduled path *)
   mutable bump : int;
-  mutable fast_value : int64; (* value of the last fast load/rmw hit *)
+  word : Bytes.t; (* 8 bytes: the wrappers' loaded value *)
   mutable sink : int -> int -> int -> int -> int64 -> unit;
   mutable sink_on : bool; (* cached [sink != no_sink], one-branch off path *)
 }
@@ -90,7 +90,7 @@ let create cfg ~proto =
       priv = [||];
       proto = None;
       self_sync = false;
-      fast_value = 0L;
+      word = Bytes.create 8;
       (* Leave page zero unmapped so address 0 can act as a null. *)
       bump = 1 lsl 16;
       sink = no_sink;
@@ -182,26 +182,119 @@ let count_rmw t = t.sstats.Sstats.rmws <- t.sstats.Sstats.rmws + 1
 
 let priv_of t thread = t.priv.(Config.core_of_thread t.cfg thread)
 
-let load t ~thread addr ~size =
-  count_load t;
-  let blk = Addr.block_of addr in
-  let slot, lat = access_line t ~thread ~blk ~write:false in
-  let v =
-    Privcache.load (priv_of t thread) slot
-      ~off:(Addr.offset_in_block addr)
-      ~size
-  in
-  if t.sink_on then t.sink k_load thread addr size v;
-  (v, lat)
+(* --- the access transitions ---------------------------------------------- *)
 
-let store t ~thread addr ~size v =
-  count_store t;
+(* Each access is one transition: a hit prefix, which commits a
+   permission-sufficient private-cache hit in place, followed by the miss
+   path, which takes an upgrade or a miss through [access_line] and the
+   protocol. The prefix ([Privcache.fast_hit]) commits exactly what
+   [Privcache.lookup]'s [Hit] branch would, and nothing on an upgrade or
+   a miss, so the miss path never double-counts.
+
+   The prefix is inlined into every caller — the engine's inline and
+   scheduled paths, trace replay, the wrappers below — and allocates
+   nothing: a loaded value goes straight into the caller's 8-byte
+   buffer, and a stored value stays unboxed down to the line's bytes.
+   The miss path is out of line; it is where a value is boxed, if
+   anywhere. *)
+
+(* The serving level's latency, with its events and energy. *)
+let[@inline] hit_accounting t ~core ~blk l1 =
+  let ss = t.sstats in
+  Energy.l1_access t.energy;
+  if l1 then begin
+    ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
+    let lat = t.cfg.Config.l1_lat in
+    if t.obs_on then Obs.access t.obs ~cls:Oev.l1_hit ~core ~blk ~lat;
+    lat
+  end
+  else begin
+    ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
+    Energy.l2_access t.energy;
+    let lat = t.cfg.Config.l2_lat in
+    if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat;
+    lat
+  end
+
+(* The data halves of an access, shared by hits and misses: read or
+   write the line at [slot] of hierarchy [pc], report the access to the
+   sink, and hand a loaded value over in [into]. *)
+
+let[@inline] load_line t ~thread pc slot addr ~size into =
+  let v = Privcache.load pc slot ~off:(Addr.offset_in_block addr) ~size in
+  Bytes.set_int64_le into 0 v;
+  if t.sink_on then t.sink k_load thread addr size v
+
+let[@inline] store_line t ~thread pc slot addr ~size v =
+  Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size v;
+  if t.sink_on then t.sink k_store thread addr size v
+
+(* [into] gets the old value; the sink, the new one. *)
+let rmw_line t ~thread pc slot addr ~size f into =
+  let off = Addr.offset_in_block addr in
+  let old = Privcache.load pc slot ~off ~size in
+  let nv = f old in
+  Privcache.write pc slot ~off ~size nv;
+  if t.sink_on then t.sink k_rmw thread addr size nv;
+  Bytes.set_int64_le into 0 old
+
+(* The hit prefixes: commit a permission-sufficient private hit and
+   return its latency, or return -1 having changed nothing. *)
+
+let[@inline] load_prefix t ~thread addr ~size into =
+  let core = Config.core_of_thread t.cfg thread in
+  let pc = t.priv.(core) in
   let blk = Addr.block_of addr in
-  let slot, lat = access_line t ~thread ~blk ~write:true in
-  Privcache.write (priv_of t thread) slot
-    ~off:(Addr.offset_in_block addr)
-    ~size v;
-  if t.sink_on then t.sink k_store thread addr size v;
+  let slot = Privcache.fast_hit pc ~blk ~write:false in
+  if slot < 0 then -1
+  else begin
+    count_load t;
+    load_line t ~thread pc slot addr ~size into;
+    hit_accounting t ~core ~blk (Privcache.last_l1 pc)
+  end
+
+let[@inline] store_prefix t ~thread addr ~size v =
+  let core = Config.core_of_thread t.cfg thread in
+  let pc = t.priv.(core) in
+  let blk = Addr.block_of addr in
+  let slot = Privcache.fast_hit pc ~blk ~write:true in
+  if slot < 0 then -1
+  else begin
+    count_store t;
+    store_line t ~thread pc slot addr ~size v;
+    hit_accounting t ~core ~blk (Privcache.last_l1 pc)
+  end
+
+let rmw_prefix t ~thread addr ~size f into =
+  let core = Config.core_of_thread t.cfg thread in
+  let pc = t.priv.(core) in
+  let blk = Addr.block_of addr in
+  let slot = Privcache.fast_hit pc ~blk ~write:true in
+  if slot < 0 then -1
+  else begin
+    count_rmw t;
+    rmw_line t ~thread pc slot addr ~size f into;
+    hit_accounting t ~core ~blk (Privcache.last_l1 pc)
+  end
+
+(* The miss paths: [access_line] takes the upgrade or the miss. *)
+
+let load_miss t ~thread addr ~size into =
+  count_load t;
+  let slot, lat = access_line t ~thread ~blk:(Addr.block_of addr) ~write:false in
+  load_line t ~thread (priv_of t thread) slot addr ~size into;
+  lat
+
+let store_miss t ~thread addr ~size v =
+  count_store t;
+  let slot, lat = access_line t ~thread ~blk:(Addr.block_of addr) ~write:true in
+  store_line t ~thread (priv_of t thread) slot addr ~size v;
+  lat
+
+let rmw_miss t ~thread addr ~size f into =
+  count_rmw t;
+  let slot, lat = access_line t ~thread ~blk:(Addr.block_of addr) ~write:true in
+  rmw_line t ~thread (priv_of t thread) slot addr ~size f into;
   lat
 
 (* Atomics under a self-invalidation protocol. The plain access paths may
@@ -212,7 +305,7 @@ let store t ~thread addr ~size v =
    miss-fill the current bytes through the ordinary request path, apply
    the operation, and write the result straight back through, keeping a
    clean S copy. *)
-let rmw_coherent t ~thread addr ~size f =
+let rmw_coherent t ~thread addr ~size f into =
   let core = Config.core_of_thread t.cfg thread in
   count_rmw t;
   let blk = Addr.block_of addr in
@@ -230,10 +323,7 @@ let rmw_coherent t ~thread addr ~size f =
         fab.Fabric.llc_merge ~blk p.Fabric.data
       end);
   let slot, lat = access_line t ~thread ~blk ~write:true in
-  let off = Addr.offset_in_block addr in
-  let old = Privcache.load pc slot ~off ~size in
-  let nv = f old in
-  Privcache.write pc slot ~off ~size nv;
+  rmw_line t ~thread pc slot addr ~size f into;
   (* Write-through of the result; the copy left behind is clean S. *)
   Fabric.dir_msg fab ~socket:cs ~blk ~data:true;
   let line = Privcache.data pc slot in
@@ -241,23 +331,44 @@ let rmw_coherent t ~thread addr ~size f =
   Linedata.clear_dirty line;
   Privcache.set_state pc slot States.P_S;
   t.pstats.Pstats.self_downs <- t.pstats.Pstats.self_downs + 1;
-  if t.sink_on then t.sink k_rmw thread addr size nv;
-  (old, lat)
+  lat
+
+let[@inline] access_load t ~thread addr ~size into =
+  let lat = load_prefix t ~thread addr ~size into in
+  if lat >= 0 then lat else load_miss t ~thread addr ~size into
+
+let[@inline] access_store t ~thread addr ~size v =
+  let lat = store_prefix t ~thread addr ~size v in
+  if lat >= 0 then lat else store_miss t ~thread addr ~size v
+
+(* Under a [`Self] protocol every RMW takes the coherent path. *)
+let access_rmw t ~thread addr ~size f into =
+  if t.self_sync then rmw_coherent t ~thread addr ~size f into
+  else
+    let lat = rmw_prefix t ~thread addr ~size f into in
+    if lat >= 0 then lat else rmw_miss t ~thread addr ~size f into
+
+(* --- wrappers --------------------------------------------------------------- *)
+
+(* The value-returning forms, and the hit prefixes alone (for callers
+   that time the two halves apart). *)
+
+let load t ~thread addr ~size =
+  let lat = access_load t ~thread addr ~size t.word in
+  (Bytes.get_int64_le t.word 0, lat)
+
+let store = access_store
 
 let rmw t ~thread addr ~size f =
-  if t.self_sync then rmw_coherent t ~thread addr ~size f
-  else begin
-    count_rmw t;
-    let blk = Addr.block_of addr in
-    let slot, lat = access_line t ~thread ~blk ~write:true in
-    let pc = priv_of t thread in
-    let off = Addr.offset_in_block addr in
-    let old = Privcache.load pc slot ~off ~size in
-    let nv = f old in
-    Privcache.write pc slot ~off ~size nv;
-    if t.sink_on then t.sink k_rmw thread addr size nv;
-    (old, lat)
-  end
+  let lat = access_rmw t ~thread addr ~size f t.word in
+  (Bytes.get_int64_le t.word 0, lat)
+
+let try_fast_load t ~thread addr ~size = load_prefix t ~thread addr ~size t.word
+let try_fast_store = store_prefix
+
+let try_fast_rmw t ~thread addr ~size f =
+  if t.self_sync then -1 (* atomics take the coherent path *)
+  else rmw_prefix t ~thread addr ~size f t.word
 
 (* Runtime sync points (fork/join edges in the Par runtime). Only [`Self]
    protocols do work here; the engine does not even raise the effect for
@@ -273,138 +384,6 @@ let release t ~thread =
   t.pstats.Pstats.releases <- t.pstats.Pstats.releases + 1;
   Protocol.release (the_proto t)
     ~core:(Config.core_of_thread t.cfg thread)
-
-(* Fast-path accessors: commit iff the access is a private-cache hit
-   needing no protocol transition, with event/energy accounting identical
-   to the scheduled [load]/[store]/[rmw] paths; return the latency on a
-   hit and [-1] — with no state change — otherwise. The engine serves
-   every hit through these, inline or scheduled, and calls the full paths
-   only on an upgrade or a miss. They allocate nothing: the loaded value
-   of a fast load/rmw is left in [fast_value] rather than returned in a
-   tuple.
-
-   Returns the serving level's latency and counts its events. *)
-
-let fast_hit_accounting t ~core ~blk (l1 : bool) =
-  let ss = t.sstats in
-  Energy.l1_access t.energy;
-  if l1 then begin
-    ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
-    let lat = t.cfg.Config.l1_lat in
-    if t.obs_on then Obs.access t.obs ~cls:Oev.l1_hit ~core ~blk ~lat;
-    lat
-  end
-  else begin
-    ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
-    Energy.l2_access t.energy;
-    let lat = t.cfg.Config.l2_lat in
-    if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat;
-    lat
-  end
-
-let fast_value t = t.fast_value
-
-let try_fast_load t ~thread addr ~size =
-  let blk = Addr.block_of addr in
-  let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
-  let slot = Privcache.fast_hit pc ~blk ~write:false in
-  if slot < 0 then -1
-  else begin
-    count_load t;
-    t.fast_value <-
-      Privcache.load pc slot ~off:(Addr.offset_in_block addr) ~size;
-    if t.sink_on then t.sink k_load thread addr size t.fast_value;
-    fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
-  end
-
-let try_fast_store t ~thread addr ~size v =
-  let blk = Addr.block_of addr in
-  let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
-  let slot = Privcache.fast_hit pc ~blk ~write:true in
-  if slot < 0 then -1
-  else begin
-    count_store t;
-    Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size v;
-    if t.sink_on then t.sink k_store thread addr size v;
-    fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
-  end
-
-let try_fast_rmw t ~thread addr ~size f =
-  if t.self_sync then -1 (* atomics take the coherent scheduled path *)
-  else
-  let blk = Addr.block_of addr in
-  let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
-  let slot = Privcache.fast_hit pc ~blk ~write:true in
-  if slot < 0 then -1
-  else begin
-    count_rmw t;
-    let off = Addr.offset_in_block addr in
-    let old = Privcache.load pc slot ~off ~size in
-    let nv = f old in
-    Privcache.write pc slot ~off ~size nv;
-    if t.sink_on then t.sink k_rmw thread addr size nv;
-    t.fast_value <- old;
-    fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc)
-  end
-
-(* --- trace replay (DESIGN.md §15) ---------------------------------------- *)
-
-(* Replay entry points: the per-event work of [try_fast_*] with the
-   scheduled fallback fused in, minus work a replayed stream never
-   observes. A replayed load's value is already in the recording and a
-   load mutates neither the line data nor anything [fast_value] feeds
-   (it is reset across quiescent points and never snapshotted), so the
-   fast hit skips [Linedata.load] and the [fast_value] write — about a
-   third of the fast-load cost, most of it Int64 boxing. A replayed
-   RMW's new value is recorded, so the hit path skips loading the old
-   value. No sink fires: recording during replay is unsupported (the
-   stream itself is the recording). Every state mutation and every
-   stats/energy/obs account is identical to the live paths, which is
-   what makes replayed final stats bit-identical to the recorded run. *)
-
-let replay_load t ~thread addr ~size =
-  let blk = Addr.block_of addr in
-  let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
-  if Privcache.fast_hit pc ~blk ~write:false < 0 then
-    ignore (load t ~thread addr ~size : int64 * int)
-  else begin
-    count_load t;
-    ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
-  end
-
-let replay_store t ~thread addr ~size v =
-  let blk = Addr.block_of addr in
-  let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
-  let slot = Privcache.fast_hit pc ~blk ~write:true in
-  if slot < 0 then ignore (store t ~thread addr ~size v : int)
-  else begin
-    count_store t;
-    Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size v;
-    ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
-  end
-
-let replay_rmw t ~thread addr ~size nv =
-  if t.self_sync then
-    (* Atomics never took the fast path live, so replay them scheduled. *)
-    ignore (rmw t ~thread addr ~size (fun _ -> nv) : int64 * int)
-  else
-  let blk = Addr.block_of addr in
-  let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
-  let slot = Privcache.fast_hit pc ~blk ~write:true in
-  if slot < 0 then
-    let f = fun (_ : int64) -> nv in
-    ignore (rmw t ~thread addr ~size f : int64 * int)
-  else begin
-    count_rmw t;
-    Privcache.write pc slot ~off:(Addr.offset_in_block addr) ~size nv;
-    ignore (fast_hit_accounting t ~core ~blk (Privcache.last_l1 pc) : int)
-  end
 
 (* Region activity is recorded here — not in the protocols — so the trace
    reflects the runtime's annotations under MESI too, where the protocol
@@ -478,10 +457,7 @@ let restore_state t r =
   Pstats.restore t.pstats r;
   Sstats.restore t.sstats r;
   Energy.restore t.energy r;
-  t.bump <- Warden_util.Bin.r_int r;
-  (* Valid only between a successful fast access and its consumer, never
-     across a quiescent point. *)
-  t.fast_value <- 0L
+  t.bump <- Warden_util.Bin.r_int r
 
 (* The directory is reachable only through the protocol's handlers, so the
    audit walks the private caches and cross-checks with fabric peeks. *)

@@ -34,12 +34,48 @@ val obs : t -> Warden_obs.Obs.t
 (** The run's event recorder (DESIGN.md §12). The same instance is exposed
     to the protocols through the fabric; at [Obs_off] it records nothing. *)
 
+(** {2 Accesses}
+
+    Each access is one transition: a hit prefix, which commits a
+    permission-sufficient private-cache hit in place, followed by the
+    miss path for an upgrade or a miss. The engine's inline and scheduled
+    paths and trace replay all call {!access_load}, {!access_store} and
+    {!access_rmw}; the other entry points are thin wrappers over them.
+    A loaded value is written, little-endian, into the first 8 bytes of
+    the caller's buffer, so a hit allocates nothing. *)
+
+val access_load :
+  t -> thread:int -> Warden_mem.Addr.t -> size:int -> Bytes.t -> int
+(** [access_load t ~thread addr ~size into] performs the load, writes its
+    value into [into] and returns its latency (cycles). *)
+
+val access_store :
+  t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> int
+(** Performs the store and returns the latency of its memory-system
+    transaction (the engine hides it behind the store buffer). *)
+
+val access_rmw :
+  t ->
+  thread:int ->
+  Warden_mem.Addr.t ->
+  size:int ->
+  (int64 -> int64) ->
+  Bytes.t ->
+  int
+(** Atomic read-modify-write: applies the function to the current value,
+    stores the result, writes the {e old} value into the buffer and
+    returns the latency. Under a [`Self] protocol (see
+    {!Warden_proto.Protocol.S.kind}) the RMW is performed coherently at
+    the shared level: the core's copy is dropped (dirty sectors flushed),
+    the current bytes are re-fetched, and the result is written straight
+    through, leaving a clean S copy — so atomics synchronize even though
+    plain accesses may be stale. *)
+
 val load : t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 * int
-(** Value and latency (cycles). *)
+(** {!access_load} returning the value and the latency. *)
 
 val store : t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> int
-(** Latency of the store's memory-system transaction (the engine hides it
-    behind the store buffer). *)
+(** {!access_store}. *)
 
 val rmw :
   t ->
@@ -48,13 +84,30 @@ val rmw :
   size:int ->
   (int64 -> int64) ->
   int64 * int
-(** Atomic read-modify-write: applies the function to the current value,
-    stores the result, and returns the {e old} value and the latency.
-    Under a [`Self] protocol (see {!Warden_proto.Protocol.S.kind}) the
-    RMW is performed coherently at the shared level: the core's copy is
-    dropped (dirty sectors flushed), the current bytes are re-fetched,
-    and the result is written straight through, leaving a clean S copy —
-    so atomics synchronize even though plain accesses may be stale. *)
+(** {!access_rmw} returning the old value and the latency. *)
+
+val try_fast_load :
+  t -> thread:int -> Warden_mem.Addr.t -> size:int -> int
+(** The hit prefix of {!access_load} alone: the latency (>= 0) iff the
+    access is a private-cache hit needing no protocol transition, with
+    accounting identical to {!load}; [-1] — having changed nothing —
+    otherwise, so the caller can fall back to {!load} without
+    double-counting. The value is not returned. Allocation-free. *)
+
+val try_fast_store :
+  t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> int
+(** The hit prefix of {!access_store} (needs E/M permission); same
+    contract as {!try_fast_load}. *)
+
+val try_fast_rmw :
+  t ->
+  thread:int ->
+  Warden_mem.Addr.t ->
+  size:int ->
+  (int64 -> int64) ->
+  int
+(** The hit prefix of {!access_rmw}; same contract as {!try_fast_load}.
+    Always [-1] under a [`Self] protocol. *)
 
 val acquire : t -> thread:int -> int
 (** Acquire fence at a runtime sync point: the [`Self] protocol flushes
@@ -64,50 +117,6 @@ val acquire : t -> thread:int -> int
 val release : t -> thread:int -> int
 (** Release fence: the [`Self] protocol self-downgrades the core's dirty
     copies into the LLC. Returns the cycles charged. *)
-
-val try_fast_load :
-  t -> thread:int -> Warden_mem.Addr.t -> size:int -> int
-(** Fast-path load: the latency (>= 0) iff the access is a private-cache
-    hit needing no protocol transition, with accounting identical to
-    {!load} and the loaded value left in {!fast_value}; [-1] — having
-    changed nothing — otherwise, so the caller can fall back to the
-    scheduled {!load} without double-counting. Allocation-free. *)
-
-val try_fast_store :
-  t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> int
-(** Fast-path store (needs E/M permission); same contract as
-    {!try_fast_load}. *)
-
-val try_fast_rmw :
-  t ->
-  thread:int ->
-  Warden_mem.Addr.t ->
-  size:int ->
-  (int64 -> int64) ->
-  int
-(** Fast-path read-modify-write; same contract as {!try_fast_load}. The
-    {e old} value is left in {!fast_value}. *)
-
-val fast_value : t -> int64
-(** Value delivered by the last successful {!try_fast_load} or
-    {!try_fast_rmw}. *)
-
-val replay_load : t -> thread:int -> Warden_mem.Addr.t -> size:int -> unit
-(** Trace-replay load: {!try_fast_load} with the scheduled {!load}
-    fallback fused in, minus the value materialization a replayed
-    stream never observes ([fast_value] is left stale — it is never
-    snapshotted and is reset across quiescent points). State mutations
-    and stats/energy/obs accounting are identical to the live paths, so
-    replaying a recorded stream reproduces the recorded run's final
-    memory-system stats bit for bit. No trace sink fires. *)
-
-val replay_store : t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> unit
-(** Trace-replay store; same contract as {!replay_load}. *)
-
-val replay_rmw : t -> thread:int -> Warden_mem.Addr.t -> size:int -> int64 -> unit
-(** Trace-replay read-modify-write. The [int64] is the {e committed new}
-    value from the recording (the trace sink records it precisely so
-    replay needs no modify function); same contract as {!replay_load}. *)
 
 val region_add : t -> thread:int -> lo:int -> hi:int -> bool
 (** Activate a WARD region, recording the activation against [thread]'s
@@ -136,9 +145,9 @@ val footprint_bytes : t -> int
 
     A flat callback invoked at the instant each access commits its
     memory-system transition, on whichever path served it (scheduled or
-    inline fast) — so the recorded stream is in commit order, and
-    feeding it back through {!load}/{!store}/{!rmw} (or the fast paths)
-    replays the exact transition sequence with no program model.
+    inline) — so the recorded stream is in commit order, and feeding it
+    back through the access transitions replays the exact transition
+    sequence with no program model.
     Arguments: [kind thread addr size value]; for {!k_rmw} the value is
     the committed {e new} value (replay with [fun _ -> v]), for region
     events [addr]/[size] carry [lo]/[hi]. *)

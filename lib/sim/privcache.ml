@@ -47,9 +47,9 @@ let pstate_of_code c =
 let state t slot = pstate_of_code (Linepool.state t.pool slot)
 let set_state t slot st = Linepool.set_state t.pool slot (pstate_code st)
 let data t slot = Linepool.view t.pool slot
-let load t slot ~off ~size = Linepool.load t.pool slot ~off ~size
+let[@inline] load t slot ~off ~size = Linepool.load t.pool slot ~off ~size
 
-let write t slot ~off ~size v =
+let[@inline] write t slot ~off ~size v =
   let c = Linepool.state t.pool slot in
   if c = e_code then Linepool.set_state t.pool slot m_code (* silent E->M *)
   else assert (c = m_code);
@@ -89,7 +89,7 @@ let lookup t ~blk ~write =
    promotion). On an upgrade or miss, return -1 having mutated nothing —
    the caller falls back to the scheduled [lookup] path, which then
    performs those mutations at the same point of the run. *)
-let fast_hit t ~blk ~write =
+let[@inline] fast_hit t ~blk ~write =
   let w2 = Sa.peek_way t.l2 blk in
   if not (Sa.hit w2) then -1
   else
@@ -108,7 +108,7 @@ let fast_hit t ~blk ~write =
       slot
     end
 
-let last_l1 t = t.last_l1
+let[@inline] last_l1 t = t.last_l1
 
 (* The grant's bytes are copied into a fresh slot before the insert that
    may evict: the source view may point into a pool that the eviction's

@@ -53,14 +53,15 @@ let record ms f =
     } )
 
 (* Drive the memory system through the recorded commit sequence. Each
-   access first tries the allocation-free fast path and falls back to the
-   scheduled entry point for misses and upgrades — by induction the
-   target's state matches the recording run's state at the same stream
-   position (same protocol), so each event takes the same transition with
-   the same accounting, and the final memory-system statistics are
-   bit-identical to the recording run's. Replaying onto the {e other}
-   protocol is the A/B use: the stream drives its transitions instead,
-   and the stats diff is the protocols' delta on this workload. *)
+   access takes the same transition as the live run ({!Memsys.access_load}
+   and its siblings: the hit prefix, then the miss path) — by induction
+   the target's state matches the recording run's state at the same
+   stream position (same protocol), so each event takes the same
+   transition with the same accounting, and the final memory-system
+   statistics are bit-identical to the recording run's. Replaying onto
+   the {e other} protocol is the A/B use: the stream drives its
+   transitions instead, and the stats diff is the protocols' delta on
+   this workload. *)
 let replay t ms =
   let cfg = Memsys.config ms in
   if
@@ -72,9 +73,12 @@ let replay t ms =
      bounds check per event, rather than through [Bin.r_int] (whose
      [int64] return boxes on every field without flambda), and skips
      decoding the value word when the event kind does not need it —
-     loads, the bulk of any stream, touch only 25 of the 33 bytes. *)
+     loads, the bulk of any stream, touch only 25 of the 33 bytes. A
+     replayed load's value is already in the recording; it lands in
+     [scratch]. An RMW replays as "store the recorded new value". *)
   let body = t.body in
   let len = Bytes.length body in
+  let scratch = Bytes.create 8 in
   let pos = ref 0 in
   for _ = 1 to t.events do
     let p = !pos in
@@ -84,11 +88,17 @@ let replay t ms =
     let thread = Int64.to_int (Bytes.get_int64_le body (p + 1)) in
     let addr = Int64.to_int (Bytes.get_int64_le body (p + 9)) in
     let size = Int64.to_int (Bytes.get_int64_le body (p + 17)) in
-    if kind = Memsys.k_load then Memsys.replay_load ms ~thread addr ~size
+    if kind = Memsys.k_load then
+      ignore (Memsys.access_load ms ~thread addr ~size scratch : int)
     else if kind = Memsys.k_store then
-      Memsys.replay_store ms ~thread addr ~size (Bytes.get_int64_le body (p + 25))
-    else if kind = Memsys.k_rmw then
-      Memsys.replay_rmw ms ~thread addr ~size (Bytes.get_int64_le body (p + 25))
+      ignore
+        (Memsys.access_store ms ~thread addr ~size
+           (Bytes.get_int64_le body (p + 25))
+          : int)
+    else if kind = Memsys.k_rmw then begin
+      let nv = Bytes.get_int64_le body (p + 25) in
+      ignore (Memsys.access_rmw ms ~thread addr ~size (fun _ -> nv) scratch : int)
+    end
     else if kind = Memsys.k_region_add then
       ignore (Memsys.region_add ms ~thread ~lo:addr ~hi:size : bool)
     else if kind = Memsys.k_region_remove then

@@ -308,6 +308,32 @@ let test_sa_conflict_roundtrip () =
     (Option.map fst (Sa.insert c 5 51));
   Alcotest.(check (option int)) "find after round trip" (Some 51) (find c 5)
 
+(* A snapshot whose recency array has the wrong length is refused, and
+   the target is left as it was: one too long used to crash in a blit,
+   one too short was accepted and left stale recency behind. *)
+let test_sa_restore_rejects_bad_recency () =
+  let module B = Warden_util.Bin in
+  let sets = 2 and ways = 2 in
+  let image ~recency =
+    let w = B.writer () in
+    B.w_int w sets;
+    B.w_int w ways;
+    B.w_int w 7;
+    B.w_int_array w (Array.make (sets * ways) (-1));
+    B.w_int_array w (Array.make recency 0);
+    B.reader (B.contents w)
+  in
+  List.iter
+    (fun recency ->
+      let c = mk_sa ~sets ~ways in
+      ignore (Sa.insert c 5 50);
+      Alcotest.check_raises
+        (Printf.sprintf "recency of %d ways" recency)
+        (B.Corrupt "Bin: Sa: bad recency")
+        (fun () -> Sa.restore c (image ~recency) ~elt:B.r_int);
+      Alcotest.(check (option int)) "target unchanged" (Some 50) (find c 5))
+    [ (sets * ways) + 1; (sets * ways) - 1 ]
+
 (* The cache never exceeds capacity and never loses a resident block
    without an eviction report. *)
 let sa_accounting =
@@ -473,6 +499,8 @@ let suite =
     Alcotest.test_case "sa tags only" `Quick test_sa_tags_only;
     Alcotest.test_case "sa conflict round trip" `Quick
       test_sa_conflict_roundtrip;
+    Alcotest.test_case "sa restore rejects bad recency" `Quick
+      test_sa_restore_rejects_bad_recency;
     sa_accounting;
     Alcotest.test_case "linepool reuses freed slots" `Quick
       test_linepool_reuses_freed_slots;

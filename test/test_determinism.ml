@@ -179,7 +179,99 @@ let qtest =
          pp p)
        gen_prog prop_differential)
 
-(* 3. Differential on real benchmarks, full run_result (includes derived
+(* 3. Differential on every operation kind, straight on the engine: eight
+   threads draw loads, stores, RMWs, yields, WARD region adds and
+   removes, and acquire/release fences over a few shared and private
+   blocks, so many accesses miss, some of them inline. All four
+   protocols at obs level full; the inline runs must match the fully
+   scheduled one in every thread's results and end time, the stats,
+   the energy, the memory image and the recorded event stream with its
+   timestamps. *)
+let all_protos = [ (`Mesi, "mesi"); (`Warden, "warden"); (`Msi_bus, "msi_bus"); (`Sisd, "sisd") ]
+
+let run_ops ~quantum proto =
+  let module R = Warden_util.Splitmix in
+  let module Ops = Engine.Ops in
+  let cfg =
+    { (cfg_q quantum) with Config.obs_level = Config.Obs_full }
+  in
+  let eng = Engine.create cfg ~proto in
+  let ms = Engine.memsys eng in
+  let nthreads = 8 and shared = 6 in
+  let base = Memsys.alloc ms ~bytes:(64 * (shared + nthreads)) ~align:4096 in
+  let results = Array.make nthreads [] in
+  let body tid () =
+    let rng = R.make (Int64.of_int (0x5EED + tid)) in
+    let own = base + (64 * (shared + tid)) in
+    let note v = results.(tid) <- v :: results.(tid) in
+    let in_region = ref false in
+    for _ = 1 to 400 do
+      let addr =
+        if R.int rng 3 = 0 then own + (8 * R.int rng 8)
+        else base + (64 * R.int rng shared) + (8 * R.int rng 8)
+      in
+      (match R.int rng 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 -> note (Ops.load addr ~size:8)
+      | 6 | 7 | 8 | 9 | 10 -> Ops.store addr ~size:8 (R.next rng)
+      | 11 | 12 -> note (Ops.fetch_add addr ~size:8 1L)
+      | 13 -> Ops.yield ()
+      | 14 ->
+          if !in_region then Ops.region_remove ~lo:own ~hi:(own + 64)
+          else note (if Ops.region_add ~lo:own ~hi:(own + 64) then 1L else 0L);
+          in_region := not !in_region
+      | 15 -> Ops.acquire ()
+      | 16 -> Ops.release ()
+      | _ -> Ops.tick (1 + R.int rng 4));
+      if R.int rng 4 = 0 then Ops.tick (R.int rng 30)
+    done;
+    if !in_region then Ops.region_remove ~lo:own ~hi:(own + 64);
+    note (Int64.of_int (Ops.now ()))
+  in
+  let makespan = Engine.run eng (Array.init nthreads body) in
+  let obs = Memsys.obs ms in
+  let trace = Buffer.create 4096 in
+  Warden_obs.Sink_chrome.write trace ~runs:[ (1, "run", Warden_obs.Obs.chrome obs) ];
+  Memsys.flush_all ms;
+  let bytes save =
+    let w = Warden_util.Bin.writer () in
+    save w;
+    Warden_util.Bin.contents w
+  in
+  ( makespan,
+    results,
+    bytes (Sstats.save (Memsys.sstats ms)),
+    bytes (Warden_proto.Pstats.save (Memsys.pstats ms)),
+    bytes (Energy.save (Memsys.energy ms)),
+    Array.init ((shared + nthreads) * 8) (fun i -> Memsys.peek ms (base + (8 * i)) ~size:8),
+    Warden_obs.Obs.render_summary obs,
+    Buffer.contents trace )
+
+let test_every_op_differential () =
+  List.iter
+    (fun (proto, pname) ->
+      let ( legacy_makespan, legacy_results, legacy_sstats, legacy_pstats,
+            legacy_energy, legacy_image, legacy_summary, legacy_trace ) =
+        run_ops ~quantum:0 proto
+      in
+      List.iter
+        (fun q ->
+          let makespan, results, sstats, pstats, energy, image, summary, trace =
+            run_ops ~quantum:q proto
+          in
+          let label what = Printf.sprintf "%s q=%d: %s" pname q what in
+          Alcotest.(check int) (label "makespan") legacy_makespan makespan;
+          Alcotest.(check bool) (label "thread results") true (legacy_results = results);
+          Alcotest.(check bool) (label "sstats") true (legacy_sstats = sstats);
+          Alcotest.(check bool) (label "pstats") true (legacy_pstats = pstats);
+          Alcotest.(check bool) (label "energy") true (legacy_energy = energy);
+          Alcotest.(check bool) (label "memory image") true (legacy_image = image);
+          Alcotest.(check string) (label "obs summary") legacy_summary summary;
+          Alcotest.(check bool) (label "events with timestamps") true
+            (String.length trace > 1000 && legacy_trace = trace))
+        [ 1; 64; 4096 ])
+    all_protos
+
+(* 4. Differential on real benchmarks, full run_result (includes derived
    floats and the verified bit). *)
 let bench_differential name =
   Alcotest.test_case ("benchmark: " ^ name) `Quick (fun () ->
@@ -204,7 +296,8 @@ let bench_differential name =
 
 let suite =
   determinism_tests @ differential_tree_tests
-  @ [ qtest ]
+  @ [ qtest; Alcotest.test_case "every op kind, four protocols, obs full" `Quick
+          test_every_op_differential ]
   @ List.map bench_differential [ "fib"; "palindrome"; "msort" ]
 
 let () = Alcotest.run "warden-determinism" [ ("determinism", suite) ]

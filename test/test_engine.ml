@@ -300,6 +300,35 @@ let test_yield_round_robin_long () =
   Alcotest.(check int) "every turn taken" (n * rounds) !turn;
   Alcotest.(check int) "strict round robin" 0 !out_of_turn
 
+(* A suspension allocates the continuation and nothing else: 24 threads
+   in lockstep, every access scheduled ([sched_quantum = 0]), each
+   loading and storing its own private line. The loop's own share is the
+   boxed [int64] a load returns. When each suspension built a payload
+   tuple, closures and a boxed value, this read 28 words per access. *)
+let test_suspend_allocation_budget () =
+  let cfg = { (Config.dual_socket ()) with Config.sched_quantum = 0 } in
+  let eng = Engine.create cfg ~proto:`Mesi in
+  let ms = Engine.memsys eng in
+  let nthreads = Config.num_threads cfg and iters = 2000 in
+  Alcotest.(check int) "24 threads" 24 nthreads;
+  let body a () =
+    for _ = 1 to iters do
+      ignore (Ops.load a ~size:8 : int64);
+      Ops.store a ~size:8 7L
+    done
+  in
+  let bodies =
+    Array.init nthreads (fun _ -> body (Memsys.alloc ms ~bytes:64 ~align:64))
+  in
+  let before = Gc.minor_words () in
+  ignore (Engine.run eng bodies : int);
+  let per_access =
+    (Gc.minor_words () -. before) /. float_of_int (2 * iters * nthreads)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per scheduled access (budget 6)" per_access)
+    true (per_access <= 6.)
+
 (* Snapshot and restore are legal only between runs. The running thread
    stays in the run queue for its whole turn, so a call from inside a
    run is refused even from the last thread, with or without a buffered
@@ -349,6 +378,8 @@ let suite =
       test_yield_lets_peer_run;
     Alcotest.test_case "yield round robin across seq renumbering" `Quick
       test_yield_round_robin_long;
+    Alcotest.test_case "suspension allocation budget" `Quick
+      test_suspend_allocation_budget;
     Alcotest.test_case "no snapshot or restore mid-run" `Quick
       test_no_snapshot_mid_run;
   ]

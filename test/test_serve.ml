@@ -101,6 +101,46 @@ let test_zipf_distribution () =
   done;
   Alcotest.(check (float 1e-9)) "pmf sums to 1" 1.0 !total
 
+(* The guided inversion equals a binary search over every rank: at
+   random [u], and at every rank's cumulative probability (exactly where
+   the answer steps) and the float just below it. Several sizes and
+   skews, including n = 1 and sizes that are not powers of two. *)
+let zipf_plain_search z u =
+  let lo = ref 0 and hi = ref (Zipf.n z - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Zipf.cdf z mid > u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let zipf_tables =
+  lazy
+    (Array.map
+       (fun (n, theta) -> Zipf.create ~n ~theta)
+       [| (1, 0.99); (7, 0.5); (64, 0.99); (1000, 0.); (4099, 1.2); (65536, 0.99) |])
+
+let zipf_guide_random_u =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"zipf guide = plain search at random u"
+       QCheck2.Gen.(pair (int_range 0 5) (float_bound_exclusive 1.))
+       (fun (i, u) ->
+         let z = (Lazy.force zipf_tables).(i) in
+         Zipf.rank z u = zipf_plain_search z u))
+
+let test_zipf_guide_at_cdf_values () =
+  Array.iter
+    (fun z ->
+      for k = 0 to Zipf.n z - 1 do
+        let c = Zipf.cdf z k in
+        List.iter
+          (fun u ->
+            if u >= 0. && u < 1. && Zipf.rank z u <> zipf_plain_search z u then
+              Alcotest.failf "n %d theta %g: rank %d at u = %h, plain search %d"
+                (Zipf.n z) (Zipf.theta z) (Zipf.rank z u) u (zipf_plain_search z u))
+          [ c; Float.pred c ]
+      done)
+    (Lazy.force zipf_tables)
+
 (* ---- 2. traffic generator ------------------------------------------------- *)
 
 let mk_workload ?(seed = 0xFEED5L) () =
@@ -275,6 +315,9 @@ let suite =
   [
     Alcotest.test_case "zipf bounds and edge cases" `Quick test_zipf_bounds;
     Alcotest.test_case "zipf distribution sanity" `Quick test_zipf_distribution;
+    zipf_guide_random_u;
+    Alcotest.test_case "zipf guide = plain search at every cdf value" `Quick
+      test_zipf_guide_at_cdf_values;
     Alcotest.test_case "zipf table memoized across curve points" `Quick
       test_zipf_memoized_across_curve;
     Alcotest.test_case "generator seed determinism" `Quick

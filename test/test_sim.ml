@@ -233,16 +233,15 @@ let test_one_sim_domain () =
            { (Config.dual_socket ()) with Config.sim_domains = 2 }
            ~proto:`Mesi))
 
-(* The engine serves every hit, inline or scheduled, through the hit
-   prefix ([Memsys.try_fast_*]) and falls back to [load]/[store]/[rmw]
-   only on an upgrade or a miss, so no engine run checks the prefix
-   against the full path's [Hit] branch. Drive one random stream of
-   accesses (several threads and blocks, region activity under WARDen)
-   into two fresh memory systems, one through the full path only and one
-   through the prefix with the fallback: every access must return the
-   same value and latency, and the final stats, energy and memory image
-   must be identical. Half the blocks share one L1 set, so hits come from
-   both levels. *)
+(* [Memsys.try_fast_*] is the hit prefix of the access transition on its
+   own; the ledger times it apart from the miss path. Drive one random
+   stream of accesses (several threads and blocks, region activity under
+   WARDen) into two fresh memory systems, one through the transitions
+   ([load]/[store]/[rmw]) and one through the prefix, falling back to the
+   transition on an upgrade or a miss: every access must take the same
+   latency, every fallback must return the same value, and the final
+   stats, energy and memory image must be identical. Half the blocks
+   share one L1 set, so hits come from both levels. *)
 let test_hit_prefix_differential () =
   let module R = Warden_util.Splitmix in
   let module Bin = Warden_util.Bin in
@@ -260,17 +259,18 @@ let test_hit_prefix_differential () =
       in
       let rng = R.make 0x41B2L in
       let prefix_hits = ref 0 and region = ref None in
-      let same what (v, lat) (v', lat') =
-        if v <> v' || lat <> lat' then
-          Alcotest.failf "%s: full path (%Ld, %d) vs hit prefix (%Ld, %d)" what v
-            lat v' lat'
-      in
-      let fast lat value slow =
-        if lat >= 0 then begin
+      (* [lat] is the prefix's answer; [slow] the fallback transition. *)
+      let same what (v, lat) lat' slow =
+        if lat' >= 0 then begin
           incr prefix_hits;
-          (value (), lat)
+          if lat <> lat' then
+            Alcotest.failf "%s: transition latency %d vs hit prefix %d" what lat lat'
         end
-        else slow ()
+        else
+          let v', lat' = slow () in
+          if v <> v' || lat <> lat' then
+            Alcotest.failf "%s: transition (%Ld, %d) vs fallback (%Ld, %d)" what v
+              lat v' lat'
       in
       for _ = 1 to 20_000 do
         let thread = R.int rng nthreads in
@@ -280,26 +280,20 @@ let test_hit_prefix_differential () =
         | 0 | 1 | 2 | 3 | 4 | 5 ->
             same "load"
               (Memsys.load full ~thread addr ~size)
-              (fast
-                 (Memsys.try_fast_load pref ~thread addr ~size)
-                 (fun () -> Memsys.fast_value pref)
-                 (fun () -> Memsys.load pref ~thread addr ~size))
+              (Memsys.try_fast_load pref ~thread addr ~size)
+              (fun () -> Memsys.load pref ~thread addr ~size)
         | 6 | 7 | 8 | 9 | 10 ->
             let v = R.next rng in
             same "store"
               (0L, Memsys.store full ~thread addr ~size v)
-              (fast
-                 (Memsys.try_fast_store pref ~thread addr ~size v)
-                 (fun () -> 0L)
-                 (fun () -> (0L, Memsys.store pref ~thread addr ~size v)))
+              (Memsys.try_fast_store pref ~thread addr ~size v)
+              (fun () -> (0L, Memsys.store pref ~thread addr ~size v))
         | 11 | 12 | 13 ->
             let f = Int64.add (Int64.of_int (R.int rng 100)) in
             same "rmw"
               (Memsys.rmw full ~thread addr ~size f)
-              (fast
-                 (Memsys.try_fast_rmw pref ~thread addr ~size f)
-                 (fun () -> Memsys.fast_value pref)
-                 (fun () -> Memsys.rmw pref ~thread addr ~size f))
+              (Memsys.try_fast_rmw pref ~thread addr ~size f)
+              (fun () -> Memsys.rmw pref ~thread addr ~size f)
         | _ -> (
             match !region with
             | None ->

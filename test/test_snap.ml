@@ -166,6 +166,53 @@ let test_dirstate_hier_boundary () =
     (Bin.Corrupt "Bin: Dirstate: geometry mismatch") (fun () ->
       Dirstate.restore other (Bin.reader (Bin.contents w)))
 
+(* A malformed directory image is refused with the field named, and the
+   target directory is left as it was. Rewriting [shift] of a 10-entry
+   directory (57, for 64 slots) to 40 used to be accepted; the next
+   [find] then read far outside the key array. The image is the six
+   ints and arrays [Dirstate.save] writes: nsock, cps, used, shift, then
+   keys (length first), meta, mask and fine. *)
+let test_dirstate_restore_malformed () =
+  let module D = Warden_proto.Dirstate in
+  let dir = D.create ~sockets:2 ~cores_per_socket:12 () in
+  let blks = List.init 10 (fun i -> 1000 + (7 * i)) in
+  List.iter (fun b -> ignore (D.entry dir b : D.slot)) blks;
+  let w = Bin.writer () in
+  D.save dir w;
+  let image = Bin.contents w in
+  let int_at off = Int64.to_int (Bytes.get_int64_le image off) in
+  Alcotest.(check int) "shift of 64 slots" 57 (int_at 24);
+  let cap = int_at 32 in
+  let key i = 40 + (8 * i) in
+  let slot_of b = D.find dir b in
+  let s0 = slot_of (List.hd blks) in
+  let emptied = List.find (fun i -> int_at (key i) = -1) (List.init cap Fun.id) in
+  let cases =
+    [
+      ("bad shift", [ (24, 40) ]);
+      ("bad used count", [ (16, 11) ]);
+      ("bad key", [ (key emptied, -2) ]);
+      ( "bad used count",
+        (16, cap) :: List.init cap (fun i -> (key i, 5000 + i)) );
+      (* Move a key off its probe sequence: past the slot it vacates. *)
+      ( "misplaced key",
+        [ (key s0, -1); (key ((s0 + (cap / 2)) land (cap - 1)), List.hd blks) ]
+      );
+    ]
+  in
+  List.iter
+    (fun (field, edits) ->
+      let b = Bytes.copy image in
+      List.iter (fun (off, v) -> Bytes.set_int64_le b off (Int64.of_int v)) edits;
+      let target = D.create ~sockets:2 ~cores_per_socket:12 () in
+      ignore (D.entry target 3 : D.slot);
+      Alcotest.check_raises field
+        (Bin.Corrupt ("Bin: Dirstate: " ^ field))
+        (fun () -> D.restore target (Bin.reader b));
+      Alcotest.(check bool) "target unchanged" true
+        (D.find target 3 <> D.no_slot && D.find target 1000 = D.no_slot))
+    cases
+
 (* ---- 2. Restore-then-run bit-identity ------------------------------------ *)
 
 (* A small sharing-heavy workload: 4 threads walking overlapping block
@@ -353,6 +400,8 @@ let suite =
     Alcotest.test_case "csa chunked store round-trip" `Quick test_csa_roundtrip;
     Alcotest.test_case "dirstate across the 62-core boundary" `Quick
       test_dirstate_hier_boundary;
+    Alcotest.test_case "malformed dirstate refused" `Quick
+      test_dirstate_restore_malformed;
     Alcotest.test_case "snapshot format pinned (WSNP v2 digests)" `Quick
       test_snapshot_format_pinned;
     Alcotest.test_case "restore-then-run bit-identical" `Quick
