@@ -87,7 +87,8 @@ bench-replay:
 # in W (one name, a comma-separated list, or `all`) alternates N pairs of
 # `ledger.exe --workload W --trace 0 --seconds 15` runs, and prints each
 # run's host_s, setup_s and peak_rss_mb, both sides' medians and
-# quartiles of each, the pairs won on host_s, and a closing line per
+# quartiles of each, the pairs won on host_s, one `--trace 1` run per
+# side's runtime.ns_per_access and memsys.hit_ns, and a closing line per
 # workload with every metric's median change.
 #   make ledger-ab BASE=<rev> W=<workload>[,<workload>...]|all N=<pairs>
 BASE ?= HEAD

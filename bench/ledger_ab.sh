@@ -12,10 +12,14 @@
 # each side, alternating between them. 15 s is BENCHMARK.json's
 # run_seconds, so every run has the benchmark's length. It prints every
 # run's host_s, setup_s and peak_rss_mb, each side's median and
-# quartiles of each, and how many pairs the working tree won on host_s;
-# then one line per workload with each metric's median change. The order
-# inside a pair flips from pair to pair, so a drift in host speed does
-# not favour one side. `make ledger-ab` wraps this script.
+# quartiles of each, and how many pairs the working tree won on host_s.
+# After the pairs it runs each side once more with `--trace 1` and prints
+# that run's runtime.ns_per_access (program model) and memsys.hit_ns
+# (memory-system hit path) beside the host_s summary: they say which
+# layer a host_s change came from. Then it prints one line per workload
+# with each metric's median change. The order inside a pair flips from
+# pair to pair, so a drift in host speed does not favour one side.
+# `make ledger-ab` wraps this script.
 set -eu
 
 usage="usage: [BASE_EXE=path] $0 BASE WORKLOAD[,WORKLOAD...]|all PAIRS"
@@ -23,6 +27,7 @@ base=${1:?$usage}
 workloads=${2:?$usage}
 pairs=${3:?$usage}
 metrics="host_s setup_s peak_rss_mb"
+layers="runtime.ns_per_access memsys.hit_ns"
 
 root=$(git rev-parse --show-toplevel)
 if [ "$workloads" = all ]; then
@@ -54,18 +59,20 @@ echo "ledger-ab: building the working tree"
 (cd "$root" && dune build --root . ./ledger/ledger.exe)
 cp "$root/_build/default/ledger/ledger.exe" "$tmp/head.exe"
 
-# One timed run of workload $w: print its metrics and append each to the
-# side's list for that metric.
+# run SIDE TRACE LABEL METRIC...: one run of workload $w with --trace
+# TRACE; print the named metrics and append each to the side's list for
+# that metric.
 run() {
-  side=$1
-  line=$("$tmp/$side.exe" --workload "$w" --trace 0 --seconds 15 \
+  side=$1 trace=$2 label=$3
+  shift 3
+  line=$("$tmp/$side.exe" --workload "$w" --trace "$trace" --seconds 15 \
     --out "$tmp/out-$side" | tail -n 1)
   case $line in
     *'"correct": true'*) ;;
     *) echo "ledger-ab: $w: $side run failed its checks: $line" >&2; exit 1 ;;
   esac
-  printf '  pair %d  %-4s' "$i" "$side"
-  for m in $metrics; do
+  printf '  %s  %-4s' "$label" "$side"
+  for m in "$@"; do
     v=$(printf '%s\n' "$line" | sed -n "s/.*\"$m\": {\"value\": \([^,}]*\).*/\1/p")
     printf '  %s %s' "$m" "$v"
     echo "$v" >> "$tmp/$w.$side.$m"
@@ -83,15 +90,21 @@ summary() {
 }
 change() {
   awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
-    'BEGIN { printf "%+.1f%%", 100 * (h - b) / b }'
+    'BEGIN { if (b == 0) printf "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }'
 }
 
 for w in $(echo "$workloads" | tr ',' ' '); do
   i=1
   while [ "$i" -le "$pairs" ]; do
-    if [ $((i % 2)) -eq 1 ]; then run base; run head; else run head; run base; fi
+    if [ $((i % 2)) -eq 1 ]; then
+      run base 0 "pair $i" $metrics; run head 0 "pair $i" $metrics
+    else
+      run head 0 "pair $i" $metrics; run base 0 "pair $i" $metrics
+    fi
     i=$((i + 1))
   done
+  run base 1 traced $layers
+  run head 1 traced $layers
   echo "ledger-ab: $w, $pairs pairs"
   for m in $metrics; do
     echo "  $m"
@@ -103,6 +116,10 @@ for w in $(echo "$workloads" | tr ',' ' '); do
     awk '$2 < $1 { w++ } END { print w + 0 }')
   echo "  working tree faster on host_s in $wins of $pairs pairs"
   echo "$wins" > "$tmp/$w.wins"
+  for m in $layers; do
+    echo "  $m, one traced run per side: base $(cat "$tmp/$w.base.$m")," \
+      "working tree $(cat "$tmp/$w.head.$m"), change $(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
+  done
 done
 
 echo "ledger-ab: median change against $base, $pairs pairs per workload"
@@ -111,5 +128,9 @@ for w in $(echo "$workloads" | tr ',' ' '); do
   for m in $metrics; do
     printf '  %s %s' "$m" "$(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
   done
-  printf '  host_s won %s/%s\n' "$(cat "$tmp/$w.wins")" "$pairs"
+  printf '  host_s won %s/%s' "$(cat "$tmp/$w.wins")" "$pairs"
+  for m in $layers; do
+    printf '  %s %s' "$m" "$(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
+  done
+  echo
 done

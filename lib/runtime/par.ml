@@ -8,12 +8,13 @@ type rstats = {
   mutable steals : int;
   mutable steal_attempts : int;
   mutable allocs : int;
-  mutable heap_pages : int;
 }
 
 type tcb = { task_id : int; heap : Heap.t }
 
-type task = { exec : unit -> unit }
+(* A task returns true when it handed its thread off to a parked parent:
+   the fiber that ran it must then return to the engine. *)
+type task = unit -> bool
 
 type sched = {
   eng : Engine.t;
@@ -122,30 +123,38 @@ let scratch_alloc s bytes =
 
 (* --- fork-join machinery ----------------------------------------------- *)
 
-type _ Effect.t += Par2 : (unit -> 'a) * (unit -> 'b) -> ('a * 'b) Effect.t
-
-let par2 fa fb = Effect.perform (Par2 (fa, fb))
+(* A fork's join record. The parent parks in [k] until its last child
+   hands its thread off to it. *)
+type ('a, 'b) join = {
+  parent : tcb;
+  desc : int; (* the children's descriptor *)
+  sync : int; (* join counter, then the two result slots *)
+  mutable k : Engine.parked option;
+  mutable ra : 'a option;
+  mutable rb : 'b option;
+}
 
 let new_task_id s =
   s.next_task <- s.next_task + 1;
   s.next_task
 
-(* Run [f] in a fresh task context (fresh heap child of [parent_heap]);
-   returns through [finish]. The descriptor reads model the child fetching
-   its closure from the forking task's memory. *)
-let child_body s ~parent_heap ~desc ~join_ctr ~slot ~finish f () =
+(* Run [f] as a child of [j] in a fresh task context (fresh heap child of
+   the parent's heap), and join. The descriptor reads model the child
+   fetching its closure from the forking task's memory. Returns true when
+   this child finished last and handed its thread off to the parent. *)
+let child s j ~slot ~finish f =
   (* Acquire: the task may have been stolen, so everything the forking
      thread published (descriptor, heap data) must be re-observed. Under
      eagerly-coherent protocols this is a free no-op. *)
   Ops.acquire ();
   let tid = Ops.tid () in
-  let heap = Heap.fresh s.ms s.params ~parent:(Some parent_heap) in
+  let heap = Heap.fresh s.ms s.params ~parent:(Some j.parent.heap) in
   let tcb = { task_id = new_task_id s; heap } in
   s.stats.tasks <- s.stats.tasks + 1;
   s.ctx.(tid) <- Some tcb;
   (* Prologue: fetch the function pointer, environment and join info. *)
   for i = 0 to 3 do
-    ignore (Ops.load (desc + (8 * i)) ~size:8)
+    ignore (Ops.load (j.desc + (8 * i)) ~size:8)
   done;
   let v = f () in
   (* Publish the result in the parent's join frame (as MPL does: results
@@ -160,123 +169,41 @@ let child_body s ~parent_heap ~desc ~join_ctr ~slot ~finish f () =
      the parent's own next fork or join. The pre-read of the counter is a
      heuristic: racing siblings may both flush, which is merely the
      conservative outcome. *)
-  if Ops.load join_ctr ~size:8 > 1L then Heap.unmark_all heap;
-  Heap.merge_into ~child:heap ~parent:parent_heap;
+  if Ops.load j.sync ~size:8 > 1L then Heap.unmark_all heap;
+  Heap.merge_into ~child:heap ~parent:j.parent.heap;
   finish v;
   (* Release before the join decrement: the result slot and the task's
      writes must be published before the sibling (or parent) can observe
      the counter reaching zero. *)
   Ops.release ();
-  let old = Ops.fetch_add join_ctr ~size:8 (-1L) in
-  old = 1L (* true when this child is the last to finish *)
-
-let rec task_handler : sched -> (unit, unit) Effect.Deep.handler =
- fun s ->
-  let open Effect.Deep in
-  {
-    retc = (fun () -> ());
-    exnc = (fun e -> raise e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Par2 (fa, fb) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let tid = Ops.tid () in
-                let parent =
-                  match s.ctx.(tid) with
-                  | Some t -> t
-                  | None -> assert false
-                in
-                s.stats.forks <- s.stats.forks + 1;
-                Ops.tick s.params.Rtparams.fork_cost;
-                let halloc bytes =
-                  if s.params.Rtparams.handoff_in_heap then
-                    Heap.alloc s.ms s.params parent.heap ~bytes
-                  else scratch_alloc s bytes
-                in
-                (* Fork-time handoff: the descriptor the stolen child will
-                   read lives in the forking task's heap, written before
-                   the fork point so the unmark below flushes it to the
-                   shared cache (the §5.3 software optimization). The join
-                   counter and result slots are scheduler state (as in
-                   MPL): they are write-shared synchronization words, so
-                   they live in never-marked runtime memory. *)
-                let desc = halloc 32 in
-                (* Padded to a cache line so unrelated forks' sync words
-                   never share a block. *)
-                let sync = scratch_alloc s 64 in
-                let join_ctr = sync in
-                let slot_a = sync + 8 in
-                let slot_b = sync + 16 in
-                for i = 0 to 3 do
-                  Ops.store (desc + (8 * i)) ~size:8 (Int64.of_int (desc + i))
-                done;
-                Ops.store join_ctr ~size:8 2L;
-                (* The fork makes this heap internal: unmark its pages. *)
-                Heap.unmark_all parent.heap;
-                (* Release: publish the descriptor, sync words and heap
-                   before the right child becomes visible to thieves. *)
-                Ops.release ();
-                let ra = ref None and rb = ref None in
-                let resume () =
-                  (* The resuming thread is the last finisher, which may
-                     not be the thread that observed the other child's
-                     release: acquire before touching the results. *)
-                  Ops.acquire ();
-                  let ftid = Ops.tid () in
-                  (* The parent resumes on the last finisher's core and
-                     touches both children's results. *)
-                  ignore (Ops.load slot_a ~size:8);
-                  ignore (Ops.load slot_b ~size:8);
-                  s.ctx.(ftid) <- Some parent;
-                  match (!ra, !rb) with
-                  | Some va, Some vb -> continue k (va, vb)
-                  | _ -> assert false
-                in
-                let right =
-                  {
-                    exec =
-                      (fun () ->
-                        if
-                          child_body s ~parent_heap:parent.heap ~desc ~join_ctr
-                            ~slot:slot_b
-                            ~finish:(fun v -> rb := Some v)
-                            fb ()
-                        then resume ());
-                  }
-                in
-                Deque.push_bottom s.deques.(tid) right;
-                (* Run the left child inline, as its own task. *)
-                let left_body () =
-                  if
-                    child_body s ~parent_heap:parent.heap ~desc ~join_ctr
-                      ~slot:slot_a
-                      ~finish:(fun v -> ra := Some v)
-                      fa ()
-                  then resume ()
-                in
-                match_with left_body () (task_handler s))
-        | _ -> None)
-  }
-
-let run_task s task = Effect.Deep.match_with task.exec () (task_handler s)
+  Ops.fetch_add j.sync ~size:8 (-1L) = 1L
+  && begin
+       (* The last finisher may not be the thread that observed the other
+          child's release: acquire before touching the results. The
+          parent resumes on this thread and touches both results. *)
+       Ops.acquire ();
+       ignore (Ops.load (j.sync + 8) ~size:8);
+       ignore (Ops.load (j.sync + 16) ~size:8);
+       s.ctx.(Ops.tid ()) <- Some j.parent;
+       Ops.hand_off (Option.get j.k);
+       true
+     end
 
 (* One steal attempt, Chase-Lev style: read the victim's published top
    pointer first (a cheap shared load that stays cached while the victim's
    deque is quiet), and only contend with a CAS when there appears to be
-   work. Returns true if a task was executed. *)
-let try_steal s tid rng =
+   work. *)
+let try_steal s tid =
   s.stats.steal_attempts <- s.stats.steal_attempts + 1;
   Ops.stall s.params.Rtparams.steal_probe_cost;
   let victim =
-    let v = Splitmix.int rng (s.nworkers - 1) in
+    let v = Splitmix.int s.rngs.(tid) (s.nworkers - 1) in
     if v >= tid then v + 1 else v
   in
   (* The lock word doubles as the victim's "age" publication: loading it
      is the thief's peek. *)
   ignore (Ops.load s.lock_addr.(victim) ~size:8);
-  if Deque.is_empty s.deques.(victim) then false
+  if Deque.is_empty s.deques.(victim) then None
   else if Ops.cas s.lock_addr.(victim) ~size:8 ~expected:0L ~desired:1L then begin
     let stolen = Deque.steal_top s.deques.(victim) in
     Ops.store s.lock_addr.(victim) ~size:8 0L;
@@ -285,38 +212,77 @@ let try_steal s tid rng =
        contender's coherent CAS would read a stale locked value from the
        LLC. *)
     Ops.release ();
-    match stolen with
-    | Some task ->
-        s.stats.steals <- s.stats.steals + 1;
-        Ops.stall s.params.Rtparams.steal_move_cost;
-        run_task s task;
-        true
-    | None -> false
+    if Option.is_some stolen then begin
+      s.stats.steals <- s.stats.steals + 1;
+      Ops.stall s.params.Rtparams.steal_move_cost
+    end;
+    stolen
   end
-  else false
+  else None
 
-let worker s tid () =
-  let rng = s.rngs.(tid) in
-  let base = s.params.Rtparams.idle_backoff in
-  let backoff = ref base in
-  let rec loop () =
-    if not s.finished then begin
-      (match Deque.pop_bottom s.deques.(tid) with
-      | Some task ->
-          backoff := base;
-          run_task s task
-      | None ->
-          if try_steal s tid rng then backoff := base
-          else begin
-            (* Exponential backoff keeps idle workers from flooding the
-               interconnect with probe traffic. *)
-            Ops.stall !backoff;
-            backoff := min (16 * base) (2 * !backoff)
-          end);
-      loop ()
-    end
+(* A task for thread [tid]: its own deque's bottom, else a stolen one;
+   [None] once the run is over. Idle workers back off exponentially, from
+   [backoff], so they do not flood the interconnect with probe traffic. *)
+let rec find_task s tid backoff =
+  if s.finished then None
+  else
+    match Deque.pop_bottom s.deques.(tid) with
+    | Some _ as task -> task
+    | None -> (
+        match try_steal s tid with
+        | Some _ as task -> task
+        | None ->
+            Ops.stall backoff;
+            find_task s tid (min (16 * s.params.Rtparams.idle_backoff) (2 * backoff)))
+
+(* The worker loop: every thread's first fiber, and the rest of every
+   fork's body. A parked parent carries these frames to whichever thread
+   resumes it, so the loop keeps nothing per thread in them: it reads its
+   thread afresh for each task, and the backoff restarts with each search.
+   It returns when the run is over, or when a task handed its thread off. *)
+let rec worker s () =
+  match find_task s (Ops.tid ()) s.params.Rtparams.idle_backoff with
+  | Some task -> if not (task ()) then worker s ()
+  | None -> ()
+
+let par2 fa fb =
+  let s = sched () in
+  let tid = Ops.tid () in
+  let parent = match s.ctx.(tid) with Some t -> t | None -> assert false in
+  s.stats.forks <- s.stats.forks + 1;
+  Ops.tick s.params.Rtparams.fork_cost;
+  (* Fork-time handoff: the descriptor the stolen child will read lives in
+     the forking task's heap, written before the fork point so the unmark
+     below flushes it to the shared cache (the §5.3 software
+     optimization). The join counter and result slots are scheduler state
+     (as in MPL): they are write-shared synchronization words, so they
+     live in never-marked runtime memory, padded to a cache line so
+     unrelated forks' sync words never share a block. *)
+  let desc =
+    if s.params.Rtparams.handoff_in_heap then
+      Heap.alloc s.ms s.params parent.heap ~bytes:32
+    else scratch_alloc s 32
   in
-  loop ()
+  let sync = scratch_alloc s 64 in
+  for i = 0 to 3 do
+    Ops.store (desc + (8 * i)) ~size:8 (Int64.of_int (desc + i))
+  done;
+  Ops.store sync ~size:8 2L;
+  (* The fork makes this heap internal: unmark its pages. *)
+  Heap.unmark_all parent.heap;
+  (* Release: publish the descriptor, sync words and heap before the
+     right child becomes visible to thieves. *)
+  Ops.release ();
+  let j = { parent; desc; sync; k = None; ra = None; rb = None } in
+  Deque.push_bottom s.deques.(tid) (fun () ->
+      child s j ~slot:(sync + 16) ~finish:(fun v -> j.rb <- Some v) fb);
+  (* Park here and run the left child on this thread, then work. *)
+  Engine.Ops.fork
+    ~park:(fun k -> j.k <- Some k)
+    (fun () ->
+      if not (child s j ~slot:(sync + 8) ~finish:(fun v -> j.ra <- Some v) fa)
+      then worker s ());
+  match (j.ra, j.rb) with Some a, Some b -> (a, b) | _ -> assert false
 
 (* --- derived combinators ------------------------------------------------ *)
 
@@ -382,15 +348,7 @@ let run ?(params = Rtparams.default) ?workers eng main =
         Array.init nworkers (fun i ->
             Splitmix.make (Int64.add params.Rtparams.seed (Int64.of_int i)));
       ctx = Array.make nthreads None;
-      stats =
-        {
-          forks = 0;
-          tasks = 0;
-          steals = 0;
-          steal_attempts = 0;
-          allocs = 0;
-          heap_pages = 0;
-        };
+      stats = { forks = 0; tasks = 0; steals = 0; steal_attempts = 0; allocs = 0 };
       scratch = 0;
       scratch_end = 0;
       next_task = 0;
@@ -399,22 +357,19 @@ let run ?(params = Rtparams.default) ?workers eng main =
   in
   a.sched <- Some s;
   let result = ref None in
-  let root =
-    {
-      exec =
-        (fun () ->
-          let tid = Ops.tid () in
-          let heap = Heap.fresh ms params ~parent:None in
-          s.ctx.(tid) <- Some { task_id = new_task_id s; heap };
-          s.stats.tasks <- s.stats.tasks + 1;
-          let v = main () in
-          Heap.unmark_all heap;
-          result := Some v;
-          s.finished <- true);
-    }
+  let root () =
+    let tid = Ops.tid () in
+    let heap = Heap.fresh ms params ~parent:None in
+    s.ctx.(tid) <- Some { task_id = new_task_id s; heap };
+    s.stats.tasks <- s.stats.tasks + 1;
+    let v = main () in
+    Heap.unmark_all heap;
+    result := Some v;
+    s.finished <- true;
+    false
   in
   Deque.push_bottom s.deques.(0) root;
-  let bodies = Array.init nworkers (fun tid -> worker s tid) in
+  let bodies = Array.make nworkers (worker s) in
   Fun.protect
     ~finally:(fun () -> a.sched <- None)
     (fun () -> ignore (Engine.run eng bodies));

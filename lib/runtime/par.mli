@@ -18,7 +18,6 @@ type rstats = {
   mutable steals : int;
   mutable steal_attempts : int;
   mutable allocs : int;
-  mutable heap_pages : int;
 }
 
 val run :

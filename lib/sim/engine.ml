@@ -20,10 +20,15 @@ type op =
   | Region_remove
   | Acquire
   | Release
+  | Fork (* hand [k] to [park], then run [body], in the same turn *)
+  | Hand_off (* the body returned: continue [k] in the same turn *)
+
+(* A suspended fiber: a thread's, or one a fork parked. *)
+type parked = (unit, unit) Effect.Deep.continuation
 
 (* A continuation that is never resumed: a thread's [k] before its first
    suspension and after it finishes, so the slot needs no option box. *)
-let no_k : (unit, unit) Effect.Deep.continuation =
+let no_k : parked =
   let open Effect.Deep in
   let captured : (unit, unit) continuation option ref = ref None in
   match_with Effect.perform Suspend
@@ -53,8 +58,9 @@ type tstate = {
   word : Bytes.t;
       (* 8 bytes: a pending store's value; a load's or RMW's result, and
          a region add's (1L = accepted) *)
-  mutable body : unit -> unit; (* the thread's program, until it starts *)
-  mutable k : (unit, unit) Effect.Deep.continuation;
+  mutable body : unit -> unit; (* the thread's program, or a fork's body *)
+  mutable park : parked -> unit; (* a fork's receiver of the parked fiber *)
+  mutable k : parked;
   (* Store buffer: a ring of completion times, oldest first. Fixed size
      (capacity entries + 1), so the per-store path allocates nothing. *)
   sb : int array;
@@ -123,6 +129,7 @@ let create cfg ~proto =
       rmw_f = Fun.id;
       word = Bytes.make 8 '\000';
       body = idle;
+      park = ignore;
       k = no_k;
       sb;
       sb_head = 0;
@@ -369,7 +376,7 @@ let do_rmw t st addr ~size f =
 (* Perform the root thread's pending operation and resume it. *)
 let step t st =
   (match st.op with
-  | Start | Yield -> ()
+  | Start | Yield | Fork | Hand_off -> ()
   | Load -> do_load t st st.addr ~size:st.size
   | Store -> do_store t st st.addr ~size:st.size (word st)
   | Rmw -> do_rmw t st st.addr ~size:st.size st.rmw_f
@@ -398,16 +405,19 @@ let step t st =
       retire t st 1);
   Effect.Deep.continue st.k ()
 
-(* The handler of every thread of a run. A suspension stores the
-   continuation in the running thread's state and returns to the run
-   loop; the [Some] is allocated once per run, not per suspension. *)
+(* The handler of every thread of a run, and the only one on a thread's
+   path. A suspension stores the continuation in the running thread's
+   state and returns to the run loop; a fork does the same without
+   requeueing the thread. The [Some] is allocated once per run, not per
+   suspension. *)
 let handler t =
   let open Effect.Deep in
   let suspend =
     Some
       (fun k ->
-        (cur_st t).k <- k;
-        t.requeued <- true)
+        let st = cur_st t in
+        st.k <- k;
+        t.requeued <- (match st.op with Fork -> false | _ -> true))
   in
   {
     retc = idle;
@@ -417,9 +427,38 @@ let handler t =
         match eff with Suspend -> suspend | _ -> None);
   }
 
+(* The end of the running thread's turn, once its fiber has returned to
+   the run loop. It suspended: rewrite its key and sift it down. It forked:
+   hand the parked fiber to the fork's receiver and run the fork's body.
+   Its body returned after a hand-off: continue the parked fiber. Its body
+   returned otherwise: it has finished, so remove the root. A fork or
+   hand-off takes no time and stays in the turn, so neither ever nests a
+   fiber inside another. *)
+let rec settle t st h =
+  if t.requeued then sift_root t st.tid (key t st)
+  else
+    match st.op with
+    | Fork ->
+        let park = st.park and body = st.body in
+        (* Spent, so that a body returning later finishes the thread. *)
+        st.op <- Start;
+        st.park <- ignore;
+        st.body <- idle;
+        park st.k;
+        Effect.Deep.match_with body () h;
+        settle t st h
+    | Hand_off ->
+        st.op <- Start;
+        Effect.Deep.continue st.k ();
+        settle t st h
+    | _ ->
+        (* Finished: drop the spent continuation. *)
+        st.k <- no_k;
+        remove_root t
+
 (* Run turns until every thread has finished. The root is the thread to
-   run; its turn ends when it suspends (rewrite its key, sift it down) or
-   finishes (remove the root). *)
+   run. A turn that ends in a suspension, the common case, sifts without
+   calling [settle]. *)
 let drain_heap t h =
   while t.heap_len > 0 do
     let st = t.threads.(t.heap_tid.(0)) in
@@ -431,12 +470,7 @@ let drain_heap t h =
         st.body <- idle;
         Effect.Deep.match_with body () h
     | _ -> step t st);
-    if t.requeued then sift_root t st.tid (key t st)
-    else begin
-      (* Finished: drop the spent continuation. *)
-      st.k <- no_k;
-      remove_root t
-    end
+    if t.requeued then sift_root t st.tid (key t st) else settle t st h
   done
 
 (* [run] may be called repeatedly on one engine: each call is a phase, and
@@ -647,4 +681,15 @@ module Ops = struct
     if t.sync_on then suspend (cur_st t) Release
 
   let yield () = suspend (cur_st (engine ())) Yield
+
+  let fork ~park body =
+    let st = cur_st (engine ()) in
+    st.park <- park;
+    st.body <- body;
+    suspend st Fork
+
+  let hand_off k =
+    let st = cur_st (engine ()) in
+    st.k <- k;
+    st.op <- Hand_off
 end

@@ -36,6 +36,9 @@
 
 type t
 
+type parked
+(** A fiber suspended by {!Ops.fork}, waiting for an {!Ops.hand_off}. *)
+
 val create :
   Warden_machine.Config.t ->
   proto:[ `Mesi | `Warden | `Msi_bus | `Sisd ] ->
@@ -127,4 +130,18 @@ module Ops : sig
 
   val yield : unit -> unit
   (** Let other threads scheduled at the same cycle run first. *)
+
+  val fork : park:(parked -> unit) -> (unit -> unit) -> unit
+  (** [fork ~park body] parks the running fiber, passes it to [park], and
+      runs [body] as a new fiber on the same thread at the same cycle.
+      [fork] returns when a {!hand_off} of the parked fiber resumes it,
+      perhaps on another thread. Takes no time and does not requeue the
+      thread. When [body] returns, the thread finishes, unless it handed
+      off. *)
+
+  val hand_off : parked -> unit
+  (** [hand_off p]: when the running fiber's body returns, continue [p]
+      on this thread in the same turn, instead of finishing the thread.
+      Takes no time and does not requeue the thread. It must be the
+      body's last operation: a later access would replace it. *)
 end

@@ -329,6 +329,64 @@ let test_suspend_allocation_budget () =
     (Printf.sprintf "%.2f minor words per scheduled access (budget 6)" per_access)
     true (per_access <= 6.)
 
+(* Fork and hand-off complete inside the running thread's turn: neither
+   takes time nor requeues the thread. Thread 0 loads two lines, then
+   forks: its fiber parks, and the fork's body loads two more lines and
+   returns, which finishes thread 0. Thread 1 loads eight lines and hands
+   off to the parked fiber, which resumes on thread 1, so its body's
+   return does not finish the thread, and loads two lines there. Without
+   parking, the same loads (four on thread 0, then ten on thread 1) give
+   the same end clocks, makespan and stats. *)
+let test_fork_and_hand_off () =
+  let go ~park =
+    let eng = Engine.create (Config.single_socket ()) ~proto:`Mesi in
+    let ms = Engine.memsys eng in
+    let lines n = Array.init n (fun _ -> Memsys.alloc ms ~bytes:64 ~align:64) in
+    let a = lines 2 and b = lines 2 and c = lines 8 and d = lines 2 in
+    let loads ls = Array.iter (fun x -> ignore (Ops.load x ~size:8)) ls in
+    let ends = Array.make 2 0 and parked = ref None and resumed_on = ref (-1) in
+    let thread0 () =
+      loads a;
+      if park then begin
+        let t0 = Ops.now () in
+        Ops.fork
+          ~park:(fun k -> parked := Some k)
+          (fun () ->
+            Alcotest.(check (pair int int)) "fork body: same thread, same cycle"
+              (0, t0) (Ops.tid (), Ops.now ());
+            loads b;
+            ends.(0) <- Ops.now ());
+        resumed_on := Ops.tid ();
+        loads d;
+        ends.(1) <- Ops.now ()
+      end
+      else begin
+        loads b;
+        ends.(0) <- Ops.now ()
+      end
+    and thread1 () =
+      loads c;
+      if park then
+        match !parked with
+        | Some k -> Ops.hand_off k
+        | None -> Alcotest.fail "thread 0 has not forked yet"
+      else begin
+        loads d;
+        ends.(1) <- Ops.now ()
+      end
+    in
+    let span = Engine.run eng [| thread0; thread1 |] in
+    (span, Array.to_list ends, Memsys.sstats ms, !resumed_on)
+  in
+  let span, ends, stats, resumed_on = go ~park:true in
+  let span', ends', stats', _ = go ~park:false in
+  Alcotest.(check int) "resumed on the handing-off thread" 1 resumed_on;
+  Alcotest.(check (list int)) "end clocks" ends' ends;
+  Alcotest.(check int) "makespan" span' span;
+  Alcotest.(check bool) "stats" true (stats = stats');
+  Alcotest.(check int) "thread 1 retired its own and the resumed loads" 10
+    stats.Sstats.per_thread_instructions.(1)
+
 (* Snapshot and restore are legal only between runs. The running thread
    stays in the run queue for its whole turn, so a call from inside a
    run is refused even from the last thread, with or without a buffered
@@ -380,6 +438,8 @@ let suite =
       test_yield_round_robin_long;
     Alcotest.test_case "suspension allocation budget" `Quick
       test_suspend_allocation_budget;
+    Alcotest.test_case "fork and hand-off stay in the turn" `Quick
+      test_fork_and_hand_off;
     Alcotest.test_case "no snapshot or restore mid-run" `Quick
       test_no_snapshot_mid_run;
   ]

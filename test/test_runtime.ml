@@ -151,6 +151,42 @@ let test_nested_alloc_isolation () =
   in
   Alcotest.(check int) "every task saw its own data" 64 v
 
+(* An exception raised in a stolen right child, three or more forks
+   below the root, escapes [Par.run] as itself, however many parked
+   parents it leaves behind. The next run on a fresh engine in this
+   domain completes correctly: the ambient scheduler and engine slots
+   were restored. *)
+exception Boom of int
+
+let test_exception_from_stolen_child () =
+  let rec tree level =
+    if level = 6 then begin
+      Par.tick 40;
+      1
+    end
+    else begin
+      let forker = Engine.Ops.tid () in
+      let a, b =
+        Par.par2
+          (fun () -> tree (level + 1))
+          (fun () ->
+            if level >= 3 && Engine.Ops.tid () <> forker then raise (Boom level);
+            tree (level + 1))
+      in
+      a + b
+    end
+  in
+  let cfg = Config.single_socket () in
+  (match run_with ~workers:4 ~proto:`Warden cfg (fun () -> tree 0) with
+  | _ -> Alcotest.fail "no right child three forks deep was stolen"
+  | exception Boom level ->
+      Alcotest.(check bool) "raised three or more forks deep" true (level >= 3));
+  Alcotest.(check bool) "no ambient heap after the run" true
+    (Par.current_heap () = None);
+  let v, rs, _ = run_with ~workers:4 ~proto:`Warden cfg (fun () -> fib_par 14) in
+  Alcotest.(check int) "the next run's result" (fib_seq 14) v;
+  Alcotest.(check bool) "the next run stole" true (rs.Par.steals > 0)
+
 let suite =
   [
     Alcotest.test_case "fib under mesi" `Quick (test_fib `Mesi);
@@ -163,6 +199,8 @@ let suite =
     Alcotest.test_case "protocol agreement" `Quick test_protocol_agreement;
     Alcotest.test_case "warden not slower on forks" `Quick test_warden_not_slower;
     Alcotest.test_case "leaf heap isolation" `Quick test_nested_alloc_isolation;
+    Alcotest.test_case "exception from a stolen child" `Quick
+      test_exception_from_stolen_child;
   ]
 
 let () = Alcotest.run "warden-runtime" [ ("runtime", suite) ]
