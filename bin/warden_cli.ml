@@ -932,15 +932,28 @@ let replay_cmd =
 (* --- check --------------------------------------------------------------- *)
 
 let check_cmd =
+  (* Out-of-range sizes are usage errors, reported before any work. *)
+  let in_range lo hi =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= lo && n <= hi -> Ok n
+          | _ ->
+              Error (Printf.sprintf "%S is not an integer in %d..%d" s lo hi)),
+        Format.pp_print_int )
+  in
   let cores_arg =
     Arg.(
-      value & opt int 3
+      value
+      & opt (in_range 1 8) 3
       & info [ "cores" ] ~docv:"N" ~doc:"Cores in the small model (1-8).")
   in
   let blocks_arg =
     Arg.(
-      value & opt int 2
-      & info [ "blocks" ] ~docv:"K" ~doc:"Cache blocks in the small model.")
+      value
+      & opt (in_range 1 256) 2
+      & info [ "blocks" ] ~docv:"K"
+          ~doc:"Cache blocks in the small model (1-256).")
   in
   let regions_arg =
     Arg.(
@@ -972,9 +985,23 @@ let check_cmd =
       value & opt int64 0x5EEDF00DL
       & info [ "seed" ] ~docv:"X" ~doc:"Random-walk seed (deterministic).")
   in
+  let open Warden_check in
+  let configs =
+    Check.
+      [
+        ([ "mesi" ], mesi);
+        ([ "warden" ], warden);
+        ([ "msi-bus"; "msibus"; "msi_bus" ], msi_bus);
+        ([ "sisd" ], sisd);
+        ([ "equiv"; "equivalence" ], equivalence);
+        ([ "msi-lockstep"; "msi_lockstep" ], msi_lockstep);
+      ]
+  in
   let proto_arg =
+    let names = "all" :: List.concat_map fst configs in
     Arg.(
-      value & opt string "all"
+      value
+      & opt (enum (List.map (fun n -> (n, n)) names)) "all"
       & info [ "proto"; "p" ]
           ~doc:
             "Configuration: mesi, warden, msi-bus, sisd, equiv (MESI=WARDen \
@@ -982,8 +1009,18 @@ let check_cmd =
              all.")
   in
   let machine_arg =
+    let dual = Config.dual_socket () in
+    let mesh = Config.numa_mesh ~sockets:32 ~cores_per_socket:2 () in
     Arg.(
-      value & opt string "dual"
+      value
+      & opt
+          (enum
+             [
+               ("dual", dual);
+               ("single", Config.single_socket ());
+               ("mesh", mesh);
+             ])
+          dual
       & info [ "machine"; "m" ]
           ~doc:
             "Small-model machine: dual (24 cores, the default), single, or \
@@ -992,45 +1029,14 @@ let check_cmd =
              hierarchical two-level sharer paths).")
   in
   let run cores blocks regions depth store_cap fuzz_steps seed proto machine =
-    let open Warden_check in
-    let machine =
-      match machine with
-      | "dual" -> Warden_machine.Config.dual_socket ()
-      | "single" -> Warden_machine.Config.single_socket ()
-      | "mesh" ->
-          Warden_machine.Config.numa_mesh ~sockets:32 ~cores_per_socket:2 ()
-      | m -> failwith ("unknown check machine " ^ m)
+    let protos =
+      List.filter_map
+        (fun (ns, c) ->
+          if proto = "all" || List.mem proto ns then Some c else None)
+        configs
     in
-    let cfgs =
-      let mk (f :
-               ?cores:int ->
-               ?blks:int ->
-               ?regions:int ->
-               ?store_cap:int ->
-               ?machine:Warden_machine.Config.t ->
-               unit ->
-               Check.cfg) =
-        f ~cores ~blks:blocks ~regions ~store_cap ~machine ()
-      in
-      match proto with
-      | "mesi" -> [ mk Check.mesi ]
-      | "warden" -> [ mk Check.warden ]
-      | "msi-bus" | "msibus" | "msi_bus" -> [ mk Check.msi_bus ]
-      | "sisd" -> [ mk Check.sisd ]
-      | "equiv" | "equivalence" -> [ mk Check.equivalence ]
-      | "msi-lockstep" | "msi_lockstep" -> [ mk Check.msi_lockstep ]
-      | "all" ->
-          [
-            mk Check.mesi;
-            mk Check.warden;
-            mk Check.msi_bus;
-            mk Check.sisd;
-            mk Check.equivalence;
-            mk Check.msi_lockstep;
-          ]
-      | p -> failwith ("unknown check configuration " ^ p)
-    in
-    let one (cfg : Check.cfg) =
+    let one (mk : Check.preset) =
+      let cfg = mk ~cores ~blks:blocks ~regions ~store_cap ~machine () in
       let report engine outcome =
         Format.printf "%-12s %-6s %a@." cfg.Check.name engine Check.pp_outcome
           outcome;
@@ -1040,12 +1046,11 @@ let check_cmd =
       let ok_fuzz =
         fuzz_steps <= 0
         || report "fuzz"
-             (Check.fuzz { cfg with Check.store_cap = 0 } ~steps:fuzz_steps
-                ~seed)
+             (Check.fuzz cfg ~steps:fuzz_steps ~seed)
       in
       ok_bfs && ok_fuzz
     in
-    exit_of_bool (List.for_all one cfgs)
+    exit_of_bool (List.for_all one protos)
   in
   Cmd.v
     (Cmd.info "check"

@@ -109,6 +109,15 @@ let find t blk =
         Array.unsafe_get c.payloads base
       end
 
+(* Pure probe: the payload, or -1 on a miss; no tick, no rotation. *)
+let peek t blk =
+  let set = set_index t blk in
+  match chunk_of t set with
+  | None -> -1
+  | Some c ->
+      let w = peek_pos c (base_of t set) t.nways blk in
+      if w < 0 then -1 else Array.unsafe_get c.payloads w
+
 (* Sa.insert's exact semantics — refresh in place on hit; otherwise fill
    the first empty way, or evict the least-recently-used one (first index
    wins ties) — except that a hit also reports the payload it replaced,
@@ -145,6 +154,20 @@ let insert t blk payload =
     c.last_use.(w) <- t.tick;
     evicted
   end
+
+let copy t =
+  {
+    t with
+    chunks =
+      Array.map
+        (Option.map (fun c ->
+             {
+               blks = Array.copy c.blks;
+               payloads = Array.copy c.payloads;
+               last_use = Array.copy c.last_use;
+             }))
+        t.chunks;
+  }
 
 (* Ascending (set, way) over resident blocks — the order Sa.iter visits
    a flat slice in; unallocated chunks hold nothing. *)

@@ -22,10 +22,16 @@ val find : t -> int -> int
 (** Hit probe with LRU refresh and MRU rotation, as {!Sa.find_way};
     returns the payload, or -1 on a miss. *)
 
+val peek : t -> int -> int
+(** The payload of a resident block, or -1; changes nothing. *)
+
 val insert : t -> int -> int -> (int * int) option
 (** As {!Sa.insert}: refresh in place on hit, else fill/evict. Returns
     the displaced [(block, payload)]: the evicted entry, or on a hit
     [(blk, old_payload)]. Materializes the chunk. *)
+
+val copy : t -> t
+(** An independent cache in the same state. *)
 
 val iter : t -> (int -> int -> unit) -> unit
 (** Resident blocks in ascending (set, way) order. *)

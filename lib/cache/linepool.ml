@@ -1,23 +1,27 @@
 (* Parallel page tables: page [p] holds slots [p * page_slots,
-   (p + 1) * page_slots). The tables grow by doubling, but they hold only
-   pointers to pages; a page is allocated once and never moved or copied.
-   The free list is threaded through the state array: a free slot's state
-   is the next free slot, or -1. *)
+   p * page_slots + slots), where [slots] is the pool's page size — 64 but
+   for a cache of fewer lines — so the addressing below is the same for
+   every pool. The tables grow by doubling, but they hold only pointers
+   to pages; a page is allocated once and never moved or copied. The free
+   list is threaded through the state array: a free slot's state is the
+   next free slot, or -1. *)
 
 let page_bits = 6
 let page_slots = 1 lsl page_bits
 let line = Warden_mem.Addr.block_size
 
 type t = {
-  mutable data : Bytes.t array; (* page_slots * line bytes per page *)
+  slots : int; (* slots per page, at most [page_slots] *)
+  mutable data : Bytes.t array; (* slots * line bytes per page *)
   mutable mask : int array array; (* two 32-bit halves per slot *)
   mutable state : int array array; (* one int per slot *)
   mutable npages : int;
   mutable free : int; (* head of the free list, -1 when empty *)
 }
 
-let create () =
-  { data = [||]; mask = [||]; state = [||]; npages = 0; free = -1 }
+let create ?(capacity = page_slots) () =
+  let slots = max 1 (min page_slots capacity) in
+  { slots; data = [||]; mask = [||]; state = [||]; npages = 0; free = -1 }
 let pages t = t.npages
 
 let grow a dummy n =
@@ -28,7 +32,7 @@ let grow a dummy n =
 (* Push page [p]'s slots on the free list, lowest slot on top. *)
 let link_page t p =
   let st = t.state.(p) and base = p lsl page_bits in
-  for i = page_slots - 1 downto 0 do
+  for i = t.slots - 1 downto 0 do
     st.(i) <- t.free;
     t.free <- base + i
   done
@@ -41,9 +45,9 @@ let add_page t =
     t.mask <- grow t.mask [||] n;
     t.state <- grow t.state [||] n
   end;
-  t.data.(p) <- Bytes.make (page_slots * line) '\000';
-  t.mask.(p) <- Array.make (2 * page_slots) 0;
-  t.state.(p) <- Array.make page_slots 0;
+  t.data.(p) <- Bytes.make (t.slots * line) '\000';
+  t.mask.(p) <- Array.make (2 * t.slots) 0;
+  t.state.(p) <- Array.make t.slots 0;
   t.npages <- p + 1;
   link_page t p
 
@@ -104,3 +108,14 @@ let[@inline] store t s ~off ~size v =
 let is_dirty t s =
   let m = t.mask.(page s) and i = mi s in
   m.(i) lor m.(i + 1) <> 0
+
+(* The page tables are copied at their used length; [add_page] regrows
+   them on the next page. *)
+let copy t =
+  let n = t.npages in
+  {
+    t with
+    data = Array.init n (fun p -> Bytes.copy t.data.(p));
+    mask = Array.init n (fun p -> Array.copy t.mask.(p));
+    state = Array.init n (fun p -> Array.copy t.state.(p));
+  }

@@ -3,8 +3,8 @@
     A cache keeps its lines' bytes, dirty masks and states here rather
     than in one heap object per line, so a fill allocates nothing, a store
     boxes no mask, and moving a line between ways moves an [int] slot. A
-    page holds 64 slots: 64 × 64 data bytes, two 32-bit dirty-mask halves
-    per slot and one state [int] per slot (its meaning is the owner's).
+    page holds up to 64 slots: 64 data bytes, two 32-bit dirty-mask
+    halves and one state [int] per slot (its meaning is the owner's).
     Pages are allocated on demand and never move, so a {!view} stays
     pointed at its slot while the pool grows. A freed slot is reused
     before a new page is added, and a pool starts with no pages
@@ -13,10 +13,12 @@
 type t
 
 val page_slots : int
-(** Slots per page (64). *)
+(** The largest page: 64 slots. *)
 
-val create : unit -> t
-(** An empty pool: no pages. *)
+val create : ?capacity:int -> unit -> t
+(** An empty pool: no pages. A page holds [capacity] slots — the owning
+    cache's lines — up to {!page_slots}, the default; slot numbers keep
+    the 64-slot layout, so a smaller page leaves gaps between pages. *)
 
 val alloc : t -> int
 (** A free slot, adding a page only when none is free. Its data, mask
@@ -56,3 +58,6 @@ val store : t -> int -> off:int -> size:int -> int64 -> unit
 (** {!Linedata.load} and {!Linedata.store} on a slot, without a view. *)
 
 val is_dirty : t -> int -> bool
+
+val copy : t -> t
+(** An independent pool in the same state. *)

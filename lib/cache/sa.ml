@@ -130,6 +130,14 @@ let remove t blk =
     t.last_use.(w) <- 0
   end
 
+let copy t =
+  {
+    t with
+    blks = Array.copy t.blks;
+    payloads = Array.copy t.payloads;
+    last_use = Array.copy t.last_use;
+  }
+
 let iter t f =
   for i = 0 to Array.length t.blks - 1 do
     let blk = Array.unsafe_get t.blks i in

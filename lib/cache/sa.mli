@@ -68,6 +68,9 @@ val insert_absent : t -> int -> int -> unit
 val remove : t -> int -> unit
 (** Invalidate a block if it is resident. *)
 
+val copy : t -> t
+(** An independent array in the same state. *)
+
 val iter : t -> (int -> int -> unit) -> unit
 (** Visit every resident block with its payload (in flat way order; hit
     rotation means that is not insertion order). *)

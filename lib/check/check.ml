@@ -4,57 +4,46 @@ open Warden_proto
 
 type cfg = {
   name : string;
-  cores : int;
-  blks : int;
-  regions : int;
-  store_cap : int;
-  region_cap : int;
-  machine : Config.t;
-  mk : Fabric.t -> Protocol.t;
+  world : World.cfg;
   lockstep : (Fabric.t -> Protocol.t) option;
   data_only : bool;
 }
 
-let base ~name ~mk ~lockstep ?(cores = 3) ?(blks = 2) ?(regions = 2)
-    ?(store_cap = 1) ?(machine = Config.dual_socket ()) () =
+type preset =
+  ?cores:int ->
+  ?blks:int ->
+  ?regions:int ->
+  ?store_cap:int ->
+  ?machine:Config.t ->
+  unit ->
+  cfg
+
+let base ~name ~mk ?lockstep ?(data_only = false) ?(cores = 3) ?(blks = 2)
+    ?(regions = 2) ?(store_cap = 1) ?(machine = Config.dual_socket ()) () =
   {
     name;
-    cores;
-    blks;
-    regions;
-    store_cap;
-    region_cap = 1;
-    machine;
-    mk;
+    world =
+      { World.cores; blks; regions; store_cap; region_base = 0; machine; mk };
     lockstep;
-    data_only = false;
+    data_only;
   }
 
-let mesi = base ~name:"mesi" ~mk:Protocol.mesi ~lockstep:None
-
-let warden =
-  base ~name:"warden" ~mk:Warden_core.Warden.protocol ~lockstep:None
-
-let msi_bus = base ~name:"msi-bus" ~mk:Msi_bus.protocol ~lockstep:None
-let sisd = base ~name:"sisd" ~mk:Sisd.protocol ~lockstep:None
+let of_protocol ~name ~mk = base ~name ~mk ?lockstep:None ?data_only:None
+let mesi = of_protocol ~name:"mesi" ~mk:Protocol.mesi
+let warden = of_protocol ~name:"warden" ~mk:Warden_core.Warden.protocol
+let msi_bus = of_protocol ~name:"msi-bus" ~mk:Msi_bus.protocol
+let sisd = of_protocol ~name:"sisd" ~mk:Sisd.protocol
 
 let equivalence =
   base ~name:"mesi=warden" ~mk:Warden_core.Warden.protocol
-    ~lockstep:(Some Protocol.mesi)
+    ~lockstep:Protocol.mesi ?data_only:None
 
 (* Snooping MSI against directory MESI, data-only: the contents they agree
    on are the coherence contract; grant states (S where MESI grants E) and
    costs (bus arbitration vs hop latency) are architecturally free. *)
-let msi_lockstep ?cores ?blks ?regions ?store_cap ?machine () =
-  {
-    (base ~name:"msi-bus=mesi" ~mk:Msi_bus.protocol
-       ~lockstep:(Some Protocol.mesi) ?cores ?blks ?regions ?store_cap
-       ?machine ())
-    with
-    data_only = true;
-  }
-
-let of_protocol ~name ~mk = base ~name ~mk ~lockstep:None
+let msi_lockstep =
+  base ~name:"msi-bus=mesi" ~mk:Msi_bus.protocol ~lockstep:Protocol.mesi
+    ~data_only:true
 
 (* ---- one system under test: a world, or a lockstep pair ------------------ *)
 
@@ -65,26 +54,15 @@ let copy_sys = function
   | Two (a, b) -> Two (World.copy a, World.copy b)
 
 let make cfg =
-  let world mk region_base =
-    World.create
-      {
-        World.cores = cfg.cores;
-        blks = cfg.blks;
-        regions = cfg.regions;
-        store_cap = cfg.store_cap;
-        region_cap = cfg.region_cap;
-        region_base;
-        machine = cfg.machine;
-        mk;
-      }
-  in
   match cfg.lockstep with
-  | None -> One (world cfg.mk 0)
+  | None -> One (World.create cfg.world)
   (* Lockstep shifts the region menu past the accessed blocks: region
      instructions still execute on both protocols, but no checked block is
      ever under WARD, so the two must agree exactly. The primary (WARDen)
      world drives [enabled] — its region CAM is the one that fills up. *)
-  | Some mk2 -> Two (world cfg.mk cfg.blks, world mk2 cfg.blks)
+  | Some mk ->
+      let w = { cfg.world with World.region_base = cfg.world.World.blks } in
+      Two (World.create w, World.create { w with World.mk })
 
 let enabled = function One w | Two (w, _) -> World.enabled w
 
@@ -136,9 +114,7 @@ let audit cfg = function
   | One w -> World.check w
   | Two (a, b) ->
       World.check a @ World.check b
-      @
-      if cfg.data_only then World.compare_data a b
-      else World.compare_states a b
+      @ World.compare ~data_only:cfg.data_only a b
 
 let key = function One w -> World.key w | Two (a, b) -> World.key a ^ World.key b
 
@@ -163,26 +139,17 @@ type outcome =
   | Pass of { states : int; transitions : int; complete : bool }
   | Fail of counterexample
 
-(* Replay [ops] from scratch; [Some errs] if some step violates an
-   invariant (errors of the first failing step), [None] if clean. *)
-let run_fails cfg ops =
-  let sys = make cfg in
-  let rec go = function
-    | [] -> None
-    | op :: rest -> (
-        let _, step_errs = step cfg sys op in
-        match step_errs @ audit cfg sys with [] -> go rest | errs -> Some errs)
-  in
-  go ops
-
-let failing_prefix cfg ops =
+(* Replay [ops] from scratch up to the first step that violates an
+   invariant: [Some (prefix, errors of that step)], or [None] if clean. *)
+let first_failure cfg ops =
   let sys = make cfg in
   let rec go acc = function
     | [] -> None
-    | op :: rest ->
+    | op :: rest -> (
         let _, step_errs = step cfg sys op in
-        if step_errs @ audit cfg sys <> [] then Some (List.rev (op :: acc))
-        else go (op :: acc) rest
+        match step_errs @ audit cfg sys with
+        | [] -> go (op :: acc) rest
+        | errs -> Some (List.rev (op :: acc), errs))
   in
   go [] ops
 
@@ -191,8 +158,10 @@ let remove_slice l i n = List.filteri (fun j _ -> j < i || j >= i + n) l
 (* Truncate to the first failing prefix, then delta-debug: try removing
    chunks of halving sizes until no single-chunk removal still fails. *)
 let shrink cfg ops0 =
-  let truncate ops = Option.value (failing_prefix cfg ops) ~default:ops in
-  let fails = function [] -> false | ops -> run_fails cfg ops <> None in
+  let truncate ops =
+    match first_failure cfg ops with Some (p, _) -> p | None -> ops
+  in
+  let fails ops = ops <> [] && first_failure cfg ops <> None in
   let rec pass ops chunk i =
     if chunk < 1 then ops
     else if i >= List.length ops then pass ops (chunk / 2) 0
@@ -228,7 +197,9 @@ let render cfg ops violations =
 
 let counterexample cfg ops =
   let ops = shrink cfg ops in
-  let violations = Option.value (run_fails cfg ops) ~default:[] in
+  let violations =
+    match first_failure cfg ops with Some (_, errs) -> errs | None -> []
+  in
   Fail { ops; violations; trace = render cfg ops violations }
 
 (* ---- engines -------------------------------------------------------------- *)
@@ -281,6 +252,7 @@ let explore cfg ~depth =
       with Found ops -> counterexample cfg ops)
 
 let fuzz cfg ~steps ~seed =
+  let cfg = { cfg with world = { cfg.world with World.store_cap = 0 } } in
   let sys = make cfg in
   let rng = Splitmix.make seed in
   let seen = Hashtbl.create 1024 in

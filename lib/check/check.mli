@@ -27,30 +27,24 @@ open Warden_proto
 
 type cfg = {
   name : string;
-  cores : int;
-  blks : int;
-  regions : int;
-  store_cap : int;  (** per-(core, block) store bound; [<= 0] = unlimited *)
-  region_cap : int;
-  machine : Config.t;
-  mk : Fabric.t -> Protocol.t;
+  world : World.cfg;
+      (** The world, or the lockstep pair's primary (WARDen) world. *)
   lockstep : (Fabric.t -> Protocol.t) option;
       (** When set, a second world runs the same operations and the two are
           compared per-op (latency and observed value of loads/stores) and
-          per-state ({!World.compare_states}). Region operations are
-          shifted past the accessed blocks so neither protocol puts a
-          checked block under WARD — this is the MESI ≡ WARDen
-          equivalence mode. *)
+          per-state ({!World.compare}). Region operations are shifted past
+          the accessed blocks so neither protocol puts a checked block
+          under WARD — this is the MESI ≡ WARDen equivalence mode. *)
   data_only : bool;
       (** Relax a lockstep pair to data equivalence: skip the latency
-          comparison and use {!World.compare_data} (residency, state
-          class, bytes, memory image) instead of exact state equality.
-          The snooping-MSI ≡ MESI mode needs this — bus arbitration costs
-          differently than directory hops, and MSI grants S where MESI
-          grants E. *)
+          comparison and compare data only ({!World.compare}: residency,
+          state class, bytes, memory image) instead of exact state
+          equality. The snooping-MSI ≡ MESI mode needs this — bus
+          arbitration costs differently than directory hops, and MSI
+          grants S where MESI grants E. *)
 }
 
-val mesi :
+type preset =
   ?cores:int ->
   ?blks:int ->
   ?regions:int ->
@@ -58,79 +52,38 @@ val mesi :
   ?machine:Config.t ->
   unit ->
   cfg
+(** A configuration with optional sizes. *)
+
+val mesi : preset
 (** The MESI baseline alone. Defaults: 3 cores, 2 blocks, 2 regions,
     store cap 1, dual-socket machine. Pass [machine] to close the state
     space on another topology — the scale-smoke model runs the checker
     cores spread across a many-socket machine so the hierarchical
     directory paths (DESIGN.md §14) are the ones explored. *)
 
-val warden :
-  ?cores:int ->
-  ?blks:int ->
-  ?regions:int ->
-  ?store_cap:int ->
-  ?machine:Config.t ->
-  unit ->
-  cfg
+val warden : preset
 (** WARDen alone, regions over the checked blocks (W states exercised). *)
 
-val msi_bus :
-  ?cores:int ->
-  ?blks:int ->
-  ?regions:int ->
-  ?store_cap:int ->
-  ?machine:Config.t ->
-  unit ->
-  cfg
+val msi_bus : preset
 (** The snooping shared-bus MSI protocol alone (region instructions retire
     as no-ops, so the explored alphabet matches {!mesi}'s). *)
 
-val sisd :
-  ?cores:int ->
-  ?blks:int ->
-  ?regions:int ->
-  ?store_cap:int ->
-  ?machine:Config.t ->
-  unit ->
-  cfg
+val sisd : preset
 (** SI/SD alone. The world appends {!Op.Acquire}/{!Op.Release} to the
     alphabet and swaps the SWMR/directory invariants for the
     acquire/release-aware oracle (see {!World}). *)
 
-val equivalence :
-  ?cores:int ->
-  ?blks:int ->
-  ?regions:int ->
-  ?store_cap:int ->
-  ?machine:Config.t ->
-  unit ->
-  cfg
+val equivalence : preset
 (** MESI and WARDen in lockstep on region-free blocks: both must produce
     identical latencies, values, and cache/directory states. *)
 
-val msi_lockstep :
-  ?cores:int ->
-  ?blks:int ->
-  ?regions:int ->
-  ?store_cap:int ->
-  ?machine:Config.t ->
-  unit ->
-  cfg
+val msi_lockstep : preset
 (** Snooping MSI and directory MESI in lockstep, [data_only]: every
     interleaving must leave both with the same copies, bytes, dirty masks
     and effective memory — the flush-on-snoop discipline keeping the MSI
     LLC exactly where MESI's directory puts it. *)
 
-val of_protocol :
-  name:string ->
-  mk:(Fabric.t -> Protocol.t) ->
-  ?cores:int ->
-  ?blks:int ->
-  ?regions:int ->
-  ?store_cap:int ->
-  ?machine:Config.t ->
-  unit ->
-  cfg
+val of_protocol : name:string -> mk:(Fabric.t -> Protocol.t) -> preset
 (** A config for an arbitrary protocol constructor — used by the mutation
     tests to check deliberately-broken implementations. *)
 
@@ -153,6 +106,7 @@ val explore : cfg -> depth:int -> outcome
     operations. *)
 
 val fuzz : cfg -> steps:int -> seed:int64 -> outcome
-(** One deterministic random walk of [steps] operations. *)
+(** One deterministic random walk of [steps] operations, with stores
+    unbounded (the config's store cap is ignored). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,9 +1,12 @@
-(** The model checker's small world: a concrete memory system of [cores]
-    unbounded private caches and one shared LLC (the terminal storage,
-    zero-filled on first touch), driving one packed
-    {!Warden_proto.Protocol.t} exactly the way the simulator's memory
-    system does (fill on miss, upgrade on an S-held store, silent E→M,
-    evict callbacks, region instructions).
+(** The model checker's small world: one production memory system
+    ({!Warden_sim.Memsys}) on the given machine's topology, its caches
+    shrunk to one set of [blks] ways so that no line is ever a capacity
+    victim. Loads and stores are {!Warden_sim.Memsys.access_load} and
+    [access_store] by the core's thread, evictions take the private
+    cache's victim path ({!Warden_sim.Memsys.evict}), and region
+    instructions and fences use the memory system's entry points. The
+    world reads the caches back through the protocol's fabric
+    ([peek_priv], [iter_priv]) and {!Warden_sim.Llc.peek}.
 
     Stores are given deterministic, interleaving-independent values:
     core [c]'s [k]-th store to block [b] always writes [encode c b k] into
@@ -17,8 +20,10 @@
     - directory/private-cache agreement ({!Warden_proto.Protocol.S.observe}
       vs the actual copies), including sharer sets, owner, and the
       [w_multi] flag's scope;
-    - SWMR among private copies, exempting blocks inside an active WARD
-      region (the documented W-block exemption), and S-copy cleanliness;
+    - the memory system's own audit ({!Warden_sim.Memsys.check_invariants}):
+      SWMR among private copies, exempting blocks inside an active WARD
+      region (the documented W-block exemption), S-copy cleanliness and
+      L1 inclusion;
     - the data-value invariant: outside WARD regions every private copy
       and (for I/S blocks) the effective memory must equal the oracle;
       inside a WARD region a core must still read its own writes, and any
@@ -42,11 +47,12 @@ open Warden_proto
 type cfg = {
   cores : int;  (** 1..8 (each core owns one 8-byte slot of a 64 B block) *)
   blks : int;  (** blocks 0..blks-1 are loaded/stored and checked *)
-  regions : int;  (** size of the predefined region menu (see {!Op}) *)
+  regions : int;
+      (** size of the predefined region menu (see {!Op}); each region is
+          live at most once at a time *)
   store_cap : int;
       (** max stores per (core, block); bounds the canonical state space.
           [<= 0] means unlimited (fuzzing). *)
-  region_cap : int;  (** max simultaneous activations per region index *)
   region_base : int;
       (** block offset of the region menu. [0] puts regions over the
           checked blocks; the equivalence mode sets [blks] so that region
@@ -63,19 +69,12 @@ type result = { latency : int; value : int64 option; accepted : bool }
     was accepted by the CAM. *)
 
 val create : cfg -> t
-val cfg : t -> cfg
 val proto : t -> Protocol.t
-val steps : t -> int
 
 val copy : t -> t
-(** Fork the whole memory system — caches, LLC, oracle counts, and the
-    protocol state (via {!Warden_proto.Protocol.copy}, rebound to the
-    fork's fabric). The explorer forks a world per successor instead of
-    replaying operation prefixes. *)
-
-val encode : core:int -> blk:int -> int -> int64
-(** [encode ~core ~blk k] is the value of core [core]'s [k]-th store to
-    block [blk] ([k >= 1]); [0L] is the initial memory value. *)
+(** Fork the world: the memory system ({!Warden_sim.Memsys.copy}) and
+    the oracle counts. The explorer forks a world per successor instead
+    of replaying operation prefixes. *)
 
 val enabled : t -> Op.t list
 (** The operations worth exploring from the current state: loads that
@@ -84,31 +83,27 @@ val enabled : t -> Op.t list
     excluded — they cannot change the canonical state.) *)
 
 val apply : t -> Op.t -> result
-(** Execute one operation against the protocol, updating the world. *)
+(** Execute one operation against the memory system, updating the
+    world. *)
 
 val check : t -> string list
 (** Audit every invariant; [[]] means the state is clean. *)
 
 val key : t -> string
 (** Canonical fingerprint of the complete state (directory views,
-    wardness, private copies with data and dirty masks, effective memory,
-    store counts, live regions) for BFS memoization. Two states with equal
-    keys are indistinguishable to any future operation sequence. *)
+    wardness, private copies with data and dirty masks, LLC lines, store
+    counts, live regions) for BFS memoization. Two states with equal keys
+    are indistinguishable to any future operation sequence: no line is
+    ever a capacity victim, so cache recency has no future effect. *)
 
-val compare_states : t -> t -> string list
-(** Differences between two worlds that equivalent protocols must not
-    show: per-block directory views, holder sets, private-copy states,
-    data, dirty masks, and wardness. Used by the MESI≡WARDen lockstep
-    mode on region-free block ranges. *)
-
-val compare_data : t -> t -> string list
-(** Data-only divergence between two worlds: residency, the M-vs-clean
-    state class, line bytes, dirty masks, and the effective memory image —
-    but not exact grant states, directory views, or costs. Used by the
-    snooping-MSI ≡ directory-MESI lockstep mode, where MSI grants S on
-    paths MESI grants E and both are architecturally correct. *)
+val compare : data_only:bool -> t -> t -> string list
+(** Differences that equivalent protocols must not show: per-core
+    residency, states, bytes and dirty masks, the effective memory image,
+    and directory views and wardness. [data_only] skips the last two and
+    compares only the M-vs-clean state class — snooping MSI grants S
+    where directory MESI grants E, and both are correct. *)
 
 val dump : t -> string
 (** Pretty-print the full state: protocol dump (directory + region CAM),
-    per-core cache contents, LLC lines, effective memory, and the
-    oracle's expected values. *)
+    per-core cache contents, LLC lines, and the oracle's expected
+    values. *)

@@ -18,12 +18,9 @@ module P = struct
   let kind = `Directory
 
   let create fabric =
-    let cfg = fabric.Fabric.config in
     {
       fabric;
-      dir =
-        Dirstate.create ~sockets:cfg.Config.sockets
-          ~cores_per_socket:cfg.Config.cores_per_socket ();
+      dir = Dirstate.of_config fabric.Fabric.config;
       regions =
         Regions.create
           ~capacity:fabric.Fabric.config.Config.ward_region_capacity;

@@ -38,6 +38,7 @@ type t = { c : costs; acc : float array }
 
 let create ?(costs = default_costs) () = { c = costs; acc = Array.make 4 0. }
 let costs t = t.c
+let copy t = { t with acc = Array.copy t.acc }
 let[@inline] deposit t i x = Array.unsafe_set t.acc i (Array.unsafe_get t.acc i +. x)
 
 let core_cycles t ~cores ~cycles =

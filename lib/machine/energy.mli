@@ -31,6 +31,9 @@ type t
 
 val create : ?costs:costs -> unit -> t
 
+val copy : t -> t
+(** An independent accumulator with the same totals and costs. *)
+
 val costs : t -> costs
 
 (* Deposit events. *)

@@ -97,6 +97,15 @@ let write_block_masked t blk data ~mask =
 
 let footprint_bytes t = Warden_util.Itab.length t.pages * page_size
 
+let copy t =
+  let module B = Warden_util.Bitset in
+  let module I = Warden_util.Itab in
+  let c = create () in
+  B.iter t.written_blocks (B.add c.written_blocks);
+  I.iter t.pages (fun id p ->
+      ignore (I.find_or_add c.pages id ~make:(fun _ -> Bytes.copy p)));
+  c
+
 (* Snapshot: the page table (sorted by page id — canonical bytes) and the
    written-block set. The one-entry page cache is host-side and resets. *)
 let save t w =

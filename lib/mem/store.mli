@@ -46,6 +46,9 @@ val materialized : t -> int -> bool
 val footprint_bytes : t -> int
 (** Number of bytes of simulated memory materialized so far. *)
 
+val copy : t -> t
+(** An independent store with the same contents. *)
+
 val save : t -> Warden_util.Bin.w -> unit
 (** Snapshot the page table (sorted by page id) and the written-block
     set; the one-entry page cache is host-side and resets on restore. *)

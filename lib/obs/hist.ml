@@ -1,7 +1,7 @@
 let nbuckets = 32
 
 type t = {
-  buckets : int array; (* classes * nbuckets, flat *)
+  mutable buckets : int array; (* classes * nbuckets, flat; [||] until used *)
   counts : int array;
   sums : int array;
   classes : int;
@@ -9,7 +9,7 @@ type t = {
 
 let create ~classes =
   {
-    buckets = Array.make (classes * nbuckets) 0;
+    buckets = [||];
     counts = Array.make classes 0;
     sums = Array.make classes 0;
     classes;
@@ -29,6 +29,8 @@ let bucket_of v =
   end
 
 let add t ~cls v =
+  if Array.length t.buckets = 0 then
+    t.buckets <- Array.make (t.classes * nbuckets) 0;
   let b = bucket_of v in
   let i = (cls * nbuckets) + b in
   Array.unsafe_set t.buckets i (Array.unsafe_get t.buckets i + 1);
@@ -41,7 +43,7 @@ let check_cls t cls =
 let get t ~cls ~bucket =
   check_cls t cls;
   if bucket < 0 || bucket >= nbuckets then invalid_arg "Hist: bad bucket";
-  t.buckets.((cls * nbuckets) + bucket)
+  if t.counts.(cls) = 0 then 0 else t.buckets.((cls * nbuckets) + bucket)
 
 let count t ~cls =
   check_cls t cls;

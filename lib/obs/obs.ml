@@ -22,7 +22,7 @@ let create (cfg : Config.t) =
   {
     cfg_level = cfg.obs_level;
     lvl;
-    ring = Ring.create ~capacity:(if lvl >= 2 then ring_capacity else 16);
+    ring = Ring.create ~capacity:(if lvl >= 2 then ring_capacity else 0);
     counts = Array.make Events.count 0;
     sums = Array.make Events.count 0;
     hist = Hist.create ~classes:Events.count;

@@ -11,7 +11,9 @@
 type t
 
 val create : Warden_machine.Config.t -> t
-(** Sized from the config's [obs_level]. *)
+(** Sized from the config's [obs_level]: below [Obs_full] there is no
+    ring, and every sink allocates its storage on first use, so an
+    [Obs_off] recorder is a ~1 KB stub. *)
 
 val enabled : t -> bool
 (** Counters level or above. *)

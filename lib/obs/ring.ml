@@ -11,7 +11,7 @@ type t = {
 }
 
 let create ~capacity =
-  let cap = max 16 capacity in
+  let cap = max 0 capacity in
   { buf = Array.make (cap * stride) 0; cap; head = 0; len = 0 }
 
 let push t ~code ~cycle ~core ~blk ~arg ~seq =

@@ -9,7 +9,7 @@
 type t
 
 val create : capacity:int -> t
-(** Ring holding up to [capacity] records (at least 16). *)
+(** Ring holding up to [capacity] records. *)
 
 val push :
   t -> code:int -> cycle:int -> core:int -> blk:int -> arg:int -> seq:int ->

@@ -9,15 +9,16 @@ type t = {
 }
 
 let create ?(capacity = default_capacity) () =
-  { buf = Array.make (256 * stride) 0; cap = max 16 capacity; len = 0;
-    dropped = 0 }
+  { buf = [||]; cap = max 16 capacity; len = 0; dropped = 0 }
 
 let add t ~code ~cycle ~core ~blk ~arg ~seq =
   if t.len >= t.cap then t.dropped <- t.dropped + 1
   else begin
     let o = t.len * stride in
     if o >= Array.length t.buf then
-      t.buf <- Array.append t.buf (Array.make (Array.length t.buf) 0);
+      t.buf <-
+        Array.append t.buf
+          (Array.make (max (256 * stride) (Array.length t.buf)) 0);
     let b = t.buf in
     b.(o) <- code;
     b.(o + 1) <- cycle;

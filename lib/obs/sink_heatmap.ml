@@ -1,8 +1,9 @@
 open Warden_util
 
 (* Rows live in growable flat arrays; the Itab maps a block (or a region's
-   lo address) to its row index. Growth doubles and only happens on the
-   first touch of a new block — never on the steady-state path. *)
+   lo address) to its row index. The arrays start empty; growth doubles
+   and only happens on the first touch of a new block — never on the
+   steady-state path. *)
 
 type t = {
   slots : int ref Itab.t; (* blk -> row; ref shared with nothing else *)
@@ -26,20 +27,21 @@ let no_row = ref (-1)
 let create () =
   {
     slots = Itab.create ~dummy:no_row ();
-    blks = Array.make 64 0;
-    cells = Array.make (64 * ncls) 0;
+    blks = [||];
+    cells = [||];
     warded = Bitset.create ();
     rows = 0;
     rslots = Itab.create ~dummy:no_row ();
-    rlo = Array.make 8 0;
-    rhi = Array.make 8 0;
-    renters = Array.make 8 0;
-    rexits = Array.make 8 0;
-    rflushed = Array.make 8 0;
+    rlo = [||];
+    rhi = [||];
+    renters = [||];
+    rexits = [||];
+    rflushed = [||];
     rrows = 0;
   }
 
-let grow a = Array.append a (Array.make (Array.length a) 0)
+(* Double [a], to at least [n] elements. *)
+let grow a n = Array.append a (Array.make (max n (Array.length a)) 0)
 
 let row_of t blk =
   let r = !(Itab.find_or t.slots blk ~default:no_row) in
@@ -47,8 +49,8 @@ let row_of t blk =
   else begin
     let row = t.rows in
     if row >= Array.length t.blks then begin
-      t.blks <- grow t.blks;
-      t.cells <- grow t.cells
+      t.blks <- grow t.blks 64;
+      t.cells <- grow t.cells (64 * ncls)
     end;
     t.blks.(row) <- blk;
     t.rows <- row + 1;
@@ -69,11 +71,11 @@ let rrow_of t lo =
   else begin
     let row = t.rrows in
     if row >= Array.length t.rlo then begin
-      t.rlo <- grow t.rlo;
-      t.rhi <- grow t.rhi;
-      t.renters <- grow t.renters;
-      t.rexits <- grow t.rexits;
-      t.rflushed <- grow t.rflushed
+      t.rlo <- grow t.rlo 8;
+      t.rhi <- grow t.rhi 8;
+      t.renters <- grow t.renters 8;
+      t.rexits <- grow t.rexits 8;
+      t.rflushed <- grow t.rflushed 8
     end;
     t.rlo.(row) <- lo;
     t.rrows <- row + 1;

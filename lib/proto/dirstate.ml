@@ -54,7 +54,7 @@ let initial_lg = 6
    blk * factor index the table. *)
 let factor = 0x2545F4914F6CDD1D
 
-let create ~sockets ~cores_per_socket () : t =
+let create ?(capacity = 1 lsl initial_lg) ~sockets ~cores_per_socket () : t =
   if sockets <= 0 || cores_per_socket <= 0 then
     invalid_arg "Dirstate.create: nonpositive geometry";
   let cores = sockets * cores_per_socket in
@@ -64,14 +64,18 @@ let create ~sockets ~cores_per_socket () : t =
   if hier && cores_per_socket > flat_max then
     invalid_arg "Dirstate.create: more than 62 cores per socket";
   let nsock = if hier then sockets else 0 in
-  let cap = 1 lsl initial_lg in
+  let rec lg b =
+    if b >= initial_lg || 1 lsl b >= capacity then b else lg (b + 1)
+  in
+  let lg = lg 1 in
+  let cap = 1 lsl lg in
   {
     keys = Array.make cap (-1);
     meta = Array.make cap 0;
     mask = Array.make cap 0;
     fine = (if hier then Array.make (cap * nsock) 0 else [||]);
     used = 0;
-    shift = 63 - initial_lg;
+    shift = 63 - lg;
     nsock;
     cps = cores_per_socket;
     cps_shift =
@@ -80,6 +84,11 @@ let create ~sockets ~cores_per_socket () : t =
          lg cores_per_socket 0
        else -1);
   }
+
+let of_config (cfg : Warden_machine.Config.t) =
+  create
+    ~capacity:(Warden_machine.Config.l3_sets_per_socket cfg * cfg.l3_ways)
+    ~sockets:cfg.sockets ~cores_per_socket:cfg.cores_per_socket ()
 
 let hierarchical t = t.nsock > 0
 

@@ -24,12 +24,18 @@ type slot = int
 val no_slot : slot
 (** Returned by {!find} when the block has no entry ([-1]). *)
 
-val create : sockets:int -> cores_per_socket:int -> unit -> t
+val create :
+  ?capacity:int -> sockets:int -> cores_per_socket:int -> unit -> t
 (** [create ~sockets ~cores_per_socket ()] sizes the sharer layout for the
     machine: one flat word per entry when [sockets * cores_per_socket <=
     62], else the hierarchical coarse/fine layout. Raises [Invalid_argument]
     beyond 62 sockets or 62 cores per socket — no supported topology needs
-    a third level. *)
+    a third level. The table starts with [capacity] slots, rounded up to
+    a power of two and at most 64 (the default), and grows on demand. *)
+
+val of_config : Warden_machine.Config.t -> t
+(** The machine's directory, sized to start for one LLC slice: 64 entries
+    on every full-size machine, a few under the model checker. *)
 
 val hierarchical : t -> bool
 (** True when the two-level layout is active (more than 62 cores). *)

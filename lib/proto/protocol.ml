@@ -118,12 +118,9 @@ module Mesi_protocol = struct
   let kind = `Directory
 
   let create fabric =
-    let cfg = fabric.Fabric.config in
     {
       fabric;
-      dir =
-        Dirstate.create ~sockets:cfg.Warden_machine.Config.sockets
-          ~cores_per_socket:cfg.Warden_machine.Config.cores_per_socket ();
+      dir = Dirstate.of_config fabric.Fabric.config;
       scratch = Mesi.fresh_grant ();
     }
 

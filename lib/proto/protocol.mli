@@ -139,5 +139,8 @@ val copy : t -> fabric:Fabric.t -> t
 val save_state : t -> Warden_util.Bin.w -> unit
 val restore_state : t -> Warden_util.Bin.r -> unit
 
+module Mesi_protocol : S
+(** The baseline MESI protocol over a {!Dirstate.t}. *)
+
 val mesi : Fabric.t -> t
-(** Package the baseline MESI protocol. *)
+(** Package {!Mesi_protocol}. *)

@@ -20,7 +20,10 @@ let create (cfg : Config.t) store =
             tags =
               Csa.create ~sets:(Config.l3_sets_per_socket cfg)
                 ~ways:cfg.Config.l3_ways;
-            pool = Linepool.create ();
+            pool =
+              Linepool.create
+                ~capacity:(Config.l3_sets_per_socket cfg * cfg.Config.l3_ways)
+                ();
           });
     store;
   }
@@ -66,6 +69,11 @@ let read t ~socket ~blk =
   let slot, where = get_or_fetch t s ~blk in
   (Linepool.view s.pool slot, where)
 
+let peek t ~socket ~blk =
+  let s = t.slices.(socket) in
+  let slot = Csa.peek s.tags blk in
+  if slot < 0 then None else Some (Linepool.view s.pool slot)
+
 let merge t ~socket ~blk src =
   let s = t.slices.(socket) in
   let slot, _ = get_or_fetch t s ~blk in
@@ -77,6 +85,15 @@ let put_full t ~socket ~blk src =
   Linepool.fill s.pool slot src;
   Linepool.mark_all_dirty s.pool slot;
   insert t s ~blk slot
+
+let copy t store =
+  {
+    slices =
+      Array.map
+        (fun s -> { tags = Csa.copy s.tags; pool = Linepool.copy s.pool })
+        t.slices;
+    store;
+  }
 
 let flush_to_store t =
   Array.iter

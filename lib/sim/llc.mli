@@ -23,12 +23,18 @@ val read :
     of the slice's slot, valid until the next fill into that slice —
     callers copy it into private lines ([Linedata.fill_from]). *)
 
+val peek : t -> socket:int -> blk:int -> Warden_cache.Linedata.t option
+(** The resident line of [blk], if any; unlike {!read}, it changes nothing. *)
+
 val merge : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
 (** Merge a private copy's dirty bytes into the resident line (fetching the
     base from memory first if absent). *)
 
 val put_full : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
 (** Full-line dirty install of a copy's data (M-state writeback). *)
+
+val copy : t -> Warden_mem.Store.t -> t
+(** An independent LLC in the same state, backed by the given store. *)
 
 val flush_to_store : t -> unit
 (** Write every dirty line back to memory (end-of-run drain). *)

@@ -35,6 +35,8 @@ type t = {
   store : Store.t;
   llc : Llc.t;
   mutable priv : Privcache.t array;
+  blank : Privcache.t;
+      (* every core's hierarchy until its first fill; see [owned] *)
   mutable proto : Protocol.t option;
   mutable self_sync : bool;
       (* cached [Protocol.kind = `Self]: such protocols take their
@@ -67,27 +69,67 @@ let set_trace_sink t s =
       t.sink <- f;
       t.sink_on <- true
 
-let create cfg ~proto =
+(* The fabric is the protocol's only view of the caches; [copy] rebuilds
+   it over the copied structures. *)
+let fabric_of t =
+  let cfg = t.cfg and llc = t.llc in
+  {
+    Fabric.config = cfg;
+    energy = t.energy;
+    stats = t.pstats;
+    obs = t.obs;
+    peek_priv = (fun ~core ~blk -> Privcache.peek t.priv.(core) ~blk);
+    invalidate_priv = (fun ~core ~blk -> Privcache.invalidate t.priv.(core) ~blk);
+    downgrade_priv = (fun ~core ~blk -> Privcache.downgrade t.priv.(core) ~blk);
+    iter_priv =
+      (fun ~core f -> Privcache.iter_resident t.priv.(core) (fun blk _ -> f blk));
+    read_shared =
+      (fun ~blk -> Llc.read llc ~socket:(Config.home_socket cfg blk) ~blk);
+    llc_merge =
+      (fun ~blk src -> Llc.merge llc ~socket:(Config.home_socket cfg blk) ~blk src);
+    llc_put_full =
+      (fun ~blk src ->
+        Llc.put_full llc ~socket:(Config.home_socket cfg blk) ~blk src);
+  }
+
+(* A private hierarchy's victims go to the protocol's writeback path. *)
+let evict_to t core ~blk pstate data =
+  Protocol.handle_evict (the_proto t) ~core ~blk ~pstate ~data
+
+(* A core's hierarchy is allocated at its first fill. Until then the core
+   shares the blank one, which nothing mutates: on an empty hierarchy
+   every operation but [fill] is read-only. So copies share it too. *)
+let owned t core =
+  let pc = t.priv.(core) in
+  if pc != t.blank then pc
+  else begin
+    let pc = Privcache.create t.cfg ~evict:(evict_to t core) in
+    t.priv.(core) <- pc;
+    pc
+  end
+
+let create_with cfg ~mk =
   if cfg.Config.sim_domains <> 1 then
     invalid_arg
       "Memsys.create: sim_domains must be 1; use --jobs for host parallelism";
-  let energy = Energy.create () in
-  let pstats = Pstats.create () in
-  let sstats = Sstats.create ~threads:(Config.num_threads cfg) in
   let store = Store.create () in
-  let llc = Llc.create cfg store in
   let obs = Obs.create cfg in
+  let blank =
+    Privcache.create cfg ~evict:(fun ~blk:_ _ _ ->
+        invalid_arg "Memsys: eviction from a blank hierarchy")
+  in
   let t =
     {
       cfg;
-      energy;
-      pstats;
-      sstats;
+      energy = Energy.create ();
+      pstats = Pstats.create ();
+      sstats = Sstats.create ~threads:(Config.num_threads cfg);
       obs;
       obs_on = Obs.enabled obs;
       store;
-      llc;
-      priv = [||];
+      llc = Llc.create cfg store;
+      priv = Array.make (Config.num_cores cfg) blank;
+      blank;
       proto = None;
       self_sync = false;
       word = Bytes.create 8;
@@ -97,84 +139,78 @@ let create cfg ~proto =
       sink_on = false;
     }
   in
-  t.priv <-
-    Array.init (Config.num_cores cfg) (fun core ->
-        Privcache.create cfg ~evict:(fun ~blk pstate data ->
-            Protocol.handle_evict (the_proto t) ~core ~blk ~pstate ~data));
-  let fabric =
-    {
-      Fabric.config = cfg;
-      energy;
-      stats = pstats;
-      obs;
-      peek_priv = (fun ~core ~blk -> Privcache.peek t.priv.(core) ~blk);
-      invalidate_priv = (fun ~core ~blk -> Privcache.invalidate t.priv.(core) ~blk);
-      downgrade_priv = (fun ~core ~blk -> Privcache.downgrade t.priv.(core) ~blk);
-      iter_priv =
-        (fun ~core f ->
-          Privcache.iter_resident t.priv.(core) (fun blk _ -> f blk));
-      read_shared =
-        (fun ~blk -> Llc.read llc ~socket:(Config.home_socket cfg blk) ~blk);
-      llc_merge =
-        (fun ~blk src -> Llc.merge llc ~socket:(Config.home_socket cfg blk) ~blk src);
-      llc_put_full =
-        (fun ~blk src ->
-          Llc.put_full llc ~socket:(Config.home_socket cfg blk) ~blk src);
-    }
-  in
-  t.proto <-
-    Some
-      (match proto with
-      | `Mesi -> Protocol.mesi fabric
-      | `Warden -> Warden_core.Warden.protocol fabric
-      | `Msi_bus -> Msi_bus.protocol fabric
-      | `Sisd -> Sisd.protocol fabric);
+  t.proto <- Some (mk (fabric_of t));
   t.self_sync <- Protocol.kind (the_proto t) = `Self;
   t
 
-(* Obtain a line with sufficient permission, returning its slot in the
-   core's private cache and the access latency up to the point the data
-   is available to the core. *)
+let protocol_of = function
+  | `Mesi -> Protocol.mesi
+  | `Warden -> Warden_core.Warden.protocol
+  | `Msi_bus -> Msi_bus.protocol
+  | `Sisd -> Sisd.protocol
+
+let create cfg ~proto = create_with cfg ~mk:(protocol_of proto)
+
+(* The copy shares the configuration and the event recorder, and starts
+   with no trace sink. *)
+let copy t =
+  let store = Store.copy t.store in
+  let c =
+    {
+      t with
+      energy = Energy.copy t.energy;
+      pstats = Pstats.copy t.pstats;
+      sstats = Sstats.copy t.sstats;
+      store;
+      llc = Llc.copy t.llc store;
+      priv = [||];
+      word = Bytes.create 8;
+      sink = no_sink;
+      sink_on = false;
+    }
+  in
+  c.priv <-
+    Array.mapi
+      (fun core pc ->
+        if pc == t.blank then pc
+        else Privcache.copy pc ~evict:(evict_to c core))
+      t.priv;
+  c.proto <- Some (Protocol.copy (the_proto t) ~fabric:(fabric_of c));
+  c
+
+(* The miss half of an access, after the hit prefix failed: upgrade an S
+   copy for a write, or fill the line. Returns its slot in the core's
+   private cache and the access latency up to the point the data is
+   available to the core. *)
 let access_line t ~thread ~blk ~write =
   let core = Config.core_of_thread t.cfg thread in
-  let pc = t.priv.(core) in
   let ss = t.sstats in
   Energy.l1_access t.energy;
-  match Privcache.lookup pc ~blk ~write with
-  | Privcache.Hit { slot; lat; level } ->
-      (match level with
-      | `L1 ->
-          ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
-          if t.obs_on then Obs.access t.obs ~cls:Oev.l1_hit ~core ~blk ~lat
-      | `L2 ->
-          ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
-          Energy.l2_access t.energy;
-          if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat);
-      (slot, lat)
-  | Privcache.Upgrade slot ->
-      ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
-      Energy.l2_access t.energy;
-      let g =
-        Protocol.handle_request (the_proto t) ~core ~blk ~write:true ~holds_s:true
-      in
+  ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
+  Energy.l2_access t.energy;
+  let pc = t.priv.(core) in
+  let held = Privcache.lookup pc ~blk in
+  let holds_s = held >= 0 in
+  let g = Protocol.handle_request (the_proto t) ~core ~blk ~write ~holds_s in
+  let slot =
+    if holds_s then begin
       (* A WARD grant may re-fill even on upgrade paths; accept it. *)
       if Mesi.has_fill g then
-        Linedata.fill_from (Privcache.data pc slot) g.Mesi.fill;
-      Privcache.set_state pc slot g.Mesi.pstate;
-      let lat = t.cfg.Config.l2_lat + g.Mesi.latency in
-      if t.obs_on then Obs.access t.obs ~cls:Oev.upgrade ~core ~blk ~lat;
-      (slot, lat)
-  | Privcache.Miss ->
-      ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
-      Energy.l2_access t.energy;
-      let g =
-        Protocol.handle_request (the_proto t) ~core ~blk ~write ~holds_s:false
-      in
+        Linedata.fill_from (Privcache.data pc held) g.Mesi.fill;
+      Privcache.set_state pc held g.Mesi.pstate;
+      held
+    end
+    else begin
       assert (Mesi.has_fill g);
-      let slot = Privcache.fill pc ~blk g.Mesi.pstate g.Mesi.fill in
-      let lat = t.cfg.Config.l2_lat + g.Mesi.latency in
-      if t.obs_on then Obs.access t.obs ~cls:Oev.miss ~core ~blk ~lat;
-      (slot, lat)
+      Privcache.fill (owned t core) ~blk g.Mesi.pstate g.Mesi.fill
+    end
+  in
+  let lat = t.cfg.Config.l2_lat + g.Mesi.latency in
+  if t.obs_on then
+    Obs.access t.obs
+      ~cls:(if holds_s then Oev.upgrade else Oev.miss)
+      ~core ~blk ~lat;
+  (slot, lat)
 
 let count_load t = t.sstats.Sstats.loads <- t.sstats.Sstats.loads + 1
 let count_store t = t.sstats.Sstats.stores <- t.sstats.Sstats.stores + 1
@@ -187,9 +223,8 @@ let priv_of t thread = t.priv.(Config.core_of_thread t.cfg thread)
 (* Each access is one transition: a hit prefix, which commits a
    permission-sufficient private-cache hit in place, followed by the miss
    path, which takes an upgrade or a miss through [access_line] and the
-   protocol. The prefix ([Privcache.fast_hit]) commits exactly what
-   [Privcache.lookup]'s [Hit] branch would, and nothing on an upgrade or
-   a miss, so the miss path never double-counts.
+   protocol. The prefix ([Privcache.fast_hit]) commits nothing on an
+   upgrade or a miss, so the miss path never double-counts.
 
    The prefix is inlined into every caller — the engine's inline and
    scheduled paths, trace replay, the wrappers below — and allocates
@@ -323,6 +358,7 @@ let rmw_coherent t ~thread addr ~size f into =
         fab.Fabric.llc_merge ~blk p.Fabric.data
       end);
   let slot, lat = access_line t ~thread ~blk ~write:true in
+  let pc = t.priv.(core) in (* the miss may have allocated it *)
   rmw_line t ~thread pc slot addr ~size f into;
   (* Write-through of the result; the copy left behind is clean S. *)
   Fabric.dir_msg fab ~socket:cs ~blk ~data:true;
@@ -410,6 +446,9 @@ let region_remove t ~thread ~lo ~hi =
       ~flushed:(lat / max 1 t.cfg.Config.reconcile_per_block);
   lat
 
+let evict t ~thread ~blk =
+  Privcache.evict (priv_of t thread) ~blk
+
 let alloc t ~bytes ~align =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Memsys.alloc: align";
@@ -452,7 +491,7 @@ let restore_state t r =
   let n = Warden_util.Bin.r_int r in
   if n <> Array.length t.priv then
     Warden_util.Bin.corrupt "Memsys: core count mismatch";
-  Array.iter (fun pc -> Privcache.restore pc r) t.priv;
+  Array.iteri (fun core _ -> Privcache.restore (owned t core) r) t.priv;
   Protocol.restore_state (the_proto t) r;
   Pstats.restore t.pstats r;
   Sstats.restore t.sstats r;
@@ -460,48 +499,41 @@ let restore_state t r =
   t.bump <- Warden_util.Bin.r_int r
 
 (* The directory is reachable only through the protocol's handlers, so the
-   audit walks the private caches and cross-checks with fabric peeks. *)
+   audit walks the private caches. It reads them with [iter_resident],
+   which changes no recency. *)
 let check_invariants t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let ncores = Config.num_cores t.cfg in
-  let holders_of blk =
-    List.filter
-      (fun c -> Privcache.peek t.priv.(c) ~blk <> None)
-      (List.init ncores Fun.id)
-  in
   let proto = the_proto t in
+  let holders = Hashtbl.create 64 in (* blk -> (core, exclusive) *)
+  Array.iteri
+    (fun core pc ->
+      (* L1 inclusion is checked inside each private cache. *)
+      (match Privcache.check_inclusion pc with
+      | Ok () -> ()
+      | Error m -> err "core %d: %s" core m);
+      Privcache.iter_resident pc (fun blk slot ->
+          let excl = Privcache.state pc slot <> States.P_S in
+          (* S means clean with respect to the LLC. *)
+          if (not excl) && Linedata.is_dirty (Privcache.data pc slot) then
+            err "dirty S copy of block %d at core %d" blk core;
+          Hashtbl.add holders blk (core, excl)))
+    t.priv;
   (* SWMR among private copies — except for blocks in an active WARD
      region, where multiple exclusive-like copies are the design, and
      except under [`Self] protocols, where concurrent writers of disjoint
      sectors are the whole point. *)
   let self = Protocol.kind proto = `Self in
-  for core = 0 to ncores - 1 do
-    let pc = t.priv.(core) in
-    Privcache.iter_resident pc (fun blk slot ->
-        if not (Protocol.is_ward proto ~blk) then
-          match Privcache.state pc slot with
-          | States.P_M | States.P_E ->
-              if not self then
-                List.iter
-                  (fun other ->
-                    if other <> core then
-                      err
-                        "SWMR violated: block %d exclusive at core %d but held by %d"
-                        blk core other)
-                  (holders_of blk)
-          | States.P_S ->
-              (* S means clean with respect to the LLC. *)
-              if Linedata.is_dirty (Privcache.data pc slot) then
-                err "dirty S copy of block %d at core %d" blk core)
-  done;
-  (* L1 inclusion is checked inside each private cache. *)
-  for core = 0 to ncores - 1 do
-    match Privcache.check_inclusion t.priv.(core) with
-    | Ok () -> ()
-    | Error m -> err "core %d: %s" core m
-  done;
+  Hashtbl.iter
+    (fun blk (core, excl) ->
+      if excl && (not self) && not (Protocol.is_ward proto ~blk) then
+        List.iter
+          (fun (other, _) ->
+            if other <> core then
+              err "SWMR violated: block %d exclusive at core %d but held by %d"
+                blk core other)
+          (Hashtbl.find_all holders blk))
+    holders;
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "\n" (List.rev es))
-

@@ -17,6 +17,19 @@ val create :
     runs on one host domain, and host parallelism comes from running
     independent simulations side by side ([--jobs]). *)
 
+val create_with :
+  Warden_machine.Config.t ->
+  mk:(Warden_proto.Fabric.t -> Warden_proto.Protocol.t) ->
+  t
+(** {!create} with any protocol, built over the memory system's fabric
+    (the model checker passes deliberately broken ones). *)
+
+val copy : t -> t
+(** An independent memory system in the same state — caches, store,
+    protocol ({!Warden_proto.Protocol.copy}), statistics and energy —
+    sharing the configuration and the event recorder, with no trace
+    sink. The model checker forks one per explored successor. *)
+
 val config : t -> Warden_machine.Config.t
 val protocol : t -> Warden_proto.Protocol.t
 val pstats : t -> Warden_proto.Pstats.t
@@ -123,6 +136,10 @@ val region_add : t -> thread:int -> lo:int -> hi:int -> bool
     core (observability only — the protocol sees just the range). *)
 
 val region_remove : t -> thread:int -> lo:int -> hi:int -> int
+
+val evict : t -> thread:int -> blk:int -> bool
+(** {!Privcache.evict} on [thread]'s core: the protocol's writeback path
+    takes the line. [false] if the core does not hold it. *)
 
 val alloc : t -> bytes:int -> align:int -> Warden_mem.Addr.t
 (** Fresh simulated memory from a global bump allocator. Addresses are

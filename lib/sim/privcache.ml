@@ -9,8 +9,6 @@ type t = {
   l1 : Sa.t;
   l2 : Sa.t;
   pool : Linepool.t;
-  l1_lat : int;
-  l2_lat : int;
   mutable last_l1 : bool; (* level of the last fast_hit: true = L1 *)
   evict : blk:int -> States.pstate -> Linedata.t -> unit;
 }
@@ -23,9 +21,8 @@ let create (cfg : Config.t) ~evict =
     l2 =
       Sa.create ~sets:(Config.l2_sets cfg) ~ways:cfg.Config.l2_ways
         ~payloads:true;
-    pool = Linepool.create ();
-    l1_lat = cfg.Config.l1_lat;
-    l2_lat = cfg.Config.l2_lat;
+    pool =
+      Linepool.create ~capacity:(Config.l2_sets cfg * cfg.Config.l2_ways) ();
     last_l1 = false;
     evict;
   }
@@ -55,40 +52,31 @@ let[@inline] write t slot ~off ~size v =
   else assert (c = m_code);
   Linepool.store t.pool slot ~off ~size v
 
-type lookup =
-  | Hit of { slot : int; lat : int; level : [ `L1 | `L2 ] }
-  | Upgrade of int
-  | Miss
-
-let lookup t ~blk ~write =
+(* The slow half of an access, after [fast_hit] failed: a resident line
+   is an S copy that a write must upgrade, refreshed and promoted into
+   L1 as a hit would be. *)
+let lookup t ~blk =
   let in_l1 = Sa.touch t.l1 blk in
   let w2 = Sa.find_way t.l2 blk in
   if not (Sa.hit w2) then begin
     (* Inclusion: nothing in L1 without L2. *)
     assert (not in_l1);
-    Miss
+    -1
   end
   else begin
     let slot = Sa.value t.l2 w2 in
+    assert (Linepool.state t.pool slot = s_code);
     if not in_l1 then
       (* Promote into L1; the displaced L1 line stays valid in L2. *)
       Sa.insert_absent t.l1 blk 0;
-    if write && Linepool.state t.pool slot = s_code then Upgrade slot
-    else
-      Hit
-        {
-          slot;
-          lat = (if in_l1 then t.l1_lat else t.l2_lat);
-          level = (if in_l1 then `L1 else `L2);
-        }
+    slot
   end
 
-(* Fast-path split of [lookup]: succeed only when the access is a plain
-   permission-sufficient hit, committing exactly the state changes
-   [lookup]'s [Hit] branch would make (LRU refresh in both levels plus L1
-   promotion). On an upgrade or miss, return -1 having mutated nothing —
-   the caller falls back to the scheduled [lookup] path, which then
-   performs those mutations at the same point of the run. *)
+(* The fast half of an access: succeed only when the access is a plain
+   permission-sufficient hit, committing the LRU refresh in both levels
+   and the L1 promotion. On an upgrade or miss, return -1 having mutated
+   nothing — the caller falls back to [lookup], which then performs
+   those mutations at the same point of the run. *)
 let[@inline] fast_hit t ~blk ~write =
   let w2 = Sa.peek_way t.l2 blk in
   if not (Sa.hit w2) then -1
@@ -110,22 +98,45 @@ let[@inline] fast_hit t ~blk ~write =
 
 let[@inline] last_l1 t = t.last_l1
 
+(* A line that has left the L2 — a capacity victim or an explicit
+   eviction — leaves the L1 and goes to the protocol's writeback path.
+   Its slot is freed only after the protocol has taken its data. *)
+let retire t ~blk slot =
+  Sa.remove t.l1 blk;
+  t.evict ~blk (state t slot) (data t slot);
+  Linepool.free t.pool slot
+
 (* The grant's bytes are copied into a fresh slot before the insert that
    may evict: the source view may point into a pool that the eviction's
-   writeback fills. The victim's slot is freed only after the protocol
-   has taken its data. *)
+   writeback fills. *)
 let fill t ~blk pstate src =
   let slot = Linepool.alloc t.pool in
   Linepool.fill t.pool slot src;
   set_state t slot pstate;
   (match Sa.insert t.l2 blk slot with
   | None -> ()
-  | Some (vblk, vslot) ->
-      Sa.remove t.l1 vblk;
-      t.evict ~blk:vblk (state t vslot) (data t vslot);
-      Linepool.free t.pool vslot);
+  | Some (vblk, vslot) -> retire t ~blk:vblk vslot);
   Sa.insert_absent t.l1 blk 0;
   slot
+
+let evict t ~blk =
+  let w = Sa.peek_way t.l2 blk in
+  Sa.hit w
+  && begin
+       let slot = Sa.value t.l2 w in
+       Sa.remove t.l2 blk;
+       retire t ~blk slot;
+       true
+     end
+
+let copy t ~evict =
+  {
+    t with
+    l1 = Sa.copy t.l1;
+    l2 = Sa.copy t.l2;
+    pool = Linepool.copy t.pool;
+    evict;
+  }
 
 let iter_resident t f = Sa.iter t.l2 f
 

@@ -20,24 +20,18 @@ val create :
 (** [evict] is called with each line displaced from L2 (the private
     hierarchy's writeback/PutX path into the protocol). *)
 
-type lookup =
-  | Hit of { slot : int; lat : int; level : [ `L1 | `L2 ] }
-      (** Permission sufficient; for writes the state is E or M (an E hit
-          is the silent E→M upgrade that {!write} performs). *)
-  | Upgrade of int  (** Line held in S but the access needs to write. *)
-  | Miss
-
-val lookup : t -> blk:int -> write:bool -> lookup
-(** Probe the hierarchy, promoting L2 hits into L1 and refreshing LRU. *)
-
 val fast_hit : t -> blk:int -> write:bool -> int
-(** Allocation-free fast-path split of {!lookup}: the line's slot iff the
-    access is a plain hit with sufficient permission — committing exactly
-    the mutations {!lookup}'s [Hit] branch would (LRU refresh, L1
-    promotion) and recording the serving level in {!last_l1}. Returns -1
-    — having mutated {e nothing} — when the access would miss or needs an
-    S→M upgrade, so the caller can fall back to the scheduled {!lookup}
-    path without double-counting. *)
+(** The allocation-free first half of an access: the line's slot iff the
+    access is a plain hit with sufficient permission — refreshing LRU,
+    promoting into L1 and recording the serving level in {!last_l1}.
+    Returns -1 — having mutated {e nothing} — when the access would miss
+    or needs an S→M upgrade, so the caller can fall back to {!lookup}
+    without double-counting. *)
+
+val lookup : t -> blk:int -> int
+(** The second half, after {!fast_hit} returned -1: the slot of a
+    resident line — an S copy the write must upgrade — refreshed and
+    promoted as {!fast_hit} would, or -1 when the block is not resident. *)
 
 val last_l1 : t -> bool
 (** Whether the last successful {!fast_hit} was served by the L1. *)
@@ -47,6 +41,18 @@ val fill :
 (** Install a copy of a granted line into L2 and L1, evicting victims as
     needed; returns its slot. The grant's bytes are copied before any
     eviction runs. *)
+
+val evict : t -> blk:int -> bool
+(** Evict a resident line as {!fill} evicts a capacity victim, through
+    the [evict] callback. [false], changing nothing, if it is absent. *)
+
+val copy :
+  t ->
+  evict:
+    (blk:int -> Warden_proto.States.pstate -> Warden_cache.Linedata.t -> unit) ->
+  t
+(** An independent hierarchy with the same lines, tags and recency,
+    whose victims go to [evict]. *)
 
 val state : t -> int -> Warden_proto.States.pstate
 val set_state : t -> int -> Warden_proto.States.pstate -> unit

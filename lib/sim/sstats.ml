@@ -25,6 +25,9 @@ let create ~threads =
     per_thread_instructions = Array.make threads 0;
   }
 
+let copy t =
+  { t with per_thread_instructions = Array.copy t.per_thread_instructions }
+
 let save t w =
   let module B = Warden_util.Bin in
   B.w_int w t.instructions;

@@ -15,6 +15,7 @@ type t = {
 }
 
 val create : threads:int -> t
+val copy : t -> t
 
 val save : t -> Warden_util.Bin.w -> unit
 val restore : t -> Warden_util.Bin.r -> unit

@@ -11,7 +11,7 @@ type 'a t = {
   dummy : 'a;
 }
 
-let initial_lg = 6
+let initial_lg = 2
 
 (* Odd 63-bit multiplier (SplitMix finalizer constant). *)
 let factor = 0x2545F4914F6CDD1D

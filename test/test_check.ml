@@ -89,16 +89,8 @@ let test_msi_lockstep_depth8 () =
 (* --- region round trip ------------------------------------------------------ *)
 
 let world_cfg ?(cores = 2) ?(blks = 1) mk =
-  {
-    World.cores;
-    blks;
-    regions = 1;
-    store_cap = 0;
-    region_cap = 1;
-    region_base = 0;
-    machine = Config.dual_socket ();
-    mk;
-  }
+  (Check.of_protocol ~name:"world" ~mk ~cores ~blks ~regions:1 ~store_cap:0 ())
+    .Check.world
 
 let test_region_roundtrip () =
   let w = World.create (world_cfg Warden_core.Warden.protocol) in
@@ -141,8 +133,7 @@ let test_world_dump_and_observe () =
 
 let test_fuzz_deterministic () =
   let run () =
-    let cfg = { (Check.warden ()) with Check.store_cap = 0 } in
-    match Check.fuzz cfg ~steps:2000 ~seed:42L with
+    match Check.fuzz (Check.warden ()) ~steps:2000 ~seed:42L with
     | Check.Pass { states; transitions; _ } -> (states, transitions)
     | Check.Fail ce -> Alcotest.failf "fuzz found:\n%s" ce.Check.trace
   in
@@ -151,80 +142,54 @@ let test_fuzz_deterministic () =
 
 (* --- mutations: injected protocol bugs must be caught ----------------------- *)
 
-(* Broken MESI variants. The mutation must live in the protocol module and
-   wrap the fabric at call time: the checker forks worlds before every
-   transition, and [Protocol.copy] rebinds the protocol to the forked
-   world's (unmutated) fabric — a wrapper baked into the fabric record at
-   construction would be silently undone by the first fork. *)
-module Mutant_mesi (M : sig
-  val name : string
-  val wrap : Fabric.t -> Fabric.t
-end) =
+(* Broken protocols: a correct one whose fabric is wrapped at creation
+   and again at every fork — the checker forks worlds before every
+   transition, and [copy] rebinds the protocol to the fork's fabric, so a
+   wrapper applied only at creation would be undone by the first fork. *)
+module Wrapped
+    (P : Protocol.S)
+    (M : sig
+      val name : string
+      val wrap : Fabric.t -> Fabric.t
+    end) =
 struct
-  type t = { fabric : Fabric.t; dir : Dirstate.t; scratch : Mesi.grant }
+  include P
 
   let name = M.name
-  let kind = `Directory
-
-  let create fabric =
-    let cfg = fabric.Fabric.config in
-    {
-      fabric;
-      dir =
-        Dirstate.create ~sockets:cfg.Config.sockets
-          ~cores_per_socket:cfg.Config.cores_per_socket ();
-      scratch = Mesi.fresh_grant ();
-    }
-
-  let fabric t = t.fabric
-
-  let handle_request t ~core ~blk ~write ~holds_s =
-    Mesi.handle_request (M.wrap t.fabric) t.dir t.scratch ~core ~blk ~write
-      ~holds_s
-
-  let handle_evict t ~core ~blk ~pstate ~data =
-    Mesi.handle_evict (M.wrap t.fabric) t.dir ~core ~blk ~pstate ~data
-
-  let region_add _ ~lo:_ ~hi:_ = false
-  let is_ward _ ~blk:_ = false
-  let region_remove _ ~lo:_ ~hi:_ = 0
-  let acquire _ ~core:_ = 0
-  let release _ ~core:_ = 0
-
-  let flush_all t =
-    let blocks = ref [] in
-    Dirstate.iter t.dir (fun blk _ -> blocks := blk :: !blocks);
-    List.iter (fun blk -> Mesi.flush_block t.fabric t.dir ~blk) !blocks
-
-  let observe t ~blk = Protocol.view_of_dir t.dir ~blk
-  let dump t = "protocol " ^ M.name ^ "\n" ^ Protocol.dump_dir t.dir
-  let copy t ~fabric =
-    { fabric; dir = Dirstate.copy t.dir; scratch = Mesi.fresh_grant () }
-
-  let save_state t w = Dirstate.save t.dir w
-  let restore_state t r = Dirstate.restore t.dir r
+  let create fabric = P.create (M.wrap fabric)
+  let copy t ~fabric = P.copy t ~fabric:(M.wrap fabric)
 end
 
-(* MESI whose invalidations only read the victim's copy (a peek) instead
-   of removing it: an upgrading or write-missing core is granted M while
-   other cores keep stale copies. *)
-module No_inval = Mutant_mesi (struct
-  let name = "mesi-no-inval"
+let pack (module P : Protocol.S) fabric =
+  Protocol.Packed ((module P), P.create fabric)
 
-  let wrap f =
-    { f with Fabric.invalidate_priv = (fun ~core ~blk -> f.Fabric.peek_priv ~core ~blk) }
+(* Invalidations that only read the victim's copy (a peek) instead of
+   removing it: an upgrading or write-missing core is granted M while
+   other cores keep stale copies. *)
+let peek_only f =
+  { f with Fabric.invalidate_priv = f.Fabric.peek_priv }
+
+module No_inval = Wrapped (Protocol.Mesi_protocol) (struct
+  let name = "mesi-no-inval"
+  let wrap = peek_only
 end)
 
 (* MESI whose dirty writebacks never reach the LLC. *)
-module Lost_writeback = Mutant_mesi (struct
+module Lost_writeback = Wrapped (Protocol.Mesi_protocol) (struct
   let name = "mesi-lost-writeback"
   let wrap f = { f with Fabric.llc_merge = (fun ~blk:_ _ -> ()) }
 end)
 
-let no_inval fabric = Protocol.Packed ((module No_inval), No_inval.create fabric)
+(* Snooping MSI whose invalidations only peek: a write upgrade or owner
+   transfer leaves the other cores' stale copies resident. *)
+module Bus_no_inval = Wrapped (Msi_bus.P) (struct
+  let name = "msi-bus-no-inval"
+  let wrap = peek_only
+end)
 
-let lost_writeback fabric =
-  Protocol.Packed ((module Lost_writeback), Lost_writeback.create fabric)
+let no_inval = pack (module No_inval)
+let lost_writeback = pack (module Lost_writeback)
+let bus_no_inval = pack (module Bus_no_inval)
 
 (* WARDen whose region removal drops the CAM entry without reconciling the
    region's blocks: W state (and stale data) survives the region. *)
@@ -238,30 +203,7 @@ module Lazy_reconcile = struct
     0
 end
 
-let lazy_reconcile fabric =
-  Protocol.Packed ((module Lazy_reconcile), Lazy_reconcile.create fabric)
-
-(* Snooping MSI whose invalidations only peek the victim's copy. The wrap
-   is re-applied in [create] and [copy], so it survives the checker's
-   forking the same way the call-time wraps above do: a write upgrade or
-   owner transfer leaves the other cores' stale copies resident. *)
-module Bus_no_inval = struct
-  include Msi_bus.P
-
-  let name = "msi-bus-no-inval"
-
-  let wrap f =
-    {
-      f with
-      Fabric.invalidate_priv = (fun ~core ~blk -> f.Fabric.peek_priv ~core ~blk);
-    }
-
-  let create fabric = Msi_bus.P.create (wrap fabric)
-  let copy t ~fabric = Msi_bus.P.copy t ~fabric:(wrap fabric)
-end
-
-let bus_no_inval fabric =
-  Protocol.Packed ((module Bus_no_inval), Bus_no_inval.create fabric)
+let lazy_reconcile = pack (module Lazy_reconcile)
 
 (* SI/SD whose release fence reports success without self-downgrading: the
    core's dirty lines never reach the LLC, so the written data is not
@@ -273,8 +215,7 @@ module Sisd_no_self_down = struct
   let release _ ~core:_ = 1
 end
 
-let sisd_no_self_down fabric =
-  Protocol.Packed ((module Sisd_no_self_down), Sisd_no_self_down.create fabric)
+let sisd_no_self_down = pack (module Sisd_no_self_down)
 
 (* SI/SD whose acquire fence flushes dirty lines but keeps every resident
    copy: reads after the fence can return stale values another core
@@ -286,8 +227,7 @@ module Sisd_no_self_inv = struct
   let acquire _ ~core:_ = 1
 end
 
-let sisd_no_self_inv fabric =
-  Protocol.Packed ((module Sisd_no_self_inv), Sisd_no_self_inv.create fabric)
+let sisd_no_self_inv = pack (module Sisd_no_self_inv)
 
 let mutation name mk expect =
   let cfg = Check.of_protocol ~name ~mk () in
@@ -320,12 +260,7 @@ let test_mutation_sisd_no_self_inv () =
 
 (* The fuzzer must catch mutations too, and shrink deterministically. *)
 let test_fuzz_catches_and_shrinks () =
-  let cfg =
-    {
-      (Check.of_protocol ~name:"mesi-no-inval" ~mk:no_inval ()) with
-      Check.store_cap = 0;
-    }
-  in
+  let cfg = Check.of_protocol ~name:"mesi-no-inval" ~mk:no_inval () in
   let run () =
     match Check.fuzz cfg ~steps:1000 ~seed:7L with
     | Check.Fail ce -> ce.Check.ops
@@ -334,6 +269,74 @@ let test_fuzz_catches_and_shrinks () =
   let a = run () and b = run () in
   Alcotest.(check bool) "shrunk short" true (List.length a <= 10);
   Alcotest.(check bool) "deterministic shrink" true (a = b)
+
+(* --- forks and evictions ------------------------------------------------ *)
+
+(* A fork is independent: whatever runs on a copy leaves the original's
+   key, audit and dump as they were. *)
+let test_fork_independence () =
+  List.iter
+    (fun (preset : Check.preset) ->
+      let cfg = preset ~regions:1 () in
+      let w = World.create cfg.Check.world in
+      List.iter
+        (fun op -> ignore (World.apply w op))
+        [
+          Op.Region_add 0;
+          Op.Store { core = 0; blk = 0 };
+          Op.Load { core = 1; blk = 0 };
+          Op.Store { core = 2; blk = 1 };
+        ];
+      let key = World.key w and errs = World.check w and dump = World.dump w in
+      List.iter
+        (fun op ->
+          ignore (World.apply (World.copy w) op);
+          let what = cfg.Check.name ^ " after forked " ^ Op.to_string op in
+          Alcotest.(check string) (what ^ ": key") key (World.key w);
+          Alcotest.(check (list string)) (what ^ ": check") errs (World.check w);
+          Alcotest.(check string) (what ^ ": dump") dump (World.dump w))
+        (World.enabled w))
+    Check.[ mesi; warden; msi_bus; sisd ]
+
+(* An [Op.Evict] takes the private cache's capacity-victim path: a dirty
+   M line reaches the protocol's [handle_evict] exactly as a victim of a
+   fill does on a one-way cache. *)
+let test_evict_reaches_protocol () =
+  let evicted = ref [] in
+  let module Spy = struct
+    include Protocol.Mesi_protocol
+
+    let handle_evict t ~core ~blk ~pstate ~data =
+      evicted :=
+        Format.asprintf "core %d blk %d %a dirty=%b" core blk States.pp_pstate
+          pstate (Warden_cache.Linedata.is_dirty data)
+        :: !evicted;
+      handle_evict t ~core ~blk ~pstate ~data
+  end in
+  let dirty_m = [ "core 0 blk 1 M dirty=true" ] in
+  let w = World.create (world_cfg ~blks:2 (pack (module Spy))) in
+  ignore (World.apply w (Op.Store { core = 0; blk = 1 }));
+  ignore (World.apply w (Op.Evict { core = 0; blk = 1 }));
+  Alcotest.(check (list string)) "evict hands over the line" dirty_m !evicted;
+  Alcotest.(check (list string)) "clean after the writeback" [] (World.check w);
+  Alcotest.(check (option int64)) "the write survives in the LLC"
+    (Some 0x1010001L)
+    (World.apply w (Op.Load { core = 0; blk = 1 })).World.value;
+  (* One way per cache level: the second block's fill evicts the first. *)
+  evicted := [];
+  let one_way =
+    { (Config.dual_socket ()) with
+      Config.l1_bytes = 64; l1_ways = 1; l2_bytes = 64; l2_ways = 1 }
+  in
+  let ms = Warden_sim.Memsys.create_with one_way ~mk:(pack (module Spy)) in
+  List.iter
+    (fun blk ->
+      ignore
+        (Warden_sim.Memsys.access_store ms ~thread:0
+           (Warden_mem.Addr.base_of_block blk) ~size:8 1L))
+    [ 1; 2 ];
+  Alcotest.(check (list string)) "a capacity victim hands over the same"
+    dirty_m !evicted
 
 let suite =
   [
@@ -364,6 +367,9 @@ let suite =
       test_mutation_sisd_no_self_inv;
     Alcotest.test_case "fuzz catches and shrinks" `Quick
       test_fuzz_catches_and_shrinks;
+    Alcotest.test_case "fork independence" `Quick test_fork_independence;
+    Alcotest.test_case "evict reaches the protocol" `Quick
+      test_evict_reaches_protocol;
   ]
 
 let () = Alcotest.run "warden-check" [ ("check", suite) ]

@@ -406,6 +406,14 @@ let test_summary_renders () =
       Alcotest.(check bool) ("summary mentions " ^ needle) true (find 0))
     [ "inv"; "ward-grant"; "l1-hit" ]
 
+(* An off recorder holds no sink storage: every memory system builds one,
+   and most record nothing. It was 22 KB when every sink was eager. *)
+let test_off_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Obs.create (cfg Config.Obs_off))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "off recorder is %d words, at most 256" words)
+    true (words <= 256)
+
 let suite =
   [
     Alcotest.test_case "ring push/drain" `Quick test_ring;
@@ -421,6 +429,7 @@ let suite =
     Alcotest.test_case "trace byte-identical run to run" `Quick
       test_trace_rerun_identity;
     Alcotest.test_case "summary renders" `Quick test_summary_renders;
+    Alcotest.test_case "off recorder is a stub" `Quick test_off_footprint;
   ]
 
 let () = Alcotest.run "warden-obs" [ ("obs", suite) ]

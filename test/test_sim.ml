@@ -223,6 +223,42 @@ let test_atomic_counter () =
 
 (* One simulation runs on one host domain; asking for more is an error,
    not a silent fallback. *)
+(* A copy is the same memory system, apart: the same accesses on both give
+   the same values, latencies and snapshot, and what runs on the copy
+   leaves the original as it was. *)
+let test_copy () =
+  let state m =
+    let w = Warden_util.Bin.writer () in
+    Memsys.save_state m w;
+    Warden_util.Bin.contents w
+  in
+  List.iter
+    (fun proto ->
+      let ms = Memsys.create (Config.dual_socket ()) ~proto in
+      let base = Memsys.alloc ms ~bytes:4096 ~align:64 in
+      let run m round =
+        List.init 400 (fun i ->
+            let a = base + (8 * (((i * 37) + round) mod 512)) in
+            let thread = i mod 5 in
+            if i mod 3 = 0 then
+              (0L, Memsys.store m ~thread a ~size:8 (Int64.of_int (i + round)))
+            else Memsys.load m ~thread a ~size:8)
+      in
+      (* Copy with data in the store, the LLC and dirty private lines. *)
+      ignore (run ms 0);
+      Memsys.flush_all ms;
+      ignore (run ms 1);
+      let c = Memsys.copy ms in
+      Alcotest.(check (list (pair int64 int)))
+        "same accesses" (run ms 2) (run c 2);
+      List.iter Memsys.flush_all [ ms; c ];
+      let s = state ms in
+      Alcotest.(check bool) "same state" true (Bytes.equal s (state c));
+      ignore (run c 3);
+      Memsys.flush_all c;
+      Alcotest.(check bool) "original untouched" true (Bytes.equal s (state ms)))
+    [ `Mesi; `Warden; `Msi_bus; `Sisd ]
+
 let test_one_sim_domain () =
   Alcotest.check_raises "sim_domains = 2"
     (Invalid_argument
@@ -462,9 +498,9 @@ let privcache_model =
                      expect "fast hit line" (matches_slot blk slot)
                  | _ -> (
                      expect "fast miss" (slot = -1);
-                     match (Pc.lookup pc ~blk ~write, sufficient) with
-                     | Pc.Miss, None -> ()
-                     | Pc.Upgrade slot, Some false ->
+                     match (Pc.lookup pc ~blk, sufficient) with
+                     | -1, None -> ()
+                     | slot, Some false ->
                          expect "upgrade line" (matches_slot blk slot)
                      | _ -> expect "lookup kind" false))
              | Write (blk, z, off, v) -> (
@@ -513,6 +549,7 @@ let suite =
     privcache_model;
     Alcotest.test_case "hit prefix equals the full access path" `Quick
       test_hit_prefix_differential;
+    Alcotest.test_case "copy" `Quick test_copy;
   ]
 
 let () = Alcotest.run "warden-sim" [ ("sim", suite) ]
