@@ -14,9 +14,12 @@
 # run's host_s, setup_s and peak_rss_mb, each side's median and
 # quartiles of each, and how many pairs the working tree won on host_s.
 # After the pairs it runs each side once more with `--trace 1` and prints
-# that run's runtime.ns_per_access (program model) and memsys.hit_ns
-# (memory-system hit path) beside the host_s summary: they say which
-# layer a host_s change came from. Then it prints one line per workload
+# that run's runtime.ns_per_access (program model), memsys.hit_ns
+# (memory-system hit path), proto.region_ns (WARD region add/remove),
+# trace.envelope_ns_per_event (trace envelope round trip) and
+# trace.record_overhead_pct (recording against a plain run) beside the
+# host_s summary: they say which layer a host_s or setup_s change came
+# from. Then it prints one line per workload
 # with each metric's median change. The order inside a pair flips from
 # pair to pair, so a drift in host speed does not favour one side.
 # `make ledger-ab` wraps this script.
@@ -27,7 +30,7 @@ base=${1:?$usage}
 workloads=${2:?$usage}
 pairs=${3:?$usage}
 metrics="host_s setup_s peak_rss_mb"
-layers="runtime.ns_per_access memsys.hit_ns"
+layers="runtime.ns_per_access memsys.hit_ns proto.region_ns trace.envelope_ns_per_event trace.record_overhead_pct"
 
 root=$(git rev-parse --show-toplevel)
 if [ "$workloads" = all ]; then

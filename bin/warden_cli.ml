@@ -131,10 +131,19 @@ let require_single_proto ~snap_in ~snap_out proto =
   then
     failwith "--snapshot-in/--snapshot-out need a single --proto"
 
+(* A snapshot or trace that cannot be read or decoded is a user error:
+   name the file and the fault, and exit with cmdliner's some_error code
+   rather than as an uncaught exception. *)
+let or_input_error file f =
+  try f () with
+  | Warden_util.Bin.Corrupt msg | Sys_error msg ->
+      Printf.eprintf "warden-cli: %s: %s\n%!" file msg;
+      exit Cmd.Exit.some_error
+
 let apply_snapshot_in eng = function
   | None -> ()
   | Some file ->
-      Warden_snap.Snap.load_file eng file;
+      or_input_error file (fun () -> Warden_snap.Snap.load_file eng file);
       Printf.printf "restored snapshot %s\n" file
 
 let apply_snapshot_out eng = function
@@ -896,7 +905,9 @@ let replay_cmd =
         write_stats (Engine.memsys eng);
         exit_of_bool ok
     | None ->
-        let stream = Warden_trace.Stream.load_file file in
+        let stream =
+          or_input_error file (fun () -> Warden_trace.Stream.load_file file)
+        in
         let proto =
           proto_of
             (match proto with
@@ -905,7 +916,10 @@ let replay_cmd =
         in
         let eng = Engine.create config ~proto in
         let t0 = Unix.gettimeofday () in
-        let n = Warden_trace.Stream.replay stream (Engine.memsys eng) in
+        let n =
+          or_input_error file (fun () ->
+              Warden_trace.Stream.replay stream (Engine.memsys eng))
+        in
         let host = Unix.gettimeofday () -. t0 in
         Printf.printf
           "replayed %d events (recorded under %s) onto %s in %.2fs host \

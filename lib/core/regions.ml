@@ -1,129 +1,183 @@
 open Warden_mem
 
-module Imap = Map.Make (Int)
-
-(* Intervals are stored in a map keyed by lower bound; each key carries the
-   list of upper bounds registered at it (duplicates allowed). [max_len]
-   tracks the longest interval ever added so membership tests know how far
-   below the query address an enclosing interval could start. With the
-   page-granular regions the runtime produces, a lookup scans one key. *)
+(* The live intervals in flat arrays sorted by lower bound, intervals with
+   equal [lo] newest first, plus a prefix maximum of the upper bounds:
+   [pmax.(i)] is the largest [hi] among entries [0..i]. An address is
+   covered iff some entry with [lo <= addr] has [hi > addr], i.e. iff the
+   prefix maximum at the last such entry exceeds it — one binary search,
+   no allocation. [add] and [remove] shift the arrays and redo the prefix
+   maximum from the changed entry on; the table holds at most [capacity]
+   (1024 on the paper's machines) entries. [max_len], the longest interval
+   ever added, is no longer needed by lookups and is kept only because
+   the snapshot format carries it. *)
 type t = {
-  mutable by_lo : int list Imap.t;
+  mutable los : int array;
+  mutable his : int array;
+  mutable pmax : int array;
   mutable n : int;
   mutable max_len : int;
   capacity : int;
 }
 
-let create ~capacity = { by_lo = Imap.empty; n = 0; max_len = 0; capacity }
+let create ~capacity =
+  { los = [||]; his = [||]; pmax = [||]; n = 0; max_len = 0; capacity }
 
 let capacity t = t.capacity
 let count t = t.n
 
 let copy t =
-  { by_lo = t.by_lo; n = t.n; max_len = t.max_len; capacity = t.capacity }
+  {
+    los = Array.sub t.los 0 t.n;
+    his = Array.sub t.his 0 t.n;
+    pmax = Array.sub t.pmax 0 t.n;
+    n = t.n;
+    max_len = t.max_len;
+    capacity = t.capacity;
+  }
+
+(* The number of entries among the first [n] whose [lo] is at most [x]. *)
+let count_le los n x =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get los mid <= x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The first entry whose [lo] is at least [x]. *)
+let first_ge t x =
+  let lo = ref 0 and hi = ref t.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.los.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let refresh_pmax t from =
+  for i = from to t.n - 1 do
+    let h = t.his.(i) in
+    t.pmax.(i) <- (if i = 0 then h else max h t.pmax.(i - 1))
+  done
+
+let grow t =
+  let cap = max 8 (2 * t.n) in
+  let extend a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 t.n;
+    b
+  in
+  t.los <- extend t.los;
+  t.his <- extend t.his;
+  t.pmax <- extend t.pmax
 
 let add t ~lo ~hi =
   if hi <= lo || t.n >= t.capacity then false
   else begin
-    let existing = Option.value ~default:[] (Imap.find_opt lo t.by_lo) in
-    t.by_lo <- Imap.add lo (hi :: existing) t.by_lo;
+    if t.n = Array.length t.los then grow t;
+    let i = first_ge t lo in
+    let tail = t.n - i in
+    Array.blit t.los i t.los (i + 1) tail;
+    Array.blit t.his i t.his (i + 1) tail;
+    t.los.(i) <- lo;
+    t.his.(i) <- hi;
     t.n <- t.n + 1;
+    refresh_pmax t i;
     t.max_len <- max t.max_len (hi - lo);
     true
   end
 
+(* Removes the newest occurrence of [lo, hi). *)
 let remove t ~lo ~hi =
-  match Imap.find_opt lo t.by_lo with
-  | None -> false
-  | Some his ->
-      if List.mem hi his then begin
-        let rec drop_one = function
-          | [] -> []
-          | x :: rest -> if x = hi then rest else x :: drop_one rest
-        in
-        (match drop_one his with
-        | [] -> t.by_lo <- Imap.remove lo t.by_lo
-        | rest -> t.by_lo <- Imap.add lo rest t.by_lo);
-        t.n <- t.n - 1;
-        true
-      end
-      else false
-
-let mem t addr =
-  if t.n = 0 then false
+  let rec find i =
+    if i >= t.n || t.los.(i) <> lo then -1
+    else if t.his.(i) = hi then i
+    else find (i + 1)
+  in
+  let i = find (first_ge t lo) in
+  if i < 0 then false
   else begin
-    (* Scan keys in (addr - max_len, addr], newest-start first. *)
-    let exception Found in
-    try
-      let floor = addr - t.max_len in
-      let rec go upper =
-        match Imap.find_last_opt (fun lo -> lo <= upper) t.by_lo with
-        | None -> ()
-        | Some (lo, his) ->
-            if lo <= floor then ()
-            else begin
-              if List.exists (fun hi -> addr < hi) his then raise Found;
-              go (lo - 1)
-            end
-      in
-      go addr;
-      false
-    with Found -> true
+    let tail = t.n - i - 1 in
+    Array.blit t.los (i + 1) t.los i tail;
+    Array.blit t.his (i + 1) t.his i tail;
+    t.n <- t.n - 1;
+    refresh_pmax t i;
+    true
   end
 
+let covered t n x = n > 0 && Array.unsafe_get t.pmax (n - 1) > x
+let mem t addr = covered t (count_le t.los t.n addr) addr
+
+(* Some interval overlaps the block iff one starting at or before its
+   last byte ends after its first. *)
 let block_in t blk =
-  if t.n = 0 then false
-  else begin
-    let base = Addr.base_of_block blk in
-    (* A region overlaps the block iff it contains some byte of it; since
-       runtime regions are block-aligned, testing the base plus any region
-       that starts inside the block suffices. *)
-    mem t base
-    ||
-    match Imap.find_first_opt (fun lo -> lo > base) t.by_lo with
-    | Some (lo, _ :: _) -> lo < base + Addr.block_size
-    | _ -> false
-  end
+  let base = Addr.base_of_block blk in
+  covered t (count_le t.los t.n (base + Addr.block_size - 1)) base
 
-let iter t f = Imap.iter (fun lo his -> List.iter (fun hi -> f ~lo ~hi) his) t.by_lo
+let iter t f =
+  for i = 0 to t.n - 1 do
+    f ~lo:t.los.(i) ~hi:t.his.(i)
+  done
 
 let clear t =
-  t.by_lo <- Imap.empty;
   t.n <- 0;
   t.max_len <- 0
 
-(* Snapshot the interval map structurally (per lower bound, its upper
-   bounds in list order) plus [max_len], which tracks the longest region
-   ever added — not derivable from the live intervals. *)
+(* Snapshot layout: the count, [max_len], then per distinct lower bound
+   in ascending order its upper bounds newest first — the encoding of
+   the map of per-[lo] lists this table once was. *)
 let save t w =
   let module B = Warden_util.Bin in
   B.w_int w t.n;
   B.w_int w t.max_len;
-  B.w_int w (Imap.cardinal t.by_lo);
-  Imap.iter
-    (fun lo his ->
-      B.w_int w lo;
-      B.w_int w (List.length his);
-      List.iter (B.w_int w) his)
-    t.by_lo
+  let keys = ref 0 in
+  for i = 0 to t.n - 1 do
+    if i = 0 || t.los.(i) <> t.los.(i - 1) then incr keys
+  done;
+  B.w_int w !keys;
+  let i = ref 0 in
+  while !i < t.n do
+    let lo = t.los.(!i) in
+    let j = ref !i in
+    while !j < t.n && t.los.(!j) = lo do
+      incr j
+    done;
+    B.w_int w lo;
+    B.w_int w (!j - !i);
+    for k = !i to !j - 1 do
+      B.w_int w t.his.(k)
+    done;
+    i := !j
+  done
 
+(* Builds the table aside, so a malformed snapshot leaves [t] as it was. *)
 let restore t r =
   let module B = Warden_util.Bin in
   let n = B.r_int r in
   let max_len = B.r_int r in
   let nkeys = B.r_int r in
   if n < 0 || max_len < 0 || nkeys < 0 then B.corrupt "Regions: bad snapshot";
-  let map = ref Imap.empty in
-  let total = ref 0 in
-  for _ = 1 to nkeys do
+  let u = create ~capacity:t.capacity in
+  let prev = ref min_int in
+  for k = 1 to nkeys do
     let lo = B.r_int r in
+    if k > 1 && lo <= !prev then
+      B.corrupt "Regions: lower bounds not strictly ascending";
+    prev := lo;
     let len = B.r_int r in
     if len <= 0 then B.corrupt "Regions: empty upper-bound list";
-    let his = List.init len (fun _ -> B.r_int r) in
-    total := !total + len;
-    map := Imap.add lo his !map
+    for _ = 1 to len do
+      let hi = B.r_int r in
+      if hi <= lo then B.corrupt "Regions: empty interval";
+      if u.n = Array.length u.los then grow u;
+      u.los.(u.n) <- lo;
+      u.his.(u.n) <- hi;
+      u.n <- u.n + 1
+    done
   done;
-  if !total <> n then B.corrupt "Regions: count mismatch";
-  t.by_lo <- !map;
+  if u.n <> n then B.corrupt "Regions: count mismatch";
+  refresh_pmax u 0;
+  t.los <- u.los;
+  t.his <- u.his;
+  t.pmax <- u.pmax;
   t.n <- n;
   t.max_len <- max_len

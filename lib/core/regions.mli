@@ -20,7 +20,7 @@ val capacity : t -> int
 val count : t -> int
 
 val copy : t -> t
-(** Independent copy (the interval map is persistent, so this is cheap). *)
+(** Independent copy: three flat arrays of [count t] entries. *)
 
 val add : t -> lo:int -> hi:int -> bool
 (** Register [\[lo, hi)]. Returns false (and stores nothing) when the table
@@ -30,19 +30,25 @@ val remove : t -> lo:int -> hi:int -> bool
 (** Remove one exact occurrence of [\[lo, hi)]; false if not present. *)
 
 val mem : t -> int -> bool
-(** Is this address inside any active region? *)
+(** Is this address inside any active region? One binary search; does
+    not allocate. *)
 
 val block_in : t -> int -> bool
 (** Is any byte of cache block [blk] inside an active region? This is the
-    lookup the directory performs per request. *)
+    lookup the directory performs per request: one binary search, no
+    allocation. *)
 
 val iter : t -> (lo:int -> hi:int -> unit) -> unit
 
 val clear : t -> unit
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot the interval map plus the historical [max_len] bound. *)
+(** Snapshot the intervals — per distinct lower bound, ascending, its
+    upper bounds newest first — plus the longest length ever added, a
+    field lookups no longer use. *)
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite this table's intervals from {!save} output (the capacity
-    stays the creating machine's). *)
+    stays the creating machine's). Raises [Warden_util.Bin.Corrupt] on
+    lower bounds that are not strictly ascending, an empty interval or a
+    count mismatch. *)

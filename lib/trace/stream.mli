@@ -35,12 +35,23 @@ val proto : t -> string
 (** Protocol name the stream was recorded under. *)
 
 val to_bytes : t -> Bytes.t
+(** The [WOBS] v2 envelope: magic, version, geometry, protocol, event
+    count, body, and a {!Warden_util.Bin.word_checksum} of everything
+    before it. *)
+
 val of_bytes : Bytes.t -> t
-(** Versioned envelope: magic, geometry, protocol, event count,
-    checksum. *)
+(** Validate a {!to_bytes} envelope in place and return a stream that
+    reads its events straight out of the argument: nothing is copied, so
+    the argument must not be mutated afterwards. Raises
+    [Warden_util.Bin.Corrupt], naming the fault, on a bad magic, another
+    version, a truncated or over-long input, a body length other than
+    events x 33, or a checksum mismatch (any damaged header or body
+    byte). *)
 
 val save_file : t -> string -> unit
+
 val load_file : string -> t
+(** Read a file and {!of_bytes} it. *)
 
 val stats_text : Warden_sim.Memsys.t -> string
 (** Canonical dump of the memory-system statistics a replay reproduces

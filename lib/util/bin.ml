@@ -119,15 +119,46 @@ let r_float_array r =
 let r_pos r = r.pos
 let r_left r = Bytes.length r.data - r.pos
 
+(* SplitMix64's finalizer: a bijection on 64-bit words. *)
+let[@inline] mix x =
+  let x =
+    Int64.mul
+      (Int64.logxor x (Int64.shift_right_logical x 30))
+      0xBF58476D1CE4E5B9L
+  in
+  let x =
+    Int64.mul
+      (Int64.logxor x (Int64.shift_right_logical x 27))
+      0x94D049BB133111EBL
+  in
+  Int64.logxor x (Int64.shift_right_logical x 31)
+
+let checksum_seed = 0x9E3779B97F4A7C15L
+let to_63 h = Int64.to_int (Int64.logand h 0x7FFFFFFFFFFFFFFFL)
+
 (* 63-bit rolling checksum over a byte range: SplitMix64's finalizer
    applied per byte. Cheap, order-sensitive, and catches the single-word
    corruptions a torn snapshot write would produce. *)
 let checksum data ~pos ~len =
-  let h = ref 0x9E3779B97F4A7C15L in
+  let h = ref checksum_seed in
   for i = pos to pos + len - 1 do
-    let x = Int64.add !h (Int64.of_int (Char.code (Bytes.unsafe_get data i))) in
-    let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-    let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27)) 0x94D049BB133111EBL in
-    h := Int64.logxor x (Int64.shift_right_logical x 31)
+    h := mix (Int64.add !h (Int64.of_int (Char.code (Bytes.unsafe_get data i))))
   done;
-  Int64.to_int (Int64.logand !h 0x7FFFFFFFFFFFFFFFL)
+  to_63 !h
+
+(* The same roll over little-endian 64-bit words, then the tail bytes one
+   at a time: one finalizer step per eight bytes. Each step is a
+   bijection of the running state for a fixed input, so a change to any
+   single word or byte always changes the result before truncation. *)
+let word_checksum data ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length data then
+    invalid_arg "Bin.word_checksum";
+  let h = ref checksum_seed in
+  let words = len / 8 in
+  for i = 0 to words - 1 do
+    h := mix (Int64.add !h (Bytes.get_int64_le data (pos + (8 * i))))
+  done;
+  for i = pos + (8 * words) to pos + len - 1 do
+    h := mix (Int64.add !h (Int64.of_int (Char.code (Bytes.unsafe_get data i))))
+  done;
+  to_63 !h

@@ -428,25 +428,165 @@ let test_regions_overlap () =
   Alcotest.(check bool) "10 no longer covered" false (Warden_core.Regions.mem r 10);
   Alcotest.(check bool) "60 still covered" true (Warden_core.Regions.mem r 60)
 
+module Regions = Warden_core.Regions
+module Bin = Warden_util.Bin
+
+(* The snapshot bytes of the map of per-[lo] upper-bound lists the table
+   used to be, built from the live intervals (newest first) and the
+   longest length ever added. *)
+let reference_save live ~max_len =
+  let module M = Map.Make (Int) in
+  let by_lo =
+    List.fold_left
+      (fun m (lo, hi) ->
+        M.add lo (hi :: Option.value ~default:[] (M.find_opt lo m)) m)
+      M.empty (List.rev live)
+  in
+  let w = Bin.writer () in
+  Bin.w_int w (List.length live);
+  Bin.w_int w max_len;
+  Bin.w_int w (M.cardinal by_lo);
+  M.iter
+    (fun lo his ->
+      Bin.w_int w lo;
+      Bin.w_int w (List.length his);
+      List.iter (Bin.w_int w) his)
+    by_lo;
+  Bin.contents w
+
+let regions_save r =
+  let w = Bin.writer () in
+  Regions.save r w;
+  Bin.contents w
+
+(* Random add/remove sequences against a naive list of live intervals:
+   overlapping and duplicate intervals, empty ones, removal of absent
+   ones and a full table. After every step, [mem] and [block_in] answer
+   like a scan of the list and [save] writes the old map's bytes. *)
 let regions_vs_naive =
+  let capacity = 24 in
+  let span = 400 in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:200 ~name:"range CAM lookup = naive interval scan"
        QCheck2.Gen.(
-         pair
-           (list (pair (int_range 0 1000) (int_range 1 100)))
-           (list (int_range 0 1200)))
-       (fun (intervals, queries) ->
-         let r = Warden_core.Regions.create ~capacity:10_000 in
-         List.iter
-           (fun (lo, len) -> ignore (Warden_core.Regions.add r ~lo ~hi:(lo + len)))
-           intervals;
+         list_size (int_range 1 60)
+           (quad (int_range 0 4) (int_range 0 span) (int_range 0 150) nat))
+       (fun ops ->
+         let r = Regions.create ~capacity in
+         let live = ref [] and max_len = ref 0 in
+         let rec drop_first x = function
+           | [] -> []
+           | y :: rest -> if y = x then rest else y :: drop_first x rest
+         in
+         let pick k =
+           match !live with
+           | [] -> None
+           | l -> Some (List.nth l (k mod List.length l))
+         in
+         let add (lo, hi) =
+           let ok = hi > lo && List.length !live < capacity in
+           if ok then begin
+             live := (lo, hi) :: !live;
+             max_len := max !max_len (hi - lo)
+           end;
+           Regions.add r ~lo ~hi = ok
+         in
+         let remove (lo, hi) =
+           let ok = List.mem (lo, hi) !live in
+           live := drop_first (lo, hi) !live;
+           Regions.remove r ~lo ~hi = ok
+         in
+         let step (kind, lo, len, k) =
+           match (kind, pick k) with
+           | (0 | 1), _ -> add (lo, lo + len)
+           | 2, Some iv -> add iv (* a duplicate *)
+           | 3, Some iv -> remove iv
+           | _ -> remove (lo, lo + len) (* usually absent *)
+         in
+         let covers q = List.exists (fun (lo, hi) -> lo <= q && q < hi) !live in
+         let overlaps blk =
+           let base = Warden_mem.Addr.base_of_block blk in
+           List.exists
+             (fun (lo, hi) ->
+               lo < base + Warden_mem.Addr.block_size && hi > base)
+             !live
+         in
          List.for_all
-           (fun q ->
-             let naive =
-               List.exists (fun (lo, len) -> q >= lo && q < lo + len) intervals
-             in
-             Warden_core.Regions.mem r q = naive)
-           queries))
+           (fun op ->
+             step op
+             && Regions.count r = List.length !live
+             && List.for_all
+                  (fun q -> Regions.mem r q = covers q)
+                  (List.init ((2 * span / 3) + 2) (fun i -> (3 * i) - 1))
+             && List.for_all
+                  (fun blk -> Regions.block_in r blk = overlaps blk)
+                  (List.init
+                     ((2 * span / Warden_mem.Addr.block_size) + 2)
+                     Fun.id)
+             && Bytes.equal (regions_save r)
+                  (reference_save !live ~max_len:!max_len))
+           ops))
+
+let test_regions_block_in_allocates_nothing () =
+  let r = Regions.create ~capacity:1024 in
+  let regions = List.init 100 (fun i -> (i * 4096, (i * 4096) + 2048 + i)) in
+  List.iter (fun (lo, hi) -> ignore (Regions.add r ~lo ~hi : bool)) regions;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for blk = 0 to 9_999 do
+    if Regions.block_in r blk then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  let naive =
+    List.length
+      (List.filter
+         (fun blk ->
+           let base = Warden_mem.Addr.base_of_block blk in
+           List.exists
+             (fun (lo, hi) ->
+               lo < base + Warden_mem.Addr.block_size && hi > base)
+             regions)
+         (List.init 10_000 Fun.id))
+  in
+  Alcotest.(check int) "blocks inside regions" naive !hits;
+  Alcotest.(check (float 0.)) "minor words for 10,000 block_in" 0. words
+
+let test_regions_restore_malformed () =
+  let image entries =
+    let w = Bin.writer () in
+    List.iter (Bin.w_int w) entries;
+    Bin.contents w
+  in
+  let cases =
+    [
+      ( "lower bounds not strictly ascending",
+        [ 2; 100; 2; 64; 1; 128; 0; 1; 64 ] );
+      ( "lower bounds not strictly ascending",
+        [ 2; 100; 2; 0; 1; 64; 0; 1; 128 ] );
+      ("empty interval", [ 1; 100; 1; 64; 1; 64 ]);
+      ("empty upper-bound list", [ 0; 0; 1; 64; 0 ]);
+      ("count mismatch", [ 3; 100; 1; 0; 2; 64; 32 ]);
+    ]
+  in
+  List.iter
+    (fun (what, entries) ->
+      let r = Regions.create ~capacity:8 in
+      ignore (Regions.add r ~lo:4096 ~hi:8192 : bool);
+      Alcotest.check_raises what
+        (Bin.Corrupt ("Bin: Regions: " ^ what))
+        (fun () -> Regions.restore r (Bin.reader (image entries)));
+      Alcotest.(check bool) "table unchanged" true
+        (Regions.count r = 1 && Regions.mem r 4096 && not (Regions.mem r 0)))
+    cases;
+  let r = Regions.create ~capacity:8 in
+  Regions.restore r
+    (Bin.reader (image [ 3; 100; 2; 0; 2; 64; 32; 64; 1; 128 ]));
+  Alcotest.(check (list (pair int int)))
+    "restored in table order"
+    [ (0, 64); (0, 32); (64, 128) ]
+    (let l = ref [] in
+     Regions.iter r (fun ~lo ~hi -> l := (lo, hi) :: !l);
+     List.rev !l)
 
 let suite =
   [
@@ -479,6 +619,10 @@ let suite =
     Alcotest.test_case "warden remove unknown" `Quick test_warden_remove_unknown_is_noop;
     Alcotest.test_case "regions overlap" `Quick test_regions_overlap;
     regions_vs_naive;
+    Alcotest.test_case "regions block_in allocates nothing" `Quick
+      test_regions_block_in_allocates_nothing;
+    Alcotest.test_case "regions restore rejects malformed snapshots" `Quick
+      test_regions_restore_malformed;
   ]
 
 let () = Alcotest.run "warden-proto" [ ("proto", suite) ]

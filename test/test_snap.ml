@@ -315,6 +315,24 @@ let test_replay_stats_identical () =
     (Stream.events stream)
     (Stream.replay stream (Engine.memsys ab))
 
+(* A WOBS v2 envelope around [events] zero events, built by hand: what
+   [Stream.to_bytes] writes, so that [of_bytes] can be fed bodies of any
+   size without recording them. *)
+let synthetic_envelope ~events =
+  let w = Bin.writer () in
+  Bin.w_string w "WOBS";
+  Bin.w_int w 2;
+  List.iter (Bin.w_int w) [ 1; 1; 1 ];
+  Bin.w_string w "mesi";
+  Bin.w_int w events;
+  Bin.w_bytes w (Bytes.make (33 * events) '\000');
+  let covered = Bin.length w in
+  Bin.w_int w 0;
+  let b = Bin.contents w in
+  Bytes.set_int64_le b covered
+    (Int64.of_int (Bin.word_checksum b ~pos:0 ~len:covered));
+  b
+
 let test_stream_envelope_roundtrip () =
   let cfg = Config.single_socket () in
   let live = Engine.create cfg ~proto:`Mesi in
@@ -329,14 +347,108 @@ let test_stream_envelope_roundtrip () =
     (Stream.events back);
   Alcotest.(check string) "protocol name survives" (Stream.proto stream)
     (Stream.proto back);
-  (* Corrupt one body byte: the checksum must catch it. *)
-  let dam = Bytes.copy b in
-  let i = Bytes.length dam / 2 in
-  Bytes.set dam i (Char.chr (Char.code (Bytes.get dam i) lxor 0x20));
-  Alcotest.(check bool) "stream corruption detected" true
-    (match Stream.of_bytes dam with
-    | exception Bin.Corrupt _ -> true
-    | _ -> false)
+  Alcotest.(check bool) "re-enveloping is byte-identical" true
+    (Bytes.equal b (Stream.to_bytes back));
+  let replayed = Engine.create cfg ~proto:`Mesi in
+  ignore (Stream.replay back (Engine.memsys replayed) : int);
+  Alcotest.(check string) "decoded stream replays the live stats"
+    (Stream.stats_text (Engine.memsys live))
+    (Stream.stats_text (Engine.memsys replayed));
+  let refused what ?msg dam =
+    match Stream.of_bytes dam with
+    | exception Bin.Corrupt m ->
+        Alcotest.(check bool)
+          (what ^ ": a named Stream error (" ^ m ^ ")")
+          true
+          (String.starts_with ~prefix:"Bin: Stream: " m
+          && match msg with None -> true | Some x -> String.equal x m)
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  let flip off =
+    let dam = Bytes.copy b in
+    Bytes.set dam off (Char.chr (Char.code (Bytes.get dam off) lxor 0x20));
+    dam
+  in
+  (* Header layout: magic (8 + 4), version, three geometry words, the
+     protocol name (8 + its length), the event count, the body length. *)
+  let proto_at = 12 + 8 + 24 in
+  let events_at = proto_at + 8 + String.length (Stream.proto stream) in
+  let body_at = events_at + 16 in
+  refused "body byte" (flip ((body_at + Bytes.length b) / 2))
+    ~msg:"Bin: Stream: checksum mismatch (corrupt trace)";
+  refused "checksum byte" (flip (Bytes.length b - 3));
+  refused "event count byte" (flip events_at);
+  refused "sockets byte" (flip 20)
+    ~msg:"Bin: Stream: checksum mismatch (corrupt trace)";
+  refused "threads-per-core byte" (flip 36);
+  refused "protocol name byte" (flip (proto_at + 9))
+    ~msg:"Bin: Stream: checksum mismatch (corrupt trace)";
+  (* A v1 envelope is refused by its version, whatever follows. *)
+  let v1 = Bytes.copy b in
+  Bytes.set_int64_le v1 12 1L;
+  refused "v1 envelope" v1
+    ~msg:"Bin: Stream: trace version 1, this build reads 2";
+  (* One event more than the body holds, under a valid checksum. *)
+  let off_by_one = Bytes.copy b in
+  Bytes.set_int64_le off_by_one events_at
+    (Int64.of_int (Stream.events stream + 1));
+  let covered = Bytes.length b - 8 in
+  Bytes.set_int64_le off_by_one covered
+    (Int64.of_int (Bin.word_checksum off_by_one ~pos:0 ~len:covered));
+  refused "body length not events x 33" off_by_one
+    ~msg:
+      (Printf.sprintf
+         "Bin: Stream: body of %d bytes is not %d events of 33 bytes"
+         (33 * Stream.events stream)
+         (Stream.events stream + 1));
+  List.iter
+    (fun keep ->
+      refused
+        (Printf.sprintf "truncated to %d bytes" keep)
+        (Bytes.sub b 0 keep))
+    [ 0; 6; 13; body_at - 3; body_at; Bytes.length b / 2; Bytes.length b - 1 ];
+  refused "trailing bytes" (Bytes.cat b (Bytes.make 5 '\000'));
+  refused "not a trace" (Bytes.of_string "this is not a warden trace");
+  (* [of_bytes] keeps a view of its argument: it allocates the same
+     whatever the body's size. *)
+  let allocated events =
+    let env = synthetic_envelope ~events in
+    let before = Gc.allocated_bytes () in
+    let s = Stream.of_bytes env in
+    let bytes = Gc.allocated_bytes () -. before in
+    Alcotest.(check int) "synthetic events" events (Stream.events s);
+    bytes
+  in
+  let small = allocated 10 and large = allocated 100_000 in
+  Alcotest.(check (float 0.)) "of_bytes allocation independent of body size"
+    small large;
+  Alcotest.(check bool) "of_bytes allocates under 1 KB" true (small < 1024.)
+
+(* A recording that spans several recorder pages replays, straight from
+   its pages and through its envelope, to the live run's stats. *)
+let test_stream_pages () =
+  let cfg = Config.dual_socket () in
+  let spec = Option.get (Warden_pbbs.Suite.find "msort") in
+  let live = Engine.create cfg ~proto:`Warden in
+  let ok, stream =
+    Stream.record (Engine.memsys live) (fun () ->
+        spec.Warden_pbbs.Spec.run ~scale:3000 ~seed:0x5EEDF00DL live)
+  in
+  Alcotest.(check bool) "msort verified" true ok;
+  Alcotest.(check bool) "more events than one page holds" true
+    (Stream.events stream > 1 lsl 15);
+  let expect = Stream.stats_text (Engine.memsys live) in
+  List.iter
+    (fun (what, s) ->
+      let ms = Memsys.create cfg ~proto:`Warden in
+      Alcotest.(check int) (what ^ ": every event consumed")
+        (Stream.events stream) (Stream.replay s ms);
+      Alcotest.(check string) (what ^ ": replayed stats = live stats") expect
+        (Stream.stats_text ms))
+    [
+      ("pages", stream);
+      ("envelope", Stream.of_bytes (Stream.to_bytes stream));
+    ]
 
 (* ---- 4. Snapshot corruption and fingerprint ------------------------------- *)
 
@@ -410,6 +522,7 @@ let suite =
       test_replay_stats_identical;
     Alcotest.test_case "stream envelope round-trip and checksum" `Quick
       test_stream_envelope_roundtrip;
+    Alcotest.test_case "stream across recorder pages" `Quick test_stream_pages;
     Alcotest.test_case "snapshot corruption and fingerprint" `Quick
       test_snapshot_corruption;
   ]
