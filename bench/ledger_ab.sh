@@ -15,22 +15,24 @@
 # quartiles of each, and how many pairs the working tree won on host_s.
 # After the pairs it runs each side once more with `--trace 1` and prints
 # that run's runtime.ns_per_access (program model), memsys.hit_ns
-# (memory-system hit path), proto.region_ns (WARD region add/remove),
-# trace.envelope_ns_per_event (trace envelope round trip) and
+# (memory-system hit path), proto.miss_ns (protocol miss transition),
+# proto.region_ns (WARD region add/remove), llc.ns_per_read (LLC slice
+# read), trace.envelope_ns_per_event (trace envelope round trip) and
 # trace.record_overhead_pct (recording against a plain run) beside the
 # host_s summary: they say which layer a host_s or setup_s change came
 # from. Then it prints one line per workload
 # with each metric's median change. The order inside a pair flips from
-# pair to pair, so a drift in host speed does not favour one side.
+# pair to pair, so a drift in host speed does not favour one side. With
+# SEED=N set, every run on both sides gets `--seed N`.
 # `make ledger-ab` wraps this script.
 set -eu
 
-usage="usage: [BASE_EXE=path] $0 BASE WORKLOAD[,WORKLOAD...]|all PAIRS"
+usage="usage: [BASE_EXE=path] [SEED=n] $0 BASE WORKLOAD[,WORKLOAD...]|all PAIRS"
 base=${1:?$usage}
 workloads=${2:?$usage}
 pairs=${3:?$usage}
 metrics="host_s setup_s peak_rss_mb"
-layers="runtime.ns_per_access memsys.hit_ns proto.region_ns trace.envelope_ns_per_event trace.record_overhead_pct"
+layers="runtime.ns_per_access memsys.hit_ns proto.miss_ns proto.region_ns llc.ns_per_read trace.envelope_ns_per_event trace.record_overhead_pct"
 
 root=$(git rev-parse --show-toplevel)
 if [ "$workloads" = all ]; then
@@ -69,7 +71,7 @@ run() {
   side=$1 trace=$2 label=$3
   shift 3
   line=$("$tmp/$side.exe" --workload "$w" --trace "$trace" --seconds 15 \
-    --out "$tmp/out-$side" | tail -n 1)
+    ${SEED:+--seed "$SEED"} --out "$tmp/out-$side" | tail -n 1)
   case $line in
     *'"correct": true'*) ;;
     *) echo "ledger-ab: $w: $side run failed its checks: $line" >&2; exit 1 ;;
@@ -91,9 +93,15 @@ quantile() {
 summary() {
   echo "median $(quantile "$1" 0.5), quartiles $(quantile "$1" 0.25)-$(quantile "$1" 0.75)"
 }
+# A percentage metric can read below zero, where a ratio of medians has
+# no meaning: its change is a difference in points.
 change() {
-  awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
-    'BEGIN { if (b == 0) printf "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }'
+  case $1 in
+    *_pct) awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
+      'BEGIN { printf "%+.1f pts", h - b }' ;;
+    *) awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
+      'BEGIN { if (b == 0) printf "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }' ;;
+  esac
 }
 
 for w in $(echo "$workloads" | tr ',' ' '); do

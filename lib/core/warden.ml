@@ -131,7 +131,7 @@ module P = struct
                 Obs.event t.fabric.Fabric.obs ~code:Oev.recon ~core:c ~blk
                   ~arg:1)
               holders;
-            Mesi.flush_block t.fabric t.dir ~blk
+            Mesi.flush_entry t.fabric t.dir e
           end);
       true
     end
@@ -244,10 +244,7 @@ module P = struct
   let flush_all t =
     let f = t.fabric in
     let dir = t.dir in
-    let pending = ref [] in
-    Dirstate.iter dir (fun blk e -> pending := (blk, e) :: !pending);
-    List.iter
-      (fun (blk, e) ->
+    Dirstate.iter dir (fun blk e ->
         if Dirstate.state dir e = D_W then begin
           List.iter
             (fun s ->
@@ -262,8 +259,7 @@ module P = struct
             (Dirstate.holders dir e);
           Dirstate.set_invalid dir e
         end
-        else Mesi.flush_block f t.dir ~blk)
-      !pending
+        else Mesi.flush_entry f dir e)
 
   let observe t ~blk = Protocol.view_of_dir t.dir ~blk
 

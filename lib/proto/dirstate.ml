@@ -285,7 +285,7 @@ let holders t (s : slot) =
 
 let iter t f =
   let keys = t.keys in
-  for i = 0 to Array.length keys - 1 do
+  for i = Array.length keys - 1 downto 0 do
     let blk = Array.unsafe_get keys i in
     if blk >= 0 then f blk i
   done

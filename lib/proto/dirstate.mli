@@ -95,8 +95,9 @@ val holders : t -> slot -> int list
     sharer set in S/W, ascending. *)
 
 val iter : t -> (int -> slot -> unit) -> unit
-(** Visit every entry (including [D_I] ones) as [(blk, slot)]. Must not
-    insert entries during iteration. *)
+(** Visit every entry (including [D_I] ones) as [(blk, slot)], in
+    descending slot order. [f] may change the visited entry but must not
+    insert entries. *)
 
 val copy : t -> t
 (** Deep copy (fresh arrays, both levels); the model checker forks

@@ -182,33 +182,32 @@ let handle_evict (f : Fabric.t) dir ~core ~blk ~pstate ~data =
       Dirstate.sharer_remove dir e core;
       if Dirstate.sharers_empty dir e then Dirstate.set_invalid dir e
 
-let flush_block (f : Fabric.t) dir ~blk =
-  let e = Dirstate.find dir blk in
-  if e <> Dirstate.no_slot then
-    match Dirstate.state dir e with
-    | D_I -> ()
-    | D_W -> assert false
-    | D_S ->
-        List.iter
-          (fun c -> ignore (f.Fabric.invalidate_priv ~core:c ~blk))
-          (Dirstate.holders dir e);
-        Dirstate.set_invalid dir e
-    | D_E | D_M -> (
-        let o = Dirstate.owner dir e in
-        match f.Fabric.invalidate_priv ~core:o ~blk with
-        | None -> Dirstate.set_invalid dir e
-        | Some p ->
-            (* A silently-upgraded E line is dirty; a true E line is not.
-               An M line must be written back whether or not its mask is
-               set (its fill base may predate memory). The writeback is
-               traffic the program owes no matter when it drains, so it
-               is counted. *)
-            if Dirstate.state dir e = D_M || Linedata.is_dirty p.Fabric.data
-            then begin
-              Fabric.dir_msg f ~socket:(Fabric.socket_of_core f o) ~blk
-                ~data:true;
-              f.Fabric.stats.Pstats.writebacks <-
-                f.Fabric.stats.Pstats.writebacks + 1;
-              f.Fabric.llc_put_full ~blk p.Fabric.data
-            end;
-            Dirstate.set_invalid dir e)
+let flush_entry (f : Fabric.t) dir e =
+  let blk = Dirstate.block dir e in
+  match Dirstate.state dir e with
+  | D_I -> ()
+  | D_W -> assert false
+  | D_S ->
+      List.iter
+        (fun c -> ignore (f.Fabric.invalidate_priv ~core:c ~blk))
+        (Dirstate.holders dir e);
+      Dirstate.set_invalid dir e
+  | D_E | D_M -> (
+      let o = Dirstate.owner dir e in
+      match f.Fabric.invalidate_priv ~core:o ~blk with
+      | None -> Dirstate.set_invalid dir e
+      | Some p ->
+          (* A silently-upgraded E line is dirty; a true E line is not.
+             An M line must be written back whether or not its mask is
+             set (its fill base may predate memory). The writeback is
+             traffic the program owes no matter when it drains, so it
+             is counted. *)
+          if Dirstate.state dir e = D_M || Linedata.is_dirty p.Fabric.data
+          then begin
+            Fabric.dir_msg f ~socket:(Fabric.socket_of_core f o) ~blk
+              ~data:true;
+            f.Fabric.stats.Pstats.writebacks <-
+              f.Fabric.stats.Pstats.writebacks + 1;
+            f.Fabric.llc_put_full ~blk p.Fabric.data
+          end;
+          Dirstate.set_invalid dir e)

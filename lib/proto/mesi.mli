@@ -73,8 +73,9 @@ val handle_evict :
     thread, but messages and energy are counted. Precondition: the
     directory entry is not [D_W]. *)
 
-val flush_block : Fabric.t -> Dirstate.t -> blk:int -> unit
+val flush_entry : Fabric.t -> Dirstate.t -> Dirstate.slot -> unit
 (** End-of-run drain used before comparing simulated memory against a
-    reference: silently pull every private copy of [blk] into the LLC and
-    invalidate the entry. Not counted as traffic. Handles MESI states only;
-    precondition: not [D_W]. *)
+    reference: silently pull every private copy of the entry's block into
+    the LLC and invalidate the entry. Not counted as traffic, except the
+    writeback an M (or silently upgraded E) copy owes. Handles MESI states
+    only; precondition: not [D_W]. *)

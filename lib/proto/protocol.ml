@@ -155,9 +155,7 @@ module Mesi_protocol = struct
   let release _ ~core:_ = 0
 
   let flush_all t =
-    let blocks = ref [] in
-    Dirstate.iter t.dir (fun blk _ -> blocks := blk :: !blocks);
-    List.iter (fun blk -> Mesi.flush_block t.fabric t.dir ~blk) !blocks
+    Dirstate.iter t.dir (fun _ e -> Mesi.flush_entry t.fabric t.dir e)
 
   let observe t ~blk = view_of_dir t.dir ~blk
   let dump t = "protocol mesi\n" ^ dump_dir t.dir

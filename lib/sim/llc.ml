@@ -2,13 +2,12 @@ open Warden_cache
 open Warden_machine
 open Warden_mem
 
-(* Slices are chunked set-associative arrays (Csa): identical simulated
-   behavior to the flat Sa arrays, but chunk storage materializes on
-   first insert. At the many-socket scaling topologies the LLC is by far
-   the largest simulator structure (~20M ways at 512 cores); eager
-   allocation dominated engine construction and spread probes over
-   hundreds of megabytes of cold host memory. Each slice's lines live by
-   slot in its own pool, whose pages are likewise added on demand. *)
+(* Slices are tag stores sized by the lines they hold (Csa): identical
+   simulated behavior to flat Sa arrays, but storage grows with the
+   resident lines. At the many-socket scaling topologies an eager LLC is
+   by far the largest simulator structure (~20M ways at 512 cores), and
+   a run fills a few percent of it. Each slice's lines live by slot in
+   its own pool, whose pages are likewise added on demand. *)
 type slice = { tags : Csa.t; pool : Linepool.t }
 type t = { slices : slice array; store : Store.t }
 

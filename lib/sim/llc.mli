@@ -40,14 +40,14 @@ val flush_to_store : t -> unit
 (** Write every dirty line back to memory (end-of-run drain). *)
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot every slice's materialized chunks (the backing store is
-    serialized separately by its owner). *)
+(** Snapshot every slice's tag store (the backing store is serialized
+    separately by its owner). *)
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite slices of identical geometry from {!save} output. Raises
     [Warden_util.Bin.Corrupt] on a geometry mismatch. *)
 
 val chunks_stats : t -> int * int
-(** [(allocated, total)] slice chunks across all sockets: the lazy
-    storage actually materialized versus the eager-array equivalent (the
+(** [(allocated, total)] 32-set chunks of slice metadata across all
+    sockets: the chunks some insert has touched versus all of them (the
     scale bench reports this). *)

@@ -354,6 +354,194 @@ let sa_accounting =
       population c = Hashtbl.length resident
       && Hashtbl.fold (fun blk () acc -> acc && Sa.mem c blk) resident true)
 
+(* --- Csa (LLC tag store) ------------------------------------------------ *)
+
+module B = Warden_util.Bin
+
+let to_bytes save =
+  let w = B.writer () in
+  save w;
+  B.contents w
+
+let csa_bytes c = to_bytes (fun w -> Csa.save c w ~elt:B.w_int)
+
+let resident_list iter c =
+  let l = ref [] in
+  iter c (fun blk p -> l := (blk, p) :: !l);
+  List.rev !l
+
+(* What the per-way chunk layout saved for [sa]'s state: Sa's tag and
+   recency arrays cut into chunks of min(sets, 32) sets, each chunk that
+   holds a block written with its index and followed by its payloads. *)
+let per_way_image sa =
+  let r = B.reader (to_bytes (fun w -> Sa.save sa w ~elt:B.w_int)) in
+  let sets = B.r_int r and ways = B.r_int r in
+  let tick = B.r_int r in
+  let blks = B.r_int_array r and last_use = B.r_int_array r in
+  let payloads = Array.map (fun b -> if b = -1 then -1 else B.r_int r) blks in
+  let per = min sets 32 * ways in
+  let held ci =
+    Array.exists (fun b -> b <> -1) (Array.sub blks (ci * per) per)
+  in
+  let chunks = List.filter held (List.init (sets * ways / per) Fun.id) in
+  to_bytes (fun w ->
+      B.w_int w sets;
+      B.w_int w ways;
+      B.w_int w tick;
+      B.w_int w (List.length chunks);
+      List.iter
+        (fun ci ->
+          B.w_int w ci;
+          B.w_int_array w (Array.sub blks (ci * per) per);
+          B.w_int_array w (Array.sub last_use (ci * per) per);
+          for i = ci * per to ((ci + 1) * per) - 1 do
+            if blks.(i) <> -1 then B.w_int w payloads.(i)
+          done)
+        chunks)
+
+(* Csa against Sa with payloads, which has the same per-set semantics:
+   random insert/find/peek over a block range three times the capacity,
+   so sets overfill and hits rotate. Every return value, the (set, way)
+   visit order and the save bytes (against the per-way layout's) agree
+   throughout; a copy taken midway is untouched by later operations; and
+   every so often the cache is replaced by a save -> restore round trip
+   of itself, which must carry on identically. *)
+let test_csa_matches_sa () =
+  let rng = Random.State.make [| 19 |] in
+  let calls = ref 0 in
+  List.iter
+    (fun (sets, ways) ->
+      let sa = mk_sa ~sets ~ways in
+      let csa = ref (Csa.create ~sets ~ways) in
+      let span = 3 * sets * ways in
+      let snapshot = ref None in
+      for step = 1 to 3000 do
+        let blk = Random.State.int rng span in
+        let what = Printf.sprintf "%dx%d step %d blk %d" sets ways step blk in
+        (match Random.State.int rng 3 with
+        | 0 ->
+            let p = Random.State.int rng 1_000_000 in
+            let before = Sa.peek_way sa blk in
+            let old = if Sa.hit before then Sa.value sa before else -1 in
+            let got = Csa.insert !csa blk p in
+            let evicted = Sa.insert sa blk p in
+            let expected = if Sa.hit before then Some (blk, old) else evicted in
+            Alcotest.(check (option (pair int int)))
+              ("insert " ^ what) expected got
+        | 1 ->
+            Alcotest.(check int) ("find " ^ what)
+              (Option.value (find sa blk) ~default:(-1))
+              (Csa.find !csa blk)
+        | _ ->
+            let w = Sa.peek_way sa blk in
+            Alcotest.(check int) ("peek " ^ what)
+              (if Sa.hit w then Sa.value sa w else -1)
+              (Csa.peek !csa blk));
+        incr calls;
+        Alcotest.(check (list (pair int int))) ("iter " ^ what)
+          (resident_list Sa.iter sa) (resident_list Csa.iter !csa);
+        if step mod 50 = 0 then begin
+          let bytes = csa_bytes !csa in
+          Alcotest.(check bool) ("save = per-way image " ^ what) true
+            (Bytes.equal (per_way_image sa) bytes);
+          (match !snapshot with
+          | Some (copy, at) ->
+              Alcotest.(check bool) ("copy independent " ^ what) true
+                (Bytes.equal at (csa_bytes copy))
+          | None -> ());
+          snapshot := Some (Csa.copy !csa, bytes);
+          if step mod 200 = 0 then begin
+            let restored = Csa.create ~sets ~ways in
+            Csa.restore restored (B.reader bytes) ~elt:B.r_int;
+            Alcotest.(check bool) ("restore round trip " ^ what) true
+              (Bytes.equal bytes (csa_bytes restored));
+            Alcotest.(check int) ("restored chunks " ^ what)
+              (Csa.chunks_allocated !csa)
+              (Csa.chunks_allocated restored);
+            csa := restored
+          end
+        end
+      done)
+    [ (8, 2); (8, 3); (8, 4); (128, 2) ];
+  Alcotest.(check bool) "at least 10k calls" true (!calls >= 10_000)
+
+(* A hand-built Csa snapshot of an 8-set, 2-way cache with one chunk. *)
+let csa_image ?(tick = 9) ?(ci = [ 0 ]) ?(payloads = 1) blks last_use =
+  to_bytes (fun w ->
+      B.w_int w 8;
+      B.w_int w 2;
+      B.w_int w tick;
+      B.w_int w (List.length ci);
+      List.iter
+        (fun ci ->
+          B.w_int w ci;
+          B.w_int_array w blks;
+          B.w_int_array w last_use;
+          for i = 1 to payloads do
+            B.w_int w (100 + i)
+          done)
+        ci)
+
+(* [(set, way, blk, last_use)] placed in otherwise empty per-way arrays. *)
+let ways_of l =
+  let blks = Array.make 16 (-1) and lu = Array.make 16 0 in
+  List.iter
+    (fun (set, way, blk, u) ->
+      blks.((set * 2) + way) <- blk;
+      lu.((set * 2) + way) <- u)
+    l;
+  (blks, lu)
+
+(* Malformed snapshots fail with a named error and leave the target as
+   it was. The per-way layout accepted a block stored in the wrong set,
+   which a later fill of its own set then held a second time. *)
+let test_csa_restore_rejects () =
+  let cases =
+    let img ?tick ?ci ?payloads l =
+      let blks, lu = ways_of l in
+      csa_image ?tick ?ci ?payloads blks lu
+    in
+    [
+      ("block outside its set", img [ (0, 0, 3, 1) ]);
+      ("block outside its set", img [ (0, 0, -5, 1) ]);
+      ("duplicate block", img ~payloads:2 [ (0, 0, 8, 1); (0, 1, 8, 2) ]);
+      ("filled ways not a prefix", img [ (1, 1, 9, 1) ]);
+      ("recency on an empty way", img [ (0, 0, 8, 1); (0, 1, -1, 4) ]);
+      ("recency ahead of the clock", img ~tick:3 [ (0, 0, 8, 4) ]);
+      ("bad chunk index", img ~ci:[ 1 ] [ (0, 0, 8, 1) ]);
+      ("bad chunk count", img ~ci:[ 0; 0 ] [ (0, 0, 8, 1) ]);
+      ("bad chunk arrays", csa_image (Array.make 15 (-1)) (Array.make 16 0));
+    ]
+  in
+  (* The chunk index and count cases: one chunk for 8 sets, so index 1 is
+     out of range and a second chunk is one too many. *)
+  List.iter
+    (fun (name, bytes) ->
+      let c = Csa.create ~sets:8 ~ways:2 in
+      ignore (Csa.insert c 16 7 : _ option);
+      let before = csa_bytes c in
+      (match Csa.restore c (B.reader bytes) ~elt:B.r_int with
+      | () -> Alcotest.failf "accepted: %s" name
+      | exception B.Corrupt msg ->
+          let named =
+            msg = "Bin: Csa: " ^ name
+            || (name = "bad chunk count" && msg = "Bin: Csa: bad chunk index")
+          in
+          if not named then Alcotest.failf "%s: raised %S" name msg);
+      Alcotest.(check bool) ("target unchanged: " ^ name) true
+        (Bytes.equal before (csa_bytes c)))
+    cases;
+  (* Too few payloads: the stream ends inside the chunk. *)
+  let blks, lu = ways_of [ (0, 0, 8, 1); (0, 1, 16, 2) ] in
+  let c = Csa.create ~sets:8 ~ways:2 in
+  (match
+     Csa.restore c (B.reader (csa_image ~payloads:1 blks lu)) ~elt:B.r_int
+   with
+  | () -> Alcotest.fail "accepted a missing payload"
+  | exception B.Corrupt _ -> ());
+  Alcotest.(check int) "target unchanged: missing payload" 0
+    (Csa.chunks_allocated c)
+
 (* --- Linepool (slot storage) --------------------------------------------- *)
 
 let test_linepool_reuses_freed_slots () =
@@ -502,6 +690,9 @@ let suite =
     Alcotest.test_case "sa restore rejects bad recency" `Quick
       test_sa_restore_rejects_bad_recency;
     sa_accounting;
+    Alcotest.test_case "csa = sa, differential" `Quick test_csa_matches_sa;
+    Alcotest.test_case "csa restore rejects malformed tables" `Quick
+      test_csa_restore_rejects;
     Alcotest.test_case "linepool reuses freed slots" `Quick
       test_linepool_reuses_freed_slots;
     Alcotest.test_case "linepool views survive growth" `Quick
