@@ -9,7 +9,7 @@ BENCH ?= fib
 MACHINE_FILE := .machine
 MACHINE := $(shell cat $(MACHINE_FILE) 2>/dev/null || echo dual)
 
-.PHONY: all build test check fmt bench bench-quick bench-json bench-compare \
+.PHONY: all build test check fmt bench bench-quick \
         bench-overhead bench-scale bench-serve bench-replay \
         bench-zoo ledger-ab snap-check serve profile \
         all_pbbs single_pbbs activate_one_socket activate_two_socket \
@@ -45,33 +45,20 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Machine-readable simulator-performance snapshot into BENCH_sim.json
-# (host ms/run per kernel plus simulated MIPS); every run also appends a
-# one-line record to BENCH_history.jsonl.
-bench-json:
-	dune exec bench/main.exe -- json
-
-# Regression gate: fail if BENCH_sim.json's sim_mips fell more than 10%
-# below the committed BENCH_baseline.json. Run bench-json first.
-bench-compare:
-	dune exec bench/main.exe -- compare
-
 # Many-socket scale study (README "Scaling to 512 cores"): quick kernels
-# on 64- to 512-core numa_mesh machines under both protocols. Writes the
-# compare-compatible BENCH_scale.json and fails unless WARDen's
+# on 64- to 512-core numa_mesh machines under both protocols. Writes
+# BENCH_scale.json and fails unless WARDen's
 # invalidation+downgrade traffic grows strictly slower than MESI's as
 # the machine grows.
 bench-scale:
 	dune exec bench/main.exe -- scale
 
-# Observability overhead gate: snapshot the suite with the event recorder
-# off and again at counters level, then fail if counters cost more than
-# 3% of simulator throughput (DESIGN.md §12).
+# Observability overhead gate (DESIGN.md §12): every quick-suite kernel
+# on the dual-socket machine at jobs=1, five runs with the event recorder
+# off alternating with five at counters level; fails if the counters
+# medians sum to more than 1.03x the off medians.
 bench-overhead:
-	dune exec bench/main.exe -- json --obs off
-	cp BENCH_sim.json BENCH_obs_off.json
-	dune exec bench/main.exe -- json --obs counters
-	dune exec bench/main.exe -- compare --overhead BENCH_obs_off.json BENCH_sim.json
+	dune exec bench/main.exe -- overhead
 
 # Trace-driven replay gate (README "Snapshotting and replaying a run",
 # DESIGN.md §15): record msort's paper-scale commit-order stream, replay
@@ -81,15 +68,18 @@ bench-overhead:
 bench-replay:
 	dune exec bench/main.exe -- replay
 
-# Interleaved A/B host timing of ledger workloads (ledger/README.md):
-# builds BASE once in a temporary git worktree (or takes BASE_EXE=path
-# as the base executable) and the working tree once; for each workload
-# in W (one name, a comma-separated list, or `all`) alternates N pairs of
-# `ledger.exe --workload W --trace 0 --seconds 15` runs, and prints each
-# run's host_s, setup_s and peak_rss_mb, both sides' medians and
-# quartiles of each, the pairs won on host_s, one `--trace 1` run per
-# side's runtime.ns_per_access and memsys.hit_ns, and a closing line per
-# workload with every metric's median change.
+# Interleaved A/B host timing of ledger workloads (ledger/README.md),
+# and the repo's host-time gate: builds BASE once in a temporary git
+# worktree (or takes BASE_EXE=path as the base executable) and the
+# working tree once; for each workload in W (one name, a comma-separated
+# list, or `all`) alternates N pairs of `ledger.exe --workload W --trace 0
+# --seconds 15` runs, and prints each run's end-to-end metrics, both
+# sides' medians and quartiles of each, the pairs won on host_s, three
+# `--trace 1` runs per side's layer figures (median and range), and a
+# closing line per workload with every metric's median change. Fails if
+# any workload's host_s median rose by more than BENCHMARK.json's host_s
+# bound; its last line is the JSON summary that bench/trajectory.jsonl
+# collects, one line per PR.
 #   make ledger-ab BASE=<rev> W=<workload>[,<workload>...]|all N=<pairs>
 BASE ?= HEAD
 W ?= dmm-disagg
@@ -116,7 +106,7 @@ snap-check: build
 # Protocol-zoo gate (README "Protocol zoo"): the fig7/8 kernels under
 # all four protocols at quick scales into BENCH_zoo.json, failing unless
 # WARDen's inv+down traffic on msort is strictly below both MESI's and
-# SI/SD's. `bench compare --zoo` re-runs the gate over the snapshot.
+# SI/SD's.
 bench-zoo:
 	dune exec bench/main.exe -- quick zoo
 
@@ -128,7 +118,7 @@ serve: build
 
 # Serving-tier gate: verified results, bit-equal MESI/WARDen outcomes,
 # and strictly lower invalidation+downgrade traffic under WARDen; writes
-# the compare-compatible BENCH_serve.json snapshot.
+# the BENCH_serve.json snapshot.
 bench-serve:
 	dune exec bench/main.exe -- serve
 

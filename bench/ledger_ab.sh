@@ -1,5 +1,5 @@
 #!/bin/sh
-# Interleaved A/B timing of ledger workloads.
+# Interleaved A/B timing of ledger workloads, and the host-time gate.
 #
 #   bench/ledger_ab.sh BASE WORKLOADS PAIRS
 #
@@ -11,19 +11,27 @@
 # runs `ledger.exe --workload W --trace 0 --seconds 15` PAIRS times on
 # each side, alternating between them. 15 s is BENCHMARK.json's
 # run_seconds, so every run has the benchmark's length. It prints every
-# run's host_s, setup_s and peak_rss_mb, each side's median and
-# quartiles of each, and how many pairs the working tree won on host_s.
-# After the pairs it runs each side once more with `--trace 1` and prints
-# that run's runtime.ns_per_access (program model), memsys.hit_ns
+# run's end-to-end metrics (those BENCHMARK.json declares with a bound),
+# each side's median and quartiles of each, and how many pairs the
+# working tree won on host_s. After the pairs it runs each side three
+# more times with `--trace 1` and prints the median and range of those
+# runs' runtime.ns_per_access (program model), memsys.hit_ns
 # (memory-system hit path), proto.miss_ns (protocol miss transition),
 # proto.region_ns (WARD region add/remove), llc.ns_per_read (LLC slice
 # read), trace.envelope_ns_per_event (trace envelope round trip) and
-# trace.record_overhead_pct (recording against a plain run) beside the
-# host_s summary: they say which layer a host_s or setup_s change came
-# from. Then it prints one line per workload
-# with each metric's median change. The order inside a pair flips from
-# pair to pair, so a drift in host speed does not favour one side. With
-# SEED=N set, every run on both sides gets `--seed N`.
+# trace.record_overhead_pct (recording against a plain run): they say
+# which layer an end-to-end change came from. One traced run swings by
+# 15-30% on layers a change does not touch, hence three. Then it prints
+# one line per workload with each metric's median change. The order
+# inside a pair, traced or not, flips from pair to pair, so a drift in
+# host speed does not favour one side. With SEED=N set, every run on
+# both sides gets `--seed N`.
+#
+# The gate: the script exits non-zero when any workload's host_s median
+# rose by more than the host_s bound BENCHMARK.json declares. Its last
+# line is one JSON object with both sides' medians of every end-to-end
+# metric per workload, the host's nproc and the OCaml version; each PR
+# appends its own run's line to bench/trajectory.jsonl.
 # `make ledger-ab` wraps this script.
 set -eu
 
@@ -31,14 +39,20 @@ usage="usage: [BASE_EXE=path] [SEED=n] $0 BASE WORKLOAD[,WORKLOAD...]|all PAIRS"
 base=${1:?$usage}
 workloads=${2:?$usage}
 pairs=${3:?$usage}
-metrics="host_s setup_s peak_rss_mb"
+traced=3
 layers="runtime.ns_per_access memsys.hit_ns proto.miss_ns proto.region_ns llc.ns_per_read trace.envelope_ns_per_event trace.record_overhead_pct"
 
 root=$(git rev-parse --show-toplevel)
+bench="$root/BENCHMARK.json"
 if [ "$workloads" = all ]; then
-  workloads=$(sed -n 's/.*"name": "\([^"]*\)", "why".*/\1/p' "$root/BENCHMARK.json" |
-    paste -s -d, -)
+  workloads=$(sed -n 's/.*"name": "\([^"]*\)", "why".*/\1/p' "$bench" | paste -s -d, -)
 fi
+metrics=$(sed -n 's/.*"name": "\([^"]*\)", .*"bound".*/\1/p' "$bench" | paste -s -d' ' -)
+bound=$(sed -n 's/.*"name": "host_s", .*"bound": \([0-9.]*\).*/\1/p' "$bench")
+[ -n "$metrics" ] && [ -n "$bound" ] || {
+  echo "ledger-ab: no end-to-end metrics or host_s bound in $bench" >&2
+  exit 2
+}
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ledger-ab.XXXXXX")
 wt="$tmp/base-tree"
 cleanup() {
@@ -85,6 +99,15 @@ run() {
   echo
 }
 
+# alternate I TRACE LABEL METRIC...: one run per side, the base first
+# when I is odd.
+alternate() {
+  if [ $(($1 % 2)) -eq 1 ]; then first=base second=head; else first=head second=base; fi
+  shift
+  run $first "$@"
+  run $second "$@"
+}
+
 # quantile FILE P: the P-quantile of the values in FILE, interpolated.
 quantile() {
   sort -g "$1" | awk -v p="$2" '{ v[NR] = $1 }
@@ -92,6 +115,9 @@ quantile() {
 }
 summary() {
   echo "median $(quantile "$1" 0.5), quartiles $(quantile "$1" 0.25)-$(quantile "$1" 0.75)"
+}
+spread() {
+  echo "median $(quantile "$1" 0.5), range $(quantile "$1" 0) to $(quantile "$1" 1)"
 }
 # A percentage metric can read below zero, where a ratio of medians has
 # no meaning: its change is a difference in points.
@@ -107,15 +133,14 @@ change() {
 for w in $(echo "$workloads" | tr ',' ' '); do
   i=1
   while [ "$i" -le "$pairs" ]; do
-    if [ $((i % 2)) -eq 1 ]; then
-      run base 0 "pair $i" $metrics; run head 0 "pair $i" $metrics
-    else
-      run head 0 "pair $i" $metrics; run base 0 "pair $i" $metrics
-    fi
+    alternate "$i" 0 "pair $i" $metrics
     i=$((i + 1))
   done
-  run base 1 traced $layers
-  run head 1 traced $layers
+  i=1
+  while [ "$i" -le "$traced" ]; do
+    alternate "$i" 1 "traced $i" $layers
+    i=$((i + 1))
+  done
   echo "ledger-ab: $w, $pairs pairs"
   for m in $metrics; do
     echo "  $m"
@@ -128,12 +153,13 @@ for w in $(echo "$workloads" | tr ',' ' '); do
   echo "  working tree faster on host_s in $wins of $pairs pairs"
   echo "$wins" > "$tmp/$w.wins"
   for m in $layers; do
-    echo "  $m, one traced run per side: base $(cat "$tmp/$w.base.$m")," \
-      "working tree $(cat "$tmp/$w.head.$m"), change $(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
+    echo "  $m, $traced traced runs per side: base $(spread "$tmp/$w.base.$m")," \
+      "working tree $(spread "$tmp/$w.head.$m"), change $(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
   done
 done
 
 echo "ledger-ab: median change against $base, $pairs pairs per workload"
+failed=
 for w in $(echo "$workloads" | tr ',' ' '); do
   printf '  %-14s' "$w"
   for m in $metrics; do
@@ -144,4 +170,32 @@ for w in $(echo "$workloads" | tr ',' ' '); do
     printf '  %s %s' "$m" "$(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
   done
   echo
+  if awk -v b="$(quantile "$tmp/$w.base.host_s" 0.5)" \
+    -v h="$(quantile "$tmp/$w.head.host_s" 0.5)" -v bound="$bound" \
+    'BEGIN { exit !(h > b * (1 + bound)) }'; then
+    failed="$failed $w"
+  fi
 done
+if [ -n "$failed" ]; then
+  echo "ledger-ab: REGRESSION: host_s median rose by more than the bound ($bound) on:$failed"
+else
+  echo "ledger-ab: ok: no workload's host_s median rose by more than the bound ($bound)"
+fi
+
+# The closing JSON line: both sides' medians per workload and metric.
+printf '{"base": "%s", "pairs": %s, "nproc": %s, "ocaml": "%s", "workloads": {' \
+  "$base" "$pairs" "$(nproc)" "$(ocamlfind ocamlc -version 2>/dev/null || ocamlc -version)"
+sep=
+for w in $(echo "$workloads" | tr ',' ' '); do
+  printf '%s"%s": {' "$sep" "$w"
+  msep=
+  for m in $metrics; do
+    printf '%s"%s": {"base": %s, "head": %s}' "$msep" "$m" \
+      "$(quantile "$tmp/$w.base.$m" 0.5)" "$(quantile "$tmp/$w.head.$m" 0.5)"
+    msep=", "
+  done
+  printf '}'
+  sep=", "
+done
+echo '}}'
+[ -z "$failed" ]

@@ -1,23 +1,26 @@
 (* The reproduction harness: regenerates every table and figure of the
    paper's evaluation (§7), runs the ablations called out in DESIGN.md,
-   and times representative simulator kernels with Bechamel.
+   and runs the simulated-result gates that CI holds the model to.
 
-   Run with:  dune exec bench/main.exe            (full paper scales)
-              dune exec bench/main.exe -- quick   (reduced scales)
-              dune exec bench/main.exe -- json    (machine-readable timing
-                                                   into BENCH_sim.json)
-              dune exec bench/main.exe -- scale   (64->512-core hierarchical-
-                                                   directory study into
-                                                   BENCH_scale.json)
-              dune exec bench/main.exe -- serve   (serving-tier MESI-vs-WARDen
-                                                   gate into BENCH_serve.json)
-              dune exec bench/main.exe -- replay  (trace-driven replay vs the
-                                                   program model, into
-                                                   BENCH_replay.json)
-              dune exec bench/main.exe -- zoo     (fig7/8 kernels under every
-                                                   protocol in the zoo, into
-                                                   BENCH_zoo.json, with the
-                                                   WARDen traffic gate)
+   Run with:  dune exec bench/main.exe             (full paper scales)
+              dune exec bench/main.exe -- quick    (reduced scales)
+              dune exec bench/main.exe -- scale    (64->512-core hierarchical-
+                                                    directory study into
+                                                    BENCH_scale.json)
+              dune exec bench/main.exe -- serve    (serving-tier MESI-vs-WARDen
+                                                    gate into BENCH_serve.json)
+              dune exec bench/main.exe -- replay   (trace-driven replay vs the
+                                                    program model, into
+                                                    BENCH_replay.json)
+              dune exec bench/main.exe -- zoo      (fig7/8 kernels under every
+                                                    protocol in the zoo, into
+                                                    BENCH_zoo.json, with the
+                                                    WARDen traffic gate)
+              dune exec bench/main.exe -- overhead (observability-overhead
+                                                    gate: counters vs off)
+   Every gate judges its results in memory; the BENCH_*.json files are
+   written for people and artifacts, never read back. Host time of the
+   simulator itself is measured by ledger/ (BENCHMARK.json).
    [--jobs N] (or WARDEN_JOBS) caps the domains used for independent
    simulations; the default is the machine's recommended domain count.
    [--filter SUBSTR] restricts the benchmark suites to matching kernels.
@@ -29,60 +32,44 @@ open Warden_harness
 open Warden_runtime
 
 module Cliscan = Warden_util.Cliscan
+module Json = Warden_util.Json
 
 (* All modes share one scanner, so a flag's value can never leak into the
    positionals (the old hand-rolled walker swallowed a following flag as a
-   value — "compare --jobs --obs off" treated "off" as a snapshot
-   path). Mode words are positionals; the rest are flags. *)
+   value). Mode words are positionals; the rest are flags. *)
 let cli =
   Cliscan.create
-    ~value_flags:
-      [
-        [ "--jobs"; "-j" ];
-        [ "--obs" ];
-        [ "--filter" ];
-        [ "--snap-cache" ];
-      ]
+    ~value_flags:[ [ "--jobs"; "-j" ]; [ "--filter" ]; [ "--snap-cache" ] ]
     Sys.argv
 
-let mode_words =
-  [ "quick"; "json"; "compare"; "scale"; "serve"; "replay"; "zoo" ]
+(* A retired or misspelt mode word must not fall through to the full
+   paper run. *)
+let () =
+  let modes = [ "quick"; "scale"; "serve"; "replay"; "zoo"; "overhead" ] in
+  match
+    List.filter (fun w -> not (List.mem w modes)) (Cliscan.positionals cli)
+  with
+  | [] -> ()
+  | w :: _ ->
+      Printf.eprintf "bench: unknown mode %S (modes: %s)\n" w
+        (String.concat ", " modes);
+      exit 2
+
 let has_mode w = List.mem w (Cliscan.positionals cli)
 let quick = has_mode "quick"
-let json_mode = has_mode "json"
-let compare_mode = has_mode "compare"
-let scale_mode = has_mode "scale"
-let serve_mode = has_mode "serve"
-let replay_mode = has_mode "replay"
-let zoo_mode = has_mode "zoo"
 
 (* [--snap-cache DIR]: the scale mode saves each cell's post-run engine
    state into DIR and restores it on later sweeps instead of re-simulating
    (DESIGN.md §15). *)
 let snap_cache_dir = Cliscan.string_flag cli [ "--snap-cache" ]
 
-(* Positionals that are not mode words: the compare mode's snapshot paths. *)
-let snapshot_args =
-  List.filter (fun a -> not (List.mem a mode_words)) (Cliscan.positionals cli)
-
-(* [--obs LEVEL] (or WARDEN_OBS) turns event recording on for every
-   simulation in the run; the CI overhead gate benches off vs counters. *)
-let obs_level =
-  (match Cliscan.string_flag cli [ "--obs" ] with
-  | Some s -> (
-      match Config.obs_level_of_string s with
-      | Some l -> Config.set_default_obs_level l
-      | None -> invalid_arg "--obs: expected off, counters or full")
-  | None ->
-      if Cliscan.has cli "--obs" then
-        invalid_arg "--obs: expected off, counters or full");
-  Config.obs_level_to_string (Config.dual_socket ()).Config.obs_level
-
-(* [--filter SUBSTR] restricts the benchmark suites (paper experiments
-   and the quick-suite throughput measurement) to matching kernels, so
+(* [--filter SUBSTR] restricts the benchmark suites (paper experiments,
+   the overhead gate and the scale and zoo modes) to matching kernels, so
    one benchmark can be studied without editing the suite. *)
+let filter = Cliscan.string_flag cli [ "--filter" ]
+
 let filter_names =
-  match Cliscan.string_flag cli [ "--filter" ] with
+  match filter with
   | Some sub -> (
       match Warden_pbbs.Suite.matching sub with
       | [] -> invalid_arg (Printf.sprintf "--filter: %S matches no benchmark" sub)
@@ -92,6 +79,21 @@ let filter_names =
         invalid_arg "--filter: expected a substring"
       else None
 
+(* A mode's own kernels under [--filter]. A filter that matches none of
+   them is a usage error: running all of them instead would hide the
+   typo behind a long, plausible-looking run. *)
+let mode_kernels mode kernels =
+  match (filter, filter_names) with
+  | Some sub, Some ns -> (
+      match List.filter (fun n -> List.mem n ns) kernels with
+      | [] ->
+          Printf.eprintf
+            "bench %s: --filter %S matches none of its kernels (%s)\n" mode sub
+            (String.concat ", " kernels);
+          exit 2
+      | picked -> picked)
+  | _ -> kernels
+
 let jobs =
   match Cliscan.int_flag cli [ "--jobs"; "-j" ] with
   | Some n -> n
@@ -99,6 +101,16 @@ let jobs =
 
 let section title =
   Printf.printf "\n%s\n%s\n\n%!" title (String.make (String.length title) '=')
+
+(* A gate's snapshot: one JSON object of the results it judged. *)
+let write_snapshot file fields =
+  let oc = open_out file in
+  output_string oc (Json.obj fields ^ "\n");
+  close_out oc;
+  Printf.printf "wrote %s\n%!" file
+
+(* Verdicts are written as 0/1, the snapshots' format since they began. *)
+let bit b = Json.int (if b then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: the paper's tables and figures                              *)
@@ -250,381 +262,74 @@ let run_scaling_studies () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: Bechamel timing of the simulator itself                     *)
+(* overhead mode: what counters-level recording costs                 *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_tests () =
-  let open Bechamel in
-  let bench_pair name scale config =
-    Staged.stage (fun () ->
-        let spec = Option.get (Warden_pbbs.Suite.find name) in
-        List.iter
-          (fun proto ->
-            let eng = Warden_sim.Engine.create config ~proto in
-            ignore (spec.Warden_pbbs.Spec.run ~scale ~seed:1L eng))
-          [ `Mesi; `Warden ])
-  in
-  let table1 = Staged.stage (fun () -> ignore (Microbench.table1 ~iters:200 ())) in
-  Test.make_grouped ~name:"warden-sim"
-    [
-      (* One timed kernel per reproduced experiment. *)
-      Test.make ~name:"table1:pingpong-validation" table1;
-      Test.make ~name:"fig7:single-socket(fib)"
-        (bench_pair "fib" 16 (Config.single_socket ()));
-      Test.make ~name:"fig8:dual-socket(msort)"
-        (bench_pair "msort" 3_000 (Config.dual_socket ()));
-      Test.make ~name:"fig9-11:analysis(palindrome)"
-        (bench_pair "palindrome" 3_000 (Config.dual_socket ()));
-      Test.make ~name:"fig12:disaggregated(dmm)"
-        (bench_pair "dmm" 32 (Config.disaggregated ()));
-    ]
+(* The observability budget (DESIGN.md §12): recording at counters level
+   may cost at most 3% of host time. Each quick-suite kernel runs on the
+   dual-socket machine under MESI and WARDen, one simulation at a time,
+   [overhead_runs] times at each level; the level is set through the
+   config record, and the side that runs first flips from pair to pair so
+   a drift in host speed favours neither. The gate compares the sums of
+   the per-kernel medians. *)
+let overhead_budget = 1.03
+let overhead_runs = 5
 
-(* Returns (kernel, ms/run) estimates so the json mode can persist them. *)
-let measure_bechamel () =
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~kde:None ~stabilize:false
-      ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let names = ref [] in
-  Hashtbl.iter (fun name _ -> names := name :: !names) results;
-  List.filter_map
-    (fun name ->
-      match Analyze.OLS.estimates (Hashtbl.find results name) with
-      | Some (est :: _) -> Some (name, est /. 1e6)
-      | _ -> None)
-    (List.sort compare !names)
-
-let run_bechamel () =
-  section "Part 3: Bechamel timing of the simulator kernels (host time)";
-  List.iter
-    (fun (name, ms) -> Printf.printf "%-45s %12.2f ms/run\n" name ms)
-    (measure_bechamel ())
-
-(* ------------------------------------------------------------------ *)
-(* json mode: machine-readable simulator-performance snapshot          *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Simulator throughput: wall-clock the quick dual-socket suite and count
-   the simulated instructions it retires. One simulation at a time, like
-   BENCH_baseline.json, so [compare] weighs per-simulation host time
-   against per-simulation host time whatever the host's core count. *)
-let measure_sim_throughput () =
-  let t0 = Unix.gettimeofday () in
-  let sr =
-    Experiments.run_suite ~quick:true ?names:filter_names ~jobs:1
-      ~config:(Config.dual_socket ()) ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let instrs =
-    List.fold_left
-      (fun acc (_, p) ->
-        acc + p.Exp.mesi.Exp.instructions + p.Exp.warden.Exp.instructions)
-      0 sr
-  in
-  let cycles =
-    List.fold_left
-      (fun acc (_, p) -> acc + p.Exp.mesi.Exp.cycles + p.Exp.warden.Exp.cycles)
-      0 sr
-  in
-  (wall, instrs, cycles)
-
-(* One line per bench-json run, appended forever: the repo's performance
-   trajectory. Kept separate from BENCH_sim.json (a snapshot that each run
-   overwrites) so regressions are visible across history, not just against
-   the committed baseline. *)
-let append_history ~wall ~instrs ~cycles ~mips =
-  let line =
-    Printf.sprintf
-      "{\"unix_time\": %.0f, \"jobs\": 1, \
-       \"obs_level\": \"%s\", \"quick_suite_wall_s\": %.3f, \
-       \"quick_suite_sim_instructions\": %d, \"quick_suite_sim_cycles\": %d, \
-       \"sim_mips\": %.3f}\n"
-      (Unix.time ()) obs_level wall instrs cycles mips
-  in
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_history.jsonl"
-  in
-  output_string oc line;
-  close_out oc
-
-(* The flat snapshot format shared by json mode (BENCH_sim.json) and the
-   scale mode (BENCH_scale.json). *)
-let render_snapshot ~kernels ~wall ~instrs ~cycles =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"jobs\": 1,\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"obs_level\": \"%s\",\n" obs_level);
-  Buffer.add_string buf "  \"kernels_ms_per_run\": {\n";
-  List.iteri
-    (fun i (name, ms) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.3f%s\n" (json_escape name) ms
-           (if i = List.length kernels - 1 then "" else ",")))
-    kernels;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick_suite_wall_s\": %.3f,\n" wall);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick_suite_sim_instructions\": %d,\n" instrs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick_suite_sim_cycles\": %d,\n" cycles);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sim_mips\": %.3f\n"
-       (if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0.));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-let run_json () =
-  let kernels = measure_bechamel () in
-  let wall, instrs, cycles = measure_sim_throughput () in
-  let s = render_snapshot ~kernels ~wall ~instrs ~cycles in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc s;
-  close_out oc;
-  append_history ~wall ~instrs ~cycles
-    ~mips:(if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0.);
-  print_string s;
-  Printf.printf "wrote BENCH_sim.json (and appended BENCH_history.jsonl)\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* compare mode: regression gate against the committed baseline        *)
-(* ------------------------------------------------------------------ *)
-
-(* Minimal JSON number extraction — enough for the flat snapshots this
-   harness writes itself, keeping the gate dependency-free. *)
-
-(* Every character a JSON number can contain, scientific notation
-   included (Printf's %g writes "1.5e+06" and some writers upcase the
-   exponent marker). *)
-let json_num_char = function
-  | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-  | _ -> false
-
-(* Read a snapshot whole; a missing file ends the gate immediately — with
-   nothing to scan there is nothing to accumulate. *)
-let slurp file =
-  let ic =
-    try open_in file
-    with Sys_error m -> Printf.eprintf "bench compare: %s\n" m; exit 2
-  in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The number after ["key":] in [s], when present and numeric. Returning
-   an option instead of exiting lets the gates accumulate every missing
-   key and report them all before going non-zero. *)
-let scan_number s key =
-  let needle = "\"" ^ key ^ "\"" in
-  let nl = String.length needle and sl = String.length s in
-  let rec find i =
-    if i + nl > sl then None
-    else if String.sub s i nl = needle then Some (i + nl)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let i = ref i in
-      while !i < sl && (s.[!i] = ':' || s.[!i] = ' ') do incr i done;
-      let j = ref !i in
-      while !j < sl && json_num_char s.[!j] do incr j done;
-      float_of_string_opt (String.sub s !i (!j - !i))
-
-let json_number file key =
-  match scan_number (slurp file) key with
-  | Some f -> f
-  | None ->
-      Printf.eprintf "bench compare: no numeric \"%s\" in %s\n" key file;
-      exit 2
-
-(* The ("kernel", ms) pairs of a snapshot's kernels_ms_per_run object.
-   Same minimal-scanner spirit as {!json_number}: the harness wrote the
-   file itself, names never contain quotes. *)
-let json_kernels file =
-  let s = slurp file in
-  let needle = "\"kernels_ms_per_run\"" in
-  let nl = String.length needle and sl = String.length s in
-  let rec find i =
-    if i + nl > sl then
-      (Printf.eprintf "bench compare: no %s in %s\n" needle file; exit 2)
-    else if String.sub s i nl = needle then i + nl
-    else find (i + 1)
-  in
-  let i = ref (find 0) in
-  while !i < sl && s.[!i] <> '{' do incr i done;
-  incr i;
-  let pairs = ref [] in
-  let stop = ref false in
-  while not !stop do
-    while !i < sl && (match s.[!i] with ' ' | '\n' | ',' -> true | _ -> false) do
-      incr i
-    done;
-    if !i >= sl || s.[!i] = '}' then stop := true
-    else begin
-      if s.[!i] <> '"' then begin
-        Printf.eprintf
-          "bench compare: malformed kernels_ms_per_run in %s (expected a \
-           quoted key at byte %d)\n"
-          file !i;
-        exit 2
-      end;
-      incr i;
-      let k0 = !i in
-      while !i < sl && s.[!i] <> '"' do incr i done;
-      let key = String.sub s k0 (!i - k0) in
-      incr i;
-      while !i < sl && (s.[!i] = ':' || s.[!i] = ' ') do incr i done;
-      let v0 = !i in
-      while !i < sl && json_num_char s.[!i] do incr i done;
-      match float_of_string_opt (String.sub s v0 (!i - v0)) with
-      | Some v -> pairs := (key, v) :: !pairs
-      | None ->
-          Printf.eprintf
-            "bench compare: value of kernel %S in %s is not a number (got %S)\n"
-            key file
-            (String.sub s v0 (min 20 (sl - v0)));
-          exit 2
-    end
-  done;
-  List.rev !pairs
-
-(* Best-effort string field of a flat snapshot ("obs_level": "counters");
-   [default] when absent or oddly shaped. *)
-let json_string_or file key ~default =
-  match
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error _ -> default
-  | s -> (
-      let needle = "\"" ^ key ^ "\"" in
-      let nl = String.length needle and sl = String.length s in
-      let rec find i =
-        if i + nl > sl then None
-        else if String.sub s i nl = needle then Some (i + nl)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> default
-      | Some i -> (
-          let i = ref i in
-          while !i < sl && s.[!i] <> '"' && s.[!i] <> '\n' do incr i done;
-          if !i >= sl || s.[!i] <> '"' then default
-          else begin
-            incr i;
-            let v0 = !i in
-            while !i < sl && s.[!i] <> '"' do incr i done;
-            if !i >= sl then default else String.sub s v0 (!i - v0)
-          end))
-
-(* [compare --overhead [OFF [ON]]]: the tracing-overhead gate. Both files
-   are bench-json snapshots of the same machine, one taken
-   with WARDEN_OBS=off and one with counters; fail (exit 1) when counters
-   cost more than 3%% of simulation throughput. Defaults:
-   BENCH_obs_off.json vs BENCH_sim.json. *)
 let run_overhead () =
-  let off_file, on_file =
-    match snapshot_args with
-    | [] -> ("BENCH_obs_off.json", "BENCH_sim.json")
-    | [ o ] -> (o, "BENCH_sim.json")
-    | o :: c :: _ -> (o, c)
+  section "Observability overhead: counters vs off (quick suite, jobs=1)";
+  let specs =
+    match filter_names with
+    | None -> Warden_pbbs.Suite.all
+    | Some ns -> List.filter_map Warden_pbbs.Suite.find ns
   in
-  let off = json_number off_file "sim_mips" in
-  let on_ = json_number on_file "sim_mips" in
-  let off_lvl = json_string_or off_file "obs_level" ~default:"off" in
-  let on_lvl = json_string_or on_file "obs_level" ~default:"?" in
-  let overhead = if off > 0. then 100. *. (off -. on_) /. off else 0. in
+  let time_kernel level spec =
+    let config = { (Config.dual_socket ()) with Config.obs_level = level } in
+    let t0 = Unix.gettimeofday () in
+    let ok =
+      List.for_all
+        (fun proto ->
+          (Exp.run_bench ~quick:true ~config ~proto spec).Exp.verified)
+        [ `Mesi; `Warden ]
+    in
+    if not ok then begin
+      Printf.printf "OVERHEAD GATE FAILED: %s did not verify\n"
+        spec.Warden_pbbs.Spec.name;
+      exit 1
+    end;
+    Unix.gettimeofday () -. t0
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let off_total, on_total =
+    List.fold_left
+      (fun (off_sum, on_sum) spec ->
+        let offs = ref [] and ons = ref [] in
+        for i = 1 to overhead_runs do
+          let off () = offs := time_kernel Config.Obs_off spec :: !offs in
+          let on () = ons := time_kernel Config.Obs_counters spec :: !ons in
+          if i mod 2 = 1 then (off (); on ()) else (on (); off ())
+        done;
+        let off = median !offs and on = median !ons in
+        Printf.printf "%-14s off %9.2f ms  counters %9.2f ms  %+6.1f%%\n%!"
+          spec.Warden_pbbs.Spec.name (off *. 1e3) (on *. 1e3)
+          (100. *. ((on /. off) -. 1.));
+        (off_sum +. off, on_sum +. on))
+      (0., 0.) specs
+  in
+  let overhead = 100. *. ((on_total /. off_total) -. 1.) in
   Printf.printf
-    "bench overhead: %.3f sim MIPS at obs=%s (%s) vs %.3f at obs=%s (%s): \
-     %+.2f%% (budget 3%%)\n"
-    off off_lvl off_file on_ on_lvl on_file overhead;
-  if off_lvl = on_lvl then
-    Printf.printf
-      "warning: both snapshots report obs_level=%s — this is not measuring \
-       tracing overhead\n"
-      off_lvl;
-  if overhead > 3.0 then begin
-    Printf.printf "REGRESSION: obs=%s costs %.2f%% sim throughput (budget 3%%)\n"
-      on_lvl overhead;
+    "sum of medians: off %.3f s, counters %.3f s: %+.2f%% (budget %.0f%%)\n"
+    off_total on_total overhead
+    (100. *. (overhead_budget -. 1.));
+  if on_total > overhead_budget *. off_total then begin
+    Printf.printf "OVERHEAD GATE FAILED: counters cost %.2f%% of host time\n"
+      overhead;
     exit 1
   end
-  else Printf.printf "ok: observability overhead within the 3%% budget\n"
-
-(* [compare [BASELINE [CURRENT]]]: fail (exit 1) when the current
-   sim_mips drops more than 10%% below the committed baseline, or when any
-   kernel's host ms/run regresses more than 15%% over its baseline. *)
-let run_compare () =
-  let base_file, cur_file =
-    match snapshot_args with
-    | [] -> ("BENCH_baseline.json", "BENCH_sim.json")
-    | [ b ] -> (b, "BENCH_sim.json")
-    | b :: c :: _ -> (b, c)
-  in
-  let base = json_number base_file "sim_mips" in
-  let cur = json_number cur_file "sim_mips" in
-  let floor = 0.9 *. base in
-  Printf.printf
-    "bench compare: baseline %.3f sim MIPS (%s), current %.3f (%s), floor %.3f\n"
-    base base_file cur cur_file floor;
-  let failed = ref false in
-  if cur < floor then begin
-    Printf.printf "REGRESSION: current sim_mips is %.1f%% of baseline\n"
-      (100. *. cur /. base);
-    failed := true
-  end;
-  (* Per-kernel gate: aggregate throughput can hide one kernel regressing
-     behind another improving. *)
-  let base_kernels = json_kernels base_file in
-  let cur_kernels = json_kernels cur_file in
-  List.iter
-    (fun (name, bms) ->
-      match List.assoc_opt name cur_kernels with
-      | None ->
-          Printf.printf "warning: kernel %s in %s but not in %s\n" name
-            base_file cur_file
-      | Some cms ->
-          let budget = 1.15 *. bms in
-          if cms > budget then begin
-            Printf.printf
-              "REGRESSION: kernel %s: %.3f ms/run vs baseline %.3f (budget \
-               %.3f, +%.1f%%)\n"
-              name cms bms budget
-              (100. *. (cms -. bms) /. bms);
-            failed := true
-          end
-          else
-            Printf.printf "ok: kernel %-45s %8.3f ms/run (baseline %8.3f)\n"
-              name cms bms)
-    base_kernels;
-  if !failed then exit 1
-  else Printf.printf "ok: within the 10%% MIPS / 15%% per-kernel budgets\n"
+  else Printf.printf "ok: observability overhead within budget\n"
 
 (* ------------------------------------------------------------------ *)
 (* scale mode: 64 -> 512 cores on the hierarchical directory          *)
@@ -632,17 +337,15 @@ let run_compare () =
 
 (* The socket-scaling study past the paper's testbeds (DESIGN.md §14):
    quick kernels on [Config.numa_mesh] machines from 64 to 512 cores
-   under both protocols, sequentially (no pool fan-out — the wall clocks
-   are the measurement). Each cell is timed end to end, engine creation
+   under both protocols, sequentially (no pool fan-out — the printed wall
+   clocks are per cell). Each cell is timed end to end, engine creation
    included, because the lazily-chunked LLC slices are half the point.
-   BENCH_scale.json uses the flat snapshot format, so the ordinary
-   [compare] gate budgets its cells like any other kernel. The run fails
-   unless WARDen's invalidation+downgrade traffic grows strictly slower
-   than MESI's from the smallest machine to the largest: the traffic
-   *added* by going from 64 to 512 cores must be smaller under WARDen.
-   (A relative-factor gate would be vacuous the other way: WARDen's
-   absolute traffic is 2-3x lower throughout, so any common growth term
-   looms larger against its smaller base.) *)
+   The run fails unless WARDen's invalidation+downgrade traffic grows
+   strictly slower than MESI's from the smallest machine to the largest:
+   the traffic *added* by going from 64 to 512 cores must be smaller
+   under WARDen. (A relative-factor gate would be vacuous the other way:
+   WARDen's absolute traffic is 2-3x lower throughout, so any common
+   growth term looms larger against its smaller base.) *)
 
 let scale_sockets = [ 4; 8; 16; 32 ]
 let scale_kernels = [ "msort"; "quickhull"; "fib" ]
@@ -664,9 +367,9 @@ let scale_proto_str = function
   | `Sisd -> "sisd"
 
 (* The snapshot sidecar: the two per-cell facts the engine state cannot
-   carry — the verification verdict and the cold run's wall clock. The
-   wall is printed with %.17g so it round-trips exactly and a warm
-   sweep's BENCH_scale.json stays byte-identical to the cold one. *)
+   carry — the verification verdict and the cold run's wall clock, which
+   the warm-sweep gate measures against. The wall is printed with %.17g
+   so it round-trips exactly. *)
 let write_scale_meta path ~verified ~wall =
   let oc = open_out path in
   Printf.fprintf oc "verified %d\nwall %.17g\n" (if verified then 1 else 0)
@@ -774,23 +477,9 @@ let run_scale_cell ~sockets ~proto specs =
     specs
 
 let run_scale () =
+  let names = mode_kernels "scale" scale_kernels in
   section "Scale study: 64 -> 512 cores on the hierarchical directory";
-  let names =
-    match filter_names with
-    | None -> scale_kernels
-    | Some ns -> (
-        match List.filter (fun n -> List.mem n ns) scale_kernels with
-        | [] -> scale_kernels
-        | picked -> picked)
-  in
-  let specs =
-    List.map
-      (fun n ->
-        match Warden_pbbs.Suite.find n with
-        | Some s -> s
-        | None -> invalid_arg ("scale: unknown kernel " ^ n))
-      names
-  in
+  let specs = List.map (fun n -> Option.get (Warden_pbbs.Suite.find n)) names in
   Printf.printf "kernels: %s (quick scales); machines: %s\n%!"
     (String.concat ", " names)
     (String.concat ", "
@@ -834,9 +523,7 @@ let run_scale () =
      counts and too noisy to promise monotonicity on. *)
   let traffic c = c.sc_inv + c.sc_down in
   let base_cores, base_m, base_w = List.hd cells in
-  let last_cores, last_m, last_w =
-    List.fold_left (fun _ c -> c) (List.hd cells) cells
-  in
+  let last_cores, last_m, last_w = List.nth cells (List.length cells - 1) in
   List.iter
     (fun (cores, m, w) ->
       if cores <> base_cores then
@@ -854,37 +541,35 @@ let run_scale () =
     last_cores grow_m grow_w
     (if traffic_ok then "warden grows strictly slower"
      else "NOT SLOWER");
-  (* Flat snapshot: one pseudo-kernel per (size, protocol) cell plus the
-     aggregate sim MIPS, so `bench compare BENCH_scale_baseline.json
-     BENCH_scale.json` applies the ordinary budgets. *)
-  let kernels =
-    List.concat_map
-      (fun (cores, m, w) ->
-        [
-          (Printf.sprintf "scale:%dc:mesi" cores, m.sc_wall *. 1e3);
-          (Printf.sprintf "scale:%dc:warden" cores, w.sc_wall *. 1e3);
-        ])
-      cells
-  in
-  let wall =
-    List.fold_left (fun a (_, m, w) -> a +. m.sc_wall +. w.sc_wall) 0. cells
-  in
-  let instrs =
-    List.fold_left (fun a (_, m, w) -> a + m.sc_instrs + w.sc_instrs) 0 cells
-  in
-  let mips = if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0. in
-  let s = render_snapshot ~kernels ~wall ~instrs ~cycles:0 in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc s;
-  close_out oc;
-  append_history ~wall ~instrs ~cycles:0 ~mips;
-  Printf.printf "suite: %.3f s wall, %.2f sim MIPS -> BENCH_scale.json\n" wall
-    mips;
+  write_snapshot "BENCH_scale.json"
+    ([ ("scale_kernels", Json.string (String.concat "," names)) ]
+    @ List.concat_map
+        (fun (cores, m, w) ->
+          List.concat_map
+            (fun (p, c) ->
+              let k field = Printf.sprintf "scale_%dc_%s_%s" cores p field in
+              [
+                (k "verified", bit c.sc_verified);
+                (k "instructions", Json.int c.sc_instrs);
+                (k "inv", Json.int c.sc_inv);
+                (k "down", Json.int c.sc_down);
+                (k "llc_chunks_allocated", Json.int c.sc_chunks_alloc);
+                (k "llc_chunks_total", Json.int c.sc_chunks_total);
+              ])
+            [ ("mesi", m); ("warden", w) ])
+        cells
+    @ [
+        ("scale_traffic_growth_mesi", Json.int grow_m);
+        ("scale_traffic_growth_warden", Json.int grow_w);
+      ]);
   (* The snapshot-cache gate: a fully warm sweep must cut the sweep's own
      wall clock by at least 30% against the cold walls it reproduced —
      otherwise restoring is not buying the iteration speed it exists for.
      [wall] is the sum of sidecar cold walls, so the comparison is against
      exactly the simulations the restores skipped. *)
+  let wall =
+    List.fold_left (fun a (_, m, w) -> a +. m.sc_wall +. w.sc_wall) 0. cells
+  in
   let warm_ok =
     if snap_cache_dir = None || !warm_cells = 0 then true
     else if !warm_cells < !total_cells then begin
@@ -991,37 +676,17 @@ let run_replay () =
   Printf.printf
     "replay A/B on the same stream: inv+down %d (warden) vs %d (mesi)\n"
     (coh ms_rep) (coh ms_ab);
-  let instrs =
-    (Warden_sim.Memsys.sstats ms_live).Warden_sim.Sstats.instructions
-  in
-  let buf = Buffer.create 1024 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "{\n";
-  addf "  \"jobs\": 1,\n";
-  addf "  \"obs_level\": \"%s\",\n" obs_level;
-  addf "  \"kernels_ms_per_run\": {\n";
-  addf "    \"replay:live:%s\": %.3f,\n" replay_kernel (wall_live *. 1e3);
-  addf "    \"replay:replay:%s\": %.3f\n" replay_kernel (wall_replay *. 1e3);
-  addf "  },\n";
-  addf "  \"replay_kernel\": \"%s\",\n" replay_kernel;
-  addf "  \"replay_scale\": %d,\n" scale;
-  addf "  \"replay_events\": %d,\n" (Stream.events stream);
-  addf "  \"replay_speedup\": %.2f,\n" speedup;
-  addf "  \"replay_floor\": %.2f,\n" replay_floor;
-  addf "  \"replay_stats_equal\": %d,\n" (if stats_equal then 1 else 0);
-  addf "  \"replay_ab_warden_invdown\": %d,\n" (coh ms_rep);
-  addf "  \"replay_ab_mesi_invdown\": %d,\n" (coh ms_ab);
-  addf "  \"quick_suite_wall_s\": %.3f,\n" wall_live;
-  addf "  \"quick_suite_sim_instructions\": %d,\n" instrs;
-  addf "  \"quick_suite_sim_cycles\": %d,\n"
-    (Warden_sim.Memsys.sstats ms_live).Warden_sim.Sstats.cycles;
-  addf "  \"sim_mips\": %.3f\n"
-    (if wall_live > 0. then float_of_int instrs /. wall_live /. 1e6 else 0.);
-  addf "}\n";
-  let oc = open_out "BENCH_replay.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote BENCH_replay.json\n%!";
+  write_snapshot "BENCH_replay.json"
+    [
+      ("replay_kernel", Json.string replay_kernel);
+      ("replay_scale", Json.int scale);
+      ("replay_events", Json.int (Stream.events stream));
+      ("replay_speedup", Json.float ~decimals:2 speedup);
+      ("replay_floor", Json.float ~decimals:2 replay_floor);
+      ("replay_stats_equal", bit stats_equal);
+      ("replay_ab_warden_invdown", Json.int (coh ms_rep));
+      ("replay_ab_mesi_invdown", Json.int (coh ms_ab));
+    ];
   if not (ok_live && ok_rec && stats_equal && speedup >= replay_floor) then begin
     Printf.printf
       "REPLAY GATE FAILED: verified %b/%b, stats byte-identical %b, \
@@ -1045,80 +710,57 @@ let serve_params =
     { Serve.default with Serve.requests = 50_000; keys = 16_384 }
   else { Serve.default with Serve.requests = 200_000 }
 
-(* A flat snapshot in the same shape as BENCH_sim.json — sim_mips and
-   kernels_ms_per_run up front so `bench compare BENCH_serve_baseline.json
-   BENCH_serve.json` gates it unchanged — followed by the serving-mix
-   comparison fields (all simulated quantities except the wall times). *)
-let render_serve_snapshot (p : Serve.params) (rm : Serve.result)
-    (rw : Serve.result) ~wall_m ~wall_w =
-  let buf = Buffer.create 2048 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let instrs = rm.Serve.instructions + rw.Serve.instructions in
-  let wall = wall_m +. wall_w in
-  addf "{\n";
-  addf "  \"jobs\": %d,\n" jobs;
-  addf "  \"obs_level\": \"%s\",\n" obs_level;
-  addf "  \"kernels_ms_per_run\": {\n";
-  addf "    \"serve:mesi\": %.3f,\n" (wall_m *. 1e3);
-  addf "    \"serve:warden\": %.3f\n" (wall_w *. 1e3);
-  addf "  },\n";
-  addf "  \"serve_requests\": %d,\n" p.Serve.requests;
-  addf "  \"serve_keys\": %d,\n" p.Serve.keys;
-  addf "  \"serve_theta\": %g,\n" p.Serve.theta;
-  addf "  \"serve_read_frac\": %g,\n" p.Serve.read_frac;
-  addf "  \"serve_scan_frac\": %g,\n" p.Serve.scan_frac;
-  addf "  \"serve_verified\": %d,\n"
-    (if rm.Serve.verified && rw.Serve.verified then 1 else 0);
-  addf "  \"serve_equal_results\": %d,\n"
-    (if Serve.equal_results rm rw then 1 else 0);
-  addf "  \"serve_checksum\": \"%Lx\",\n" rw.Serve.checksum;
-  addf "  \"serve_mesi_inv\": %d,\n" rm.Serve.invalidations;
-  addf "  \"serve_mesi_down\": %d,\n" rm.Serve.downgrades;
-  addf "  \"serve_warden_inv\": %d,\n" rw.Serve.invalidations;
-  addf "  \"serve_warden_down\": %d,\n" rw.Serve.downgrades;
+(* The serving-mix comparison: simulated quantities only. *)
+let serve_snapshot (p : Serve.params) (rm : Serve.result) (rw : Serve.result)
+    =
   let coh r = r.Serve.invalidations + r.Serve.downgrades in
-  addf "  \"serve_traffic_reduction_pct\": %.2f,\n"
-    (100.
-    *. float_of_int (coh rm - coh rw)
-    /. float_of_int (max 1 (coh rm)));
-  addf "  \"serve_mesi_cycles\": %d,\n" rm.Serve.cycles;
-  addf "  \"serve_warden_cycles\": %d,\n" rw.Serve.cycles;
-  addf "  \"serve_mesi_rps\": %.1f,\n" rm.Serve.rps;
-  addf "  \"serve_warden_rps\": %.1f,\n" rw.Serve.rps;
-  addf "  \"serve_mesi_energy_pj\": %.1f,\n" rm.Serve.energy_pj;
-  addf "  \"serve_warden_energy_pj\": %.1f,\n" rw.Serve.energy_pj;
-  List.iter
-    (fun (proto, (r : Serve.result)) ->
-      List.iter
-        (fun (nm, q) ->
-          addf "  \"serve_%s_lat_p%s\": %.3f,\n" proto nm
-            (Hist.percentile r.Serve.lat ~cls:Serve.cls_all q))
-        [ ("50", 50.); ("95", 95.); ("99", 99.); ("999", 99.9) ])
-    [ ("mesi", rm); ("warden", rw) ];
-  addf "  \"quick_suite_wall_s\": %.3f,\n" wall;
-  addf "  \"quick_suite_sim_instructions\": %d,\n" instrs;
-  addf "  \"quick_suite_sim_cycles\": %d,\n"
-    (rm.Serve.cycles + rw.Serve.cycles);
-  addf "  \"sim_mips\": %.3f\n"
-    (if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0.);
-  addf "}\n";
-  Buffer.contents buf
+  [
+    ("serve_requests", Json.int p.Serve.requests);
+    ("serve_keys", Json.int p.Serve.keys);
+    ("serve_theta", Json.float p.Serve.theta);
+    ("serve_read_frac", Json.float p.Serve.read_frac);
+    ("serve_scan_frac", Json.float p.Serve.scan_frac);
+    ("serve_verified", bit (rm.Serve.verified && rw.Serve.verified));
+    ("serve_equal_results", bit (Serve.equal_results rm rw));
+    ("serve_checksum", Json.string (Printf.sprintf "%Lx" rw.Serve.checksum));
+    ("serve_mesi_inv", Json.int rm.Serve.invalidations);
+    ("serve_mesi_down", Json.int rm.Serve.downgrades);
+    ("serve_warden_inv", Json.int rw.Serve.invalidations);
+    ("serve_warden_down", Json.int rw.Serve.downgrades);
+    ( "serve_traffic_reduction_pct",
+      Json.float ~decimals:2
+        (100. *. float_of_int (coh rm - coh rw)
+        /. float_of_int (max 1 (coh rm))) );
+    ("serve_mesi_cycles", Json.int rm.Serve.cycles);
+    ("serve_warden_cycles", Json.int rw.Serve.cycles);
+    ("serve_mesi_rps", Json.float ~decimals:1 rm.Serve.rps);
+    ("serve_warden_rps", Json.float ~decimals:1 rw.Serve.rps);
+    ("serve_mesi_energy_pj", Json.float ~decimals:1 rm.Serve.energy_pj);
+    ("serve_warden_energy_pj", Json.float ~decimals:1 rw.Serve.energy_pj);
+  ]
+  @ List.concat_map
+      (fun (proto, (r : Serve.result)) ->
+        List.map
+          (fun (nm, q) ->
+            ( Printf.sprintf "serve_%s_lat_p%s" proto nm,
+              Json.float ~decimals:3
+                (Hist.percentile r.Serve.lat ~cls:Serve.cls_all q) ))
+          [ ("50", 50.); ("95", 95.); ("99", 99.); ("999", 99.9) ])
+      [ ("mesi", rm); ("warden", rw) ]
 
 let run_serve () =
   section
     (Printf.sprintf "Serve mode: %d-request serving mix, MESI vs WARDen"
        serve_params.Serve.requests);
-  let timed proto =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Serve.run_proto ~params:serve_params ~machine:(Config.dual_socket ())
-        ~proto ()
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rm, wall_m, rw, wall_w =
-    match Pool.map ~jobs timed [ `Mesi; `Warden ] with
-    | [ (rm, wm); (rw, ww) ] -> (rm, wm, rw, ww)
+  let rm, rw =
+    match
+      Pool.map ~jobs
+        (fun proto ->
+          Serve.run_proto ~params:serve_params ~machine:(Config.dual_socket ())
+            ~proto ())
+        [ `Mesi; `Warden ]
+    with
+    | [ rm; rw ] -> (rm, rw)
     | _ -> assert false
   in
   print_string (Serve.summary rm);
@@ -1133,12 +775,7 @@ let run_serve () =
        Printf.sprintf "-%.1f%%"
          (100. *. float_of_int (coh rm - coh rw) /. float_of_int (max 1 (coh rm)))
      else "NO REDUCTION");
-  let s = render_serve_snapshot serve_params rm rw ~wall_m ~wall_w in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc s;
-  close_out oc;
-  print_string s;
-  Printf.printf "wrote BENCH_serve.json\n%!";
+  write_snapshot "BENCH_serve.json" (serve_snapshot serve_params rm rw);
   if not (rm.Serve.verified && rw.Serve.verified && equal && win) then begin
     Printf.printf
       "SERVE GATE FAILED: verified %b/%b, equal results %b, warden \
@@ -1184,27 +821,18 @@ let zoo_gate_failures ~traffic =
     [ `Mesi; `Sisd ]
 
 let run_zoo_mode () =
+  let names = mode_kernels "zoo" zoo_kernels in
   section "Protocol zoo: fig7/8 kernels under every coherence protocol";
-  let names =
-    match filter_names with
-    | None -> zoo_kernels
-    | Some ns -> (
-        match List.filter (fun n -> List.mem n ns) zoo_kernels with
-        | [] -> zoo_kernels
-        | picked -> picked)
-  in
   let config = Config.dual_socket () in
   let cells =
     List.map
       (fun n ->
         let spec = Option.get (Warden_pbbs.Suite.find n) in
-        let t0 = Unix.gettimeofday () in
-        let rs = Exp.run_zoo ~quick ~jobs ~config spec in
-        (n, (List.combine Exp.zoo rs, Unix.gettimeofday () -. t0)))
+        (n, List.combine Exp.zoo (Exp.run_zoo ~quick ~jobs ~config spec)))
       names
   in
   List.iter
-    (fun (n, (rs, _)) ->
+    (fun (n, rs) ->
       let base = List.assoc `Mesi rs in
       Printf.printf "%s:\n  %-8s %12s %9s %10s %9s %14s\n" n "proto" "cycles"
         "vs-mesi" "inv+down" "vs-mesi" "energy (pJ)";
@@ -1220,139 +848,56 @@ let run_zoo_mode () =
         rs)
     cells;
   let verified =
-    List.for_all
-      (fun (_, (rs, _)) -> List.for_all (fun (_, r) -> r.Exp.verified) rs)
+    List.for_all (fun (_, rs) -> List.for_all (fun (_, r) -> r.Exp.verified) rs)
       cells
   in
-  let failures = ref (if verified then [] else [ "a zoo run failed result \
-                                                 verification" ]) in
   let gated = List.mem_assoc zoo_gate_kernel cells in
-  (if not gated then
-     Printf.printf
-       "note: gate kernel %s filtered out; the traffic gate did not run\n"
-       zoo_gate_kernel
-   else
-     let rs, _ = List.assoc zoo_gate_kernel cells in
-     let traffic p = Exp.inv_down (List.assoc p rs) in
-     failures := !failures @ zoo_gate_failures ~traffic);
-  (* Flat snapshot: per-kernel host walls gate under the ordinary
-     [compare] budgets; the per-cell traffic/cycles/energy keys feed
-     [compare --zoo] and the EXPERIMENTS.md figure. *)
-  let wall = List.fold_left (fun a (_, (_, w)) -> a +. w) 0. cells in
-  let instrs =
-    List.fold_left
-      (fun a (_, (rs, _)) ->
-        List.fold_left (fun a (_, r) -> a + r.Exp.instructions) a rs)
-      0 cells
+  let failures =
+    (if verified then [] else [ "a zoo run failed result verification" ])
+    @
+    if gated then
+      let rs = List.assoc zoo_gate_kernel cells in
+      zoo_gate_failures ~traffic:(fun p -> Exp.inv_down (List.assoc p rs))
+    else []
   in
-  let cycles =
-    List.fold_left
-      (fun a (_, (rs, _)) ->
-        List.fold_left (fun a (_, r) -> a + r.Exp.cycles) a rs)
-      0 cells
-  in
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "{\n";
-  addf "  \"jobs\": %d,\n" jobs;
-  addf "  \"obs_level\": \"%s\",\n" obs_level;
-  addf "  \"kernels_ms_per_run\": {\n";
-  List.iteri
-    (fun i (n, (_, w)) ->
-      addf "    \"zoo:%s\": %.3f%s\n" n (w *. 1e3)
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  addf "  },\n";
-  addf "  \"zoo_gate_kernel\": \"%s\",\n" zoo_gate_kernel;
-  addf "  \"zoo_gated\": %d,\n" (if gated then 1 else 0);
-  addf "  \"zoo_verified\": %d,\n" (if verified then 1 else 0);
-  List.iter
-    (fun (n, (rs, _)) ->
-      List.iter
-        (fun (p, r) ->
-          let kp = zoo_key_proto p in
-          addf "  \"zoo_%s_%s_invdown\": %d,\n" n kp (Exp.inv_down r);
-          addf "  \"zoo_%s_%s_cycles\": %d,\n" n kp r.Exp.cycles;
-          addf "  \"zoo_%s_%s_energy_pj\": %.1f,\n" n kp r.Exp.energy_total_pj)
-        rs)
-    cells;
-  addf "  \"quick_suite_wall_s\": %.3f,\n" wall;
-  addf "  \"quick_suite_sim_instructions\": %d,\n" instrs;
-  addf "  \"quick_suite_sim_cycles\": %d,\n" cycles;
-  addf "  \"sim_mips\": %.3f\n"
-    (if wall > 0. then float_of_int instrs /. wall /. 1e6 else 0.);
-  addf "}\n";
-  let oc = open_out "BENCH_zoo.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote BENCH_zoo.json\n%!";
-  match !failures with
-  | [] -> Printf.printf "ok: zoo gate passed\n"
+  write_snapshot "BENCH_zoo.json"
+    ([
+       ("zoo_gate_kernel", Json.string zoo_gate_kernel);
+       ("zoo_gated", bit gated);
+       ("zoo_verified", bit verified);
+     ]
+    @ List.concat_map
+        (fun (n, rs) ->
+          List.concat_map
+            (fun (p, r) ->
+              let k field =
+                Printf.sprintf "zoo_%s_%s_%s" n (zoo_key_proto p) field
+              in
+              [
+                (k "invdown", Json.int (Exp.inv_down r));
+                (k "cycles", Json.int r.Exp.cycles);
+                (k "energy_pj", Json.float ~decimals:1 r.Exp.energy_total_pj);
+              ])
+            rs)
+        cells);
+  match failures with
+  | [] when gated -> Printf.printf "ok: zoo gate passed\n"
+  | [] ->
+      Printf.printf
+        "zoo gate did not run: gate kernel %s is filtered out (every run \
+         verified)\n"
+        zoo_gate_kernel
   | fs ->
       List.iter (fun f -> Printf.printf "REGRESSION: %s\n" f) fs;
       Printf.printf "ZOO GATE FAILED (%d problem(s) above)\n" (List.length fs);
       exit 1
 
-(* [compare --zoo [FILE]]: re-run the traffic gate over an existing
-   BENCH_zoo.json. Missing keys and violated comparisons are all
-   accumulated and reported before the non-zero exit. *)
-let run_compare_zoo () =
-  let file = match snapshot_args with [] -> "BENCH_zoo.json" | f :: _ -> f in
-  let s = slurp file in
-  let problems = ref [] in
-  let number key =
-    match scan_number s key with
-    | Some f -> Some f
-    | None ->
-        problems := Printf.sprintf "no numeric \"%s\" in %s" key file
-                    :: !problems;
-        None
-  in
-  (match number "zoo_verified" with
-  | Some 1. | None -> ()
-  | Some _ -> problems := "snapshot reports zoo_verified = 0" :: !problems);
-  (match number "zoo_gated" with
-  | Some 0. ->
-      problems :=
-        "snapshot was taken with the gate kernel filtered out" :: !problems
-  | _ -> ());
-  let traffic p =
-    number
-      (Printf.sprintf "zoo_%s_%s_invdown" zoo_gate_kernel (zoo_key_proto p))
-  in
-  let w = traffic `Warden in
-  List.iter
-    (fun rival ->
-      match (w, traffic rival) with
-      | Some w, Some r ->
-          Printf.printf "zoo gate: %s inv+down: warden %.0f vs %s %.0f -> %s\n"
-            zoo_gate_kernel w (Exp.proto_name rival) r
-            (if w < r then "strictly below" else "NOT BELOW");
-          if not (w < r) then
-            problems :=
-              Printf.sprintf
-                "warden inv+down (%.0f) is not strictly below %s's (%.0f) on \
-                 %s"
-                w (Exp.proto_name rival) r zoo_gate_kernel
-              :: !problems
-      | _ -> ())
-    [ `Mesi; `Sisd ];
-  match List.rev !problems with
-  | [] -> Printf.printf "ok: zoo gate passed (%s)\n" file
-  | ps ->
-      List.iter (fun p -> Printf.printf "REGRESSION: %s\n" p) ps;
-      Printf.printf "ZOO GATE FAILED (%d problem(s) above)\n" (List.length ps);
-      exit 1
-
 let () =
-  if compare_mode && Cliscan.has cli "--overhead" then run_overhead ()
-  else if compare_mode && Cliscan.has cli "--zoo" then run_compare_zoo ()
-  else if compare_mode then run_compare ()
-  else if scale_mode then run_scale ()
-  else if serve_mode then run_serve ()
-  else if replay_mode then run_replay ()
-  else if zoo_mode then run_zoo_mode ()
-  else if json_mode then run_json ()
+  if has_mode "overhead" then run_overhead ()
+  else if has_mode "scale" then run_scale ()
+  else if has_mode "serve" then run_serve ()
+  else if has_mode "replay" then run_replay ()
+  else if has_mode "zoo" then run_zoo_mode ()
   else begin
     Printf.printf
       "WARDen reproduction bench harness (%s scales, %d job(s))\n\
@@ -1363,7 +908,6 @@ let () =
     let ok = run_paper_experiments () in
     run_ablations ();
     run_scaling_studies ();
-    run_bechamel ();
     Printf.printf "\nDONE. all benchmark runs verified: %b\n" ok;
     exit (if ok then 0 else 1)
   end

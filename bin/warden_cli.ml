@@ -40,7 +40,7 @@ let obs_arg =
     & info [ "obs" ] ~docv:"LEVEL"
         ~doc:
           "Observability level: $(b,off), $(b,counters) or $(b,full) \
-           (default: $(b,WARDEN_OBS) or off). Recording never perturbs \
+           (default: off). Recording never perturbs \
            simulated cycles, statistics or energy.")
 
 let trace_out_arg =

@@ -44,16 +44,8 @@ type t = {
   obs_level : obs_level;
 }
 
-(* WARDEN_OBS switches a whole run (the CI overhead job sets it), --obs
-   flags route to [set_default_obs_level]. *)
-let default_obs_level =
-  ref
-    (match Sys.getenv_opt "WARDEN_OBS" with
-    | None -> Obs_off
-    | Some s -> (
-        match obs_level_of_string s with
-        | Some l -> l
-        | None -> invalid_arg "WARDEN_OBS: expected off, counters or full"))
+(* warden-cli's --obs and --trace-out route to [set_default_obs_level]. *)
+let default_obs_level = ref Obs_off
 
 let set_default_obs_level l = default_obs_level := l
 

@@ -85,7 +85,7 @@ type t = {
       (** Coherence-event observability (DESIGN.md §12). Recording never
           feeds back into the simulation: simulated cycles, statistics and
           energy are bit-identical across all three levels. Default
-          [Obs_off], or [WARDEN_OBS] when set. *)
+          [Obs_off]. *)
 }
 
 val num_cores : t -> int
@@ -99,8 +99,8 @@ val home_socket : t -> int -> int
     across sockets by block number. *)
 
 val set_default_obs_level : obs_level -> unit
-(** Default [obs_level] for configs built after this call (the [--obs]
-    flags route here). Initialized from [WARDEN_OBS], else [Obs_off]. *)
+(** Default [obs_level] for configs built after this call (warden-cli's
+    [--obs] routes here). Initially [Obs_off]. *)
 
 val l1_sets : t -> int
 val l2_sets : t -> int

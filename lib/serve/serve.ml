@@ -337,45 +337,43 @@ let summary r =
   Buffer.contents buf
 
 let json_summary p r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{";
-  let field ?(last = false) k v =
-    Buffer.add_string b (Printf.sprintf "\"%s\": %s" k v);
-    if not last then Buffer.add_string b ", "
+  let lat =
+    List.map
+      (fun (nm, q) ->
+        ( "lat_" ^ String.concat "" (String.split_on_char '.' nm),
+          Json.float ~decimals:3 (Hist.percentile r.lat ~cls:cls_all q) ))
+      percentile_points
   in
-  field "workload" "\"serve\"";
-  field "proto" (Printf.sprintf "\"%s\"" r.proto);
-  field "requests" (string_of_int r.requests);
-  field "keys" (string_of_int p.keys);
-  field "theta" (Printf.sprintf "%g" p.theta);
-  field "read_frac" (Printf.sprintf "%g" p.read_frac);
-  field "scan_frac" (Printf.sprintf "%g" p.scan_frac);
-  field "shards" (string_of_int p.shards);
-  field "verified" (string_of_bool r.verified);
-  field "violations" (string_of_int r.violations);
-  field "reads" (string_of_int r.reads);
-  field "writes" (string_of_int r.writes);
-  field "scans" (string_of_int r.scans);
-  field "distinct_written" (string_of_int r.distinct_written);
-  field "checksum" (Printf.sprintf "\"%Lx\"" r.checksum);
-  field "cycles" (string_of_int r.cycles);
-  field "instructions" (string_of_int r.instructions);
-  field "invalidations" (string_of_int r.invalidations);
-  field "downgrades" (string_of_int r.downgrades);
-  field "msgs" (string_of_int r.msgs);
-  field "energy_pj" (Printf.sprintf "%.1f" r.energy_pj);
-  field "rps" (Printf.sprintf "%.1f" r.rps);
-  List.iter
-    (fun (nm, p) ->
-      let key =
-        "lat_" ^ String.concat "" (String.split_on_char '.' nm)
-      in
-      field key (Printf.sprintf "%.3f" (Hist.percentile r.lat ~cls:cls_all p)))
-    percentile_points;
-  field "lat_mean" (Printf.sprintf "%.3f" (Hist.mean r.lat ~cls:cls_all));
-  field ~last:true "lat_count" (string_of_int (Hist.count r.lat ~cls:cls_all));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    ([
+       ("workload", Json.string "serve");
+       ("proto", Json.string r.proto);
+       ("requests", Json.int r.requests);
+       ("keys", Json.int p.keys);
+       ("theta", Json.float p.theta);
+       ("read_frac", Json.float p.read_frac);
+       ("scan_frac", Json.float p.scan_frac);
+       ("shards", Json.int p.shards);
+       ("verified", Json.bool r.verified);
+       ("violations", Json.int r.violations);
+       ("reads", Json.int r.reads);
+       ("writes", Json.int r.writes);
+       ("scans", Json.int r.scans);
+       ("distinct_written", Json.int r.distinct_written);
+       ("checksum", Json.string (Printf.sprintf "%Lx" r.checksum));
+       ("cycles", Json.int r.cycles);
+       ("instructions", Json.int r.instructions);
+       ("invalidations", Json.int r.invalidations);
+       ("downgrades", Json.int r.downgrades);
+       ("msgs", Json.int r.msgs);
+       ("energy_pj", Json.float ~decimals:1 r.energy_pj);
+       ("rps", Json.float ~decimals:1 r.rps);
+     ]
+    @ lat
+    @ [
+        ("lat_mean", Json.float ~decimals:3 (Hist.mean r.lat ~cls:cls_all));
+        ("lat_count", Json.int (Hist.count r.lat ~cls:cls_all));
+      ])
 
 let curve ?params ~machine ~proto cores =
   List.map

@@ -311,6 +311,23 @@ let test_serve_json_deterministic () =
      in
      find 0)
 
+(* The exact bytes of the small WARDen run's summary: key order, number
+   formats and separators are the file format that CI's run-to-run cmp
+   and downstream readers rely on. *)
+let test_serve_json_bytes () =
+  Alcotest.(check string)
+    "json summary bytes"
+    "{\"workload\": \"serve\", \"proto\": \"warden\", \"requests\": 4000, \
+     \"keys\": 2048, \"theta\": 0.99, \"read_frac\": 0.85, \"scan_frac\": \
+     0.05, \"shards\": 4, \"verified\": true, \"violations\": 0, \"reads\": \
+     3415, \"writes\": 394, \"scans\": 191, \"distinct_written\": 218, \
+     \"checksum\": \"299d7a956aada9e2\", \"cycles\": 303211, \
+     \"instructions\": 76328, \"invalidations\": 11854, \"downgrades\": 2876, \
+     \"msgs\": 34319, \"energy_pj\": 3318482529.0, \"rps\": 43534040.7, \
+     \"lat_p50\": 14267.947, \"lat_p95\": 31218.307, \"lat_p99\": 41704.727, \
+     \"lat_p999\": 63152.873, \"lat_mean\": 14980.096, \"lat_count\": 4000}"
+    (Serve.json_summary small (run_small `Warden))
+
 let suite =
   [
     Alcotest.test_case "zipf bounds and edge cases" `Quick test_zipf_bounds;
@@ -331,6 +348,8 @@ let suite =
       test_serve_domain_identity;
     Alcotest.test_case "serve: deterministic json summary" `Quick
       test_serve_json_deterministic;
+    Alcotest.test_case "serve: json summary bytes" `Quick
+      test_serve_json_bytes;
   ]
 
 let () = Alcotest.run "warden-serve" [ ("serve", suite) ]

@@ -231,6 +231,43 @@ let test_bar_chart () =
   Alcotest.(check bool) "three lines or more" true
     (List.length (String.split_on_char '\n' out) >= 3)
 
+(* --- Json ------------------------------------------------------------------- *)
+
+let json_bytes_test () =
+  let module J = Warden_util.Json in
+  Alcotest.(check string)
+    "one style, fields in order"
+    "{\"n\": 42, \"ok\": true, \"s\": \"x\", \"g\": 0.99, \"f\": 2.50}"
+    (J.obj
+       [
+         ("n", J.int 42);
+         ("ok", J.bool true);
+         ("s", J.string "x");
+         ("g", J.float 0.99);
+         ("f", J.float ~decimals:2 2.5);
+       ]);
+  Alcotest.(check string) "empty object" "{}" (J.obj [])
+
+let json_escape_test () =
+  let module J = Warden_util.Json in
+  Alcotest.(check string)
+    "quote, backslash and control characters escaped"
+    "{\"k\\\"\": \"a\\\"b\\\\c\\nd\\u0001e\\u001f\"}"
+    (J.obj [ ("k\"", J.string "a\"b\\c\nd\001e\031") ])
+
+let json_non_finite_test () =
+  let module J = Warden_util.Json in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Json.obj: \"rps\" is not a finite number")
+        (fun () -> ignore (J.obj [ ("n", J.int 1); ("rps", J.float f) ])))
+    [ ("nan", Float.nan); ("inf", Float.infinity);
+      ("-inf", Float.neg_infinity) ];
+  Alcotest.check_raises "fixed decimals checked too"
+    (Invalid_argument "Json.obj: \"p\" is not a finite number") (fun () ->
+      ignore (J.obj [ ("p", J.float ~decimals:3 Float.nan) ]))
+
 (* --- Cliscan ---------------------------------------------------------------- *)
 
 (* The bench harness's argv scanner. The regression it pins: a value flag
@@ -356,6 +393,10 @@ let suite =
     Alcotest.test_case "stats online" `Quick test_stats_online;
     Alcotest.test_case "table renders" `Quick test_table_renders;
     Alcotest.test_case "bar chart" `Quick test_bar_chart;
+    Alcotest.test_case "Json object bytes" `Quick json_bytes_test;
+    Alcotest.test_case "Json string escaping" `Quick json_escape_test;
+    Alcotest.test_case "Json rejects non-finite floats" `Quick
+      json_non_finite_test;
     Alcotest.test_case "Cliscan flag-swallowing regression" `Quick cliscan_test;
     Alcotest.test_case "Cliscan rejects bad values" `Quick
       cliscan_bad_value_test;
