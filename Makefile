@@ -63,8 +63,10 @@ bench-overhead:
 # Trace-driven replay gate (README "Snapshotting and replaying a run",
 # DESIGN.md §15): record msort's paper-scale commit-order stream, replay
 # it with no program model, and fail unless the replayed memory-system
-# statistics are byte-identical to the live run's and the replay runs at
-# least 2.5x faster end to end. Writes BENCH_replay.json.
+# statistics are byte-identical to the live run's and the stream
+# replayed under MESI pays more invalidations and downgrades than under
+# WARDen. Writes BENCH_replay.json. What replay costs against the
+# program model is a ledger figure (replay-msort vs msort-dual).
 bench-replay:
 	dune exec bench/main.exe -- replay
 

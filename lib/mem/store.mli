@@ -1,8 +1,10 @@
 (** Backing store for the simulated physical address space.
 
-    This is the "DRAM" of the simulation: a sparse, paged byte store.
-    Caches fill from and write back to it; the fork-join runtime's bump
-    allocator hands out fresh addresses within it.
+    This is the "DRAM" of the simulation, held block by block: a page
+    table maps each touched 64 KiB page to its blocks' lines, and only
+    blocks that were written hold a 64-byte line. Caches fill from and
+    write back to it; the fork-join runtime's bump allocator hands out
+    fresh addresses within it.
 
     Values are little-endian. Accesses of 1, 2, 4 or 8 bytes must not
     straddle an 8-byte boundary (the runtime's allocator guarantees natural
@@ -44,14 +46,20 @@ val materialized : t -> int -> bool
     access, the way an OS zero-fills fresh pages. *)
 
 val footprint_bytes : t -> int
-(** Number of bytes of simulated memory materialized so far. *)
+(** Bytes of the lines held: 64 per {!materialized} block. Reads of
+    never-written memory add none. *)
 
 val copy : t -> t
-(** An independent store with the same contents. *)
+(** An independent store with the same contents, in time proportional
+    to the pages touched and the lines held. Its {!save} bytes equal the
+    original's. *)
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot the page table (sorted by page id) and the written-block
-    set; the one-entry page cache is host-side and resets on restore. *)
+(** Snapshot every touched page (sorted by page id) as its 64 KiB image,
+    then the written-block set; line placement and the one-entry page
+    cache are host-side and are rebuilt on restore. *)
 
 val restore : t -> Warden_util.Bin.r -> unit
-(** Replace this store's contents with {!save} output. *)
+(** Replace this store's contents with {!save} output. Raises
+    [Warden_util.Bin.Corrupt], leaving the store as it was, on data in a
+    never-written block or a written block outside the page set. *)

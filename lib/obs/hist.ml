@@ -15,16 +15,18 @@ let create ~classes =
     classes;
   }
 
+(* floor(log2 v) by halving the range: six steps and no loop, since a
+   miss's histogram update is on the recorder's per-miss path. *)
 let bucket_of v =
   if v < 2 then 0
   else begin
-    (* floor(log2 v); latencies are small so the loop is a handful of
-       shifts — no float conversion, no allocation. *)
-    let b = ref 0 and v = ref v in
-    while !v > 1 do
-      incr b;
-      v := !v lsr 1
-    done;
+    let v = ref v and b = ref 0 in
+    if !v lsr 32 <> 0 then begin v := !v lsr 32; b := 32 end;
+    if !v lsr 16 <> 0 then begin v := !v lsr 16; b := !b + 16 end;
+    if !v lsr 8 <> 0 then begin v := !v lsr 8; b := !b + 8 end;
+    if !v lsr 4 <> 0 then begin v := !v lsr 4; b := !b + 4 end;
+    if !v lsr 2 <> 0 then begin v := !v lsr 2; b := !b + 2 end;
+    if !v lsr 1 <> 0 then incr b;
     if !b >= nbuckets then nbuckets - 1 else !b
   end
 
@@ -39,6 +41,17 @@ let add t ~cls v =
 
 let check_cls t cls =
   if cls < 0 || cls >= t.classes then invalid_arg "Hist: bad class"
+
+let set t ~cls ~value ~count =
+  check_cls t cls;
+  if count > 0 || t.counts.(cls) > 0 then begin
+    if Array.length t.buckets = 0 then
+      t.buckets <- Array.make (t.classes * nbuckets) 0;
+    Array.fill t.buckets (cls * nbuckets) nbuckets 0;
+    t.buckets.((cls * nbuckets) + bucket_of value) <- count;
+    t.counts.(cls) <- count;
+    t.sums.(cls) <- count * value
+  end
 
 let get t ~cls ~bucket =
   check_cls t cls;

@@ -15,6 +15,10 @@ val create : classes:int -> t
 val add : t -> cls:int -> int -> unit
 (** Record one value for a class. *)
 
+val set : t -> cls:int -> value:int -> count:int -> unit
+(** Replace a class's samples with [count] samples of [value]: the
+    histogram of a class whose every value is the same constant. *)
+
 val bucket_of : int -> int
 (** The bucket a value lands in. *)
 

@@ -9,6 +9,8 @@ type t = {
   hist : Hist.t;
   heat : Sink_heatmap.t;
   chrome : Sink_chrome.t;
+  l1_lat : int;
+  l2_lat : int;
   mutable now : int;
   mutable seq : int;
 }
@@ -28,6 +30,8 @@ let create (cfg : Config.t) =
     hist = Hist.create ~classes:Events.count;
     heat = Sink_heatmap.create ();
     chrome = Sink_chrome.create ();
+    l1_lat = cfg.l1_lat;
+    l2_lat = cfg.l2_lat;
     now = 0;
     seq = 0;
   }
@@ -53,18 +57,23 @@ let push_record t ~code ~core ~blk ~arg =
     ignore (Ring.push t.ring ~code ~cycle:t.now ~core ~blk ~arg ~seq)
   end
 
-let bump t code arg =
+let[@inline] bump t code arg =
   Array.unsafe_set t.counts code (Array.unsafe_get t.counts code + 1);
   Array.unsafe_set t.sums code (Array.unsafe_get t.sums code + arg)
 
-let access t ~cls ~core ~blk ~lat =
+(* A hit only counts: its latency is the level's constant, so the hit
+   histograms are derived from the counts when read ({!hist}). The count
+   is inlined into the memory system's hit path; the rest of a miss's
+   recording is out of line. *)
+let record_miss t ~cls ~core ~blk ~lat =
+  Hist.add t.hist ~cls lat;
+  Sink_heatmap.touch_block t.heat ~blk ~cls:(Events.heat_class cls);
+  if t.lvl >= 2 then push_record t ~code:cls ~core ~blk ~arg:lat
+
+let[@inline] access t ~cls ~core ~blk ~lat =
   if t.lvl >= 1 then begin
     bump t cls lat;
-    Hist.add t.hist ~cls lat;
-    let hc = Events.heat_class cls in
-    if hc >= 0 then Sink_heatmap.touch_block t.heat ~blk ~cls:hc;
-    if t.lvl >= 2 && Events.traced cls then
-      push_record t ~code:cls ~core ~blk ~arg:lat
+    if Events.traced cls then record_miss t ~cls ~core ~blk ~lat
   end
 
 let event t ~code ~core ~blk ~arg =
@@ -101,7 +110,14 @@ let sum t code =
   if code < 0 || code >= Events.count then invalid_arg "Obs.sum: bad code"
   else t.sums.(code)
 
-let hist t = t.hist
+let hist t =
+  let h = t.hist in
+  Hist.set h ~cls:Events.l1_hit ~value:t.l1_lat
+    ~count:t.counts.(Events.l1_hit);
+  Hist.set h ~cls:Events.l2_hit ~value:t.l2_lat
+    ~count:t.counts.(Events.l2_hit);
+  h
+
 let heat t = t.heat
 let chrome t = t.chrome
 
@@ -119,7 +135,7 @@ let render_summary t =
   else Buffer.add_string buf (Warden_util.Table.render ~header:[ "event"; "count" ] ~rows);
   List.iter
     (fun code ->
-      let s = Hist.render t.hist ~cls:code ~title:(Events.name code) in
+      let s = Hist.render (hist t) ~cls:code ~title:(Events.name code) in
       if s <> "" then begin
         Buffer.add_char buf '\n';
         Buffer.add_string buf s

@@ -57,7 +57,10 @@ val sum : t -> int -> int
     [sum obs Events.invalidation = Pstats.invalidations] exactly. *)
 
 val hist : t -> Hist.t
-(** Per-event-class value histograms (class = event code). *)
+(** Per-event-class value histograms (class = event code). Hits are
+    counted, not histogrammed, as they happen: every hit at a level takes
+    that level's constant latency, so the L1 and L2 hit classes are filled
+    in from the counts here. *)
 
 val heat : t -> Sink_heatmap.t
 val chrome : t -> Sink_chrome.t

@@ -1,18 +1,20 @@
 open Warden_util
 
-(* Rows live in growable flat arrays; the Itab maps a block (or a region's
-   lo address) to its row index. The arrays start empty; growth doubles
-   and only happens on the first touch of a new block — never on the
-   steady-state path. *)
+(* The Itab maps a block (or a region's lo address) to its row index.
+   A block's row is its number followed by one count per heat class;
+   rows live in pages of [page_rows] that are allocated on the first
+   touch of a new block and never move. A run that misses on thousands
+   of fresh blocks so allocates each row once, instead of again at every
+   doubling of flat arrays. Region rows are few and live in growable
+   flat arrays. *)
 
 type t = {
-  slots : int ref Itab.t; (* blk -> row; ref shared with nothing else *)
-  mutable blks : int array; (* row -> blk *)
-  mutable cells : int array; (* row * heat_classes + cls *)
+  slots : int Itab.t; (* blk -> row *)
+  mutable pages : int array array; (* row lsr page_bits -> rows *)
   warded : Bitset.t; (* rows ever covered by a WARD region *)
   mutable rows : int;
   (* regions, keyed by lo *)
-  rslots : int ref Itab.t;
+  rslots : int Itab.t;
   mutable rlo : int array;
   mutable rhi : int array;
   mutable renters : int array;
@@ -22,13 +24,15 @@ type t = {
 }
 
 let ncls = Events.heat_classes
-let no_row = ref (-1)
+let stride = 1 + ncls
+let page_bits = 6
+let page_rows = 1 lsl page_bits
+let no_row = -1
 
 let create () =
   {
     slots = Itab.create ~dummy:no_row ();
-    blks = [||];
-    cells = [||];
+    pages = [||];
     warded = Bitset.create ();
     rows = 0;
     rslots = Itab.create ~dummy:no_row ();
@@ -43,30 +47,35 @@ let create () =
 (* Double [a], to at least [n] elements. *)
 let grow a n = Array.append a (Array.make (max n (Array.length a)) 0)
 
+(* Row [row]'s page, and the index of its block number there; its
+   count of class [c] follows at [+ 1 + c]. *)
+let[@inline] page t row = Array.unsafe_get t.pages (row lsr page_bits)
+let[@inline] base row = (row land (page_rows - 1)) * stride
+
+let new_row t blk =
+  let row = t.rows in
+  let p = row lsr page_bits in
+  if p = Array.length t.pages then
+    t.pages <- Array.append t.pages (Array.make (max 1 p) [||]);
+  if base row = 0 then t.pages.(p) <- Array.make (page_rows * stride) 0;
+  t.pages.(p).(base row) <- blk;
+  t.rows <- row + 1;
+  ignore (Itab.find_or_add t.slots blk ~make:(fun _ -> row));
+  row
+
 let row_of t blk =
-  let r = !(Itab.find_or t.slots blk ~default:no_row) in
-  if r >= 0 then r
-  else begin
-    let row = t.rows in
-    if row >= Array.length t.blks then begin
-      t.blks <- grow t.blks 64;
-      t.cells <- grow t.cells (64 * ncls)
-    end;
-    t.blks.(row) <- blk;
-    t.rows <- row + 1;
-    ignore (Itab.find_or_add t.slots blk ~make:(fun _ -> ref row));
-    row
-  end
+  let r = Itab.find_or t.slots blk ~default:no_row in
+  if r >= 0 then r else new_row t blk
 
 let touch_block t ~blk ~cls =
   let row = row_of t blk in
-  let i = (row * ncls) + cls in
-  t.cells.(i) <- t.cells.(i) + 1
+  let pg = page t row and i = base row + 1 + cls in
+  pg.(i) <- pg.(i) + 1
 
 let mark_ward t ~blk = Bitset.add t.warded (row_of t blk)
 
 let rrow_of t lo =
-  let r = !(Itab.find_or t.rslots lo ~default:no_row) in
+  let r = Itab.find_or t.rslots lo ~default:no_row in
   if r >= 0 then r
   else begin
     let row = t.rrows in
@@ -79,7 +88,7 @@ let rrow_of t lo =
     end;
     t.rlo.(row) <- lo;
     t.rrows <- row + 1;
-    ignore (Itab.find_or_add t.rslots lo ~make:(fun _ -> ref row));
+    ignore (Itab.find_or_add t.rslots lo ~make:(fun _ -> row));
     row
   end
 
@@ -94,14 +103,17 @@ let touch_region t ~lo ~hi ~exit ~flushed =
 
 let blocks t = t.rows
 
+let blk_of t row = (page t row).(base row)
+let cell t row c = (page t row).(base row + 1 + c)
+
 let block_count t ~blk ~cls =
-  let r = !(Itab.find_or t.slots blk ~default:no_row) in
-  if r < 0 then 0 else t.cells.((r * ncls) + cls)
+  let r = Itab.find_or t.slots blk ~default:no_row in
+  if r < 0 then 0 else cell t r cls
 
 let row_total t row =
   let s = ref 0 in
   for c = 0 to ncls - 1 do
-    s := !s + t.cells.((row * ncls) + c)
+    s := !s + cell t row c
   done;
   !s
 
@@ -110,14 +122,12 @@ let top_blocks t ~n =
   Array.sort
     (fun a b ->
       let ta = row_total t a and tb = row_total t b in
-      if ta <> tb then compare tb ta else compare t.blks.(a) t.blks.(b))
+      if ta <> tb then compare tb ta else compare (blk_of t a) (blk_of t b))
     rows;
   let n = min n t.rows in
   List.init n (fun i ->
       let row = rows.(i) in
-      ( t.blks.(row),
-        Array.init ncls (fun c -> t.cells.((row * ncls) + c)),
-        Bitset.mem t.warded row ))
+      (blk_of t row, Array.init ncls (cell t row), Bitset.mem t.warded row))
 
 let regions t =
   List.sort compare

@@ -3,9 +3,10 @@
     Blocks accumulate one counter per {!Events.heat_class} column (misses,
     invalidations, downgrades, WARD grants, reconciliations); regions —
     keyed by their low address — accumulate activations, deactivations and
-    reconciliation-flushed blocks. Rows are dense indices into growable
-    flat arrays behind an {!Warden_util.Itab}, so steady-state updates are
-    one probe plus one increment and the iteration order used by
+    reconciliation-flushed blocks. Rows are dense indices behind an
+    {!Warden_util.Itab}; block rows live in pages that never move, so
+    steady-state updates are one probe plus one increment, a new block
+    costs one row and no regrowth copy, and the iteration order used by
     {!render_blocks} is deterministic (sorted). *)
 
 type t

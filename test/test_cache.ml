@@ -657,6 +657,251 @@ let sector_blit_model =
       Sector.to_int64 ~lo:(Sector.lo_of mask) ~hi:(Sector.hi_of mask) = mask
       && Bytes.equal dst expect)
 
+(* --- Store against a naive model ----------------------------------------- *)
+
+(* The model: a Hashtbl of 64-byte blocks, the written-block set, and the
+   set of pages any call touched (reads included, since every touched
+   page is in the snapshot). *)
+type store_model = {
+  mblocks : (int, Bytes.t) Hashtbl.t;
+  mutable mwritten : Warden_util.Bitset.t;
+  mpages : (int, unit) Hashtbl.t;
+}
+
+let page_bytes = 65536
+let page_blocks = page_bytes / Addr.block_size
+
+let model_block m blk =
+  Hashtbl.replace m.mpages (blk / page_blocks) ();
+  match Hashtbl.find_opt m.mblocks blk with
+  | Some b -> b
+  | None ->
+      let b = Bytes.make Addr.block_size '\000' in
+      Hashtbl.replace m.mblocks blk b;
+      b
+
+(* The snapshot bytes of the 64 KiB-page store this layout replaced: the
+   touched pages as (id, 64 KiB image) sorted by id, then the
+   written-block set. *)
+let old_page_layout m =
+  to_bytes (fun w ->
+      let ids =
+        List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) m.mpages [])
+      in
+      B.w_int w (List.length ids);
+      List.iter
+        (fun id ->
+          B.w_int w id;
+          let image = Bytes.make page_bytes '\000' in
+          for i = 0 to page_blocks - 1 do
+            match Hashtbl.find_opt m.mblocks ((id * page_blocks) + i) with
+            | Some b -> Bytes.blit b 0 image (i * Addr.block_size) Addr.block_size
+            | None -> ()
+          done;
+          B.w_bytes w image)
+        ids;
+      Warden_util.Bitset.save m.mwritten w)
+
+let store_bytes s = to_bytes (Store.save s)
+
+let test_store_matches_model () =
+  let rng = Random.State.make [| 21 |] in
+  let calls = ref 0 in
+  (* Blocks in a few adjacent pages plus two distant ones; the last page
+     is only ever read, and must still be in the snapshot. *)
+  let pages = [| 0; 1; 2; 77; 4099; 9000 |] in
+  let random_blk () =
+    (pages.(Random.State.int rng (Array.length pages)) * page_blocks)
+    + Random.State.int rng page_blocks
+  in
+  let read_only blk = blk / page_blocks = 9000 in
+  let random_mask () =
+    match Random.State.int rng 4 with
+    | 0 -> (0, 0)
+    | 1 -> (Random.State.bits rng land 0xFFFF_FFFF, 0)
+    | 2 -> (0, Random.State.bits rng land 0xFFFF_FFFF)
+    | _ ->
+        (Random.State.bits rng land 0xFFFF_FFFF,
+         Random.State.bits rng land 0xFFFF_FFFF)
+  in
+  let bit lo hi i = (if i < 32 then lo lsr i else hi lsr (i - 32)) land 1 = 1 in
+  let s = ref (Store.create ()) in
+  let m =
+    {
+      mblocks = Hashtbl.create 64;
+      mwritten = Warden_util.Bitset.create ();
+      mpages = Hashtbl.create 8;
+    }
+  in
+  let snapshot = ref None in
+  for step = 1 to 6000 do
+    let blk = random_blk () in
+    let what = Printf.sprintf "step %d blk %d" step blk in
+    let op = Random.State.int rng 7 in
+    let op = if read_only blk && op <= 3 then 4 + (op mod 3) else op in
+    (match op with
+    | 0 ->
+        let size = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
+        let addr =
+          Addr.base_of_block blk + (size * Random.State.int rng (64 / size))
+        in
+        let v = Random.State.int64 rng Int64.max_int in
+        Store.store !s addr ~size v;
+        Warden_util.Bitset.add m.mwritten blk;
+        let b = model_block m blk in
+        for i = 0 to size - 1 do
+          Bytes.set b
+            (Addr.offset_in_block addr + i)
+            (Char.chr
+               (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
+        done
+    | 1 ->
+        let size = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
+        let off = size * Random.State.int rng (64 / size) in
+        let b = model_block m blk in
+        let expect = ref 0L in
+        for i = size - 1 downto 0 do
+          expect :=
+            Int64.logor (Int64.shift_left !expect 8)
+              (Int64.of_int (Char.code (Bytes.get b (off + i))))
+        done;
+        Alcotest.(check int64) ("load " ^ what) !expect
+          (Store.load !s (Addr.base_of_block blk + off) ~size)
+    | 2 | 3 ->
+        let data = Bytes.init 128 (fun _ -> Char.chr (Random.State.int rng 256)) in
+        let pos = 64 * Random.State.int rng 2 in
+        let lo, hi = random_mask () in
+        if Random.State.bool rng then Store.write_line !s blk data ~pos ~lo ~hi
+        else
+          Store.write_block_masked !s blk (Bytes.sub data pos 64)
+            ~mask:(Sector.to_int64 ~lo ~hi);
+        if lo lor hi <> 0 then Warden_util.Bitset.add m.mwritten blk;
+        let b = model_block m blk in
+        for i = 0 to 63 do
+          if bit lo hi i then Bytes.set b i (Bytes.get data (pos + i))
+        done
+    | 4 ->
+        Alcotest.(check bytes) ("read_block " ^ what) (model_block m blk)
+          (Store.read_block !s blk)
+    | 5 ->
+        let dst = Bytes.make 96 '\xEE' in
+        let pos = Random.State.int rng 33 in
+        Store.read_block_into !s blk dst ~pos;
+        let expect = Bytes.make 96 '\xEE' in
+        Bytes.blit (model_block m blk) 0 expect pos 64;
+        Alcotest.(check bytes) ("read_block_into " ^ what) expect dst
+    | _ ->
+        Alcotest.(check bool) ("materialized " ^ what)
+          (Warden_util.Bitset.mem m.mwritten blk)
+          (Store.materialized !s blk));
+    incr calls;
+    Alcotest.(check int) ("footprint = written lines " ^ what)
+      (64 * Warden_util.Bitset.cardinal m.mwritten)
+      (Store.footprint_bytes !s);
+    if step mod 100 = 0 then begin
+      let bytes = store_bytes !s in
+      Alcotest.(check bool) ("save = 64 KiB-page layout " ^ what) true
+        (Bytes.equal (old_page_layout m) bytes);
+      (match !snapshot with
+      | Some (copy, at) ->
+          Alcotest.(check bool) ("copy independent " ^ what) true
+            (Bytes.equal at (store_bytes copy))
+      | None -> ());
+      snapshot := Some (Store.copy !s, bytes);
+      if step mod 500 = 0 then begin
+        let restored = Store.create () in
+        Store.restore restored (B.reader bytes);
+        (* A fresh store's restore re-adds the written set in ascending
+           order, which may shorten its word array. *)
+        let rebuilt = Warden_util.Bitset.create () in
+        Warden_util.Bitset.iter m.mwritten (Warden_util.Bitset.add rebuilt);
+        m.mwritten <- rebuilt;
+        Alcotest.(check bool) ("restore round trip " ^ what) true
+          (Bytes.equal (old_page_layout m) (store_bytes restored));
+        Alcotest.(check int) ("restored footprint " ^ what)
+          (Store.footprint_bytes !s)
+          (Store.footprint_bytes restored);
+        s := restored
+      end
+    end
+  done;
+  Alcotest.(check bool) "thousands of calls" true (!calls >= 6000)
+
+let test_store_reads_hold_no_lines () =
+  let s = Store.create () in
+  let m =
+    {
+      mblocks = Hashtbl.create 8;
+      mwritten = Warden_util.Bitset.create ();
+      mpages = Hashtbl.create 8;
+    }
+  in
+  Store.store s 0x10000 ~size:8 7L;
+  Warden_util.Bitset.add m.mwritten (Addr.block_of 0x10000);
+  Bytes.set_int64_le (model_block m (Addr.block_of 0x10000)) 0 7L;
+  let footprint = Store.footprint_bytes s in
+  let zeros = Bytes.make 64 '\000' in
+  (* Each call on an unwritten block of the written page, then on a page
+     of its own that nothing else touches. *)
+  List.iteri
+    (fun i (name, call) ->
+      List.iter
+        (fun blk ->
+          ignore (model_block m blk : Bytes.t);
+          Alcotest.(check bytes) (name ^ " reads zero") zeros (call blk))
+        [ Addr.block_of 0x10040 + i; (i + 5) * page_blocks ])
+    [
+      ( "load",
+        fun blk ->
+          let b = Bytes.make 64 '\000' in
+          Bytes.set_int64_le b 0 (Store.load s (Addr.base_of_block blk) ~size:8);
+          b );
+      ("read_block", Store.read_block s);
+      ( "read_block_into",
+        fun blk ->
+          let b = Bytes.make 64 '\xAA' in
+          Store.read_block_into s blk b ~pos:0;
+          b );
+      ( "empty-mask write_line",
+        fun blk ->
+          Store.write_line s blk (Bytes.make 64 'x') ~pos:0 ~lo:0 ~hi:0;
+          if Store.materialized s blk then Bytes.make 64 'x' else zeros );
+    ];
+  Alcotest.(check int) "no line added" footprint (Store.footprint_bytes s);
+  Alcotest.(check int) "one line per written block" 64 footprint;
+  Alcotest.(check bool) "pages touched only by reads are snapshotted" true
+    (Bytes.equal (old_page_layout m) (store_bytes s))
+
+let test_store_restore_rejects () =
+  let image = Bytes.make page_bytes '\000' in
+  let snap ?(written = []) ~data () =
+    Bytes.fill image 0 page_bytes '\000';
+    if data then Bytes.set image 130 'x';
+    let ws = Warden_util.Bitset.create () in
+    List.iter (Warden_util.Bitset.add ws) written;
+    to_bytes (fun w ->
+        B.w_int w 1;
+        B.w_int w 3;
+        B.w_bytes w image;
+        Warden_util.Bitset.save ws w)
+  in
+  let rejects what bytes =
+    let s = Store.create () in
+    Store.store s 0 ~size:8 5L;
+    (match Store.restore s (B.reader bytes) with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception B.Corrupt _ -> ());
+    Alcotest.(check int64) (what ^ ": store left as it was") 5L
+      (Store.load s 0 ~size:8)
+  in
+  rejects "data in a never-written block" (snap ~data:true ());
+  rejects "written block outside the page set"
+    (snap ~written:[ (3 * page_blocks) + 2; 5 ] ~data:true ());
+  let s = Store.create () in
+  Store.restore s (B.reader (snap ~written:[ (3 * page_blocks) + 2 ] ~data:true ()));
+  Alcotest.(check int64) "written block restored" (Int64.of_int (Char.code 'x'))
+    (Store.load s ((3 * page_bytes) + 130) ~size:1)
+
 let suite =
   [
     Alcotest.test_case "addr geometry" `Quick test_addr_geometry;
@@ -701,6 +946,12 @@ let suite =
       test_linepool_reset;
     linepool_matches_standalone;
     sector_blit_model;
+    Alcotest.test_case "store = naive block model, differential" `Quick
+      test_store_matches_model;
+    Alcotest.test_case "store reads of unwritten memory hold no line" `Quick
+      test_store_reads_hold_no_lines;
+    Alcotest.test_case "store restore rejects malformed snapshots" `Quick
+      test_store_restore_rejects;
   ]
 
 let () = Alcotest.run "warden-cache" [ ("cache", suite) ]

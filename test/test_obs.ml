@@ -63,6 +63,12 @@ let test_hist () =
   Alcotest.(check (float 1e-9)) "mean" 26.5 (Hist.mean h ~cls:1);
   Alcotest.(check int) "bucket 1 holds 2,3" 2 (Hist.get h ~cls:1 ~bucket:1);
   Alcotest.(check int) "other class empty" 0 (Hist.count h ~cls:0);
+  Hist.set h ~cls:1 ~value:6 ~count:5;
+  Alcotest.(check (list int)) "set replaces the class"
+    [ 5; 30; 5 ]
+    [ Hist.count h ~cls:1; Hist.sum h ~cls:1; Hist.get h ~cls:1 ~bucket:2 ];
+  Alcotest.(check int) "set empties other buckets" 0
+    (Hist.get h ~cls:1 ~bucket:1);
   Alcotest.(check string) "empty class renders nothing" ""
     (Hist.render h ~cls:2 ~title:"t");
   Alcotest.(check bool) "non-empty class renders" true
@@ -225,6 +231,18 @@ let counter_agreement () =
           check "sb stalls" ss.Sstats.sb_stalls Oev.sb_stall;
           check "l1 hits" ss.Sstats.l1_hits Oev.l1_hit;
           check "l2 hits" ss.Sstats.l2_hits Oev.l2_hit;
+          (* Hit histograms are filled in from the counts at the level's
+             constant latency; the latency sums recorded hit by hit must
+             come out the same. *)
+          List.iter
+            (fun (name, code) ->
+              let h = Obs.hist obs in
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "%s/%s: %s histogram" bench pname name)
+                (Obs.count obs code, Obs.sum obs code)
+                (Hist.count h ~cls:code, Hist.sum h ~cls:code))
+            [ ("l1 hit", Oev.l1_hit); ("l2 hit", Oev.l2_hit);
+              ("miss", Oev.miss); ("upgrade", Oev.upgrade) ];
           Alcotest.(check int)
             (Printf.sprintf "%s/%s: misses+upgrades" bench pname)
             ss.Sstats.priv_misses
