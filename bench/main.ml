@@ -4,8 +4,8 @@
 
    Run with:  dune exec bench/main.exe             (full paper scales)
               dune exec bench/main.exe -- quick    (reduced scales)
-              dune exec bench/main.exe -- scale    (64->512-core hierarchical-
-                                                    directory study into
+              dune exec bench/main.exe -- scale    (64->512-core many-socket
+                                                    study into
                                                     BENCH_scale.json)
               dune exec bench/main.exe -- serve    (serving-tier MESI-vs-WARDen
                                                     gate into BENCH_serve.json)
@@ -332,7 +332,7 @@ let run_overhead () =
   else Printf.printf "ok: observability overhead within budget\n"
 
 (* ------------------------------------------------------------------ *)
-(* scale mode: 64 -> 512 cores on the hierarchical directory          *)
+(* scale mode: 64 -> 512 cores on numa_mesh machines                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The socket-scaling study past the paper's testbeds (DESIGN.md §14):
@@ -478,7 +478,7 @@ let run_scale_cell ~sockets ~proto specs =
 
 let run_scale () =
   let names = mode_kernels "scale" scale_kernels in
-  section "Scale study: 64 -> 512 cores on the hierarchical directory";
+  section "Scale study: 64 -> 512 cores on numa_mesh machines";
   let specs = List.map (fun n -> Option.get (Warden_pbbs.Suite.find n)) names in
   Printf.printf "kernels: %s (quick scales); machines: %s\n%!"
     (String.concat ", " names)

@@ -5,14 +5,47 @@ open Warden_machine
 open Warden_sim
 open Warden_harness
 
+(* Socket counts stop at 62: past 62 cores the directory keeps one
+   sharer word per socket, at most 62 of them. *)
 let machine_of = function
   | "single" -> Config.single_socket ()
   | "dual" -> Config.dual_socket ()
   | "disagg" | "disaggregated" -> Config.disaggregated ()
   | s -> (
       match int_of_string_opt s with
-      | Some n when n > 0 -> Config.many_socket ~sockets:n ()
+      | Some n when n > 0 && n <= 62 -> Config.many_socket ~sockets:n ()
       | _ -> invalid_arg ("unknown machine: " ^ s))
+
+(* Malformed values are usage errors (exit 124), reported before any
+   work. A machine is validated here but built when the command runs,
+   after [--obs] has set the level a new configuration takes. *)
+let int_conv ~what ok =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when ok n -> Ok n
+        | _ -> Error (Printf.sprintf "%S is not %s" s what)),
+      Format.pp_print_int )
+
+let in_range lo hi =
+  int_conv
+    ~what:(Printf.sprintf "an integer in %d..%d" lo hi)
+    (fun n -> n >= lo && n <= hi)
+
+let positive = int_conv ~what:"a positive integer" (fun n -> n > 0)
+
+let machine_conv =
+  Arg.conv'
+    ( (fun s ->
+        match machine_of s with
+        | _ -> Ok s
+        | exception Invalid_argument _ ->
+            Error
+              (Printf.sprintf
+                 "unknown machine %S: expected single, dual, disagg or a \
+                  socket count in 1..62"
+                 s)),
+      Format.pp_print_string )
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced problem sizes.")
@@ -29,9 +62,9 @@ let jobs_arg =
 let machine_arg =
   Arg.(
     value
-    & opt string "dual"
+    & opt machine_conv "dual"
     & info [ "machine"; "m" ] ~docv:"MACHINE"
-        ~doc:"Machine: single, dual, disagg, or a socket count.")
+        ~doc:"Machine: single, dual, disagg, or a socket count (1-62).")
 
 let obs_arg =
   Arg.(
@@ -187,7 +220,7 @@ let bench_cmd =
   let scale_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "scale"; "s" ] ~docv:"N" ~doc:"Problem size (default: paper scale).")
   in
   let workers_arg =
@@ -333,7 +366,7 @@ let serve_cmd =
   let requests_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "requests"; "n" ] ~docv:"N"
           ~doc:
             "Requests to push through the store (default: 1000000, or 50000 \
@@ -599,7 +632,7 @@ let profile_cmd =
   let scale_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "scale"; "s" ] ~docv:"N" ~doc:"Problem size (default: paper scale).")
   in
   let workers_arg =
@@ -760,7 +793,7 @@ let trace_cmd =
   let scale_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "scale"; "s" ] ~docv:"N" ~doc:"Problem size (default: quick).")
   in
   let run name machine scale snap_in snap_out =
@@ -847,7 +880,7 @@ let replay_cmd =
   let scale_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "scale"; "s" ] ~docv:"N"
           ~doc:"Problem size when recording (default: quick scale).")
   in
@@ -946,16 +979,6 @@ let replay_cmd =
 (* --- check --------------------------------------------------------------- *)
 
 let check_cmd =
-  (* Out-of-range sizes are usage errors, reported before any work. *)
-  let in_range lo hi =
-    Arg.conv'
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= lo && n <= hi -> Ok n
-          | _ ->
-              Error (Printf.sprintf "%S is not an integer in %d..%d" s lo hi)),
-        Format.pp_print_int )
-  in
   let cores_arg =
     Arg.(
       value
@@ -1039,8 +1062,8 @@ let check_cmd =
           ~doc:
             "Small-model machine: dual (24 cores, the default), single, or \
              mesh (a 32-socket NUMA mesh with 2 cores per socket — 64 cores, \
-             so the checker cores span sockets and the directory runs its \
-             hierarchical two-level sharer paths).")
+             so the checker cores span sockets and the directory keeps one \
+             sharer word per socket).")
   in
   let run cores blocks regions depth store_cap fuzz_steps seed proto machine =
     let protos =

@@ -58,8 +58,8 @@ val mesi : preset
 (** The MESI baseline alone. Defaults: 3 cores, 2 blocks, 2 regions,
     store cap 1, dual-socket machine. Pass [machine] to close the state
     space on another topology — the scale-smoke model runs the checker
-    cores spread across a many-socket machine so the hierarchical
-    directory paths (DESIGN.md §14) are the ones explored. *)
+    cores spread across a many-socket machine so the directory's
+    per-socket sharer words (DESIGN.md §14) are the ones explored. *)
 
 val warden : preset
 (** WARDen alone, regions over the checked blocks (W states exercised). *)

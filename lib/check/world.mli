@@ -61,6 +61,11 @@ type cfg = {
   mk : Fabric.t -> Protocol.t;  (** the protocol under test *)
 }
 
+val shrink : Config.t -> blks:int -> Config.t
+(** The machine with every cache level shrunk to one set of [blks] ways:
+    the L1, the L2 and each socket's LLC slice. The topology — sockets,
+    cores, hops and latencies — is the machine's own. *)
+
 type t
 
 type result = { latency : int; value : int64 option; accepted : bool }

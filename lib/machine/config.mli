@@ -132,7 +132,7 @@ val numa_mesh : ?cores_per_socket:int -> sockets:int -> unit -> t
     [intra_hop_lat] per extra Manhattan hop, recorded in
     {!field-hop_matrix}. Default 16 cores per socket, so
     [numa_mesh ~sockets:32 ()] is the 512-core machine. Sockets and
-    cores-per-socket are both capped at 62 (the directory's two-level
+    cores-per-socket are both capped at 62 (the directory's per-socket
     sharer words, DESIGN.md §14). *)
 
 val disaggregated : unit -> t

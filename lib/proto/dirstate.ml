@@ -8,20 +8,13 @@
      bits 4+    owner + 1 (0 = no owner)
    A fresh entry is the integer 0: D_I, no owner, not multi.
 
-   Sharer sets come in two layouts, chosen once at [create] from the
-   machine geometry (DESIGN.md §14):
-
-   - flat (<= 62 cores): [mask.(slot)] is a plain core bitmask, bit c =
-     core c. Every Table-2 topology fits in one word.
-
-   - hierarchical (> 62 cores): [mask.(slot)] becomes a coarse
-     socket-presence bitmask (bit s = socket s holds at least one copy,
-     up to 62 sockets per word) and the per-socket fine words live in a
-     parallel flat [fine] array at [slot * sockets + socket], bit b =
-     core [socket * cores_per_socket + b] (cores_per_socket <= 62, so no
-     second level of spill exists at any supported topology). The
-     invalidation/downgrade walk reads the coarse mask and skips empty
-     sockets in one branch — no hash table, no boxed set, no allocation.
+   Sharer sets (DESIGN.md §14): each slot owns [words] consecutive words
+   of [mask], at [slot * words + word]. Up to 62 cores that is one word,
+   bit c = core c — every Table-2 topology. Above, it is one word per
+   socket, bit b of word s = core [s * cores_per_socket + b]
+   (cores_per_socket <= 62, so a socket always fits in a word). A core
+   maps to its (word, lane) with one shift, or one divide when the span
+   of a word is not a power of two.
 
    The directory is ideal (never evicts), so there is no deletion and no
    tombstones: linear probing terminates at the first empty slot. *)
@@ -29,41 +22,44 @@
 type t = {
   mutable keys : int array; (* block id per slot; -1 = empty *)
   mutable meta : int array;
-  mutable mask : int array; (* flat: sharer bits; hier: coarse socket bits *)
-  mutable fine : int array; (* hier: per-socket words at slot*nsock+s; flat: [||] *)
+  mutable mask : int array; (* [words] sharer words per slot *)
   mutable used : int;
   mutable shift : int; (* 63 - log2 capacity *)
-  nsock : int; (* 0 in flat mode, else the socket count *)
-  cps : int; (* cores per socket (hier mode) *)
-  cps_shift : int; (* log2 cps when cps is a power of two, else -1 *)
+  words : int; (* 1 up to 62 cores, else the socket count *)
+  cps : int; (* cores per socket *)
+  span : int; (* cores per word: 64 with one word, else cps *)
+  span_shift : int; (* log2 span when a power of two, else -1 *)
 }
 
 type slot = int
 
 let no_slot = -1
-let flat_max = 62
+let lanes = 62 (* cores per sharer word, and the cap on sockets *)
 
 (* Start tiny and double on demand (load factor 1/2). Capacity is purely
    a host-side concern — the directory is ideal, so growth never changes
    what any request observes — but it is what the model checker's
-   copy-based BFS pays per explored node, and in hierarchical mode the
-   fine array scales it by the socket count. *)
+   copy-based BFS pays per explored node, and the sharer words scale it
+   by the socket count above 62 cores. *)
 let initial_lg = 6
 
 (* Odd 63-bit multiplier (SplitMix finalizer constant); the top bits of
    blk * factor index the table. *)
 let factor = 0x2545F4914F6CDD1D
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create ?(capacity = 1 lsl initial_lg) ~sockets ~cores_per_socket () : t =
   if sockets <= 0 || cores_per_socket <= 0 then
     invalid_arg "Dirstate.create: nonpositive geometry";
-  let cores = sockets * cores_per_socket in
-  let hier = cores > flat_max in
-  if hier && sockets > flat_max then
+  let words = if sockets * cores_per_socket > lanes then sockets else 1 in
+  if words > 1 && sockets > lanes then
     invalid_arg "Dirstate.create: more than 62 sockets";
-  if hier && cores_per_socket > flat_max then
+  if words > 1 && cores_per_socket > lanes then
     invalid_arg "Dirstate.create: more than 62 cores per socket";
-  let nsock = if hier then sockets else 0 in
+  (* With one word every core sits below lane 64, so a shift by 6 maps
+     it to word 0 and its lane is the core id. *)
+  let span = if words = 1 then 64 else cores_per_socket in
   let rec lg b =
     if b >= initial_lg || 1 lsl b >= capacity then b else lg (b + 1)
   in
@@ -72,17 +68,13 @@ let create ?(capacity = 1 lsl initial_lg) ~sockets ~cores_per_socket () : t =
   {
     keys = Array.make cap (-1);
     meta = Array.make cap 0;
-    mask = Array.make cap 0;
-    fine = (if hier then Array.make (cap * nsock) 0 else [||]);
+    mask = Array.make (cap * words) 0;
     used = 0;
     shift = 63 - lg;
-    nsock;
+    words;
     cps = cores_per_socket;
-    cps_shift =
-      (if cores_per_socket land (cores_per_socket - 1) = 0 then
-         let rec lg n acc = if n <= 1 then acc else lg (n lsr 1) (acc + 1) in
-         lg cores_per_socket 0
-       else -1);
+    span;
+    span_shift = (if span land (span - 1) = 0 then log2 span else -1);
   }
 
 let of_config (cfg : Warden_machine.Config.t) =
@@ -90,15 +82,11 @@ let of_config (cfg : Warden_machine.Config.t) =
     ~capacity:(Warden_machine.Config.l3_sets_per_socket cfg * cfg.l3_ways)
     ~sockets:cfg.sockets ~cores_per_socket:cfg.cores_per_socket ()
 
-let hierarchical t = t.nsock > 0
-
-(* Socket / in-socket bit of a core; division only when cps is not a
-   power of two (it is at every many-socket scaling topology). *)
-let socket_of t core =
-  if t.cps_shift >= 0 then core lsr t.cps_shift else core / t.cps
+let word_of t core =
+  if t.span_shift >= 0 then core lsr t.span_shift else core / t.span
 
 let lane_of t core =
-  if t.cps_shift >= 0 then core land (t.cps - 1) else core mod t.cps
+  if t.span_shift >= 0 then core land (t.span - 1) else core mod t.span
 
 (* First slot holding [blk] or empty, scanning the probe sequence. *)
 let probe t blk =
@@ -114,16 +102,12 @@ let probe t blk =
   !i
 
 let grow t =
-  let old_keys = t.keys
-  and old_meta = t.meta
-  and old_mask = t.mask
-  and old_fine = t.fine in
+  let old_keys = t.keys and old_meta = t.meta and old_mask = t.mask in
   let cap = Array.length old_keys * 2 in
-  let nsock = t.nsock in
+  let words = t.words in
   t.keys <- Array.make cap (-1);
   t.meta <- Array.make cap 0;
-  t.mask <- Array.make cap 0;
-  if nsock > 0 then t.fine <- Array.make (cap * nsock) 0;
+  t.mask <- Array.make (cap * words) 0;
   t.shift <- t.shift - 1;
   for i = 0 to Array.length old_keys - 1 do
     let blk = old_keys.(i) in
@@ -131,8 +115,7 @@ let grow t =
       let j = probe t blk in
       t.keys.(j) <- blk;
       t.meta.(j) <- old_meta.(i);
-      t.mask.(j) <- old_mask.(i);
-      if nsock > 0 then Array.blit old_fine (i * nsock) t.fine (j * nsock) nsock
+      Array.blit old_mask (i * words) t.mask (j * words) words
     end
   done
 
@@ -145,8 +128,8 @@ let rec entry t blk : slot =
   end
   else begin
     t.keys.(i) <- blk;
-    (* meta, mask and fine are already 0 = invalid: never mutated since
-       create or grow, because set_invalid resets them. *)
+    (* meta and the sharer words are already 0 = invalid: never mutated
+       since create or grow, because set_invalid resets them. *)
     t.used <- t.used + 1;
     i
   end
@@ -212,57 +195,46 @@ let iter_bits word base f =
   done
 
 let sharer_add t (s : slot) core =
-  if t.nsock = 0 then t.mask.(s) <- t.mask.(s) lor (1 lsl core)
-  else begin
-    let sk = socket_of t core in
-    let j = (s * t.nsock) + sk in
-    t.fine.(j) <- t.fine.(j) lor (1 lsl lane_of t core);
-    t.mask.(s) <- t.mask.(s) lor (1 lsl sk)
-  end
+  let j = (s * t.words) + word_of t core in
+  t.mask.(j) <- t.mask.(j) lor (1 lsl lane_of t core)
 
 let sharer_remove t (s : slot) core =
-  if t.nsock = 0 then t.mask.(s) <- t.mask.(s) land lnot (1 lsl core)
-  else begin
-    let sk = socket_of t core in
-    let j = (s * t.nsock) + sk in
-    let w = t.fine.(j) land lnot (1 lsl lane_of t core) in
-    t.fine.(j) <- w;
-    if w = 0 then t.mask.(s) <- t.mask.(s) land lnot (1 lsl sk)
-  end
+  let j = (s * t.words) + word_of t core in
+  t.mask.(j) <- t.mask.(j) land lnot (1 lsl lane_of t core)
 
 let sharer_mem t (s : slot) core =
-  if t.nsock = 0 then t.mask.(s) land (1 lsl core) <> 0
-  else
-    t.fine.((s * t.nsock) + socket_of t core) land (1 lsl lane_of t core) <> 0
+  t.mask.((s * t.words) + word_of t core) land (1 lsl lane_of t core) <> 0
 
 let sharers_clear t (s : slot) =
-  (if t.nsock > 0 then
-     let base = s * t.nsock in
-     iter_bits t.mask.(s) 0 (fun sk -> t.fine.(base + sk) <- 0));
-  t.mask.(s) <- 0
+  let base = s * t.words in
+  for j = base to base + t.words - 1 do
+    t.mask.(j) <- 0
+  done
 
-(* Invariant: in hierarchical mode a coarse bit is set iff its fine word
-   is nonzero, so emptiness is one load in either layout. *)
-let sharers_empty t (s : slot) = t.mask.(s) = 0
+let sharers_empty t (s : slot) =
+  let j = ref (s * t.words) and stop = (s + 1) * t.words in
+  while !j < stop && t.mask.(!j) = 0 do
+    incr j
+  done;
+  !j = stop
 
 let sharer_count t (s : slot) =
-  if t.nsock = 0 then popcount t.mask.(s)
-  else begin
-    let base = s * t.nsock in
-    let n = ref 0 in
-    iter_bits t.mask.(s) 0 (fun sk -> n := !n + popcount t.fine.(base + sk));
-    !n
-  end
+  let base = s * t.words in
+  let n = ref 0 in
+  for j = base to base + t.words - 1 do
+    let m = t.mask.(j) in
+    if m <> 0 then n := !n + popcount m
+  done;
+  !n
 
-(* Ascending core id: sockets ascending by the coarse mask, then each
-   socket's fine word ascending (flat mode is the one-word case). *)
+(* Ascending core id: words ascending, each word's bits ascending. An
+   empty word costs one load. *)
 let sharer_iter t (s : slot) f =
-  if t.nsock = 0 then iter_bits t.mask.(s) 0 f
-  else begin
-    let base = s * t.nsock and cps = t.cps in
-    iter_bits t.mask.(s) 0 (fun sk ->
-        iter_bits t.fine.(base + sk) (sk * cps) f)
-  end
+  let base = s * t.words in
+  for w = 0 to t.words - 1 do
+    let m = t.mask.(base + w) in
+    if m <> 0 then iter_bits m (w * t.span) f
+  done
 
 let sharers t (s : slot) =
   let acc = ref [] in
@@ -292,31 +264,28 @@ let iter t f =
 
 let copy (t : t) : t =
   {
+    t with
     keys = Array.copy t.keys;
     meta = Array.copy t.meta;
     mask = Array.copy t.mask;
-    fine = (if t.nsock > 0 then Array.copy t.fine else [||]);
-    used = t.used;
-    shift = t.shift;
-    nsock = t.nsock;
-    cps = t.cps;
-    cps_shift = t.cps_shift;
   }
 
-(* Snapshot every slot array wholesale — both the flat and the
-   hierarchical sharer layouts are plain int arrays, so this is [copy]
-   through a byte buffer. The geometry fields (nsock/cps) are fixed by
-   [create] and only validated on restore. *)
+(* Snapshot every slot array wholesale, as [copy] through a byte buffer.
+   The layout word is 0 with one sharer word per slot, else the socket
+   count, and the last array is always empty: it held the per-socket
+   words of an earlier two-array layout, whose images above 62 cores
+   [restore] refuses by their array lengths. One-word images are
+   unchanged by that layout's removal. *)
 let save (t : t) w =
   let module B = Warden_util.Bin in
-  B.w_int w t.nsock;
+  B.w_int w (if t.words = 1 then 0 else t.words);
   B.w_int w t.cps;
   B.w_int w t.used;
   B.w_int w t.shift;
   B.w_int_array w t.keys;
   B.w_int_array w t.meta;
   B.w_int_array w t.mask;
-  B.w_int_array w t.fine
+  B.w_int_array w [||]
 
 (* A restored table must satisfy what [probe] relies on for its
    unchecked reads and its termination, so every field is validated
@@ -325,22 +294,22 @@ let save (t : t) w =
    marker, found by [probe] at its own slot. *)
 let restore (t : t) r =
   let module B = Warden_util.Bin in
-  let nsock = B.r_int r and cps = B.r_int r in
-  if nsock <> t.nsock || cps <> t.cps then
+  let layout = B.r_int r and cps = B.r_int r in
+  if layout <> (if t.words = 1 then 0 else t.words) || cps <> t.cps then
     B.corrupt "Dirstate: geometry mismatch";
   let used = B.r_int r in
   let shift = B.r_int r in
   let keys = B.r_int_array r in
   let meta = B.r_int_array r in
   let mask = B.r_int_array r in
-  let fine = B.r_int_array r in
+  let spare = B.r_int_array r in
   let cap = Array.length keys in
   if
     cap = 0
     || cap land (cap - 1) <> 0
     || Array.length meta <> cap
-    || Array.length mask <> cap
-    || Array.length fine <> (if t.nsock > 0 then cap * t.nsock else 0)
+    || Array.length mask <> cap * t.words
+    || Array.length spare <> 0
   then B.corrupt "Dirstate: inconsistent arrays";
   let lg = ref 0 in
   while 1 lsl !lg < cap do incr lg done;
@@ -357,5 +326,4 @@ let restore (t : t) r =
   t.shift <- shift;
   t.keys <- keys;
   t.meta <- meta;
-  t.mask <- mask;
-  t.fine <- fine
+  t.mask <- mask

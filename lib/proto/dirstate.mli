@@ -6,12 +6,11 @@
 
     Stored as a flat open-addressing table (no deletion, so linear probing
     never meets a tombstone). An entry is immediate ints in parallel arrays:
-    a packed state/owner/w_multi word plus the sharer set, which is a plain
-    core bitmask on machines of up to 62 cores and a two-level
-    socket-hierarchical scheme beyond that — a coarse socket-presence word
-    per slot plus per-socket fine words in a parallel flat array (DESIGN.md
-    §14). No hash table or boxed set exists on any directory path at any
-    supported topology. Entries are addressed by {!slot} handles; a slot
+    a packed state/owner/w_multi word plus the sharer set, kept as sharer
+    words in one flat array — one word per slot on machines of up to 62
+    cores, one word per socket beyond that (DESIGN.md §14). No hash table
+    or boxed set exists on any directory path at any supported topology.
+    Entries are addressed by {!slot} handles; a slot
     stays valid until the next {!entry} call that inserts a new block
     (which may rehash), and no protocol path inserts between obtaining a
     slot and using it. *)
@@ -26,19 +25,16 @@ val no_slot : slot
 
 val create :
   ?capacity:int -> sockets:int -> cores_per_socket:int -> unit -> t
-(** [create ~sockets ~cores_per_socket ()] sizes the sharer layout for the
-    machine: one flat word per entry when [sockets * cores_per_socket <=
-    62], else the hierarchical coarse/fine layout. Raises [Invalid_argument]
-    beyond 62 sockets or 62 cores per socket — no supported topology needs
-    a third level. The table starts with [capacity] slots, rounded up to
-    a power of two and at most 64 (the default), and grows on demand. *)
+(** [create ~sockets ~cores_per_socket ()] sizes the sharer words for the
+    machine: one word per entry when [sockets * cores_per_socket <= 62],
+    else one per socket. Raises [Invalid_argument] on a nonpositive
+    geometry, and above 62 cores on more than 62 sockets or more than 62
+    cores per socket. The table starts with [capacity] slots, rounded up
+    to a power of two and at most 64 (the default), and grows on demand. *)
 
 val of_config : Warden_machine.Config.t -> t
 (** The machine's directory, sized to start for one LLC slice: 64 entries
     on every full-size machine, a few under the model checker. *)
-
-val hierarchical : t -> bool
-(** True when the two-level layout is active (more than 62 cores). *)
 
 val entry : t -> int -> slot
 (** [entry t blk] returns the slot for block [blk], creating it in [D_I]
@@ -79,10 +75,8 @@ val sharers_empty : t -> slot -> bool
 val sharer_count : t -> slot -> int
 
 val sharer_iter : t -> slot -> (int -> unit) -> unit
-(** Ascending core id. In the hierarchical layout this walks the coarse
-    socket mask and visits only non-empty sockets, so the cost of an
-    invalidation sweep scales with the sockets that actually hold copies,
-    not the machine size. *)
+(** Ascending core id. Walks the entry's sharer words in order, skipping
+    an empty word in one branch and an empty byte of a word in another. *)
 
 val sharers : t -> slot -> int list
 (** Ascending core id. *)
@@ -100,17 +94,19 @@ val iter : t -> (int -> slot -> unit) -> unit
     insert entries. *)
 
 val copy : t -> t
-(** Deep copy (fresh arrays, both levels); the model checker forks
-    directory state when exploring alternative interleavings. *)
+(** Deep copy (fresh arrays); the model checker forks directory state
+    when exploring alternative interleavings. *)
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot every slot array wholesale — both flat and hierarchical
-    sharer layouts are plain int arrays (DESIGN.md §15). *)
+(** Snapshot every slot array wholesale (DESIGN.md §15). Images of
+    machines up to 62 cores are byte-identical to those of the earlier
+    two-array layout. *)
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite a directory created for the same geometry from {!save}
     output. Raises [Warden_util.Bin.Corrupt], naming the field and
     changing nothing, on a geometry mismatch, arrays of inconsistent
-    lengths, a [shift] that does not index the key array, a [used] that
+    lengths (among them every image of the earlier two-array layout above
+    62 cores), a [shift] that does not index the key array, a [used] that
     is not the number of occupied slots or exceeds half the capacity, a
     key below -1, or a key its probe sequence does not reach. *)

@@ -1,218 +1,366 @@
-(* White-box protocol tests: a hand-rolled fabric with hashtable-backed
-   private caches drives the MESI engine and the WARDen protocol directly,
-   asserting directory states, event counts and grant kinds transition by
-   transition (the Fig. 5 FSA). *)
+(* White-box protocol tests on the production memory system. Each row of
+   a protocol's scenario table runs a sequence of thread operations on a
+   fresh [Memsys] whose caches hold one set of two ways ([World.shrink]),
+   and after each operation checks what the row names: the directory's
+   view of a block (the Fig. 5 FSA, transition by transition), protocol
+   counters, private, LLC and memory bytes, and latencies. The memory
+   system's own audit ([Memsys.check_invariants]) must hold after every
+   operation. *)
 
+open Warden_mem
 open Warden_cache
 open Warden_machine
 open Warden_proto
 open Warden_proto.States
+module Memsys = Warden_sim.Memsys
+module Llc = Warden_sim.Llc
+module World = Warden_check.World
 
-(* A miniature fabric: [ncores] private caches of unbounded capacity, one
-   LLC hashtable per socket slice (by home), and a store. *)
-type mini = {
-  fabric : Fabric.t;
-  priv : (int * int, Linedata.t) Hashtbl.t;
-  llc : (int, Linedata.t) Hashtbl.t;
-  store : Warden_mem.Store.t;
-}
+(* ---- scenario tables --------------------------------------------------- *)
 
-(* Directory sized for the mini fabric's default dual-socket machine. *)
-let mk_dir ?(sockets = 2) ?(cores_per_socket = 12) () =
-  Dirstate.create ~sockets ~cores_per_socket ()
+(* An operation runs on the memory system and returns its latency, the
+   value a load read, and whether a region add or an eviction took
+   effect. Regions are given in blocks, [lo] to [hi) exclusive. *)
+let thread ms core = core * (Memsys.config ms).Config.threads_per_core
+let addr blk off = Addr.base_of_block blk + off
 
-let mk_mini ?(cfg = Config.dual_socket ()) () =
-  let priv = Hashtbl.create 64 in
-  let llc = Hashtbl.create 64 in
-  let store = Warden_mem.Store.create () in
-  (* The mini caches don't track grant states; report M for dirty copies
-     and S otherwise — all the probe consumers distinguish. *)
-  let probe ~core ~blk =
-    Option.map
-      (fun data ->
-        {
-          Fabric.levels = 2;
-          state = (if Linedata.is_dirty data then P_M else P_S);
-          data;
-        })
-      (Hashtbl.find_opt priv (core, blk))
+let load ?(off = 0) ?(size = 8) core blk ms =
+  let into = Bytes.create 8 in
+  let lat =
+    Memsys.access_load ms ~thread:(thread ms core) (addr blk off) ~size into
   in
-  let fabric =
-    {
-      Fabric.config = cfg;
-      energy = Energy.create ();
-      stats = Pstats.create ();
-      obs = Warden_obs.Obs.create cfg;
-      peek_priv = probe;
-      invalidate_priv =
-        (fun ~core ~blk ->
-          let p = probe ~core ~blk in
-          Hashtbl.remove priv (core, blk);
-          p);
-      downgrade_priv = probe;
-      iter_priv =
-        (fun ~core f ->
-          Hashtbl.iter (fun (c, blk) _ -> if c = core then f blk) priv);
-      read_shared =
-        (fun ~blk ->
-          match Hashtbl.find_opt llc blk with
-          | Some line -> (line, `L3)
-          | None ->
-              let line =
-                Linedata.of_bytes (Warden_mem.Store.read_block store blk)
+  (lat, Some (Bytes.get_int64_le into 0), true)
+
+let store ?(off = 0) ?(size = 8) core blk v ms =
+  let thread = thread ms core in
+  (Memsys.access_store ms ~thread (addr blk off) ~size v, None, true)
+
+let region_add lo hi ms =
+  (0, None, Memsys.region_add ms ~thread:0 ~lo:(addr lo 0) ~hi:(addr hi 0))
+
+let region_remove lo hi ms =
+  let lat = Memsys.region_remove ms ~thread:0 ~lo:(addr lo 0) ~hi:(addr hi 0) in
+  (lat, None, true)
+
+let evict core blk ms = (0, None, Memsys.evict ms ~thread:(thread ms core) ~blk)
+let ( => ) op expects = (op, expects)
+
+(* Where a data expectation reads: a core's private copy, the LLC line at
+   the block's home, or memory ([Memsys.peek]). *)
+type place = Copy of int | Shared | Memory
+
+type expect =
+  | Dir of int * Protocol.block_view (* the directory's view of a block *)
+  | Holds of int * int * pstate option (* core, block: its copy's state *)
+  | Data of { place : place; blk : int; off : int; size : int; v : int64 }
+  | Stats of (string * int) list
+      (* [Stream.stats_text] counters, counted since the row began *)
+  | Value of int64 (* what this load read *)
+  | Latency of int
+  | Slower_than of int (* this operation's latency exceeds step [i]'s *)
+  | Accepted of bool (* a region add or an eviction took effect *)
+  | Ward of int * bool (* the block lies in an active WARD region *)
+
+let view ?(owner = -1) ?(wmulti = false) st sharers =
+  {
+    Protocol.bv_state = st;
+    bv_owner = owner;
+    bv_sharers = sharers;
+    bv_wmulti = wmulti;
+  }
+
+let dir blk v = Dir (blk, v)
+let d_i = Protocol.invalid_view
+let d_e o = view ~owner:o D_E []
+let d_m o = view ~owner:o D_M []
+let d_s cores = view D_S cores
+let d_w ?(multi = false) cores = view ~wmulti:multi D_W cores
+let holds core blk st = Holds (core, blk, Some st)
+let absent core blk = Holds (core, blk, None)
+let data place ?(off = 0) ?(size = 8) blk v = Data { place; blk; off; size; v }
+let priv core = data (Copy core)
+let llc = data Shared
+let mem = data Memory
+
+let counter ms name =
+  String.split_on_char '\n' (Warden_trace.Stream.stats_text ms)
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ k; v ] when k = name -> int_of_string_opt v
+         | _ -> None)
+
+(* Two ways per set: a third block in one core's set, or in one socket's
+   LLC slice, takes a victim. The rest is the dual-socket machine. *)
+let machine () = World.shrink (Config.dual_socket ()) ~blks:2
+let reconcile_per_block = (machine ()).Config.reconcile_per_block
+let view_t = Alcotest.testable Protocol.pp_block_view ( = )
+let pstate_t = Alcotest.testable States.pp_pstate ( = )
+
+let run ~mk ?(cfg = machine ()) steps () =
+  let ms = Memsys.create_with cfg ~mk in
+  let proto = Memsys.protocol ms in
+  let copy core blk = (Protocol.fabric proto).Fabric.peek_priv ~core ~blk in
+  let lats = Array.make (List.length steps) 0 in
+  List.iteri
+    (fun i (op, expects) ->
+      let latency, loaded, accepted = op ms in
+      lats.(i) <- latency;
+      let at fmt = Printf.ksprintf (Printf.sprintf "step %d: %s" i) fmt in
+      (match Memsys.check_invariants ms with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (at "invariants: %s" e));
+      List.iter
+        (function
+          | Dir (blk, v) ->
+              Alcotest.check view_t (at "directory, block %d" blk) v
+                (Protocol.observe proto ~blk)
+          | Holds (core, blk, st) ->
+              Alcotest.(check (option pstate_t))
+                (at "core %d's copy of block %d" core blk)
+                st
+                (Option.map (fun p -> p.Fabric.state) (copy core blk))
+          | Data { place; blk; off; size; v } ->
+              let read = Option.map (fun l -> Linedata.load l ~off ~size) in
+              let what, got =
+                match place with
+                | Copy c ->
+                    ( Printf.sprintf "core %d's copy" c,
+                      read (Option.map (fun p -> p.Fabric.data) (copy c blk)) )
+                | Shared ->
+                    ( "the LLC line",
+                      read
+                        (Llc.peek (Memsys.llc ms)
+                           ~socket:(Config.home_socket cfg blk)
+                           ~blk) )
+                | Memory ->
+                    ("memory", Some (Memsys.peek ms (addr blk off) ~size))
               in
-              Hashtbl.add llc blk line;
-              (line, `Dram));
-      llc_merge =
-        (fun ~blk src ->
-          let line =
-            match Hashtbl.find_opt llc blk with
-            | Some l -> l
-            | None ->
-                let l =
-                  Linedata.of_bytes (Warden_mem.Store.read_block store blk)
-                in
-                Hashtbl.add llc blk l;
-                l
-          in
-          Linedata.merge_masked ~dst:line ~src);
-      llc_put_full =
-        (fun ~blk src ->
-          let l = Linedata.copy src in
-          Linedata.mark_all_dirty l;
-          Hashtbl.replace llc blk l);
-    }
-  in
-  { fabric; priv; llc; store }
-
-(* Install a grant into the mini private cache, as the memory system
-   would, and snapshot it: protocol grants arrive in a reusable scratch
-   record whose fields the next request overwrites. *)
-let accept m ~core ~blk (g : Mesi.grant) =
-  if Mesi.has_fill g then begin
-    let line = Linedata.create () in
-    Linedata.fill_from line g.Mesi.fill;
-    Hashtbl.replace m.priv (core, blk) line
-  end;
-  { Mesi.pstate = g.Mesi.pstate; fill = g.Mesi.fill; latency = g.Mesi.latency }
-
-let request m dir ~core ~blk ~write ~holds_s =
-  accept m ~core ~blk
-    (Mesi.handle_request m.fabric dir (Mesi.fresh_grant ()) ~core ~blk ~write
-       ~holds_s)
+              Alcotest.(check (option int64))
+                (at "%s of block %d, bytes %d+%d" what blk off size)
+                (Some v) got
+          | Stats counts ->
+              List.iter
+                (fun (name, n) ->
+                  Alcotest.(check (option int)) (at "%s" name) (Some n)
+                    (counter ms name))
+                counts
+          | Value v ->
+              Alcotest.(check (option int64)) (at "loaded") (Some v) loaded
+          | Latency n -> Alcotest.(check int) (at "latency") n latency
+          | Slower_than j ->
+              if latency <= lats.(j) then
+                Alcotest.fail
+                  (at "latency %d not above step %d's %d" latency j lats.(j))
+          | Accepted b -> Alcotest.(check bool) (at "accepted") b accepted
+          | Ward (blk, b) ->
+              Alcotest.(check bool) (at "block %d in a WARD region" blk) b
+                (Protocol.is_ward proto ~blk))
+        expects)
+    steps
 
 (* ---- MESI ------------------------------------------------------------------ *)
 
-let test_mesi_read_grants_e () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  let g = request m dir ~core:0 ~blk:5 ~write:false ~holds_s:false in
-  Alcotest.(check bool) "granted E" true (g.Mesi.pstate = P_E);
-  let e = Dirstate.entry dir 5 in
-  Alcotest.(check bool) "dir E" true (Dirstate.state dir e = D_E);
-  Alcotest.(check int) "owner" 0 (Dirstate.owner dir e);
-  Alcotest.(check int) "no invalidations" 0 m.fabric.Fabric.stats.Pstats.invalidations
+(* Blocks are homed on socket [blk mod 2]; cores 0-11 sit on socket 0 and
+   12-23 on socket 1. *)
+let mesi_rows =
+  [
+    ( "read grants E",
+      [
+        load 0 5
+        => [ holds 0 5 P_E; dir 5 (d_e 0); Stats [ ("invalidations", 0) ] ];
+      ] );
+    ("write grants M", [ store 3 9 1L => [ holds 3 9 P_M; dir 9 (d_m 3) ] ]);
+    ( "RAW downgrades owner",
+      [
+        store 0 1 77L => [];
+        (* The owner's dirty bytes reach the LLC on the way. *)
+        load 1 1
+        => [
+             Value 77L;
+             holds 0 1 P_S;
+             holds 1 1 P_S;
+             dir 1 (d_s [ 0; 1 ]);
+             llc 1 77L;
+             Stats [ ("downgrades", 2); ("fwds", 1); ("writebacks", 1) ];
+           ];
+      ] );
+    ( "upgrade invalidates sharers",
+      [
+        store 0 2 1L => [];
+        load 1 2 => [];
+        load 2 2 => [ dir 2 (d_s [ 0; 1; 2 ]); Stats [ ("invalidations", 0) ] ];
+        (* Each invalidated copy sat in L1 and L2. *)
+        store 1 2 ~off:8 5L
+        => [
+             absent 0 2;
+             absent 2 2;
+             holds 1 2 P_M;
+             dir 2 (d_m 1);
+             priv 1 2 1L;
+             priv 1 2 ~off:8 5L;
+             Stats [ ("invalidations", 4) ];
+           ];
+      ] );
+    ( "M-to-M transfer",
+      [
+        store 0 3 ~off:8 123L => [];
+        store 5 3 1L
+        => [
+             absent 0 3;
+             dir 3 (d_m 5);
+             priv 5 3 ~off:8 123L;
+             priv 5 3 1L;
+             Stats [ ("fwds", 1); ("invalidations", 2); ("writebacks", 0) ];
+           ];
+      ] );
+    ( "cross-socket latency",
+      [
+        store 0 4 1L => [];
+        load 1 4 => [];
+        store 0 6 1L => [];
+        load 13 6 => [ Slower_than 1 ];
+      ] );
+    ( "eviction",
+      [
+        store 0 7 55L => [];
+        evict 0 7
+        => [ Accepted true; absent 0 7; dir 7 d_i; llc 7 55L; mem 7 0L;
+             Stats [ ("writebacks", 1) ] ];
+        load 2 7 => [ Value 55L; holds 2 7 P_E; dir 7 (d_e 2) ];
+      ] );
+    (* The rows of a set-associative cache test plan. *)
+    ( "cold miss",
+      [
+        load 0 8
+        => [ Value 0L; holds 0 8 P_E;
+             Stats [ ("zero_fills", 1); ("dram_reads", 0); ("dir_accesses", 1) ]
+           ];
+        (* A private hit: no directory access. *)
+        load 0 8 => [ Value 0L; Stats [ ("dir_accesses", 1) ] ];
+      ] );
+    ( "conflict victim",
+      [
+        load 0 0 => [];
+        load 0 1 => [];
+        load 0 2
+        => [ absent 0 0; dir 0 d_i; holds 0 1 P_E; holds 0 2 P_E;
+             Stats [ ("writebacks", 0) ] ];
+      ] );
+    ( "dirty-victim writeback",
+      [
+        store 0 0 42L => [];
+        load 0 1 => [];
+        load 0 2
+        => [ absent 0 0; dir 0 d_i; llc 0 42L; mem 0 0L;
+             Stats [ ("writebacks", 1) ] ];
+      ] );
+    ( "read after eviction",
+      [
+        store 0 0 42L => [];
+        load 0 1 => [];
+        load 0 2 => [ llc 0 42L; mem 0 0L ];
+        (* Two more socket-0 blocks push block 0 out of its LLC slice. *)
+        load 0 4 => [ llc 0 42L ];
+        load 0 6 => [ mem 0 42L ];
+        load 1 0
+        => [ Value 42L; holds 1 0 P_E;
+             Stats [ ("dram_reads", 1); ("l3_hits", 0) ] ];
+      ] );
+  ]
 
-let test_mesi_write_grants_m () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  let g = request m dir ~core:3 ~blk:9 ~write:true ~holds_s:false in
-  Alcotest.(check bool) "granted M" true (g.Mesi.pstate = P_M);
-  Alcotest.(check bool) "dir M" true
-    (Dirstate.state dir (Dirstate.entry dir 9) = D_M)
+(* ---- WARDen ----------------------------------------------------------------- *)
 
-let test_mesi_read_after_write_downgrades () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  ignore (request m dir ~core:0 ~blk:1 ~write:true ~holds_s:false);
-  (* Core 0 writes a value into its private copy. *)
-  Linedata.store (Hashtbl.find m.priv (0, 1)) ~off:0 ~size:8 77L;
-  let g = request m dir ~core:1 ~blk:1 ~write:false ~holds_s:false in
-  Alcotest.(check bool) "granted S" true (g.Mesi.pstate = P_S);
-  Alcotest.(check int) "one owner downgraded (2 levels)" 2
-    m.fabric.Fabric.stats.Pstats.downgrades;
-  Alcotest.(check int) "one fwd" 1 m.fabric.Fabric.stats.Pstats.fwds;
-  (* The reader received the writer's data, not stale memory. *)
-  Alcotest.(check int64) "forwarded value" 77L
-    (Linedata.load (Hashtbl.find m.priv (1, 1)) ~off:0 ~size:8);
-  let e = Dirstate.entry dir 1 in
-  Alcotest.(check bool) "dir S" true (Dirstate.state dir e = D_S);
-  Alcotest.(check (list int)) "both sharers" [ 0; 1 ]
-    (Dirstate.holders dir e)
+(* Blocks 16 and 17 form the WARD region of most rows. *)
+let warden_rows =
+  [
+    ( "region add/remove",
+      [
+        region_add 16 18
+        => [ Accepted true; Ward (15, false); Ward (16, true); Ward (17, true);
+             Ward (18, false) ];
+        region_remove 16 18 => [ Ward (16, false); Latency 0 ];
+      ] );
+    ( "disables coherence in regions",
+      [
+        region_add 16 18 => [];
+        store 0 16 1L => [];
+        (* Core 1 is filled from the LLC, without core 0's store. *)
+        store 1 16 ~off:8 2L
+        => [ holds 0 16 P_M; holds 1 16 P_M; dir 16 (d_w ~multi:true [ 0; 1 ]);
+             priv 0 16 1L; priv 1 16 0L; priv 1 16 ~off:8 2L;
+             Stats
+               [ ("invalidations", 0); ("downgrades", 0); ("ward_grants", 2) ]
+           ];
+      ] );
+    ( "false-sharing reconciliation",
+      [
+        region_add 16 18 => [];
+        store 0 16 ~size:1 0xAAL => [];
+        store 1 16 ~off:1 ~size:1 0xBBL => [];
+        region_remove 16 18
+        => [ absent 0 16; absent 1 16; dir 16 d_i; llc 16 ~size:2 0xBBAAL;
+             Latency reconcile_per_block;
+             Stats [ ("recon_blocks", 1); ("recon_flushes", 4) ] ];
+      ] );
+    ( "true-sharing last writer",
+      [
+        region_add 16 18 => [];
+        store 0 16 ~off:4 ~size:1 0x11L => [];
+        store 2 16 ~off:4 ~size:1 0x22L => [];
+        (* Merged in ascending core order: core 2's byte persists. *)
+        region_remove 16 18 => [ llc 16 ~off:4 ~size:1 0x22L ];
+      ] );
+    ( "sole holder retained",
+      [
+        region_add 16 18 => [];
+        store 1 16 99L => [ dir 16 (d_w [ 1 ]) ];
+        (* The dirty bytes are written back; the copy stays as clean S. *)
+        region_remove 16 18
+        => [ holds 1 16 P_S; priv 1 16 99L; dir 16 (d_s [ 1 ]); llc 16 99L;
+             Latency reconcile_per_block; Stats [ ("recon_flushes", 2) ] ];
+      ] );
+    ( "legacy path is MESI",
+      [
+        region_add 16 18 => [];
+        store 0 48 5L => [];
+        load 1 48
+        => [ Value 5L; dir 48 (d_s [ 0; 1 ]);
+             Stats [ ("downgrades", 2); ("ward_grants", 0) ] ];
+      ] );
+    ( "W victim merges its bytes",
+      [
+        region_add 16 18 => [];
+        store 0 16 7L => [];
+        load 0 0 => [];
+        load 0 1
+        => [ absent 0 16; dir 16 (d_w []); llc 16 7L;
+             Stats [ ("writebacks", 1) ] ];
+        region_remove 16 18
+        => [ dir 16 d_i; Latency 0; Stats [ ("recon_blocks", 1) ] ];
+      ] );
+    ( "remove unknown",
+      [ region_remove 160 176 => [ Latency 0; Stats [ ("recon_blocks", 0) ] ] ]
+    );
+  ]
 
-let test_mesi_write_invalidates_sharers () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  ignore (request m dir ~core:0 ~blk:2 ~write:true ~holds_s:false);
-  ignore (request m dir ~core:1 ~blk:2 ~write:false ~holds_s:false);
-  ignore (request m dir ~core:2 ~blk:2 ~write:false ~holds_s:false);
-  let before = m.fabric.Fabric.stats.Pstats.invalidations in
-  (* Core 1 upgrades: cores 0 and 2 must lose their S copies. *)
-  let g =
-    Mesi.handle_request m.fabric dir (Mesi.fresh_grant ()) ~core:1 ~blk:2
-      ~write:true ~holds_s:true
-  in
-  Alcotest.(check bool) "upgrade has no fill" false (Mesi.has_fill g);
-  Alcotest.(check int) "two sharers invalidated (2 levels each)" 4
-    (m.fabric.Fabric.stats.Pstats.invalidations - before);
-  Alcotest.(check bool) "copy 0 gone" false (Hashtbl.mem m.priv (0, 2));
-  Alcotest.(check bool) "dir M, owner 1" true
-    (let e = Dirstate.entry dir 2 in
-     Dirstate.state dir e = D_M && Dirstate.owner dir e = 1)
+(* A two-entry region CAM. *)
+let cam_row =
+  ( "CAM capacity",
+    [
+      region_add 0 1 => [ Accepted true ];
+      region_add 2 3 => [ Accepted true ];
+      region_add 4 5 => [ Accepted false; Stats [ ("ward_rejects", 1) ] ];
+      region_remove 0 1 => [];
+      region_add 4 5 => [ Accepted true ];
+    ] )
 
-let test_mesi_write_write_transfer () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  ignore (request m dir ~core:0 ~blk:3 ~write:true ~holds_s:false);
-  Linedata.store (Hashtbl.find m.priv (0, 3)) ~off:8 ~size:8 123L;
-  let g = request m dir ~core:5 ~blk:3 ~write:true ~holds_s:false in
-  Alcotest.(check bool) "granted M" true (g.Mesi.pstate = P_M);
-  Alcotest.(check int64) "dirty data migrated" 123L
-    (Linedata.load (Hashtbl.find m.priv (5, 3)) ~off:8 ~size:8);
-  Alcotest.(check bool) "old owner invalidated" false (Hashtbl.mem m.priv (0, 3))
+(* ---- Dirstate --------------------------------------------------------------- *)
 
-let test_mesi_cross_socket_latency_higher () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  (* Owner on socket 0 (core 0); compare requestors on both sockets.
-     Choose a block homed on socket 0: home = blk mod 2. *)
-  let blk = 4 in
-  ignore (request m dir ~core:0 ~blk ~write:true ~holds_s:false);
-  let near = request m dir ~core:1 ~blk ~write:false ~holds_s:false in
-  (* Reset: new block, same geometry, remote requestor (core 12+). *)
-  let blk2 = 6 in
-  ignore (request m dir ~core:0 ~blk:blk2 ~write:true ~holds_s:false);
-  let far = request m dir ~core:13 ~blk:blk2 ~write:false ~holds_s:false in
-  Alcotest.(check bool)
-    (Printf.sprintf "cross-socket read (%d) slower than local (%d)"
-       far.Mesi.latency near.Mesi.latency)
-    true
-    (far.Mesi.latency > near.Mesi.latency)
-
-let test_mesi_eviction_updates_directory () =
-  let m = mk_mini () in
-  let dir = mk_dir () in
-  ignore (request m dir ~core:0 ~blk:7 ~write:true ~holds_s:false);
-  let line = Hashtbl.find m.priv (0, 7) in
-  Linedata.store line ~off:0 ~size:8 55L;
-  Hashtbl.remove m.priv (0, 7);
-  Mesi.handle_evict m.fabric dir ~core:0 ~blk:7 ~pstate:P_M ~data:line;
-  Alcotest.(check bool) "dir invalid" true
-    (Dirstate.state dir (Dirstate.entry dir 7) = D_I);
-  Alcotest.(check int) "writeback counted" 1 m.fabric.Fabric.stats.Pstats.writebacks;
-  (* Data reached the LLC: a fresh read returns it. *)
-  let g = request m dir ~core:2 ~blk:7 ~write:false ~holds_s:false in
-  ignore g;
-  Alcotest.(check int64) "llc serves evicted data" 55L
-    (Linedata.load (Hashtbl.find m.priv (2, 7)) ~off:0 ~size:8)
-
-(* Past 62 cores the sharer set goes two-level: a coarse socket mask plus
-   per-socket fine words in a flat array (DESIGN.md §14). The set must
-   survive rehashes and copies with ascending iteration order intact. *)
-let test_dirstate_sharer_hierarchy () =
-  let dir = mk_dir ~sockets:8 ~cores_per_socket:12 () in
-  Alcotest.(check bool) "96 cores use the two-level layout" true
-    (Dirstate.hierarchical dir);
+(* Past 62 cores each entry keeps one sharer word per socket (DESIGN.md
+   §14). The set must survive rehashes and copies with ascending
+   iteration order intact. *)
+let test_dirstate_socket_words () =
+  let dir = Dirstate.create ~sockets:8 ~cores_per_socket:12 () in
   let e = Dirstate.entry dir 11 in
   Dirstate.set_state dir e States.D_S;
   List.iter (Dirstate.sharer_add dir e) [ 3; 62; 63; 95 ];
@@ -220,14 +368,16 @@ let test_dirstate_sharer_hierarchy () =
     [ 3; 62; 63; 95 ] (Dirstate.sharers dir e);
   Alcotest.(check int) "count" 4 (Dirstate.sharer_count dir e);
   Alcotest.(check bool) "mem high core" true (Dirstate.sharer_mem dir e 95);
-  (* Force a rehash: fine words move with their slot. *)
+  Alcotest.(check bool) "not mem the lane's twin in socket 0" false
+    (Dirstate.sharer_mem dir e (95 mod 12));
+  (* Force a rehash: the sharer words move with their slot. *)
   for b = 1000 to 1000 + 5000 do
     ignore (Dirstate.entry dir b)
   done;
   let e = Dirstate.entry dir 11 in
   Alcotest.(check (list int)) "sharers survive rehash" [ 3; 62; 63; 95 ]
     (Dirstate.sharers dir e);
-  (* Copies must not share fine words with the original. *)
+  (* Copies must not share sharer words with the original. *)
   let snap = Dirstate.copy dir in
   Dirstate.sharer_remove dir e 95;
   Dirstate.sharer_remove dir e 62;
@@ -238,18 +388,17 @@ let test_dirstate_sharer_hierarchy () =
   Dirstate.sharers_clear dir e;
   Alcotest.(check bool) "empty after clear" true (Dirstate.sharers_empty dir e)
 
-(* Differential sweep at the many-socket geometries the scaling study
-   uses: deterministic add/remove/clear sequences against a naive
-   reference set, checking membership, cardinality, emptiness and
-   ascending iteration — with extra weight on socket-boundary cores. *)
+(* Differential sweep at the one-word geometries of the Table-2 machines
+   (12 and 24 cores) and the largest one (62), and at the many-socket
+   geometries the scaling study uses: deterministic add/remove/clear
+   sequences against a naive reference set, checking membership,
+   cardinality, emptiness and ascending iteration — with extra weight on
+   socket-boundary cores. *)
 let test_dirstate_sharer_sweep () =
   List.iter
     (fun (sockets, cps) ->
       let cores = sockets * cps in
-      let dir = mk_dir ~sockets ~cores_per_socket:cps () in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d cores hierarchical iff > 62" cores)
-        (cores > 62) (Dirstate.hierarchical dir);
+      let dir = Dirstate.create ~sockets ~cores_per_socket:cps () in
       let e = Dirstate.entry dir 7 in
       Dirstate.set_state dir e States.D_S;
       let model = Hashtbl.create 64 in
@@ -292,128 +441,7 @@ let test_dirstate_sharer_sweep () =
               step
         end
       done)
-    [ (4, 16); (8, 16); (32, 16); (8, 12); (62, 8) ]
-
-(* ---- WARDen ----------------------------------------------------------------- *)
-
-let mk_warden ?cfg () =
-  let m = mk_mini ?cfg () in
-  (m, Warden_core.Warden.P.create m.fabric)
-
-let wrequest m w ~core ~blk ~write ~holds_s =
-  accept m ~core ~blk
-    (Warden_core.Warden.P.handle_request w ~core ~blk ~write ~holds_s)
-
-let dir_of w blk =
-  let regions = Warden_core.Warden.P.regions w in
-  ignore regions;
-  blk
-
-let test_warden_region_add_remove () =
-  let _, w = mk_warden () in
-  Alcotest.(check bool) "add ok" true
-    (Warden_core.Warden.P.region_add w ~lo:0x1000 ~hi:0x2000);
-  let r = Warden_core.Warden.P.regions w in
-  Alcotest.(check int) "one region" 1 (Warden_core.Regions.count r);
-  Alcotest.(check bool) "mem inside" true (Warden_core.Regions.mem r 0x1800);
-  Alcotest.(check bool) "not outside" false (Warden_core.Regions.mem r 0x2000);
-  ignore (Warden_core.Warden.P.region_remove w ~lo:0x1000 ~hi:0x2000);
-  Alcotest.(check int) "removed" 0 (Warden_core.Regions.count r)
-
-let test_warden_no_invalidation_inside_region () =
-  let m, w = mk_warden () in
-  ignore (Warden_core.Warden.P.region_add w ~lo:0x1000 ~hi:0x2000);
-  let blk = Warden_mem.Addr.block_of 0x1000 in
-  ignore (dir_of w blk);
-  (* Two cores write the same WARD block: no invalidations, no downgrades,
-     both keep exclusive-like copies. *)
-  let g0 = wrequest m w ~core:0 ~blk ~write:true ~holds_s:false in
-  let g1 = wrequest m w ~core:1 ~blk ~write:true ~holds_s:false in
-  Alcotest.(check bool) "both granted M" true
-    (g0.Mesi.pstate = P_M && g1.Mesi.pstate = P_M);
-  Alcotest.(check int) "no invalidations" 0 m.fabric.Fabric.stats.Pstats.invalidations;
-  Alcotest.(check int) "no downgrades" 0 m.fabric.Fabric.stats.Pstats.downgrades;
-  Alcotest.(check bool) "core 0 keeps its copy" true (Hashtbl.mem m.priv (0, blk));
-  Alcotest.(check int) "two ward grants" 2 m.fabric.Fabric.stats.Pstats.ward_grants
-
-let test_warden_reconciliation_merges_sectors () =
-  let m, w = mk_warden () in
-  ignore (Warden_core.Warden.P.region_add w ~lo:0x4000 ~hi:0x5000);
-  let blk = Warden_mem.Addr.block_of 0x4000 in
-  ignore (wrequest m w ~core:0 ~blk ~write:true ~holds_s:false);
-  ignore (wrequest m w ~core:1 ~blk ~write:true ~holds_s:false);
-  (* False sharing: disjoint bytes of the same block. *)
-  Linedata.store (Hashtbl.find m.priv (0, blk)) ~off:0 ~size:1 0xAAL;
-  Linedata.store (Hashtbl.find m.priv (1, blk)) ~off:1 ~size:1 0xBBL;
-  ignore (Warden_core.Warden.P.region_remove w ~lo:0x4000 ~hi:0x5000);
-  (* Both copies flushed; merged line in LLC has both bytes. *)
-  Alcotest.(check bool) "copies flushed" true
-    ((not (Hashtbl.mem m.priv (0, blk))) && not (Hashtbl.mem m.priv (1, blk)));
-  let llc_line = Hashtbl.find m.llc blk in
-  Alcotest.(check int64) "byte from core 0" 0xAAL
-    (Linedata.load llc_line ~off:0 ~size:1);
-  Alcotest.(check int64) "byte from core 1" 0xBBL
-    (Linedata.load llc_line ~off:1 ~size:1);
-  Alcotest.(check bool) "recon events counted" true
-    (m.fabric.Fabric.stats.Pstats.recon_blocks >= 1
-    && m.fabric.Fabric.stats.Pstats.recon_flushes >= 2)
-
-let test_warden_true_sharing_last_writer_wins () =
-  let m, w = mk_warden () in
-  ignore (Warden_core.Warden.P.region_add w ~lo:0x6000 ~hi:0x7000);
-  let blk = Warden_mem.Addr.block_of 0x6000 in
-  ignore (wrequest m w ~core:0 ~blk ~write:true ~holds_s:false);
-  ignore (wrequest m w ~core:2 ~blk ~write:true ~holds_s:false);
-  (* True sharing: same byte, different values; merge order is ascending
-     core id, so core 2's value persists. *)
-  Linedata.store (Hashtbl.find m.priv (0, blk)) ~off:4 ~size:1 0x11L;
-  Linedata.store (Hashtbl.find m.priv (2, blk)) ~off:4 ~size:1 0x22L;
-  ignore (Warden_core.Warden.P.region_remove w ~lo:0x6000 ~hi:0x7000);
-  Alcotest.(check int64) "directory-order winner" 0x22L
-    (Linedata.load (Hashtbl.find m.llc blk) ~off:4 ~size:1)
-
-let test_warden_sole_holder_retains_shared () =
-  let m, w = mk_warden () in
-  ignore (Warden_core.Warden.P.region_add w ~lo:0x8000 ~hi:0x9000);
-  let blk = Warden_mem.Addr.block_of 0x8000 in
-  ignore (wrequest m w ~core:1 ~blk ~write:true ~holds_s:false);
-  Linedata.store (Hashtbl.find m.priv (1, blk)) ~off:0 ~size:8 99L;
-  ignore (Warden_core.Warden.P.region_remove w ~lo:0x8000 ~hi:0x9000);
-  (* Sole holder: dirty bytes written back, copy retained as clean S. *)
-  Alcotest.(check bool) "copy retained" true (Hashtbl.mem m.priv (1, blk));
-  Alcotest.(check bool) "copy clean" false
-    (Linedata.is_dirty (Hashtbl.find m.priv (1, blk)));
-  Alcotest.(check int64) "llc has the data" 99L
-    (Linedata.load (Hashtbl.find m.llc blk) ~off:0 ~size:8)
-
-let test_warden_outside_region_is_mesi () =
-  let m, w = mk_warden () in
-  ignore (Warden_core.Warden.P.region_add w ~lo:0x1000 ~hi:0x2000);
-  (* A block outside any region behaves exactly like MESI. *)
-  let blk = Warden_mem.Addr.block_of 0xF000 in
-  ignore (wrequest m w ~core:0 ~blk ~write:true ~holds_s:false);
-  Linedata.store (Hashtbl.find m.priv (0, blk)) ~off:0 ~size:8 5L;
-  ignore (wrequest m w ~core:1 ~blk ~write:false ~holds_s:false);
-  Alcotest.(check int) "legacy downgrade still happens" 2
-    m.fabric.Fabric.stats.Pstats.downgrades;
-  Alcotest.(check int) "no ward grant" 0 m.fabric.Fabric.stats.Pstats.ward_grants
-
-let test_warden_cam_capacity () =
-  let cfg = { (Config.dual_socket ()) with Config.ward_region_capacity = 2 } in
-  let _, w = mk_warden ~cfg () in
-  Alcotest.(check bool) "1st" true (Warden_core.Warden.P.region_add w ~lo:0 ~hi:64);
-  Alcotest.(check bool) "2nd" true
-    (Warden_core.Warden.P.region_add w ~lo:128 ~hi:192);
-  Alcotest.(check bool) "3rd rejected" false
-    (Warden_core.Warden.P.region_add w ~lo:256 ~hi:320);
-  ignore (Warden_core.Warden.P.region_remove w ~lo:0 ~hi:64);
-  Alcotest.(check bool) "accepted after eviction" true
-    (Warden_core.Warden.P.region_add w ~lo:256 ~hi:320)
-
-let test_warden_remove_unknown_is_noop () =
-  let _, w = mk_warden () in
-  Alcotest.(check int) "latency 0" 0
-    (Warden_core.Warden.P.region_remove w ~lo:0xA000 ~hi:0xB000)
+    [ (1, 12); (2, 12); (2, 31); (4, 16); (8, 16); (32, 16); (8, 12); (62, 8) ]
 
 (* ---- Regions (range CAM) ----------------------------------------------------- *)
 
@@ -589,40 +617,25 @@ let test_regions_restore_malformed () =
      List.rev !l)
 
 let suite =
-  [
-    Alcotest.test_case "mesi read grants E" `Quick test_mesi_read_grants_e;
-    Alcotest.test_case "mesi write grants M" `Quick test_mesi_write_grants_m;
-    Alcotest.test_case "mesi RAW downgrades owner" `Quick
-      test_mesi_read_after_write_downgrades;
-    Alcotest.test_case "mesi upgrade invalidates sharers" `Quick
-      test_mesi_write_invalidates_sharers;
-    Alcotest.test_case "mesi M-to-M transfer" `Quick test_mesi_write_write_transfer;
-    Alcotest.test_case "mesi cross-socket latency" `Quick
-      test_mesi_cross_socket_latency_higher;
-    Alcotest.test_case "mesi eviction" `Quick test_mesi_eviction_updates_directory;
-    Alcotest.test_case "dirstate two-level sharers past 62 cores" `Quick
-      test_dirstate_sharer_hierarchy;
-    Alcotest.test_case "dirstate sharer sweep at 64/128/512 cores" `Quick
-      test_dirstate_sharer_sweep;
-    Alcotest.test_case "warden region add/remove" `Quick test_warden_region_add_remove;
-    Alcotest.test_case "warden disables coherence in regions" `Quick
-      test_warden_no_invalidation_inside_region;
-    Alcotest.test_case "warden false-sharing reconciliation" `Quick
-      test_warden_reconciliation_merges_sectors;
-    Alcotest.test_case "warden true-sharing last writer" `Quick
-      test_warden_true_sharing_last_writer_wins;
-    Alcotest.test_case "warden sole holder retained" `Quick
-      test_warden_sole_holder_retains_shared;
-    Alcotest.test_case "warden legacy path is MESI" `Quick
-      test_warden_outside_region_is_mesi;
-    Alcotest.test_case "warden CAM capacity" `Quick test_warden_cam_capacity;
-    Alcotest.test_case "warden remove unknown" `Quick test_warden_remove_unknown_is_noop;
-    Alcotest.test_case "regions overlap" `Quick test_regions_overlap;
-    regions_vs_naive;
-    Alcotest.test_case "regions block_in allocates nothing" `Quick
-      test_regions_block_in_allocates_nothing;
-    Alcotest.test_case "regions restore rejects malformed snapshots" `Quick
-      test_regions_restore_malformed;
-  ]
+  let row proto mk ?cfg (name, steps) =
+    Alcotest.test_case (proto ^ " " ^ name) `Quick (run ~mk ?cfg steps)
+  in
+  List.map (row "mesi" Protocol.mesi) mesi_rows
+  @ List.map (row "warden" Warden_core.Warden.protocol) warden_rows
+  @ [
+      row "warden" Warden_core.Warden.protocol
+        ~cfg:{ (machine ()) with Config.ward_region_capacity = 2 }
+        cam_row;
+      Alcotest.test_case "dirstate sharers past the 62-core boundary" `Quick
+        test_dirstate_socket_words;
+      Alcotest.test_case "dirstate sharer sweep, 12-512 cores" `Quick
+        test_dirstate_sharer_sweep;
+      Alcotest.test_case "regions overlap" `Quick test_regions_overlap;
+      regions_vs_naive;
+      Alcotest.test_case "regions block_in allocates nothing" `Quick
+        test_regions_block_in_allocates_nothing;
+      Alcotest.test_case "regions restore rejects malformed snapshots" `Quick
+        test_regions_restore_malformed;
+    ]
 
 let () = Alcotest.run "warden-proto" [ ("proto", suite) ]

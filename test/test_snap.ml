@@ -3,7 +3,7 @@
    1. Serialization primitives round-trip: Store's interval-table pages
       differentially against a rebuilt table, Csa's chunked LLC store
       preserving unallocated-chunk-is-miss, Dirstate on both sides of
-      the 62-core flat/hierarchical sharer-layout boundary.
+      the 62-core boundary (one sharer word per slot, one per socket).
    2. Restore-then-run bit-identity: running phase A, snapshotting,
       restoring into a fresh engine and running phase B must leave the
       restored engine byte-identical (snapshot bytes and stats dump) to
@@ -124,17 +124,14 @@ let dirstate_equal_on dir dir' ~cores ~blks =
       end)
     blks
 
-let test_dirstate_hier_boundary () =
+let test_dirstate_62_core_boundary () =
   let open Warden_proto in
-  (* 2x31 = 62 cores: last flat geometry; 2x32 = 64: first hierarchical. *)
+  (* 2x31 = 62 cores: the last with one sharer word per slot; 2x32 = 64:
+     the first with one per socket. *)
   List.iter
     (fun (sockets, cps) ->
       let cores = sockets * cps in
       let dir = Dirstate.create ~sockets ~cores_per_socket:cps () in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d cores layout" cores)
-        (cores > 62)
-        (Dirstate.hierarchical dir);
       let blks = List.init 200 (fun i -> i * 997) in
       List.iter
         (fun blk ->
@@ -150,10 +147,19 @@ let test_dirstate_hier_boundary () =
               Dirstate.set_owner dir s (blk mod cores)
           | _ -> ())
         blks;
+      let w = Bin.writer () in
+      Dirstate.save dir w;
+      let image = Bin.contents w in
+      (* The layout word leads the image; the sharer array follows the
+         four header ints and the key and meta arrays. *)
+      let int_at off = Int64.to_int (Bytes.get_int64_le image off) in
+      let cap = int_at 32 in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%d cores: layout word, sharer words" cores)
+        (if cores > 62 then (sockets, cap * sockets) else (0, cap))
+        (int_at 0, int_at (48 + (16 * cap)));
       let restored = Dirstate.create ~sockets ~cores_per_socket:cps () in
-      roundtrip
-        (fun w -> Dirstate.save dir w)
-        (fun r -> Dirstate.restore restored r);
+      Dirstate.restore restored (Bin.reader image);
       dirstate_equal_on dir restored ~cores ~blks)
     [ (2, 31); (2, 32) ];
   (* Geometry mismatch is refused, not mangled. *)
@@ -170,8 +176,9 @@ let test_dirstate_hier_boundary () =
    target directory is left as it was. Rewriting [shift] of a 10-entry
    directory (57, for 64 slots) to 40 used to be accepted; the next
    [find] then read far outside the key array. The image is the six
-   ints and arrays [Dirstate.save] writes: nsock, cps, used, shift, then
-   keys (length first), meta, mask and fine. *)
+   ints and arrays [Dirstate.save] writes: the layout word, cps, used,
+   shift, then keys (length first), meta, the sharer words and an empty
+   array. *)
 let test_dirstate_restore_malformed () =
   let module D = Warden_proto.Dirstate in
   let dir = D.create ~sockets:2 ~cores_per_socket:12 () in
@@ -211,7 +218,39 @@ let test_dirstate_restore_malformed () =
         (fun () -> D.restore target (Bin.reader b));
       Alcotest.(check bool) "target unchanged" true
         (D.find target 3 <> D.no_slot && D.find target 1000 = D.no_slot))
-    cases
+    cases;
+  (* An image of the earlier two-array layout above 62 cores: a coarse
+     socket-presence word per slot, then the per-socket words in the last
+     array. Converted here from a current 64-core image. *)
+  let dir = D.create ~sockets:2 ~cores_per_socket:32 () in
+  List.iter
+    (fun b ->
+      let s = D.entry dir b in
+      D.set_state dir s Warden_proto.States.D_S;
+      D.sharer_add dir s (b mod 64))
+    blks;
+  let w = Bin.writer () in
+  D.save dir w;
+  let r = Bin.reader (Bin.contents w) in
+  let header = List.init 4 (fun _ -> Bin.r_int r) in
+  let keys = Bin.r_int_array r in
+  let meta = Bin.r_int_array r in
+  let fine = Bin.r_int_array r in
+  let coarse =
+    Array.init (Array.length keys) (fun s ->
+        (if fine.(2 * s) <> 0 then 1 else 0)
+        lor if fine.((2 * s) + 1) <> 0 then 2 else 0)
+  in
+  let w = Bin.writer () in
+  List.iter (Bin.w_int w) header;
+  List.iter (Bin.w_int_array w) [ keys; meta; coarse; fine ];
+  let target = D.create ~sockets:2 ~cores_per_socket:32 () in
+  ignore (D.entry target 3 : D.slot);
+  Alcotest.check_raises "two-array layout above 62 cores"
+    (Bin.Corrupt "Bin: Dirstate: inconsistent arrays")
+    (fun () -> D.restore target (Bin.reader (Bin.contents w)));
+  Alcotest.(check bool) "target unchanged" true
+    (D.find target 3 <> D.no_slot && D.find target 1000 = D.no_slot)
 
 (* ---- 2. Restore-then-run bit-identity ------------------------------------ *)
 
@@ -511,7 +550,7 @@ let suite =
       test_store_roundtrip;
     Alcotest.test_case "csa chunked store round-trip" `Quick test_csa_roundtrip;
     Alcotest.test_case "dirstate across the 62-core boundary" `Quick
-      test_dirstate_hier_boundary;
+      test_dirstate_62_core_boundary;
     Alcotest.test_case "malformed dirstate refused" `Quick
       test_dirstate_restore_malformed;
     Alcotest.test_case "snapshot format pinned (WSNP v2 digests)" `Quick
