@@ -25,79 +25,17 @@
    simulations; the default is the machine's recommended domain count.
    [--filter SUBSTR] restricts the benchmark suites to matching kernels.
    [--snap-cache DIR] makes the scale mode snapshot each cell's post-run
-   state into DIR and restore it on later sweeps (DESIGN.md §15). *)
+   state into DIR and restore it on later sweeps (DESIGN.md §15).
+   Arguments parse with cmdliner and warden-cli's converters
+   (Warden_args): an unknown mode word or flag, a flag without its
+   value, a non-positive job count or a filter that selects nothing is a
+   usage error, exit 124, before any simulation runs. *)
 
 open Warden_machine
 open Warden_harness
 open Warden_runtime
 
-module Cliscan = Warden_util.Cliscan
 module Json = Warden_util.Json
-
-(* All modes share one scanner, so a flag's value can never leak into the
-   positionals (the old hand-rolled walker swallowed a following flag as a
-   value). Mode words are positionals; the rest are flags. *)
-let cli =
-  Cliscan.create
-    ~value_flags:[ [ "--jobs"; "-j" ]; [ "--filter" ]; [ "--snap-cache" ] ]
-    Sys.argv
-
-(* A retired or misspelt mode word must not fall through to the full
-   paper run. *)
-let () =
-  let modes = [ "quick"; "scale"; "serve"; "replay"; "zoo"; "overhead" ] in
-  match
-    List.filter (fun w -> not (List.mem w modes)) (Cliscan.positionals cli)
-  with
-  | [] -> ()
-  | w :: _ ->
-      Printf.eprintf "bench: unknown mode %S (modes: %s)\n" w
-        (String.concat ", " modes);
-      exit 2
-
-let has_mode w = List.mem w (Cliscan.positionals cli)
-let quick = has_mode "quick"
-
-(* [--snap-cache DIR]: the scale mode saves each cell's post-run engine
-   state into DIR and restores it on later sweeps instead of re-simulating
-   (DESIGN.md §15). *)
-let snap_cache_dir = Cliscan.string_flag cli [ "--snap-cache" ]
-
-(* [--filter SUBSTR] restricts the benchmark suites (paper experiments,
-   the overhead gate and the scale and zoo modes) to matching kernels, so
-   one benchmark can be studied without editing the suite. *)
-let filter = Cliscan.string_flag cli [ "--filter" ]
-
-let filter_names =
-  match filter with
-  | Some sub -> (
-      match Warden_pbbs.Suite.matching sub with
-      | [] -> invalid_arg (Printf.sprintf "--filter: %S matches no benchmark" sub)
-      | names -> Some names)
-  | None ->
-      if Cliscan.has cli "--filter" then
-        invalid_arg "--filter: expected a substring"
-      else None
-
-(* A mode's own kernels under [--filter]. A filter that matches none of
-   them is a usage error: running all of them instead would hide the
-   typo behind a long, plausible-looking run. *)
-let mode_kernels mode kernels =
-  match (filter, filter_names) with
-  | Some sub, Some ns -> (
-      match List.filter (fun n -> List.mem n ns) kernels with
-      | [] ->
-          Printf.eprintf
-            "bench %s: --filter %S matches none of its kernels (%s)\n" mode sub
-            (String.concat ", " kernels);
-          exit 2
-      | picked -> picked)
-  | _ -> kernels
-
-let jobs =
-  match Cliscan.int_flag cli [ "--jobs"; "-j" ] with
-  | Some n -> n
-  | None -> Pool.default_jobs ()
 
 let section title =
   Printf.printf "\n%s\n%s\n\n%!" title (String.make (String.length title) '=')
@@ -116,9 +54,9 @@ let bit b = Json.int (if b then 1 else 0)
 (* Part 1: the paper's tables and figures                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_paper_experiments () =
+let run_paper_experiments ~quick ~names ~jobs =
   section "Part 1: paper experiments (Tables 1-2, Figures 7-12)";
-  let ok = Experiments.run_all ~quick ?names:filter_names ~jobs () in
+  let ok = Experiments.run_all ~quick ?names ~jobs () in
   Printf.printf "every benchmark verified: %b\n%!" ok;
   ok
 
@@ -136,7 +74,7 @@ let speedup_with ?params ?config name =
 
 (* variants: (label, params option, config option); every (bench, variant)
    cell is an independent pair of simulations, fanned across the pool. *)
-let ablation_table title variants =
+let ablation_table ~jobs title variants =
   let header = "Benchmark" :: List.map (fun (l, _, _) -> l) variants in
   let cells =
     Pool.map ~jobs
@@ -156,8 +94,9 @@ let ablation_table title variants =
   print_string (title ^ "\n" ^ Warden_util.Table.render ~header ~rows ^ "\n");
   print_newline ()
 
-let run_ablations () =
+let run_ablations ~jobs =
   section "Part 2: ablations (WARDen speedup over MESI, quick scales)";
+  let ablation_table = ablation_table ~jobs in
 
   ablation_table "A1. Marking policy (the runtime side of the co-design)"
     [
@@ -253,7 +192,7 @@ let run_ablations () =
 (* Part 2b: scaling studies (the 7.3 forward-looking claims)           *)
 (* ------------------------------------------------------------------ *)
 
-let run_scaling_studies () =
+let run_scaling_studies ~jobs =
   section "Part 2b: scaling studies (7.3)";
   let names = [ "dmm"; "msort"; "palindrome"; "quickhull" ] in
   print_string (Experiments.render_worker_scaling ~quick:true ~jobs ~names ());
@@ -275,10 +214,10 @@ let run_scaling_studies () =
 let overhead_budget = 1.03
 let overhead_runs = 5
 
-let run_overhead () =
+let run_overhead ~names =
   section "Observability overhead: counters vs off (quick suite, jobs=1)";
   let specs =
-    match filter_names with
+    match names with
     | None -> Warden_pbbs.Suite.all
     | Some ns -> List.filter_map Warden_pbbs.Suite.find ns
   in
@@ -360,12 +299,6 @@ type scale_cell = {
   sc_verified : bool;
 }
 
-let scale_proto_str = function
-  | `Mesi -> "mesi"
-  | `Warden -> "warden"
-  | `Msi_bus -> "msi-bus"
-  | `Sisd -> "sisd"
-
 (* The snapshot sidecar: the two per-cell facts the engine state cannot
    carry — the verification verdict and the cold run's wall clock, which
    the warm-sweep gate measures against. The wall is printed with %.17g
@@ -396,7 +329,7 @@ let read_scale_meta path =
    result-affecting parameter — falls back to a live run and re-saves.
    Returns the accumulated statistics and how many of the cells were
    served warm. *)
-let run_scale_spec ~config ~sockets ~proto spec =
+let run_scale_spec ~snap_cache ~config ~sockets ~proto spec =
   let live () =
     let t0 = Unix.gettimeofday () in
     let eng = Warden_sim.Engine.create config ~proto in
@@ -407,7 +340,7 @@ let run_scale_spec ~config ~sockets ~proto spec =
     in
     (eng, verified, Unix.gettimeofday () -. t0)
   in
-  match snap_cache_dir with
+  match snap_cache with
   | None ->
       let eng, verified, wall = live () in
       (eng, verified, wall, false)
@@ -415,7 +348,7 @@ let run_scale_spec ~config ~sockets ~proto spec =
       let path =
         Filename.concat dir
           (Printf.sprintf "scale_%s_%ds_%s.wsnap" spec.Warden_pbbs.Spec.name
-             sockets (scale_proto_str proto))
+             sockets (Exp.proto_name proto))
       in
       let meta = path ^ ".meta" in
       let restored =
@@ -441,12 +374,12 @@ let run_scale_spec ~config ~sockets ~proto spec =
           write_scale_meta meta ~verified ~wall;
           (eng, verified, wall, false))
 
-let run_scale_cell ~sockets ~proto specs =
+let run_scale_cell ~snap_cache ~sockets ~proto specs =
   let config = Config.numa_mesh ~sockets () in
   List.fold_left
     (fun (acc, warm_n) spec ->
       let eng, verified, wall, warm =
-        run_scale_spec ~config ~sockets ~proto spec
+        run_scale_spec ~snap_cache ~config ~sockets ~proto spec
       in
       let ms = Warden_sim.Engine.memsys eng in
       let ss = Warden_sim.Memsys.sstats ms in
@@ -476,8 +409,7 @@ let run_scale_cell ~sockets ~proto specs =
       0 )
     specs
 
-let run_scale () =
-  let names = mode_kernels "scale" scale_kernels in
+let run_scale ~snap_cache names =
   section "Scale study: 64 -> 512 cores on numa_mesh machines";
   let specs = List.map (fun n -> Option.get (Warden_pbbs.Suite.find n)) names in
   Printf.printf "kernels: %s (quick scales); machines: %s\n%!"
@@ -493,8 +425,10 @@ let run_scale () =
     List.map
       (fun sockets ->
         let cores = sockets * 16 in
-        let m, warm_m = run_scale_cell ~sockets ~proto:`Mesi specs in
-        let w, warm_w = run_scale_cell ~sockets ~proto:`Warden specs in
+        let m, warm_m = run_scale_cell ~snap_cache ~sockets ~proto:`Mesi specs in
+        let w, warm_w =
+          run_scale_cell ~snap_cache ~sockets ~proto:`Warden specs
+        in
         warm_cells := !warm_cells + warm_m + warm_w;
         total_cells := !total_cells + (2 * List.length specs);
         let mips c =
@@ -571,7 +505,7 @@ let run_scale () =
     List.fold_left (fun a (_, m, w) -> a +. m.sc_wall +. w.sc_wall) 0. cells
   in
   let warm_ok =
-    if snap_cache_dir = None || !warm_cells = 0 then true
+    if snap_cache = None || !warm_cells = 0 then true
     else if !warm_cells < !total_cells then begin
       Printf.printf
         "snap-cache: %d/%d cells warm (mixed sweep; the >=30%% gate needs \
@@ -625,7 +559,7 @@ module Stream = Warden_trace.Stream
    measured in interleaved pairs rather than from one pass of each. *)
 let replay_kernel = "msort"
 
-let run_replay () =
+let run_replay ~quick =
   section "Replay gate: trace-driven replay reproduces the live run";
   let spec = Option.get (Warden_pbbs.Suite.find replay_kernel) in
   let scale = Exp.scale_of ~quick spec in
@@ -688,7 +622,7 @@ let run_replay () =
 module Serve = Warden_serve.Serve
 module Hist = Warden_obs.Hist
 
-let serve_params =
+let serve_params ~quick =
   if quick then
     { Serve.default with Serve.requests = 50_000; keys = 16_384 }
   else { Serve.default with Serve.requests = 200_000 }
@@ -731,7 +665,8 @@ let serve_snapshot (p : Serve.params) (rm : Serve.result) (rw : Serve.result)
           [ ("50", 50.); ("95", 95.); ("99", 99.); ("999", 99.9) ])
       [ ("mesi", rm); ("warden", rw) ]
 
-let run_serve () =
+let run_serve ~quick ~jobs =
+  let serve_params = serve_params ~quick in
   section
     (Printf.sprintf "Serve mode: %d-request serving mix, MESI vs WARDen"
        serve_params.Serve.requests);
@@ -803,8 +738,7 @@ let zoo_gate_failures ~traffic =
              (Exp.proto_name rival) r zoo_gate_kernel))
     [ `Mesi; `Sisd ]
 
-let run_zoo_mode () =
-  let names = mode_kernels "zoo" zoo_kernels in
+let run_zoo_mode ~quick ~jobs names =
   section "Protocol zoo: fig7/8 kernels under every coherence protocol";
   let config = Config.dual_socket () in
   let cells =
@@ -875,12 +809,55 @@ let run_zoo_mode () =
       Printf.printf "ZOO GATE FAILED (%d problem(s) above)\n" (List.length fs);
       exit 1
 
-let () =
-  if has_mode "overhead" then run_overhead ()
-  else if has_mode "scale" then run_scale ()
-  else if has_mode "serve" then run_serve ()
-  else if has_mode "replay" then run_replay ()
-  else if has_mode "zoo" then run_zoo_mode ()
+(* ------------------------------------------------------------------ *)
+(* the command line                                                   *)
+(* ------------------------------------------------------------------ *)
+
+open Cmdliner
+
+let modes = [ "quick"; "scale"; "serve"; "replay"; "zoo"; "overhead" ]
+
+(* Every check on the arguments runs before any simulation, so a
+   malformed one is a usage error (exit 124), never a long run of the
+   wrong thing. *)
+let main words jobs filter snap_cache =
+  let ( let* ) = Result.bind in
+  let has w = List.mem w words in
+  let quick = has "quick" in
+  (* [--filter SUBSTR] restricts the benchmark suites (paper
+     experiments, the overhead gate and the scale and zoo modes) to
+     matching kernels. *)
+  let* names =
+    match filter with
+    | None -> Ok None
+    | Some sub -> (
+        match Warden_pbbs.Suite.matching sub with
+        | [] -> Error (Printf.sprintf "--filter %S matches no benchmark" sub)
+        | names -> Ok (Some names))
+  in
+  (* A mode's own kernels under [--filter]. A filter that matches none of
+     them is a usage error: running all of them instead would hide the
+     typo behind a long, plausible-looking run. *)
+  let kernels mode ks =
+    match (filter, names) with
+    | Some sub, Some ns -> (
+        match List.filter (fun n -> List.mem n ns) ks with
+        | [] ->
+            Error
+              (Printf.sprintf "--filter %S matches none of %s's kernels (%s)"
+                 sub mode (String.concat ", " ks))
+        | picked -> Ok picked)
+    | _ -> Ok ks
+  in
+  if has "overhead" then Ok (run_overhead ~names)
+  else if has "scale" then
+    let* ks = kernels "scale" scale_kernels in
+    Ok (run_scale ~snap_cache ks)
+  else if has "serve" then Ok (run_serve ~quick ~jobs)
+  else if has "replay" then Ok (run_replay ~quick)
+  else if has "zoo" then
+    let* ks = kernels "zoo" zoo_kernels in
+    Ok (run_zoo_mode ~quick ~jobs ks)
   else begin
     Printf.printf
       "WARDen reproduction bench harness (%s scales, %d job(s))\n\
@@ -888,9 +865,46 @@ let () =
        runtime.\n"
       (if quick then "quick" else "paper")
       jobs;
-    let ok = run_paper_experiments () in
-    run_ablations ();
-    run_scaling_studies ();
+    let ok = run_paper_experiments ~quick ~names ~jobs in
+    run_ablations ~jobs;
+    run_scaling_studies ~jobs;
     Printf.printf "\nDONE. all benchmark runs verified: %b\n" ok;
     exit (if ok then 0 else 1)
   end
+
+let () =
+  let words =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun m -> (m, m)) modes)) []
+      & info [] ~docv:"MODE"
+          ~doc:
+            "$(b,quick) reduces scales; $(b,scale), $(b,serve), $(b,replay), \
+             $(b,zoo) and $(b,overhead) run one gate instead of the paper \
+             experiments.")
+  in
+  let filter =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "filter" ] ~docv:"SUBSTR"
+          ~doc:"Restrict the benchmark suites to kernels whose name contains $(docv).")
+  in
+  let snap_cache =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "snap-cache" ] ~docv:"DIR"
+          ~doc:
+            "In the scale mode, snapshot each cell's post-run state into \
+             $(docv) and restore it on later sweeps.")
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "bench" ~doc:"The WARDen reproduction harness and its gates.")
+      Term.(
+        const (fun () -> 0)
+        $ term_result' ~usage:true
+            (const main $ words $ Warden_args.jobs $ filter $ snap_cache))
+  in
+  exit (Cmd.eval' cmd)

@@ -4,72 +4,35 @@ open Cmdliner
 open Warden_machine
 open Warden_sim
 open Warden_harness
-
-(* Socket counts stop at 62: past 62 cores the directory keeps one
-   sharer word per socket, at most 62 of them. *)
-let machine_of = function
-  | "single" -> Config.single_socket ()
-  | "dual" -> Config.dual_socket ()
-  | "disagg" | "disaggregated" -> Config.disaggregated ()
-  | s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 && n <= 62 -> Config.many_socket ~sockets:n ()
-      | _ -> invalid_arg ("unknown machine: " ^ s))
+module A = Warden_args
+module Spec = Warden_pbbs.Spec
+module Obs = Warden_obs.Obs
+module Serve = Warden_serve.Serve
 
 (* Malformed values are usage errors (exit 124), reported before any
-   work. A machine is validated here but built when the command runs,
-   after [--obs] has set the level a new configuration takes. *)
-let int_conv ~what ok =
-  Arg.conv'
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when ok n -> Ok n
-        | _ -> Error (Printf.sprintf "%S is not %s" s what)),
-      Format.pp_print_int )
-
-let in_range lo hi =
-  int_conv
-    ~what:(Printf.sprintf "an integer in %d..%d" lo hi)
-    (fun n -> n >= lo && n <= hi)
-
-let positive = int_conv ~what:"a positive integer" (fun n -> n > 0)
-
-let machine_conv =
-  Arg.conv'
-    ( (fun s ->
-        match machine_of s with
-        | _ -> Ok s
-        | exception Invalid_argument _ ->
-            Error
-              (Printf.sprintf
-                 "unknown machine %S: expected single, dual, disagg or a \
-                  socket count in 1..62"
-                 s)),
-      Format.pp_print_string )
+   work: the converters of [Warden_args] reject what no machine accepts,
+   and a command's [run] returns [Error] for what the chosen machine
+   does not, before it simulates anything. *)
+let usage = Term.term_result' ~usage:true
+let ( let* ) = Result.bind
+let exit_of_bool ok = if ok then 0 else 1
+let proto_name = Exp.proto_name
+let seed = 0x5EEDF00DL
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced problem sizes.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Domains for running independent simulations in parallel \
-           (default: $(b,WARDEN_JOBS) or the recommended domain count).")
-
 let machine_arg =
   Arg.(
     value
-    & opt machine_conv "dual"
-    & info [ "machine"; "m" ] ~docv:"MACHINE"
+    & opt A.machine (Config.dual_socket ())
+    & info [ "machine"; "m" ] ~docv:"MACHINE" ~absent:"dual"
         ~doc:"Machine: single, dual, disagg, or a socket count (1-62).")
 
 let obs_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some A.obs) None
     & info [ "obs" ] ~docv:"LEVEL"
         ~doc:
           "Observability level: $(b,off), $(b,counters) or $(b,full) \
@@ -86,26 +49,39 @@ let trace_out_arg =
            events (open in about://tracing or ui.perfetto.dev). Implies at \
            least $(b,--obs full) for the traced runs.")
 
-(* --trace-out upgrades to full even past an explicit lower --obs:
-   asking for a trace is asking for ring recording, and a silently empty
-   trace file would be worse than overriding the flag. *)
-let apply_obs ~obs ~trace_out =
-  (match obs with
-  | Some s -> (
-      match Config.obs_level_of_string s with
-      | Some l -> Config.set_default_obs_level l
-      | None -> invalid_arg ("unknown obs level: " ^ s))
-  | None -> ());
-  if trace_out <> None then Config.set_default_obs_level Config.Obs_full
+let proto_arg ~zoo ~doc =
+  Arg.(
+    value & opt (A.protos ~zoo) A.Both & info [ "proto"; "p" ] ~docv:"PROTO" ~doc)
 
-(* Accept "bench/fib" for "fib": people tab-complete paths. *)
-let strip_bench_prefix name =
-  match Warden_pbbs.Suite.find name with
-  | Some _ -> name
-  | None ->
-      let base = Filename.basename name in
-      if base <> name && Warden_pbbs.Suite.find base <> None then base
-      else name
+let name_arg c ~doc =
+  Arg.(required & pos 0 (some c) None & info [] ~docv:"NAME" ~doc)
+
+let scale_arg ~doc =
+  Arg.(value & opt (some A.positive) None & info [ "scale"; "s" ] ~docv:"N" ~doc)
+
+let workers_arg =
+  Arg.(
+    value
+    & opt (some A.positive) None
+    & info [ "workers"; "w" ] ~docv:"W"
+        ~doc:"Worker threads, up to the machine's hardware threads (default: all).")
+
+let check_workers config = function
+  | Some w when w > Config.num_threads config ->
+      Error
+        (Printf.sprintf "--workers %d: the %s machine has %d hardware threads" w
+           config.Config.name (Config.num_threads config))
+  | _ -> Ok ()
+
+(* The level a command runs at: [--trace-out] upgrades to full even past
+   an explicit lower [--obs], since asking for a trace is asking for
+   recording, and a silently empty trace file would be worse than
+   overriding the flag. *)
+let with_obs ?(default = Config.Obs_off) config ~obs ~trace_out =
+  let level =
+    if trace_out <> None then Config.Obs_full else Option.value obs ~default
+  in
+  { config with Config.obs_level = level }
 
 let write_chrome_trace file runs =
   let buf = Buffer.create (1 lsl 16) in
@@ -124,16 +100,6 @@ let write_chrome_trace file runs =
     (List.length runs)
     (if dropped > 0 then Printf.sprintf " (%d dropped at capacity)" dropped
      else "")
-
-let exit_of_bool ok = if ok then 0 else 1
-let proto_name = Exp.proto_name
-
-let proto_of_string = function
-  | "mesi" -> `Mesi
-  | "warden" -> `Warden
-  | "msi-bus" | "msibus" | "msi_bus" -> `Msi_bus
-  | "sisd" -> `Sisd
-  | p -> failwith ("unknown protocol " ^ p)
 
 (* --- snapshots (DESIGN.md §15) ------------------------------------------- *)
 
@@ -159,10 +125,10 @@ let snapshot_in_arg =
            the saved point instead of cold state. Requires a single \
            $(b,--proto).")
 
-let require_single_proto ~snap_in ~snap_out proto =
-  if (snap_in <> None || snap_out <> None) && (proto = "both" || proto = "all")
-  then
-    failwith "--snapshot-in/--snapshot-out need a single --proto"
+let check_single_proto ~snap_in ~snap_out = function
+  | A.One _ -> Ok ()
+  | _ when snap_in = None && snap_out = None -> Ok ()
+  | _ -> Error "--snapshot-in/--snapshot-out need a single --proto"
 
 (* A snapshot or trace that cannot be read or decoded is a user error:
    name the file and the fault, and exit with cmdliner's some_error code
@@ -185,14 +151,61 @@ let apply_snapshot_out eng = function
       Warden_snap.Snap.save_file eng file;
       Printf.printf "wrote snapshot %s\n" file
 
+(* --- the run path of bench, profile and trace ----------------------------- *)
+
+(* One kernel under one protocol on a fresh engine, between the optional
+   snapshot restore and save. Returns the verdict, the host seconds of
+   the run itself and the memory system. *)
+let run_kernel ?snap_in ?snap_out ?workers ~config ~scale spec proto =
+  let eng = Engine.create config ~proto in
+  apply_snapshot_in eng snap_in;
+  let t0 = Unix.gettimeofday () in
+  let ok = spec.Spec.run ~scale ~seed ?workers eng in
+  let host = Unix.gettimeofday () -. t0 in
+  apply_snapshot_out eng snap_out;
+  (ok, host, Engine.memsys eng)
+
+type outcome = { ok : bool; cycles : int; coh : int; obs : Obs.t }
+
+(* Coherence-maintenance traffic on one axis across the zoo: directory
+   invalidations and downgrades plus the SI/SD self-events. *)
+let outcome ok ms =
+  let ps = Memsys.pstats ms in
+  let open Warden_proto.Pstats in
+  {
+    ok;
+    cycles = (Memsys.sstats ms).Sstats.cycles;
+    coh = ps.invalidations + ps.downgrades + ps.self_invs + ps.self_downs;
+    obs = Memsys.obs ms;
+  }
+
+(* Runs [one] under each protocol of the selection, lets [compare] print
+   the cross-protocol lines, writes the Chrome trace of every run, and
+   exits 0 iff every run verified. *)
+let run_protos ?(compare = fun _ _ -> ()) ~trace_out sel one =
+  let rs = List.map (fun p -> (p, one p)) (A.protos_list sel) in
+  compare sel rs;
+  Option.iter
+    (fun file ->
+      write_chrome_trace file
+        (List.mapi
+           (fun pid (p, o) -> (pid, proto_name p, Obs.chrome o.obs))
+           rs))
+    trace_out;
+  exit_of_bool (List.for_all (fun (_, o) -> o.ok) rs)
+
+let scale_of ~quick spec = function
+  | Some s -> s
+  | None -> Exp.scale_of ~quick spec
+
 (* --- list ---------------------------------------------------------------- *)
 
 let list_cmd =
   let run () =
     List.iter
-      (fun (s : Warden_pbbs.Spec.t) ->
-        Printf.printf "%-14s (default scale %8d)  %s\n" s.Warden_pbbs.Spec.name
-          s.Warden_pbbs.Spec.default_scale s.Warden_pbbs.Spec.descr)
+      (fun (s : Spec.t) ->
+        Printf.printf "%-14s (default scale %8d)  %s\n" s.Spec.name
+          s.Spec.default_scale s.Spec.descr)
       Warden_pbbs.Suite.all;
     0
   in
@@ -201,56 +214,35 @@ let list_cmd =
 
 (* --- bench --------------------------------------------------------------- *)
 
+(* MESI against WARDen, or every protocol against MESI: cycles and
+   coherence-maintenance traffic side by side. *)
+let compare_protos sel rs =
+  match (sel, rs) with
+  | A.Both, [ (_, m); (_, w) ] ->
+      Printf.printf "speedup (mesi/warden): %.3fx\n"
+        (float_of_int m.cycles /. float_of_int w.cycles)
+  | A.Zoo, (_, base) :: _ ->
+      Printf.printf "\n%-8s %12s %10s %12s %10s\n" "proto" "cycles" "vs mesi"
+        "inv+down" "vs mesi";
+      List.iter
+        (fun (p, o) ->
+          Printf.printf "%-8s %12d %9.3fx %12d %9.2fx\n" (proto_name p) o.cycles
+            (float_of_int base.cycles /. float_of_int (max 1 o.cycles))
+            o.coh
+            (float_of_int o.coh /. float_of_int (max 1 base.coh)))
+        rs
+  | _ -> ()
+
 let bench_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME" ~doc:"Benchmark name (see $(b,list)).")
-  in
-  let proto_arg =
-    Arg.(
-      value
-      & opt string "both"
-      & info [ "proto"; "p" ]
-          ~doc:
-            "Protocol: mesi, warden, msi-bus, sisd, both (mesi+warden), or \
-             all (the whole zoo, with a cross-protocol comparison).")
-  in
-  let scale_arg =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "scale"; "s" ] ~docv:"N" ~doc:"Problem size (default: paper scale).")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers"; "w" ] ~doc:"Worker threads (default: all).")
-  in
-  let run name proto machine scale workers quick obs trace_out
-      snap_in snap_out =
-    apply_obs ~obs ~trace_out;
-    require_single_proto ~snap_in ~snap_out proto;
-    let name = strip_bench_prefix name in
-    let spec =
-      match Warden_pbbs.Suite.find name with
-      | Some s -> s
-      | None -> failwith ("unknown benchmark " ^ name)
-    in
-    let config = machine_of machine in
+  let run spec sel machine scale workers quick obs trace_out snap_in snap_out =
+    let* () = check_workers machine workers in
+    let* () = check_single_proto ~snap_in ~snap_out sel in
+    let config = with_obs machine ~obs ~trace_out in
+    let scale = scale_of ~quick spec scale in
     let one proto =
-      let eng = Engine.create config ~proto in
-      apply_snapshot_in eng snap_in;
-      let scale =
-        match scale with Some s -> s | None -> Exp.scale_of ~quick spec
+      let ok, host, ms =
+        run_kernel ?snap_in ?snap_out ?workers ~config ~scale spec proto
       in
-      let t0 = Unix.gettimeofday () in
-      let ok = spec.Warden_pbbs.Spec.run ~scale ~seed:0x5EEDF00DL ?workers eng in
-      let host = Unix.gettimeofday () -. t0 in
-      apply_snapshot_out eng snap_out;
-      let ms = Engine.memsys eng in
       let ss = Memsys.sstats ms in
       let ps = Memsys.pstats ms in
       let en = Memsys.energy ms in
@@ -260,7 +252,7 @@ let bench_cmd =
         \  inv %d  down %d  self-inv %d  self-down %d  msgs %d  \
          ward-grants %d  reconciled %d\n\
         \  energy: processor %.3f mJ, network %.3f mJ\n"
-        name (proto_name proto) config.Config.name
+        spec.Spec.name (proto_name proto) config.Config.name
         (if ok then "verified" else "FAILED VERIFICATION")
         ss.Sstats.cycles host ss.Sstats.instructions (Sstats.ipc ss)
         ss.Sstats.l1_hits ss.Sstats.l2_hits ss.Sstats.priv_misses
@@ -270,215 +262,100 @@ let bench_cmd =
         ps.Warden_proto.Pstats.ward_grants ps.Warden_proto.Pstats.recon_blocks
         (Energy.processor_pj en /. 1e9)
         (Energy.network_pj en /. 1e9);
-      let coh =
-        ps.Warden_proto.Pstats.invalidations
-        + ps.Warden_proto.Pstats.downgrades
-        + ps.Warden_proto.Pstats.self_invs
-        + ps.Warden_proto.Pstats.self_downs
-      in
-      (ok, ss.Sstats.cycles, coh, (proto_name proto, Memsys.obs ms))
+      outcome ok ms
     in
-    let emit_trace runs =
-      match trace_out with
-      | None -> ()
-      | Some file ->
-          write_chrome_trace file
-            (List.mapi
-               (fun pid (pname, obs) -> (pid, pname, Warden_obs.Obs.chrome obs))
-               runs)
-    in
-    match proto with
-    | "both" ->
-        let ok_m, cy_m, _, run_m = one `Mesi in
-        let ok_w, cy_w, _, run_w = one `Warden in
-        Printf.printf "speedup (mesi/warden): %.3fx\n"
-          (float_of_int cy_m /. float_of_int cy_w);
-        emit_trace [ run_m; run_w ];
-        exit_of_bool (ok_m && ok_w)
-    | "all" | "zoo" ->
-        (* The cross-protocol comparison: every protocol runs the same
-           benchmark; cycles and coherence-maintenance traffic (inv+down,
-           with the SI/SD self-events on the same axis) line up against
-           the MESI baseline. *)
-        let rs = List.map (fun p -> (p, one p)) Exp.zoo in
-        (match rs with
-        | (_, (_, cy_m, coh_m, _)) :: _ ->
-            Printf.printf "\n%-8s %12s %10s %12s %10s\n" "proto" "cycles"
-              "vs mesi" "inv+down" "vs mesi";
-            List.iter
-              (fun (p, (_, cy, coh, _)) ->
-                Printf.printf "%-8s %12d %9.3fx %12d %9.2fx\n" (proto_name p)
-                  cy
-                  (float_of_int cy_m /. float_of_int (max 1 cy))
-                  coh
-                  (float_of_int coh /. float_of_int (max 1 coh_m)))
-              rs
-        | [] -> ());
-        emit_trace (List.map (fun (_, (_, _, _, run)) -> run) rs);
-        exit_of_bool (List.for_all (fun (_, (ok, _, _, _)) -> ok) rs)
-    | p ->
-        let ok, _, _, run = one (proto_of_string p) in
-        emit_trace [ run ];
-        exit_of_bool ok
+    Ok (run_protos ~compare:compare_protos ~trace_out sel one)
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Run one benchmark and print its statistics.")
     Term.(
-      const run $ name_arg $ proto_arg $ machine_arg $ scale_arg $ workers_arg
-      $ quick_arg $ obs_arg $ trace_out_arg $ snapshot_in_arg
-      $ snapshot_out_arg)
+      usage
+        (const run
+        $ name_arg A.bench
+            ~doc:"Benchmark name (see $(b,list)); a $(b,bench/) prefix is accepted."
+        $ proto_arg ~zoo:true
+            ~doc:
+              "Protocol: mesi, warden, msi-bus, sisd, both (mesi+warden), or \
+               all (the whole zoo, with a cross-protocol comparison)."
+        $ machine_arg
+        $ scale_arg ~doc:"Problem size (default: paper scale)."
+        $ workers_arg $ quick_arg $ obs_arg $ trace_out_arg $ snapshot_in_arg
+        $ snapshot_out_arg))
 
 (* --- serve --------------------------------------------------------------- *)
-
-module Serve = Warden_serve.Serve
-
-(* [--quick] shrinks the default problem, but explicit flags always win. *)
-let serve_params ~quick ~requests ~keys ~zipf ~read_frac ~scan_frac ~scan_len
-    ~batch ~grain ~shards ~seed : Serve.params =
-  let d = Serve.default in
-  let requests =
-    match requests with
-    | Some n -> n
-    | None -> if quick then 50_000 else d.Serve.requests
-  in
-  let keys =
-    match keys with Some k -> k | None -> if quick then 16_384 else d.Serve.keys
-  in
-  {
-    requests;
-    keys;
-    theta = zipf;
-    read_frac;
-    scan_frac;
-    scan_len;
-    batch;
-    grain;
-    shards;
-    seed;
-  }
 
 let host_heap_mb () =
   float_of_int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8))
   /. 1e6
 
+let check_cores flag config c =
+  match Config.with_cores config c with
+  | restricted -> Ok restricted
+  | exception Invalid_argument _ ->
+      Error
+        (Printf.sprintf
+           "%s %d: the %s machine takes a multiple of its %d sockets, up to %d \
+            cores"
+           flag c config.Config.name config.Config.sockets
+           (Config.num_cores config))
+
 let serve_cmd =
   let d = Serve.default in
-  let requests_arg =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "requests"; "n" ] ~docv:"N"
-          ~doc:
-            "Requests to push through the store (default: 1000000, or 50000 \
-             with $(b,--quick)). Generation is streamed batch by batch, so \
-             host memory stays flat however large $(docv) is.")
+  let count names ~docv ~doc =
+    Arg.(value & opt (some A.positive) None & info names ~docv ~doc)
   in
-  let keys_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "keys" ] ~docv:"K"
-          ~doc:
-            "Distinct keys preloaded into the store (default: 65536, or \
-             16384 with $(b,--quick)).")
+  let positive names default ~docv ~doc =
+    Arg.(value & opt A.positive default & info names ~docv ~doc)
   in
-  let zipf_arg =
-    Arg.(
-      value & opt float d.Serve.theta
-      & info [ "zipf" ] ~docv:"THETA"
-          ~doc:"Zipf skew of key popularity (0 = uniform).")
-  in
-  let read_frac_arg =
-    Arg.(
-      value
-      & opt float d.Serve.read_frac
-      & info [ "read-frac" ] ~docv:"F" ~doc:"Fraction of requests that are reads.")
-  in
-  let scan_frac_arg =
-    Arg.(
-      value
-      & opt float d.Serve.scan_frac
-      & info [ "scan-frac" ] ~docv:"F"
-          ~doc:"Fraction of requests that are short range scans.")
-  in
-  let scan_len_arg =
-    Arg.(
-      value & opt int d.Serve.scan_len
-      & info [ "scan-len" ] ~docv:"L" ~doc:"Slots read by one scan.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int d.Serve.batch
-      & info [ "batch" ] ~docv:"B"
-          ~doc:"Open-loop admission batch; generator memory is O($(docv)).")
-  in
-  let grain_arg =
-    Arg.(
-      value & opt int d.Serve.grain
-      & info [ "grain" ] ~docv:"G"
-          ~doc:"Requests per leaf task of the fork-join handler tree.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int d.Serve.shards
-      & info [ "shards" ] ~docv:"S" ~doc:"Hash shards of the store.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int64 d.Serve.seed
-      & info [ "seed" ] ~docv:"X" ~doc:"Workload seed (deterministic).")
-  in
-  let cores_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cores" ] ~docv:"C" ~doc:"Override the machine's core count.")
-  in
-  let proto_arg =
-    Arg.(
-      value
-      & opt string "both"
-      & info [ "proto"; "p" ] ~doc:"Protocol: mesi, warden, msi-bus, sisd, both, or all.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's summary (simulated quantities only, so the \
-             bytes are identical run to run) as JSON.")
-  in
-  let curve_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "curve" ] ~docv:"C1,C2,.."
-          ~doc:
-            "Sweep core counts and print the requests/sec curve instead of \
-             a single run.")
+  let fraction name default ~doc =
+    Arg.(value & opt A.fraction default & info [ name ] ~docv:"F" ~doc)
   in
   let run requests keys zipf read_frac scan_frac scan_len batch grain shards
-      seed cores proto machine quick obs json curve snap_in
-      snap_out =
-    apply_obs ~obs ~trace_out:None;
-    require_single_proto ~snap_in ~snap_out proto;
-    if (snap_in <> None || snap_out <> None) && curve <> None then
-      failwith "--snapshot-in/--snapshot-out do not combine with --curve";
-    let config = machine_of machine in
-    let config =
-      match cores with Some c -> Config.with_cores config c | None -> config
+      seed cores sel machine quick obs json curve snap_in snap_out =
+    let* () = check_single_proto ~snap_in ~snap_out sel in
+    let* () =
+      if (snap_in <> None || snap_out <> None) && curve <> None then
+        Error "--snapshot-in/--snapshot-out do not combine with --curve"
+      else Ok ()
     in
-    let p =
-      serve_params ~quick ~requests ~keys ~zipf ~read_frac ~scan_frac ~scan_len
-        ~batch ~grain ~shards ~seed
+    let* () =
+      if read_frac +. scan_frac > 1. then
+        Error
+          (Printf.sprintf "--read-frac %g plus --scan-frac %g exceeds 1"
+             read_frac scan_frac)
+      else Ok ()
     in
-    let protos =
-      match proto with
-      | "both" -> [ `Mesi; `Warden ]
-      | "all" | "zoo" -> (Exp.zoo :> [ `Mesi | `Warden | `Msi_bus | `Sisd ] list)
-      | pr -> [ proto_of_string pr ]
+    let config = with_obs machine ~obs ~trace_out:None in
+    let* config =
+      match cores with
+      | Some c -> check_cores "--cores" config c
+      | None -> Ok config
     in
+    let* () =
+      List.fold_left
+        (fun acc c ->
+          let* () = acc in
+          Result.map ignore (check_cores "--curve" config c))
+        (Ok ()) (Option.value curve ~default:[])
+    in
+    (* [--quick] shrinks the default problem, but explicit flags always win. *)
+    let p : Serve.params =
+      {
+        requests =
+          Option.value requests
+            ~default:(if quick then 50_000 else d.Serve.requests);
+        keys = Option.value keys ~default:(if quick then 16_384 else d.Serve.keys);
+        theta = zipf;
+        read_frac;
+        scan_frac;
+        scan_len;
+        batch;
+        grain;
+        shards;
+        seed;
+      }
+    in
+    let protos = A.protos_list sel in
     match curve with
     | Some cores ->
         List.iter
@@ -491,24 +368,15 @@ let serve_cmd =
                   (rps /. 1e6))
               (Serve.curve ~params:p ~machine:config ~proto cores))
           protos;
-        0
+        Ok 0
     | None ->
         let results =
           List.map
             (fun proto ->
-              let r =
-                if snap_in = None && snap_out = None then
-                  Serve.run_proto ~params:p ~machine:config ~proto ()
-                else begin
-                  (* Snapshot paths need the engine in hand; the single-proto
-                     guard above makes this branch unambiguous. *)
-                  let eng = Engine.create config ~proto in
-                  apply_snapshot_in eng snap_in;
-                  let r = Serve.run ~params:p eng in
-                  apply_snapshot_out eng snap_out;
-                  r
-                end
-              in
+              let eng = Engine.create config ~proto in
+              apply_snapshot_in eng snap_in;
+              let r = Serve.run ~params:p eng in
+              apply_snapshot_out eng snap_out;
               print_string (Serve.summary r);
               r)
             protos
@@ -553,7 +421,7 @@ let serve_cmd =
              | [ rm; rw ] -> Serve.equal_results rm rw
              | _ -> true
         in
-        exit_of_bool ok
+        Ok (exit_of_bool ok)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -563,17 +431,67 @@ let serve_cmd =
           runtime, reporting tail latency (p50/p95/p99/p99.9), throughput \
           and the MESI vs WARDen coherence-traffic comparison.")
     Term.(
-      const run $ requests_arg $ keys_arg $ zipf_arg $ read_frac_arg
-      $ scan_frac_arg $ scan_len_arg $ batch_arg $ grain_arg $ shards_arg
-      $ seed_arg $ cores_arg $ proto_arg $ machine_arg $ quick_arg
-      $ obs_arg $ json_arg $ curve_arg $ snapshot_in_arg
-      $ snapshot_out_arg)
+      usage
+        (const run
+        $ count [ "requests"; "n" ] ~docv:"N"
+            ~doc:
+              "Requests to push through the store (default: 1000000, or 50000 \
+               with $(b,--quick)). Generation is streamed batch by batch, so \
+               host memory stays flat however large $(docv) is."
+        $ count [ "keys" ] ~docv:"K"
+            ~doc:
+              "Distinct keys preloaded into the store (default: 65536, or \
+               16384 with $(b,--quick))."
+        $ Arg.(
+            value
+            & opt A.non_negative d.Serve.theta
+            & info [ "zipf" ] ~docv:"THETA"
+                ~doc:"Zipf skew of key popularity (0 = uniform).")
+        $ fraction "read-frac" d.Serve.read_frac
+            ~doc:"Fraction of requests that are reads."
+        $ fraction "scan-frac" d.Serve.scan_frac
+            ~doc:
+              "Fraction of requests that are short range scans; with \
+               $(b,--read-frac) at most 1."
+        $ positive [ "scan-len" ] d.Serve.scan_len ~docv:"L"
+            ~doc:"Slots read by one scan."
+        $ positive [ "batch" ] d.Serve.batch ~docv:"B"
+            ~doc:"Open-loop admission batch; generator memory is O($(docv))."
+        $ positive [ "grain" ] d.Serve.grain ~docv:"G"
+            ~doc:"Requests per leaf task of the fork-join handler tree."
+        $ positive [ "shards" ] d.Serve.shards ~docv:"S"
+            ~doc:"Hash shards of the store."
+        $ Arg.(
+            value & opt int64 d.Serve.seed
+            & info [ "seed" ] ~docv:"X" ~doc:"Workload seed (deterministic).")
+        $ count [ "cores" ] ~docv:"C"
+            ~doc:
+              "Restrict the machine to its first $(docv) cores, a multiple \
+               of its socket count."
+        $ proto_arg ~zoo:true
+            ~doc:"Protocol: mesi, warden, msi-bus, sisd, both, or all."
+        $ machine_arg $ quick_arg $ obs_arg
+        $ Arg.(
+            value
+            & opt (some string) None
+            & info [ "json" ] ~docv:"FILE"
+                ~doc:
+                  "Write the run's summary (simulated quantities only, so the \
+                   bytes are identical run to run) as JSON.")
+        $ Arg.(
+            value
+            & opt (some (list A.positive)) None
+            & info [ "curve" ] ~docv:"C1,C2,.."
+                ~doc:
+                  "Sweep core counts and print the requests/sec curve instead \
+                   of a single run.")
+        $ snapshot_in_arg $ snapshot_out_arg))
 
 (* --- profile ------------------------------------------------------------- *)
 
 (* [profile serve] gets the serving tier rather than a Suite benchmark:
    the per-class latency report plus the coherence-event summary. *)
-let profile_serve ~config ~proto ~scale ~workers ~quick ~trace_out =
+let profile_serve ~config ~scale ~workers ~quick proto =
   let p : Serve.params =
     let d = Serve.default in
     let requests =
@@ -581,115 +499,53 @@ let profile_serve ~config ~proto ~scale ~workers ~quick ~trace_out =
     in
     { d with Serve.requests; keys = (if quick then 16_384 else d.Serve.keys) }
   in
-  let one proto =
-    let eng = Engine.create config ~proto in
-    let r = Serve.run ~params:p ?workers eng in
-    let ms = Engine.memsys eng in
-    Printf.printf "== serve/%s on %s: %s in %d cycles ==\n\n" (proto_name proto)
-      config.Config.name
-      (if r.Serve.verified then "verified" else "FAILED VERIFICATION")
-      r.Serve.cycles;
-    print_string (Serve.summary r);
-    print_newline ();
-    print_string (Warden_obs.Obs.render_summary (Memsys.obs ms));
-    print_newline ();
-    (r.Serve.verified, (proto_name proto, Memsys.obs ms))
-  in
-  let emit_trace runs =
-    match trace_out with
-    | None -> ()
-    | Some file ->
-        write_chrome_trace file
-          (List.mapi
-             (fun pid (pname, obs) -> (pid, pname, Warden_obs.Obs.chrome obs))
-             runs)
-  in
-  match proto with
-  | "both" ->
-      let ok_m, run_m = one `Mesi in
-      let ok_w, run_w = one `Warden in
-      emit_trace [ run_m; run_w ];
-      exit_of_bool (ok_m && ok_w)
-  | p ->
-      let ok, run = one (proto_of_string p) in
-      emit_trace [ run ];
-      exit_of_bool ok
+  let eng = Engine.create config ~proto in
+  let r = Serve.run ~params:p ?workers eng in
+  let ms = Engine.memsys eng in
+  Printf.printf "== serve/%s on %s: %s in %d cycles ==\n\n" (proto_name proto)
+    config.Config.name
+    (if r.Serve.verified then "verified" else "FAILED VERIFICATION")
+    r.Serve.cycles;
+  print_string (Serve.summary r);
+  print_newline ();
+  print_string (Obs.render_summary (Memsys.obs ms));
+  print_newline ();
+  outcome r.Serve.verified ms
+
+let profile_kernel ~config ~scale ~workers ~quick spec proto =
+  let scale = scale_of ~quick spec scale in
+  let ok, _, ms = run_kernel ?workers ~config ~scale spec proto in
+  Printf.printf "== %s/%s on %s: %s in %d cycles ==\n\n" spec.Spec.name
+    (proto_name proto) config.Config.name
+    (if ok then "verified" else "FAILED VERIFICATION")
+    (Memsys.sstats ms).Sstats.cycles;
+  print_string (Obs.render_summary (Memsys.obs ms));
+  print_newline ();
+  outcome ok ms
 
 let profile_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:"Benchmark to profile (a $(b,bench/) prefix is accepted).")
+  (* The serving tier or a Suite benchmark. *)
+  let target =
+    Arg.conv'
+      ( (fun s ->
+          if Filename.basename s = "serve" then Ok None
+          else
+            Result.map Option.some
+              (Result.map_error (fun (`Msg m) -> m) (Arg.conv_parser A.bench s))),
+        fun ppf t ->
+          Format.pp_print_string ppf
+            (match t with Some spec -> spec.Spec.name | None -> "serve") )
   in
-  let proto_arg =
-    Arg.(
-      value
-      & opt string "both"
-      & info [ "proto"; "p" ] ~doc:"Protocol: mesi, warden, msi-bus, sisd, both, or all.")
-  in
-  let scale_arg =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "scale"; "s" ] ~docv:"N" ~doc:"Problem size (default: paper scale).")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers"; "w" ] ~doc:"Worker threads (default: all).")
-  in
-  let run name proto machine scale workers quick obs trace_out =
+  let run target sel machine scale workers quick obs trace_out =
+    let* () = check_workers machine workers in
     (* profile records at full level unless the user asks for less. *)
-    apply_obs ~obs:(Some (Option.value obs ~default:"full")) ~trace_out;
-    let config = machine_of machine in
-    if Filename.basename name = "serve" then
-      profile_serve ~config ~proto ~scale ~workers ~quick ~trace_out
-    else begin
-    let name = strip_bench_prefix name in
-    let spec =
-      match Warden_pbbs.Suite.find name with
-      | Some s -> s
-      | None -> failwith ("unknown benchmark " ^ name)
+    let config = with_obs ~default:Config.Obs_full machine ~obs ~trace_out in
+    let one =
+      match target with
+      | None -> profile_serve ~config ~scale ~workers ~quick
+      | Some spec -> profile_kernel ~config ~scale ~workers ~quick spec
     in
-    let one proto =
-      let eng = Engine.create config ~proto in
-      let scale =
-        match scale with Some s -> s | None -> Exp.scale_of ~quick spec
-      in
-      let ok = spec.Warden_pbbs.Spec.run ~scale ~seed:0x5EEDF00DL ?workers eng in
-      let ms = Engine.memsys eng in
-      let ss = Memsys.sstats ms in
-      Printf.printf "== %s/%s on %s: %s in %d cycles ==\n\n" name
-        (proto_name proto) config.Config.name
-        (if ok then "verified" else "FAILED VERIFICATION")
-        ss.Sstats.cycles;
-      print_string (Warden_obs.Obs.render_summary (Memsys.obs ms));
-      print_newline ();
-      (ok, (proto_name proto, Memsys.obs ms))
-    in
-    let emit_trace runs =
-      match trace_out with
-      | None -> ()
-      | Some file ->
-          write_chrome_trace file
-            (List.mapi
-               (fun pid (pname, obs) -> (pid, pname, Warden_obs.Obs.chrome obs))
-               runs)
-    in
-    match proto with
-    | "both" ->
-        let ok_m, run_m = one `Mesi in
-        let ok_w, run_w = one `Warden in
-        emit_trace [ run_m; run_w ];
-        exit_of_bool (ok_m && ok_w)
-    | p ->
-        let ok, run = one (proto_of_string p) in
-        emit_trace [ run ];
-        exit_of_bool ok
-    end
+    Ok (run_protos ~trace_out sel one)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -699,8 +555,16 @@ let profile_cmd =
           blocks and the WARD region table; optionally dump a Chrome trace \
           with $(b,--trace-out).")
     Term.(
-      const run $ name_arg $ proto_arg $ machine_arg $ scale_arg $ workers_arg
-      $ quick_arg $ obs_arg $ trace_out_arg)
+      usage
+        (const run
+        $ name_arg target
+            ~doc:
+              "Benchmark to profile, or $(b,serve) for the serving tier (a \
+               $(b,bench/) prefix is accepted)."
+        $ proto_arg ~zoo:false ~doc:"Protocol: mesi, warden, msi-bus, sisd, or both."
+        $ machine_arg
+        $ scale_arg ~doc:"Problem size (default: paper scale)."
+        $ workers_arg $ quick_arg $ obs_arg $ trace_out_arg))
 
 (* --- experiments --------------------------------------------------------- *)
 
@@ -720,13 +584,13 @@ let table2_cmd =
 let fig_cmd name doc config title =
   let run quick jobs =
     let sr =
-      Experiments.run_suite ~quick ?jobs ~config:(config ()) ()
+      Experiments.run_suite ~quick ~jobs ~config:(config ()) ()
     in
     print_string (Experiments.render_perf_energy ~title sr);
     0
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ quick_arg $ jobs_arg)
+    Term.(const run $ quick_arg $ A.jobs)
 
 let fig7_cmd =
   fig_cmd "fig7" "Reproduce Figure 7 (single socket)." Config.single_socket
@@ -739,7 +603,7 @@ let fig8_cmd =
 let analysis_cmd =
   let run quick jobs =
     let sr =
-      Experiments.run_suite ~quick ?jobs
+      Experiments.run_suite ~quick ~jobs
         ~config:(Config.dual_socket ()) ()
     in
     print_string (Experiments.render_fig9 sr);
@@ -752,12 +616,12 @@ let analysis_cmd =
   Cmd.v
     (Cmd.info "analysis"
        ~doc:"Reproduce Figures 9-11 (dual-socket coherence-event analysis).")
-    Term.(const run $ quick_arg $ jobs_arg)
+    Term.(const run $ quick_arg $ A.jobs)
 
 let fig12_cmd =
   let run quick jobs =
     let sr =
-      Experiments.run_suite ~quick ?jobs
+      Experiments.run_suite ~quick ~jobs
         ~names:Warden_pbbs.Suite.disaggregated_subset
         ~config:(Config.disaggregated ()) ()
     in
@@ -768,82 +632,58 @@ let fig12_cmd =
   in
   Cmd.v
     (Cmd.info "fig12" ~doc:"Reproduce Figure 12 (disaggregated system).")
-    Term.(const run $ quick_arg $ jobs_arg)
+    Term.(const run $ quick_arg $ A.jobs)
 
 let scaling_cmd =
   let run quick jobs =
     let names = [ "dmm"; "msort"; "palindrome"; "quickhull" ] in
-    print_string (Experiments.render_worker_scaling ~quick ?jobs ~names ());
+    print_string (Experiments.render_worker_scaling ~quick ~jobs ~names ());
     print_newline ();
-    print_string (Experiments.render_socket_scaling ~quick ?jobs ~names ());
+    print_string (Experiments.render_socket_scaling ~quick ~jobs ~names ());
     0
   in
   Cmd.v
     (Cmd.info "scaling"
        ~doc:"Worker-count and socket-count scaling studies (7.3).")
-    Term.(const run $ quick_arg $ jobs_arg)
+    Term.(const run $ quick_arg $ A.jobs)
 
 let trace_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME" ~doc:"Benchmark to trace.")
-  in
-  let scale_arg =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "scale"; "s" ] ~docv:"N" ~doc:"Problem size (default: quick).")
-  in
-  let run name machine scale snap_in snap_out =
-    let spec =
-      match Warden_pbbs.Suite.find name with
-      | Some s -> s
-      | None -> failwith ("unknown benchmark " ^ name)
+  let run spec machine scale snap_in snap_out =
+    let scale = scale_of ~quick:true spec scale in
+    (* One pass: the oracle checks the run live and gathers its access
+       profile; its verdict gates the exit code. *)
+    let (ok, _, _), report =
+      Warden_trace.Oracle.with_oracle (fun () ->
+          run_kernel ?snap_in ?snap_out ~config:machine ~scale spec `Warden)
     in
-    let config = machine_of machine in
-    let scale =
-      match scale with Some s -> s | None -> Exp.scale_of ~quick:true spec
-    in
-    let eng = Engine.create config ~proto:`Warden in
-    apply_snapshot_in eng snap_in;
-    let ok, _events, summary =
-      Warden_trace.Recorder.record (fun () ->
-          spec.Warden_pbbs.Spec.run ~scale ~seed:0x5EEDF00DL eng)
-    in
-    apply_snapshot_out eng snap_out;
-    Format.printf "%s (scale %d) under WARDen: %s@.%a@." name scale
+    Format.printf "%s (scale %d) under WARDen: %s@.%a@." spec.Spec.name scale
       (if ok then "verified" else "FAILED VERIFICATION")
-      Warden_trace.Recorder.pp_summary summary;
-    (* The recorder and the live oracle share the runtime's hook slots, so
-       the oracle gets its own pass; its verdict gates the exit code. *)
-    let oracle_ok, oreport =
-      let eng = Engine.create config ~proto:`Warden in
-      let ok, report =
-        Warden_trace.Oracle.with_oracle (fun () ->
-            spec.Warden_pbbs.Spec.run ~scale ~seed:0x5EEDF00DL eng)
-      in
+      Warden_trace.Oracle.pp_profile report;
+    let oracle_ok =
       match Warden_trace.Oracle.check_clean report with
-      | Ok () -> (ok, report)
+      | Ok () -> ok
       | Error msg ->
           Format.printf "oracle: %s@." msg;
-          (false, report)
+          false
     in
     Format.printf "oracle: %d accesses, %.1f%% under WARD, %s@."
-      oreport.Warden_trace.Oracle.accesses
-      (100. *. Warden_trace.Oracle.ward_fraction oreport)
+      report.Warden_trace.Oracle.accesses
+      (100. *. Warden_trace.Oracle.ward_fraction report)
       (if oracle_ok then "clean" else "VIOLATIONS");
     exit_of_bool (ok && oracle_ok)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Record a benchmark's access trace and report WARD coverage and \
-          the offline region classification.")
+         "Run a benchmark under the live WARD and disentanglement oracle and \
+          report its accesses, WARD coverage and the offline region \
+          classification.")
     Term.(
-      const run $ name_arg $ machine_arg $ scale_arg $ snapshot_in_arg
-      $ snapshot_out_arg)
+      const run
+      $ name_arg A.bench ~doc:"Benchmark to trace."
+      $ machine_arg
+      $ scale_arg ~doc:"Problem size (default: quick)."
+      $ snapshot_in_arg $ snapshot_out_arg)
 
 (* --- replay -------------------------------------------------------------- *)
 
@@ -860,7 +700,7 @@ let replay_cmd =
   let record_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some A.bench) None
       & info [ "record" ] ~docv:"NAME"
           ~doc:
             "Record benchmark $(docv)'s commit-order access stream into \
@@ -869,20 +709,13 @@ let replay_cmd =
   let proto_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some A.proto) None
       & info [ "proto"; "p" ]
           ~doc:
             "Protocol: mesi, warden, msi-bus or sisd. Recording defaults to \
              warden; replay defaults to the protocol the trace was recorded \
              under. Replaying onto another protocol is the trace-driven A/B \
              comparison.")
-  in
-  let scale_arg =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "scale"; "s" ] ~docv:"N"
-          ~doc:"Problem size when recording (default: quick scale).")
   in
   let stats_out_arg =
     Arg.(
@@ -895,9 +728,7 @@ let replay_cmd =
              same-protocol replay, so two dumps can be checked with \
              $(b,cmp).")
   in
-  let run file record proto machine scale stats_out =
-    let config = machine_of machine in
-    let proto_of = proto_of_string in
+  let run file record proto config scale stats_out =
     let write_stats ms =
       match stats_out with
       | None -> ()
@@ -908,30 +739,20 @@ let replay_cmd =
           Printf.printf "wrote %s\n" out
     in
     match record with
-    | Some name ->
-        let name = strip_bench_prefix name in
-        let spec =
-          match Warden_pbbs.Suite.find name with
-          | Some s -> s
-          | None -> failwith ("unknown benchmark " ^ name)
-        in
-        let proto = proto_of (Option.value proto ~default:"warden") in
-        let scale =
-          match scale with
-          | Some s -> s
-          | None -> Exp.scale_of ~quick:true spec
-        in
+    | Some spec ->
+        let proto = Option.value proto ~default:`Warden in
+        let scale = scale_of ~quick:true spec scale in
         let eng = Engine.create config ~proto in
         let t0 = Unix.gettimeofday () in
         let ok, stream =
           Warden_trace.Stream.record (Engine.memsys eng) (fun () ->
-              spec.Warden_pbbs.Spec.run ~scale ~seed:0x5EEDF00DL eng)
+              spec.Spec.run ~scale ~seed eng)
         in
         let host = Unix.gettimeofday () -. t0 in
         Warden_trace.Stream.save_file stream file;
         Printf.printf
           "recorded %s (scale %d) under %s: %s, %d events -> %s (%.2fs host)\n"
-          name scale (proto_name proto)
+          spec.Spec.name scale (proto_name proto)
           (if ok then "verified" else "FAILED VERIFICATION")
           (Warden_trace.Stream.events stream)
           file host;
@@ -942,10 +763,13 @@ let replay_cmd =
           or_input_error file (fun () -> Warden_trace.Stream.load_file file)
         in
         let proto =
-          proto_of
-            (match proto with
-            | Some p -> p
-            | None -> Warden_trace.Stream.proto stream)
+          match proto with
+          | Some p -> p
+          | None ->
+              or_input_error file (fun () ->
+                  match Arg.conv_parser A.proto (Warden_trace.Stream.proto stream) with
+                  | Ok p -> p
+                  | Error (`Msg msg) -> raise (Warden_util.Bin.Corrupt msg))
         in
         let eng = Engine.create config ~proto in
         let t0 = Unix.gettimeofday () in
@@ -973,7 +797,8 @@ let replay_cmd =
           protocol, or A/B-ing the stream against the other protocol. \
           Record the stream first with $(b,--record).")
     Term.(
-      const run $ file_arg $ record_arg $ proto_arg $ machine_arg $ scale_arg
+      const run $ file_arg $ record_arg $ proto_arg $ machine_arg
+      $ scale_arg ~doc:"Problem size when recording (default: quick scale)."
       $ stats_out_arg)
 
 (* --- check --------------------------------------------------------------- *)
@@ -982,13 +807,13 @@ let check_cmd =
   let cores_arg =
     Arg.(
       value
-      & opt (in_range 1 8) 3
+      & opt (A.in_range 1 8) 3
       & info [ "cores" ] ~docv:"N" ~doc:"Cores in the small model (1-8).")
   in
   let blocks_arg =
     Arg.(
       value
-      & opt (in_range 1 256) 2
+      & opt (A.in_range 1 256) 2
       & info [ "blocks" ] ~docv:"K"
           ~doc:"Cache blocks in the small model (1-256).")
   in
@@ -1102,11 +927,11 @@ let check_cmd =
 
 let all_cmd =
   let run quick jobs =
-    exit_of_bool (Experiments.run_all ~quick ?jobs ())
+    exit_of_bool (Experiments.run_all ~quick ~jobs ())
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every table and figure of the evaluation.")
-    Term.(const run $ quick_arg $ jobs_arg)
+    Term.(const run $ quick_arg $ A.jobs)
 
 let main =
   Cmd.group

@@ -44,11 +44,6 @@ type t = {
   obs_level : obs_level;
 }
 
-(* warden-cli's --obs and --trace-out route to [set_default_obs_level]. *)
-let default_obs_level = ref Obs_off
-
-let set_default_obs_level l = default_obs_level := l
-
 let num_cores t = t.sockets * t.cores_per_socket
 let num_threads t = num_cores t * t.threads_per_core
 (* Called on every memory access; dodge the hardware divide for the
@@ -101,7 +96,7 @@ let base ~name ~sockets ~threads_per_core =
     store_buffer_entries = 56;
     sched_quantum = 4096;
     sim_domains = 1;
-    obs_level = !default_obs_level;
+    obs_level = Obs_off;
   }
 
 let single_socket ?(threads_per_core = 1) () =

@@ -98,10 +98,6 @@ val home_socket : t -> int -> int
 (** Home socket of a block: directory entries and L3 slices are interleaved
     across sockets by block number. *)
 
-val set_default_obs_level : obs_level -> unit
-(** Default [obs_level] for configs built after this call (warden-cli's
-    [--obs] routes here). Initially [Obs_off]. *)
-
 val l1_sets : t -> int
 val l2_sets : t -> int
 

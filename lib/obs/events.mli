@@ -53,8 +53,8 @@ val name : int -> string
 
 val traced : int -> bool
 (** Whether full-mode recording stores individual records of this code in
-    the ring buffers (hits are summarized only — tracing every hit would
-    swamp the rings and the Chrome trace for no analytical value). *)
+    the Chrome sink (hits are summarized only — tracing every hit would
+    swamp the trace for no analytical value). *)
 
 val duration_event : int -> bool
 (** Whether the event's value is a latency, i.e. it renders as a Chrome

@@ -3,7 +3,6 @@ open Warden_machine
 type t = {
   cfg_level : Config.obs_level;
   lvl : int; (* 0 off / 1 counters / 2 full: branch on an int, not a sum *)
-  ring : Ring.t;
   counts : int array; (* indexed by event code *)
   sums : int array; (* arg-weighted totals, same indexing *)
   hist : Hist.t;
@@ -15,8 +14,6 @@ type t = {
   mutable seq : int;
 }
 
-let ring_capacity = 8192
-
 let create (cfg : Config.t) =
   let lvl =
     match cfg.obs_level with Obs_off -> 0 | Obs_counters -> 1 | Obs_full -> 2
@@ -24,7 +21,6 @@ let create (cfg : Config.t) =
   {
     cfg_level = cfg.obs_level;
     lvl;
-    ring = Ring.create ~capacity:(if lvl >= 2 then ring_capacity else 0);
     counts = Array.make Events.count 0;
     sums = Array.make Events.count 0;
     hist = Hist.create ~classes:Events.count;
@@ -41,21 +37,12 @@ let full t = t.lvl >= 2
 let level t = t.cfg_level
 let set_now t now = t.now <- now
 
-let fold t =
-  let chrome = t.chrome in
-  Ring.drain t.ring (fun ~code ~cycle ~core ~blk ~arg ~seq ->
-      Sink_chrome.add chrome ~code ~cycle ~core ~blk ~arg ~seq)
-
-(* Ring full: fold everything into the Chrome sink and retry — records are
-   only ever lost once the (million-record) Chrome sink itself caps out,
-   and then they are counted as dropped there. *)
+(* Full level: each record goes straight into the Chrome sink, which
+   counts what it cannot keep as dropped. *)
 let push_record t ~code ~core ~blk ~arg =
   let seq = t.seq in
   t.seq <- seq + 1;
-  if not (Ring.push t.ring ~code ~cycle:t.now ~core ~blk ~arg ~seq) then begin
-    fold t;
-    ignore (Ring.push t.ring ~code ~cycle:t.now ~core ~blk ~arg ~seq)
-  end
+  Sink_chrome.add t.chrome ~code ~cycle:t.now ~core ~blk ~arg ~seq
 
 let[@inline] bump t code arg =
   Array.unsafe_set t.counts code (Array.unsafe_get t.counts code + 1);

@@ -1,8 +1,7 @@
 (** Observability facade: the one object the simulator layers talk to.
 
-    An [Obs.t] owns a {!Ring} of recent event records, the {!Hist},
-    {!Sink_heatmap} and {!Sink_chrome} sinks, and the current simulated
-    cycle. Events arrive in the engine's global simulated order.
+    An [Obs.t] owns the {!Hist}, {!Sink_heatmap} and {!Sink_chrome}
+    sinks and the current simulated cycle. Events arrive in the engine's global simulated order.
 
     Recording never feeds back: no call here mutates simulated state, so
     cycles, statistics and energy are bit-identical across levels. At
@@ -11,22 +10,21 @@
 type t
 
 val create : Warden_machine.Config.t -> t
-(** Sized from the config's [obs_level]: below [Obs_full] there is no
-    ring, and every sink allocates its storage on first use, so an
-    [Obs_off] recorder is a ~1 KB stub. *)
+(** Leveled from the config's [obs_level]. Every sink allocates its
+    storage on first use, so an [Obs_off] recorder is a ~1 KB stub. *)
 
 val enabled : t -> bool
 (** Counters level or above. *)
 
 val full : t -> bool
-(** Ring/trace recording active. *)
+(** Chrome-trace recording active. *)
 
 val level : t -> Warden_machine.Config.obs_level
 
 val set_now : t -> int -> unit
 (** Advance the recorder's view of simulated time. The engine calls this
-    when it resumes a thread at an event's timestamp; only ring records
-    consume it, so paths that cannot ring (plain hits) may skip it. *)
+    when it resumes a thread at an event's timestamp; only trace records
+    consume it, so paths that record none (plain hits) may skip it. *)
 
 val access : t -> cls:int -> core:int -> blk:int -> lat:int -> unit
 (** Record one memory access of class [cls] ({!Events.l1_hit} ..
@@ -39,11 +37,6 @@ val event : t -> code:int -> core:int -> blk:int -> arg:int -> unit
 val region : t -> core:int -> lo:int -> hi:int -> exit:bool -> flushed:int -> unit
 (** Record a WARD region activation or deactivation over byte range
     [\[lo, hi)]; [flushed] is the reconciliation flush count (exit only). *)
-
-val fold : t -> unit
-(** Drain the ring into the Chrome sink. The recorder does this itself
-    when the ring fills, and the engine at the end of a run; it is
-    idempotent on an empty ring. *)
 
 (** {2 Reading the sinks} *)
 

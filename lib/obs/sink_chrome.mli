@@ -1,6 +1,6 @@
 (** Chrome [trace_event] JSON sink.
 
-    Collects folded ring records into one growable flat array and writes
+    Collects full-level event records into one growable flat array and writes
     them as a [traceEvents] document loadable in [about://tracing] /
     Perfetto. One simulated cycle maps to one trace microsecond.
 

@@ -324,8 +324,8 @@ let resume t (st : tstate) =
   t.others <-
     key_time (Int.min (Array.unsafe_get keys 1) (Array.unsafe_get keys 2));
   open_quantum t st st.time;
-  (* The recorder timestamps ring records with the resumed event's issue
-     time; only full mode rings, so off/counters skip the store. *)
+  (* The recorder timestamps trace records with the resumed event's issue
+     time; only full mode records them, so off/counters skip the store. *)
   if t.obs_full then Obs.set_now t.obs st.time
 
 (* An access may run inline — without suspending into the run queue — iff
@@ -342,7 +342,7 @@ let resume t (st : tstate) =
 
    An inline access may miss. It then does what the pop it stands for
    would have done at its issue cycle [t0]: the recorder's clock is set
-   before the access (its events ring at [t0]), and a new quantum opens
+   before the access (its events record at [t0]), and a new quantum opens
    from [t0] after it, so each thread's saved [qlimit] is the same as
    when every miss went through the queue. *)
 let[@inline] inline_enter t t0 =
@@ -497,7 +497,6 @@ let run t bodies =
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set cur_key prev)
     (fun () -> drain_heap t h);
-  if t.obs_full then Obs.fold t.obs;
   let makespan = ref 0 in
   for tid = 0 to n - 1 do
     drain_all t.threads.(tid);

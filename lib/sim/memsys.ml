@@ -8,8 +8,8 @@ module Oev = Warden_obs.Events
 (* Commit-order trace sink (DESIGN.md §15). A flat callback — (kind,
    thread, addr, size, value) — invoked at the point each access commits
    its memory-system transition, on whichever path served it (scheduled
-   or inline). Unlike the initiation-order recorder in
-   [Warden_trace.Recorder], this stream is in commit order, so feeding it
+   or inline). Unlike the initiation-order access hook that
+   [Warden_trace.Oracle] uses, this stream is in commit order, so feeding it
    back through the access entry points replays the exact transition
    sequence with no program model. Flat ints avoid a circular
    dependency on the trace library. *)

@@ -6,9 +6,9 @@ module Pstats = Warden_proto.Pstats
 
 (* A recorded commit-order event stream ([Memsys] trace sink): 33 bytes
    per event (kind, thread, addr, size, value), with the recording
-   machine's geometry and protocol as metadata. Unlike {!Recorder} —
-   which keeps initiation-order program events for offline analysis —
-   this stream is in memory-system commit order, so feeding it back
+   machine's geometry and protocol as metadata. Unlike the program
+   accesses {!Oracle} sees, in initiation order, this stream is in
+   memory-system commit order, so feeding it back
    through the access entry points replays the exact transition sequence
    with no program model.
 

@@ -235,12 +235,7 @@ let test_golden () =
   List.iter
     (fun (bench, scale, proto, golden) ->
       let label =
-        Printf.sprintf "%s/%s" bench
-          (match proto with
-          | `Mesi -> "mesi"
-          | `Warden -> "warden"
-          | `Msi_bus -> "msi-bus"
-          | `Sisd -> "sisd")
+        Printf.sprintf "%s/%s" bench (Warden_harness.Exp.proto_name proto)
       in
       let s = run_kernel ~bench ~scale ~proto in
       if Sys.getenv_opt "GOLDEN_DUMP" <> None then dump label s

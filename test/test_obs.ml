@@ -2,7 +2,7 @@
 
    Three layers of assurance:
 
-   1. Unit tests for the recording primitives (ring, histogram, heatmap).
+   1. Unit tests for the recording primitives (Chrome sink, histogram, heatmap).
    2. Non-perturbation: every observable of the simulation — cycles,
       stats, energy, verification — is bit-identical across
       obs_level ∈ {off, counters, full}, i.e. tracing a run never
@@ -19,36 +19,36 @@ open Warden_proto
 open Warden_harness
 module Obs = Warden_obs.Obs
 module Oev = Warden_obs.Events
-module Ring = Warden_obs.Ring
 module Hist = Warden_obs.Hist
 module Heat = Warden_obs.Sink_heatmap
 module Chrome = Warden_obs.Sink_chrome
 
 (* ---- 1. primitives ------------------------------------------------------- *)
 
-let test_ring () =
-  let r = Ring.create ~capacity:16 in
-  Alcotest.(check int) "empty" 0 (Ring.length r);
-  for i = 0 to 15 do
-    Alcotest.(check bool) "push fits" true
-      (Ring.push r ~code:i ~cycle:(100 + i) ~core:(i mod 4) ~blk:(i * 8)
-         ~arg:(i * 2) ~seq:i)
+(* The Chrome sink is the only record store: past its capacity a record
+   is counted in [dropped], never kept, and the kept ones are the first
+   records added. *)
+let test_chrome_capacity () =
+  let c = Chrome.create ~capacity:16 () in
+  Alcotest.(check int) "empty" 0 (Chrome.length c);
+  for i = 0 to 19 do
+    Chrome.add c ~code:Oev.miss ~cycle:(100 + i) ~core:(i mod 4) ~blk:(i * 8)
+      ~arg:(i * 2) ~seq:i
   done;
-  Alcotest.(check int) "full" 16 (Ring.length r);
-  Alcotest.(check bool) "push on full rejected" false
-    (Ring.push r ~code:99 ~cycle:0 ~core:0 ~blk:0 ~arg:0 ~seq:99);
-  Alcotest.(check int) "rejected push writes nothing" 16 (Ring.length r);
-  let seen = ref [] in
-  Ring.drain r (fun ~code ~cycle ~core ~blk ~arg ~seq ->
-      ignore (cycle, core, blk, arg, seq);
-      seen := code :: !seen);
-  Alcotest.(check (list int))
-    "drain replays oldest-first"
-    (List.init 16 (fun i -> i))
-    (List.rev !seen);
-  Alcotest.(check int) "drain clears" 0 (Ring.length r);
-  Alcotest.(check bool) "reusable after drain" true
-    (Ring.push r ~code:1 ~cycle:1 ~core:1 ~blk:1 ~arg:1 ~seq:1)
+  Alcotest.(check int) "capacity kept" 16 (Chrome.length c);
+  Alcotest.(check int) "overflow counted as dropped" 4 (Chrome.dropped c);
+  let buf = Buffer.create 256 in
+  Chrome.write buf ~runs:[ (0, "t", c) ];
+  let doc = Buffer.contents buf in
+  let has needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length doc && (String.sub doc i n = needle || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "last kept record written" true (has {|"ts":115|});
+  Alcotest.(check bool) "dropped record not written" false (has {|"ts":116|})
 
 let test_hist () =
   List.iter
@@ -434,7 +434,8 @@ let test_off_footprint () =
 
 let suite =
   [
-    Alcotest.test_case "ring push/drain" `Quick test_ring;
+    Alcotest.test_case "chrome sink counts drops past capacity" `Quick
+      test_chrome_capacity;
     Alcotest.test_case "histogram buckets" `Quick test_hist;
     Alcotest.test_case "histogram percentiles" `Quick test_percentile;
     Alcotest.test_case "heatmap blocks and regions" `Quick test_heatmap;

@@ -77,25 +77,21 @@ let seed_suite =
       Alcotest.test_case (spec.Spec.name ^ " reseeded") `Quick (reseeded spec))
     Suite.all
 
-(* Full-trace recording: every marked region across the whole suite must
-   classify as WARD offline (stronger than the incremental oracle: it sees
-   whole region lifetimes), and the access counts must be consistent. *)
+(* The oracle's offline profile: every marked region across the whole
+   suite must classify as WARD over its whole lifetime (stronger than the
+   incremental checks), and the access counts must be consistent. *)
 let recorded (spec : Spec.t) () =
   let eng = Engine.create (Config.single_socket ()) ~proto:`Warden in
-  let ok, _events, summary =
-    let (ok, ()), events, summary =
-      Warden_trace.Recorder.record (fun () ->
-          (spec.Spec.run ~scale:(test_scale spec.Spec.name) ~seed:3L eng, ()))
-    in
-    ignore events;
-    (ok, (), summary)
+  let ok, report =
+    Warden_trace.Oracle.with_oracle (fun () ->
+        spec.Spec.run ~scale:(test_scale spec.Spec.name) ~seed:3L eng)
   in
   Alcotest.(check bool) (spec.Spec.name ^ " verified under recorder") true ok;
   Alcotest.(check bool) "consistent counters" true
-    (summary.Warden_trace.Recorder.events
-    = summary.Warden_trace.Recorder.reads + summary.Warden_trace.Recorder.writes
-      + summary.Warden_trace.Recorder.rmws);
-  match summary.Warden_trace.Recorder.ward_verdict with
+    (report.Warden_trace.Oracle.accesses
+    = report.Warden_trace.Oracle.reads + report.Warden_trace.Oracle.writes
+      + report.Warden_trace.Oracle.rmws);
+  match report.Warden_trace.Oracle.ward_verdict with
   | `Ward -> ()
   | `Violations n ->
       Alcotest.failf "%s: %d region epochs violated WARD" spec.Spec.name n

@@ -122,6 +122,12 @@ let test_ward_fraction () =
     {
       Oracle.accesses = 200;
       ward_accesses = 50;
+      reads = 200;
+      writes = 0;
+      rmws = 0;
+      distinct_blocks = 1;
+      shared_blocks = 0;
+      ward_verdict = `Ward;
       disentanglement_violations = [];
       ward_violations = [];
     }
@@ -133,6 +139,12 @@ let test_check_clean_reports () =
     {
       Oracle.accesses = 1;
       ward_accesses = 0;
+      reads = 1;
+      writes = 0;
+      rmws = 0;
+      distinct_blocks = 1;
+      shared_blocks = 0;
+      ward_verdict = `Ward;
       disentanglement_violations = [ "bad" ];
       ward_violations = [];
     }

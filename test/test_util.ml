@@ -268,75 +268,13 @@ let json_non_finite_test () =
     (Invalid_argument "Json.obj: \"p\" is not a finite number") (fun () ->
       ignore (J.obj [ ("p", J.float ~decimals:3 Float.nan) ]))
 
-(* --- Cliscan ---------------------------------------------------------------- *)
+(* --- Suite.matching ---------------------------------------------------------- *)
 
-(* The bench harness's argv scanner. The regression it pins: a value flag
-   (e.g. --jobs) followed immediately by another flag used to swallow that
-   flag as its value, so
-     bench.exe compare --jobs --obs counters
-   silently lost --obs AND misread --jobs. A value flag must only consume
-   a following non-flag token. *)
-let cliscan_test () =
-  let module C = Warden_util.Cliscan in
-  let value_flags = [ [ "--jobs"; "-j" ]; [ "--obs" ]; [ "--filter" ] ] in
-  let scan args = C.create ~value_flags (Array.of_list ("bench.exe" :: args)) in
-  (* the regression case *)
-  let t = scan [ "compare"; "--jobs"; "--obs"; "counters" ] in
-  Alcotest.(check (list string))
-    "flag not swallowed as a value" [ "compare" ] (C.positionals t);
-  Alcotest.(check bool) "--jobs still seen" true (C.has t "--jobs");
-  Alcotest.(check (option string))
-    "--obs kept its value" (Some "counters")
-    (C.string_flag t [ "--obs" ]);
-  Alcotest.check_raises "--jobs without a value is an error"
-    (Invalid_argument "--jobs: missing value") (fun () ->
-      ignore (C.int_flag t [ "--jobs"; "-j" ]));
-  (* ordinary shapes keep working *)
-  let t = scan [ "compare"; "a.json"; "b.json"; "--jobs"; "4" ] in
-  Alcotest.(check (list string))
-    "positionals in order"
-    [ "compare"; "a.json"; "b.json" ]
-    (C.positionals t);
-  Alcotest.(check int) "--jobs value" 4 (Option.get (C.int_flag t [ "--jobs" ]));
-  let t = scan [ "json"; "--jobs=8"; "--obs"; "counters" ] in
-  Alcotest.(check int) "--jobs=8 form" 8 (Option.get (C.int_flag t [ "--jobs" ]));
-  Alcotest.(check (option string))
-    "--obs value" (Some "counters")
-    (C.string_flag t [ "--obs" ]);
-  Alcotest.(check (list string))
-    "values never leak into positionals" [ "json" ] (C.positionals t);
-  (* presence-only flags are dropped alone *)
-  let t = scan [ "quick"; "--overhead"; "x.json" ] in
-  Alcotest.(check bool) "presence flag seen" true (C.has t "--overhead");
-  Alcotest.(check (list string))
-    "presence flag takes no neighbor" [ "quick"; "x.json" ] (C.positionals t)
-
-(* The bench harness's --filter flag: Cliscan must treat it as a
-   value flag (so it can never swallow a following flag), and
-   Suite.matching must select by substring, preserve suite order, treat
-   the empty string as match-all, and find nothing for garbage. *)
-let filter_flag_test () =
-  let module C = Warden_util.Cliscan in
+(* The bench harness's --filter selects kernels with Suite.matching: by
+   substring, in suite order, the empty string matching everything and
+   garbage nothing. *)
+let suite_matching_test () =
   let module Suite = Warden_pbbs.Suite in
-  let value_flags = [ [ "--jobs"; "-j" ]; [ "--filter" ] ] in
-  let t =
-    C.create ~value_flags
-      [| "bench.exe"; "quick"; "--filter"; "sort"; "--jobs"; "2" |]
-  in
-  Alcotest.(check (option string))
-    "--filter carries its value" (Some "sort")
-    (C.string_flag t [ "--filter" ]);
-  Alcotest.(check int) "--jobs unaffected" 2 (Option.get (C.int_flag t [ "--jobs" ]));
-  Alcotest.(check (list string)) "mode survives" [ "quick" ] (C.positionals t);
-  let t = C.create ~value_flags [| "bench.exe"; "--filter"; "--jobs"; "2" |] in
-  Alcotest.(check bool) "valueless --filter still seen" true (C.has t "--filter");
-  Alcotest.(check (option string))
-    "--filter never swallows a flag" None
-    (C.string_flag t [ "--filter" ]);
-  Alcotest.(check int)
-    "the following flag keeps its value" 2
-    (Option.get (C.int_flag t [ "--jobs" ]));
-  (* Suite.matching semantics *)
   let all_names = List.map (fun (s : Warden_pbbs.Spec.t) -> s.Warden_pbbs.Spec.name) Suite.all in
   Alcotest.(check (list string))
     "empty substring matches everything in suite order" all_names
@@ -363,17 +301,6 @@ let filter_flag_test () =
   Alcotest.(check bool) "exact name matches itself" true
     (List.mem "msort" (Suite.matching "msort"))
 
-let cliscan_bad_value_test () =
-  let module C = Warden_util.Cliscan in
-  let t =
-    C.create
-      ~value_flags:[ [ "--jobs" ] ]
-      [| "bench.exe"; "--jobs"; "zero" |]
-  in
-  Alcotest.check_raises "non-integer value is an error"
-    (Invalid_argument "--jobs: expected a positive integer") (fun () ->
-      ignore (C.int_flag t [ "--jobs" ]))
-
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -397,11 +324,8 @@ let suite =
     Alcotest.test_case "Json string escaping" `Quick json_escape_test;
     Alcotest.test_case "Json rejects non-finite floats" `Quick
       json_non_finite_test;
-    Alcotest.test_case "Cliscan flag-swallowing regression" `Quick cliscan_test;
-    Alcotest.test_case "Cliscan rejects bad values" `Quick
-      cliscan_bad_value_test;
-    Alcotest.test_case "bench --filter scanning and Suite.matching" `Quick
-      filter_flag_test;
+    Alcotest.test_case "Suite.matching selects bench --filter kernels" `Quick
+      suite_matching_test;
   ]
 
 let () = Alcotest.run "warden-util" [ ("util", suite) ]
