@@ -13,7 +13,7 @@
 # run_seconds, so every run has the benchmark's length. It prints every
 # run's end-to-end metrics (those BENCHMARK.json declares with a bound),
 # each side's median and quartiles of each, and how many pairs the
-# working tree won on host_s. After the pairs it runs each side three
+# working tree won on host_s. After the pairs it runs each side five
 # more times with `--trace 1` and prints the median and range of those
 # runs' runtime.ns_per_access (program model), memsys.hit_ns
 # (memory-system hit path), proto.miss_ns (protocol miss transition),
@@ -21,7 +21,12 @@
 # read), trace.envelope_ns_per_event (trace envelope round trip) and
 # trace.record_overhead_pct (recording against a plain run): they say
 # which layer an end-to-end change came from. One traced run swings by
-# 15-30% on layers a change does not touch, hence three. Then it prints
+# 15-30% on layers a change does not touch, hence five; where the two
+# sides' five runs overlap between their min and max, a layer's change
+# prints as `(ranges overlap)` instead of a median change. With three
+# runs per side, an A/A run (one executable on both sides) still
+# printed a change on 6 of 35 layer figures; with five, two identical
+# sides' ranges fail to overlap by chance in under 1% of layers. Then it prints
 # one line per workload with each metric's median change. The order
 # inside a pair, traced or not, flips from pair to pair, so a drift in
 # host speed does not favour one side. With SEED=N set, every run on
@@ -39,7 +44,7 @@ usage="usage: [BASE_EXE=path] [SEED=n] $0 BASE WORKLOAD[,WORKLOAD...]|all PAIRS"
 base=${1:?$usage}
 workloads=${2:?$usage}
 pairs=${3:?$usage}
-traced=3
+traced=5
 layers="runtime.ns_per_access memsys.hit_ns proto.miss_ns proto.region_ns llc.ns_per_read trace.envelope_ns_per_event trace.record_overhead_pct"
 
 root=$(git rev-parse --show-toplevel)
@@ -130,6 +135,19 @@ change() {
   esac
 }
 
+# layer_change BASE HEAD: a layer's median change, or `(ranges overlap)`
+# when the two sides' traced runs overlap between their min and max:
+# three runs per side cannot tell such a change from noise.
+layer_change() {
+  if awk -v bl="$(quantile "$1" 0)" -v bh="$(quantile "$1" 1)" \
+    -v hl="$(quantile "$2" 0)" -v hh="$(quantile "$2" 1)" \
+    'BEGIN { exit !((bl > hl ? bl : hl) <= (bh < hh ? bh : hh)) }'; then
+    printf '(ranges overlap)'
+  else
+    change "$1" "$2"
+  fi
+}
+
 for w in $(echo "$workloads" | tr ',' ' '); do
   i=1
   while [ "$i" -le "$pairs" ]; do
@@ -154,7 +172,7 @@ for w in $(echo "$workloads" | tr ',' ' '); do
   echo "$wins" > "$tmp/$w.wins"
   for m in $layers; do
     echo "  $m, $traced traced runs per side: base $(spread "$tmp/$w.base.$m")," \
-      "working tree $(spread "$tmp/$w.head.$m"), change $(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
+      "working tree $(spread "$tmp/$w.head.$m"), change $(layer_change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
   done
 done
 
@@ -167,7 +185,7 @@ for w in $(echo "$workloads" | tr ',' ' '); do
   done
   printf '  host_s won %s/%s' "$(cat "$tmp/$w.wins")" "$pairs"
   for m in $layers; do
-    printf '  %s %s' "$m" "$(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
+    printf '  %s %s' "$m" "$(layer_change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
   done
   echo
   if awk -v b="$(quantile "$tmp/$w.base.host_s" 0.5)" \

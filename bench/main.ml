@@ -487,6 +487,7 @@ let run_replay ~quick =
       ("replay_kernel", Json.string replay_kernel);
       ("replay_scale", Json.int scale);
       ("replay_events", Json.int (Stream.events stream));
+      ("replay_stream_bytes", Json.int (Bytes.length (Stream.to_bytes stream)));
       ("replay_stats_equal", bit stats_equal);
       ("replay_ab_warden_invdown", Json.int (coh ms_rep));
       ("replay_ab_mesi_invdown", Json.int (coh ms_ab));

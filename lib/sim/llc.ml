@@ -9,9 +9,14 @@ open Warden_mem
    a run fills a few percent of it. Each slice's lines live by slot in
    its own pool, whose pages are likewise added on demand. *)
 type slice = { tags : Csa.t; pool : Linepool.t }
-type t = { slices : slice array; store : Store.t }
 
-let create (cfg : Config.t) store =
+type t = {
+  slices : slice array;
+  store : Store.t;
+  on_dram_write : unit -> unit; (* a victim's writeback to memory *)
+}
+
+let create ?(on_dram_write = ignore) (cfg : Config.t) store =
   {
     slices =
       Array.init cfg.Config.sockets (fun _ ->
@@ -25,6 +30,7 @@ let create (cfg : Config.t) store =
                 ();
           });
     store;
+    on_dram_write;
   }
 
 let store t = t.store
@@ -36,8 +42,10 @@ let insert t s ~blk slot =
   match Csa.insert s.tags blk slot with
   | None -> ()
   | Some (vblk, vslot) ->
-      if vblk <> blk && Linepool.is_dirty s.pool vslot then
+      if vblk <> blk && Linepool.is_dirty s.pool vslot then begin
         Linedata.write_back (Linepool.view s.pool vslot) t.store vblk;
+        t.on_dram_write ()
+      end;
       Linepool.free s.pool vslot
 
 (* The resident slot of [blk], filled from memory on a miss. *)
@@ -85,15 +93,19 @@ let put_full t ~socket ~blk src =
   Linepool.mark_all_dirty s.pool slot;
   insert t s ~blk slot
 
-let copy t store =
+let copy t store ~on_dram_write =
   {
     slices =
       Array.map
         (fun s -> { tags = Csa.copy s.tags; pool = Linepool.copy s.pool })
         t.slices;
     store;
+    on_dram_write;
   }
 
+(* The end-of-run drain counts no DRAM write: it is the simulator making
+   memory readable ([Memsys.peek], snapshots), not a transfer the
+   simulated machine makes, and the lines it writes stay resident. *)
 let flush_to_store t =
   Array.iter
     (fun s ->

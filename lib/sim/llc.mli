@@ -8,7 +8,14 @@
 
 type t
 
-val create : Warden_machine.Config.t -> Warden_mem.Store.t -> t
+val create :
+  ?on_dram_write:(unit -> unit) ->
+  Warden_machine.Config.t ->
+  Warden_mem.Store.t ->
+  t
+(** An empty LLC over the given store. [on_dram_write] is called once per
+    dirty victim written back to memory (default: nothing); its owner
+    counts and charges the DRAM write there. *)
 
 val store : t -> Warden_mem.Store.t
 
@@ -33,11 +40,13 @@ val merge : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
 val put_full : t -> socket:int -> blk:int -> Warden_cache.Linedata.t -> unit
 (** Full-line dirty install of a copy's data (M-state writeback). *)
 
-val copy : t -> Warden_mem.Store.t -> t
-(** An independent LLC in the same state, backed by the given store. *)
+val copy : t -> Warden_mem.Store.t -> on_dram_write:(unit -> unit) -> t
+(** An independent LLC in the same state, backed by the given store and
+    reporting its victims' writebacks to [on_dram_write]. *)
 
 val flush_to_store : t -> unit
-(** Write every dirty line back to memory (end-of-run drain). *)
+(** Write every dirty line back to memory (end-of-run drain). Unlike a
+    victim's writeback, this is not reported to [on_dram_write]. *)
 
 val save : t -> Warden_util.Bin.w -> unit
 (** Snapshot every slice's tag store (the backing store is serialized

@@ -108,6 +108,13 @@ let owned t core =
     pc
   end
 
+(* An LLC victim written back to memory: a DRAM write, counted and
+   charged like the DRAM read that fetched it
+   ([Fabric.shared_read_latency]). *)
+let dram_write pstats energy () =
+  pstats.Pstats.dram_writes <- pstats.Pstats.dram_writes + 1;
+  Energy.dram_access energy
+
 let create_with cfg ~mk =
   if cfg.Config.sim_domains <> 1 then
     invalid_arg
@@ -118,16 +125,17 @@ let create_with cfg ~mk =
     Privcache.create cfg ~evict:(fun ~blk:_ _ _ ->
         invalid_arg "Memsys: eviction from a blank hierarchy")
   in
+  let energy = Energy.create () and pstats = Pstats.create () in
   let t =
     {
       cfg;
-      energy = Energy.create ();
-      pstats = Pstats.create ();
+      energy;
+      pstats;
       sstats = Sstats.create ~threads:(Config.num_threads cfg);
       obs;
       obs_on = Obs.enabled obs;
       store;
-      llc = Llc.create cfg store;
+      llc = Llc.create cfg store ~on_dram_write:(dram_write pstats energy);
       priv = Array.make (Config.num_cores cfg) blank;
       blank;
       proto = None;
@@ -155,14 +163,15 @@ let create cfg ~proto = create_with cfg ~mk:(protocol_of proto)
    with no trace sink. *)
 let copy t =
   let store = Store.copy t.store in
+  let energy = Energy.copy t.energy and pstats = Pstats.copy t.pstats in
   let c =
     {
       t with
-      energy = Energy.copy t.energy;
-      pstats = Pstats.copy t.pstats;
+      energy;
+      pstats;
       sstats = Sstats.copy t.sstats;
       store;
-      llc = Llc.copy t.llc store;
+      llc = Llc.copy t.llc store ~on_dram_write:(dram_write pstats energy);
       priv = [||];
       word = Bytes.create 8;
       sink = no_sink;

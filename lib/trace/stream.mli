@@ -3,8 +3,10 @@
     Recording installs the {!Warden_sim.Memsys} trace sink for the
     duration of a run, capturing every committed memory-system transition
     — loads, stores (with values), RMWs (with their committed new value),
-    region add/remove, flushes and host pokes — in commit order, 33 bytes
-    per event. Replaying feeds the stream back through the memory-system
+    region add/remove, flushes and host pokes — in commit order, as WOBS
+    v3 packed records: one 64-bit word per load, flush or fence, two per
+    store, RMW, poke or region event, and a six-word wide record for the
+    rare event whose fields do not fit the packed word. Replaying feeds the stream back through the memory-system
     entry points against a {e fresh} same-geometry memory system, with no
     program model: on the same protocol the final memory-system
     statistics are bit-identical to the recording run's; on the other
@@ -35,18 +37,20 @@ val proto : t -> string
 (** Protocol name the stream was recorded under. *)
 
 val to_bytes : t -> Bytes.t
-(** The [WOBS] v2 envelope: magic, version, geometry, protocol, event
+(** The [WOBS] v3 envelope: magic, version, geometry, protocol, event
     count, body, and a {!Warden_util.Bin.word_checksum} of everything
     before it. *)
 
 val of_bytes : Bytes.t -> t
 (** Validate a {!to_bytes} envelope in place and return a stream that
     reads its events straight out of the argument: nothing is copied, so
-    the argument must not be mutated afterwards. Raises
-    [Warden_util.Bin.Corrupt], naming the fault, on a bad magic, another
-    version, a truncated or over-long input, a body length other than
-    events x 33, or a checksum mismatch (any damaged header or body
-    byte). *)
+    the argument must not be mutated afterwards. The checksum is verified
+    first, then the body is walked once. Raises [Warden_util.Bin.Corrupt],
+    naming the fault, on a bad magic, another version (a v2 trace is
+    refused by its version), a truncated or over-long input, a checksum
+    mismatch (any damaged header or body byte), a truncated record, an
+    unknown event kind, or an event count that disagrees with the body's
+    records. *)
 
 val save_file : t -> string -> unit
 

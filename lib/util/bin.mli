@@ -57,4 +57,4 @@ val word_checksum : Bytes.t -> pos:int -> len:int -> int
 (** The same roll, one finalizer step per little-endian 64-bit word and
     then per tail byte: about eight times fewer steps than {!checksum},
     with the same guarantee that any single-word change is caught. The
-    [WOBS] v2 trace envelope's checksum. *)
+    [WOBS] trace envelope's checksum. *)

@@ -261,7 +261,7 @@ let mesi_rows =
         load 0 2 => [ llc 0 42L; mem 0 0L ];
         (* Two more socket-0 blocks push block 0 out of its LLC slice. *)
         load 0 4 => [ llc 0 42L ];
-        load 0 6 => [ mem 0 42L ];
+        load 0 6 => [ mem 0 42L; Stats [ ("dram_writes", 1) ] ];
         load 1 0
         => [ Value 42L; holds 1 0 P_E;
              Stats [ ("dram_reads", 1); ("l3_hits", 0) ] ];

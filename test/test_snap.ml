@@ -354,23 +354,35 @@ let test_replay_stats_identical () =
     (Stream.events stream)
     (Stream.replay stream (Engine.memsys ab))
 
-(* A WOBS v2 envelope around [events] zero events, built by hand: what
-   [Stream.to_bytes] writes, so that [of_bytes] can be fed bodies of any
-   size without recording them. *)
-let synthetic_envelope ~events =
+(* A WOBS v3 envelope around [body], built by hand: what
+   [Stream.to_bytes] writes, with any event count and body. *)
+let envelope ~events body =
   let w = Bin.writer () in
   Bin.w_string w "WOBS";
-  Bin.w_int w 2;
+  Bin.w_int w 3;
   List.iter (Bin.w_int w) [ 1; 1; 1 ];
   Bin.w_string w "mesi";
   Bin.w_int w events;
-  Bin.w_bytes w (Bytes.make (33 * events) '\000');
+  Bin.w_bytes w body;
   let covered = Bin.length w in
   Bin.w_int w 0;
   let b = Bin.contents w in
   Bytes.set_int64_le b covered
     (Int64.of_int (Bin.word_checksum b ~pos:0 ~len:covered));
   b
+
+(* A body of packed records, one 64-bit word each (a value word is just
+   another word). *)
+let words ws =
+  let b = Bytes.create (8 * List.length ws) in
+  List.iteri (fun i w -> Bytes.set_int64_le b (8 * i) (Int64.of_int w)) ws;
+  b
+
+(* [events] acquire fences by thread 0, so that [of_bytes] can be fed
+   bodies of any size without recording them. *)
+let synthetic_envelope ~events =
+  envelope ~events
+    (words (List.init events (fun _ -> Memsys.k_acquire lor (1 lsl 6))))
 
 let test_stream_envelope_roundtrip () =
   let cfg = Config.single_socket () in
@@ -422,24 +434,42 @@ let test_stream_envelope_roundtrip () =
   refused "threads-per-core byte" (flip 36);
   refused "protocol name byte" (flip (proto_at + 9))
     ~msg:"Bin: Stream: checksum mismatch (corrupt trace)";
-  (* A v1 envelope is refused by its version, whatever follows. *)
-  let v1 = Bytes.copy b in
-  Bytes.set_int64_le v1 12 1L;
-  refused "v1 envelope" v1
-    ~msg:"Bin: Stream: trace version 1, this build reads 2";
-  (* One event more than the body holds, under a valid checksum. *)
-  let off_by_one = Bytes.copy b in
-  Bytes.set_int64_le off_by_one events_at
-    (Int64.of_int (Stream.events stream + 1));
-  let covered = Bytes.length b - 8 in
-  Bytes.set_int64_le off_by_one covered
-    (Int64.of_int (Bin.word_checksum off_by_one ~pos:0 ~len:covered));
-  refused "body length not events x 33" off_by_one
+  (* A v2 envelope is refused by its version, whatever follows. *)
+  let v2 = Bytes.copy b in
+  Bytes.set_int64_le v2 12 2L;
+  refused "v2 envelope" v2
+    ~msg:"Bin: Stream: trace version 2, this build reads 3";
+  (* Under a valid checksum, the body walk refuses what replay could not
+     read: half a record, a kind no record has, and more events than
+     records. *)
+  let store_word = Memsys.k_store lor (3 lsl 4) lor (1 lsl 6) lor (64 lsl 22) in
+  refused "half a store record" (envelope ~events:1 (words [ store_word ]))
+    ~msg:"Bin: Stream: truncated record at body byte 0";
+  refused "half a word" (envelope ~events:1 (Bytes.make 4 '\000'))
+    ~msg:"Bin: Stream: truncated record at body byte 0";
+  refused "half a wide record"
+    (envelope ~events:2 (words [ Memsys.k_flush; 15; Memsys.k_load; 0; 0 ]))
+    ~msg:"Bin: Stream: truncated record at body byte 8";
+  for kind = 9 to 14 do
+    refused
+      (Printf.sprintf "unknown kind %d" kind)
+      (envelope ~events:2 (words [ Memsys.k_flush; kind lor (1 lsl 6) ]))
+      ~msg:(Printf.sprintf "Bin: Stream: unknown event kind %d at body byte 8" kind)
+  done;
+  refused "unknown kind in a wide record"
+    (envelope ~events:1 (words [ 15; 9; 0; 0; 0; 0 ]))
+    ~msg:"Bin: Stream: unknown event kind 9 at body byte 0";
+  let body_len = Int64.to_int (Bytes.get_int64_le b (events_at + 8)) in
+  let body = Bytes.sub b body_at body_len in
+  refused "one event too many"
+    (envelope ~events:(Stream.events stream + 1) body)
     ~msg:
-      (Printf.sprintf
-         "Bin: Stream: body of %d bytes is not %d events of 33 bytes"
-         (33 * Stream.events stream)
-         (Stream.events stream + 1));
+      (Printf.sprintf "Bin: Stream: header counts %d events, the body holds %d"
+         (Stream.events stream + 1)
+         (Stream.events stream));
+  Alcotest.(check bool) "the same body under its own count is accepted" true
+    (Stream.events (Stream.of_bytes (envelope ~events:(Stream.events stream) body))
+    = Stream.events stream);
   List.iter
     (fun keep ->
       refused
@@ -462,6 +492,119 @@ let test_stream_envelope_roundtrip () =
   Alcotest.(check (float 0.)) "of_bytes allocation independent of body size"
     small large;
   Alcotest.(check bool) "of_bytes allocates under 1 KB" true (small < 1024.)
+
+(* One run that reports every event kind, every access size, region
+   add/remove, a flush and host pokes: each op with the length its
+   record takes, and each written (address, size). [wide] adds loads and
+   a region at an address too high for a packed record. They write
+   nothing: the store's written-block set is dense in the block number,
+   so a write that high would allocate gigabytes. *)
+let all_kinds_ops ~wide ms =
+  let base = Memsys.alloc ms ~bytes:4096 ~align:4096 in
+  let far = 1 lsl 41 in
+  let load thread a size =
+    ((if a >= far then 48 else 8), fun () -> ignore (Memsys.load ms ~thread a ~size))
+  in
+  let store thread a size v =
+    (16, fun () -> ignore (Memsys.store ms ~thread a ~size v : int))
+  in
+  let poke a size v = (16, fun () -> Memsys.poke ms a ~size v) in
+  let rmw thread a size =
+    (16, fun () -> ignore (Memsys.rmw ms ~thread a ~size (Int64.add 3L)))
+  in
+  let ops =
+    List.concat_map
+      (fun size ->
+        let a = base + (64 * size) in
+        [
+          poke a size (Int64.of_int (0x1122 * size));
+          load 0 a size;
+          store 1 (a + size) size (Int64.of_int (-size));
+          load 2 (a + size) size;
+          rmw 3 a size;
+          load 0 a size;
+        ])
+      [ 1; 2; 4; 8 ]
+    @ [
+        (8, fun () -> ignore (Memsys.acquire ms ~thread:1 : int));
+        ( 16,
+          fun () ->
+            ignore (Memsys.region_add ms ~thread:2 ~lo:(base + 1024) ~hi:(base + 1152) : bool) );
+        store 2 (base + 1024) 8 7L;
+        load 2 (base + 1088) 4;
+        ( 16,
+          fun () ->
+            ignore (Memsys.region_remove ms ~thread:2 ~lo:(base + 1024) ~hi:(base + 1152) : int) );
+        (8, fun () -> ignore (Memsys.release ms ~thread:1 : int));
+        store 5 (base + 64) 1 0xABL;
+        load 4 (base + 64) 8;
+      ]
+    @ (if wide then
+         [
+           load 0 far 8;
+           ( 48,
+             fun () ->
+               ignore (Memsys.region_add ms ~thread:1 ~lo:far ~hi:(far + 128) : bool) );
+           load 1 (far + 64) 4;
+           ( 48,
+             fun () ->
+               ignore (Memsys.region_remove ms ~thread:1 ~lo:far ~hi:(far + 128) : int) );
+         ]
+       else [])
+    @ [ (8, fun () -> Memsys.flush_all ms) ]
+  in
+  let written =
+    List.concat_map
+      (fun size ->
+        let a = base + (64 * size) in
+        [ (a, size); (a + size, size) ])
+      [ 1; 2; 4; 8 ]
+    @ [ (base + 1024, 8); (base + 64, 1) ]
+  in
+  (ops, written)
+
+(* WOBS v3 packed records: every event kind and size, and forced wide
+   records, replay to the live run's stats and memory, and the envelope
+   re-encodes to the same bytes. Without wide records, the body is
+   exactly 8 bytes per load, flush and fence and 16 per store, RMW, poke
+   and region event. *)
+let test_stream_v3_roundtrip () =
+  let cfg = Config.dual_socket () in
+  List.iter
+    (fun wide ->
+      let label what = Printf.sprintf "%s (wide records: %b)" what wide in
+      let live = Memsys.create cfg ~proto:`Warden in
+      let ops, written = all_kinds_ops ~wide live in
+      let (), stream =
+        Stream.record live (fun () -> List.iter (fun (_, op) -> op ()) ops)
+      in
+      Alcotest.(check int) (label "one event per op") (List.length ops)
+        (Stream.events stream);
+      let b = Stream.to_bytes stream in
+      let back = Stream.of_bytes b in
+      Alcotest.(check bool) (label "re-enveloping is byte-identical") true
+        (Bytes.equal b (Stream.to_bytes back));
+      (* Header: magic (8 + 4), version, three geometry words, the
+         protocol name (8 + its length), the event count, the body
+         length. *)
+      let len_at = 12 + 8 + 24 + 8 + String.length (Stream.proto stream) + 8 in
+      Alcotest.(check int) (label "body bytes")
+        (List.fold_left (fun n (bytes, _) -> n + bytes) 0 ops)
+        (Int64.to_int (Bytes.get_int64_le b len_at));
+      List.iter
+        (fun (what, s) ->
+          let ms = Memsys.create cfg ~proto:`Warden in
+          ignore (Stream.replay s ms : int);
+          Alcotest.(check string) (label (what ^ ": replayed stats"))
+            (Stream.stats_text live) (Stream.stats_text ms);
+          List.iter
+            (fun (a, size) ->
+              Alcotest.(check int64)
+                (label (Printf.sprintf "%s: memory at %#x" what a))
+                (Memsys.peek live a ~size) (Memsys.peek ms a ~size))
+            written)
+        [ ("pages", stream); ("envelope", back) ])
+    [ false; true ]
 
 (* A recording that spans several recorder pages replays, straight from
    its pages and through its envelope, to the live run's stats. *)
@@ -562,6 +705,8 @@ let suite =
     Alcotest.test_case "stream envelope round-trip and checksum" `Quick
       test_stream_envelope_roundtrip;
     Alcotest.test_case "stream across recorder pages" `Quick test_stream_pages;
+    Alcotest.test_case "v3 records: every kind, size and wide form" `Quick
+      test_stream_v3_roundtrip;
     Alcotest.test_case "snapshot corruption and fingerprint" `Quick
       test_snapshot_corruption;
   ]
