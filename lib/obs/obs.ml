@@ -51,11 +51,15 @@ let[@inline] bump t code arg =
 (* A hit only counts: its latency is the level's constant, so the hit
    histograms are derived from the counts when read ({!hist}). The count
    is inlined into the memory system's hit path; the rest of a miss's
-   recording is out of line. *)
+   recording is out of line. The heatmap, like the Chrome sink, records
+   at the full level only: a per-block table update on every miss and
+   coherence event costs the counters level more than its budget. *)
 let record_miss t ~cls ~core ~blk ~lat =
   Hist.add t.hist ~cls lat;
-  Sink_heatmap.touch_block t.heat ~blk ~cls:(Events.heat_class cls);
-  if t.lvl >= 2 then push_record t ~code:cls ~core ~blk ~arg:lat
+  if t.lvl >= 2 then begin
+    Sink_heatmap.touch_block t.heat ~blk ~cls:(Events.heat_class cls);
+    push_record t ~code:cls ~core ~blk ~arg:lat
+  end
 
 let[@inline] access t ~cls ~core ~blk ~lat =
   if t.lvl >= 1 then begin
@@ -67,26 +71,29 @@ let event t ~code ~core ~blk ~arg =
   if t.lvl >= 1 then begin
     bump t code arg;
     if Events.duration_event code then Hist.add t.hist ~cls:code arg;
-    let hc = Events.heat_class code in
-    if hc >= 0 then begin
-      Sink_heatmap.touch_block t.heat ~blk ~cls:hc;
-      if code = Events.ward_grant then Sink_heatmap.mark_ward t.heat ~blk
-    end;
-    if t.lvl >= 2 then push_record t ~code ~core ~blk ~arg
+    if t.lvl >= 2 then begin
+      let hc = Events.heat_class code in
+      if hc >= 0 then begin
+        Sink_heatmap.touch_block t.heat ~blk ~cls:hc;
+        if code = Events.ward_grant then Sink_heatmap.mark_ward t.heat ~blk
+      end;
+      push_record t ~code ~core ~blk ~arg
+    end
   end
 
 let region t ~core ~lo ~hi ~exit ~flushed =
   if t.lvl >= 1 then begin
     let code = if exit then Events.ward_exit else Events.ward_enter in
     bump t code (if exit then flushed else 0);
-    Sink_heatmap.touch_region t.heat ~lo ~hi ~exit ~flushed;
-    if t.lvl >= 2 then
+    if t.lvl >= 2 then begin
+      Sink_heatmap.touch_region t.heat ~lo ~hi ~exit ~flushed;
       let blk = Warden_mem.Addr.block_of lo in
       let arg =
         if exit then flushed
         else List.length (Warden_mem.Addr.blocks_spanning lo (hi - lo))
       in
       push_record t ~code ~core ~blk ~arg
+    end
   end
 
 let count t code =
@@ -129,8 +136,13 @@ let render_summary t =
       end)
     [ Events.l1_hit; Events.l2_hit; Events.miss; Events.upgrade;
       Events.ward_grant; Events.sb_stall ];
-  Buffer.add_string buf "\nHottest blocks\n";
-  Buffer.add_string buf (Sink_heatmap.render_blocks t.heat ~n:16);
-  Buffer.add_string buf "\nWARD regions\n";
-  Buffer.add_string buf (Sink_heatmap.render_regions t.heat);
+  if t.lvl >= 2 then begin
+    Buffer.add_string buf "\nHottest blocks\n";
+    Buffer.add_string buf (Sink_heatmap.render_blocks t.heat ~n:16);
+    Buffer.add_string buf "\nWARD regions\n";
+    Buffer.add_string buf (Sink_heatmap.render_regions t.heat)
+  end
+  else
+    Buffer.add_string buf
+      "\nHottest blocks and WARD regions: recorded at the full level only (--obs full)\n";
   Buffer.contents buf

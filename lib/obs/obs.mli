@@ -56,8 +56,11 @@ val hist : t -> Hist.t
     in from the counts here. *)
 
 val heat : t -> Sink_heatmap.t
+(** Per-block and per-region tables; filled at the full level only. *)
+
 val chrome : t -> Sink_chrome.t
 
 val render_summary : t -> string
-(** Human-readable profile: event counts, latency histograms, hottest
-    blocks, WARD region table. *)
+(** Human-readable profile: event counts, latency histograms, and at the
+    full level the hottest blocks and the WARD region table (below it, a
+    line saying they are not recorded). *)

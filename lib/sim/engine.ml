@@ -4,9 +4,9 @@ module Obs = Warden_obs.Obs
 module Oev = Warden_obs.Events
 
 (* The one effect a thread performs. A suspending thread first writes its
-   pending operation into its [tstate] (op code and operands); the run
-   loop performs the operation when the thread next reaches the heap root
-   and resumes it with [()], leaving any result in the thread's [word].
+   pending operation into its [tstate] (op code and operands); [step]
+   performs the operation when the thread next reaches the heap root and
+   resumes it with [()], leaving any result in the thread's [word].
    Nothing is allocated per suspension beyond the continuation itself. *)
 type _ Effect.t += Suspend : unit Effect.t
 
@@ -99,7 +99,6 @@ type t = {
   heap_key : int array;
   mutable heap_len : int;
   mutable next_seq : int;
-  mutable requeued : bool; (* the running thread suspended this turn *)
   mutable others : int; (* the earliest other queued cycle; fixed for a turn *)
   mutable limit : int;
       (* the running thread may run an access inline while its clock is
@@ -154,7 +153,6 @@ let create cfg ~proto =
     heap_key = Array.make slots max_int;
     heap_len = 0;
     next_seq = 0;
-    requeued = false;
     others = 0;
     limit = 0;
     threads;
@@ -355,7 +353,7 @@ let[@inline] inline_leave t st t0 misses =
 (* --- the operations ------------------------------------------------------- *)
 
 (* What an operation does to the thread, shared by the inline path and
-   the run loop. Accesses go through the memory system's one transition
+   [step]. Accesses go through the memory system's one transition
    per operation ([Memsys.access_*]), hit or miss. *)
 
 let[@inline] do_load t st addr ~size =
@@ -373,7 +371,8 @@ let do_rmw t st addr ~size f =
   st.time <- st.time + lat + 2;
   retire t st 1
 
-(* Perform the root thread's pending operation and resume it. *)
+(* Perform the root thread's pending operation and resume it. The
+   [continue] is the last call: see [next_turn]. *)
 let step t st =
   (match st.op with
   | Start | Yield | Fork | Hand_off -> ()
@@ -405,73 +404,83 @@ let step t st =
       retire t st 1);
   Effect.Deep.continue st.k ()
 
-(* The handler of every thread of a run, and the only one on a thread's
-   path. A suspension stores the continuation in the running thread's
-   state and returns to the run loop; a fork does the same without
-   requeueing the thread. The [Some] is allocated once per run, not per
-   suspension. *)
-let handler t =
-  let open Effect.Deep in
-  let suspend =
-    Some
-      (fun k ->
-        let st = cur_st t in
-        st.k <- k;
-        t.requeued <- (match st.op with Fork -> false | _ -> true))
-  in
-  {
-    retc = idle;
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-        match eff with Suspend -> suspend | _ -> None);
-  }
+(* The turns of a run, driven by the handler [h] of every thread's fiber.
+   There is no run loop: each transition ends by starting the next fiber,
+   and that call is in tail position. A fiber's [perform] runs the
+   handler on the stack that resumed the fiber, in that resumption's
+   place, so a transition that starts the next fiber as its last call
+   leaves nothing behind on the host stack; a run of any length takes
+   constant stack. Anything after such a call (a [try], a [Fun.protect],
+   one more statement) would keep a frame per switch and overflow the
+   stack on a long run; test/test_stack.ml guards this.
 
-(* The end of the running thread's turn, once its fiber has returned to
-   the run loop. It suspended: rewrite its key and sift it down. It forked:
-   hand the parked fiber to the fork's receiver and run the fork's body.
-   Its body returned after a hand-off: continue the parked fiber. Its body
-   returned otherwise: it has finished, so remove the root. A fork or
-   hand-off takes no time and stays in the turn, so neither ever nests a
-   fiber inside another. *)
-let rec settle t st h =
-  if t.requeued then sift_root t st.tid (key t st)
-  else
-    match st.op with
-    | Fork ->
-        let park = st.park and body = st.body in
-        (* Spent, so that a body returning later finishes the thread. *)
-        st.op <- Start;
-        st.park <- ignore;
-        st.body <- idle;
-        park st.k;
-        Effect.Deep.match_with body () h;
-        settle t st h
-    | Hand_off ->
-        st.op <- Start;
-        Effect.Deep.continue st.k ();
-        settle t st h
-    | _ ->
-        (* Finished: drop the spent continuation. *)
-        st.k <- no_k;
-        remove_root t
-
-(* Run turns until every thread has finished. The root is the thread to
-   run. A turn that ends in a suspension, the common case, sifts without
-   calling [settle]. *)
-let drain_heap t h =
-  while t.heap_len > 0 do
+   [next_turn] resumes the root: it starts the thread's body, or performs
+   its pending operation in [step]. An empty heap ends the run, and
+   control returns to [run]. *)
+let rec next_turn t h =
+  if t.heap_len > 0 then begin
     let st = t.threads.(t.heap_tid.(0)) in
     resume t st;
-    t.requeued <- false;
-    (match st.op with
+    match st.op with
     | Start ->
         let body = st.body in
         st.body <- idle;
         Effect.Deep.match_with body () h
-    | _ -> step t st);
-    if t.requeued then sift_root t st.tid (key t st) else settle t st h
-  done
+    | _ -> step t st
+  end
+
+(* The running thread suspended with [k]. It forked: hand [k] to the
+   fork's receiver and run the fork's body in the same turn, without
+   requeueing the thread. Otherwise rewrite its key, sift it down and
+   start the next turn. *)
+and suspended t h k =
+  let st = cur_st t in
+  st.k <- k;
+  match st.op with
+  | Fork ->
+      let park = st.park and body = st.body in
+      (* Spent, so that a body returning later finishes the thread. *)
+      st.op <- Start;
+      st.park <- ignore;
+      st.body <- idle;
+      park k;
+      Effect.Deep.match_with body () h
+  | _ ->
+      sift_root t st.tid (key t st);
+      next_turn t h
+
+(* The running fiber's body returned. After a hand-off, continue the
+   parked fiber in the same turn. Otherwise the thread has finished:
+   drop its spent continuation, remove the root and start the next
+   turn. A fork or hand-off takes no time and stays in the turn, so
+   neither ever nests a fiber inside another. *)
+and returned t h =
+  let st = cur_st t in
+  match st.op with
+  | Hand_off ->
+      st.op <- Start;
+      Effect.Deep.continue st.k ()
+  | _ ->
+      st.k <- no_k;
+      remove_root t;
+      next_turn t h
+
+(* The handler of every thread of a run, and the only one on a thread's
+   path. The [Some] is allocated once per run, not per suspension. *)
+let handler t =
+  let open Effect.Deep in
+  let rec h =
+    {
+      retc = (fun () -> returned t h);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with Suspend -> suspend | _ -> None);
+    }
+  and suspend : ((unit, unit) continuation -> unit) option =
+    Some (fun k -> suspended t h k)
+  in
+  h
 
 (* [run] may be called repeatedly on one engine: each call is a phase, and
    thread clocks and the stat records carry over, so phase N+1 continues
@@ -496,7 +505,7 @@ let run t bodies =
   Domain.DLS.set cur_key (Some t);
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set cur_key prev)
-    (fun () -> drain_heap t h);
+    (fun () -> next_turn t h);
   let makespan = ref 0 in
   for tid = 0 to n - 1 do
     drain_all t.threads.(tid);

@@ -18,6 +18,9 @@
     enqueue order). A thread has at most one queued event and only the
     running thread re-enqueues itself, so the running thread stays at the
     heap's root for its whole turn: a context switch is one sift-down.
+    There is no run loop: the effect handler ends each turn by resuming
+    the next root, a call in tail position, so a run of any length takes
+    constant host stack (DESIGN.md §8).
 
     Every access is one memory-system transition ({!Memsys.access_load}
     and its siblings: a hit prefix, then the miss path). It runs inline,
@@ -25,7 +28,7 @@
     thread's clock is strictly below every other queued cycle and within
     the current scheduling quantum
     ({!Warden_machine.Config.t.sched_quantum}); otherwise the thread
-    writes the operation into its state, suspends, and the run loop
+    writes the operation into its state, suspends, and the engine
     performs it when the thread is popped. The gate makes the inline
     event exactly the event the queue would have popped next, so results
     are bit-identical to the fully scheduled execution

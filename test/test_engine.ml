@@ -387,6 +387,56 @@ let test_fork_and_hand_off () =
   Alcotest.(check int) "thread 1 retired its own and the resumed loads" 10
     stats.Sstats.per_thread_instructions.(1)
 
+(* An exception escapes [Engine.run] as itself, from any depth of
+   handler-driven turns. Each of four threads forks and hands its own
+   parked fiber back 2000 times, with a load in every fork's body; then
+   thread 0 forks once more and raises from that body. The ambient [Ops]
+   slot is restored, so an access outside a run is unhandled again, and
+   a fresh engine then runs the same program, without the raise, to the
+   stats of a run made before any exception. *)
+exception Boom
+
+let test_exception_escapes_run () =
+  let threads = 4 and rounds = 2000 in
+  let handoffs = ref 0 in
+  let go ~raise_at_end =
+    let eng = Engine.create (Config.single_socket ()) ~proto:`Mesi in
+    let ms = Engine.memsys eng in
+    let body a () =
+      let parked = ref None in
+      for _ = 1 to rounds do
+        Ops.fork
+          ~park:(fun k -> parked := Some k)
+          (fun () ->
+            ignore (Ops.load a ~size:8 : int64);
+            incr handoffs;
+            Ops.hand_off (Option.get !parked))
+      done;
+      if raise_at_end && Ops.tid () = 0 then
+        Ops.fork ~park:ignore (fun () ->
+            ignore (Ops.load a ~size:8 : int64);
+            raise Boom)
+    in
+    let bodies =
+      Array.init threads (fun _ -> body (Memsys.alloc ms ~bytes:64 ~align:64))
+    in
+    let cycles = Engine.run eng bodies in
+    (cycles, Sstats.copy (Memsys.sstats ms))
+  in
+  let cycles, stats = go ~raise_at_end:false in
+  Alcotest.(check int) "loads" (threads * rounds) stats.Sstats.loads;
+  handoffs := 0;
+  Alcotest.check_raises "the body's exception" Boom (fun () ->
+      ignore (go ~raise_at_end:true));
+  Alcotest.(check bool) "thread 0 raised after its hand-offs" true
+    (!handoffs >= rounds);
+  (match Ops.load 0 ~size:8 with
+  | _ -> Alcotest.fail "Ops.load ran outside a run"
+  | exception Effect.Unhandled _ -> ());
+  let cycles', stats' = go ~raise_at_end:false in
+  Alcotest.(check int) "next run's makespan" cycles cycles';
+  Alcotest.(check bool) "next run's stats" true (stats = stats')
+
 (* Snapshot and restore are legal only between runs. The running thread
    stays in the run queue for its whole turn, so a call from inside a
    run is refused even from the last thread, with or without a buffered
@@ -440,6 +490,8 @@ let suite =
       test_suspend_allocation_budget;
     Alcotest.test_case "fork and hand-off stay in the turn" `Quick
       test_fork_and_hand_off;
+    Alcotest.test_case "an exception escapes the run" `Quick
+      test_exception_escapes_run;
     Alcotest.test_case "no snapshot or restore mid-run" `Quick
       test_no_snapshot_mid_run;
   ]

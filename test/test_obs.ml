@@ -412,17 +412,41 @@ let test_trace_rerun_identity () =
   in
   Alcotest.(check string) "trace bytes identical run to run" (doc ()) (doc ())
 
+(* The heatmap is a full-level sink: at the counters level it stays
+   empty, and the summary says so in one line instead of two empty
+   tables. *)
 let test_summary_renders () =
-  let ms = run_ms ~bench:"fib" ~scale:12 ~proto:`Warden (cfg Config.Obs_full) in
-  let s = Obs.render_summary (Memsys.obs ms) in
+  let summary level =
+    let ms = run_ms ~bench:"fib" ~scale:12 ~proto:`Warden (cfg level) in
+    (Memsys.obs ms, Obs.render_summary (Memsys.obs ms))
+  in
+  let mentions s needle =
+    let rec find i =
+      i + String.length needle <= String.length s
+      && (String.sub s i (String.length needle) = needle || find (i + 1))
+    in
+    find 0
+  in
+  let heat_only = "recorded at the full level only" in
+  let full_obs, full = summary Config.Obs_full in
   List.iter
     (fun needle ->
-      let rec find i =
-        i + String.length needle <= String.length s
-        && (String.sub s i (String.length needle) = needle || find (i + 1))
-      in
-      Alcotest.(check bool) ("summary mentions " ^ needle) true (find 0))
-    [ "inv"; "ward-grant"; "l1-hit" ]
+      Alcotest.(check bool) ("full summary mentions " ^ needle) true
+        (mentions full needle))
+    [ "inv"; "ward-grant"; "l1-hit"; "Hottest blocks"; "WARD regions" ];
+  Alcotest.(check bool) "full level fills the heatmap" true
+    (Heat.blocks (Obs.heat full_obs) > 0);
+  Alcotest.(check bool) "full summary: no full-level-only line" false
+    (mentions full heat_only);
+  let counters_obs, counters = summary Config.Obs_counters in
+  Alcotest.(check int) "counters level leaves the heatmap empty" 0
+    (Heat.blocks (Obs.heat counters_obs));
+  Alcotest.(check bool) "counters summary mentions ward-grant" true
+    (mentions counters "ward-grant");
+  Alcotest.(check bool) "counters summary says where the tables are" true
+    (mentions counters heat_only);
+  Alcotest.(check bool) "counters summary: no empty block table" false
+    (mentions counters "Hottest blocks\n")
 
 (* An off recorder holds no sink storage: every memory system builds one,
    and most record nothing. It was 22 KB when every sink was eager. *)
