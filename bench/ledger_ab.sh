@@ -18,9 +18,11 @@
 # runs' runtime.ns_per_access (program model), memsys.hit_ns
 # (memory-system hit path), proto.miss_ns (protocol miss transition),
 # proto.region_ns (WARD region add/remove), llc.ns_per_read (LLC slice
-# read), trace.envelope_ns_per_event (trace envelope round trip) and
-# trace.record_overhead_pct (recording against a plain run): they say
-# which layer an end-to-end change came from. One traced run swings by
+# read) and trace.envelope_ns_per_event (trace envelope round trip):
+# they say which layer an end-to-end change came from. The ledger's
+# trace.record_overhead_pct is not printed: it sets the recording passes
+# against one plain pass, and five traced runs of one unchanged
+# executable read anywhere from -5 to +48 points. One traced run swings by
 # 15-30% on layers a change does not touch, hence five; where the two
 # sides' five runs overlap between their min and max, a layer's change
 # prints as `(ranges overlap)` instead of a median change. With three
@@ -45,7 +47,7 @@ base=${1:?$usage}
 workloads=${2:?$usage}
 pairs=${3:?$usage}
 traced=5
-layers="runtime.ns_per_access memsys.hit_ns proto.miss_ns proto.region_ns llc.ns_per_read trace.envelope_ns_per_event trace.record_overhead_pct"
+layers="runtime.ns_per_access memsys.hit_ns proto.miss_ns proto.region_ns llc.ns_per_read trace.envelope_ns_per_event"
 
 root=$(git rev-parse --show-toplevel)
 bench="$root/BENCHMARK.json"
@@ -124,20 +126,14 @@ summary() {
 spread() {
   echo "median $(quantile "$1" 0.5), range $(quantile "$1" 0) to $(quantile "$1" 1)"
 }
-# A percentage metric can read below zero, where a ratio of medians has
-# no meaning: its change is a difference in points.
 change() {
-  case $1 in
-    *_pct) awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
-      'BEGIN { printf "%+.1f pts", h - b }' ;;
-    *) awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
-      'BEGIN { if (b == 0) printf "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }' ;;
-  esac
+  awk -v b="$(quantile "$1" 0.5)" -v h="$(quantile "$2" 0.5)" \
+    'BEGIN { if (b == 0) printf "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }'
 }
 
 # layer_change BASE HEAD: a layer's median change, or `(ranges overlap)`
 # when the two sides' traced runs overlap between their min and max:
-# three runs per side cannot tell such a change from noise.
+# the traced runs cannot tell such a change from noise.
 layer_change() {
   if awk -v bl="$(quantile "$1" 0)" -v bh="$(quantile "$1" 1)" \
     -v hl="$(quantile "$2" 0)" -v hh="$(quantile "$2" 1)" \

@@ -122,12 +122,36 @@ let insert_absent t blk payload =
   t.tick <- t.tick + 1;
   set_way t (victim_way t (set_index t blk)) blk payload
 
+let clear_way t w =
+  t.blks.(w) <- -1;
+  if has_payloads t then t.payloads.(w) <- -1;
+  t.last_use.(w) <- 0
+
 let remove t blk =
   let w = peek_way t blk in
-  if hit w then begin
-    t.blks.(w) <- -1;
-    if has_payloads t then t.payloads.(w) <- -1;
-    t.last_use.(w) <- 0
+  hit w
+  && begin
+       clear_way t w;
+       true
+     end
+
+(* [find_way] then [remove] in one probe. The hit would rotate into way
+   0 and then be cleared there, so way 0's contents move into the hit way
+   and way 0 is left empty, after the same LRU tick. *)
+let take t blk =
+  let w = peek_way t blk in
+  if not (hit w) then -1
+  else begin
+    t.tick <- t.tick + 1;
+    let v = if has_payloads t then Array.unsafe_get t.payloads w else -1 in
+    let base = set_index t blk * t.nways in
+    if w > base then begin
+      t.blks.(w) <- t.blks.(base);
+      if has_payloads t then t.payloads.(w) <- t.payloads.(base);
+      t.last_use.(w) <- t.last_use.(base)
+    end;
+    clear_way t base;
+    v
   end
 
 let copy t =

@@ -65,8 +65,15 @@ val insert_absent : t -> int -> int -> unit
     any eviction: skips the re-probe and the option allocation, with
     identical tick consumption and way writes. *)
 
-val remove : t -> int -> unit
-(** Invalidate a block if it is resident. *)
+val remove : t -> int -> bool
+(** Invalidate a block if it is resident, without touching LRU state;
+    whether it was. *)
+
+val take : t -> int -> int
+(** [take t blk] is {!find_way} then {!remove} in one probe: the same
+    LRU-clock tick, way 0's contents moved into the hit way, and way 0
+    left empty. Returns the removed way's payload, or -1 when [blk] is
+    absent (a tags-only array returns -1 either way). *)
 
 val copy : t -> t
 (** An independent array in the same state. *)

@@ -6,11 +6,34 @@ open States
 module Obs = Warden_obs.Obs
 module Oev = Warden_obs.Events
 
+(* The W-grant index: for every 32-block chunk ([blk lsr chunk_bits])
+   that holds a block in D_W, a mask of those blocks, so region removal
+   visits the blocks it must reconcile instead of every block of its
+   range. A bit is set when a block enters W and cleared when it leaves;
+   a chunk whose mask empties is dropped. It is derived from the
+   directory: copied by [copy], rebuilt by [restore_state], never saved. *)
+module Windex = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash c = c
+end)
+
+let chunk_bits = 5
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+let index_add w blk =
+  let c = blk lsr chunk_bits and bit = 1 lsl (blk land chunk_mask) in
+  match Windex.find w c with
+  | m -> Windex.replace w c (m lor bit)
+  | exception Not_found -> Windex.add w c bit
+
 module P = struct
   type t = {
     fabric : Fabric.t;
     dir : Dirstate.t;
     regions : Regions.t;
+    windex : int Windex.t;
     scratch : Mesi.grant;
   }
 
@@ -24,17 +47,12 @@ module P = struct
       regions =
         Regions.create
           ~capacity:fabric.Fabric.config.Config.ward_region_capacity;
+      windex = Windex.create 64;
       scratch = Mesi.fresh_grant ();
     }
 
   let fabric t = t.fabric
   let regions t = t.regions
-
-  let blocks_of_range ~lo ~hi f =
-    if hi > lo then
-      for blk = Addr.block_of lo to Addr.block_of (hi - 1) do
-        f blk
-      done
 
   (* Serve a request for a block inside an active WARD region: furnish an
      exclusive-like copy from the shared cache and leave every other copy
@@ -51,8 +69,10 @@ module P = struct
     (match Dirstate.state dir e with
     | D_E | D_M ->
         let o = Dirstate.owner dir e in
-        if o >= 0 then Dirstate.sharer_add dir e o
-    | D_I | D_S | D_W -> ());
+        if o >= 0 then Dirstate.sharer_add dir e o;
+        index_add t.windex blk
+    | D_I | D_S -> index_add t.windex blk
+    | D_W -> ());
     Dirstate.set_state dir e D_W;
     Dirstate.set_owner dir e (-1);
     Dirstate.sharer_add dir e core;
@@ -113,10 +133,13 @@ module P = struct
     end
     else begin
       (* Fold any live MESI copies of these blocks into the LLC so that
-         stale data cannot later win a reconciliation merge. With the
-         runtime's fresh-address allocation this loop finds nothing. *)
+         stale data cannot later win a reconciliation merge. The
+         runtime's regions cover fresh pages, which lie above every block
+         the directory has seen: such an add probes nothing. *)
       let dir = t.dir in
-      blocks_of_range ~lo ~hi (fun blk ->
+      let first = Addr.block_of lo in
+      if first <= Dirstate.top dir then
+        for blk = first to Addr.block_of (hi - 1) do
           let e = Dirstate.find dir blk in
           if
             e <> Dirstate.no_slot
@@ -132,7 +155,8 @@ module P = struct
                   ~arg:1)
               holders;
             Mesi.flush_entry t.fabric t.dir e
-          end);
+          end
+        done;
       true
     end
 
@@ -223,23 +247,45 @@ module P = struct
         Dirstate.set_invalid dir e;
         true
 
+  (* Reconcile the W blocks of [first, last] that no live region still
+     covers, in ascending block order: the index's chunks in order, each
+     mask's bits in order. *)
+  let reconcile_range t ~first ~last =
+    let flushed = ref 0 in
+    let dir = t.dir in
+    for c = first lsr chunk_bits to last lsr chunk_bits do
+      match Windex.find t.windex c with
+      | exception Not_found -> ()
+      | m ->
+          let base = c lsl chunk_bits in
+          let left = ref m in
+          for b = max 0 (first - base) to min chunk_mask (last - base) do
+            let blk = base + b in
+            (* A block of two overlapping regions stays W until the last
+               one is removed. *)
+            if m land (1 lsl b) <> 0 && not (Regions.block_in t.regions blk)
+            then begin
+              let e = Dirstate.find dir blk in
+              if
+                e <> Dirstate.no_slot
+                && Dirstate.state dir e = D_W
+                && reconcile_block t blk e
+              then incr flushed;
+              left := !left land lnot (1 lsl b)
+            end
+          done;
+          if !left = 0 then Windex.remove t.windex c
+          else if !left <> m then Windex.replace t.windex c !left
+    done;
+    !flushed
+
   let region_remove t ~lo ~hi =
     let stats = t.fabric.Fabric.stats in
     stats.Pstats.ward_removes <- stats.Pstats.ward_removes + 1;
     if not (Regions.remove t.regions ~lo ~hi) then 0
-    else begin
-      let flushed = ref 0 in
-      let dir = t.dir in
-      blocks_of_range ~lo ~hi (fun blk ->
-          (* A block of two overlapping regions stays W until the last one
-             is removed. *)
-          if not (Regions.block_in t.regions blk) then begin
-            let e = Dirstate.find dir blk in
-            if e <> Dirstate.no_slot && Dirstate.state dir e = D_W then
-              if reconcile_block t blk e then incr flushed
-          end);
-      !flushed * t.fabric.Fabric.config.Config.reconcile_per_block
-    end
+    else
+      reconcile_range t ~first:(Addr.block_of lo) ~last:(Addr.block_of (hi - 1))
+      * t.fabric.Fabric.config.Config.reconcile_per_block
 
   let flush_all t =
     let f = t.fabric in
@@ -259,7 +305,8 @@ module P = struct
             (Dirstate.holders dir e);
           Dirstate.set_invalid dir e
         end
-        else Mesi.flush_entry f dir e)
+        else Mesi.flush_entry f dir e);
+    Windex.reset t.windex
 
   let observe t ~blk = Protocol.view_of_dir t.dir ~blk
 
@@ -280,17 +327,22 @@ module P = struct
       fabric;
       dir = Dirstate.copy t.dir;
       regions = Regions.copy t.regions;
+      windex = Windex.copy t.windex;
       scratch = Mesi.fresh_grant ();
     }
 
-  (* WARDen's protocol state is the directory plus the region CAM. *)
+  (* WARDen's protocol state is the directory plus the region CAM; the
+     W-grant index is rebuilt from the directory. *)
   let save_state t w =
     Dirstate.save t.dir w;
     Regions.save t.regions w
 
   let restore_state t r =
     Dirstate.restore t.dir r;
-    Regions.restore t.regions r
+    Regions.restore t.regions r;
+    Windex.reset t.windex;
+    Dirstate.iter t.dir (fun blk e ->
+        if Dirstate.state t.dir e = D_W then index_add t.windex blk)
 end
 
 let protocol fabric = Protocol.Packed ((module P), P.create fabric)

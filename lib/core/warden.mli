@@ -16,7 +16,13 @@
 
     Blocks outside WARD regions follow the baseline {!Warden_proto.Mesi}
     transitions exactly, so legacy (non-region-marking) software runs
-    unchanged. *)
+    unchanged.
+
+    Region operations cost what they reconcile, not the range they span:
+    removal visits only the range's blocks in W, through an index of W
+    grants derived from the directory (never saved; rebuilt on restore),
+    and an add whose range starts above every block the directory has
+    entered probes nothing. *)
 
 open Warden_proto
 

@@ -25,6 +25,8 @@ type t = {
   mutable mask : int array; (* [words] sharer words per slot *)
   mutable used : int;
   mutable shift : int; (* 63 - log2 capacity *)
+  mutable top : int; (* highest block ever entered; -1 = none. Derived
+                        from [keys]: never saved, recomputed on restore *)
   words : int; (* 1 up to 62 cores, else the socket count *)
   cps : int; (* cores per socket *)
   span : int; (* cores per word: 64 with one word, else cps *)
@@ -71,6 +73,7 @@ let create ?(capacity = 1 lsl initial_lg) ~sockets ~cores_per_socket () : t =
     mask = Array.make (cap * words) 0;
     used = 0;
     shift = 63 - lg;
+    top = -1;
     words;
     cps = cores_per_socket;
     span;
@@ -131,6 +134,7 @@ let rec entry t blk : slot =
     (* meta and the sharer words are already 0 = invalid: never mutated
        since create or grow, because set_invalid resets them. *)
     t.used <- t.used + 1;
+    if blk > t.top then t.top <- blk;
     i
   end
 
@@ -139,6 +143,7 @@ let find t blk : slot =
   if Array.unsafe_get t.keys i = blk then i else no_slot
 
 let block t (s : slot) = t.keys.(s)
+let top t = t.top
 
 (* --- packed fields --------------------------------------------------------- *)
 
@@ -324,6 +329,7 @@ let restore (t : t) r =
     keys;
   t.used <- used;
   t.shift <- shift;
+  t.top <- Array.fold_left max (-1) keys;
   t.keys <- keys;
   t.meta <- meta;
   t.mask <- mask

@@ -47,6 +47,12 @@ val find : t -> int -> slot
 val block : t -> slot -> int
 (** The block id a slot tracks. *)
 
+val top : t -> int
+(** The highest block ever given an entry, [-1] if none: no block above
+    it has an entry, so a range starting above it holds no copy. Derived
+    state: {!copy} keeps it, {!restore} recomputes it from the keys, and
+    {!save} does not write it. *)
+
 val state : t -> slot -> States.dstate
 val set_state : t -> slot -> States.dstate -> unit
 

@@ -102,7 +102,7 @@ let[@inline] last_l1 t = t.last_l1
    eviction — leaves the L1 and goes to the protocol's writeback path.
    Its slot is freed only after the protocol has taken its data. *)
 let retire t ~blk slot =
-  Sa.remove t.l1 blk;
+  ignore (Sa.remove t.l1 blk : bool);
   t.evict ~blk (state t slot) (data t slot);
   Linepool.free t.pool slot
 
@@ -124,7 +124,7 @@ let evict t ~blk =
   Sa.hit w
   && begin
        let slot = Sa.value t.l2 w in
-       Sa.remove t.l2 blk;
+       ignore (Sa.remove t.l2 blk : bool);
        retire t ~blk slot;
        true
      end
@@ -170,24 +170,23 @@ let restore t r =
       slot);
   t.last_l1 <- B.r_bool r
 
-let probe_of t blk slot =
-  let levels = if Sa.mem t.l1 blk then 2 else 1 in
-  { Fabric.levels; state = state t slot; data = data t slot }
+let probe_of t slot ~in_l1 =
+  { Fabric.levels = (if in_l1 then 2 else 1); state = state t slot;
+    data = data t slot }
 
 let peek t ~blk =
   let w = Sa.find_way t.l2 blk in
-  if not (Sa.hit w) then None else Some (probe_of t blk (Sa.value t.l2 w))
-
-(* The freed slot's bytes and mask survive until the pool's next fill,
-   so the returned probe's line stays readable for the protocol. *)
-let invalidate t ~blk =
-  let w = Sa.find_way t.l2 blk in
   if not (Sa.hit w) then None
+  else Some (probe_of t (Sa.value t.l2 w) ~in_l1:(Sa.mem t.l1 blk))
+
+(* One probe per level. The freed slot's bytes and mask survive until
+   the pool's next fill, so the returned probe's line stays readable for
+   the protocol. *)
+let invalidate t ~blk =
+  let slot = Sa.take t.l2 blk in
+  if slot < 0 then None
   else begin
-    let slot = Sa.value t.l2 w in
-    let p = probe_of t blk slot in
-    Sa.remove t.l1 blk;
-    Sa.remove t.l2 blk;
+    let p = probe_of t slot ~in_l1:(Sa.remove t.l1 blk) in
     Linepool.free t.pool slot;
     Some p
   end
@@ -197,7 +196,7 @@ let downgrade t ~blk =
   if not (Sa.hit w) then None
   else begin
     let slot = Sa.value t.l2 w in
-    let p = probe_of t blk slot in
+    let p = probe_of t slot ~in_l1:(Sa.mem t.l1 blk) in
     Linepool.set_state t.pool slot s_code;
     Some p
   end

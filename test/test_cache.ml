@@ -220,7 +220,8 @@ let test_sa_remove_and_iter () =
   let c = mk_sa ~sets:2 ~ways:2 in
   List.iter (fun b -> ignore (Sa.insert c b (10 * b))) [ 0; 1; 2; 3 ];
   Alcotest.(check int) "population" 4 (population c);
-  Sa.remove c 2;
+  Alcotest.(check bool) "removed a resident block" true (Sa.remove c 2);
+  Alcotest.(check bool) "absent the second time" false (Sa.remove c 2);
   Alcotest.(check int) "after remove" 3 (population c);
   let seen = ref [] in
   Sa.iter c (fun blk p -> seen := (blk, p) :: !seen);
@@ -287,6 +288,38 @@ let test_sa_promote_way_is_find_way () =
   Alcotest.(check (option (pair int int))) "same victim" (Sa.insert a 3 3)
     (Sa.insert b 3 3)
 
+(* [take] is [find_way] then [remove] in one probe: after the same
+   random inserts, hits and takes, both arrays return the same payloads
+   and save the same bytes (tick, way positions, recency). *)
+let test_sa_take_is_find_way_remove () =
+  let module B = Warden_util.Bin in
+  let image c =
+    let w = B.writer () in
+    Sa.save c w ~elt:B.w_int;
+    B.contents w
+  in
+  let a = mk_sa ~sets:2 ~ways:4 and b = mk_sa ~sets:2 ~ways:4 in
+  let seed = ref 0x5EED in
+  let rand n =
+    seed := (!seed * 0x2545F4914F6CDD1D) + 0x1234567;
+    (!seed lsr 17) mod n
+  in
+  for i = 1 to 2000 do
+    let blk = rand 12 in
+    match rand 3 with
+    | 0 ->
+        List.iter (fun c -> ignore (Sa.insert c blk (blk + i))) [ a; b ]
+    | 1 -> List.iter (fun c -> ignore (Sa.find_way c blk)) [ a; b ]
+    | _ ->
+        let w = Sa.find_way a blk in
+        let want = if Sa.hit w then Sa.value a w else -1 in
+        ignore (Sa.remove a blk : bool);
+        Alcotest.(check int) (Printf.sprintf "step %d: payload" i) want
+          (Sa.take b blk);
+        if not (Bytes.equal (image a) (image b)) then
+          Alcotest.failf "step %d: the arrays differ after taking %d" i blk
+  done
+
 let test_sa_tags_only () =
   let c = Sa.create ~sets:1 ~ways:2 ~payloads:false in
   ignore (Sa.insert c 0 0);
@@ -302,7 +335,7 @@ let test_sa_conflict_roundtrip () =
   | Some (5, 50) -> ()
   | _ -> Alcotest.fail "expected conflict eviction of 5");
   Alcotest.(check (option int)) "resident payload" (Some 90) (find c 9);
-  Sa.remove c 9;
+  Alcotest.(check bool) "removed" true (Sa.remove c 9);
   Alcotest.(check bool) "gone" false (Sa.mem c 9);
   Alcotest.(check (option int)) "reinsert into empty way" None
     (Option.map fst (Sa.insert c 5 51));
@@ -929,6 +962,8 @@ let suite =
     Alcotest.test_case "sa touch refreshes" `Quick test_sa_touch_refreshes;
     Alcotest.test_case "sa promote_way = find_way" `Quick
       test_sa_promote_way_is_find_way;
+    Alcotest.test_case "sa take = find_way then remove" `Quick
+      test_sa_take_is_find_way_remove;
     Alcotest.test_case "sa tags only" `Quick test_sa_tags_only;
     Alcotest.test_case "sa conflict round trip" `Quick
       test_sa_conflict_roundtrip;

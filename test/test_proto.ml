@@ -341,6 +341,37 @@ let warden_rows =
     ( "remove unknown",
       [ region_remove 160 176 => [ Latency 0; Stats [ ("recon_blocks", 0) ] ] ]
     );
+    (* Block 16 is the directory's highest block: the add must still fold
+       its M copy, so that the stale copy cannot win a later merge. *)
+    ( "region add folds live MESI copies",
+      [
+        store 0 16 5L => [ holds 0 16 P_M; dir 16 (d_m 0) ];
+        region_add 16 18
+        => [ Accepted true; absent 0 16; dir 16 d_i; llc 16 5L;
+             Stats [ ("recon_flushes", 1) ] ];
+        load 1 16 => [ Value 5L; dir 16 (d_w [ 1 ]) ];
+      ] );
+    ( "overlapping regions",
+      [
+        region_add 16 18 => [ Accepted true ];
+        region_add 17 19 => [ Accepted true ];
+        store 0 17 9L => [ dir 17 (d_w [ 0 ]) ];
+        (* Block 17 is still covered by [17, 19): it stays W. *)
+        region_remove 16 18
+        => [ Ward (16, false); Ward (17, true); dir 17 (d_w [ 0 ]);
+             holds 0 17 P_M; Latency 0; Stats [ ("recon_blocks", 0) ] ];
+        region_remove 17 19
+        => [ Ward (17, false); dir 17 (d_s [ 0 ]); holds 0 17 P_S; llc 17 9L;
+             Latency reconcile_per_block; Stats [ ("recon_blocks", 1) ] ];
+      ] );
+    ( "fresh region above every directory entry",
+      [
+        store 0 16 3L => [];
+        region_add 32 34
+        => [ Accepted true; Ward (32, true); Ward (33, true); holds 0 16 P_M;
+             dir 16 (d_m 0); dir 32 d_i; dir 33 d_i;
+             Stats [ ("recon_flushes", 0); ("writebacks", 0) ] ];
+      ] );
   ]
 
 (* A two-entry region CAM. *)
@@ -353,6 +384,39 @@ let cam_row =
       region_remove 0 1 => [];
       region_add 4 5 => [ Accepted true ];
     ] )
+
+(* WARDen's W-grant index is derived state, kept outside the snapshot: a
+   [Memsys.copy] and a twin restored from [save_state] must reconcile at
+   region removal exactly what the original does. The original removes
+   first, so a copy sharing its index would find nothing left. *)
+let test_w_index_copy_and_restore () =
+  let cfg = machine () in
+  let ms = Memsys.create cfg ~proto:`Warden in
+  let steps =
+    [ region_add 16 20; store 0 16 1L; store 0 17 ~off:8 2L; store 5 17 3L;
+      store 5 18 4L; store 13 19 5L; store 13 16 ~off:16 6L; load 5 19 ]
+  in
+  List.iter (fun op -> ignore (op ms)) steps;
+  let copy = Memsys.copy ms in
+  let twin = Memsys.create cfg ~proto:`Warden in
+  (let w = Warden_util.Bin.writer () in
+   Memsys.save_state ms w;
+   Memsys.restore_state twin (Warden_util.Bin.reader (Warden_util.Bin.contents w)));
+  let remove m =
+    let lat, _, _ = region_remove 16 20 m in
+    let llc = Warden_util.Bin.writer () in
+    Llc.save (Memsys.llc m) llc;
+    ( lat,
+      Warden_trace.Stream.stats_text m,
+      Protocol.dump (Memsys.protocol m),
+      Bytes.to_string (Warden_util.Bin.contents llc) )
+  in
+  let ((lat, _, _, _) as want) = remove ms in
+  if lat = 0 then Alcotest.fail "the original reconciled no flushed block";
+  let outcome = Alcotest.(pair int (pair string (pair string string))) in
+  let flat (l, s, d, b) = (l, (s, (d, b))) in
+  Alcotest.check outcome "copy" (flat want) (flat (remove copy));
+  Alcotest.check outcome "restored twin" (flat want) (flat (remove twin))
 
 (* ---- Dirstate --------------------------------------------------------------- *)
 
@@ -626,6 +690,8 @@ let suite =
       row "warden" Warden_core.Warden.protocol
         ~cfg:{ (machine ()) with Config.ward_region_capacity = 2 }
         cam_row;
+      Alcotest.test_case "warden W-grant index survives copy and restore"
+        `Quick test_w_index_copy_and_restore;
       Alcotest.test_case "dirstate sharers past the 62-core boundary" `Quick
         test_dirstate_socket_words;
       Alcotest.test_case "dirstate sharer sweep, 12-512 cores" `Quick
