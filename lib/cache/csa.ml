@@ -17,11 +17,11 @@
    A workload fills a few percent of a Table-2 LLC (30 MB, 20 ways per
    socket), so storage that scales with resident lines is a fraction of
    per-way arrays for every touched chunk. Each entry keeps its way
-   number so the MRU rotation, the (set, way) visit order and the
-   snapshot bytes of the per-way layout survive unchanged: a hit at way
-   w swaps way numbers with the way-0 entry, exactly as the old arrays
-   swapped contents. Nothing is ever removed, so a set's ways fill as a
-   prefix and a fill takes way [count] while the set has room.
+   number so the MRU rotation and the (set, way) visit order are Sa's,
+   and so are the snapshot bytes: a hit at way w swaps way numbers with
+   the way-0 entry, exactly as Sa's arrays swap contents. Nothing is
+   ever removed, so a set's ways fill as a prefix and a fill takes way
+   [count] while the set has room.
 
    Payloads are [int] slots, as in [Sa]. *)
 
@@ -294,35 +294,30 @@ let copy t =
     ents = Array.sub t.ents 0 (t.n * stride);
   }
 
-(* Call [f set count order] for every non-empty set of chunk [ci],
-   ascending, with [order.(w)] the entry at way [w] for [w < count]. *)
-let iter_chunk t order ci f =
-  let c = t.chunks.(ci) in
-  for s = 0 to (1 lsl t.chunk_lg) - 1 do
-    let count = c.((s * meta) + m_count) in
-    if count > 0 then begin
-      let e = ref c.((s * meta) + m_head) in
-      while !e >= 0 do
-        order.(t.ents.((!e * stride) + f_way)) <- !e;
-        e := t.ents.((!e * stride) + f_next)
-      done;
-      f ((ci lsl t.chunk_lg) + s) count order
-    end
-  done
-
-(* Ascending (set, way) over resident blocks — the order a flat per-way
-   array visits them in. *)
-let iter t f =
+(* Call [f set way e] for every resident entry [e] in ascending (set,
+   way) order, the order a flat per-way array visits them in. *)
+let iter_ways t f =
   let order = Array.make t.nways (-1) in
   Array.iteri
     (fun ci c ->
-      if Array.length c > 0 then
-        iter_chunk t order ci (fun _ count order ->
-            for w = 0 to count - 1 do
-              let b = order.(w) * stride in
-              f t.ents.(b + f_blk) t.ents.(b + f_payload)
-            done))
+      for s = 0 to Array.length c / meta - 1 do
+        let count = c.((s * meta) + m_count) in
+        if count > 0 then begin
+          let e = ref c.((s * meta) + m_head) in
+          while !e >= 0 do
+            order.(t.ents.((!e * stride) + f_way)) <- !e;
+            e := t.ents.((!e * stride) + f_next)
+          done;
+          for w = 0 to count - 1 do
+            f ((ci lsl t.chunk_lg) + s) w order.(w)
+          done
+        end
+      done)
     t.chunks
+
+let iter t f =
+  iter_ways t (fun _ _ e ->
+      f t.ents.((e * stride) + f_blk) t.ents.((e * stride) + f_payload))
 
 (* Chunks materialized so far — the host-memory story the lazy layout
    exists for; bench and tests read it. *)
@@ -331,95 +326,30 @@ let chunks_allocated t =
     (fun n c -> if Array.length c > 0 then n + 1 else n)
     0 t.chunks
 
-(* Snapshot, byte for byte the per-way layout's: geometry, the LRU clock,
-   then each materialized chunk as its index, a tag array and a recency
-   array over all its ways (-1 and 0 for empty ways), and the payloads
-   of its resident ways in (set, way) order. *)
+(* Snapshot in Sa's format, so the same state saves the same bytes. *)
 let save t w ~elt =
-  let module B = Warden_util.Bin in
-  B.w_int w t.nsets;
-  B.w_int w t.nways;
-  B.w_int w t.tick;
-  B.w_int w (chunks_allocated t);
-  let cap = (1 lsl t.chunk_lg) * t.nways in
-  let blks = Array.make cap (-1) and last_use = Array.make cap 0 in
-  let order = Array.make t.nways (-1) in
-  Array.iteri
-    (fun ci c ->
-      if Array.length c > 0 then begin
-        Array.fill blks 0 cap (-1);
-        Array.fill last_use 0 cap 0;
-        iter_chunk t order ci (fun set count order ->
-            let base = (set land ((1 lsl t.chunk_lg) - 1)) * t.nways in
-            for way = 0 to count - 1 do
-              let b = order.(way) * stride in
-              blks.(base + way) <- t.ents.(b + f_blk);
-              last_use.(base + way) <- t.ents.(b + f_last_use)
-            done);
-        B.w_int w ci;
-        B.w_int_array w blks;
-        B.w_int_array w last_use;
-        iter_chunk t order ci (fun _ count order ->
-            for way = 0 to count - 1 do
-              elt w t.ents.((order.(way) * stride) + f_payload)
-            done)
-      end)
-    t.chunks
+  Sa.save_ways w ~sets:t.nsets ~ways:t.nways ~tick:t.tick ~count:t.n
+    (fun f ->
+      iter_ways t (fun set way e ->
+          let b = e * stride in
+          f set way t.ents.(b + f_blk) t.ents.(b + f_last_use)
+            t.ents.(b + f_payload)))
+    ~elt
 
 (* Rebuild from [save] output into a fresh cache, then install it, so a
-   malformed table leaves [t] as it was. Every rule the operations rely
-   on is checked: ascending chunk indices in range, per-way arrays of the
-   chunk's size, each set's filled ways a prefix with no recency on the
-   empty ones, every block in the set it is stored in, no block twice,
-   and no recency ahead of the clock. *)
+   malformed table leaves [t] as it was. On top of Sa's checks, each
+   set's filled ways must be a prefix, as the fill path keeps them. *)
 let restore t r ~elt =
-  let module B = Warden_util.Bin in
-  let sets = B.r_int r and ways = B.r_int r in
-  if sets <> t.nsets || ways <> t.nways then
-    B.corrupt "Csa: geometry mismatch";
-  let tick = B.r_int r in
-  let n = B.r_int r in
-  let nchunks = chunks_total t in
-  if n < 0 || n > nchunks then B.corrupt "Csa: bad chunk count";
-  let fresh = create ~sets ~ways in
-  let chunk_sets = 1 lsl t.chunk_lg in
-  let cap = chunk_sets * ways in
-  let prev = ref (-1) in
-  for _ = 1 to n do
-    let ci = B.r_int r in
-    if ci <= !prev || ci >= nchunks then B.corrupt "Csa: bad chunk index";
-    prev := ci;
-    let first = fresh.n in
-    let blks = B.r_int_array r in
-    let last_use = B.r_int_array r in
-    if Array.length blks <> cap || Array.length last_use <> cap then
-      B.corrupt "Csa: bad chunk arrays";
-    for s = 0 to chunk_sets - 1 do
-      let set = (ci * chunk_sets) + s in
-      let c = materialize fresh set and mb = meta_base fresh set in
-      for w = 0 to ways - 1 do
-        let i = (s * ways) + w in
-        let blk = blks.(i) and lu = last_use.(i) in
-        if blk = -1 then begin
-          if lu <> 0 then B.corrupt "Csa: recency on an empty way"
-        end
-        else begin
-          if c.(mb + m_count) <> w then
-            B.corrupt "Csa: filled ways not a prefix";
-          if blk < 0 || set_index fresh blk <> set then
-            B.corrupt "Csa: block outside its set";
-          if lookup fresh blk >= 0 then B.corrupt "Csa: duplicate block";
-          if lu > tick then B.corrupt "Csa: recency ahead of the clock";
-          append fresh c mb blk (-1) lu w
-        end
-      done
-    done;
-    (* Payloads follow the chunk's arrays in (set, way) order, which is
-       the order its entries were just appended in. *)
-    for e = first to fresh.n - 1 do
-      fresh.ents.((e * stride) + f_payload) <- elt r
-    done
-  done;
+  let fresh = create ~sets:t.nsets ~ways:t.nways in
+  let tick =
+    Sa.load_ways "Csa" r ~sets:t.nsets ~ways:t.nways ~elt
+      (fun set way blk lu payload ->
+        let corrupt what = Warden_util.Bin.corrupt ("Csa: " ^ what) in
+        let c = materialize fresh set and mb = meta_base fresh set in
+        if c.(mb + m_count) <> way then corrupt "filled ways not a prefix";
+        if lookup fresh blk >= 0 then corrupt "duplicate block";
+        append fresh c mb blk payload lu way)
+  in
   t.chunks <- fresh.chunks;
   t.index <- fresh.index;
   t.shift <- fresh.shift;

@@ -16,9 +16,10 @@
 
     Each entry keeps its way number, so a hit's rotation into way 0, the
     (set, way) order of {!iter}, and the {!save} bytes are those of
-    per-way arrays. Nothing is ever removed, so a set's filled ways are a
-    prefix: a fill takes the next way while the set has room, and only a
-    full set scans its members for the LRU victim. A fresh cache holds no
+    {!Sa} in the same state. Nothing is ever removed, so a set's filled
+    ways are a prefix: a fill takes the next way while the set has room,
+    and only a full set scans its members for the LRU victim. A fresh
+    cache holds no
     storage at all: the chunk table is allocated on the first insert,
     and the index and entry array start small and double.
 
@@ -58,16 +59,13 @@ val chunks_total : t -> int
 
 val save :
   t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
-(** Snapshot the LRU clock and, for each materialized chunk, per-way tag
-    and recency arrays (-1 and 0 for empty ways) followed by the resident
-    payloads in (set, way) order. *)
+(** Snapshot in {!Sa.save}'s format ({!Sa.save_ways}): the same state
+    saves the same bytes. [elt] writes each payload. *)
 
 val restore : t -> Warden_util.Bin.r -> elt:(Warden_util.Bin.r -> int) -> unit
 (** Overwrite a cache of identical geometry from {!save} output,
-    re-materializing exactly the chunks that were allocated at save time.
+    materializing exactly the chunks whose sets hold a line (nothing is
+    ever removed, so those are the chunks allocated at save time).
     Raises [Warden_util.Bin.Corrupt], naming the fault and leaving the
-    cache unchanged, on a geometry mismatch, a chunk index out of range
-    or not ascending, per-way arrays of the wrong size, filled ways that
-    are not a prefix of their set, recency on an empty way or ahead of
-    the clock, a block stored outside its set, a block stored twice, or
-    truncated payloads. *)
+    cache unchanged, on everything {!Sa.restore} refuses, filled ways
+    that are not a prefix of their set, or truncated payloads. *)

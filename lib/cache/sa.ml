@@ -168,38 +168,71 @@ let iter t f =
     if blk <> -1 then f blk (if has_payloads t then t.payloads.(i) else -1)
   done
 
-(* Snapshot: geometry (validated on restore), the LRU clock, the tag and
-   recency arrays wholesale, then the payload of every resident way in
-   flat ascending order. The layout (way positions, rotation state) is
-   saved exactly, so a restored cache replays subsequent probes — hits,
-   victims, LRU decisions — bit-identically. *)
-let save t w ~elt =
-  let module B = Warden_util.Bin in
-  B.w_int w t.nsets;
-  B.w_int w t.nways;
-  B.w_int w t.tick;
-  B.w_int_array w t.blks;
-  B.w_int_array w t.last_use;
-  if has_payloads t then
-    for i = 0 to Array.length t.blks - 1 do
-      if Array.unsafe_get t.blks i <> -1 then elt w t.payloads.(i)
-    done
+(* --- snapshot (DESIGN.md §15) ------------------------------------------- *)
 
-let restore t r ~elt =
+(* The format, shared with Csa: geometry, the LRU clock, the resident
+   way count, then each resident way as (set, way, block, last use,
+   payload) in (set, way) order. An empty way always holds -1 and
+   recency 0, so that is all the state: a restored cache replays later
+   probes (hits, victims, LRU decisions) bit-identically. *)
+let save_ways w ~sets ~ways ~tick ~count iter ~elt =
   let module B = Warden_util.Bin in
-  let sets = B.r_int r and ways = B.r_int r in
-  if sets <> t.nsets || ways <> t.nways then
-    B.corrupt "Sa: geometry mismatch";
-  let tick = B.r_int r in
-  let blks = B.r_int_array r in
-  let last_use = B.r_int_array r in
-  if Array.length blks <> Array.length t.blks then B.corrupt "Sa: bad tags";
-  if Array.length last_use <> Array.length t.last_use then
-    B.corrupt "Sa: bad recency";
+  List.iter (B.w_int w) [ sets; ways; tick; count ];
+  iter (fun set way blk last_use payload ->
+      List.iter (B.w_int w) [ set; way; blk; last_use ];
+      elt w payload)
+
+let load_ways name r ~sets ~ways ~elt f =
+  let module B = Warden_util.Bin in
+  let corrupt what = B.corrupt (name ^ ": " ^ what) in
+  let s = B.r_int r and w = B.r_int r in
+  if s <> sets || w <> ways then corrupt "geometry mismatch";
+  let tick = B.r_int r and n = B.r_int r in
+  if n < 0 || n > sets * ways then corrupt "bad way count";
+  let prev = ref (-1) in
+  for _ = 1 to n do
+    let set = B.r_int r and way = B.r_int r in
+    if way < 0 || way >= ways then corrupt "way out of range";
+    if set < 0 || set >= sets then corrupt "set out of range";
+    let i = (set * ways) + way in
+    if i <= !prev then corrupt "ways not in (set, way) order";
+    prev := i;
+    let blk = B.r_int r and lu = B.r_int r in
+    if blk < 0 || blk land (sets - 1) <> set then
+      corrupt "block outside its set";
+    if lu > tick then corrupt "recency ahead of the clock";
+    if lu < 1 then corrupt "bad recency";
+    f set way blk lu (elt r)
+  done;
+  tick
+
+let save t w ~elt =
+  let count =
+    Array.fold_left (fun n b -> if b = -1 then n else n + 1) 0 t.blks
+  in
+  save_ways w ~sets:t.nsets ~ways:t.nways ~tick:t.tick ~count
+    (fun f ->
+      Array.iteri
+        (fun i blk ->
+          if blk <> -1 then
+            f (i / t.nways) (i mod t.nways) blk t.last_use.(i)
+              (if has_payloads t then t.payloads.(i) else -1))
+        t.blks)
+    ~elt:(if has_payloads t then elt else fun _ _ -> ())
+
+(* The ways are read into fresh arrays and installed only once all of
+   them pass, so a malformed snapshot leaves the cache as it was. *)
+let restore t r ~elt =
+  let fresh = create ~sets:t.nsets ~ways:t.nways ~payloads:(has_payloads t) in
+  let tick =
+    load_ways "Sa" r ~sets:t.nsets ~ways:t.nways
+      ~elt:(if has_payloads t then elt else fun _ -> -1)
+      (fun set way blk lu payload ->
+        if mem fresh blk then Warden_util.Bin.corrupt "Sa: duplicate block";
+        set_way fresh ((set * t.nways) + way) blk payload;
+        fresh.last_use.((set * t.nways) + way) <- lu)
+  in
   t.tick <- tick;
-  Array.blit blks 0 t.blks 0 (Array.length blks);
-  Array.blit last_use 0 t.last_use 0 (Array.length last_use);
-  if has_payloads t then
-    for i = 0 to Array.length t.blks - 1 do
-      t.payloads.(i) <- (if Array.unsafe_get t.blks i <> -1 then elt r else -1)
-    done
+  Array.blit fresh.blks 0 t.blks 0 (Array.length t.blks);
+  Array.blit fresh.payloads 0 t.payloads 0 (Array.length t.payloads);
+  Array.blit fresh.last_use 0 t.last_use 0 (Array.length t.last_use)

@@ -84,12 +84,34 @@ val iter : t -> (int -> int -> unit) -> unit
 
 val save :
   t -> Warden_util.Bin.w -> elt:(Warden_util.Bin.w -> int -> unit) -> unit
-(** Snapshot tags, recency and resident payloads exactly — way positions
-    included, so a restored cache replays probes bit-identically. [elt]
-    writes each resident payload (a slot's line, say). *)
+(** Snapshot the geometry, the LRU clock and the number of resident
+    ways, then each resident way as (set, way, block, last use) followed
+    by its payload, which [elt] writes (a slot's line, say), in
+    ascending (set, way) order. Way positions are state: a restored
+    cache replays probes bit-identically. *)
 
 val restore : t -> Warden_util.Bin.r -> elt:(Warden_util.Bin.r -> int) -> unit
 (** Overwrite a cache of identical geometry from {!save} output; [elt]
-    reads each resident payload back. Raises [Warden_util.Bin.Corrupt] on
-    a geometry mismatch or a tag or recency array of the wrong length,
-    before changing anything. *)
+    reads each resident payload back. Raises [Warden_util.Bin.Corrupt],
+    naming the fault and leaving the cache unchanged, on a geometry
+    mismatch, a way count the cache cannot hold, a way or set out of
+    range, ways not in (set, way) order, a block outside its set or
+    stored twice, or recency below 1 or ahead of the clock. *)
+
+(** {2 The snapshot format, shared with {!Csa}} *)
+
+val save_ways :
+  Warden_util.Bin.w -> sets:int -> ways:int -> tick:int -> count:int ->
+  ((int -> int -> int -> int -> int -> unit) -> unit) ->
+  elt:(Warden_util.Bin.w -> int -> unit) -> unit
+(** Write the header, then the [count] ways the iterator visits as
+    [f set way blk last_use payload], in (set, way) order. *)
+
+val load_ways :
+  string -> Warden_util.Bin.r -> sets:int -> ways:int ->
+  elt:(Warden_util.Bin.r -> int) ->
+  (int -> int -> int -> int -> int -> unit) -> int
+(** Read {!save_ways} output, handing each way to [f] as above, and
+    return the clock. Raises [Warden_util.Bin.Corrupt], the message
+    prefixed by the string, on every fault {!restore} names but a
+    duplicate block, which [f] checks. *)

@@ -1,13 +1,13 @@
-(* Memory is held block by block. A page table maps each touched 64 KiB
+(* Memory is held block by block. A page table maps each written 64 KiB
    page to the line index of each of its 1,024 blocks ([unwritten] until
    the block's first write); written 64-byte lines live in an arena of
-   4 KiB chunks that are allocated on demand and never move. The
-   simulated address space is sparse by design (every task allocates into
-   fresh pages of its own), so host memory follows the lines written, not
-   the address range touched. *)
+   4 KiB chunks that are allocated on demand and never move. A block
+   holds a line exactly when it was written, so the page table is also
+   the written-block set. The simulated address space is sparse by
+   design (every task allocates into fresh pages of its own), so host
+   memory follows the lines written, not the address range touched. *)
 
 module Itab = Warden_util.Itab
-module Bitset = Warden_util.Bitset
 
 let page_bits = 16
 let page_size = 1 lsl page_bits
@@ -15,17 +15,19 @@ let page_blocks = page_size / Addr.block_size
 let chunk_bits = 6 (* lines per chunk, log2 *)
 let chunk_lines = 1 lsl chunk_bits
 let unwritten = -1
-let no_page : int array = [||]
 let no_chunk = Bytes.empty
+
+(* The page of every block never written: reads go through it, and
+   nothing writes into it. *)
+let no_page = Array.make page_blocks unwritten
 
 type t = {
   mutable pages : int array Itab.t;
-  written_blocks : Bitset.t;
   mutable chunks : Bytes.t array;
   mutable lines : int;
-  (* One-entry cache of the last page touched: simulated accesses are
-     heavily clustered (stacks, sequential arrays), so most lookups skip
-     even the single Itab probe. *)
+  (* One-entry cache of the last page looked up, [no_page] when it has
+     none: simulated accesses are heavily clustered (stacks, sequential
+     arrays), so most lookups skip even the single Itab probe. *)
   mutable last_id : int;
   mutable last_page : int array;
 }
@@ -33,26 +35,33 @@ type t = {
 let create () =
   {
     pages = Itab.create ~dummy:no_page ();
-    written_blocks = Bitset.create ();
     chunks = Array.make 4 no_chunk;
     lines = 0;
     last_id = -1;
     last_page = no_page;
   }
 
-let materialized t blk = Bitset.mem t.written_blocks blk
+let[@inline] page_id addr = addr lsr page_bits
 
-let new_page _ = Array.make page_blocks unwritten
-
-(* Every access touches its page, reads included: the page set is part of
-   the snapshot. *)
-let page t addr =
-  let id = addr lsr page_bits in
+(* The page of [id], or [no_page]: a lookup adds no page. *)
+let find_page t id =
   if id = t.last_id then t.last_page
   else begin
-    let p = Itab.find_or_add t.pages id ~make:new_page in
+    let p = Itab.find_or t.pages id ~default:no_page in
     t.last_page <- p;
     t.last_id <- id;
+    p
+  end
+
+let page_for_write t id =
+  let p = find_page t id in
+  if p != no_page then p
+  else begin
+    let p =
+      Itab.find_or_add t.pages id ~make:(fun _ ->
+          Array.make page_blocks unwritten)
+    in
+    t.last_page <- p;
     p
   end
 
@@ -60,8 +69,16 @@ let[@inline] slot addr = (addr land (page_size - 1)) lsr Addr.block_bits
 let[@inline] chunk t l = Array.unsafe_get t.chunks (l lsr chunk_bits)
 let[@inline] line_pos l = (l land (chunk_lines - 1)) lsl Addr.block_bits
 
-(* The line of slot [i] of page [p], allocated zeroed on first write. *)
-let line_for_write t p i =
+(* The line of [addr]'s block, or [unwritten]. *)
+let[@inline] line_of t addr =
+  Array.unsafe_get (find_page t (page_id addr)) (slot addr)
+
+let materialized t blk = line_of t (Addr.base_of_block blk) >= 0
+
+(* The line of [addr]'s block, allocated zeroed on first write. *)
+let line_for_write t addr =
+  let p = page_for_write t (page_id addr) in
+  let i = slot addr in
   let l = Array.unsafe_get p i in
   if l >= 0 then l
   else begin
@@ -89,7 +106,7 @@ let check_access addr size =
 
 let load t addr ~size =
   check_access addr size;
-  let l = Array.unsafe_get (page t addr) (slot addr) in
+  let l = line_of t addr in
   if l < 0 then 0L
   else
     let c = chunk t l in
@@ -103,8 +120,7 @@ let load t addr ~size =
 (* An aligned access of at most 8 bytes never straddles a block. *)
 let store t addr ~size v =
   check_access addr size;
-  Bitset.add t.written_blocks (Addr.block_of addr);
-  let l = line_for_write t (page t addr) (slot addr) in
+  let l = line_for_write t addr in
   let c = chunk t l in
   let off = line_pos l lor Addr.offset_in_block addr in
   match size with
@@ -114,8 +130,7 @@ let store t addr ~size v =
   | _ -> Bytes.set_int64_le c off v
 
 let read_block_into t blk dst ~pos =
-  let addr = Addr.base_of_block blk in
-  let l = Array.unsafe_get (page t addr) (slot addr) in
+  let l = line_of t (Addr.base_of_block blk) in
   if l < 0 then Bytes.fill dst pos Addr.block_size '\000'
   else Bytes.blit (chunk t l) (line_pos l) dst pos Addr.block_size
 
@@ -125,11 +140,8 @@ let read_block t blk =
   b
 
 let write_line t blk data ~pos ~lo ~hi =
-  let addr = Addr.base_of_block blk in
-  let p = page t addr in
   if lo lor hi <> 0 then begin
-    Bitset.add t.written_blocks blk;
-    let l = line_for_write t p (slot addr) in
+    let l = line_for_write t (Addr.base_of_block blk) in
     Sector.blit_masked ~src:data ~src_pos:pos ~dst:(chunk t l)
       ~dst_pos:(line_pos l) ~lo ~hi
   end
@@ -139,74 +151,63 @@ let write_block_masked t blk data ~mask =
 
 let footprint_bytes t = t.lines * Addr.block_size
 
-(* [Bitset.copy] keeps the word array's length, which {!save} writes: a
-   copy snapshots byte for byte like its original. *)
 let copy t =
-  let c = { (create ()) with written_blocks = Bitset.copy t.written_blocks } in
+  let c = create () in
   Itab.iter t.pages (fun id p ->
       ignore (Itab.find_or_add c.pages id ~make:(fun _ -> Array.copy p)));
   c.chunks <- Array.map Bytes.copy t.chunks;
   c.lines <- t.lines;
   c
 
-(* Snapshot: each touched page's 64 KiB image, assembled from its lines
-   (the page table sorted by page id — canonical bytes), then the
-   written-block set. Line indices and the one-entry page cache are
-   host-side and are rebuilt on restore. *)
+(* Snapshot: the written lines as (block, 64 bytes) in ascending block
+   order, so equal contents save equal bytes whatever order they were
+   written in. Line placement and the page cache are host-side. *)
 let save t w =
-  let image = Bytes.create page_size in
-  Itab.save t.pages w ~elt:(fun w p ->
-      Bytes.fill image 0 page_size '\000';
+  let module B = Warden_util.Bin in
+  let ids = Array.make (Itab.length t.pages) 0 and n = ref 0 in
+  Itab.iter t.pages (fun id _ ->
+      ids.(!n) <- id;
+      incr n);
+  Array.sort Int.compare ids;
+  B.w_int w t.lines;
+  Array.iter
+    (fun id ->
+      let p = Itab.find_or t.pages id ~default:no_page in
       Array.iteri
         (fun i l ->
-          if l >= 0 then
-            Bytes.blit (chunk t l) (line_pos l) image
-              (i lsl Addr.block_bits) Addr.block_size)
-        p;
-      Warden_util.Bin.w_bytes w image);
-  Bitset.save t.written_blocks w
-
-let zero_block image pos =
-  let rec go i =
-    i >= Addr.block_size
-    || (Bytes.get_int64_ne image (pos + i) = 0L && go (i + 8))
-  in
-  go 0
-
-(* A block holds a line exactly when it was written, so a written block
-   outside the page set, or data in a block never written, is corrupt.
-   The lines are rebuilt aside, and the store is left untouched on
-   failure. The written-block set is re-added in ascending order into
-   this store's own set, as it always was: its word-array length, which
-   {!save} writes, is part of a restored continuation's snapshot bytes. *)
-let restore t r =
-  let corrupt = Warden_util.Bin.corrupt in
-  let images =
-    Itab.load r ~dummy:Bytes.empty ~elt:(fun r ->
-        let p = Warden_util.Bin.r_bytes r in
-        if Bytes.length p <> page_size then corrupt "Store: bad page size";
+          if l >= 0 then begin
+            B.w_int w ((id * page_blocks) + i);
+            for k = 0 to (Addr.block_size / 8) - 1 do
+              B.w_i64 w (Bytes.get_int64_le (chunk t l) (line_pos l + (8 * k)))
+            done
+          end)
         p)
-  in
-  let written = Bitset.load r in
+    ids
+
+(* The lines are rebuilt into a fresh store and installed only once all
+   of them have read back ascending, so a malformed snapshot leaves the
+   store as it was. *)
+let restore t r =
+  let module B = Warden_util.Bin in
+  let n = B.r_int r in
+  if n < 0 || n > B.r_left r / (Addr.block_size + 8) then
+    B.corrupt "Store: bad line count";
   let s = create () in
-  Itab.iter images (fun id image ->
-      let p = Itab.find_or_add s.pages id ~make:new_page in
-      for i = 0 to page_blocks - 1 do
-        let pos = i lsl Addr.block_bits in
-        if Bitset.mem written ((id * page_blocks) + i) then begin
-          let l = line_for_write s p i in
-          Bytes.blit image pos (chunk s l) (line_pos l) Addr.block_size
-        end
-        else if not (zero_block image pos) then
-          corrupt "Store: data in a never-written block"
-      done);
-  Bitset.iter written (Bitset.add s.written_blocks);
-  if s.lines <> Bitset.cardinal s.written_blocks then
-    corrupt "Store: written block outside the page set";
+  let prev = ref (-1) in
+  for _ = 1 to n do
+    let blk = B.r_int r in
+    if blk < 0 || blk > max_int lsr Addr.block_bits then
+      B.corrupt "Store: block out of range";
+    if blk = !prev then B.corrupt "Store: block written twice";
+    if blk < !prev then B.corrupt "Store: lines not ascending";
+    prev := blk;
+    let l = line_for_write s (Addr.base_of_block blk) in
+    for k = 0 to (Addr.block_size / 8) - 1 do
+      Bytes.set_int64_le (chunk s l) (line_pos l + (8 * k)) (B.r_i64 r)
+    done
+  done;
   t.pages <- s.pages;
   t.chunks <- s.chunks;
   t.lines <- s.lines;
   t.last_id <- -1;
-  t.last_page <- no_page;
-  Bitset.clear t.written_blocks;
-  Bitset.iter written (Bitset.add t.written_blocks)
+  t.last_page <- no_page

@@ -1,8 +1,9 @@
 (** Backing store for the simulated physical address space.
 
     This is the "DRAM" of the simulation, held block by block: a page
-    table maps each touched 64 KiB page to its blocks' lines, and only
-    blocks that were written hold a 64-byte line. Caches fill from and
+    table maps each written 64 KiB page to its blocks' lines, and only
+    blocks that were written hold a 64-byte line. Reads of unwritten
+    memory add nothing. Caches fill from and
     write back to it; the fork-join runtime's bump allocator hands out
     fresh addresses within it.
 
@@ -43,7 +44,9 @@ val materialized : t -> int -> bool
 (** Has cache block [blk] ever been written in memory (by a program
     writeback or host initialization)? Blocks that never were are known
     all-zero: the memory controller can zero-fill them without a DRAM
-    access, the way an OS zero-fills fresh pages. *)
+    access, the way an OS zero-fills fresh pages. A page-table lookup
+    that adds nothing; it primes the one-entry page cache that a
+    following {!read_block_into} of the block hits. *)
 
 val footprint_bytes : t -> int
 (** Bytes of the lines held: 64 per {!materialized} block. Reads of
@@ -51,15 +54,16 @@ val footprint_bytes : t -> int
 
 val copy : t -> t
 (** An independent store with the same contents, in time proportional
-    to the pages touched and the lines held. Its {!save} bytes equal the
-    original's. *)
+    to the pages written and the lines held. *)
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot every touched page (sorted by page id) as its 64 KiB image,
-    then the written-block set; line placement and the one-entry page
-    cache are host-side and are rebuilt on restore. *)
+(** Snapshot the written lines: their count, then each as its block and
+    its 64 bytes, in ascending block order. Stores with equal contents
+    save equal bytes, whatever order their lines were written in; line
+    placement and the page cache are host-side. *)
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Replace this store's contents with {!save} output. Raises
-    [Warden_util.Bin.Corrupt], leaving the store as it was, on data in a
-    never-written block or a written block outside the page set. *)
+    [Warden_util.Bin.Corrupt], naming the fault and leaving the store as
+    it was, on a line count the input cannot hold, a block out of range,
+    a block written twice, or lines not in ascending block order. *)

@@ -275,61 +275,77 @@ let copy (t : t) : t =
     mask = Array.copy t.mask;
   }
 
-(* Snapshot every slot array wholesale, as [copy] through a byte buffer.
-   The layout word is 0 with one sharer word per slot, else the socket
-   count, and the last array is always empty: it held the per-socket
-   words of an earlier two-array layout, whose images above 62 cores
-   [restore] refuses by their array lengths. One-word images are
-   unchanged by that layout's removal. *)
+(* Snapshot: the sharer words per entry, cores per socket, the capacity
+   and the entry count, then each entry as (slot, block, meta, sharer
+   words) in ascending slot order. Writing the slot keeps [iter]'s order,
+   which [flush_all] and [dump] depend on. *)
 let save (t : t) w =
   let module B = Warden_util.Bin in
-  B.w_int w (if t.words = 1 then 0 else t.words);
+  B.w_int w t.words;
   B.w_int w t.cps;
+  B.w_int w (Array.length t.keys);
   B.w_int w t.used;
-  B.w_int w t.shift;
-  B.w_int_array w t.keys;
-  B.w_int_array w t.meta;
-  B.w_int_array w t.mask;
-  B.w_int_array w [||]
+  Array.iteri
+    (fun i blk ->
+      if blk >= 0 then begin
+        B.w_int w i;
+        B.w_int w blk;
+        B.w_int w t.meta.(i);
+        for j = i * t.words to ((i + 1) * t.words) - 1 do
+          B.w_int w t.mask.(j)
+        done
+      end)
+    t.keys
 
 (* A restored table must satisfy what [probe] relies on for its
-   unchecked reads and its termination, so every field is validated
-   before any is installed: the shift indexes exactly the key array, at
-   least half the slots are empty, and every key is a block or the empty
-   marker, found by [probe] at its own slot. *)
+   unchecked reads and its termination, so every entry is validated
+   before any is installed: at least half the slots stay empty, and
+   every block is found by [probe] at its own slot. *)
 let restore (t : t) r =
   let module B = Warden_util.Bin in
-  let layout = B.r_int r and cps = B.r_int r in
-  if layout <> (if t.words = 1 then 0 else t.words) || cps <> t.cps then
-    B.corrupt "Dirstate: geometry mismatch";
+  let words = B.r_int r and cps = B.r_int r in
+  if cps <> t.cps then B.corrupt "Dirstate: geometry mismatch";
+  if words <> t.words then B.corrupt "Dirstate: wrong number of sharer words";
+  let cap = B.r_int r in
   let used = B.r_int r in
-  let shift = B.r_int r in
-  let keys = B.r_int_array r in
-  let meta = B.r_int_array r in
-  let mask = B.r_int_array r in
-  let spare = B.r_int_array r in
-  let cap = Array.length keys in
-  if
-    cap = 0
-    || cap land (cap - 1) <> 0
-    || Array.length meta <> cap
-    || Array.length mask <> cap * t.words
-    || Array.length spare <> 0
-  then B.corrupt "Dirstate: inconsistent arrays";
-  let lg = ref 0 in
-  while 1 lsl !lg < cap do incr lg done;
-  if shift <> 63 - !lg then B.corrupt "Dirstate: bad shift";
-  if Array.exists (fun k -> k < -1) keys then B.corrupt "Dirstate: bad key";
-  let occupied = Array.fold_left (fun n k -> if k >= 0 then n + 1 else n) 0 keys in
-  if used <> occupied || 2 * used > cap then B.corrupt "Dirstate: bad used count";
-  let restored = { t with keys; shift } in
+  if used < 0 || 2 * used > cap || used > B.r_left r / (8 * (3 + words)) then
+    B.corrupt "Dirstate: bad used count";
+  (* The table starts at 2^initial_lg slots at most and doubles past
+     half load, so a grown table is at least a quarter full. *)
+  let too_large = cap > max (1 lsl initial_lg) (4 * used) in
+  if cap < 2 || cap land (cap - 1) <> 0 || too_large then
+    B.corrupt "Dirstate: bad capacity";
+  let fresh =
+    { t with keys = Array.make cap (-1); meta = Array.make cap 0;
+      mask = Array.make (cap * words) 0; shift = 63 - log2 cap }
+  in
+  let prev = ref (-1) in
+  for _ = 1 to used do
+    let i = B.r_int r and blk = B.r_int r in
+    if i <= !prev || i >= cap then B.corrupt "Dirstate: misplaced slot";
+    prev := i;
+    if blk < 0 then B.corrupt "Dirstate: negative block";
+    let meta = B.r_int r in
+    if meta < 0 || meta land 7 > 4 then B.corrupt "Dirstate: bad meta";
+    fresh.keys.(i) <- blk;
+    fresh.meta.(i) <- meta;
+    for j = i * words to ((i + 1) * words) - 1 do
+      fresh.mask.(j) <- B.r_int r
+    done
+  done;
   Array.iteri
     (fun i k ->
-      if k >= 0 && probe restored k <> i then B.corrupt "Dirstate: misplaced key")
-    keys;
+      if k >= 0 then begin
+        let j = probe fresh k in
+        if j <> i then
+          B.corrupt
+            (if fresh.keys.(j) = k then "Dirstate: duplicate block"
+             else "Dirstate: misplaced slot")
+      end)
+    fresh.keys;
   t.used <- used;
-  t.shift <- shift;
-  t.top <- Array.fold_left max (-1) keys;
-  t.keys <- keys;
-  t.meta <- meta;
-  t.mask <- mask
+  t.shift <- fresh.shift;
+  t.top <- Array.fold_left max (-1) fresh.keys;
+  t.keys <- fresh.keys;
+  t.meta <- fresh.meta;
+  t.mask <- fresh.mask

@@ -104,15 +104,16 @@ val copy : t -> t
     when exploring alternative interleavings. *)
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot every slot array wholesale (DESIGN.md §15). Images of
-    machines up to 62 cores are byte-identical to those of the earlier
-    two-array layout. *)
+(** Snapshot the entries (DESIGN.md §15): the sharer words per entry,
+    cores per socket, the capacity and the entry count, then each entry
+    as (slot, block, meta, sharer words) in ascending slot order. *)
 
 val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite a directory created for the same geometry from {!save}
-    output. Raises [Warden_util.Bin.Corrupt], naming the field and
-    changing nothing, on a geometry mismatch, arrays of inconsistent
-    lengths (among them every image of the earlier two-array layout above
-    62 cores), a [shift] that does not index the key array, a [used] that
-    is not the number of occupied slots or exceeds half the capacity, a
-    key below -1, or a key its probe sequence does not reach. *)
+    output, every entry at its saved slot, so {!iter} keeps its order.
+    Raises [Warden_util.Bin.Corrupt], naming the fault and changing
+    nothing, on a geometry mismatch, the wrong number of sharer words,
+    a [used] count above half the capacity, a capacity that is not a
+    power of two or larger than the table could have grown to, a slot
+    out of range, not ascending or not where the block's probe finds
+    it, a negative or duplicate block, or a meta word with no state. *)

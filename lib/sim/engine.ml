@@ -550,15 +550,17 @@ let restore t r =
   let n = Bin.r_int r in
   if n <> Array.length t.threads then
     Bin.corrupt "Engine: thread count mismatch";
-  Array.iter
-    (fun st ->
-      st.time <- Bin.r_int r;
-      st.qlimit <- Bin.r_int r;
+  let clocks = Array.init (2 * n) (fun _ -> Bin.r_int r) in
+  let used_threads = Bin.r_int r in
+  Memsys.restore_state t.ms r;
+  Array.iteri
+    (fun i st ->
+      st.time <- clocks.(2 * i);
+      st.qlimit <- clocks.((2 * i) + 1);
       st.sb_head <- 0;
       st.sb_len <- 0)
     t.threads;
-  t.used_threads <- Bin.r_int r;
-  Memsys.restore_state t.ms r
+  t.used_threads <- used_threads
 
 (* --- operations on the running engine -------------------------------------- *)
 

@@ -76,8 +76,9 @@ val restore : t -> Warden_util.Bin.r -> unit
 (** Overwrite a freshly created engine of identical geometry and protocol
     from {!snapshot} output. Subsequent {!run} phases are bit-identical
     to running them on the snapshotted engine. Raises
-    [Warden_util.Bin.Corrupt] on a mismatch, and [Invalid_argument] if
-    called while a run is in progress. *)
+    [Warden_util.Bin.Corrupt] on a mismatch or malformed input, leaving
+    the engine as it was, and [Invalid_argument] if called while a run
+    is in progress. *)
 
 (** Accesses on an engine the caller already holds, from code running
     inside that engine's {!run} (the [Par] runtime keeps its engine in

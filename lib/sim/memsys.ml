@@ -482,30 +482,51 @@ let footprint_bytes t = Store.footprint_bytes t.store
 
 (* Only meaningful at quiescent points (between [Engine.run]s): no
    continuation holds unretired accesses, so the full simulated state is
-   the flat structures below. *)
+   the flat structures below. A core whose hierarchy was never allocated
+   is one word. *)
 let save_state t w =
+  let module B = Warden_util.Bin in
   Store.save t.store w;
   Llc.save t.llc w;
-  Warden_util.Bin.w_int w (Array.length t.priv);
-  Array.iter (fun pc -> Privcache.save pc w) t.priv;
+  B.w_int w (Array.length t.priv);
+  Array.iter
+    (fun pc ->
+      if pc == t.blank then B.w_int w 0
+      else begin
+        B.w_int w 1;
+        Privcache.save pc w
+      end)
+    t.priv;
   Protocol.save_state (the_proto t) w;
   Pstats.save t.pstats w;
   Sstats.save t.sstats w;
   Energy.save t.energy w;
-  Warden_util.Bin.w_int w t.bump
+  B.w_int w t.bump
 
-let restore_state t r =
+let restore_into t r =
+  let module B = Warden_util.Bin in
   Store.restore t.store r;
   Llc.restore t.llc r;
-  let n = Warden_util.Bin.r_int r in
-  if n <> Array.length t.priv then
-    Warden_util.Bin.corrupt "Memsys: core count mismatch";
-  Array.iteri (fun core _ -> Privcache.restore (owned t core) r) t.priv;
+  let n = B.r_int r in
+  if n <> Array.length t.priv then B.corrupt "Memsys: core count mismatch";
+  for core = 0 to n - 1 do
+    t.priv.(core) <-
+      (match B.r_int r with
+      | 0 -> t.blank
+      | 1 -> Privcache.restore t.cfg ~evict:(evict_to t core) r
+      | _ -> B.corrupt "Memsys: bad hierarchy flag")
+  done;
   Protocol.restore_state (the_proto t) r;
   Pstats.restore t.pstats r;
   Sstats.restore t.sstats r;
   Energy.restore t.energy r;
-  t.bump <- Warden_util.Bin.r_int r
+  t.bump <- B.r_int r
+
+(* A dry run on a copy validates the whole image first, so a malformed
+   one leaves [t] as it was. *)
+let restore_state t r =
+  restore_into (copy t) (Warden_util.Bin.fork r);
+  restore_into t r
 
 (* The directory is reachable only through the protocol's handlers, so the
    audit walks the private caches. It reads them with [iter_resident],

@@ -192,17 +192,18 @@ val set_trace_sink :
 (** {2 Snapshots (DESIGN.md §15)} *)
 
 val save_state : t -> Warden_util.Bin.w -> unit
-(** Serialize the complete simulated memory-system state — store pages,
-    LLC slices, private hierarchies, protocol state (directory + region
-    CAM), stats, energy, and the bump allocator. Only meaningful at
-    quiescent points (between {!Engine.run}s). *)
+(** Serialize the complete simulated memory-system state — written
+    memory lines, LLC slices, private hierarchies (one word for a core
+    whose hierarchy was never allocated), protocol state (directory +
+    region CAM), stats, energy, and the bump allocator. Only meaningful
+    at quiescent points (between {!Engine.run}s). *)
 
 val restore_state : t -> Warden_util.Bin.r -> unit
 (** Overwrite a same-geometry, same-protocol memory system from
-    {!save_state} output. Raises [Warden_util.Bin.Corrupt] on a
-    mismatch. The target should be freshly created: directory and page
-    tables have no deletion, so restoring into a used system is
-    unsupported. *)
+    {!save_state} output. The whole image is first restored into a copy,
+    so a malformed one raises [Warden_util.Bin.Corrupt], naming the
+    fault, and leaves [t] as it was. The target should be freshly
+    created. *)
 
 val check_invariants : t -> (unit, string) result
 (** Audit the private caches against the coherence rules:

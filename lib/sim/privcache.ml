@@ -157,10 +157,12 @@ let save t w =
       Linedata.save (data t slot) w);
   B.w_bool w t.last_l1
 
-let restore t r =
+(* A hierarchy read back whole: both levels are validated as they are
+   read, and L1 must sit inside L2. *)
+let restore cfg ~evict r =
   let module B = Warden_util.Bin in
+  let t = create cfg ~evict in
   Sa.restore t.l1 r ~elt:(fun _ -> -1);
-  Linepool.reset t.pool;
   Sa.restore t.l2 r ~elt:(fun r ->
       let code = B.r_u8 r in
       if code > m_code then B.corrupt "Privcache: bad line state";
@@ -168,7 +170,11 @@ let restore t r =
       Linepool.set_state t.pool slot code;
       Linedata.restore (data t slot) r;
       slot);
-  t.last_l1 <- B.r_bool r
+  t.last_l1 <- B.r_bool r;
+  (match check_inclusion t with
+  | Ok () -> ()
+  | Error _ -> B.corrupt "Privcache: an L1 block not in L2");
+  t
 
 let probe_of t slot ~in_l1 =
   { Fabric.levels = (if in_l1 then 2 else 1); state = state t slot;

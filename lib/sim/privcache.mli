@@ -75,12 +75,20 @@ val check_inclusion : t -> (unit, string) result
 (** Verify L1 ⊆ L2. *)
 
 val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot both tag arrays (way positions, recency), every resident
-    line's state and data, and the last-hit level. *)
+(** Snapshot both levels ({!Warden_cache.Sa.save}: the clock, then each
+    resident way), every resident line's state and data with its L2
+    way, and the last-hit level. *)
 
-val restore : t -> Warden_util.Bin.r -> unit
-(** Overwrite a hierarchy of identical geometry from {!save} output.
-    Raises [Warden_util.Bin.Corrupt] on a geometry mismatch. *)
+val restore :
+  Warden_machine.Config.t ->
+  evict:
+    (blk:int -> Warden_proto.States.pstate -> Warden_cache.Linedata.t -> unit) ->
+  Warden_util.Bin.r ->
+  t
+(** A new hierarchy read from {!save} output, as {!create} makes one.
+    Raises [Warden_util.Bin.Corrupt], naming the fault, on anything
+    {!Warden_cache.Sa.restore} refuses, a bad line state, or an L1
+    block not in L2. *)
 
 val peek : t -> blk:int -> Warden_proto.Fabric.probe option
 val invalidate : t -> blk:int -> Warden_proto.Fabric.probe option

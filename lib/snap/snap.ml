@@ -5,9 +5,11 @@ module Memsys = Warden_sim.Memsys
 module Protocol = Warden_proto.Protocol
 
 let magic = "WSNP"
-(* Version 2 dropped the sharded engine's scheduler counters from the
-   engine payload; a version-1 file is refused by name, never misparsed. *)
-let version = 2
+(* Version 3 writes simulated state, not host layouts: written memory
+   lines, resident cache ways and directory entries, and one word for a
+   core whose private caches were never allocated (DESIGN.md §15).
+   Older files are refused by version, never misparsed. *)
+let version = 3
 
 (* The fingerprint is every configuration value the simulated results
    depend on, written as actual values (not a hash) so a mismatch names

@@ -15,9 +15,7 @@
     The host-side knobs [sched_quantum] and [obs_level] are excluded from
     the fingerprint: results are bit-identical across them, so one
     snapshot serves any of those settings. Restore targets a {e freshly
-    created} engine of matching geometry and protocol (directory and page
-    tables have no deletion, so restoring into a used engine is
-    unsupported). *)
+    created} engine of matching geometry and protocol. *)
 
 val to_bytes : Warden_sim.Engine.t -> Bytes.t
 (** Serialize at a quiescent point. Raises [Invalid_argument] if a run
@@ -26,8 +24,9 @@ val to_bytes : Warden_sim.Engine.t -> Bytes.t
 val restore : Warden_sim.Engine.t -> Bytes.t -> unit
 (** Restore into a freshly created engine of identical configuration and
     protocol. Subsequent runs are bit-identical to running them on the
-    snapshotted engine. Raises [Warden_util.Bin.Corrupt] on bad magic,
-    version or checksum, or any fingerprint mismatch. *)
+    snapshotted engine. Raises [Warden_util.Bin.Corrupt], leaving the
+    engine as it was, on bad magic, version or checksum, any fingerprint
+    mismatch, or a malformed body. *)
 
 val describe : Bytes.t -> string
 (** Render the envelope and stored fingerprint (validates the checksum

@@ -117,6 +117,7 @@ let r_float_array r =
   Array.init n (fun _ -> r_float r)
 
 let r_pos r = r.pos
+let fork r = { r with pos = r.pos }
 let r_left r = Bytes.length r.data - r.pos
 
 (* SplitMix64's finalizer: a bijection on 64-bit words. *)

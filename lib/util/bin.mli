@@ -42,6 +42,10 @@ val r_string : r -> string
 val r_int_array : r -> int array
 val r_float_array : r -> float array
 val r_pos : r -> int
+
+val fork : r -> r
+(** An independent reader over the same bytes, at the same position. *)
+
 val r_left : r -> int
 
 val corrupt : string -> 'a

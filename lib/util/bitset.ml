@@ -35,10 +35,6 @@ let remove t i =
 let cardinal t = t.card
 let is_empty t = t.card = 0
 
-let clear t =
-  Array.fill t.words 0 (Array.length t.words) 0;
-  t.card <- 0
-
 let iter t f =
   Array.iteri
     (fun w bits ->
@@ -61,17 +57,3 @@ let choose t =
          raise Exit)
    with Exit -> ());
   !found
-
-let copy t = { words = Array.copy t.words; card = t.card }
-
-(* Snapshot as the raw word array: [card] is derived but cheap to carry,
-   and writing both lets [load] skip a popcount pass. *)
-let save t w =
-  Bin.w_int_array w t.words;
-  Bin.w_int w t.card
-
-let load r =
-  let words = Bin.r_int_array r in
-  let card = Bin.r_int r in
-  if Array.length words = 0 || card < 0 then Bin.corrupt "Bitset: bad snapshot";
-  { words; card }

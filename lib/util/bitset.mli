@@ -8,7 +8,6 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
-val clear : t -> unit
 val iter : t -> (int -> unit) -> unit
 (** Ascending order. *)
 
@@ -17,9 +16,3 @@ val elements : t -> int list
 
 val choose : t -> int option
 (** Smallest element. *)
-
-val copy : t -> t
-
-val save : t -> Bin.w -> unit
-val load : Bin.r -> t
-(** Binary snapshot round trip (DESIGN.md §15). *)

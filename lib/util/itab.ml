@@ -83,32 +83,3 @@ let iter t f =
     let id = Array.unsafe_get keys i in
     if id >= 0 then f id t.vals.(i)
   done
-
-(* Snapshot as (key, value) pairs sorted by key: the host-side slot
-   layout (capacity, probe displacements) is reconstructed by reinserting,
-   so the byte stream is canonical — two tables holding the same bindings
-   snapshot identically regardless of their insertion histories. *)
-let save t w ~elt =
-  let pairs = ref [] in
-  iter t (fun id v -> pairs := (id, v) :: !pairs);
-  let pairs =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) !pairs
-  in
-  Bin.w_int w (List.length pairs);
-  List.iter
-    (fun (id, v) ->
-      Bin.w_int w id;
-      elt w v)
-    pairs
-
-let load r ~dummy ~elt =
-  let n = Bin.r_int r in
-  if n < 0 then Bin.corrupt "Itab: negative binding count";
-  let t = create ~dummy () in
-  for _ = 1 to n do
-    let id = Bin.r_int r in
-    if id < 0 then Bin.corrupt "Itab: negative key";
-    let v = elt r in
-    ignore (find_or_add t id ~make:(fun _ -> v))
-  done;
-  t

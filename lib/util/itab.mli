@@ -20,10 +20,3 @@ val mem : 'a t -> int -> bool
 val length : 'a t -> int
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit
-
-val save : 'a t -> Bin.w -> elt:(Bin.w -> 'a -> unit) -> unit
-(** Write the bindings as (key, value) pairs sorted by key — canonical
-    bytes independent of the table's insertion history. *)
-
-val load : Bin.r -> dummy:'a -> elt:(Bin.r -> 'a) -> 'a t
-(** Rebuild a table from {!save} output by reinserting each binding. *)

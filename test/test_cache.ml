@@ -341,31 +341,33 @@ let test_sa_conflict_roundtrip () =
     (Option.map fst (Sa.insert c 5 51));
   Alcotest.(check (option int)) "find after round trip" (Some 51) (find c 5)
 
-(* A snapshot whose recency array has the wrong length is refused, and
-   the target is left as it was: one too long used to crash in a blit,
-   one too short was accepted and left stale recency behind. *)
+(* A resident way's recency lies between 1 and the clock: anything else
+   is refused, and the target is left as it was. *)
 let test_sa_restore_rejects_bad_recency () =
   let module B = Warden_util.Bin in
-  let sets = 2 and ways = 2 in
-  let image ~recency =
+  let image lu =
     let w = B.writer () in
-    B.w_int w sets;
-    B.w_int w ways;
-    B.w_int w 7;
-    B.w_int_array w (Array.make (sets * ways) (-1));
-    B.w_int_array w (Array.make recency 0);
+    List.iter (B.w_int w) [ 2; 2; 7; 1; 0; 0; 4; lu; 99 ];
     B.reader (B.contents w)
   in
   List.iter
-    (fun recency ->
-      let c = mk_sa ~sets ~ways in
+    (fun (lu, msg) ->
+      let c = mk_sa ~sets:2 ~ways:2 in
       ignore (Sa.insert c 5 50);
       Alcotest.check_raises
-        (Printf.sprintf "recency of %d ways" recency)
-        (B.Corrupt "Bin: Sa: bad recency")
-        (fun () -> Sa.restore c (image ~recency) ~elt:B.r_int);
+        (Printf.sprintf "recency %d" lu)
+        (B.Corrupt ("Bin: Sa: " ^ msg))
+        (fun () -> Sa.restore c (image lu) ~elt:B.r_int);
       Alcotest.(check (option int)) "target unchanged" (Some 50) (find c 5))
-    [ (sets * ways) + 1; (sets * ways) - 1 ]
+    [
+      (8, "recency ahead of the clock");
+      (0, "bad recency");
+      (-3, "bad recency");
+    ];
+  let c = mk_sa ~sets:2 ~ways:2 in
+  Sa.restore c (image 7) ~elt:B.r_int;
+  Alcotest.(check (option int)) "recency at the clock accepted" (Some 99)
+    (find c 4)
 
 (* The cache never exceeds capacity and never loses a resident block
    without an eviction report. *)
@@ -403,39 +405,10 @@ let resident_list iter c =
   iter c (fun blk p -> l := (blk, p) :: !l);
   List.rev !l
 
-(* What the per-way chunk layout saved for [sa]'s state: Sa's tag and
-   recency arrays cut into chunks of min(sets, 32) sets, each chunk that
-   holds a block written with its index and followed by its payloads. *)
-let per_way_image sa =
-  let r = B.reader (to_bytes (fun w -> Sa.save sa w ~elt:B.w_int)) in
-  let sets = B.r_int r and ways = B.r_int r in
-  let tick = B.r_int r in
-  let blks = B.r_int_array r and last_use = B.r_int_array r in
-  let payloads = Array.map (fun b -> if b = -1 then -1 else B.r_int r) blks in
-  let per = min sets 32 * ways in
-  let held ci =
-    Array.exists (fun b -> b <> -1) (Array.sub blks (ci * per) per)
-  in
-  let chunks = List.filter held (List.init (sets * ways / per) Fun.id) in
-  to_bytes (fun w ->
-      B.w_int w sets;
-      B.w_int w ways;
-      B.w_int w tick;
-      B.w_int w (List.length chunks);
-      List.iter
-        (fun ci ->
-          B.w_int w ci;
-          B.w_int_array w (Array.sub blks (ci * per) per);
-          B.w_int_array w (Array.sub last_use (ci * per) per);
-          for i = ci * per to ((ci + 1) * per) - 1 do
-            if blks.(i) <> -1 then B.w_int w payloads.(i)
-          done)
-        chunks)
-
 (* Csa against Sa with payloads, which has the same per-set semantics:
    random insert/find/peek over a block range three times the capacity,
    so sets overfill and hits rotate. Every return value, the (set, way)
-   visit order and the save bytes (against the per-way layout's) agree
+   visit order and the save bytes (Sa's and Csa's formats are one) agree
    throughout; a copy taken midway is untouched by later operations; and
    every so often the cache is replaced by a save -> restore round trip
    of itself, which must carry on identically. *)
@@ -475,8 +448,8 @@ let test_csa_matches_sa () =
           (resident_list Sa.iter sa) (resident_list Csa.iter !csa);
         if step mod 50 = 0 then begin
           let bytes = csa_bytes !csa in
-          Alcotest.(check bool) ("save = per-way image " ^ what) true
-            (Bytes.equal (per_way_image sa) bytes);
+          Alcotest.(check bool) ("save = sa's save " ^ what) true
+            (Bytes.equal (to_bytes (fun w -> Sa.save sa w ~elt:B.w_int)) bytes);
           (match !snapshot with
           | Some (copy, at) ->
               Alcotest.(check bool) ("copy independent " ^ what) true
@@ -498,77 +471,84 @@ let test_csa_matches_sa () =
     [ (8, 2); (8, 3); (8, 4); (128, 2) ];
   Alcotest.(check bool) "at least 10k calls" true (!calls >= 10_000)
 
-(* A hand-built Csa snapshot of an 8-set, 2-way cache with one chunk. *)
-let csa_image ?(tick = 9) ?(ci = [ 0 ]) ?(payloads = 1) blks last_use =
+(* A hand-built snapshot of an 8-set, 2-way cache in the format Sa and
+   Csa share: [(set, way, blk, last_use)] entries, each with a payload,
+   under a line count of [count] (by default, the entries'). *)
+let ways_image ?(tick = 9) ?count entries =
   to_bytes (fun w ->
-      B.w_int w 8;
-      B.w_int w 2;
-      B.w_int w tick;
-      B.w_int w (List.length ci);
-      List.iter
-        (fun ci ->
-          B.w_int w ci;
-          B.w_int_array w blks;
-          B.w_int_array w last_use;
-          for i = 1 to payloads do
-            B.w_int w (100 + i)
-          done)
-        ci)
+      List.iter (B.w_int w)
+        [ 8; 2; tick; Option.value count ~default:(List.length entries) ];
+      List.iteri
+        (fun i (set, way, blk, lu) ->
+          List.iter (B.w_int w) [ set; way; blk; lu; 100 + i ])
+        entries)
 
-(* [(set, way, blk, last_use)] placed in otherwise empty per-way arrays. *)
-let ways_of l =
-  let blks = Array.make 16 (-1) and lu = Array.make 16 0 in
+(* Malformed snapshots both arrays refuse by the same name. *)
+let malformed_ways =
+  [
+    ("way out of range", ways_image [ (0, 2, 8, 1) ]);
+    ("way out of range", ways_image [ (0, -1, 8, 1) ]);
+    ("set out of range", ways_image [ (8, 0, 8, 1) ]);
+    ("block outside its set", ways_image [ (0, 0, 3, 1) ]);
+    ("block outside its set", ways_image [ (0, 0, -5, 1) ]);
+    ("duplicate block", ways_image [ (0, 0, 8, 1); (0, 1, 8, 2) ]);
+    ("ways not in (set, way) order", ways_image [ (1, 0, 9, 1); (0, 0, 8, 2) ]);
+    ( "ways not in (set, way) order",
+      ways_image [ (0, 0, 8, 1); (0, 0, 16, 2) ] );
+    ("recency ahead of the clock", ways_image ~tick:3 [ (0, 0, 8, 4) ]);
+    ("bad recency", ways_image [ (0, 0, 8, 0) ]);
+    ("bad way count", ways_image ~count:17 []);
+    ("bad way count", ways_image ~count:(-1) []);
+  ]
+
+(* [restore] must refuse [bytes] naming [name], leaving [target]'s save
+   bytes as they were. *)
+let refuses ~prefix ~save ~restore name bytes =
+  let before = to_bytes save in
+  (match restore (B.reader bytes) with
+  | () -> Alcotest.failf "accepted: %s" name
+  | exception B.Corrupt msg ->
+      if msg <> "Bin: " ^ prefix ^ ": " ^ name then
+        Alcotest.failf "%s: raised %S" name msg);
+  Alcotest.(check bool) ("target unchanged: " ^ name) true
+    (Bytes.equal before (to_bytes save))
+
+let test_sa_restore_rejects () =
   List.iter
-    (fun (set, way, blk, u) ->
-      blks.((set * 2) + way) <- blk;
-      lu.((set * 2) + way) <- u)
-    l;
-  (blks, lu)
+    (fun (name, bytes) ->
+      let c = mk_sa ~sets:8 ~ways:2 in
+      ignore (Sa.insert c 16 7 : _ option);
+      refuses ~prefix:"Sa"
+        ~save:(fun w -> Sa.save c w ~elt:B.w_int)
+        ~restore:(fun r -> Sa.restore c r ~elt:B.r_int)
+        name bytes)
+    malformed_ways;
+  (* A hole before a filled way is Sa state: [take] and [remove] make
+     them. *)
+  let c = mk_sa ~sets:8 ~ways:2 in
+  Sa.restore c (B.reader (ways_image [ (1, 1, 9, 1) ])) ~elt:B.r_int;
+  Alcotest.(check (option int)) "a way after a hole restores" (Some 100)
+    (find c 9)
 
 (* Malformed snapshots fail with a named error and leave the target as
-   it was. The per-way layout accepted a block stored in the wrong set,
-   which a later fill of its own set then held a second time. *)
+   it was. Csa keeps each set's filled ways a prefix, which Sa need not. *)
 let test_csa_restore_rejects () =
-  let cases =
-    let img ?tick ?ci ?payloads l =
-      let blks, lu = ways_of l in
-      csa_image ?tick ?ci ?payloads blks lu
-    in
-    [
-      ("block outside its set", img [ (0, 0, 3, 1) ]);
-      ("block outside its set", img [ (0, 0, -5, 1) ]);
-      ("duplicate block", img ~payloads:2 [ (0, 0, 8, 1); (0, 1, 8, 2) ]);
-      ("filled ways not a prefix", img [ (1, 1, 9, 1) ]);
-      ("recency on an empty way", img [ (0, 0, 8, 1); (0, 1, -1, 4) ]);
-      ("recency ahead of the clock", img ~tick:3 [ (0, 0, 8, 4) ]);
-      ("bad chunk index", img ~ci:[ 1 ] [ (0, 0, 8, 1) ]);
-      ("bad chunk count", img ~ci:[ 0; 0 ] [ (0, 0, 8, 1) ]);
-      ("bad chunk arrays", csa_image (Array.make 15 (-1)) (Array.make 16 0));
-    ]
-  in
-  (* The chunk index and count cases: one chunk for 8 sets, so index 1 is
-     out of range and a second chunk is one too many. *)
   List.iter
     (fun (name, bytes) ->
       let c = Csa.create ~sets:8 ~ways:2 in
       ignore (Csa.insert c 16 7 : _ option);
-      let before = csa_bytes c in
-      (match Csa.restore c (B.reader bytes) ~elt:B.r_int with
-      | () -> Alcotest.failf "accepted: %s" name
-      | exception B.Corrupt msg ->
-          let named =
-            msg = "Bin: Csa: " ^ name
-            || (name = "bad chunk count" && msg = "Bin: Csa: bad chunk index")
-          in
-          if not named then Alcotest.failf "%s: raised %S" name msg);
-      Alcotest.(check bool) ("target unchanged: " ^ name) true
-        (Bytes.equal before (csa_bytes c)))
-    cases;
-  (* Too few payloads: the stream ends inside the chunk. *)
-  let blks, lu = ways_of [ (0, 0, 8, 1); (0, 1, 16, 2) ] in
+      refuses ~prefix:"Csa"
+        ~save:(fun w -> Csa.save c w ~elt:B.w_int)
+        ~restore:(fun r -> Csa.restore c r ~elt:B.r_int)
+        name bytes)
+    (("filled ways not a prefix", ways_image [ (1, 1, 9, 1) ])
+    :: malformed_ways);
+  (* Too few payloads: the stream ends inside the last entry. *)
+  let bytes = ways_image [ (0, 0, 8, 1); (0, 1, 16, 2) ] in
   let c = Csa.create ~sets:8 ~ways:2 in
   (match
-     Csa.restore c (B.reader (csa_image ~payloads:1 blks lu)) ~elt:B.r_int
+     Csa.restore c (B.reader (Bytes.sub bytes 0 (Bytes.length bytes - 8)))
+       ~elt:B.r_int
    with
   | () -> Alcotest.fail "accepted a missing payload"
   | exception B.Corrupt _ -> ());
@@ -692,48 +672,37 @@ let sector_blit_model =
 
 (* --- Store against a naive model ----------------------------------------- *)
 
-(* The model: a Hashtbl of 64-byte blocks, the written-block set, and the
-   set of pages any call touched (reads included, since every touched
-   page is in the snapshot). *)
-type store_model = {
-  mblocks : (int, Bytes.t) Hashtbl.t;
-  mutable mwritten : Warden_util.Bitset.t;
-  mpages : (int, unit) Hashtbl.t;
-}
+(* The model: a Hashtbl from each written block to its 64 bytes. *)
+let zero_line = Bytes.make Addr.block_size '\000'
+let page_blocks = 65536 / Addr.block_size
 
-let page_bytes = 65536
-let page_blocks = page_bytes / Addr.block_size
+let model_read m blk =
+  Option.value (Hashtbl.find_opt m blk) ~default:zero_line
 
-let model_block m blk =
-  Hashtbl.replace m.mpages (blk / page_blocks) ();
-  match Hashtbl.find_opt m.mblocks blk with
+let model_write m blk =
+  match Hashtbl.find_opt m blk with
   | Some b -> b
   | None ->
       let b = Bytes.make Addr.block_size '\000' in
-      Hashtbl.replace m.mblocks blk b;
+      Hashtbl.replace m blk b;
       b
 
-(* The snapshot bytes of the 64 KiB-page store this layout replaced: the
-   touched pages as (id, 64 KiB image) sorted by id, then the
-   written-block set. *)
-let old_page_layout m =
+(* WSNP v3's store format, encoded from the model: the line count, then
+   each written block and its 64 bytes in ascending block order. *)
+let model_bytes m =
   to_bytes (fun w ->
-      let ids =
-        List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) m.mpages [])
+      let blks =
+        List.sort compare (Hashtbl.fold (fun b _ acc -> b :: acc) m [])
       in
-      B.w_int w (List.length ids);
+      B.w_int w (List.length blks);
       List.iter
-        (fun id ->
-          B.w_int w id;
-          let image = Bytes.make page_bytes '\000' in
-          for i = 0 to page_blocks - 1 do
-            match Hashtbl.find_opt m.mblocks ((id * page_blocks) + i) with
-            | Some b -> Bytes.blit b 0 image (i * Addr.block_size) Addr.block_size
-            | None -> ()
-          done;
-          B.w_bytes w image)
-        ids;
-      Warden_util.Bitset.save m.mwritten w)
+        (fun blk ->
+          B.w_int w blk;
+          let line = Hashtbl.find m blk in
+          for k = 0 to 7 do
+            B.w_i64 w (Bytes.get_int64_le line (8 * k))
+          done)
+        blks)
 
 let store_bytes s = to_bytes (Store.save s)
 
@@ -741,7 +710,7 @@ let test_store_matches_model () =
   let rng = Random.State.make [| 21 |] in
   let calls = ref 0 in
   (* Blocks in a few adjacent pages plus two distant ones; the last page
-     is only ever read, and must still be in the snapshot. *)
+     is only ever read. *)
   let pages = [| 0; 1; 2; 77; 4099; 9000 |] in
   let random_blk () =
     (pages.(Random.State.int rng (Array.length pages)) * page_blocks)
@@ -759,13 +728,7 @@ let test_store_matches_model () =
   in
   let bit lo hi i = (if i < 32 then lo lsr i else hi lsr (i - 32)) land 1 = 1 in
   let s = ref (Store.create ()) in
-  let m =
-    {
-      mblocks = Hashtbl.create 64;
-      mwritten = Warden_util.Bitset.create ();
-      mpages = Hashtbl.create 8;
-    }
-  in
+  let m = Hashtbl.create 64 in
   let snapshot = ref None in
   for step = 1 to 6000 do
     let blk = random_blk () in
@@ -780,8 +743,7 @@ let test_store_matches_model () =
         in
         let v = Random.State.int64 rng Int64.max_int in
         Store.store !s addr ~size v;
-        Warden_util.Bitset.add m.mwritten blk;
-        let b = model_block m blk in
+        let b = model_write m blk in
         for i = 0 to size - 1 do
           Bytes.set b
             (Addr.offset_in_block addr + i)
@@ -791,7 +753,7 @@ let test_store_matches_model () =
     | 1 ->
         let size = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
         let off = size * Random.State.int rng (64 / size) in
-        let b = model_block m blk in
+        let b = model_read m blk in
         let expect = ref 0L in
         for i = size - 1 downto 0 do
           expect :=
@@ -808,33 +770,33 @@ let test_store_matches_model () =
         else
           Store.write_block_masked !s blk (Bytes.sub data pos 64)
             ~mask:(Sector.to_int64 ~lo ~hi);
-        if lo lor hi <> 0 then Warden_util.Bitset.add m.mwritten blk;
-        let b = model_block m blk in
-        for i = 0 to 63 do
-          if bit lo hi i then Bytes.set b i (Bytes.get data (pos + i))
-        done
+        if lo lor hi <> 0 then begin
+          let b = model_write m blk in
+          for i = 0 to 63 do
+            if bit lo hi i then Bytes.set b i (Bytes.get data (pos + i))
+          done
+        end
     | 4 ->
-        Alcotest.(check bytes) ("read_block " ^ what) (model_block m blk)
+        Alcotest.(check bytes) ("read_block " ^ what) (model_read m blk)
           (Store.read_block !s blk)
     | 5 ->
         let dst = Bytes.make 96 '\xEE' in
         let pos = Random.State.int rng 33 in
         Store.read_block_into !s blk dst ~pos;
         let expect = Bytes.make 96 '\xEE' in
-        Bytes.blit (model_block m blk) 0 expect pos 64;
+        Bytes.blit (model_read m blk) 0 expect pos 64;
         Alcotest.(check bytes) ("read_block_into " ^ what) expect dst
     | _ ->
-        Alcotest.(check bool) ("materialized " ^ what)
-          (Warden_util.Bitset.mem m.mwritten blk)
+        Alcotest.(check bool) ("materialized " ^ what) (Hashtbl.mem m blk)
           (Store.materialized !s blk));
     incr calls;
     Alcotest.(check int) ("footprint = written lines " ^ what)
-      (64 * Warden_util.Bitset.cardinal m.mwritten)
+      (64 * Hashtbl.length m)
       (Store.footprint_bytes !s);
     if step mod 100 = 0 then begin
       let bytes = store_bytes !s in
-      Alcotest.(check bool) ("save = 64 KiB-page layout " ^ what) true
-        (Bytes.equal (old_page_layout m) bytes);
+      Alcotest.(check bool) ("save = the model's v3 bytes " ^ what) true
+        (Bytes.equal (model_bytes m) bytes);
       (match !snapshot with
       | Some (copy, at) ->
           Alcotest.(check bool) ("copy independent " ^ what) true
@@ -844,13 +806,8 @@ let test_store_matches_model () =
       if step mod 500 = 0 then begin
         let restored = Store.create () in
         Store.restore restored (B.reader bytes);
-        (* A fresh store's restore re-adds the written set in ascending
-           order, which may shorten its word array. *)
-        let rebuilt = Warden_util.Bitset.create () in
-        Warden_util.Bitset.iter m.mwritten (Warden_util.Bitset.add rebuilt);
-        m.mwritten <- rebuilt;
         Alcotest.(check bool) ("restore round trip " ^ what) true
-          (Bytes.equal (old_page_layout m) (store_bytes restored));
+          (Bytes.equal bytes (store_bytes restored));
         Alcotest.(check int) ("restored footprint " ^ what)
           (Store.footprint_bytes !s)
           (Store.footprint_bytes restored);
@@ -862,16 +819,7 @@ let test_store_matches_model () =
 
 let test_store_reads_hold_no_lines () =
   let s = Store.create () in
-  let m =
-    {
-      mblocks = Hashtbl.create 8;
-      mwritten = Warden_util.Bitset.create ();
-      mpages = Hashtbl.create 8;
-    }
-  in
   Store.store s 0x10000 ~size:8 7L;
-  Warden_util.Bitset.add m.mwritten (Addr.block_of 0x10000);
-  Bytes.set_int64_le (model_block m (Addr.block_of 0x10000)) 0 7L;
   let footprint = Store.footprint_bytes s in
   let zeros = Bytes.make 64 '\000' in
   (* Each call on an unwritten block of the written page, then on a page
@@ -880,8 +828,9 @@ let test_store_reads_hold_no_lines () =
     (fun i (name, call) ->
       List.iter
         (fun blk ->
-          ignore (model_block m blk : Bytes.t);
-          Alcotest.(check bytes) (name ^ " reads zero") zeros (call blk))
+          Alcotest.(check bytes) (name ^ " reads zero") zeros (call blk);
+          Alcotest.(check bool) (name ^ " materializes nothing") false
+            (Store.materialized s blk))
         [ Addr.block_of 0x10040 + i; (i + 5) * page_blocks ])
     [
       ( "load",
@@ -902,38 +851,98 @@ let test_store_reads_hold_no_lines () =
     ];
   Alcotest.(check int) "no line added" footprint (Store.footprint_bytes s);
   Alcotest.(check int) "one line per written block" 64 footprint;
-  Alcotest.(check bool) "pages touched only by reads are snapshotted" true
-    (Bytes.equal (old_page_layout m) (store_bytes s))
+  (* A page read while unwritten and then written reads its data back,
+     at once and after a lookup of another page. *)
+  let late = 40 * page_blocks in
+  ignore (Store.read_block s late : Bytes.t);
+  Store.store s (Addr.base_of_block late) ~size:8 3L;
+  Alcotest.(check int64) "a page written after a read" 3L
+    (Store.load s (Addr.base_of_block late) ~size:8);
+  ignore (Store.read_block s (Addr.block_of 0x10000) : Bytes.t);
+  Alcotest.(check int64) "and after another page" 3L
+    (Store.load s (Addr.base_of_block late) ~size:8);
+  let m = Hashtbl.create 2 in
+  Bytes.set_int64_le (model_write m late) 0 3L;
+  Bytes.set_int64_le (model_write m (Addr.block_of 0x10000)) 0 7L;
+  Alcotest.(check bool) "the snapshot holds the written lines alone" true
+    (Bytes.equal (model_bytes m) (store_bytes s))
 
-let test_store_restore_rejects () =
-  let image = Bytes.make page_bytes '\000' in
-  let snap ?(written = []) ~data () =
-    Bytes.fill image 0 page_bytes '\000';
-    if data then Bytes.set image 130 'x';
-    let ws = Warden_util.Bitset.create () in
-    List.iter (Warden_util.Bitset.add ws) written;
-    to_bytes (fun w ->
-        B.w_int w 1;
-        B.w_int w 3;
-        B.w_bytes w image;
-        Warden_util.Bitset.save ws w)
+(* Equal contents save equal bytes, whatever order the lines were written
+   in, and so does a store restored from those bytes. *)
+let test_store_canonical_bytes () =
+  let writes =
+    List.init 300 (fun i -> ((i * 7919 * 64) + (8 * (i mod 8)), Int64.of_int i))
   in
-  let rejects what bytes =
+  let build ws =
     let s = Store.create () in
-    Store.store s 0 ~size:8 5L;
-    (match Store.restore s (B.reader bytes) with
-    | () -> Alcotest.failf "%s: accepted" what
-    | exception B.Corrupt _ -> ());
-    Alcotest.(check int64) (what ^ ": store left as it was") 5L
-      (Store.load s 0 ~size:8)
+    List.iter (fun (a, v) -> Store.store s a ~size:8 v) ws;
+    s
   in
-  rejects "data in a never-written block" (snap ~data:true ());
-  rejects "written block outside the page set"
-    (snap ~written:[ (3 * page_blocks) + 2; 5 ] ~data:true ());
+  let forward = build writes and backward = build (List.rev writes) in
+  let restored = Store.create () in
+  Store.restore restored (B.reader (store_bytes backward));
+  Alcotest.(check bool) "reversed writes save the same bytes" true
+    (Bytes.equal (store_bytes forward) (store_bytes backward));
+  Alcotest.(check bool) "a restored store saves the same bytes" true
+    (Bytes.equal (store_bytes forward) (store_bytes restored))
+
+(* A write high in the address space costs its line, not its address. *)
+let test_store_far_write () =
+  let far = 1 lsl 41 in
+  Gc.compact ();
+  let heap () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) in
+  let before = heap () in
   let s = Store.create () in
-  Store.restore s (B.reader (snap ~written:[ (3 * page_blocks) + 2 ] ~data:true ()));
-  Alcotest.(check int64) "written block restored" (Int64.of_int (Char.code 'x'))
-    (Store.load s ((3 * page_bytes) + 130) ~size:1)
+  Store.store s far ~size:8 0x5EEDL;
+  Store.store s (far + (1 lsl 30)) ~size:4 7L;
+  let bytes = store_bytes s in
+  Alcotest.(check int) "footprint: two lines" 128 (Store.footprint_bytes s);
+  Alcotest.(check bool) "save under 1 KiB" true (Bytes.length bytes < 1024);
+  Alcotest.(check bool) "major heap grew under 1 MiB" true
+    (8 * (heap () - before) < 1 lsl 20);
+  let back = Store.create () in
+  Store.restore back (B.reader bytes);
+  Alcotest.(check int64) "far line restored" 0x5EEDL
+    (Store.load back far ~size:8);
+  Alcotest.(check int64) "second far line restored" 7L
+    (Store.load back (far + (1 lsl 30)) ~size:4)
+
+(* Malformed line lists are refused by name, leaving the store as it
+   was. *)
+let test_store_restore_rejects () =
+  let image ?count blks =
+    to_bytes (fun w ->
+        B.w_int w (Option.value count ~default:(List.length blks));
+        List.iter
+          (fun blk ->
+            B.w_int w blk;
+            for k = 0 to 7 do
+              B.w_i64 w (Int64.of_int (blk + k))
+            done)
+          blks)
+  in
+  List.iter
+    (fun (name, bytes) ->
+      let s = Store.create () in
+      Store.store s 0 ~size:8 5L;
+      refuses ~prefix:"Store" ~save:(Store.save s)
+        ~restore:(Store.restore s) name bytes;
+      Alcotest.(check int64) (name ^ ": store left as it was") 5L
+        (Store.load s 0 ~size:8))
+    [
+      ("lines not ascending", image [ 9; 3 ]);
+      ("block written twice", image [ 3; 3 ]);
+      ("block out of range", image [ -4 ]);
+      ("block out of range", image [ max_int ]);
+      ("bad line count", image ~count:(-1) []);
+      ("bad line count", image ~count:3 [ 1; 2 ]);
+    ];
+  let s = Store.create () in
+  Store.restore s (B.reader (image [ 3; 1 lsl 35 ]));
+  Alcotest.(check int64) "written block restored" 4L
+    (Store.load s ((3 * 64) + 8) ~size:8);
+  Alcotest.(check int64) "far block restored" (Int64.of_int ((1 lsl 35) + 7))
+    (Store.load s ((1 lsl 41) + 56) ~size:8)
 
 let suite =
   [
@@ -969,6 +978,8 @@ let suite =
       test_sa_conflict_roundtrip;
     Alcotest.test_case "sa restore rejects bad recency" `Quick
       test_sa_restore_rejects_bad_recency;
+    Alcotest.test_case "sa restore rejects malformed ways" `Quick
+      test_sa_restore_rejects;
     sa_accounting;
     Alcotest.test_case "csa = sa, differential" `Quick test_csa_matches_sa;
     Alcotest.test_case "csa restore rejects malformed tables" `Quick
@@ -987,6 +998,10 @@ let suite =
       test_store_reads_hold_no_lines;
     Alcotest.test_case "store restore rejects malformed snapshots" `Quick
       test_store_restore_rejects;
+    Alcotest.test_case "store saves canonical bytes" `Quick
+      test_store_canonical_bytes;
+    Alcotest.test_case "store write at 2^41 in constant memory" `Quick
+      test_store_far_write;
   ]
 
 let () = Alcotest.run "warden-cache" [ ("cache", suite) ]

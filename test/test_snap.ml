@@ -1,20 +1,21 @@
 (* Snapshot/restore (DESIGN.md §15) and trace replay.
 
-   1. Serialization primitives round-trip: Store's interval-table pages
-      differentially against a rebuilt table, Csa's chunked LLC store
-      preserving unallocated-chunk-is-miss, Dirstate on both sides of
-      the 62-core boundary (one sharer word per slot, one per socket).
+   1. Serialization primitives round-trip: Store's written lines against
+      a store rebuilt by replaying the same writes, Csa's lazy LLC tag
+      store preserving unallocated-chunk-is-miss, Dirstate on both sides
+      of the 62-core boundary (one sharer word per slot, one per
+      socket), and malformed images of each refused by name.
    2. Restore-then-run bit-identity: running phase A, snapshotting,
       restoring into a fresh engine and running phase B must leave the
       restored engine byte-identical (snapshot bytes and stats dump) to
-      the engine that ran A then B cold — across machines and both
-      protocols.
+      the engine that ran A then B cold — across machines and all four
+      protocols. A core that never filled a line is one word.
    3. Replay: a recorded commit-order stream replayed through a fresh
       engine reproduces the recording run's memory-system stats byte
       for byte; cross-protocol replay consumes the same stream.
-   4. Corruption: checksum damage, truncation, an older format version
-      and fingerprint mismatches (wrong protocol) are detected, never
-      silently restored.
+   4. Corruption: checksum damage, truncation, older format versions,
+      fingerprint mismatches (wrong protocol) and malformed memory-system
+      images are detected, never silently restored.
    The snapshot bytes of two fixed runs are also pinned to digests. *)
 
 open Warden_util
@@ -150,17 +151,24 @@ let test_dirstate_62_core_boundary () =
       let w = Bin.writer () in
       Dirstate.save dir w;
       let image = Bin.contents w in
-      (* The layout word leads the image; the sharer array follows the
-         four header ints and the key and meta arrays. *)
-      let int_at off = Int64.to_int (Bytes.get_int64_le image off) in
-      let cap = int_at 32 in
+      (* Four header ints, then per entry its slot, block, meta and
+         sharer words. *)
+      let words = if cores > 62 then sockets else 1 in
       Alcotest.(check (pair int int))
-        (Printf.sprintf "%d cores: layout word, sharer words" cores)
-        (if cores > 62 then (sockets, cap * sockets) else (0, cap))
-        (int_at 0, int_at (48 + (16 * cap)));
+        (Printf.sprintf "%d cores: sharer words, image bytes" cores)
+        (words, 32 + (200 * 8 * (3 + words)))
+        (Int64.to_int (Bytes.get_int64_le image 0), Bytes.length image);
       let restored = Dirstate.create ~sockets ~cores_per_socket:cps () in
       Dirstate.restore restored (Bin.reader image);
-      dirstate_equal_on dir restored ~cores ~blks)
+      dirstate_equal_on dir restored ~cores ~blks;
+      let order d =
+        let l = ref [] in
+        Dirstate.iter d (fun blk slot -> l := (blk, slot) :: !l);
+        !l
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%d cores: every entry at its slot" cores)
+        (order dir) (order restored))
     [ (2, 31); (2, 32) ];
   (* Geometry mismatch is refused, not mangled. *)
   let dir = Dirstate.create ~sockets:2 ~cores_per_socket:31 () in
@@ -173,12 +181,10 @@ let test_dirstate_62_core_boundary () =
       Dirstate.restore other (Bin.reader (Bin.contents w)))
 
 (* A malformed directory image is refused with the field named, and the
-   target directory is left as it was. Rewriting [shift] of a 10-entry
-   directory (57, for 64 slots) to 40 used to be accepted; the next
-   [find] then read far outside the key array. The image is the six
-   ints and arrays [Dirstate.save] writes: the layout word, cps, used,
-   shift, then keys (length first), meta, the sharer words and an empty
-   array. *)
+   target directory is left as it was. The image is the four header ints
+   [Dirstate.save] writes (sharer words per entry, cores per socket,
+   capacity, entry count), then per entry its slot, block, meta and
+   sharer word: 32 bytes each on this 24-core machine. *)
 let test_dirstate_restore_malformed () =
   let module D = Warden_proto.Dirstate in
   let dir = D.create ~sockets:2 ~cores_per_socket:12 () in
@@ -188,23 +194,28 @@ let test_dirstate_restore_malformed () =
   D.save dir w;
   let image = Bin.contents w in
   let int_at off = Int64.to_int (Bytes.get_int64_le image off) in
-  Alcotest.(check int) "shift of 64 slots" 57 (int_at 24);
-  let cap = int_at 32 in
-  let key i = 40 + (8 * i) in
-  let slot_of b = D.find dir b in
-  let s0 = slot_of (List.hd blks) in
-  let emptied = List.find (fun i -> int_at (key i) = -1) (List.init cap Fun.id) in
+  Alcotest.(check (pair int int)) "capacity and entries" (64, 10)
+    (int_at 16, int_at 24);
+  let entry i = 32 + (32 * i) in
+  let last = entry 9 in
+  Alcotest.(check bool) "the last entry has room above it" true
+    (int_at last < 63);
   let cases =
     [
-      ("bad shift", [ (24, 40) ]);
-      ("bad used count", [ (16, 11) ]);
-      ("bad key", [ (key emptied, -2) ]);
-      ( "bad used count",
-        (16, cap) :: List.init cap (fun i -> (key i, 5000 + i)) );
-      (* Move a key off its probe sequence: past the slot it vacates. *)
-      ( "misplaced key",
-        [ (key s0, -1); (key ((s0 + (cap / 2)) land (cap - 1)), List.hd blks) ]
-      );
+      ("geometry mismatch", [ (8, 13) ]);
+      ("wrong number of sharer words", [ (0, 2) ]);
+      ("bad used count", [ (24, 33) ]);
+      ("bad used count", [ (24, 11) ]);
+      ("bad used count", [ (24, -1) ]);
+      ("bad capacity", [ (16, 48) ]);
+      ("bad capacity", [ (16, 1 lsl 20) ]);
+      ("misplaced slot", [ (entry 1, int_at (entry 0)) ]);
+      ("misplaced slot", [ (last, 64) ]);
+      (* Off its probe sequence: past the slot it vacates. *)
+      ("misplaced slot", [ (last, int_at last + 1) ]);
+      ("negative block", [ (entry 3 + 8, -7) ]);
+      ("duplicate block", [ (entry 4 + 8, int_at (entry 2 + 8)) ]);
+      ("bad meta", [ (entry 0 + 16, 7) ]);
     ]
   in
   List.iter
@@ -219,38 +230,17 @@ let test_dirstate_restore_malformed () =
       Alcotest.(check bool) "target unchanged" true
         (D.find target 3 <> D.no_slot && D.find target 1000 = D.no_slot))
     cases;
-  (* An image of the earlier two-array layout above 62 cores: a coarse
-     socket-presence word per slot, then the per-socket words in the last
-     array. Converted here from a current 64-core image. *)
-  let dir = D.create ~sockets:2 ~cores_per_socket:32 () in
-  List.iter
-    (fun b ->
-      let s = D.entry dir b in
-      D.set_state dir s Warden_proto.States.D_S;
-      D.sharer_add dir s (b mod 64))
-    blks;
+  (* A 64-core image has two sharer words per entry: a 32-core
+     directory with the same cores per socket refuses it. *)
+  let wide = D.create ~sockets:2 ~cores_per_socket:32 () in
+  ignore (D.entry wide 5 : D.slot);
   let w = Bin.writer () in
-  D.save dir w;
-  let r = Bin.reader (Bin.contents w) in
-  let header = List.init 4 (fun _ -> Bin.r_int r) in
-  let keys = Bin.r_int_array r in
-  let meta = Bin.r_int_array r in
-  let fine = Bin.r_int_array r in
-  let coarse =
-    Array.init (Array.length keys) (fun s ->
-        (if fine.(2 * s) <> 0 then 1 else 0)
-        lor if fine.((2 * s) + 1) <> 0 then 2 else 0)
-  in
-  let w = Bin.writer () in
-  List.iter (Bin.w_int w) header;
-  List.iter (Bin.w_int_array w) [ keys; meta; coarse; fine ];
-  let target = D.create ~sockets:2 ~cores_per_socket:32 () in
-  ignore (D.entry target 3 : D.slot);
-  Alcotest.check_raises "two-array layout above 62 cores"
-    (Bin.Corrupt "Bin: Dirstate: inconsistent arrays")
-    (fun () -> D.restore target (Bin.reader (Bin.contents w)));
-  Alcotest.(check bool) "target unchanged" true
-    (D.find target 3 <> D.no_slot && D.find target 1000 = D.no_slot)
+  D.save wide w;
+  Alcotest.check_raises "sharer words per entry"
+    (Bin.Corrupt "Bin: Dirstate: wrong number of sharer words") (fun () ->
+      D.restore
+        (D.create ~sockets:1 ~cores_per_socket:32 ())
+        (Bin.reader (Bin.contents w)))
 
 (* ---- 2. Restore-then-run bit-identity ------------------------------------ *)
 
@@ -273,9 +263,8 @@ let stats_and_bytes eng =
   (Stream.stats_text (Engine.memsys eng), Snap.to_bytes eng)
 
 (* The snapshot format is pinned: two fixed runs must serialize to the
-   same bytes that builds keeping each line in its own heap object
-   produced, so snapshots written by those builds still restore. The
-   digests are of the whole WSNP v2 envelope (header, fingerprint,
+   same bytes, so a change to the format is a deliberate one. The
+   digests are of the whole WSNP v3 envelope (header, fingerprint,
    payload). fib at scale 16 on the single-socket machine ends flushed;
    the sharing phase on the dual-socket machine ends with dirty private
    copies, so its digest also pins the dirty masks. *)
@@ -286,11 +275,11 @@ let test_snapshot_format_pinned () =
   let ok = spec.Warden_pbbs.Spec.run ~scale:16 ~seed:0x5EEDF00DL eng in
   Alcotest.(check bool) "fib verified" true ok;
   Alcotest.(check string)
-    "fib WSNP v2 digest" "9ce9688afdd38c7d790136da09484215" (digest eng);
+    "fib WSNP v3 digest" "acf290b777a3bdbec27d065f8c0b10ff" (digest eng);
   let eng = Engine.create (Config.dual_socket ()) ~proto:`Warden in
   ignore (Engine.run eng (phase_bodies (Engine.memsys eng) ~round:0) : int);
-  Alcotest.(check string) "unflushed WSNP v2 digest"
-    "d81911d63010122a5d836e281de2027d" (digest eng)
+  Alcotest.(check string) "unflushed WSNP v3 digest"
+    "72c2fbd00bfa062c28d5dea826b12a17" (digest eng)
 
 let test_restore_then_run () =
   let machines =
@@ -327,7 +316,7 @@ let test_restore_then_run () =
             (label ^ ": snapshot bytes bit-identical")
             true
             (Bytes.equal cold_bytes warm_bytes))
-        [ `Mesi; `Warden ])
+        [ `Mesi; `Warden; `Msi_bus; `Sisd ])
     machines
 
 
@@ -495,10 +484,8 @@ let test_stream_envelope_roundtrip () =
 
 (* One run that reports every event kind, every access size, region
    add/remove, a flush and host pokes: each op with the length its
-   record takes, and each written (address, size). [wide] adds loads and
-   a region at an address too high for a packed record. They write
-   nothing: the store's written-block set is dense in the block number,
-   so a write that high would allocate gigabytes. *)
+   record takes, and each written (address, size). [wide] adds a poke,
+   loads and a region at an address too high for a packed record. *)
 let all_kinds_ops ~wide ms =
   let base = Memsys.alloc ms ~bytes:4096 ~align:4096 in
   let far = 1 lsl 41 in
@@ -541,6 +528,7 @@ let all_kinds_ops ~wide ms =
       ]
     @ (if wide then
          [
+           (48, fun () -> Memsys.poke ms far ~size:8 0x5EEDL);
            load 0 far 8;
            ( 48,
              fun () ->
@@ -560,6 +548,7 @@ let all_kinds_ops ~wide ms =
         [ (a, size); (a + size, size) ])
       [ 1; 2; 4; 8 ]
     @ [ (base + 1024, 8); (base + 64, 1) ]
+    @ if wide then [ (far, 8) ] else []
   in
   (ops, written)
 
@@ -664,28 +653,142 @@ let test_snapshot_corruption () =
         in
         contains 0
     | _ -> false);
-  (* An older format version is refused by name: rebuild the envelope
-     around the same body and checksum with version 1. *)
-  let v1 =
-    let r = Bin.reader b in
-    let magic = Bin.r_string r in
-    ignore (Bin.r_int r : int);
-    let body = Bin.r_bytes r in
-    let ck = Bin.r_int r in
-    let w = Bin.writer () in
-    Bin.w_string w magic;
-    Bin.w_int w 1;
-    Bin.w_bytes w body;
-    Bin.w_int w ck;
-    Bin.contents w
-  in
-  Alcotest.check_raises "version 1 refused"
-    (Bin.Corrupt "Bin: Snap: snapshot version 1, this build reads 2") (fun () ->
-      Snap.restore (fresh ()) v1);
+  (* Older format versions are refused by name, leaving the engine as
+     it was: rebuild the envelope around the same body and checksum. *)
+  List.iter
+    (fun v ->
+      let old =
+        let r = Bin.reader b in
+        let magic = Bin.r_string r in
+        ignore (Bin.r_int r : int);
+        let body = Bin.r_bytes r in
+        let ck = Bin.r_int r in
+        let w = Bin.writer () in
+        Bin.w_string w magic;
+        Bin.w_int w v;
+        Bin.w_bytes w body;
+        Bin.w_int w ck;
+        Bin.contents w
+      in
+      let target = fresh () in
+      Alcotest.check_raises
+        (Printf.sprintf "version %d refused" v)
+        (Bin.Corrupt
+           (Printf.sprintf
+              "Bin: Snap: snapshot version %d, this build reads 3" v))
+        (fun () -> Snap.restore target old);
+      Alcotest.(check bool)
+        (Printf.sprintf "version %d: target unchanged" v)
+        true
+        (Bytes.equal (Snap.to_bytes (fresh ())) (Snap.to_bytes target)))
+    [ 1; 2 ];
   (* [describe] summarizes without an engine. *)
   let d = Snap.describe b in
   Alcotest.(check bool) "describe mentions the machine" true
     (String.length d > 0)
+
+let memsys_image ms =
+  let w = Bin.writer () in
+  Memsys.save_state ms w;
+  Bin.contents w
+
+(* Where the core count sits in a memory-system image: after the store's
+   lines and the LLC slices. *)
+let cores_at ms =
+  let llc = Memsys.llc ms in
+  let w = Bin.writer () in
+  Warden_mem.Store.save (Llc.store llc) w;
+  Llc.save llc w;
+  Bin.length w
+
+(* A core that never filled a line is one word of the image; the others
+   are their hierarchies. *)
+let test_blank_cores_one_word () =
+  let cfg = Config.numa_mesh ~sockets:4 () in
+  let eng = Engine.create cfg ~proto:`Warden in
+  let ms = Engine.memsys eng in
+  ignore (Engine.run eng (phase_bodies ms ~round:0) : int);
+  let r = Bin.reader (memsys_image ms) in
+  for _ = 1 to cores_at ms do
+    ignore (Bin.r_u8 r : int)
+  done;
+  let n = Bin.r_int r in
+  Alcotest.(check int) "core count" (Config.num_cores cfg) n;
+  let blank = ref 0 in
+  for _ = 1 to n do
+    let before = Bin.r_pos r in
+    match Bin.r_int r with
+    | 0 ->
+        incr blank;
+        Alcotest.(check int) "a blank core is one word" 8 (Bin.r_pos r - before)
+    | _ ->
+        ignore
+          (Privcache.restore cfg ~evict:(fun ~blk:_ _ _ -> ()) r
+            : Privcache.t)
+  done;
+  let ran =
+    List.length
+      (List.sort_uniq compare
+         (List.init 4 (fun thread -> Config.core_of_thread cfg thread)))
+  in
+  Alcotest.(check int) "every core that ran no thread is blank" (n - ran) !blank
+
+(* Malformed memory-system images are refused by name, and the target's
+   state is left as it was (the whole image is validated before any of it
+   is installed). *)
+let test_memsys_restore_malformed () =
+  let cfg = Config.dual_socket () in
+  let eng = Engine.create cfg ~proto:`Warden in
+  let ms = Engine.memsys eng in
+  ignore (Engine.run eng (phase_bodies ms ~round:0) : int);
+  List.iter (fun a -> Memsys.poke ms a ~size:8 1L) [ 1 lsl 20; 1 lsl 21 ];
+  let image = memsys_image ms in
+  let at = cores_at ms in
+  let patch edits =
+    let b = Bytes.copy image in
+    List.iter (fun (off, set) -> set b off) edits;
+    b
+  in
+  let int_at off = Int64.to_int (Bytes.get_int64_le image off) in
+  let set_int v b off = Bytes.set_int64_le b off (Int64.of_int v) in
+  (* Core 0 ran: its flag, then its L1 (four header words and four words
+     per way), then its L2 header and first way, then that line's state
+     byte. *)
+  Alcotest.(check int) "core 0 allocated" 1 (int_at (at + 8));
+  let l1 = at + 16 in
+  let state_at = l1 + 32 + (32 * int_at (l1 + 24)) + 32 + 32 in
+  let cases =
+    [
+      ( "Memsys: core count mismatch",
+        [ (at, set_int (Config.num_cores cfg + 1)) ] );
+      ("Memsys: bad hierarchy flag", [ (at + 8, set_int 2) ]);
+      ( "Privcache: bad line state",
+        [ (state_at, fun b off -> Bytes.set_uint8 b off 7) ] );
+      (* Core 0's first L1 way names a block of the same set that L2
+         does not hold. *)
+      ( "Privcache: an L1 block not in L2",
+        [ (l1 + 48, set_int (int_at (l1 + 48) + (Config.l1_sets cfg lsl 20))) ]
+      );
+      (* The store's second line: its block, after the count and the
+         first line's block and bytes. *)
+      ("Store: block written twice", [ (80, set_int (int_at 8)) ]);
+    ]
+  in
+  List.iter
+    (fun (name, edits) ->
+      let target = Memsys.create cfg ~proto:`Warden in
+      ignore (Memsys.store target ~thread:0 64 ~size:8 9L : int);
+      let before = memsys_image target in
+      Alcotest.check_raises name
+        (Bin.Corrupt ("Bin: " ^ name))
+        (fun () -> Memsys.restore_state target (Bin.reader (patch edits)));
+      Alcotest.(check bool) (name ^ ": target unchanged") true
+        (Bytes.equal before (memsys_image target)))
+    cases;
+  let twin = Memsys.create cfg ~proto:`Warden in
+  Memsys.restore_state twin (Bin.reader image);
+  Alcotest.(check bool) "the unpatched image restores" true
+    (Bytes.equal image (memsys_image twin))
 
 let suite =
   [
@@ -696,7 +799,7 @@ let suite =
       test_dirstate_62_core_boundary;
     Alcotest.test_case "malformed dirstate refused" `Quick
       test_dirstate_restore_malformed;
-    Alcotest.test_case "snapshot format pinned (WSNP v2 digests)" `Quick
+    Alcotest.test_case "snapshot format pinned (WSNP v3 digests)" `Quick
       test_snapshot_format_pinned;
     Alcotest.test_case "restore-then-run bit-identical" `Quick
       test_restore_then_run;
@@ -709,6 +812,10 @@ let suite =
       test_stream_v3_roundtrip;
     Alcotest.test_case "snapshot corruption and fingerprint" `Quick
       test_snapshot_corruption;
+    Alcotest.test_case "a core that never filled a line is one word" `Quick
+      test_blank_cores_one_word;
+    Alcotest.test_case "malformed memory-system images refused" `Quick
+      test_memsys_restore_malformed;
   ]
 
 let () = Alcotest.run "warden-snap" [ ("snap", suite) ]
