@@ -142,13 +142,14 @@ let or_input_error file f =
 let apply_snapshot_in eng = function
   | None -> ()
   | Some file ->
-      or_input_error file (fun () -> Warden_snap.Snap.load_file eng file);
+      or_input_error file (fun () ->
+          Warden_snap.Snap.restore eng (Warden_util.Bin.read_file file));
       Printf.printf "restored snapshot %s\n" file
 
 let apply_snapshot_out eng = function
   | None -> ()
   | Some file ->
-      Warden_snap.Snap.save_file eng file;
+      Warden_util.Bin.write_file file (Warden_snap.Snap.to_bytes eng);
       Printf.printf "wrote snapshot %s\n" file
 
 (* --- the run path of bench, profile and trace ----------------------------- *)
@@ -749,7 +750,7 @@ let replay_cmd =
               spec.Spec.run ~scale ~seed eng)
         in
         let host = Unix.gettimeofday () -. t0 in
-        Warden_trace.Stream.save_file stream file;
+        Warden_util.Bin.write_file file (Warden_trace.Stream.to_bytes stream);
         Printf.printf
           "recorded %s (scale %d) under %s: %s, %d events -> %s (%.2fs host)\n"
           spec.Spec.name scale (proto_name proto)
@@ -760,7 +761,8 @@ let replay_cmd =
         exit_of_bool ok
     | None ->
         let stream =
-          or_input_error file (fun () -> Warden_trace.Stream.load_file file)
+          or_input_error file (fun () ->
+              Warden_trace.Stream.of_bytes (Warden_util.Bin.read_file file))
         in
         let proto =
           match proto with

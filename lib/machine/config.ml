@@ -39,7 +39,6 @@ type t = {
   reconcile_per_block : int;
   recon_inplace_sole : bool;
   store_buffer_entries : int;
-  sched_quantum : int;
   sim_domains : int;
   obs_level : obs_level;
 }
@@ -94,7 +93,6 @@ let base ~name ~sockets ~threads_per_core =
     reconcile_per_block = 6;
     recon_inplace_sole = false;
     store_buffer_entries = 56;
-    sched_quantum = 4096;
     sim_domains = 1;
     obs_level = Obs_off;
   }
@@ -187,7 +185,7 @@ let pp fmt t =
      L1 %s/%d-way  L2 %s/%d-way  L3 %s-per-core/%d-way@,\
      latencies L1/L2/L3 %d-%d-%d cycles, DRAM +%d, hop %d, socket link %d%s%s@,\
      %.1f GHz, %d WARD regions, reconcile %d cyc/block, store buffer %d@,\
-     scheduler quantum %d, obs %s@]"
+     obs %s@]"
     t.name t.sockets t.cores_per_socket t.threads_per_core (kb t.l1_bytes)
     t.l1_ways (kb t.l2_bytes) t.l2_ways (kb t.l3_bytes_per_core) t.l3_ways
     t.l1_lat t.l2_lat t.l3_lat t.dram_lat t.intra_hop_lat t.inter_socket_lat
@@ -198,5 +196,5 @@ let pp fmt t =
           (Array.fold_left max 0 m))
     (if t.dram_remote then " (remote memory)" else "")
     t.freq_ghz t.ward_region_capacity t.reconcile_per_block
-    t.store_buffer_entries t.sched_quantum
+    t.store_buffer_entries
     (obs_level_to_string t.obs_level)

@@ -66,16 +66,6 @@ type t = {
   store_buffer_entries : int;
       (** Store-buffer slots per hardware thread; stores only stall the
           thread when the buffer is full (§7.2 analysis). *)
-  sched_quantum : int;
-      (** Engine scheduling quantum, in simulated cycles: a thread whose
-          access hits in its private cache without needing a coherence
-          transition may keep executing inline for up to this many cycles
-          before yielding to the run queue. Purely a host-side performance
-          knob — the engine only runs an access inline when it is provably
-          the next event the scheduled path would have popped, so results
-          are bit-identical for every value. [0] disables the fast path
-          entirely (every access schedules through the run queue); see
-          DESIGN.md §8. *)
   sim_domains : int;
       (** Always [1]: {!Warden_sim.Memsys.create} rejects any other value.
           One simulation runs on one host domain; host parallelism comes

@@ -49,7 +49,6 @@ let idle () = ()
 type tstate = {
   tid : int;
   mutable time : int;
-  mutable qlimit : int; (* the quantum's end: inline allowed while time < qlimit *)
   (* The pending operation, read when the thread next reaches the root. *)
   mutable op : op;
   mutable addr : int; (* access address; a region's lo *)
@@ -73,15 +72,13 @@ type tstate = {
    deterministic function of its inputs. A thread has at most one queued
    event, and only the running thread re-enqueues itself, so the running
    thread stays at the root for its whole turn. Its suspension rewrites
-   the root's key and costs one sift-down; its exit removes the root. The
-   other threads sit below the root, and the earliest of them is one of
-   the root's two children. (A 4-ary heap, tried, sifted slower.)
+   the root's key and costs one sift-down; its exit removes the root. (A
+   4-ary heap, tried, sifted slower.)
 
    A key packs both parts into one int, [cycle lsl seq_bits lor seq], so
    a comparison is one integer compare. Slots from [heap_len] up hold
-   [max_int], so a sift reads a missing right child as "never smaller"
-   and a turn reads missing children as "never earlier", with no bounds
-   test. *)
+   [max_int], so a sift reads a missing right child as "never smaller",
+   with no bounds test. *)
 type t = {
   ms : Memsys.t;
   cfg : Config.t;
@@ -89,7 +86,6 @@ type t = {
   obs_on : bool;
   obs_full : bool;
   stats : Sstats.t; (* cached [Memsys.sstats] *)
-  quantum : int; (* inline quantum, Config.sched_quantum *)
   sync_on : bool;
       (* the protocol is [`Self]: runtime acquire/release fences must
          reach the memory system. When false, [Ops.acquire]/[Ops.release]
@@ -99,13 +95,8 @@ type t = {
   heap_key : int array;
   mutable heap_len : int;
   mutable next_seq : int;
-  mutable others : int; (* the earliest other queued cycle; fixed for a turn *)
-  mutable limit : int;
-      (* the running thread may run an access inline while its clock is
-         below this: [others], or its quantum's end if sooner *)
   threads : tstate array;
   mutable cur : int; (* the thread currently executing, for Ops *)
-  mutable used_threads : int;
 }
 
 (* The engine currently executing on this domain, so that [Ops] can reach
@@ -121,7 +112,6 @@ let create cfg ~proto =
     {
       tid;
       time = 0;
-      qlimit = 0;
       op = Start;
       addr = 0;
       size = 0;
@@ -138,8 +128,8 @@ let create cfg ~proto =
   let threads = Array.init nthreads (fun tid -> mk tid (Array.make sb_cap 0)) in
   let ms = Memsys.create cfg ~proto in
   let obs = Memsys.obs ms in
-  (* Room for the root's two children and a last entry's right child. *)
-  let slots = Int.max 3 (nthreads + 1) in
+  (* Room for a last entry's right child. *)
+  let slots = nthreads + 1 in
   {
     ms;
     cfg;
@@ -147,17 +137,13 @@ let create cfg ~proto =
     obs_on = Obs.enabled obs;
     obs_full = Obs.full obs;
     stats = Memsys.sstats ms;
-    quantum = cfg.Config.sched_quantum;
     sync_on = Warden_proto.Protocol.kind (Memsys.protocol ms) = `Self;
     heap_tid = Array.make slots 0;
     heap_key = Array.make slots max_int;
     heap_len = 0;
     next_seq = 0;
-    others = 0;
-    limit = 0;
     threads;
     cur = 0;
-    used_threads = 0;
   }
 
 let memsys t = t.ms
@@ -203,19 +189,17 @@ let drain_all st =
     st.time <- Int.max st.time (sb_pop st)
   done
 
-(* Store-buffer bookkeeping shared by the scheduled and inline store
-   paths: free ready slots, stall on a full buffer, enqueue the new
-   store's completion, retire in one cycle. *)
+(* A store's bookkeeping once the memory system has taken it: free ready
+   slots, stall on a full buffer, enqueue the new store's completion,
+   retire in one cycle. *)
 let commit_store t st lat =
   drain_ready st;
   if st.sb_len >= t.cfg.Config.store_buffer_entries then begin
     t.stats.Sstats.sb_stalls <- t.stats.Sstats.sb_stalls + 1;
     let ready = sb_pop st in
     if t.obs_on then begin
-      (* Explicit [set_now]: an inline store reaches here without a
-         turn's [resume]. No block is at fault for a full buffer, so the
-         record carries none. *)
-      Obs.set_now t.obs st.time;
+      (* No block is at fault for a full buffer, so the record carries
+         none. *)
       Obs.event t.obs ~code:Oev.sb_stall
         ~core:(Config.core_of_thread t.cfg st.tid)
         ~blk:(-1)
@@ -232,8 +216,6 @@ let commit_store t st lat =
 let seq_bits = 20
 let seq_mask = (1 lsl seq_bits) - 1
 let time_bits = Sys.int_size - 1 - seq_bits (* keys stay non-negative *)
-
-let key_time key = key lsr seq_bits
 
 (* The seqs of queued entries only need to be ordered among themselves.
    When the counter fills its bits, rank the queued entries' seqs afresh:
@@ -308,77 +290,41 @@ let remove_root t =
   t.heap_len <- last;
   if last > 0 then sift_root t tid k
 
-(* Each turn re-establishes the ambient thread and opens a fresh inline
-   quantum; with [sched_quantum = 0] the budget is empty and every access
-   goes through the queue. The heap does not change during a turn, so the
-   earliest other queued cycle is read here once. *)
-let open_quantum t (st : tstate) t0 =
-  st.qlimit <- t0 + t.quantum;
-  t.limit <- Int.min st.qlimit t.others
-
+(* Each turn re-establishes the ambient thread. The recorder timestamps
+   trace records with the resumed event's issue time; only full mode
+   records them, so off/counters skip the store. *)
 let resume t (st : tstate) =
   t.cur <- st.tid;
-  let keys = t.heap_key in
-  t.others <-
-    key_time (Int.min (Array.unsafe_get keys 1) (Array.unsafe_get keys 2));
-  open_quantum t st st.time;
-  (* The recorder timestamps trace records with the resumed event's issue
-     time; only full mode records them, so off/counters skip the store. *)
   if t.obs_full then Obs.set_now t.obs st.time
-
-(* An access may run inline — without suspending into the run queue — iff
-   it is provably the event the scheduled path would pop next: the
-   thread's clock must be strictly below every other queued cycle (a tie
-   loses, since the queued entry was enqueued earlier and FIFO order puts
-   it first). The running thread is the root, so the earliest other
-   thread is one of its two children. The quantum bounds how long one
-   thread may monopolize the host before taking the queue path anyway.
-   Under this gate the inline path replays exactly the fully scheduled
-   pop order, so simulated cycles, stats and memory images are
-   bit-identical for every quantum value. [resume] folds all of it into
-   [t.limit], so the gate is one compare.
-
-   An inline access may miss. It then does what the pop it stands for
-   would have done at its issue cycle [t0]: the recorder's clock is set
-   before the access (its events record at [t0]), and a new quantum opens
-   from [t0] after it, so each thread's saved [qlimit] is the same as
-   when every miss went through the queue. *)
-let[@inline] inline_enter t t0 =
-  if t.obs_full then Obs.set_now t.obs t0;
-  t.stats.Sstats.priv_misses
-
-let[@inline] inline_leave t st t0 misses =
-  if t.stats.Sstats.priv_misses <> misses then open_quantum t st t0
 
 (* --- the operations ------------------------------------------------------- *)
 
-(* What an operation does to the thread, shared by the inline path and
-   [step]. Accesses go through the memory system's one transition
-   per operation ([Memsys.access_*]), hit or miss. *)
-
-let[@inline] do_load t st addr ~size =
-  let lat = Memsys.access_load t.ms ~thread:st.tid addr ~size st.word in
-  st.time <- st.time + lat;
-  retire t st 1
-
-let[@inline] do_store t st addr ~size v =
-  commit_store t st (Memsys.access_store t.ms ~thread:st.tid addr ~size v)
-
-(* An RMW is a TSO fence: it drains the store buffer first. *)
-let do_rmw t st addr ~size f =
-  drain_all st;
-  let lat = Memsys.access_rmw t.ms ~thread:st.tid addr ~size f st.word in
-  st.time <- st.time + lat + 2;
-  retire t st 1
-
-(* Perform the root thread's pending operation and resume it. The
-   [continue] is the last call: see [next_turn]. *)
+(* Perform the root thread's pending operation and resume it. Accesses
+   go through the memory system's one transition per operation
+   ([Memsys.access_*]), hit or miss. The [continue] is the last call:
+   see [next_turn]. *)
 let step t st =
   (match st.op with
   | Start | Yield | Fork | Hand_off -> ()
-  | Load -> do_load t st st.addr ~size:st.size
-  | Store -> do_store t st st.addr ~size:st.size (word st)
-  | Rmw -> do_rmw t st st.addr ~size:st.size st.rmw_f
+  | Load ->
+      let lat =
+        Memsys.access_load t.ms ~thread:st.tid st.addr ~size:st.size st.word
+      in
+      st.time <- st.time + lat;
+      retire t st 1
+  | Store ->
+      commit_store t st
+        (Memsys.access_store t.ms ~thread:st.tid st.addr ~size:st.size
+           (word st))
+  | Rmw ->
+      (* An RMW is a TSO fence: it drains the store buffer first. *)
+      drain_all st;
+      let lat =
+        Memsys.access_rmw t.ms ~thread:st.tid st.addr ~size:st.size st.rmw_f
+          st.word
+      in
+      st.time <- st.time + lat + 2;
+      retire t st 1
   | Region_add ->
       st.time <- st.time + 1;
       retire t st 1;
@@ -491,7 +437,6 @@ let handler t =
 let run t bodies =
   let n = Array.length bodies in
   if n > Array.length t.threads then invalid_arg "Engine.run: too many threads";
-  t.used_threads <- max t.used_threads n;
   let cycles_at_start = t.stats.Sstats.cycles in
   Array.iteri
     (fun tid body ->
@@ -539,10 +484,8 @@ let snapshot t w =
   Array.iter
     (fun st ->
       assert (st.sb_len = 0);
-      Bin.w_int w st.time;
-      Bin.w_int w st.qlimit)
+      Bin.w_int w st.time)
     t.threads;
-  Bin.w_int w t.used_threads;
   Memsys.save_state t.ms w
 
 let restore t r =
@@ -550,17 +493,16 @@ let restore t r =
   let n = Bin.r_int r in
   if n <> Array.length t.threads then
     Bin.corrupt "Engine: thread count mismatch";
-  let clocks = Array.init (2 * n) (fun _ -> Bin.r_int r) in
-  let used_threads = Bin.r_int r in
+  let clocks = Array.init n (fun _ -> Bin.r_int r) in
+  if Array.exists (fun c -> c < 0 || c lsr time_bits <> 0) clocks then
+    Bin.corrupt "Engine: thread clock out of range";
   Memsys.restore_state t.ms r;
   Array.iteri
     (fun i st ->
-      st.time <- clocks.(2 * i);
-      st.qlimit <- clocks.((2 * i) + 1);
+      st.time <- clocks.(i);
       st.sb_head <- 0;
       st.sb_len <- 0)
-    t.threads;
-  t.used_threads <- used_threads
+    t.threads
 
 (* --- operations on the running engine -------------------------------------- *)
 
@@ -570,59 +512,30 @@ let[@inline] suspend st op =
   Effect.perform Suspend
 
 module On = struct
-  (* Each access runs inline — no effect performed, no continuation
-     captured — when it passes the gate, hit or miss; otherwise it
-     writes itself into the thread's state and suspends. Either way its
-     result is in the thread's [word]. *)
+  (* Each access writes itself into the thread's state and suspends;
+     [step] performs it and leaves its result in the thread's [word]. *)
 
   let load t addr ~size =
     let st = cur_st t in
-    let t0 = st.time in
-    if t0 < t.limit then begin
-      let misses = inline_enter t t0 in
-      do_load t st addr ~size;
-      inline_leave t st t0 misses
-    end
-    else begin
-      st.addr <- addr;
-      st.size <- size;
-      suspend st Load
-    end;
+    st.addr <- addr;
+    st.size <- size;
+    suspend st Load;
     word st
 
   let store t addr ~size v =
     let st = cur_st t in
-    let t0 = st.time in
-    if t0 < t.limit then begin
-      let misses = inline_enter t t0 in
-      do_store t st addr ~size v;
-      inline_leave t st t0 misses
-    end
-    else begin
-      st.addr <- addr;
-      st.size <- size;
-      Bytes.set_int64_le st.word 0 v;
-      suspend st Store
-    end
+    st.addr <- addr;
+    st.size <- size;
+    Bytes.set_int64_le st.word 0 v;
+    suspend st Store
 
-  (* The inline RMW drains the store buffer exactly as the scheduled one
-     does at its pop, so the two are the same operation at the same
-     point of the run. *)
   let rmw t addr ~size f =
     let st = cur_st t in
-    let t0 = st.time in
-    if t0 < t.limit then begin
-      let misses = inline_enter t t0 in
-      do_rmw t st addr ~size f;
-      inline_leave t st t0 misses
-    end
-    else begin
-      st.addr <- addr;
-      st.size <- size;
-      st.rmw_f <- f;
-      suspend st Rmw;
-      st.rmw_f <- Fun.id
-    end;
+    st.addr <- addr;
+    st.size <- size;
+    st.rmw_f <- f;
+    suspend st Rmw;
+    st.rmw_f <- Fun.id;
     word st
 
   let cas t addr ~size ~expected ~desired =
@@ -663,8 +576,6 @@ module Ops = struct
   let now () = (cur_st (engine ())).time
   let tid () = (cur_st (engine ())).tid
 
-  (* Region operations always schedule: they mutate directory-visible
-     protocol state, so they stay globally ordered by construction. *)
   let region_add ~lo ~hi =
     let st = cur_st (engine ()) in
     st.addr <- lo;

@@ -3,8 +3,8 @@
     Each hardware thread is an OCaml computation that calls {!Ops}; the
     engine interleaves all threads' memory operations in global cycle
     order (FIFO among equal timestamps, so runs are deterministic),
-    suspending a thread with one effect whenever another must go first,
-    and charges latencies from the memory system.
+    suspending a thread with one effect at every access, and charges
+    latencies from the memory system.
 
     Timing model:
     - [tick n] retires [n] single-cycle instructions;
@@ -22,17 +22,11 @@
     the next root, a call in tail position, so a run of any length takes
     constant host stack (DESIGN.md §8).
 
-    Every access is one memory-system transition ({!Memsys.access_load}
-    and its siblings: a hit prefix, then the miss path). It runs inline,
-    without suspending the thread into the run queue, whenever the
-    thread's clock is strictly below every other queued cycle and within
-    the current scheduling quantum
-    ({!Warden_machine.Config.t.sched_quantum}); otherwise the thread
-    writes the operation into its state, suspends, and the engine
-    performs it when the thread is popped. The gate makes the inline
-    event exactly the event the queue would have popped next, so results
-    are bit-identical to the fully scheduled execution
-    ([sched_quantum = 0]); see DESIGN.md §8.
+    Every access suspends the thread: it writes the operation into the
+    thread's state, performs one effect, and the engine performs it when
+    the thread reaches the heap's root, as one memory-system transition
+    ({!Memsys.access_load} and its siblings: a hit prefix, then the miss
+    path); see DESIGN.md §8.
 
     One engine runs on one host domain. Host parallelism comes from
     running independent engines side by side (the harness's [--jobs]). *)

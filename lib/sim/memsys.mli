@@ -51,9 +51,9 @@ val obs : t -> Warden_obs.Obs.t
 
     Each access is one transition: a hit prefix, which commits a
     permission-sufficient private-cache hit in place, followed by the
-    miss path for an upgrade or a miss. The engine's inline and scheduled
-    paths and trace replay all call {!access_load}, {!access_store} and
-    {!access_rmw}; the other entry points are thin wrappers over them.
+    miss path for an upgrade or a miss. The engine and trace replay both
+    call {!access_load}, {!access_store} and {!access_rmw}; the other
+    entry points are thin wrappers over them.
     A loaded value is written, little-endian, into the first 8 bytes of
     the caller's buffer, so a hit allocates nothing. *)
 
@@ -161,8 +161,8 @@ val footprint_bytes : t -> int
 (** {2 Commit-order trace sink (DESIGN.md §15)}
 
     A flat callback invoked at the instant each access commits its
-    memory-system transition, on whichever path served it (scheduled or
-    inline) — so the recorded stream is in commit order, and feeding it
+    memory-system transition — so the recorded stream is in commit
+    order, and feeding it
     back through the access transitions replays the exact transition
     sequence with no program model.
     Arguments: [kind thread addr size value]; for {!k_rmw} the value is

@@ -154,8 +154,7 @@ let save t w =
   Sa.save t.l1 w ~elt:(fun _ _ -> ());
   Sa.save t.l2 w ~elt:(fun w slot ->
       B.w_u8 w (Linepool.state t.pool slot);
-      Linedata.save (data t slot) w);
-  B.w_bool w t.last_l1
+      Linedata.save (data t slot) w)
 
 (* A hierarchy read back whole: both levels are validated as they are
    read, and L1 must sit inside L2. *)
@@ -170,7 +169,6 @@ let restore cfg ~evict r =
       Linepool.set_state t.pool slot code;
       Linedata.restore (data t slot) r;
       slot);
-  t.last_l1 <- B.r_bool r;
   (match check_inclusion t with
   | Ok () -> ()
   | Error _ -> B.corrupt "Privcache: an L1 block not in L2");

@@ -76,8 +76,9 @@ val check_inclusion : t -> (unit, string) result
 
 val save : t -> Warden_util.Bin.w -> unit
 (** Snapshot both levels ({!Warden_cache.Sa.save}: the clock, then each
-    resident way), every resident line's state and data with its L2
-    way, and the last-hit level. *)
+    resident way), and every resident line's state and data with its L2
+    way. {!last_l1} is not saved: it is read only right after the
+    {!fast_hit} that sets it. *)
 
 val restore :
   Warden_machine.Config.t ->

@@ -5,17 +5,18 @@ module Memsys = Warden_sim.Memsys
 module Protocol = Warden_proto.Protocol
 
 let magic = "WSNP"
-(* Version 3 writes simulated state, not host layouts: written memory
-   lines, resident cache ways and directory entries, and one word for a
-   core whose private caches were never allocated (DESIGN.md §15).
-   Older files are refused by version, never misparsed. *)
-let version = 3
+(* Version 4 writes simulated state, not host layouts: thread clocks,
+   written memory lines, resident cache ways and directory entries, and
+   one word for a core whose private caches were never allocated
+   (DESIGN.md §15). Older files are refused by version, never
+   misparsed. *)
+let version = 4
 
 (* The fingerprint is every configuration value the simulated results
    depend on, written as actual values (not a hash) so a mismatch names
-   the offending field. The host-side knobs sched_quantum and obs_level
-   are deliberately excluded: results are bit-identical across them, so a
-   snapshot taken with one setting restores into a run with another. *)
+   the offending field. The host-side knob obs_level is deliberately
+   excluded: results are bit-identical across its levels, so a snapshot
+   taken at one level restores into a run at another. *)
 let fingerprint_fields (cfg : Config.t) ~proto_name =
   [
     ("protocol", `S proto_name);
@@ -108,7 +109,7 @@ let to_bytes eng =
   Bin.w_string out magic;
   Bin.w_int out version;
   Bin.w_bytes out body;
-  Bin.w_int out (Bin.checksum body ~pos:0 ~len:(Bytes.length body));
+  Bin.w_int out (Bin.word_checksum body ~pos:0 ~len:(Bytes.length body));
   Bin.contents out
 
 (* Validate the envelope (magic, version, checksum) and return a reader
@@ -122,9 +123,16 @@ let open_body bytes =
     Bin.corrupt
       (Printf.sprintf "Snap: snapshot version %d, this build reads %d" v
          version);
-  let body = Bin.r_bytes r in
-  let ck = Bin.r_int r in
-  if ck <> Bin.checksum body ~pos:0 ~len:(Bytes.length body) then
+  let body, ck =
+    try
+      let body = Bin.r_bytes r in
+      (body, Bin.r_int r)
+    with Bin.Corrupt _ -> Bin.corrupt "Snap: truncated snapshot"
+  in
+  if Bin.r_left r > 0 then
+    Bin.corrupt
+      (Printf.sprintf "Snap: %d bytes after the checksum" (Bin.r_left r));
+  if ck <> Bin.word_checksum body ~pos:0 ~len:(Bytes.length body) then
     Bin.corrupt "Snap: checksum mismatch (truncated or corrupt snapshot)";
   Bin.reader body
 
@@ -155,19 +163,3 @@ let describe bytes =
       reference
   else Buffer.add_string b "  (unknown fingerprint layout)\n";
   Buffer.contents b
-
-let save_file eng path =
-  let bytes = to_bytes eng in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_bytes oc bytes)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      let len = in_channel_length ic in
-      let bytes = Bytes.create len in
-      really_input ic bytes 0 len;
-      bytes)
-
-let load_file eng path = restore eng (read_file path)

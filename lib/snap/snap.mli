@@ -12,10 +12,11 @@
     continuations cannot serialize; that boundary is also the only time
     the simulated state is entirely flat structures.
 
-    The host-side knobs [sched_quantum] and [obs_level] are excluded from
-    the fingerprint: results are bit-identical across them, so one
-    snapshot serves any of those settings. Restore targets a {e freshly
-    created} engine of matching geometry and protocol. *)
+    The host-side knob [obs_level] is excluded from the fingerprint:
+    results are bit-identical across its levels, so one snapshot serves
+    any of them. Restore targets a {e freshly created} engine of matching
+    geometry and protocol. Files are read and written with
+    {!Warden_util.Bin.read_file} and {!Warden_util.Bin.write_file}. *)
 
 val to_bytes : Warden_sim.Engine.t -> Bytes.t
 (** Serialize at a quiescent point. Raises [Invalid_argument] if a run
@@ -25,15 +26,10 @@ val restore : Warden_sim.Engine.t -> Bytes.t -> unit
 (** Restore into a freshly created engine of identical configuration and
     protocol. Subsequent runs are bit-identical to running them on the
     snapshotted engine. Raises [Warden_util.Bin.Corrupt], leaving the
-    engine as it was, on bad magic, version or checksum, any fingerprint
-    mismatch, or a malformed body. *)
+    engine as it was, on bad magic, version or checksum, a truncated
+    envelope or bytes after it, any fingerprint mismatch, or a malformed
+    body (a thread clock out of range included). *)
 
 val describe : Bytes.t -> string
 (** Render the envelope and stored fingerprint (validates the checksum
     first). *)
-
-val save_file : Warden_sim.Engine.t -> string -> unit
-val load_file : Warden_sim.Engine.t -> string -> unit
-
-val read_file : string -> Bytes.t
-(** Raw snapshot bytes from disk (for {!describe} or {!restore}). *)

@@ -335,22 +335,6 @@ let of_bytes bytes =
     body = [ { buf = bytes; off; len } ];
   }
 
-let save_file t path =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_bytes oc (to_bytes t))
-
-let load_file path =
-  let ic = open_in_bin path in
-  let bytes =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let len = in_channel_length ic in
-        let b = Bytes.create len in
-        really_input ic b 0 len;
-        b)
-  in
-  of_bytes bytes
-
 (* Canonical memory-system statistics dump, for byte-comparing a replay
    against its recording run (CI). Engine-owned values — instructions,
    cycles, store-buffer stalls, core energy — are excluded: a replay has

@@ -52,11 +52,6 @@ val of_bytes : Bytes.t -> t
     unknown event kind, or an event count that disagrees with the body's
     records. *)
 
-val save_file : t -> string -> unit
-
-val load_file : string -> t
-(** Read a file and {!of_bytes} it. *)
-
 val stats_text : Warden_sim.Memsys.t -> string
 (** Canonical dump of the memory-system statistics a replay reproduces
     (engine-owned values excluded), one [key value] per line — byte-equal

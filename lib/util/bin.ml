@@ -138,19 +138,9 @@ let checksum_seed = 0x9E3779B97F4A7C15L
 let to_63 h = Int64.to_int (Int64.logand h 0x7FFFFFFFFFFFFFFFL)
 
 (* 63-bit rolling checksum over a byte range: SplitMix64's finalizer
-   applied per byte. Cheap, order-sensitive, and catches the single-word
-   corruptions a torn snapshot write would produce. *)
-let checksum data ~pos ~len =
-  let h = ref checksum_seed in
-  for i = pos to pos + len - 1 do
-    h := mix (Int64.add !h (Int64.of_int (Char.code (Bytes.unsafe_get data i))))
-  done;
-  to_63 !h
-
-(* The same roll over little-endian 64-bit words, then the tail bytes one
-   at a time: one finalizer step per eight bytes. Each step is a
-   bijection of the running state for a fixed input, so a change to any
-   single word or byte always changes the result before truncation. *)
+   applied per little-endian 64-bit word, then per tail byte. Each step
+   is a bijection of the running state for a fixed input, so a change to
+   any single word or byte always changes the result before truncation. *)
 let word_checksum data ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length data then
     invalid_arg "Bin.word_checksum";
@@ -163,3 +153,15 @@ let word_checksum data ~pos ~len =
     h := mix (Int64.add !h (Int64.of_int (Char.code (Bytes.unsafe_get data i))))
   done;
   to_63 !h
+
+let write_file path bytes =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc bytes)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      let len = in_channel_length ic in
+      let bytes = Bytes.create len in
+      really_input ic bytes 0 len;
+      bytes)

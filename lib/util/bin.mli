@@ -51,14 +51,14 @@ val r_left : r -> int
 val corrupt : string -> 'a
 (** [corrupt what] raises {!Corrupt} with a ["Bin: "] prefix. *)
 
-val checksum : Bytes.t -> pos:int -> len:int -> int
-(** 63-bit rolling checksum of a byte range (SplitMix64 finalizer per
-    byte): order-sensitive, cheap, catches torn-write corruption. The
-    [WSNP] snapshot envelope's checksum; fixed so that old snapshots
-    still restore. *)
-
 val word_checksum : Bytes.t -> pos:int -> len:int -> int
-(** The same roll, one finalizer step per little-endian 64-bit word and
-    then per tail byte: about eight times fewer steps than {!checksum},
-    with the same guarantee that any single-word change is caught. The
-    [WOBS] trace envelope's checksum. *)
+(** 63-bit rolling checksum of a byte range (SplitMix64 finalizer per
+    little-endian 64-bit word, then per tail byte): order-sensitive,
+    cheap, and any single-word or single-byte change is caught. The
+    checksum of both envelopes, [WSNP] snapshots and [WOBS] traces. *)
+
+val write_file : string -> Bytes.t -> unit
+(** Write the bytes to a file, replacing it. Raises [Sys_error]. *)
+
+val read_file : string -> Bytes.t
+(** A whole file's bytes. Raises [Sys_error] when it cannot be read. *)

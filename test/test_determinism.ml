@@ -1,18 +1,15 @@
-(* Determinism and fast-path differential tests.
-
-   The engine's inline fast path (Config.sched_quantum > 0) claims to be
-   bit-identical to the fully scheduled legacy execution (sched_quantum =
-   0): same simulated cycles, same event and protocol statistics, same
-   final memory image. These tests hold it to that claim, on both
-   protocols, across fixed fork-tree shapes, random programs, and real
-   benchmarks — and additionally pin down that the simulator is
-   deterministic (same seed, same everything). *)
+(* Determinism tests: the same run twice gives the same simulated
+   cycles, event and protocol statistics, energy and final memory image,
+   on fixed fork-tree shapes, random programs and real benchmarks. A
+   direct engine program that draws every operation kind also pins a
+   digest of everything it observes, so a change to the engine that
+   moves any simulated event, or any recorded event's timestamp, fails
+   it. *)
 
 open Warden_machine
 open Warden_sim
 open Warden_runtime
 
-let cfg_q quantum = { (Config.dual_socket ()) with Config.sched_quantum = quantum }
 
 (* --- fork-tree programs (same shape family as test_random_programs) --- *)
 
@@ -77,8 +74,8 @@ type snapshot = {
   scratch : int64 array;
 }
 
-let run_tree ~quantum proto prog =
-  let eng = Engine.create (cfg_q quantum) ~proto in
+let run_tree proto prog =
+  let eng = Engine.create (Config.dual_socket ()) ~proto in
   let ms = Engine.memsys eng in
   let ntasks = size prog in
   let (out, scratch), _ =
@@ -135,66 +132,40 @@ let determinism_tests =
             (fun (proto, pname) ->
               check_snap_equal
                 (Printf.sprintf "%s/%s" name pname)
-                (run_tree ~quantum:4096 proto prog)
-                (run_tree ~quantum:4096 proto prog))
+                (run_tree proto prog) (run_tree proto prog))
             protos))
     fixed_shapes
 
-(* 2. Differential: fast path (various quanta) vs legacy (quantum 0). *)
-let differential_tree_tests =
-  List.map
-    (fun (name, prog) ->
-      Alcotest.test_case ("fast path = legacy: " ^ name) `Quick (fun () ->
-          List.iter
-            (fun (proto, pname) ->
-              let legacy = run_tree ~quantum:0 proto prog in
-              List.iter
-                (fun q ->
-                  check_snap_equal
-                    (Printf.sprintf "%s/%s q=%d" name pname q)
-                    legacy
-                    (run_tree ~quantum:q proto prog))
-                [ 1; 64; 4096 ])
-            protos))
-    fixed_shapes
-
-let prop_differential prog =
+let prop_repeat prog =
   List.for_all
-    (fun (proto, _) ->
-      let legacy = run_tree ~quantum:0 proto prog in
-      List.for_all
-        (fun q -> snap_equal legacy (run_tree ~quantum:q proto prog))
-        [ 1; 4096 ])
+    (fun (proto, _) -> snap_equal (run_tree proto prog) (run_tree proto prog))
     protos
 
 let qtest =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:15
-       ~name:"random programs: fast path = legacy (both protocols)"
+       ~name:"random programs: repeat run (both protocols)"
        ~print:(fun p ->
          let rec pp = function
            | Leaf w -> Printf.sprintf "L%d" w
            | Node (l, r) -> Printf.sprintf "(%s %s)" (pp l) (pp r)
          in
          pp p)
-       gen_prog prop_differential)
+       gen_prog prop_repeat)
 
-(* 3. Differential on every operation kind, straight on the engine: eight
-   threads draw loads, stores, RMWs, yields, WARD region adds and
-   removes, and acquire/release fences over a few shared and private
-   blocks, so many accesses miss, some of them inline. All four
-   protocols at obs level full; the inline runs must match the fully
-   scheduled one in every thread's results and end time, the stats,
-   the energy, the memory image and the recorded event stream with its
-   timestamps. *)
+(* 2. Every operation kind, straight on the engine: eight threads draw
+   loads, stores, RMWs, yields, WARD region adds and removes, and
+   acquire/release fences over a few shared and private blocks, so many
+   accesses miss. All four protocols at obs level full. Two runs must
+   agree in every thread's results and end time, the stats, the energy,
+   the memory image and the recorded event stream with its timestamps,
+   and the whole must hash to the digest pinned below. *)
 let all_protos = [ (`Mesi, "mesi"); (`Warden, "warden"); (`Msi_bus, "msi_bus"); (`Sisd, "sisd") ]
 
-let run_ops ~quantum proto =
+let run_ops proto =
   let module R = Warden_util.Splitmix in
   let module Ops = Engine.Ops in
-  let cfg =
-    { (cfg_q quantum) with Config.obs_level = Config.Obs_full }
-  in
+  let cfg = { (Config.dual_socket ()) with Config.obs_level = Config.Obs_full } in
   let eng = Engine.create cfg ~proto in
   let ms = Engine.memsys eng in
   let nthreads = 8 and shared = 6 in
@@ -250,48 +221,65 @@ let run_ops ~quantum proto =
     ("events with timestamps", Buffer.contents trace);
   ]
 
-let test_every_op_differential () =
+(* MD5 of the observables, each as "name=value", joined by NUL bytes.
+   Recorded from the fully scheduled engine, where every access
+   suspended, before the engine's inline access path was deleted. *)
+let pinned_digests =
+  [
+    ("mesi", "97ea77f7672ef2111f1fbfc362f18998");
+    ("warden", "62bb5b157e0a8de47bade33a285cff05");
+    ("msi_bus", "bf5dec0b5dc371c31c3a92b7ae2635d5");
+    ("sisd", "c0917d37483b3f07431db0c5daab46ed");
+  ]
+
+let digest observables =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\000" (List.map (fun (what, v) -> what ^ "=" ^ v) observables)))
+
+let test_every_op () =
   List.iter
     (fun (proto, pname) ->
-      let legacy = run_ops ~quantum:0 proto in
-      let _, events = List.nth legacy (List.length legacy - 1) in
+      let first = run_ops proto in
+      let _, events = List.nth first (List.length first - 1) in
       Alcotest.(check bool) (pname ^ ": events recorded") true (String.length events > 1000);
-      List.iter
-        (fun q ->
-          List.iter2
-            (fun (what, a) (_, b) ->
-              Alcotest.(check bool) (Printf.sprintf "%s q=%d: %s" pname q what) true (a = b))
-            legacy (run_ops ~quantum:q proto))
-        [ 1; 64; 4096 ])
+      List.iter2
+        (fun (what, a) (_, b) ->
+          Alcotest.(check bool) (Printf.sprintf "%s repeat: %s" pname what) true (a = b))
+        first (run_ops proto);
+      Alcotest.(check string)
+        (pname ^ ": pinned digest")
+        (List.assoc pname pinned_digests)
+        (digest first))
     all_protos
 
-(* 4. Differential on real benchmarks, full run_result (includes derived
-   floats and the verified bit). *)
+(* 3. Real benchmarks, full run_result (includes derived floats and the
+   verified bit). *)
 let bench_differential name =
   Alcotest.test_case ("benchmark: " ^ name) `Quick (fun () ->
       let spec = Option.get (Warden_pbbs.Suite.find name) in
       List.iter
         (fun (proto, pname) ->
-          let run q =
-            Warden_harness.Exp.run_bench ~quick:true ~config:(cfg_q q) ~proto
-              spec
+          let run () =
+            Warden_harness.Exp.run_bench ~quick:true
+              ~config:(Config.dual_socket ()) ~proto spec
           in
-          let legacy = run 0 and fast = run 4096 in
+          let first = run () and second = run () in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s verified" name pname)
-            true fast.Warden_harness.Exp.verified;
+            true first.Warden_harness.Exp.verified;
           Alcotest.(check int)
             (Printf.sprintf "%s/%s cycles" name pname)
-            legacy.Warden_harness.Exp.cycles fast.Warden_harness.Exp.cycles;
+            first.Warden_harness.Exp.cycles second.Warden_harness.Exp.cycles;
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s full result" name pname)
-            true (legacy = fast))
+            true (first = second))
         protos)
 
 let suite =
-  determinism_tests @ differential_tree_tests
+  determinism_tests
   @ [ qtest; Alcotest.test_case "every op kind, four protocols, obs full" `Quick
-          test_every_op_differential ]
+          test_every_op ]
   @ List.map bench_differential [ "fib"; "palindrome"; "msort" ]
 
 let () = Alcotest.run "warden-determinism" [ ("determinism", suite) ]

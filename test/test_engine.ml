@@ -223,12 +223,11 @@ let gen_programs =
 
 (* Run one program per thread, recording host-side, in the order the
    accesses execute, each access's (cycle, issue number, thread). The
-   issue number counts accesses in the order threads issue them: a
-   scheduled access enters the run queue at the moment it is issued, so
+   issue number counts accesses in the order threads issue them: an
+   access enters the run queue at the moment it is issued, so
    it is also the queue's enqueue order. *)
-let run_programs ~proto ~quantum progs =
-  let cfg = { (Config.single_socket ()) with Config.sched_quantum = quantum } in
-  let eng = Engine.create cfg ~proto in
+let run_programs ~proto progs =
+  let eng = Engine.create (Config.single_socket ()) ~proto in
   let base = Memsys.alloc (Engine.memsys eng) ~bytes:(8 * 64) ~align:64 in
   let issued = ref 0 and log = ref [] in
   let access f =
@@ -260,10 +259,10 @@ let ordered log =
   in
   go log
 
-let order_property ~proto ~quantum name =
+let order_property ~proto name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150 ~name gen_programs (fun progs ->
-         ordered (run_programs ~proto ~quantum progs)))
+         ordered (run_programs ~proto progs)))
 
 let test_yield_lets_peer_run () =
   let order = ref [] in
@@ -301,12 +300,11 @@ let test_yield_round_robin_long () =
   Alcotest.(check int) "strict round robin" 0 !out_of_turn
 
 (* A suspension allocates the continuation and nothing else: 24 threads
-   in lockstep, every access scheduled ([sched_quantum = 0]), each
-   loading and storing its own private line. The loop's own share is the
+   in lockstep, each loading and storing its own private line. The loop's own share is the
    boxed [int64] a load returns. When each suspension built a payload
    tuple, closures and a boxed value, this read 28 words per access. *)
 let test_suspend_allocation_budget () =
-  let cfg = { (Config.dual_socket ()) with Config.sched_quantum = 0 } in
+  let cfg = Config.dual_socket () in
   let eng = Engine.create cfg ~proto:`Mesi in
   let ms = Engine.memsys eng in
   let nthreads = Config.num_threads cfg and iters = 2000 in
@@ -326,7 +324,7 @@ let test_suspend_allocation_budget () =
     (Gc.minor_words () -. before) /. float_of_int (2 * iters * nthreads)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per scheduled access (budget 6)" per_access)
+    (Printf.sprintf "%.2f minor words per access (budget 6)" per_access)
     true (per_access <= 6.)
 
 (* Fork and hand-off complete inside the running thread's turn: neither
@@ -479,9 +477,8 @@ let suite =
     Alcotest.test_case "thread limit" `Quick test_too_many_threads_rejected;
     Alcotest.test_case "deterministic interleaving" `Quick
       test_deterministic_interleaving;
-    order_property ~proto:`Mesi ~quantum:4096 "order: random programs, mesi";
-    order_property ~proto:`Warden ~quantum:4096 "order: random programs, warden";
-    order_property ~proto:`Mesi ~quantum:0 "order: random programs, no inline";
+    order_property ~proto:`Mesi "order: random programs, mesi";
+    order_property ~proto:`Warden "order: random programs, warden";
     Alcotest.test_case "yield lets a same-cycle peer run" `Quick
       test_yield_lets_peer_run;
     Alcotest.test_case "yield round robin across seq renumbering" `Quick

@@ -264,7 +264,7 @@ let stats_and_bytes eng =
 
 (* The snapshot format is pinned: two fixed runs must serialize to the
    same bytes, so a change to the format is a deliberate one. The
-   digests are of the whole WSNP v3 envelope (header, fingerprint,
+   digests are of the whole WSNP v4 envelope (header, fingerprint,
    payload). fib at scale 16 on the single-socket machine ends flushed;
    the sharing phase on the dual-socket machine ends with dirty private
    copies, so its digest also pins the dirty masks. *)
@@ -275,11 +275,11 @@ let test_snapshot_format_pinned () =
   let ok = spec.Warden_pbbs.Spec.run ~scale:16 ~seed:0x5EEDF00DL eng in
   Alcotest.(check bool) "fib verified" true ok;
   Alcotest.(check string)
-    "fib WSNP v3 digest" "acf290b777a3bdbec27d065f8c0b10ff" (digest eng);
+    "fib WSNP v4 digest" "3bb6c807a83a414e5a1004034939d215" (digest eng);
   let eng = Engine.create (Config.dual_socket ()) ~proto:`Warden in
   ignore (Engine.run eng (phase_bodies (Engine.memsys eng) ~round:0) : int);
-  Alcotest.(check string) "unflushed WSNP v3 digest"
-    "72c2fbd00bfa062c28d5dea826b12a17" (digest eng)
+  Alcotest.(check string) "unflushed WSNP v4 digest"
+    "19dcfc2785020098f5d89c5ba480f1fb" (digest eng)
 
 let test_restore_then_run () =
   let machines =
@@ -628,19 +628,26 @@ let test_snapshot_corruption () =
   let eng = Engine.create cfg ~proto:`Warden in
   ignore (Engine.run eng (phase_bodies (Engine.memsys eng) ~round:0) : int);
   let b = Snap.to_bytes eng in
-  (* Bit flip in the body: checksum. *)
-  let dam = Bytes.copy b in
-  let i = Bytes.length dam - 9 in
-  Bytes.set dam i (Char.chr (Char.code (Bytes.get dam i) lxor 1));
   let fresh () = Engine.create cfg ~proto:`Warden in
-  let raises what f =
-    Alcotest.(check bool) what true
-      (match f () with exception Bin.Corrupt _ -> true | _ -> false)
+  let refused what msg bytes =
+    Alcotest.check_raises what (Bin.Corrupt ("Bin: Snap: " ^ msg)) (fun () ->
+        Snap.restore (fresh ()) bytes)
   in
-  raises "checksum damage detected" (fun () -> Snap.restore (fresh ()) dam);
-  (* Truncation. *)
-  raises "truncation detected" (fun () ->
-      Snap.restore (fresh ()) (Bytes.sub b 0 (Bytes.length b / 2)));
+  (* A flipped bit in the body's last byte or in the checksum word. *)
+  List.iter
+    (fun (what, i) ->
+      let dam = Bytes.copy b in
+      Bytes.set dam i (Char.chr (Char.code (Bytes.get dam i) lxor 1));
+      refused what "checksum mismatch (truncated or corrupt snapshot)" dam)
+    [ ("body byte flipped", Bytes.length b - 9); ("checksum byte flipped", Bytes.length b - 3) ];
+  (* Truncation, inside the body and inside the checksum word. *)
+  List.iter
+    (fun (what, len) -> refused what "truncated snapshot" (Bytes.sub b 0 len))
+    [ ("cut in half", Bytes.length b / 2); ("checksum cut", Bytes.length b - 4) ];
+  refused "trailing bytes" "3 bytes after the checksum"
+    (Bytes.cat b (Bytes.of_string "end"));
+  refused "not a snapshot" "not a warden snapshot (bad magic)"
+    (Bytes.of_string "this is not a warden snapshot\n");
   (* Fingerprint: a different protocol refuses the snapshot, naming the
      field. *)
   let wrong = Engine.create cfg ~proto:`Mesi in
@@ -675,13 +682,46 @@ let test_snapshot_corruption () =
         (Printf.sprintf "version %d refused" v)
         (Bin.Corrupt
            (Printf.sprintf
-              "Bin: Snap: snapshot version %d, this build reads 3" v))
+              "Bin: Snap: snapshot version %d, this build reads 4" v))
         (fun () -> Snap.restore target old);
       Alcotest.(check bool)
         (Printf.sprintf "version %d: target unchanged" v)
         true
         (Bytes.equal (Snap.to_bytes (fresh ())) (Snap.to_bytes target)))
-    [ 1; 2 ];
+    [ 1; 2; 3 ];
+  (* A thread clock outside the run queue's 42-bit range is refused
+     before anything is installed, not at the next run. The clocks
+     follow the fingerprint and the thread count. *)
+  let body =
+    let r = Bin.reader b in
+    ignore (Bin.r_string r : string);
+    ignore (Bin.r_int r : int);
+    Bin.r_bytes r
+  in
+  let engine_len =
+    let w = Bin.writer () in
+    Engine.snapshot eng w;
+    Bin.length w
+  in
+  List.iter
+    (fun clock ->
+      let body = Bytes.copy body in
+      Bytes.set_int64_le body (Bytes.length body - engine_len + 8) clock;
+      let w = Bin.writer () in
+      Bin.w_string w "WSNP";
+      Bin.w_int w 4;
+      Bin.w_bytes w body;
+      Bin.w_int w (Bin.word_checksum body ~pos:0 ~len:(Bytes.length body));
+      let target = fresh () in
+      Alcotest.check_raises
+        (Printf.sprintf "clock %Ld refused" clock)
+        (Bin.Corrupt "Bin: Engine: thread clock out of range")
+        (fun () -> Snap.restore target (Bin.contents w));
+      Alcotest.(check bool)
+        (Printf.sprintf "clock %Ld: target unchanged" clock)
+        true
+        (Bytes.equal (Snap.to_bytes (fresh ())) (Snap.to_bytes target)))
+    [ -1L; Int64.shift_left 1L 42 ];
   (* [describe] summarizes without an engine. *)
   let d = Snap.describe b in
   Alcotest.(check bool) "describe mentions the machine" true
@@ -799,7 +839,7 @@ let suite =
       test_dirstate_62_core_boundary;
     Alcotest.test_case "malformed dirstate refused" `Quick
       test_dirstate_restore_malformed;
-    Alcotest.test_case "snapshot format pinned (WSNP v3 digests)" `Quick
+    Alcotest.test_case "snapshot format pinned (WSNP v4 digests)" `Quick
       test_snapshot_format_pinned;
     Alcotest.test_case "restore-then-run bit-identical" `Quick
       test_restore_then_run;

@@ -27,8 +27,8 @@ let rec fib_par n =
   end
 
 let () =
-  (* [sched_quantum = 0]: no access runs inline, each is a switch. *)
-  let cfg = { (Config.dual_socket ()) with Config.sched_quantum = 0 } in
+  (* Every access suspends, so each is a switch. *)
+  let cfg = Config.dual_socket () in
   let eng = Engine.create cfg ~proto:`Warden in
   let n = 24 in
   let v, rs = Par.run eng (fun () -> fib_par n) in
