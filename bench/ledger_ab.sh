@@ -19,7 +19,10 @@
 # (memory-system hit path), proto.miss_ns (protocol miss transition),
 # proto.region_ns (WARD region add/remove), llc.ns_per_read (LLC slice
 # read) and trace.envelope_ns_per_event (trace envelope round trip):
-# they say which layer an end-to-end change came from. The ledger's
+# they say which layer an end-to-end change came from. Beside each
+# untraced run's metrics it prints the minor page faults the run took
+# (where /proc is present), and each side's median of them, which says
+# whether a host-memory change landed. The ledger's
 # trace.record_overhead_pct is not printed: it sets the recording passes
 # against one plain pass, and five traced runs of one unchanged
 # executable read anywhere from -5 to +48 points. One traced run swings by
@@ -85,14 +88,30 @@ echo "ledger-ab: building the working tree"
 (cd "$root" && dune build --root . ./ledger/ledger.exe)
 cp "$root/_build/default/ledger/ledger.exe" "$tmp/head.exe"
 
+# cminflt: set $faults to the minor page faults of every child this
+# shell has reaped (field 11 of /proc/$$/stat), or to nothing where
+# /proc is absent. `read` is a builtin: the reading reaps no child.
+cminflt() {
+  faults=
+  [ -r "/proc/$$/stat" ] || return 0
+  read -r stat < "/proc/$$/stat"
+  set -- ${stat##*')'}
+  faults=${9:-}
+}
+
 # run SIDE TRACE LABEL METRIC...: one run of workload $w with --trace
 # TRACE; print the named metrics and append each to the side's list for
-# that metric.
+# that metric. An untraced run also prints and records its minor page
+# faults: the shell's reaped-children count before and after it, which
+# takes in the command substitution's subshell and `tail` too.
 run() {
   side=$1 trace=$2 label=$3
   shift 3
+  cminflt
+  before=$faults
   line=$("$tmp/$side.exe" --workload "$w" --trace "$trace" --seconds 15 \
     ${SEED:+--seed "$SEED"} --out "$tmp/out-$side" | tail -n 1)
+  cminflt
   case $line in
     *'"correct": true'*) ;;
     *) echo "ledger-ab: $w: $side run failed its checks: $line" >&2; exit 1 ;;
@@ -103,6 +122,10 @@ run() {
     printf '  %s %s' "$m" "$v"
     echo "$v" >> "$tmp/$w.$side.$m"
   done
+  if [ "$trace" = 0 ] && [ -n "$faults" ]; then
+    printf '  minor_faults %s' $((faults - before))
+    echo $((faults - before)) >> "$tmp/$w.$side.minor_faults"
+  fi
   echo
 }
 
@@ -156,7 +179,9 @@ for w in $(echo "$workloads" | tr ',' ' '); do
     i=$((i + 1))
   done
   echo "ledger-ab: $w, $pairs pairs"
-  for m in $metrics; do
+  counted=
+  [ -s "$tmp/$w.base.minor_faults" ] && counted=minor_faults
+  for m in $metrics $counted; do
     echo "  $m"
     echo "    base $base: $(summary "$tmp/$w.base.$m")"
     echo "    working tree: $(summary "$tmp/$w.head.$m")"
@@ -179,6 +204,12 @@ for w in $(echo "$workloads" | tr ',' ' '); do
   for m in $metrics; do
     printf '  %s %s' "$m" "$(change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"
   done
+  if [ -s "$tmp/$w.base.minor_faults" ]; then
+    printf '  minor_faults %s -> %s (%s)' \
+      "$(quantile "$tmp/$w.base.minor_faults" 0.5)" \
+      "$(quantile "$tmp/$w.head.minor_faults" 0.5)" \
+      "$(change "$tmp/$w.base.minor_faults" "$tmp/$w.head.minor_faults")"
+  fi
   printf '  host_s won %s/%s' "$(cat "$tmp/$w.wins")" "$pairs"
   for m in $layers; do
     printf '  %s %s' "$m" "$(layer_change "$tmp/$w.base.$m" "$tmp/$w.head.$m")"

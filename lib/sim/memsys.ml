@@ -35,8 +35,7 @@ type t = {
   store : Store.t;
   llc : Llc.t;
   mutable priv : Privcache.t array;
-  blank : Privcache.t;
-      (* every core's hierarchy until its first fill; see [owned] *)
+      (* [Privcache.blank] for a core until its first fill; see [owned] *)
   mutable proto : Protocol.t option;
   mutable self_sync : bool;
       (* cached [Protocol.kind = `Self]: such protocols take their
@@ -97,11 +96,11 @@ let evict_to t core ~blk pstate data =
   Protocol.handle_evict (the_proto t) ~core ~blk ~pstate ~data
 
 (* A core's hierarchy is allocated at its first fill. Until then the core
-   shares the blank one, which nothing mutates: on an empty hierarchy
+   shares [Privcache.blank], which nothing mutates: on an empty hierarchy
    every operation but [fill] is read-only. So copies share it too. *)
 let owned t core =
   let pc = t.priv.(core) in
-  if pc != t.blank then pc
+  if pc != Privcache.blank then pc
   else begin
     let pc = Privcache.create t.cfg ~evict:(evict_to t core) in
     t.priv.(core) <- pc;
@@ -121,10 +120,9 @@ let create_with cfg ~mk =
       "Memsys.create: sim_domains must be 1; use --jobs for host parallelism";
   let store = Store.create () in
   let obs = Obs.create cfg in
-  let blank =
-    Privcache.create cfg ~evict:(fun ~blk:_ _ _ ->
-        invalid_arg "Memsys: eviction from a blank hierarchy")
-  in
+  (* A sweep builds one memory system per run: keep the malloc heap the
+     last one freed, so this one does not fault it back in (DESIGN.md §10). *)
+  ignore (Warden_util.Host_heap.retain () : bool);
   let energy = Energy.create () and pstats = Pstats.create () in
   let t =
     {
@@ -136,8 +134,7 @@ let create_with cfg ~mk =
       obs_on = Obs.enabled obs;
       store;
       llc = Llc.create cfg store ~on_dram_write:(dram_write pstats energy);
-      priv = Array.make (Config.num_cores cfg) blank;
-      blank;
+      priv = Array.make (Config.num_cores cfg) Privcache.blank;
       proto = None;
       self_sync = false;
       word = Bytes.create 8;
@@ -181,7 +178,7 @@ let copy t =
   c.priv <-
     Array.mapi
       (fun core pc ->
-        if pc == t.blank then pc
+        if pc == Privcache.blank then pc
         else Privcache.copy pc ~evict:(evict_to c core))
       t.priv;
   c.proto <- Some (Protocol.copy (the_proto t) ~fabric:(fabric_of c));
@@ -491,7 +488,7 @@ let save_state t w =
   B.w_int w (Array.length t.priv);
   Array.iter
     (fun pc ->
-      if pc == t.blank then B.w_int w 0
+      if pc == Privcache.blank then B.w_int w 0
       else begin
         B.w_int w 1;
         Privcache.save pc w
@@ -512,7 +509,7 @@ let restore_into t r =
   for core = 0 to n - 1 do
     t.priv.(core) <-
       (match B.r_int r with
-      | 0 -> t.blank
+      | 0 -> Privcache.blank
       | 1 -> Privcache.restore t.cfg ~evict:(evict_to t core) r
       | _ -> B.corrupt "Memsys: bad hierarchy flag")
   done;

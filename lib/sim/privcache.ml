@@ -27,6 +27,22 @@ let create (cfg : Config.t) ~evict =
     evict;
   }
 
+(* The hierarchy of every core that has never filled a line: one set of
+   one way at each level, holding nothing. On an empty hierarchy every
+   operation but [fill] misses and writes nothing, exactly as it would on
+   a full-geometry one, so one value serves every such core of every
+   memory system and of their copies. *)
+let blank =
+  {
+    l1 = Sa.create ~sets:1 ~ways:1 ~payloads:false;
+    l2 = Sa.create ~sets:1 ~ways:1 ~payloads:true;
+    pool = Linepool.create ~capacity:1 ();
+    last_l1 = false;
+    evict =
+      (fun ~blk:_ _ _ ->
+        invalid_arg "Privcache: eviction from the blank hierarchy");
+  }
+
 let s_code = 0
 let e_code = 1
 let m_code = 2

@@ -20,6 +20,13 @@ val create :
 (** [evict] is called with each line displaced from L2 (the private
     hierarchy's writeback/PutX path into the protocol). *)
 
+val blank : t
+(** The hierarchy of a core that has never filled a line: empty, and
+    only one set of one way at each level. Every operation but {!fill}
+    answers as on an empty {!create}d hierarchy and writes nothing, so
+    it is shared by every such core of every memory system; {!fill} must
+    never be given it. *)
+
 val fast_hit : t -> blk:int -> write:bool -> int
 (** The allocation-free first half of an access: the line's slot iff the
     access is a plain hit with sufficient permission — refreshing LRU,
